@@ -15,11 +15,8 @@ Quick start::
     field = exact_coeffs(F1, 31, 31, G=96)
     approx = run(field.restrict(config.domain().members()), config)
     values = approx.series.eval_grid([0.0], [0.0])
-
-Set ``LEGDIFF_NO_NUMBA=1`` to force the pure-NumPy kernel path.
 """
 
-from ._kernels import NUMBA_AVAILABLE, USING_NUMBA
 from .basis import QuadratureRule, composite_gauss_rule, eval_phi_row, eval_phi_table, gauss_rule
 from .coeffs import (
     BivariateFunction,
@@ -67,8 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "NUMBA_AVAILABLE",
-    "USING_NUMBA",
     "QuadratureRule",
     "gauss_rule",
     "composite_gauss_rule",

@@ -1,10 +1,4 @@
-"""Computational kernels, JIT-compiled with numba when available.
-
-Every kernel exists in two equivalent implementations: a pure-numpy one
-(``np_*``) and a numba ``@njit`` one (``nb_*``).  The public names dispatch to
-the numba versions when numba is importable and the environment variable
-``LEGDIFF_NO_NUMBA`` is unset; setting ``LEGDIFF_NO_NUMBA=1`` forces the numpy
-path.  ``benchmarks/bench_kernels.py`` compares the two.
+"""NumPy kernels for the orthonormal Legendre basis.
 
 All kernels work with the orthonormal Legendre polynomials
 phi_k(t) = sqrt(k + 1/2) * P_k(t), built from the stable three-term recurrence
@@ -13,29 +7,15 @@ P_{k+1}(t) = ((2k+1) t P_k(t) - k P_{k-1}(t)) / (k+1).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "NUMBA_AVAILABLE",
-    "USING_NUMBA",
     "legendre_table",
     "weighted_projection",
     "mueller_step_matrix",
     "series_eval_grid",
     "series_eval_points",
 ]
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised via the env-flag subprocess test
-    NUMBA_AVAILABLE = False
-
-_DISABLED = os.environ.get("LEGDIFF_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-USING_NUMBA = NUMBA_AVAILABLE and not _DISABLED
 
 _PROJECTION_CHUNK = 65536
 
@@ -45,13 +25,8 @@ def _orthonormal_scale(k_max: int) -> np.ndarray:
     return np.sqrt(np.arange(k_max + 1, dtype=np.float64) + 0.5)
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-
-def np_legendre_table(k_max: int, t: np.ndarray) -> np.ndarray:
-    """Table of phi_k(t_i), shape (k_max+1, t.size)."""
+def legendre_table(k_max: int, t: np.ndarray) -> np.ndarray:
+    """Values phi_k(t_i) for k = 0..k_max, shape (k_max+1, t.size)."""
     t = np.ascontiguousarray(t, dtype=np.float64)
     table = np.empty((k_max + 1, t.size), dtype=np.float64)
     table[0] = 1.0
@@ -63,24 +38,28 @@ def np_legendre_table(k_max: int, t: np.ndarray) -> np.ndarray:
     return table
 
 
-def np_weighted_projection(
+def weighted_projection(
     values: np.ndarray, weights: np.ndarray, t: np.ndarray, k_max: int
 ) -> np.ndarray:
-    """Coefficients c_k = sum_i weights_i * values_i * phi_k(t_i), k = 0..k_max."""
+    """Quadrature projections c_k = sum_i w_i v_i phi_k(t_i) for k = 0..k_max."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    t = np.ascontiguousarray(t, dtype=np.float64)
     coeffs = np.zeros(k_max + 1, dtype=np.float64)
-    wv = np.asarray(weights, dtype=np.float64) * np.asarray(values, dtype=np.float64)
+    wv = weights * values
     for start in range(0, t.size, _PROJECTION_CHUNK):
         stop = start + _PROJECTION_CHUNK
-        coeffs += np_legendre_table(k_max, t[start:stop]) @ wv[start:stop]
+        coeffs += legendre_table(k_max, t[start:stop]) @ wv[start:stop]
     return coeffs
 
 
-def np_mueller_step_matrix(coeffs: np.ndarray) -> np.ndarray:
-    """One derivative step along axis 0 of a dense coefficient matrix.
+def mueller_step_matrix(coeffs: np.ndarray) -> np.ndarray:
+    """One exact derivative step along axis 0 of a dense coefficient matrix.
 
     Input rows are degrees 0..K; output rows are degrees 0..K-1 with
     b_l = 2 sqrt(l+1/2) * sum_{k > l, k+l odd} sqrt(k+1/2) a_k.
     """
+    coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
     n_deg, n_col = coeffs.shape
     if n_deg <= 1:
         return np.zeros((0, n_col), dtype=np.float64)
@@ -95,180 +74,12 @@ def np_mueller_step_matrix(coeffs: np.ndarray) -> np.ndarray:
     return 2.0 * scale[: n_deg - 1, None] * suffix[1:]
 
 
-def np_series_eval_grid(
-    coeffs: np.ndarray, t: np.ndarray, tau: np.ndarray
-) -> np.ndarray:
-    """Evaluate sum_{k,j} c_{k,j} phi_k(t) phi_j(tau) on the tensor grid t x tau."""
-    table_t = np_legendre_table(coeffs.shape[0] - 1, t)
-    table_tau = np_legendre_table(coeffs.shape[1] - 1, tau)
-    return table_t.T @ coeffs @ table_tau
-
-
-def np_series_eval_points(
-    coeffs: np.ndarray, t: np.ndarray, tau: np.ndarray
-) -> np.ndarray:
-    """Evaluate the series at paired points (t_i, tau_i)."""
-    table_t = np_legendre_table(coeffs.shape[0] - 1, t)
-    table_tau = np_legendre_table(coeffs.shape[1] - 1, tau)
-    return np.einsum("ki,kj,ji->i", table_t, coeffs, table_tau, optimize=True)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if NUMBA_AVAILABLE and not _DISABLED:
-
-    @njit(cache=True)
-    def nb_legendre_table(k_max, t):
-        m = t.size
-        table = np.empty((k_max + 1, m), dtype=np.float64)
-        for i in range(m):
-            ti = t[i]
-            p_prev = 1.0
-            table[0, i] = 1.0
-            if k_max >= 1:
-                p_cur = ti
-                table[1, i] = p_cur
-                for k in range(1, k_max):
-                    p_next = ((2 * k + 1) * ti * p_cur - k * p_prev) / (k + 1)
-                    p_prev = p_cur
-                    p_cur = p_next
-                    table[k + 1, i] = p_cur
-        for k in range(k_max + 1):
-            scale = np.sqrt(k + 0.5)
-            for i in range(m):
-                table[k, i] *= scale
-        return table
-
-    @njit(cache=True)
-    def nb_weighted_projection(values, weights, t, k_max):
-        coeffs = np.zeros(k_max + 1, dtype=np.float64)
-        for i in range(t.size):
-            wv = weights[i] * values[i]
-            ti = t[i]
-            p_prev = 1.0
-            coeffs[0] += wv
-            if k_max >= 1:
-                p_cur = ti
-                coeffs[1] += wv * p_cur
-                for k in range(1, k_max):
-                    p_next = ((2 * k + 1) * ti * p_cur - k * p_prev) / (k + 1)
-                    p_prev = p_cur
-                    p_cur = p_next
-                    coeffs[k + 1] += wv * p_cur
-        for k in range(k_max + 1):
-            coeffs[k] *= np.sqrt(k + 0.5)
-        return coeffs
-
-    @njit(cache=True)
-    def nb_mueller_step_matrix(coeffs):
-        n_deg, n_col = coeffs.shape
-        out = np.zeros((max(n_deg - 1, 0), n_col), dtype=np.float64)
-        for col in range(n_col):
-            sum_even = 0.0
-            sum_odd = 0.0
-            for l in range(n_deg - 2, -1, -1):
-                k = l + 1
-                w_k = np.sqrt(k + 0.5) * coeffs[k, col]
-                if k % 2 == 0:
-                    sum_even += w_k
-                else:
-                    sum_odd += w_k
-                # degrees k > l with k+l odd have the parity of l+1
-                if (l + 1) % 2 == 0:
-                    acc = sum_even
-                else:
-                    acc = sum_odd
-                out[l, col] = 2.0 * np.sqrt(l + 0.5) * acc
-        return out
-
-    @njit(cache=True)
-    def nb_series_eval_grid(coeffs, t, tau):
-        table_t = nb_legendre_table(coeffs.shape[0] - 1, t)
-        table_tau = nb_legendre_table(coeffs.shape[1] - 1, tau)
-        n_k, n_j = coeffs.shape
-        partial = np.zeros((n_k, tau.size), dtype=np.float64)
-        for k in range(n_k):
-            for j in range(n_j):
-                c = coeffs[k, j]
-                if c != 0.0:
-                    for m in range(tau.size):
-                        partial[k, m] += c * table_tau[j, m]
-        out = np.zeros((t.size, tau.size), dtype=np.float64)
-        for i in range(t.size):
-            for k in range(n_k):
-                v = table_t[k, i]
-                if v != 0.0:
-                    for m in range(tau.size):
-                        out[i, m] += v * partial[k, m]
-        return out
-
-    @njit(cache=True)
-    def nb_series_eval_points(coeffs, t, tau):
-        table_t = nb_legendre_table(coeffs.shape[0] - 1, t)
-        table_tau = nb_legendre_table(coeffs.shape[1] - 1, tau)
-        n_k, n_j = coeffs.shape
-        out = np.zeros(t.size, dtype=np.float64)
-        for i in range(t.size):
-            acc = 0.0
-            for k in range(n_k):
-                row = 0.0
-                for j in range(n_j):
-                    row += coeffs[k, j] * table_tau[j, i]
-                acc += table_t[k, i] * row
-            out[i] = acc
-        return out
-
-else:  # pragma: no cover - numba disabled or missing
-    nb_legendre_table = None
-    nb_weighted_projection = None
-    nb_mueller_step_matrix = None
-    nb_series_eval_grid = None
-    nb_series_eval_points = None
-
-
-# ---------------------------------------------------------------------------
-# public dispatchers
-# ---------------------------------------------------------------------------
-
-
-def legendre_table(k_max: int, t: np.ndarray) -> np.ndarray:
-    """Values phi_k(t_i) for k = 0..k_max, shape (k_max+1, t.size)."""
-    t = np.ascontiguousarray(t, dtype=np.float64)
-    if USING_NUMBA:
-        return nb_legendre_table(k_max, t)
-    return np_legendre_table(k_max, t)
-
-
-def weighted_projection(
-    values: np.ndarray, weights: np.ndarray, t: np.ndarray, k_max: int
-) -> np.ndarray:
-    """Quadrature projections c_k = sum_i w_i v_i phi_k(t_i) for k = 0..k_max."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    t = np.ascontiguousarray(t, dtype=np.float64)
-    if USING_NUMBA:
-        return nb_weighted_projection(values, weights, t, k_max)
-    return np_weighted_projection(values, weights, t, k_max)
-
-
-def mueller_step_matrix(coeffs: np.ndarray) -> np.ndarray:
-    """One exact derivative step along axis 0 of a dense coefficient matrix."""
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-    if USING_NUMBA:
-        return nb_mueller_step_matrix(coeffs)
-    return np_mueller_step_matrix(coeffs)
-
-
 def series_eval_grid(coeffs: np.ndarray, t: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Series values on the tensor grid t x tau, shape (t.size, tau.size)."""
     coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-    t = np.ascontiguousarray(t, dtype=np.float64)
-    tau = np.ascontiguousarray(tau, dtype=np.float64)
-    if USING_NUMBA:
-        return nb_series_eval_grid(coeffs, t, tau)
-    return np_series_eval_grid(coeffs, t, tau)
+    table_t = legendre_table(coeffs.shape[0] - 1, t)
+    table_tau = legendre_table(coeffs.shape[1] - 1, tau)
+    return table_t.T @ coeffs @ table_tau
 
 
 def series_eval_points(
@@ -276,8 +87,6 @@ def series_eval_points(
 ) -> np.ndarray:
     """Series values at paired points (t_i, tau_i), shape (t.size,)."""
     coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-    t = np.ascontiguousarray(t, dtype=np.float64)
-    tau = np.ascontiguousarray(tau, dtype=np.float64)
-    if USING_NUMBA:
-        return nb_series_eval_points(coeffs, t, tau)
-    return np_series_eval_points(coeffs, t, tau)
+    table_t = legendre_table(coeffs.shape[0] - 1, t)
+    table_tau = legendre_table(coeffs.shape[1] - 1, tau)
+    return np.einsum("ki,kj,ji->i", table_t, coeffs, table_tau, optimize=True)

@@ -54,11 +54,15 @@ class QuadratureRule:
         return float(self.weights @ np.asarray(values, dtype=np.float64))
 
     def validate(self) -> None:
-        """Check the rule invariants, raising AssertionError on violation."""
-        assert abs(self.weights.sum() - 2.0) < 1e-12, "weights must sum to 2"
-        assert np.all(np.diff(self.nodes) > 0.0), "nodes must be strictly increasing"
-        assert np.all(np.abs(self.nodes) < 1.0), "nodes must lie inside (-1, 1)"
-        assert np.all(self.weights > 0.0), "weights must be positive"
+        """Check the rule invariants, raising ValueError on violation."""
+        if not abs(self.weights.sum() - 2.0) < 1e-12:
+            raise ValueError("weights must sum to 2")
+        if not np.all(np.diff(self.nodes) > 0.0):
+            raise ValueError("nodes must be strictly increasing")
+        if not np.all(np.abs(self.nodes) < 1.0):
+            raise ValueError("nodes must lie inside (-1, 1)")
+        if not np.all(self.weights > 0.0):
+            raise ValueError("weights must be positive")
 
 
 def _check_in_domain(t: np.ndarray) -> None:

@@ -45,6 +45,13 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError("must satisfy 0 <= seed < 2**64")
+    return value
+
+
 def _delta_range(text: str) -> tuple[float, ...]:
     """Parse 'start:end:count' into a geometric grid of noise levels."""
     parts = text.split(":")
@@ -78,21 +85,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "Fourier-Legendre coefficients by truncated series differentiation."
         ),
     )
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=1,
-        help=(
-            "cap on worker parallelism; execution is currently single-process, "
-            "so this flag is advisory and results never depend on it"
-        ),
-    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_diff = sub.add_parser(
         "differentiate",
-        parents=[shared],
         help="recover the mixed derivative of order (r, r) and evaluate it on a grid",
     )
     source = p_diff.add_mutually_exclusive_group(required=True)
@@ -112,14 +108,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--noise", choices=("none", "gaussian", "projected"), default="none",
         help="perturb the consumed coefficients before running",
     )
-    p_diff.add_argument("--seed", type=_nonnegative_int, default=0, help="noise seed")
+    p_diff.add_argument("--seed", type=_seed, default=0, help="noise seed")
     p_diff.add_argument("--grid", type=_positive_int, default=41, help="evaluation grid size per axis")
     p_diff.add_argument("--out", help="write the grid CSV here instead of stdout")
     p_diff.set_defaults(func=cmd_differentiate)
 
     p_exp = sub.add_parser(
         "experiment",
-        parents=[shared],
         help="rerun a pinned experiment preset and emit its result table",
     )
     p_exp.add_argument("--preset", choices=PRESET_NAMES, required=True)
@@ -132,7 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser(
         "convergence",
-        parents=[shared],
         help="sweep noise levels and fit the empirical error-vs-noise slope",
     )
     p_conv.add_argument("--builtin", choices=("f1", "f2"), required=True)
@@ -155,7 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_basis = sub.add_parser(
         "basis",
-        parents=[shared],
         help="sample one basis function's derivative on a grid (debug aid)",
     )
     p_basis.add_argument("--k", type=_nonnegative_int, required=True, help="basis degree")

@@ -8,6 +8,7 @@ rule on a uniform grid, whose quadrature error acts as data noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -267,8 +268,8 @@ def load_csv(path: str | Path) -> CoeffField:
     """Read a "k,j,value" coefficient file written by :func:`save_csv`.
 
     A first line whose leading field is non-numeric is treated as a header and
-    skipped.  Malformed lines and duplicate (k, j) indices raise ValueError
-    with the offending line number.
+    skipped.  Malformed lines, non-finite values and duplicate (k, j) indices
+    raise ValueError with the offending line number.
     """
     entries: dict[tuple[int, int], float] = {}
     with open(path, "r", encoding="utf-8") as handle:
@@ -288,6 +289,8 @@ def load_csv(path: str | Path) -> CoeffField:
                 raise ValueError(f"parse error at line {lineno}: {line!r}") from exc
             if k < 0 or j < 0:
                 raise ValueError(f"parse error at line {lineno}: negative index")
+            if not math.isfinite(v):
+                raise ValueError(f"parse error at line {lineno}: non-finite value {v!r}")
             if (k, j) in entries:
                 raise ValueError(f"duplicate index ({k},{j}) at line {lineno}")
             entries[(k, j)] = v

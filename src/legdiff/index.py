@@ -81,18 +81,23 @@ class IndexDomain:
                     raise ValueError(f"parse error at line {lineno}: {line!r}") from exc
         return cls.explicit(pairs, r=r)
 
+    def _cross_rows(self):
+        """Rows (k, j_top) of the cross: j runs over r..j_top in row k."""
+        budget = self.r * self.n - 1
+        for k in range(self.r, self.n):
+            if k > 0:
+                yield k, min(self.n - 1, budget // k)
+            else:
+                yield k, self.n - 1 if budget >= 0 else self.r - 1
+
     def members(self) -> list[tuple[int, int]]:
         """All index pairs in lexicographic (k, j) order."""
         if self.shape == "cross":
-            budget = self.r * self.n - 1
-            out = []
-            for k in range(self.r, self.n):
-                if k > 0:
-                    j_top = min(self.n - 1, budget // k)
-                else:
-                    j_top = self.n - 1 if budget >= 0 else self.r - 1
-                out.extend((k, j) for j in range(self.r, j_top + 1))
-            return out
+            return [
+                (k, j)
+                for k, j_top in self._cross_rows()
+                for j in range(self.r, j_top + 1)
+            ]
         if self.shape == "box":
             rng = range(self.r, self.n + 1)
             return [(k, j) for k in rng for j in rng]
@@ -101,15 +106,7 @@ class IndexDomain:
     def cardinality(self) -> int:
         """Number of pairs, computed without materializing when possible."""
         if self.shape == "cross":
-            budget = self.r * self.n - 1
-            total = 0
-            for k in range(self.r, self.n):
-                if k > 0:
-                    j_top = min(self.n - 1, budget // k)
-                else:
-                    j_top = self.n - 1 if budget >= 0 else self.r - 1
-                total += max(0, j_top - self.r + 1)
-            return total
+            return sum(max(0, j_top - self.r + 1) for _, j_top in self._cross_rows())
         if self.shape == "box":
             side = self.n - self.r + 1
             return side * side

@@ -33,9 +33,10 @@ class ErrorReport:
 
     def validate(self) -> None:
         """Check ||g||_L2 <= 2 ||g||_C (the domain has area 4)."""
-        assert self.l2_error <= 2.0 * self.sup_error * (1.0 + 1e-9) + 1e-300, (
-            f"l2_error={self.l2_error} exceeds 2*sup_error={2 * self.sup_error}"
-        )
+        if not self.l2_error <= 2.0 * self.sup_error * (1.0 + 1e-9) + 1e-300:
+            raise ValueError(
+                f"l2_error={self.l2_error} exceeds 2*sup_error={2 * self.sup_error}"
+            )
 
 
 def _max_series_degree(approx: ApproxDerivative) -> int:

@@ -48,10 +48,18 @@ class NoiseSpec:
             raise ValueError(f"noise level delta={self.delta} must lie in (0, 1)")
         if not (1.0 <= self.p):
             raise ValueError(f"p={self.p} must satisfy 1 <= p <= inf")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed: int) -> None:
+    """Philox keys are unsigned 64-bit integers."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed={seed} must satisfy 0 <= seed < 2**64")
 
 
 def standard_normals(seed: int, count: int) -> np.ndarray:
     """``count`` standard normal draws from Philox(seed) via Box-Muller."""
+    _check_seed(seed)
     if count < 0:
         raise ValueError("count must be nonnegative")
     if count == 0:

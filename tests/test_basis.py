@@ -125,7 +125,7 @@ class TestQuadratureRule:
 
     def test_validate_rejects_bad_weights(self):
         bad = QuadratureRule(nodes=np.array([-0.5, 0.5]), weights=np.array([1.0, 0.5]))
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             bad.validate()
 
     def test_arrays_read_only(self):

@@ -130,6 +130,33 @@ class TestDifferentiate:
         assert code == 1
         assert "error:" in captured.err
 
+    def test_non_finite_coeffs_file_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("k,j,value\n2,2,0.1\n3,2,nan\n")
+        code = main(
+            ["differentiate", "--coeffs", str(path), "--mu", "5.5", "--delta", "1e-7"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "line 3" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "seed, rows", [("-1", None), (str(2**64), None), (str(2**64 - 1), 9)]
+    )
+    def test_seed_must_fit_uint64(self, seed, rows, capsys):
+        code = main(
+            ["differentiate", "--builtin", "f1", "--mu", "5.5", "--delta", "1e-6",
+             "--n", "6", "--grid", "3", "--noise", "gaussian", "--seed", seed]
+        )
+        captured = capsys.readouterr()
+        if rows is None:
+            assert code == 2
+            assert captured.out == ""
+        else:
+            assert code == 0
+            assert len(_parse_grid_csv(captured.out, "t,tau,value")) == rows
+
     def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
         missing_dir = tmp_path / "absent" / "grid.csv"
         code = main(
@@ -270,19 +297,9 @@ class TestBasis:
 
 
 class TestSharedFlags:
-    def test_threads_must_be_positive(self, capsys):
-        assert main(
-            ["differentiate", "--builtin", "f1", "--mu", "5.5", "--n", "6",
-             "--threads", "0"]
-        ) == 2
-        capsys.readouterr()
-
-    def test_threads_accepted_and_inert(self, capsys):
-        argv = ["basis", "--k", "2", "--r", "2", "--grid", "3"]
-        assert main(argv) == 0
-        base = capsys.readouterr().out
-        assert main(argv + ["--threads", "4"]) == 0
-        assert capsys.readouterr().out == base
+    def test_threads_is_unknown_flag(self, capsys):
+        assert main(["basis", "--k", "2", "--r", "2", "--threads", "4"]) == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2

@@ -227,6 +227,13 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="line 1"):
             load_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"k,j,value\n1,1,0.5\n2,2,{value}\n")
+        with pytest.raises(ValueError, match="line 3.*non-finite"):
+            load_csv(path)
+
     def test_values_survive_at_full_precision(self, tmp_path):
         value = math.pi * 1e-7
         field = CoeffField.from_entries({(3, 4): value})

@@ -1,28 +1,17 @@
-"""Numba and numpy kernel implementations must agree; the env flag must switch them."""
-
-import json
-import os
-import subprocess
-import sys
+"""NumPy kernels against independent oracles: numpy.polynomial.legendre and
+the dense single-step derivative matrix."""
 
 import numpy as np
 import numpy.polynomial.legendre as npleg
-import pytest
 
-from legdiff import _kernels
 from legdiff._kernels import (
-    USING_NUMBA,
-    np_legendre_table,
-    np_mueller_step_matrix,
-    np_series_eval_grid,
-    np_series_eval_points,
-    np_weighted_projection,
+    legendre_table,
+    mueller_step_matrix,
+    series_eval_grid,
+    series_eval_points,
+    weighted_projection,
 )
 from legdiff.derivative import single_step_entry
-
-needs_numba = pytest.mark.skipif(
-    not USING_NUMBA, reason="numba unavailable or disabled via LEGDIFF_NO_NUMBA"
-)
 
 
 def _random_inputs(seed):
@@ -36,7 +25,7 @@ def _random_inputs(seed):
 class TestNumpyKernels:
     def test_legendre_table_matches_oracle(self):
         t = np.linspace(-1.0, 1.0, 33)
-        table = np_legendre_table(20, t)
+        table = legendre_table(20, t)
         for k in range(21):
             basis = np.zeros(k + 1)
             basis[k] = np.sqrt(k + 0.5)
@@ -49,9 +38,9 @@ class TestNumpyKernels:
         t = rng.uniform(-1.0, 1.0, 57)
         w = rng.uniform(0.1, 1.0, 57)
         v = rng.normal(size=57)
-        direct = np_legendre_table(9, t) @ (w * v)
+        direct = legendre_table(9, t) @ (w * v)
         np.testing.assert_allclose(
-            np_weighted_projection(v, w, t, 9), direct, rtol=1e-13
+            weighted_projection(v, w, t, 9), direct, rtol=1e-13
         )
 
     def test_mueller_step_matches_dense_entry_matrix(self):
@@ -61,19 +50,19 @@ class TestNumpyKernels:
             [[single_step_entry(k, l) for k in range(9)] for l in range(8)]
         )
         np.testing.assert_allclose(
-            np_mueller_step_matrix(coeffs), dense @ coeffs, rtol=1e-12, atol=1e-12
+            mueller_step_matrix(coeffs), dense @ coeffs, rtol=1e-12, atol=1e-12
         )
 
     def test_mueller_step_degenerate_shapes(self):
-        assert np_mueller_step_matrix(np.ones((1, 3))).shape == (0, 3)
+        assert mueller_step_matrix(np.ones((1, 3))).shape == (0, 3)
 
     def test_series_eval_grid_matches_einsum(self):
         coeffs, t, tau = _random_inputs(2)
-        table_t = np_legendre_table(coeffs.shape[0] - 1, t)
-        table_tau = np_legendre_table(coeffs.shape[1] - 1, tau)
+        table_t = legendre_table(coeffs.shape[0] - 1, t)
+        table_tau = legendre_table(coeffs.shape[1] - 1, tau)
         expected = np.einsum("ki,kj,jm->im", table_t, coeffs, table_tau)
         np.testing.assert_allclose(
-            np_series_eval_grid(coeffs, t, tau), expected, rtol=1e-12, atol=1e-13
+            series_eval_grid(coeffs, t, tau), expected, rtol=1e-12, atol=1e-13
         )
 
     def test_series_eval_points_matches_loop(self):
@@ -83,8 +72,8 @@ class TestNumpyKernels:
             [
                 sum(
                     coeffs[k, j]
-                    * np_legendre_table(k, np.array([t[i]]))[k, 0]
-                    * np_legendre_table(j, np.array([tau[i]]))[j, 0]
+                    * legendre_table(k, np.array([t[i]]))[k, 0]
+                    * legendre_table(j, np.array([tau[i]]))[j, 0]
                     for k in range(coeffs.shape[0])
                     for j in range(coeffs.shape[1])
                 )
@@ -92,109 +81,6 @@ class TestNumpyKernels:
             ]
         )
         np.testing.assert_allclose(
-            np_series_eval_points(coeffs, t, tau), expected, rtol=1e-11, atol=1e-12
+            series_eval_points(coeffs, t, tau), expected, rtol=1e-11, atol=1e-12
         )
 
-
-@needs_numba
-class TestBackendAgreement:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_legendre_table(self, seed):
-        _, t, _ = _random_inputs(seed)
-        np.testing.assert_allclose(
-            _kernels.nb_legendre_table(15, t),
-            np_legendre_table(15, t),
-            rtol=1e-13,
-            atol=1e-14,
-        )
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_weighted_projection(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        t = rng.uniform(-1.0, 1.0, 91)
-        w = rng.uniform(0.0, 1.0, 91)
-        v = rng.normal(size=91)
-        np.testing.assert_allclose(
-            _kernels.nb_weighted_projection(v, w, t, 12),
-            np_weighted_projection(v, w, t, 12),
-            rtol=1e-12,
-            atol=1e-14,
-        )
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_mueller_step(self, seed):
-        coeffs, _, _ = _random_inputs(200 + seed)
-        np.testing.assert_allclose(
-            _kernels.nb_mueller_step_matrix(coeffs),
-            np_mueller_step_matrix(coeffs),
-            rtol=1e-12,
-            atol=1e-13,
-        )
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_series_eval(self, seed):
-        coeffs, t, tau = _random_inputs(300 + seed)
-        np.testing.assert_allclose(
-            _kernels.nb_series_eval_grid(coeffs, t, tau),
-            np_series_eval_grid(coeffs, t, tau),
-            rtol=1e-12,
-            atol=1e-13,
-        )
-        tau_paired = np.resize(tau, t.size)
-        np.testing.assert_allclose(
-            _kernels.nb_series_eval_points(coeffs, t, tau_paired),
-            np_series_eval_points(coeffs, t, tau_paired),
-            rtol=1e-12,
-            atol=1e-13,
-        )
-
-
-_SUBPROCESS_PROBE = """
-import json
-import numpy as np
-from legdiff import _kernels
-from legdiff.coeffs import exact_coeffs
-from legdiff.experiments import F2
-from legdiff.method import MethodConfig, run
-from legdiff.metrics import error_report
-
-field = exact_coeffs(F2, 10, 10, G=48)
-cfg = MethodConfig(r=2, mu=6.0, delta=0.0, n_override=11, domain_shape="box")
-report = error_report(run(field, cfg), F2.derivative_function(), G=64, m=51)
-print(json.dumps({
-    "using_numba": _kernels.USING_NUMBA,
-    "l2": report.l2_error,
-    "sup": report.sup_error,
-}))
-"""
-
-
-def _probe(extra_env):
-    env = dict(os.environ)
-    env.pop("LEGDIFF_NO_NUMBA", None)
-    env.update(extra_env)
-    out = subprocess.run(
-        [sys.executable, "-c", _SUBPROCESS_PROBE],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    return json.loads(out.stdout)
-
-
-class TestEnvFlag:
-    def test_flag_forces_numpy_backend(self):
-        probe = _probe({"LEGDIFF_NO_NUMBA": "1"})
-        assert probe["using_numba"] is False
-
-    @needs_numba
-    def test_pipeline_agrees_across_backends(self):
-        # Results agree to high relative accuracy but need not be bit-identical:
-        # the two backends order their floating-point reductions differently.
-        with_numba = _probe({})
-        without = _probe({"LEGDIFF_NO_NUMBA": "1"})
-        assert with_numba["using_numba"] is True
-        assert without["using_numba"] is False
-        assert without["l2"] == pytest.approx(with_numba["l2"], rel=1e-12)
-        assert without["sup"] == pytest.approx(with_numba["sup"], rel=1e-12)

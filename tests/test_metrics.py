@@ -144,5 +144,5 @@ class TestErrorReport:
         bad = ErrorReport(
             l2_error=10.0, sup_error=1.0, n_used=3, information_count=4, wall_time=0.0
         )
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             bad.validate()

@@ -33,6 +33,14 @@ class TestNoiseSpec:
     def test_p_infinity_allowed(self):
         NoiseSpec(kind="projected", delta=0.1, p=math.inf)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_uint64(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            NoiseSpec(kind="gaussian", delta=0.1, seed=seed)
+
+    def test_largest_seed_allowed(self):
+        assert NoiseSpec(kind="gaussian", delta=0.1, seed=2**64 - 1).seed == 2**64 - 1
+
 
 class TestStandardNormals:
     def test_reproducible(self):
@@ -52,6 +60,15 @@ class TestStandardNormals:
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError):
             standard_normals(0, -1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_uint64(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            standard_normals(seed, 4)
+
+    def test_largest_seed_allowed(self):
+        z = standard_normals(2**64 - 1, 5)
+        assert z.shape == (5,) and np.all(np.isfinite(z))
 
 
 class TestPerturb:
