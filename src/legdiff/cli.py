@@ -182,7 +182,7 @@ def cmd_differentiate(args: argparse.Namespace) -> int:
     else:
         function = None
         base = load_csv(args.coeffs)
-    field = base.restrict(domain.members())
+    field = base.restrict(domain)
     if args.noise != "none":
         if not 0.0 < args.delta < 1.0:
             print("error: --noise requires 0 < --delta < 1", file=sys.stderr)

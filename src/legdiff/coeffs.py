@@ -1,9 +1,10 @@
 """Fourier-Legendre coefficient fields of bivariate functions on [-1, 1]^2.
 
-A coefficient field is a sparse map (k, j) -> <f, phi_k phi_j>; missing
-entries are exactly zero.  Fields are produced either by high-order Gauss
-quadrature ("exact" reference coefficients) or by the composite trapezoid
-rule on a uniform grid, whose quadrature error acts as data noise.
+A coefficient field is an array (k, j) -> <f, phi_k phi_j> with a mask of
+stored entries; entries not stored are exactly zero.  Fields are produced
+either by high-order Gauss quadrature ("exact" reference coefficients) or by
+the composite trapezoid rule on a uniform grid, whose quadrature error acts
+as data noise.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ import numpy as np
 
 from ._kernels import weighted_projection
 from .basis import QuadratureRule, composite_gauss_rule, eval_phi_table
+from .index import IndexDomain, pairs_mask
 
 __all__ = [
+    "MAX_DENSE_ENTRIES",
     "CoeffField",
     "BivariateFunction",
     "exact_coeffs",
@@ -30,86 +33,129 @@ __all__ = [
 
 _EVAL_CHUNK_ROWS = 256
 
+# Largest dense coefficient array a run or a coefficient file may need, in
+# float64 entries: 2**22 entries is 32 MiB, and a run holds a few arrays of
+# that size (error metrics on a reference with interior breakpoints evaluate
+# grids up to 16 times larger).  The cross fits up to n = 2048 and the box up
+# to n = 2047; with p = s and mu >= 4.6 the rule exceeds that only for
+# delta < 1e-15.  Larger sizes are rejected before anything is allocated.
+MAX_DENSE_ENTRIES = 2**22
 
-@dataclass(frozen=True)
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array``; the data is not copied."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass(frozen=True, eq=False)
 class CoeffField:
-    """Sparse map (k, j) -> coefficient value with degree bounds.
+    """Coefficient array with a stored-entry mask, (k, j) -> <f, phi_k phi_j>.
 
-    ``entries`` is treated as immutable after construction.  Iteration via
-    :meth:`items_sorted` is always in lexicographic (k, j) order; that order
-    is the canonical one for anything consuming entries sequentially (for
-    example, noise draws).
+    ``values`` (float64) and ``stored`` (bool) are read-only arrays of the
+    same shape (k_max + 1, j_max + 1); entries that are not stored are
+    exactly zero.  The row-major order of ``stored`` is the lexicographic
+    (k, j) order, the canonical one for anything consuming entries
+    sequentially (noise draws, CSV rows).
     """
 
-    entries: dict[tuple[int, int], float]
-    k_max: int
-    j_max: int
+    values: np.ndarray
+    stored: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.k_max < 0 or self.j_max < 0:
-            raise ValueError("degree bounds must be nonnegative")
-        for (k, j) in self.entries:
-            if not (0 <= k <= self.k_max and 0 <= j <= self.j_max):
-                raise ValueError(
-                    f"entry {(k, j)} outside bounds "
-                    f"[0, {self.k_max}] x [0, {self.j_max}]"
-                )
+        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        stored = np.asarray(self.stored, dtype=bool)
+        if values.ndim != 2 or values.size == 0:
+            raise ValueError("coefficient array must be 2-D and nonempty")
+        if stored.shape != values.shape:
+            raise ValueError(
+                f"stored mask shape {stored.shape} differs from values {values.shape}"
+            )
+        object.__setattr__(self, "values", _read_only(values))
+        object.__setattr__(self, "stored", _read_only(stored))
+
+    @property
+    def k_max(self) -> int:
+        return self.values.shape[0] - 1
+
+    @property
+    def j_max(self) -> int:
+        return self.values.shape[1] - 1
 
     @classmethod
     def empty(cls) -> "CoeffField":
-        return cls(entries={}, k_max=0, j_max=0)
+        """The field with bounds (0, 0) and no stored entry."""
+        return cls(np.zeros((1, 1)), np.zeros((1, 1), dtype=bool))
 
     @classmethod
-    def from_entries(cls, entries: dict[tuple[int, int], float]) -> "CoeffField":
-        """Field with bounds inferred from the entry indices."""
-        if not entries:
-            return cls.empty()
-        k_max = max(k for k, _ in entries)
-        j_max = max(j for _, j in entries)
-        return cls(entries=dict(entries), k_max=k_max, j_max=j_max)
+    def from_entries(
+        cls,
+        entries: dict[tuple[int, int], float],
+        k_max: int | None = None,
+        j_max: int | None = None,
+    ) -> "CoeffField":
+        """Field storing ``entries``; omitted bounds are inferred from the indices."""
+        if k_max is None:
+            k_max = max((k for k, _ in entries), default=0)
+        if j_max is None:
+            j_max = max((j for _, j in entries), default=0)
+        if k_max < 0 or j_max < 0:
+            raise ValueError("degree bounds must be nonnegative")
+        values = np.zeros((k_max + 1, j_max + 1))
+        stored = np.zeros(values.shape, dtype=bool)
+        for (k, j), v in entries.items():
+            if not (0 <= k <= k_max and 0 <= j <= j_max):
+                raise ValueError(
+                    f"entry {(k, j)} outside bounds [0, {k_max}] x [0, {j_max}]"
+                )
+            values[k, j] = v
+            stored[k, j] = True
+        return cls(values, stored)
 
     @classmethod
     def from_dense(cls, array: np.ndarray) -> "CoeffField":
-        """Field materializing every entry of a dense coefficient array."""
+        """Field storing every entry of a dense coefficient array.
+
+        A C-contiguous float64 array is wrapped, not copied, so it must not be
+        modified afterwards.
+        """
         array = np.asarray(array, dtype=np.float64)
-        if array.ndim != 2 or array.size == 0:
-            raise ValueError("dense coefficient array must be 2-D and nonempty")
-        entries = {
-            (k, j): float(array[k, j])
-            for k in range(array.shape[0])
-            for j in range(array.shape[1])
-        }
-        return cls(entries=entries, k_max=array.shape[0] - 1, j_max=array.shape[1] - 1)
+        return cls(array, np.broadcast_to(np.True_, array.shape))
 
     def value(self, k: int, j: int) -> float:
-        """Stored value at (k, j); missing entries are exactly zero."""
-        return self.entries.get((k, j), 0.0)
+        """Value at (k, j); entries not stored are exactly zero."""
+        if 0 <= k <= self.k_max and 0 <= j <= self.j_max:
+            return float(self.values[k, j])
+        return 0.0
 
     def items_sorted(self) -> list[tuple[tuple[int, int], float]]:
-        """Entries in lexicographic (k, j) order."""
-        return sorted(self.entries.items())
+        """Stored entries in lexicographic (k, j) order."""
+        ks, js = np.nonzero(self.stored)
+        return list(zip(zip(ks.tolist(), js.tolist()), self.values[ks, js].tolist()))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return int(np.count_nonzero(self.stored))
 
-    def restrict(self, pairs) -> "CoeffField":
-        """Field holding exactly the requested pairs (missing values become 0.0).
+    def restrict(self, domain) -> "CoeffField":
+        """Field storing exactly the pairs of ``domain`` (missing values become 0.0).
 
-        Every requested pair is materialized, so the result's stored entries
-        are precisely the coefficients a consumer of ``pairs`` reads.
+        ``domain`` is an :class:`IndexDomain` or an iterable of (k, j) pairs.
+        Every requested pair is stored, so the result's stored entries are
+        precisely the coefficients a consumer of ``domain`` reads.
         """
-        pairs = list(pairs)
-        if not pairs:
-            return CoeffField.empty()
-        entries = {(k, j): self.value(k, j) for k, j in pairs}
-        return CoeffField.from_entries(entries)
+        mask = domain.mask() if isinstance(domain, IndexDomain) else pairs_mask(domain)
+        values = np.zeros(mask.shape)
+        rows = min(mask.shape[0], self.values.shape[0])
+        cols = min(mask.shape[1], self.values.shape[1])
+        np.copyto(
+            values[:rows, :cols], self.values[:rows, :cols], where=mask[:rows, :cols]
+        )
+        return CoeffField(values, mask)
 
     def to_dense(self) -> np.ndarray:
-        """Dense (k_max+1, j_max+1) array of the field."""
-        out = np.zeros((self.k_max + 1, self.j_max + 1), dtype=np.float64)
-        for (k, j), v in self.entries.items():
-            out[k, j] = v
-        return out
+        """Writable copy of the (k_max+1, j_max+1) coefficient array."""
+        return self.values.copy()
 
 
 @dataclass(frozen=True)
@@ -246,21 +292,15 @@ def smoothness_norm(field: CoeffField, s: float, mu: float) -> float:
         raise ValueError("s must be >= 1")
     if mu <= 0.0:
         raise ValueError("mu must be positive")
-    total = 0.0
-    for (k, j), v in field.entries.items():
-        if v == 0.0:
-            continue
-        kbar = max(1, k)
-        jbar = max(1, j)
-        total += (kbar * jbar) ** (s * mu) * abs(v) ** s
-    return total ** (1.0 / s)
+    ks, js = np.nonzero(field.values)  # unstored entries are exactly zero
+    weight = (np.maximum(ks, 1) * np.maximum(js, 1)).astype(np.float64) ** (s * mu)
+    terms = weight * np.abs(field.values[ks, js]) ** s
+    return float(np.sum(terms)) ** (1.0 / s)
 
 
 def save_csv(field: CoeffField, path: str | Path) -> None:
     """Write the field as newline-delimited "k,j,value" rows (17 significant digits)."""
-    lines = [
-        f"{k},{j},{format(v, '.17g')}" for (k, j), v in field.items_sorted()
-    ]
+    lines = [f"{k},{j},{format(v, '.17g')}" for (k, j), v in field.items_sorted()]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
@@ -269,9 +309,13 @@ def load_csv(path: str | Path) -> CoeffField:
 
     A first line whose leading field is non-numeric is treated as a header and
     skipped.  Malformed lines, non-finite values and duplicate (k, j) indices
-    raise ValueError with the offending line number.
+    raise ValueError with the offending line number; so do indices whose
+    dense array would exceed :data:`MAX_DENSE_ENTRIES`.
     """
-    entries: dict[tuple[int, int], float] = {}
+    ks: list[int] = []
+    js: list[int] = []
+    vs: list[float] = []
+    seen: set[tuple[int, int]] = set()
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -291,7 +335,21 @@ def load_csv(path: str | Path) -> CoeffField:
                 raise ValueError(f"parse error at line {lineno}: negative index")
             if not math.isfinite(v):
                 raise ValueError(f"parse error at line {lineno}: non-finite value {v!r}")
-            if (k, j) in entries:
+            if (k, j) in seen:
                 raise ValueError(f"duplicate index ({k},{j}) at line {lineno}")
-            entries[(k, j)] = v
-    return CoeffField.from_entries(entries)
+            seen.add((k, j))
+            ks.append(k)
+            js.append(j)
+            vs.append(v)
+    shape = (max(ks, default=0) + 1, max(js, default=0) + 1)
+    if shape[0] * shape[1] > MAX_DENSE_ENTRIES:
+        raise ValueError(
+            f"indices up to ({shape[0] - 1},{shape[1] - 1}) need a "
+            f"{shape[0]}x{shape[1]} coefficient array, over the limit of "
+            f"{MAX_DENSE_ENTRIES} entries"
+        )
+    values = np.zeros(shape)
+    stored = np.zeros(shape, dtype=bool)
+    values[ks, js] = vs
+    stored[ks, js] = True
+    return CoeffField(values, stored)

@@ -74,11 +74,10 @@ def differentiate_axis(field: CoeffField, axis: str, r: int) -> CoeffField:
         raise ValueError("derivative order r must be >= 1")
     if axis not in ("t", "tau"):
         raise ValueError(f"axis must be 't' or 'tau', got {axis!r}")
-    dense = field.to_dense()
     if axis == "t":
-        result = _apply_steps(dense, r)
+        result = _apply_steps(field.values, r)
     else:
-        result = _apply_steps(dense.T, r).T
+        result = _apply_steps(field.values.T, r).T
     if result.size == 0:
         return CoeffField.empty()
     return CoeffField.from_dense(result)

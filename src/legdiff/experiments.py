@@ -272,8 +272,7 @@ def _run_cell(
 ) -> ExperimentRow:
     """Restrict to the domain, optionally add noise, run, and measure."""
     config = _method_config(preset, delta, n, domain_shape)
-    domain = config.domain()
-    consumed = field.restrict(domain.members())
+    consumed = field.restrict(config.domain())
     if seed is not None:
         consumed = perturb(
             consumed, NoiseSpec(kind="gaussian", delta=delta, seed=seed)
@@ -397,6 +396,14 @@ def convergence_sweep(
     levels = [
         choose_n(d, mu, p=p, s=s, rule_constant=rule_constant, r=r) for d in deltas
     ]
+    # Validated, size limit included, before any coefficient is built.
+    configs = [
+        MethodConfig(
+            r=r, mu=mu, delta=delta, s=s, p=p,
+            n_override=n, rule_constant=rule_constant, domain_shape=domain_shape,
+        )
+        for delta, n in zip(deltas, levels)
+    ]
     max_degree = max(levels) if domain_shape == "box" else max(levels) - 1
     G = max(coeff_G or 0, 2 * max_degree + 16)
     base = exact_coeffs(function, max_degree, max_degree, G=G)
@@ -404,13 +411,8 @@ def convergence_sweep(
 
     rows: list[ExperimentRow] = []
     median_l2: list[float] = []
-    for delta, n in zip(deltas, levels):
-        config = MethodConfig(
-            r=r, mu=mu, delta=delta, s=s, p=p,
-            n_override=n, rule_constant=rule_constant, domain_shape=domain_shape,
-        )
-        domain = config.domain()
-        consumed = base.restrict(domain.members())
+    for delta, n, config in zip(deltas, levels, configs):
+        consumed = base.restrict(config.domain())
         cells: list[ExperimentRow] = []
         seed_list = [None] if noise_kind == "none" else list(range(seeds))
         for seed in seed_list:

@@ -17,7 +17,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-__all__ = ["IndexDomain"]
+import numpy as np
+
+__all__ = ["IndexDomain", "pairs_mask"]
+
+
+def pairs_mask(pairs) -> np.ndarray:
+    """Boolean membership array of (k, j) pairs, shape (max k + 1, max j + 1)."""
+    idx = np.array(list(pairs), dtype=np.intp)
+    if not idx.size:
+        return np.zeros((1, 1), dtype=bool)
+    if idx.ndim != 2 or idx.shape[1] != 2:
+        raise ValueError("expected a sequence of (k, j) pairs")
+    if idx.min() < 0:
+        raise ValueError("index pairs must be nonnegative")
+    mask = np.zeros(tuple(idx.max(axis=0) + 1), dtype=bool)
+    mask[idx[:, 0], idx[:, 1]] = True
+    return mask
 
 
 @dataclass(frozen=True)
@@ -102,6 +118,19 @@ class IndexDomain:
             rng = range(self.r, self.n + 1)
             return [(k, j) for k in rng for j in rng]
         return list(self.pairs)
+
+    def mask(self) -> np.ndarray:
+        """Boolean membership array of shape ``max_degree() + 1`` per axis."""
+        if self.shape == "explicit":
+            return pairs_mask(self.pairs)
+        deg_k, deg_j = self.max_degree()
+        mask = np.zeros((deg_k + 1, deg_j + 1), dtype=bool)
+        if self.shape == "cross":
+            for k, j_top in self._cross_rows():
+                mask[k, self.r : j_top + 1] = True
+        else:
+            mask[self.r :, self.r :] = True
+        return mask
 
     def cardinality(self) -> int:
         """Number of pairs, computed without materializing when possible."""

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._kernels import series_eval_grid, series_eval_points
 from .basis import DOMAIN_TOL
-from .coeffs import CoeffField
+from .coeffs import MAX_DENSE_ENTRIES, CoeffField
 from .derivative import differentiate_axis
 from .index import IndexDomain
 
@@ -51,7 +51,9 @@ class MethodConfig:
     the hypothesis under which the square-mean error bound holds); the
     stronger uniform-norm hypothesis mu > 2r - 1/s + 3/2 is advisory and
     exposed as :attr:`satisfies_sup_hypothesis`.  delta = 0 is allowed only
-    together with ``n_override`` (nothing else consumes delta then).
+    together with ``n_override`` (nothing else consumes delta then).  The
+    resolved truncation level must keep the dense coefficient array within
+    :data:`MAX_DENSE_ENTRIES`.
     """
 
     r: int
@@ -90,6 +92,13 @@ class MethodConfig:
             raise ConfigError(
                 f"smoothness mu={self.mu} violates mu > 2r - 1/s + 1/2 = {bound}"
             )
+        n = self.resolve_n()
+        side = n if self.domain_shape == "cross" else n + 1
+        if side * side > MAX_DENSE_ENTRIES:
+            raise ConfigError(
+                f"truncation level n={n} needs a dense array of {side}^2 "
+                f"coefficients, over the limit of {MAX_DENSE_ENTRIES} entries"
+            )
 
     @property
     def satisfies_sup_hypothesis(self) -> bool:
@@ -119,15 +128,12 @@ class LegendreSeries2D:
 
     field: CoeffField
 
-    def _dense(self) -> np.ndarray:
-        return self.field.to_dense()
-
     def eval_grid(self, t: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Series values on the tensor grid t x tau, shape (len(t), len(tau))."""
         t = np.ascontiguousarray(t, dtype=np.float64)
         tau = np.ascontiguousarray(tau, dtype=np.float64)
         _check_points(t, tau)
-        return series_eval_grid(self._dense(), t, tau)
+        return series_eval_grid(self.field.values, t, tau)
 
     def eval_points(self, t: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Series values at paired points (t_i, tau_i)."""
@@ -136,7 +142,7 @@ class LegendreSeries2D:
         if t.shape != tau.shape:
             raise ValueError("t and tau must have identical shapes")
         _check_points(t, tau)
-        return series_eval_points(self._dense(), t, tau)
+        return series_eval_points(self.field.values, t, tau)
 
 
 def _check_points(t: np.ndarray, tau: np.ndarray) -> None:
@@ -183,6 +189,8 @@ def choose_n(
     raw = rule_constant * (
         (1.0 / delta) * log_term ** (inv_p - 1.0 / s)
     ) ** (1.0 / exponent_denom)
+    if not math.isfinite(raw):
+        raise ConfigError(f"the rule gives a non-finite truncation level {raw}")
     nearest = round(raw)
     if abs(raw - nearest) <= 1e-9 * max(1.0, abs(raw)):
         raw = float(nearest)
@@ -196,19 +204,14 @@ def run(field_perturbed: CoeffField, config: MethodConfig) -> ApproxDerivative:
     pairs missing from the field count as exact zeros.
     """
     domain = config.domain()
-    n = config.resolve_n()
-    deg_k, deg_j = domain.max_degree()
-    dense = np.zeros((deg_k + 1, deg_j + 1), dtype=np.float64)
-    for k, j in domain.members():
-        dense[k, j] = field_perturbed.value(k, j)
-    masked = CoeffField.from_dense(dense)
+    masked = field_perturbed.restrict(domain)
     derived = differentiate_axis(masked, "t", config.r)
     derived = differentiate_axis(derived, "tau", config.r)
     return ApproxDerivative(
         series=LegendreSeries2D(field=derived),
         config=config,
-        n_used=n,
-        information_count=domain.cardinality(),
+        n_used=domain.n,
+        information_count=len(masked),
     )
 
 

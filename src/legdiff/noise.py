@@ -7,9 +7,9 @@ rescales it so its l_p norm equals delta exactly, matching the formal
 noise model ||xi||_{l_p} <= delta with equality.
 
 Draws come from a 64-bit counter-based generator (Philox) pushed through an
-explicit Box-Muller transform, consumed in the lexicographic entry order of
-the field, so results are reproducible bit-for-bit given the seed and are
-independent of map iteration order or thread count.
+explicit Box-Muller transform, consumed in the lexicographic (row-major)
+order of the field's stored entries, so results are reproducible bit-for-bit
+given the seed and independent of thread count.
 """
 
 from __future__ import annotations
@@ -110,11 +110,8 @@ def perturb(field: CoeffField, spec: NoiseSpec) -> CoeffField:
     absent from the field receive no noise.  With kind "none" the field is
     returned unchanged.
     """
-    if spec.kind == "none":
+    if spec.kind == "none" or len(field) == 0:
         return field
-    items = field.items_sorted()
-    if not items:
-        return field
-    xi = noise_vector(field, spec)
-    entries = {key: value + float(x) for ((key, value), x) in zip(items, xi)}
-    return CoeffField(entries=entries, k_max=field.k_max, j_max=field.j_max)
+    values = field.to_dense()
+    values[field.stored] += noise_vector(field, spec)
+    return CoeffField(values, field.stored)

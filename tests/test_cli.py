@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: flags, outputs, determinism, exit codes."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -141,6 +142,15 @@ class TestDifferentiate:
         assert "line 3" in captured.err
         assert captured.out == ""
 
+    def test_coeffs_file_beyond_dense_limit_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "far.csv"
+        path.write_text("2,2,0.1\n100000,100000,1.0\n")
+        code = main(["differentiate", "--coeffs", str(path), "--mu", "5.5", "--n", "10"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "over the limit" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "seed, rows", [("-1", None), (str(2**64), None), (str(2**64 - 1), 9)]
     )
@@ -156,6 +166,24 @@ class TestDifferentiate:
         else:
             assert code == 0
             assert len(_parse_grid_csv(captured.out, "t,tau,value")) == rows
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--mu", "4.6", "--delta", "1e-30"],  # the rule picks n = 3324598
+            ["--mu", "4.01", "--delta", "1e-300"],  # the rule picks n ~ 6.5e74
+            ["--mu", "5.5", "--n", "100000"],
+        ],
+    )
+    def test_oversized_level_is_usage_error_before_allocating(self, flags, capsys):
+        start = time.perf_counter()
+        code = main(["differentiate", "--builtin", "f1", *flags])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "over the limit" in captured.err
+        assert captured.out == ""
+        assert elapsed < 1.0
 
     def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
         missing_dir = tmp_path / "absent" / "grid.csv"

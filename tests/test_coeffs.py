@@ -14,6 +14,7 @@ from legdiff.coeffs import (
     smoothness_norm,
     trapezoid_coeffs,
 )
+from legdiff.index import IndexDomain
 
 
 def _const_half():
@@ -32,9 +33,9 @@ class TestCoeffField:
 
     def test_bounds_enforced(self):
         with pytest.raises(ValueError):
-            CoeffField(entries={(3, 0): 1.0}, k_max=2, j_max=2)
+            CoeffField.from_entries({(3, 0): 1.0}, k_max=2, j_max=2)
         with pytest.raises(ValueError):
-            CoeffField(entries={}, k_max=-2, j_max=0)
+            CoeffField.from_entries({}, k_max=-2, j_max=0)
 
     def test_items_sorted_lexicographic(self):
         field = CoeffField.from_entries({(2, 1): 1.0, (0, 5): 2.0, (2, 0): 3.0})
@@ -58,6 +59,80 @@ class TestCoeffField:
             CoeffField.from_dense(np.ones(3))
         with pytest.raises(ValueError):
             CoeffField.from_dense(np.ones((0, 2)))
+
+
+class TestArrayInvariants:
+    def test_to_dense_returns_a_copy(self):
+        field = CoeffField.from_entries({(1, 2): 0.5})
+        dense = field.to_dense()
+        dense[1, 2] = 9.0
+        dense[0, 0] = 9.0
+        assert field.value(1, 2) == 0.5
+        assert field.value(0, 0) == 0.0
+
+    def test_values_and_stored_are_read_only(self):
+        field = CoeffField.from_entries({(1, 2): 0.5})
+        for array in (field.values, field.stored):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1
+        dense = CoeffField.from_dense(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            dense.values[0, 0] = 2.0
+
+    def test_shapes_match_bounds(self):
+        field = CoeffField.from_entries({(1, 4): 0.5}, k_max=3, j_max=4)
+        assert field.values.shape == field.stored.shape == (4, 5)
+        assert field.values.dtype == np.float64
+        assert field.stored.dtype == bool
+        assert (field.k_max, field.j_max) == (3, 4)
+        assert len(field) == 1
+
+    def test_from_dense_stores_every_entry(self):
+        arr = np.array([[0.0, 1.5], [-2.0, 0.0], [0.0, 0.0]])
+        field = CoeffField.from_dense(arr)
+        assert field.stored.all()
+        assert len(field) == arr.size
+        assert [kj for kj, _ in field.items_sorted()] == [
+            (k, j) for k in range(3) for j in range(2)
+        ]
+
+    def test_from_entries_rejects_out_of_bounds_and_negative_bounds(self):
+        with pytest.raises(ValueError):
+            CoeffField.from_entries({(1, 3): 1.0}, k_max=2, j_max=2)
+        with pytest.raises(ValueError):
+            CoeffField.from_entries({(-1, 0): 1.0}, k_max=2, j_max=2)
+        with pytest.raises(ValueError):
+            CoeffField.from_entries({}, k_max=0, j_max=-1)
+        empty = CoeffField.from_entries({}, k_max=2, j_max=1)
+        assert len(empty) == 0
+        assert (empty.k_max, empty.j_max) == (2, 1)
+
+    def test_rejects_mismatched_mask(self):
+        with pytest.raises(ValueError):
+            CoeffField(np.zeros((2, 2)), np.zeros((2, 3), dtype=bool))
+
+    def test_restrict_by_pairs_validates_and_accepts_empty(self):
+        field = CoeffField.from_entries({(1, 1): 2.0})
+        with pytest.raises(ValueError):
+            field.restrict([(1, 1), (-1, 0)])
+        with pytest.raises(ValueError):
+            field.restrict([(1, 1, 0), (2, 2, 0)])
+        empty = field.restrict([])
+        assert len(empty) == 0
+        assert (empty.k_max, empty.j_max) == (0, 0)
+
+    def test_has_no_entries_dict(self):
+        assert not hasattr(CoeffField.from_entries({(0, 0): 1.0}), "entries")
+
+    def test_restrict_by_domain_matches_restrict_by_members(self):
+        rng = np.random.default_rng(11)
+        field = CoeffField.from_dense(rng.standard_normal((12, 9)))
+        for domain in (IndexDomain.cross(2, 10), IndexDomain.box(2, 10)):
+            by_domain = field.restrict(domain)
+            by_pairs = field.restrict(domain.members())
+            assert by_domain.items_sorted() == by_pairs.items_sorted()
+            np.testing.assert_array_equal(by_domain.stored, domain.mask())
+            np.testing.assert_array_equal(by_domain.values[~by_domain.stored], 0.0)
 
 
 class TestExactCoeffs:
@@ -169,6 +244,19 @@ class TestSmoothnessNorm:
         norms = [smoothness_norm(field, 2.0, mu) for mu in (1.0, 2.0, 3.5, 5.0)]
         assert all(a <= b for a, b in zip(norms, norms[1:]))
 
+    def test_matches_entrywise_loop(self):
+        rng = np.random.default_rng(21)
+        values = rng.standard_normal((9, 7))
+        values[rng.random(values.shape) < 0.3] = 0.0
+        field = CoeffField.from_dense(values)
+        s_exp, mu = 2.0, 3.5
+        total = 0.0
+        for (k, j), v in field.items_sorted():
+            if v != 0.0:
+                total += (max(1, k) * max(1, j)) ** (s_exp * mu) * abs(v) ** s_exp
+        reference = total ** (1.0 / s_exp)
+        assert smoothness_norm(field, s_exp, mu) == pytest.approx(reference, rel=1e-14)
+
     def test_validation(self):
         field = CoeffField.from_entries({(1, 1): 1.0})
         with pytest.raises(ValueError):
@@ -191,6 +279,13 @@ class TestCsvRoundTrip:
         save_csv(field, path)
         loaded = load_csv(path)
         assert loaded.items_sorted() == field.items_sorted()
+
+    def test_indices_beyond_dense_limit_rejected(self, tmp_path):
+        # One far entry would need a 100001 x 100001 array (75 GiB).
+        path = tmp_path / "far.csv"
+        path.write_text("2,2,0.1\n100000,100000,1.0\n")
+        with pytest.raises(ValueError, match="over the limit"):
+            load_csv(path)
 
     def test_single_line_file(self, tmp_path):
         path = tmp_path / "one.csv"

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from legdiff.index import IndexDomain
@@ -118,6 +119,13 @@ class TestExplicit:
     def test_max_degree(self):
         dom = IndexDomain.explicit([(2, 7), (5, 3)])
         assert dom.max_degree() == (5, 7)
+
+    def test_mask(self):
+        d = IndexDomain.explicit([(3, 1), (1, 4)])
+        expected = np.zeros((4, 5), dtype=bool)
+        expected[3, 1] = expected[1, 4] = True
+        np.testing.assert_array_equal(d.mask(), expected)
+        np.testing.assert_array_equal(IndexDomain.explicit([]).mask(), [[False]])
 
 
 def test_unknown_shape_rejected():

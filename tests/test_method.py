@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from legdiff.coeffs import CoeffField
+from legdiff.coeffs import MAX_DENSE_ENTRIES, CoeffField
 from legdiff.index import IndexDomain
 from legdiff.method import (
     ApproxDerivative,
@@ -116,6 +116,25 @@ class TestMethodConfig:
         # r=2, s=2: the uniform-norm condition is mu > 5.
         assert not MethodConfig(r=2, mu=5.0, delta=1e-6).satisfies_sup_hypothesis
         assert MethodConfig(r=2, mu=5.5, delta=1e-6).satisfies_sup_hypothesis
+
+    def test_dense_size_limit_at_the_boundary(self):
+        # The cross at level n needs an n x n array, the box (n+1) x (n+1).
+        assert MAX_DENSE_ENTRIES == 2048 * 2048
+        MethodConfig(r=2, mu=5.5, delta=0.0, n_override=1000)
+        MethodConfig(r=2, mu=5.5, delta=0.0, n_override=2048)
+        MethodConfig(r=2, mu=5.5, delta=0.0, n_override=2047, domain_shape="box")
+        with pytest.raises(ConfigError, match="over the limit"):
+            MethodConfig(r=2, mu=5.5, delta=0.0, n_override=2049)
+        with pytest.raises(ConfigError, match="over the limit"):
+            MethodConfig(r=2, mu=5.5, delta=0.0, n_override=2048, domain_shape="box")
+
+    def test_rule_level_over_limit_rejected(self):
+        with pytest.raises(ConfigError, match="over the limit"):
+            MethodConfig(r=2, mu=4.01, delta=1e-300)
+
+    def test_non_finite_rule_level_rejected(self):
+        with pytest.raises(ConfigError, match="non-finite"):
+            choose_n(1e-6, 5.5, r=2, rule_constant=1e308)
 
     def test_box_domain_selected(self):
         cfg = MethodConfig(r=2, mu=6.0, delta=1e-6, domain_shape="box", n_override=5)

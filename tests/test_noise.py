@@ -135,6 +135,14 @@ class TestPerturb:
             kj for kj, _ in field.items_sorted()
         ]
 
+    def test_perturb_changes_stored_entries_only(self):
+        field = CoeffField.from_entries({(2, 2): 0.4, (3, 1): 0.0}, k_max=4, j_max=3)
+        out = perturb(field, NoiseSpec(kind="gaussian", delta=1e-2, seed=5))
+        changed = out.values != field.values
+        np.testing.assert_array_equal(changed, field.stored)
+        np.testing.assert_array_equal(out.stored, field.stored)
+        np.testing.assert_array_equal(out.values[~out.stored], 0.0)
+
 
 class TestNoiseVector:
     def test_matches_perturb_difference_for_zero_field(self):

@@ -1,16 +1,43 @@
 """Randomized invariants, exercised wider than the hand-picked cases."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legdiff.coeffs import CoeffField
+from legdiff.coeffs import CoeffField, load_csv, save_csv
 from legdiff.derivative import mueller_step
 from legdiff.index import IndexDomain
-from legdiff.method import choose_n
-from legdiff.noise import NoiseSpec, noise_vector
+from legdiff.method import MethodConfig, choose_n, run
+from legdiff.noise import NoiseSpec, noise_vector, perturb
+
+_shapes = st.sampled_from(["cross", "box"])
+
+
+def _level(r: int, n: int) -> int:
+    """Map a drawn n onto a valid level n > r."""
+    return n if n > r else r + 1 + (n % 3)
+
+
+def _config(r: int, n: int, shape: str) -> MethodConfig:
+    return MethodConfig(
+        r=r, mu=2.0 * r + 1.0, delta=0.0, n_override=n, domain_shape=shape
+    )
+
+
+def _random_field(rng, config: MethodConfig, extra: int) -> CoeffField:
+    """Dense random field reaching ``extra`` degrees past the domain."""
+    deg_k, deg_j = config.domain().max_degree()
+    return CoeffField.from_dense(
+        rng.standard_normal((deg_k + 1 + extra, deg_j + 1 + extra))
+    )
+
+
+def _derived(field: CoeffField, config: MethodConfig) -> np.ndarray:
+    return run(field, config).series.field.values
 
 
 @settings(max_examples=60, deadline=None)
@@ -69,3 +96,89 @@ def test_projected_noise_norm_for_arbitrary_p(p, seed, exp):
     else:
         norm = float(np.sum(np.abs(xi) ** p) ** (1.0 / p))
     assert abs(norm - delta) <= 1e-11 * delta
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.integers(1, 4), n=st.integers(2, 40), shape=_shapes)
+def test_mask_matches_members_and_cardinality(r, n, shape):
+    n = _level(r, n)
+    domain = IndexDomain(shape=shape, r=r, n=n)
+    mask = domain.mask()
+    members = domain.members()
+    assert mask.shape == tuple(d + 1 for d in domain.max_degree())
+    assert set(zip(*(idx.tolist() for idx in np.nonzero(mask)))) == set(members)
+    assert int(mask.sum()) == len(members) == domain.cardinality()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.integers(1, 3),
+    n=st.integers(2, 30),
+    shape=_shapes,
+    a=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.integers(0, 3),
+)
+def test_run_is_linear(r, n, shape, a, seed, extra):
+    config = _config(r, _level(r, n), shape)
+    rng = np.random.default_rng(seed)
+    f = _random_field(rng, config, extra)
+    g = _random_field(rng, config, extra)
+    combined = CoeffField.from_dense(a * f.values + g.values)
+    lhs = _derived(combined, config)
+    run_f, run_g = _derived(f, config), _derived(g, config)
+    scale = abs(a) * np.max(np.abs(run_f)) + np.max(np.abs(run_g))
+    assert lhs.shape == run_f.shape
+    assert np.max(np.abs(lhs - (a * run_f + run_g))) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.integers(1, 3),
+    n=st.integers(2, 30),
+    shape=_shapes,
+    kind=st.sampled_from(["gaussian", "projected"]),
+    exp=st.floats(-9.0, -1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_perturb_then_run_adds_run_of_noise(r, n, shape, kind, exp, seed):
+    config = _config(r, _level(r, n), shape)
+    field = _random_field(np.random.default_rng(seed), config, 0).restrict(
+        config.domain()
+    )
+    spec = NoiseSpec(kind=kind, delta=10.0**exp, seed=seed)
+    scattered = np.zeros(field.values.shape)
+    scattered[field.stored] = noise_vector(field, spec)
+    lhs = _derived(perturb(field, spec), config)
+    run_f = _derived(field, config)
+    run_xi = _derived(CoeffField.from_dense(scattered), config)
+    scale = np.max(np.abs(run_f)) + np.max(np.abs(run_xi))
+    assert np.max(np.abs(lhs - (run_f + run_xi))) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k_max=st.integers(0, 6),
+    j_max=st.integers(0, 6),
+    data=st.data(),
+)
+def test_csv_round_trip_is_bit_exact(k_max, j_max, data):
+    size = (k_max + 1) * (j_max + 1)
+    stored = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    values = data.draw(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=size, max_size=size,
+        )
+    )
+    entries = {
+        divmod(i, j_max + 1): v for i, (keep, v) in enumerate(zip(stored, values)) if keep
+    }
+    field = CoeffField.from_entries(entries, k_max=k_max, j_max=j_max)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "field.csv"
+        save_csv(field, path)
+        loaded = load_csv(path)
+    assert loaded.items_sorted() == field.items_sorted()
+    bits = lambda f: np.array([v for _, v in f.items_sorted()]).view(np.uint64)
+    np.testing.assert_array_equal(bits(loaded), bits(field))
