@@ -23,7 +23,7 @@ import numpy as np
 
 from .coeffs import BivariateFunction, CoeffField, exact_coeffs, trapezoid_coeffs
 from .method import MethodConfig, choose_n, run
-from .metrics import error_report
+from .metrics import ErrorMeter
 from .noise import NoiseSpec, perturb
 
 __all__ = [
@@ -269,6 +269,7 @@ def _run_cell(
     n: int,
     domain_shape: str,
     seed: int | None,
+    meter: ErrorMeter,
 ) -> ExperimentRow:
     """Restrict to the domain, optionally add noise, run, and measure."""
     config = _method_config(preset, delta, n, domain_shape)
@@ -277,13 +278,7 @@ def _run_cell(
         consumed = perturb(
             consumed, NoiseSpec(kind="gaussian", delta=delta, seed=seed)
         )
-    approx = run(consumed, config)
-    report = error_report(
-        approx,
-        preset.function.derivative_function(),
-        G=preset.metric_G,
-        m=preset.metric_m,
-    )
+    report = meter.report(run(consumed, config))
     return ExperimentRow(
         delta=delta,
         n=n,
@@ -320,6 +315,9 @@ def run_table(
     if not preset.deltas:
         return rows
     max_degree = max(preset.ns) if domain_shape == "box" else max(preset.ns) - 1
+    meter = ErrorMeter(
+        preset.function.derivative_function(), G=preset.metric_G, m=preset.metric_m
+    )
     if preset.noise == "gaussian":
         count = preset.default_seeds if seeds is None else seeds
         if count < 1:
@@ -329,7 +327,7 @@ def run_table(
         )
         for delta, n in zip(preset.deltas, preset.ns):
             cells = [
-                _run_cell(base, preset, delta, n, domain_shape, seed)
+                _run_cell(base, preset, delta, n, domain_shape, seed, meter)
                 for seed in range(count)
             ]
             rows.extend(cells)
@@ -338,7 +336,7 @@ def run_table(
         for delta, n, h in zip(preset.deltas, preset.ns, preset.hs):
             degree = n if domain_shape == "box" else n - 1
             field = trapezoid_coeffs(preset.function, h, degree, degree)
-            rows.append(_run_cell(field, preset, delta, n, domain_shape, None))
+            rows.append(_run_cell(field, preset, delta, n, domain_shape, None, meter))
     return rows
 
 
@@ -379,7 +377,9 @@ def convergence_sweep(
     For each delta the truncation level comes from the parameter-choice rule;
     the exact coefficients are perturbed per seed (``noise_kind`` "projected",
     "gaussian", or "none"), and the median square-mean error over seeds enters
-    a least-squares log-log fit of error against delta.
+    a least-squares log-log fit of error against delta.  ``metric_G`` is a
+    floor: each row measures with at least 2 * (derived degree) + 8 Gauss
+    points per panel, as the square-mean metric requires.
     """
     deltas = sorted((float(d) for d in deltas), reverse=True)
     if len(deltas) < 3:
@@ -409,10 +409,18 @@ def convergence_sweep(
     base = exact_coeffs(function, max_degree, max_degree, G=G)
     reference = function.derivative_function()
 
+    meters: dict[int, ErrorMeter] = {}
+
     rows: list[ExperimentRow] = []
     median_l2: list[float] = []
     for delta, n, config in zip(deltas, levels, configs):
-        consumed = base.restrict(config.domain())
+        domain = config.domain()
+        # metric_G is a floor: the derived series has degree max_degree - r.
+        row_G = max(metric_G, 2 * (max(domain.max_degree()) - r) + 8)
+        if row_G not in meters:
+            meters[row_G] = ErrorMeter(reference, G=row_G, m=metric_m)
+        meter = meters[row_G]
+        consumed = base.restrict(domain)
         cells: list[ExperimentRow] = []
         seed_list = [None] if noise_kind == "none" else list(range(seeds))
         for seed in seed_list:
@@ -421,8 +429,7 @@ def convergence_sweep(
                 noisy = perturb(
                     consumed, NoiseSpec(kind=noise_kind, delta=delta, p=p, seed=seed)
                 )
-            approx = run(noisy, config)
-            report = error_report(approx, reference, G=metric_G, m=metric_m)
+            report = meter.report(run(noisy, config))
             cells.append(
                 ExperimentRow(
                     delta=delta,

@@ -97,23 +97,22 @@ class IndexDomain:
                     raise ValueError(f"parse error at line {lineno}: {line!r}") from exc
         return cls.explicit(pairs, r=r)
 
-    def _cross_rows(self):
-        """Rows (k, j_top) of the cross: j runs over r..j_top in row k."""
+    def _cross_tops(self) -> np.ndarray:
+        """j_top of rows k = r..n-1 of the cross: row k holds j = r..j_top."""
         budget = self.r * self.n - 1
-        for k in range(self.r, self.n):
-            if k > 0:
-                yield k, min(self.n - 1, budget // k)
-            else:
-                yield k, self.n - 1 if budget >= 0 else self.r - 1
+        k = np.arange(self.r, self.n)
+        if budget < 0:  # r = 0: every row is empty
+            return np.full(k.size, self.r - 1)
+        return np.minimum(self.n - 1, budget // k)
 
     def members(self) -> list[tuple[int, int]]:
         """All index pairs in lexicographic (k, j) order."""
         if self.shape == "cross":
-            return [
-                (k, j)
-                for k, j_top in self._cross_rows()
-                for j in range(self.r, j_top + 1)
-            ]
+            counts = np.maximum(self._cross_tops() - self.r + 1, 0)
+            k = np.repeat(np.arange(self.r, self.n), counts)
+            starts = np.repeat(np.cumsum(counts) - counts, counts)
+            j = self.r + np.arange(k.size) - starts
+            return list(zip(k.tolist(), j.tolist()))
         if self.shape == "box":
             rng = range(self.r, self.n + 1)
             return [(k, j) for k in rng for j in rng]
@@ -126,8 +125,8 @@ class IndexDomain:
         deg_k, deg_j = self.max_degree()
         mask = np.zeros((deg_k + 1, deg_j + 1), dtype=bool)
         if self.shape == "cross":
-            for k, j_top in self._cross_rows():
-                mask[k, self.r : j_top + 1] = True
+            j = np.arange(self.r, deg_j + 1)
+            mask[self.r :, self.r :] = j[None, :] <= self._cross_tops()[:, None]
         else:
             mask[self.r :, self.r :] = True
         return mask
@@ -135,7 +134,7 @@ class IndexDomain:
     def cardinality(self) -> int:
         """Number of pairs, computed without materializing when possible."""
         if self.shape == "cross":
-            return sum(max(0, j_top - self.r + 1) for _, j_top in self._cross_rows())
+            return int(np.maximum(self._cross_tops() - self.r + 1, 0).sum())
         if self.shape == "box":
             side = self.n - self.r + 1
             return side * side

@@ -265,6 +265,24 @@ class TestConvergence:
         assert lines[0] == "delta,n,card,l2_error,sup_error,seed"
         assert lines[-1].startswith("fitted_slope=")
 
+    def test_fine_noise_levels_raise_the_metric_order(self, capsys):
+        # The finest level picks n = 147, whose derived series needs more
+        # than the default 96 Gauss points per panel.
+        code = main(
+            ["convergence", "--builtin", "f2", "--mu", "6",
+             "--deltas", "1e-6:1e-13:5", "--seeds", "2"]
+        )
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        lines = captured.out.splitlines()
+        assert lines[0] == "delta,n,card,l2_error,sup_error,seed"
+        rows = [line.split(",") for line in lines[1:-1]]
+        # 5 deltas * (2 seeds + 1 median).
+        assert len(rows) == 15
+        assert rows[-1][1] == "147"
+        assert all(math.isfinite(float(v)) for row in rows for v in row[3:5])
+        assert lines[-1].startswith("fitted_slope=")
+
     def test_malformed_delta_range_is_usage_error(self, capsys):
         for bad in ("1e-5:1e-9", "1e-5:1e-9:1", "a:b:3", "-1e-5:1e-9:5"):
             assert main(

@@ -1,13 +1,16 @@
 """Bundled test functions, experiment presets, tables, and convergence sweeps."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from legdiff.coeffs import BivariateFunction, exact_coeffs, smoothness_norm
 from legdiff.index import IndexDomain
 from legdiff.method import MethodConfig, run
-from legdiff.metrics import l2_error
+from legdiff.metrics import l2_error, sup_error
 from legdiff.coeffs import CoeffField
+from legdiff.noise import NoiseSpec, perturb
 from legdiff.experiments import (
     CSV_HEADER,
     F1,
@@ -247,6 +250,78 @@ class TestRunTable:
         assert line.endswith(",")
 
 
+def _counting_f1():
+    """F1 whose exact (2, 2) derivative records the shape of every call."""
+    calls = []
+
+    def d22(t, tau):
+        calls.append(np.broadcast_shapes(np.shape(t), np.shape(tau)))
+        return f1_d22(t, tau)
+
+    return BivariateFunction(
+        value=F1.value, d22=d22, t_breakpoints=F1.t_breakpoints,
+        tau_breakpoints=F1.tau_breakpoints, factors=F1.factors, name="f1_counted",
+    ), calls
+
+
+class TestReferenceEvaluations:
+    """The metrics evaluate the reference once per grid, not once per seed."""
+
+    @pytest.mark.parametrize("seeds", [1, 5])
+    def test_run_table_evaluates_reference_once_per_grid(self, seeds):
+        function, calls = _counting_f1()
+        preset = ExperimentPreset(
+            name="counted", function=function, noise="gaussian",
+            deltas=(1e-4, 1e-5), ns=(4, 6), hs=None, mu=5.5,
+            metric_G=24, metric_m=11,
+        )
+        rows = run_table(preset, seeds=seeds)
+        assert len(rows) == 2 * (seeds + 1)
+        # One Gauss grid (two panels of 24 per axis) and one 11 x 11 grid.
+        assert calls == [(48, 48), (11, 11)]
+
+    def test_trapezoid_table_evaluates_reference_once_per_grid(self):
+        function, calls = _counting_f1()
+        preset = ExperimentPreset(
+            name="counted", function=function, noise="trapezoid",
+            deltas=(1e-4, 1e-5, 1e-6), ns=(4, 5, 6), hs=(1e-2, 5e-3, 4e-3),
+            mu=5.5, metric_G=24, metric_m=11,
+        )
+        assert len(run_table(preset)) == 3
+        assert calls == [(48, 48), (11, 11)]
+
+    @pytest.mark.parametrize("seeds", [1, 4])
+    def test_sweep_evaluates_reference_once_per_grid(self, seeds):
+        function, calls = _counting_f1()
+        result = convergence_sweep(
+            function, 5.5, 2, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8), seeds=seeds,
+        )
+        assert len(result.rows) == 3 * (seeds + (seeds > 1))
+        assert calls == [(192, 192), (201, 201)]
+
+    def test_sweep_builds_one_meter_per_quadrature_order(self):
+        # metric_G = 8 is below every row's floor 2 * (n - 3) + 8, so each
+        # of the three levels needs its own Gauss grid; the uniform grid is
+        # shared by rows with the same order only.
+        function, calls = _counting_f1()
+        result = convergence_sweep(
+            function, 5.5, 2, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8), seeds=3,
+            metric_G=8, metric_m=11,
+        )
+        sizes = [2 * (2 * (n - 3) + 8) for n in sorted({r.n for r in result.rows})]
+        assert len(set(sizes)) == 3
+        assert calls == [shape for size in sizes for shape in ((size, size), (11, 11))]
+
+
+class TestBenchmarkReferences:
+    """Table outputs equal the benchmark's recorded references byte for byte."""
+
+    @pytest.mark.parametrize("name", ["table1", "table2"])
+    def test_table_csv_matches_reference(self, name):
+        ref = Path(__file__).resolve().parent.parent / "perfbench" / "refs" / f"{name}.csv"
+        assert rows_to_csv(run_table(get_preset(name))) == ref.read_text(encoding="utf-8")
+
+
 class TestTheoreticalExponent:
     def test_known_values(self):
         assert theoretical_exponent(6.0, 2, 2.0, 2.0) == pytest.approx(1.0 / 3.0)
@@ -317,3 +392,22 @@ class TestConvergenceSweep:
             F2, 6.0, 2, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8), noise_kind="none"
         )
         assert sorted({row.n for row in result.rows}) == [5, 10, 22]
+
+    def test_metric_order_is_a_floor(self):
+        # At delta = 1e-13 the rule picks n = 147: the derived series has
+        # degree 144, which needs G >= 296, above the default 96.
+        deltas = (1e-6, 1e-8, 1e-10, 1e-13)
+        result = convergence_sweep(F2, 6.0, 2, 2.0, 2.0, deltas=deltas, seeds=1)
+        reference = F2.derivative_function()
+        base = exact_coeffs(F2, 146, 146, G=2 * 146 + 16)  # the sweep's own base
+        for row in result.rows:
+            config = MethodConfig(r=2, mu=6.0, delta=row.delta, n_override=row.n)
+            noisy = perturb(
+                base.restrict(config.domain()),
+                NoiseSpec(kind="projected", delta=row.delta, seed=0),
+            )
+            approx = run(noisy, config)
+            G = max(96, 2 * (row.n - 3) + 8)
+            assert row.l2_error == l2_error(approx, reference, G)
+            assert row.sup_error == sup_error(approx, reference, 201)
+        assert [row.n for row in result.rows] == [10, 22, 47, 147]

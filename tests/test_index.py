@@ -46,6 +46,20 @@ class TestCross:
                 dom = IndexDomain.cross(r, n)
                 assert dom.cardinality() == len(dom.members()), (r, n)
 
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [4, 31, 300, 1023, 2048])
+    def test_mask_matches_defining_inequality(self, r, n):
+        dom = IndexDomain.cross(r, n)
+        k = np.arange(n)[:, None]
+        j = np.arange(n)[None, :]
+        expected = (k >= r) & (j >= r) & (k * j <= r * n - 1)
+        np.testing.assert_array_equal(dom.mask(), expected)
+        card = dom.cardinality()
+        assert type(card) is int and card == int(expected.sum())
+        members = dom.members()
+        assert members == list(zip(*(idx.tolist() for idx in np.nonzero(expected))))
+        assert all(type(v) is int for pair in members[:3] for v in pair)
+
     def test_nested_in_next_level(self):
         for n in (3, 7, 19, 40):
             small = set(IndexDomain.cross(2, n).members())

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from legdiff.basis import composite_gauss_rule
 from legdiff.coeffs import BivariateFunction, CoeffField, exact_coeffs
+from legdiff.experiments import F1, F2
 from legdiff.method import MethodConfig, run
-from legdiff.metrics import ErrorReport, error_report, l2_error, sup_error
+from legdiff.metrics import ErrorMeter, ErrorReport, error_report, l2_error, sup_error
+from legdiff.noise import NoiseSpec, perturb
 
 
 def _constant_reference(c):
@@ -146,3 +149,85 @@ class TestErrorReport:
         )
         with pytest.raises(ValueError):
             bad.validate()
+
+
+def _scratch_l2(approx, reference, G):
+    """The square-mean error evaluated from scratch by the series itself."""
+    edges_t, edges_tau = reference.axis_edges()
+    rule_t = composite_gauss_rule(G, edges_t)
+    rule_tau = composite_gauss_rule(G, edges_tau)
+    diff = approx.series.eval_grid(rule_t.nodes, rule_tau.nodes)
+    diff -= reference.value(rule_t.nodes[:, None], rule_tau.nodes[None, :])
+    return float(np.sqrt(max(rule_t.weights @ (diff * diff) @ rule_tau.weights, 0.0)))
+
+
+def _scratch_sup(approx, reference, m):
+    grid = np.linspace(-1.0, 1.0, m)
+    diff = approx.series.eval_grid(grid, grid)
+    diff -= reference.value(grid[:, None], grid[None, :])
+    return float(np.max(np.abs(diff)))
+
+
+def _noisy_approx(function, shape, n, seed):
+    cfg = MethodConfig(r=2, mu=6.0, delta=1e-6, n_override=n, domain_shape=shape)
+    degree = n if shape == "box" else n - 1
+    field = exact_coeffs(function, degree, degree, G=2 * degree + 16)
+    field = perturb(
+        field.restrict(cfg.domain()), NoiseSpec(kind="gaussian", delta=1e-6, seed=seed)
+    )
+    return run(field, cfg)
+
+
+class TestErrorMeter:
+    @pytest.mark.parametrize("shape", ["cross", "box"])
+    @pytest.mark.parametrize("function", [F1, F2], ids=["f1", "f2"])
+    def test_reused_meter_is_bit_identical(self, function, shape):
+        # One meter across several n, revisiting a degree after others,
+        # gives exactly the standalone metrics and the from-scratch values.
+        reference = function.derivative_function()
+        meter = ErrorMeter(reference, G=40, m=51)
+        for seed, n in enumerate((5, 12, 9, 5, 16)):
+            approx = _noisy_approx(function, shape, n, seed)
+            l2 = meter.l2_error(approx)
+            sup = meter.sup_error(approx)
+            assert l2 == l2_error(approx, reference, G=40) == _scratch_l2(approx, reference, 40)
+            assert sup == sup_error(approx, reference, m=51) == _scratch_sup(approx, reference, 51)
+            report = meter.report(approx)
+            standalone = error_report(approx, reference, G=40, m=51)
+            assert (report.l2_error, report.sup_error) == (l2, sup)
+            assert (standalone.l2_error, standalone.sup_error) == (l2, sup)
+            assert (report.n_used, report.information_count) == (
+                standalone.n_used, standalone.information_count,
+            )
+
+    def test_refuses_too_small_quadrature(self):
+        meter = ErrorMeter(_constant_reference(0.0), G=19)
+        small = _noisy_approx(F2, "box", 5, 0)  # derived degree 3: G >= 14
+        large = _noisy_approx(F2, "box", 8, 0)  # derived degree 6: G >= 20
+        meter.l2_error(small)
+        with pytest.raises(ValueError, match="G=19 too small; need G >= 20"):
+            meter.l2_error(large)
+        with pytest.raises(ValueError, match="G"):
+            meter.report(large)
+        # The uniform metric does not depend on G.
+        assert meter.sup_error(large) == sup_error(large, _constant_reference(0.0))
+
+    @pytest.mark.parametrize("m", [2, 1, 0, -3, 4, 100])
+    def test_rejects_even_or_tiny_grid(self, m):
+        with pytest.raises(ValueError, match="odd and >= 3"):
+            ErrorMeter(_constant_reference(1.0), m=m)
+
+    def test_reference_evaluated_once_per_grid(self):
+        calls = []
+
+        def value(t, tau):
+            calls.append(np.broadcast_shapes(np.shape(t), np.shape(tau)))
+            return np.cos(t) * np.sin(tau)
+
+        meter = ErrorMeter(
+            BivariateFunction(value=value, t_breakpoints=(0.0,), name="counted"),
+            G=24, m=11,
+        )
+        for seed, n in enumerate((4, 6, 4)):
+            meter.report(_noisy_approx(F2, "cross", n, seed))
+        assert calls == [(48, 24), (11, 11)]
