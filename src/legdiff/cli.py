@@ -173,12 +173,9 @@ def cmd_differentiate(args: argparse.Namespace) -> int:
     n = config.resolve_n()
     print(f"n={n}", file=sys.stderr)
     domain = config.domain()
-    deg_t, deg_tau = domain.max_degree()
     if args.builtin is not None:
         function = builtin_function(args.builtin)
-        base = exact_coeffs(
-            function, deg_t, deg_tau, G=2 * max(deg_t, deg_tau) + 16
-        )
+        base = exact_coeffs(function, *domain.max_degree())
     else:
         function = None
         base = load_csv(args.coeffs)
@@ -204,9 +201,7 @@ def cmd_differentiate(args: argparse.Namespace) -> int:
     _write_text(args.out, "\n".join(lines) + "\n")
 
     if function is not None and function.d22 is not None and args.r == 2:
-        series_field = approx.series.field
-        metric_G = max(96, 2 * max(series_field.k_max, series_field.j_max) + 8)
-        report = error_report(approx, function.derivative_function(), G=metric_G)
+        report = error_report(approx, function.derivative_function())
         print(f"card={report.information_count}", file=sys.stderr)
         print(f"l2_error={report.l2_error!r}", file=sys.stderr)
         print(f"sup_error={report.sup_error!r}", file=sys.stderr)

@@ -231,16 +231,18 @@ def _tensor_projection(
 
 
 def exact_coeffs(
-    f: BivariateFunction, k_max: int, j_max: int, G: int
+    f: BivariateFunction, k_max: int, j_max: int, G: int | None = None
 ) -> CoeffField:
     """Reference coefficients via tensor Gauss quadrature of order G per panel.
 
-    Requires G >= max(k_max, j_max) + 1 so products f*phi_k*phi_j are
-    integrated without aliasing; G >= 2*max degree + 16 is recommended for
-    reference-quality values.
+    G defaults to 2 * max(k_max, j_max) + 16, which gives reference-quality
+    values; an explicit G must be >= max(k_max, j_max) + 1 so products
+    f*phi_k*phi_j are integrated without aliasing.
     """
     if k_max < 0 or j_max < 0:
         raise ValueError("degree bounds must be nonnegative")
+    if G is None:
+        G = 2 * max(k_max, j_max) + 16
     if G < max(k_max, j_max) + 1:
         raise ValueError(
             f"quadrature order G={G} too small for degrees "

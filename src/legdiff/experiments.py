@@ -134,8 +134,8 @@ class ExperimentPreset:
 
     ``noise`` is "gaussian" (raw delta-scaled normals on reference
     coefficients) or "trapezoid" (coefficients recomputed by the trapezoid
-    rule with the per-row step ``hs``).  Registry presets reproduce reference
-    result rows; instances built by hand should set ``synthetic=True``.
+    rule with the per-row step ``hs``).  ``metric_G`` is a floor on the
+    square-mean metric's Gauss order (see :class:`ErrorMeter`).
     """
 
     name: str
@@ -152,7 +152,6 @@ class ExperimentPreset:
     metric_G: int = 96
     metric_m: int = 201
     default_seeds: int = 20
-    synthetic: bool = True
 
     def __post_init__(self) -> None:
         if self.noise not in ("gaussian", "trapezoid"):
@@ -180,7 +179,6 @@ _PRESETS = {
         ns=(19, 24, 31),
         hs=None,
         mu=5.5,
-        synthetic=False,
     ),
     "table2": ExperimentPreset(
         name="table2",
@@ -190,7 +188,6 @@ _PRESETS = {
         ns=(19, 24, 31),
         hs=(_TABLE2_H1, 8e-5, 4e-5),
         mu=5.5,
-        synthetic=False,
     ),
     "table3": ExperimentPreset(
         name="table3",
@@ -200,8 +197,6 @@ _PRESETS = {
         ns=(11, 18, 25),
         hs=(4e-4, 1e-4, 4e-5),
         mu=6.0,
-        metric_G=96,
-        synthetic=False,
     ),
 }
 
@@ -248,45 +243,39 @@ def rows_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _method_config(
-    preset: ExperimentPreset, delta: float, n: int, domain_shape: str
-) -> MethodConfig:
-    return MethodConfig(
-        r=preset.r,
-        mu=preset.mu,
-        delta=delta,
-        s=preset.s,
-        p=preset.p,
-        n_override=n,
-        domain_shape=domain_shape,
-    )
-
-
-def _run_cell(
+def _measure(
     field: CoeffField,
-    preset: ExperimentPreset,
-    delta: float,
-    n: int,
-    domain_shape: str,
-    seed: int | None,
+    config: MethodConfig,
+    seeds,
+    noise: str | None,
     meter: ErrorMeter,
-) -> ExperimentRow:
-    """Restrict to the domain, optionally add noise, run, and measure."""
-    config = _method_config(preset, delta, n, domain_shape)
+) -> list[ExperimentRow]:
+    """One row per seed: restrict to the domain, perturb, run, and measure.
+
+    A seed of None runs the restricted field without noise; any other seed
+    draws ``noise`` (a :class:`NoiseSpec` kind) at the config's delta.
+    """
     consumed = field.restrict(config.domain())
-    if seed is not None:
-        consumed = perturb(
-            consumed, NoiseSpec(kind="gaussian", delta=delta, seed=seed)
+    cells = []
+    for seed in seeds:
+        noisy = consumed
+        if seed is not None:
+            noisy = perturb(
+                consumed,
+                NoiseSpec(kind=noise, delta=config.delta, p=config.p, seed=seed),
+            )
+        report = meter.report(run(noisy, config))
+        cells.append(
+            ExperimentRow(
+                delta=config.delta,
+                n=report.n_used,
+                card=report.information_count,
+                l2_error=report.l2_error,
+                sup_error=report.sup_error,
+                seed=seed,
+            )
         )
-    report = meter.report(run(consumed, config))
-    return ExperimentRow(
-        delta=delta,
-        n=n,
-        card=report.information_count,
-        l2_error=report.l2_error,
-        sup_error=report.sup_error,
-        seed=seed,
-    )
+    return cells
 
 
 def _median_row(cells: list[ExperimentRow]) -> ExperimentRow:
@@ -314,7 +303,14 @@ def run_table(
     rows: list[ExperimentRow] = []
     if not preset.deltas:
         return rows
-    max_degree = max(preset.ns) if domain_shape == "box" else max(preset.ns) - 1
+    # Validated, size limit included, before any coefficient is built.
+    configs = [
+        MethodConfig(
+            r=preset.r, mu=preset.mu, delta=delta, s=preset.s, p=preset.p,
+            n_override=n, domain_shape=domain_shape,
+        )
+        for delta, n in zip(preset.deltas, preset.ns)
+    ]
     meter = ErrorMeter(
         preset.function.derivative_function(), G=preset.metric_G, m=preset.metric_m
     )
@@ -322,21 +318,16 @@ def run_table(
         count = preset.default_seeds if seeds is None else seeds
         if count < 1:
             raise ValueError("stochastic presets need at least one seed")
-        base = exact_coeffs(
-            preset.function, max_degree, max_degree, G=preset.coeff_G
-        )
-        for delta, n in zip(preset.deltas, preset.ns):
-            cells = [
-                _run_cell(base, preset, delta, n, domain_shape, seed, meter)
-                for seed in range(count)
-            ]
+        degree = max(max(c.domain().max_degree()) for c in configs)
+        base = exact_coeffs(preset.function, degree, degree, G=preset.coeff_G)
+        for config in configs:
+            cells = _measure(base, config, range(count), "gaussian", meter)
             rows.extend(cells)
             rows.append(_median_row(cells))
     else:
-        for delta, n, h in zip(preset.deltas, preset.ns, preset.hs):
-            degree = n if domain_shape == "box" else n - 1
-            field = trapezoid_coeffs(preset.function, h, degree, degree)
-            rows.append(_run_cell(field, preset, delta, n, domain_shape, None, meter))
+        for config, h in zip(configs, preset.hs):
+            field = trapezoid_coeffs(preset.function, h, *config.domain().max_degree())
+            rows.extend(_measure(field, config, [None], None, meter))
     return rows
 
 
@@ -368,7 +359,6 @@ def convergence_sweep(
     noise_kind: str = "projected",
     rule_constant: float = 1.0,
     domain_shape: str = "cross",
-    coeff_G: int | None = None,
     metric_G: int = 96,
     metric_m: int = 201,
 ) -> SweepResult:
@@ -378,8 +368,7 @@ def convergence_sweep(
     the exact coefficients are perturbed per seed (``noise_kind`` "projected",
     "gaussian", or "none"), and the median square-mean error over seeds enters
     a least-squares log-log fit of error against delta.  ``metric_G`` is a
-    floor: each row measures with at least 2 * (derived degree) + 8 Gauss
-    points per panel, as the square-mean metric requires.
+    floor on the square-mean metric's Gauss order (see :class:`ErrorMeter`).
     """
     deltas = sorted((float(d) for d in deltas), reverse=True)
     if len(deltas) < 3:
@@ -404,42 +393,15 @@ def convergence_sweep(
         )
         for delta, n in zip(deltas, levels)
     ]
-    max_degree = max(levels) if domain_shape == "box" else max(levels) - 1
-    G = max(coeff_G or 0, 2 * max_degree + 16)
-    base = exact_coeffs(function, max_degree, max_degree, G=G)
-    reference = function.derivative_function()
-
-    meters: dict[int, ErrorMeter] = {}
+    degree = max(max(c.domain().max_degree()) for c in configs)
+    base = exact_coeffs(function, degree, degree)
+    meter = ErrorMeter(function.derivative_function(), G=metric_G, m=metric_m)
+    seed_list = [None] if noise_kind == "none" else range(seeds)
 
     rows: list[ExperimentRow] = []
     median_l2: list[float] = []
-    for delta, n, config in zip(deltas, levels, configs):
-        domain = config.domain()
-        # metric_G is a floor: the derived series has degree max_degree - r.
-        row_G = max(metric_G, 2 * (max(domain.max_degree()) - r) + 8)
-        if row_G not in meters:
-            meters[row_G] = ErrorMeter(reference, G=row_G, m=metric_m)
-        meter = meters[row_G]
-        consumed = base.restrict(domain)
-        cells: list[ExperimentRow] = []
-        seed_list = [None] if noise_kind == "none" else list(range(seeds))
-        for seed in seed_list:
-            noisy = consumed
-            if seed is not None:
-                noisy = perturb(
-                    consumed, NoiseSpec(kind=noise_kind, delta=delta, p=p, seed=seed)
-                )
-            report = meter.report(run(noisy, config))
-            cells.append(
-                ExperimentRow(
-                    delta=delta,
-                    n=n,
-                    card=report.information_count,
-                    l2_error=report.l2_error,
-                    sup_error=report.sup_error,
-                    seed=seed,
-                )
-            )
+    for config in configs:
+        cells = _measure(base, config, seed_list, noise_kind, meter)
         rows.extend(cells)
         if len(cells) > 1:
             rows.append(_median_row(cells))

@@ -8,14 +8,13 @@ holds O(n log n) pairs, against O(n^2) for the full square
 
     Box(r, n) = {(k, j) : r <= k, j <= n}.
 
-Explicit sets cover externally supplied index lists.  Members are always
-enumerated in lexicographic (k, j) order so downstream runs are reproducible.
+Members are always enumerated in lexicographic (k, j) order so downstream
+runs are reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -40,31 +39,19 @@ def pairs_mask(pairs) -> np.ndarray:
 class IndexDomain:
     """A finite set of index pairs, all with k >= r and j >= r."""
 
-    shape: str  # "cross" | "box" | "explicit"
+    shape: str  # "cross" | "box"
     r: int
-    n: int | None = None
-    pairs: tuple[tuple[int, int], ...] | None = None
+    n: int
 
     def __post_init__(self) -> None:
-        if self.shape not in ("cross", "box", "explicit"):
+        if self.shape not in ("cross", "box"):
             raise ValueError(f"unknown domain shape {self.shape!r}")
         if self.r < 0:
             raise ValueError("r must be nonnegative")
-        if self.shape in ("cross", "box"):
-            if self.n is None or self.n <= self.r:
-                raise ValueError(
-                    f"size parameter n must exceed r, got n={self.n}, r={self.r}"
-                )
-        else:
-            if self.pairs is None:
-                raise ValueError("explicit domain requires pairs")
-            cleaned = sorted(set((int(k), int(j)) for k, j in self.pairs))
-            for k, j in cleaned:
-                if k < self.r or j < self.r:
-                    raise ValueError(
-                        f"index pair {(k, j)} violates k, j >= r = {self.r}"
-                    )
-            object.__setattr__(self, "pairs", tuple(cleaned))
+        if self.n <= self.r:
+            raise ValueError(
+                f"size parameter n must exceed r, got n={self.n}, r={self.r}"
+            )
 
     @classmethod
     def cross(cls, r: int, n: int) -> "IndexDomain":
@@ -75,27 +62,6 @@ class IndexDomain:
     def box(cls, r: int, n: int) -> "IndexDomain":
         """Full square {(k, j): r <= k, j <= n}."""
         return cls(shape="box", r=r, n=n)
-
-    @classmethod
-    def explicit(cls, pairs, r: int = 0) -> "IndexDomain":
-        """Explicit set of index pairs, deduplicated and sorted."""
-        return cls(shape="explicit", r=r, pairs=tuple(tuple(p) for p in pairs))
-
-    @classmethod
-    def from_csv(cls, path: str | Path, r: int = 0) -> "IndexDomain":
-        """Explicit domain from newline-delimited "k,j" lines."""
-        pairs = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                try:
-                    pairs.append((int(parts[0]), int(parts[1])))
-                except (ValueError, IndexError) as exc:
-                    raise ValueError(f"parse error at line {lineno}: {line!r}") from exc
-        return cls.explicit(pairs, r=r)
 
     def _cross_tops(self) -> np.ndarray:
         """j_top of rows k = r..n-1 of the cross: row k holds j = r..j_top."""
@@ -113,15 +79,11 @@ class IndexDomain:
             starts = np.repeat(np.cumsum(counts) - counts, counts)
             j = self.r + np.arange(k.size) - starts
             return list(zip(k.tolist(), j.tolist()))
-        if self.shape == "box":
-            rng = range(self.r, self.n + 1)
-            return [(k, j) for k in rng for j in rng]
-        return list(self.pairs)
+        rng = range(self.r, self.n + 1)
+        return [(k, j) for k in rng for j in rng]
 
     def mask(self) -> np.ndarray:
         """Boolean membership array of shape ``max_degree() + 1`` per axis."""
-        if self.shape == "explicit":
-            return pairs_mask(self.pairs)
         deg_k, deg_j = self.max_degree()
         mask = np.zeros((deg_k + 1, deg_j + 1), dtype=bool)
         if self.shape == "cross":
@@ -132,20 +94,14 @@ class IndexDomain:
         return mask
 
     def cardinality(self) -> int:
-        """Number of pairs, computed without materializing when possible."""
+        """Number of pairs, computed without materializing them."""
         if self.shape == "cross":
             return int(np.maximum(self._cross_tops() - self.r + 1, 0).sum())
-        if self.shape == "box":
-            side = self.n - self.r + 1
-            return side * side
-        return len(self.pairs)
+        side = self.n - self.r + 1
+        return side * side
 
     def max_degree(self) -> tuple[int, int]:
         """Largest (k, j) degrees the domain can contain, per axis."""
         if self.shape == "cross":
             return self.n - 1, self.n - 1
-        if self.shape == "box":
-            return self.n, self.n
-        if not self.pairs:
-            return 0, 0
-        return max(k for k, _ in self.pairs), max(j for _, j in self.pairs)
+        return self.n, self.n

@@ -93,7 +93,7 @@ class MethodConfig:
                 f"smoothness mu={self.mu} violates mu > 2r - 1/s + 1/2 = {bound}"
             )
         n = self.resolve_n()
-        side = n if self.domain_shape == "cross" else n + 1
+        side = max(self.domain().max_degree()) + 1
         if side * side > MAX_DENSE_ENTRIES:
             raise ConfigError(
                 f"truncation level n={n} needs a dense array of {side}^2 "

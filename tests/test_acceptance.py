@@ -64,7 +64,7 @@ EQUAL_BUDGET_BOX_NS = (6, 8, 11)
 
 @pytest.fixture(scope="module")
 def table3_box_equal_budget():
-    preset = replace(get_preset("table3"), ns=EQUAL_BUDGET_BOX_NS, synthetic=True)
+    preset = replace(get_preset("table3"), ns=EQUAL_BUDGET_BOX_NS)
     return run_table(preset, domain_shape="box")
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from legdiff.coeffs import BivariateFunction, exact_coeffs, smoothness_norm
+from legdiff.coeffs import BivariateFunction, exact_coeffs, smoothness_norm, trapezoid_coeffs
 from legdiff.index import IndexDomain
 from legdiff.method import MethodConfig, run
 from legdiff.metrics import l2_error, sup_error
@@ -136,7 +136,6 @@ class TestPresets:
         assert t1.function is F1 and t1.noise == "gaussian"
         assert t1.deltas == (1e-6, 1e-7, 1e-8)
         assert t1.ns == (19, 24, 31)
-        assert not t1.synthetic
         t3 = get_preset("table3")
         assert t3.function is F2 and t3.noise == "trapezoid"
         assert t3.ns == (11, 18, 25)
@@ -300,17 +299,46 @@ class TestReferenceEvaluations:
         assert calls == [(192, 192), (201, 201)]
 
     def test_sweep_builds_one_meter_per_quadrature_order(self):
+        """One meter serves the whole sweep, one Gauss grid per order."""
         # metric_G = 8 is below every row's floor 2 * (n - 3) + 8, so each
         # of the three levels needs its own Gauss grid; the uniform grid is
-        # shared by rows with the same order only.
+        # evaluated once for the sweep.
         function, calls = _counting_f1()
         result = convergence_sweep(
             function, 5.5, 2, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8), seeds=3,
             metric_G=8, metric_m=11,
         )
-        sizes = [2 * (2 * (n - 3) + 8) for n in sorted({r.n for r in result.rows})]
-        assert len(set(sizes)) == 3
-        assert calls == [shape for size in sizes for shape in ((size, size), (11, 11))]
+        g1, g2, g3 = (2 * (2 * (n - 3) + 8) for n in sorted({r.n for r in result.rows}))
+        assert len({g1, g2, g3}) == 3
+        assert calls == [(g1, g1), (11, 11), (g2, g2), (g3, g3)]
+
+
+class TestRunTableMetricFloor:
+    """run_table measures past the preset's metric_G with the floor order."""
+
+    @pytest.mark.parametrize(
+        "noise, hs", [("gaussian", None), ("trapezoid", (1e-3,))]
+    )
+    def test_rows_past_n_47_use_the_floor(self, noise, hs):
+        preset = ExperimentPreset(
+            name="x", function=F1, noise=noise, deltas=(1e-9,), ns=(60,), hs=hs
+        )
+        rows = run_table(preset, seeds=1)
+        config = MethodConfig(r=2, mu=5.5, delta=1e-9, n_override=60)
+        if noise == "gaussian":
+            field = perturb(
+                exact_coeffs(F1, 59, 59, G=preset.coeff_G).restrict(config.domain()),
+                NoiseSpec(kind="gaussian", delta=1e-9, seed=0),
+            )
+        else:
+            field = trapezoid_coeffs(F1, 1e-3, 59, 59)
+        approx = run(field, config)
+        reference = F1.derivative_function()
+        # The derived series has degree 59 - 2 = 57: the floor is 122 > 96.
+        for row in rows:
+            assert np.isfinite(row.l2_error) and np.isfinite(row.sup_error)
+            assert row.l2_error == l2_error(approx, reference, 122)
+            assert row.sup_error == sup_error(approx, reference, 201)
 
 
 class TestBenchmarkReferences:

@@ -1,4 +1,4 @@
-"""Index domains: hyperbolic cross, box, and explicit sets."""
+"""Index domains: hyperbolic cross and box."""
 
 import math
 
@@ -106,40 +106,6 @@ class TestBox:
 
     def test_max_degree(self):
         assert IndexDomain.box(2, 19).max_degree() == (19, 19)
-
-
-class TestExplicit:
-    def test_deduplicates_and_sorts(self):
-        dom = IndexDomain.explicit([(3, 1), (1, 2), (3, 1), (1, 1)], r=1)
-        assert dom.members() == [(1, 1), (1, 2), (3, 1)]
-        assert dom.cardinality() == 3
-
-    def test_rejects_indices_below_r(self):
-        with pytest.raises(ValueError):
-            IndexDomain.explicit([(1, 3)], r=2)
-
-    def test_from_csv(self, tmp_path):
-        path = tmp_path / "pairs.csv"
-        path.write_text("2,3\n4,2\n")
-        dom = IndexDomain.from_csv(path, r=2)
-        assert dom.members() == [(2, 3), (4, 2)]
-
-    def test_from_csv_malformed_line_reports_number(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("2,3\nnope\n")
-        with pytest.raises(ValueError, match="line 2"):
-            IndexDomain.from_csv(path, r=0)
-
-    def test_max_degree(self):
-        dom = IndexDomain.explicit([(2, 7), (5, 3)])
-        assert dom.max_degree() == (5, 7)
-
-    def test_mask(self):
-        d = IndexDomain.explicit([(3, 1), (1, 4)])
-        expected = np.zeros((4, 5), dtype=bool)
-        expected[3, 1] = expected[1, 4] = True
-        np.testing.assert_array_equal(d.mask(), expected)
-        np.testing.assert_array_equal(IndexDomain.explicit([]).mask(), [[False]])
 
 
 def test_unknown_shape_rejected():
