@@ -168,7 +168,9 @@ class BivariateFunction:
     interior points where smoothness is lost along an axis; quadrature splits
     its panels there.  ``factors`` optionally declares the separable form
     value(t, tau) = scale * ft(t) * gtau(tau), enabling exact one-dimensional
-    fast paths in the tensor-product quadratures.
+    fast paths in the tensor-product quadratures.  When ``ft`` and ``gtau``
+    are one callable and both axes share the quadrature rule and degree, the
+    one-dimensional projection is computed once and used for both axes.
     """
 
     value: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -216,9 +218,12 @@ def _tensor_projection(
         a = weighted_projection(
             ft(rule_t.nodes), rule_t.weights, rule_t.nodes, k_max
         )
-        b = weighted_projection(
-            gtau(rule_tau.nodes), rule_tau.weights, rule_tau.nodes, j_max
-        )
+        if gtau is ft and rule_tau is rule_t and j_max == k_max:
+            b = a  # the same projection; computing it again gives the same bits
+        else:
+            b = weighted_projection(
+                gtau(rule_tau.nodes), rule_tau.weights, rule_tau.nodes, j_max
+            )
         return scale * np.outer(a, b)
     table_t = eval_phi_table(k_max, rule_t.nodes) * rule_t.weights[None, :]
     table_tau = eval_phi_table(j_max, rule_tau.nodes) * rule_tau.weights[None, :]
@@ -250,7 +255,7 @@ def exact_coeffs(
         )
     edges_t, edges_tau = f.axis_edges()
     rule_t = composite_gauss_rule(G, edges_t)
-    rule_tau = composite_gauss_rule(G, edges_tau)
+    rule_tau = rule_t if edges_tau == edges_t else composite_gauss_rule(G, edges_tau)
     return CoeffField.from_dense(
         _tensor_projection(f, rule_t, rule_tau, k_max, j_max)
     )

@@ -52,18 +52,22 @@ _F2_SCALE = 43940129.0
 def _f1_factor(t: np.ndarray) -> np.ndarray:
     """Piecewise degree-8 factor of F1; branches join at 0 up to order 6."""
     t = np.asarray(t, dtype=np.float64)
+    t7 = t**7
+    t8 = t**8
     common = -(t**2) / 8.0 + t**4 / 12.0 - t**5 / 20.0
-    neg = t**7 / 42.0 - 3.0 * t**8 / 224.0
-    pos = t**7 / 45.0 - t**8 / 80.0
+    neg = t7 / 42.0 - 3.0 * t8 / 224.0
+    pos = t7 / 45.0 - t8 / 80.0
     return common + np.where(t < 0.0, neg, pos)
 
 
 def _f1_factor_d2(t: np.ndarray) -> np.ndarray:
     """Second derivative of the F1 factor, branch by branch."""
     t = np.asarray(t, dtype=np.float64)
+    t5 = t**5
+    t6 = t**6
     common = -0.25 + t**2 - t**3
-    neg = t**5 - 0.75 * t**6
-    pos = 14.0 * t**5 / 15.0 - 7.0 * t**6 / 10.0
+    neg = t5 - 0.75 * t6
+    pos = 14.0 * t5 / 15.0 - 7.0 * t6 / 10.0
     return common + np.where(t < 0.0, neg, pos)
 
 
@@ -134,8 +138,11 @@ class ExperimentPreset:
 
     ``noise`` is "gaussian" (raw delta-scaled normals on reference
     coefficients) or "trapezoid" (coefficients recomputed by the trapezoid
-    rule with the per-row step ``hs``).  ``metric_G`` is a floor on the
-    square-mean metric's Gauss order (see :class:`ErrorMeter`).
+    rule with the per-row step ``hs``).  ``coeff_G`` is a floor on the Gauss
+    order of the gaussian presets' base coefficients, which is raised to
+    2 * degree + 16, the :func:`exact_coeffs` default, when that is larger.
+    ``metric_G`` is a floor on the square-mean metric's Gauss order (see
+    :class:`ErrorMeter`).
     """
 
     name: str
@@ -319,7 +326,8 @@ def run_table(
         if count < 1:
             raise ValueError("stochastic presets need at least one seed")
         degree = max(max(c.domain().max_degree()) for c in configs)
-        base = exact_coeffs(preset.function, degree, degree, G=preset.coeff_G)
+        G = max(preset.coeff_G, 2 * degree + 16)
+        base = exact_coeffs(preset.function, degree, degree, G=G)
         for config in configs:
             cells = _measure(base, config, range(count), "gaussian", meter)
             rows.extend(cells)

@@ -174,6 +174,70 @@ class TestExactCoeffs:
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
 
 
+def _counting_separable(t_breakpoints=(), tau_breakpoints=()):
+    """Separable f(t) f(tau) whose factor records the node count of every call."""
+    calls = []
+
+    def factor(t):
+        t = np.asarray(t)
+        calls.append(t.size)
+        return t**3 - np.sin(2.0 * t) + np.where(t < 0.0, 0.5 * t * t, 0.0)
+
+    return BivariateFunction(
+        value=lambda t, tau: 0.3 * factor(t) * factor(tau),
+        t_breakpoints=t_breakpoints,
+        tau_breakpoints=tau_breakpoints,
+        factors=(factor, factor, 0.3),
+    ), calls
+
+
+class TestProjectionReuse:
+    """One factor on both axes, same rule and degree: projected once."""
+
+    def test_trapezoid_projects_the_factor_once(self):
+        f, calls = _counting_separable()
+        trapezoid_coeffs(f, 0.05, 6, 6)
+        assert calls == [41]
+
+    def test_trapezoid_projects_twice_for_different_degrees(self):
+        f, calls = _counting_separable()
+        trapezoid_coeffs(f, 0.05, 6, 5)
+        assert calls == [41, 41]
+
+    def test_exact_projects_once_on_equal_breakpoints(self):
+        f, calls = _counting_separable((0.0,), (0.0,))
+        exact_coeffs(f, 6, 6, G=16)
+        assert calls == [32]
+
+    @pytest.mark.parametrize(
+        "tau_breakpoints, j_max, expected",
+        [((0.25,), 6, [32, 32]), ((), 6, [32, 16]), ((0.0,), 5, [32, 32])],
+    )
+    def test_exact_projects_twice_when_axes_differ(self, tau_breakpoints, j_max, expected):
+        f, calls = _counting_separable((0.0,), tau_breakpoints)
+        exact_coeffs(f, 6, j_max, G=16)
+        assert calls == expected
+
+    @pytest.mark.parametrize("quadrature", ["trapezoid", "exact"])
+    def test_reuse_equals_two_projections(self, quadrature):
+        f, _ = _counting_separable((0.0,), (0.0,))
+        ft, _, scale = f.factors
+        # A distinct wrapper around the same factor forces the second pass.
+        two_pass = BivariateFunction(
+            value=f.value,
+            t_breakpoints=f.t_breakpoints,
+            tau_breakpoints=f.tau_breakpoints,
+            factors=(ft, lambda t: ft(t), scale),
+        )
+        if quadrature == "trapezoid":
+            once = trapezoid_coeffs(f, 0.01, 9, 9)
+            twice = trapezoid_coeffs(two_pass, 0.01, 9, 9)
+        else:
+            once = exact_coeffs(f, 9, 9, G=20)
+            twice = exact_coeffs(two_pass, 9, 9, G=20)
+        assert np.array_equal(once.values, twice.values)
+
+
 class TestTrapezoidCoeffs:
     def test_constant_entry(self):
         field = trapezoid_coeffs(_const_half(), 0.01, 2, 2)

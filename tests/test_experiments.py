@@ -1,11 +1,14 @@
 """Bundled test functions, experiment presets, tables, and convergence sweeps."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from legdiff.basis import composite_gauss_rule
 from legdiff.coeffs import BivariateFunction, exact_coeffs, smoothness_norm, trapezoid_coeffs
+from legdiff.coeffs import _trapezoid_rule
 from legdiff.index import IndexDomain
 from legdiff.method import MethodConfig, run
 from legdiff.metrics import l2_error, sup_error
@@ -125,6 +128,40 @@ class TestBuiltinValues:
         zero = run(CoeffField.empty(), cfg)
         norm = l2_error(zero, F1.derivative_function(), G=32)
         assert 3e-5 <= norm <= 3e-4
+
+
+def _f1_factor_oracle(t):
+    """The F1 factor as first written: every power evaluated per branch."""
+    t = np.asarray(t, dtype=np.float64)
+    common = -(t**2) / 8.0 + t**4 / 12.0 - t**5 / 20.0
+    neg = t**7 / 42.0 - 3.0 * t**8 / 224.0
+    pos = t**7 / 45.0 - t**8 / 80.0
+    return common + np.where(t < 0.0, neg, pos)
+
+
+def _f1_factor_d2_oracle(t):
+    t = np.asarray(t, dtype=np.float64)
+    common = -0.25 + t**2 - t**3
+    neg = t**5 - 0.75 * t**6
+    pos = 14.0 * t**5 / 15.0 - 7.0 * t**6 / 10.0
+    return common + np.where(t < 0.0, neg, pos)
+
+
+_FACTOR_NODE_SETS = {
+    **{f"trapezoid h={h!r}": _trapezoid_rule(h).nodes for h in get_preset("table2").hs},
+    "gauss split at 0": composite_gauss_rule(96, (-1.0, 0.0, 1.0)).nodes,
+    "0 and +-1": np.array([0.0, -1.0, 1.0]),
+}
+
+
+class TestF1FactorBits:
+    """Each power computed once gives the same bits as the per-branch form."""
+
+    @pytest.mark.parametrize("name", list(_FACTOR_NODE_SETS))
+    def test_factor_matches_per_branch_form(self, name):
+        nodes = _FACTOR_NODE_SETS[name]
+        assert np.array_equal(_f1_factor(nodes), _f1_factor_oracle(nodes))
+        assert np.array_equal(_f1_factor_d2(nodes), _f1_factor_d2_oracle(nodes))
 
 
 class TestPresets:
@@ -313,8 +350,28 @@ class TestReferenceEvaluations:
         assert calls == [(g1, g1), (11, 11), (g2, g2), (g3, g3)]
 
 
+class TestTable2Projection:
+    def test_each_row_evaluates_the_factor_once(self):
+        calls = []
+
+        def factor(t):
+            calls.append(np.size(t))
+            return _f1_factor(t)
+
+        preset = get_preset("table2")
+        counted = dataclasses.replace(
+            preset,
+            function=dataclasses.replace(F1, factors=(factor, factor, F1.factors[2])),
+        )
+        rows = run_table(counted)
+        # One projection per row, shared by both axes: 17241, 25000 and
+        # 50000 trapezoid steps.
+        assert calls == [17242, 25001, 50001]
+        assert rows == run_table(preset)
+
+
 class TestRunTableMetricFloor:
-    """run_table measures past the preset's metric_G with the floor order."""
+    """run_table raises the preset's Gauss orders to their floors."""
 
     @pytest.mark.parametrize(
         "noise, hs", [("gaussian", None), ("trapezoid", (1e-3,))]
@@ -326,8 +383,10 @@ class TestRunTableMetricFloor:
         rows = run_table(preset, seeds=1)
         config = MethodConfig(r=2, mu=5.5, delta=1e-9, n_override=60)
         if noise == "gaussian":
+            # Degree 59: the base's floor 2 * 59 + 16 = 134, the exact_coeffs
+            # default, exceeds coeff_G = 96.
             field = perturb(
-                exact_coeffs(F1, 59, 59, G=preset.coeff_G).restrict(config.domain()),
+                exact_coeffs(F1, 59, 59).restrict(config.domain()),
                 NoiseSpec(kind="gaussian", delta=1e-9, seed=0),
             )
         else:
@@ -338,6 +397,23 @@ class TestRunTableMetricFloor:
         for row in rows:
             assert np.isfinite(row.l2_error) and np.isfinite(row.sup_error)
             assert row.l2_error == l2_error(approx, reference, 122)
+            assert row.sup_error == sup_error(approx, reference, 201)
+
+    def test_gaussian_base_past_n_96_uses_the_coefficient_floor(self):
+        preset = ExperimentPreset(
+            name="x", function=F1, noise="gaussian", deltas=(1e-9,), ns=(120,), hs=None
+        )
+        rows = run_table(preset, seeds=1)
+        config = MethodConfig(r=2, mu=5.5, delta=1e-9, n_override=120)
+        field = perturb(
+            exact_coeffs(F1, 119, 119, G=2 * 119 + 16).restrict(config.domain()),
+            NoiseSpec(kind="gaussian", delta=1e-9, seed=0),
+        )
+        approx = run(field, config)
+        reference = F1.derivative_function()
+        assert [row.seed for row in rows] == [0, "median"]
+        for row in rows:
+            assert row.l2_error == l2_error(approx, reference, 2 * 117 + 8)
             assert row.sup_error == sup_error(approx, reference, 201)
 
 
