@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .basis import eval_phi_table
-from .coeffs import exact_coeffs, load_csv
+from .coeffs import MAX_DENSE_ENTRIES, exact_coeffs, load_csv
 from .derivative import phi_derivative_coeffs
 from .experiments import (
     PRESET_NAMES,
@@ -67,6 +67,19 @@ def _delta_range(text: str) -> tuple[float, ...]:
     if count < 2:
         raise argparse.ArgumentTypeError("count must be at least 2")
     return tuple(float(d) for d in np.geomspace(start, end, count))
+
+
+class UsageError(Exception):
+    """A flag combination the command refuses before reading any data (exit 2)."""
+
+
+def _check_table(rows: int, grid: int) -> None:
+    """Refuse a rows x grid evaluation table before it is allocated."""
+    if rows * grid > MAX_DENSE_ENTRIES:
+        raise UsageError(
+            f"--grid {grid} needs a {rows}x{grid} evaluation table, "
+            f"over the limit of {MAX_DENSE_ENTRIES} entries"
+        )
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -170,6 +183,9 @@ def cmd_differentiate(args: argparse.Namespace) -> int:
         rule_constant=args.constant,
         domain_shape=args.domain,
     )
+    if args.noise != "none" and not 0.0 < args.delta < 1.0:
+        raise UsageError("--noise requires 0 < --delta < 1")
+    _check_table(args.grid, args.grid)
     n = config.resolve_n()
     print(f"n={n}", file=sys.stderr)
     domain = config.domain()
@@ -181,9 +197,6 @@ def cmd_differentiate(args: argparse.Namespace) -> int:
         base = load_csv(args.coeffs)
     field = base.restrict(domain)
     if args.noise != "none":
-        if not 0.0 < args.delta < 1.0:
-            print("error: --noise requires 0 < --delta < 1", file=sys.stderr)
-            return 2
         field = perturb(
             field,
             NoiseSpec(kind=args.noise, delta=args.delta, p=args.p, seed=args.seed),
@@ -237,6 +250,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
+    _check_table(args.k + 1, args.grid)
     coeffs = phi_derivative_coeffs(args.k, args.r)
     grid = np.linspace(-1.0, 1.0, args.grid)
     if coeffs.size == 0:
@@ -257,7 +271,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -9,7 +9,9 @@ as data noise.
 
 from __future__ import annotations
 
+import io
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -314,40 +316,89 @@ def save_csv(field: CoeffField, path: str | Path) -> None:
 def load_csv(path: str | Path) -> CoeffField:
     """Read a "k,j,value" coefficient file written by :func:`save_csv`.
 
-    A first line whose leading field is non-numeric is treated as a header and
-    skipped.  Malformed lines, non-finite values and duplicate (k, j) indices
-    raise ValueError with the offending line number; so do indices whose
-    dense array would exceed :data:`MAX_DENSE_ENTRIES`.
+    The file is UTF-8, with or without a byte-order mark.  A first line whose
+    leading field is not an integer is treated as a header and skipped; blank
+    lines are skipped.  Every other line must hold exactly three fields.
+    Malformed lines, negative indices, non-finite values and duplicate (k, j)
+    indices raise ValueError with the offending line number; so do indices
+    whose dense array would exceed :data:`MAX_DENSE_ENTRIES`.
     """
+    with open(path, "r", encoding="utf-8-sig") as handle:
+        text = handle.read()
+    field = _parse_rows(text)
+    return field if field is not None else _scan_rows(text)
+
+
+_CSV_ROW = np.dtype([("k", np.int64), ("j", np.int64), ("v", np.float64)])
+# numpy strips these from a field as whitespace; Python's int() and float()
+# reject them, so text holding one is left to the scanner.
+_ASCII_SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _header_rows(text: str) -> int:
+    """1 when line 1 is a header (its first field is not an integer), else 0."""
+    try:
+        int(text.partition("\n")[0].strip().split(",")[0])
+    except ValueError:
+        return 1
+    return 0
+
+
+def _parse_rows(text: str) -> CoeffField | None:
+    """All rows in one vectorised pass, or None where the pass declines the text.
+
+    It declines whatever it cannot take as is: a parse failure (including
+    spellings such as ``1_0`` that :func:`_scan_rows` accepts), an ASCII
+    separator character, a negative index, a non-finite value, an oversized
+    or duplicate index, or no rows.
+    """
+    if any(separator in text for separator in _ASCII_SEPARATORS):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an input without rows warns
+            rows = np.loadtxt(
+                io.StringIO(text), dtype=_CSV_ROW, delimiter=",", comments=None,
+                skiprows=_header_rows(text), ndmin=1,
+            )
+    except (ValueError, Warning):
+        return None
+    ks, js, vs = rows["k"], rows["j"], rows["v"]
+    if ks.min() < 0 or js.min() < 0 or not np.isfinite(vs).all():
+        return None
+    shape = (int(ks.max()) + 1, int(js.max()) + 1)
+    if shape[0] * shape[1] > MAX_DENSE_ENTRIES:
+        return None
+    field = _field_from_rows(shape, ks, js, vs)
+    return field if len(field) == rows.size else None  # else a duplicate index
+
+
+def _scan_rows(text: str) -> CoeffField:
+    """Line-by-line reader: raises the first error in line order."""
     ks: list[int] = []
     js: list[int] = []
     vs: list[float] = []
     seen: set[tuple[int, int]] = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if lineno == 1:
-                try:
-                    int(parts[0])
-                except ValueError:
-                    continue  # header line
-            try:
-                k, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"parse error at line {lineno}: {line!r}") from exc
-            if k < 0 or j < 0:
-                raise ValueError(f"parse error at line {lineno}: negative index")
-            if not math.isfinite(v):
-                raise ValueError(f"parse error at line {lineno}: non-finite value {v!r}")
-            if (k, j) in seen:
-                raise ValueError(f"duplicate index ({k},{j}) at line {lineno}")
-            seen.add((k, j))
-            ks.append(k)
-            js.append(j)
-            vs.append(v)
+    header_rows = _header_rows(text)
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or lineno <= header_rows:
+            continue
+        try:
+            k_text, j_text, v_text = line.split(",")  # exactly three fields
+            k, j, v = int(k_text), int(j_text), float(v_text)
+        except ValueError as exc:
+            raise ValueError(f"parse error at line {lineno}: {line!r}") from exc
+        if k < 0 or j < 0:
+            raise ValueError(f"parse error at line {lineno}: negative index")
+        if not math.isfinite(v):
+            raise ValueError(f"parse error at line {lineno}: non-finite value {v!r}")
+        if (k, j) in seen:
+            raise ValueError(f"duplicate index ({k},{j}) at line {lineno}")
+        seen.add((k, j))
+        ks.append(k)
+        js.append(j)
+        vs.append(v)
     shape = (max(ks, default=0) + 1, max(js, default=0) + 1)
     if shape[0] * shape[1] > MAX_DENSE_ENTRIES:
         raise ValueError(
@@ -355,6 +406,10 @@ def load_csv(path: str | Path) -> CoeffField:
             f"{shape[0]}x{shape[1]} coefficient array, over the limit of "
             f"{MAX_DENSE_ENTRIES} entries"
         )
+    return _field_from_rows(shape, ks, js, vs)
+
+
+def _field_from_rows(shape: tuple[int, int], ks, js, vs) -> CoeffField:
     values = np.zeros(shape)
     stored = np.zeros(shape, dtype=bool)
     values[ks, js] = vs

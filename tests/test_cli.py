@@ -121,6 +121,18 @@ class TestDifferentiate:
         assert code == 2
         assert "delta" in captured.err
 
+    def test_noise_without_delta_is_checked_before_reading_coeffs(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("k,j,value\n1,not_a_number,3.0\n")
+        code = main(
+            ["differentiate", "--coeffs", str(path), "--mu", "5.5", "--n", "6",
+             "--noise", "gaussian"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "delta" in captured.err
+        assert "line" not in captured.err
+
     def test_malformed_coeffs_file_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("k,j,value\n1,not_a_number,3.0\n")
@@ -173,6 +185,7 @@ class TestDifferentiate:
             ["--mu", "4.6", "--delta", "1e-30"],  # the rule picks n = 3324598
             ["--mu", "4.01", "--delta", "1e-300"],  # the rule picks n ~ 6.5e74
             ["--mu", "5.5", "--n", "100000"],
+            ["--mu", "5.5", "--n", "6", "--grid", "2049"],  # a 2049^2 grid
         ],
     )
     def test_oversized_level_is_usage_error_before_allocating(self, flags, capsys):
@@ -184,6 +197,13 @@ class TestDifferentiate:
         assert "over the limit" in captured.err
         assert captured.out == ""
         assert elapsed < 1.0
+
+    def test_grid_bound_is_inclusive(self, monkeypatch, capsys):
+        monkeypatch.setattr("legdiff.cli.MAX_DENSE_ENTRIES", 9)
+        argv = ["differentiate", "--builtin", "f2", "--mu", "6", "--n", "11"]
+        assert main(argv + ["--grid", "3"]) == 0
+        assert main(argv + ["--grid", "4"]) == 2
+        capsys.readouterr()
 
     def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
         missing_dir = tmp_path / "absent" / "grid.csv"
@@ -340,6 +360,26 @@ class TestBasis:
         basis5[5] = math.sqrt(5.5)
         oracle = npleg.legval(ts, npleg.legder(basis5, 1))
         np.testing.assert_allclose(values, oracle, rtol=1e-12, atol=1e-12)
+
+
+    @pytest.mark.parametrize(
+        "k, grid", [("2047", "2049"), ("0", str(2**22 + 1)), (str(2**22), "1")]
+    )
+    def test_oversized_table_is_usage_error_before_allocating(self, k, grid, capsys):
+        start = time.perf_counter()
+        code = main(["basis", "--k", k, "--r", "2", "--grid", grid])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "over the limit" in captured.err
+        assert captured.out == ""
+        assert elapsed < 1.0
+
+    def test_table_bound_is_inclusive(self, monkeypatch, capsys):
+        monkeypatch.setattr("legdiff.cli.MAX_DENSE_ENTRIES", 12)
+        assert main(["basis", "--k", "3", "--grid", "3"]) == 0
+        assert main(["basis", "--k", "3", "--grid", "4"]) == 2
+        capsys.readouterr()
 
 
 class TestSharedFlags:

@@ -1,6 +1,7 @@
 """Coefficient fields: production, storage, norms, and I/O."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from legdiff.coeffs import (
     save_csv,
     smoothness_norm,
     trapezoid_coeffs,
+    _parse_rows,
 )
+from legdiff.experiments import F1
 from legdiff.index import IndexDomain
 
 
@@ -392,6 +395,49 @@ class TestCsvRoundTrip:
         path.write_text(f"k,j,value\n1,1,0.5\n2,2,{value}\n")
         with pytest.raises(ValueError, match="line 3.*non-finite"):
             load_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, entries",
+        [
+            ("0,0,1.5\n1,1,2.5\n", [((0, 0), 1.5), ((1, 1), 2.5)]),
+            ("k,j,value\n0,0,1.5\n", [((0, 0), 1.5)]),
+        ],
+    )
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"])
+    def test_byte_order_mark_is_not_a_header(self, tmp_path, text, entries, encoding):
+        path = tmp_path / "bom.csv"
+        path.write_text(text, encoding=encoding)
+        assert load_csv(path).items_sorted() == entries
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [("0,0,1.5,zzz\n1,1,2.5\n", 1), ("0,0,1.5\n1,1,2.5,3.5\n", 2), ("0,0,1.5,\n", 1)],
+    )
+    def test_extra_field_rejected(self, tmp_path, text, lineno):
+        path = tmp_path / "wide.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"parse error at line {lineno}:"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "k,j,value\n"])
+    def test_file_without_rows_is_empty_field_without_warning(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = load_csv(path)
+        assert field.items_sorted() == []
+        assert field.values.shape == (1, 1)
+
+    def test_full_f1_field_round_trip_is_bit_exact(self, tmp_path):
+        # The 201 x 201 field of the CLI benchmark, read by the vectorised pass.
+        field = exact_coeffs(F1, 200, 200)
+        path = tmp_path / "f1.csv"
+        save_csv(field, path)
+        assert _parse_rows(path.read_text()) is not None
+        loaded = load_csv(path)
+        assert loaded.values.tobytes() == field.values.tobytes()
+        assert loaded.stored.all()
 
     def test_values_survive_at_full_precision(self, tmp_path):
         value = math.pi * 1e-7

@@ -5,10 +5,11 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legdiff.coeffs import CoeffField, load_csv, save_csv
+from legdiff.coeffs import CoeffField, _parse_rows, _scan_rows, load_csv, save_csv
 from legdiff.derivative import mueller_step
 from legdiff.index import IndexDomain
 from legdiff.method import MethodConfig, choose_n, run
@@ -182,3 +183,82 @@ def test_csv_round_trip_is_bit_exact(k_max, j_max, data):
     assert loaded.items_sorted() == field.items_sorted()
     bits = lambda f: np.array([v for _, v in f.items_sorted()]).view(np.uint64)
     np.testing.assert_array_equal(bits(loaded), bits(field))
+
+
+# Spellings a coefficient file may hold: plain rows, unusual but valid forms
+# (signs, padding, digit separators, non-ASCII digits and spaces), and every
+# kind of bad line, including indices past 2**63.
+_fuzz_field = st.text(
+    alphabet="0123456789+-_.eEinfa \t\x0b\x0c\x1c\x1f\x85\xa0\u2028\u0663", max_size=5
+)
+_index_text = st.one_of(
+    st.integers(0, 4).map(str),
+    _fuzz_field,
+    st.sampled_from(["+{}", " {} ", "0{}", "\t{}", "\xa0{}\u2028", "{}\x1c", "\x1f{}"]).flatmap(
+        lambda spelling: st.integers(0, 4).map(spelling.format)
+    ),
+    st.sampled_from(
+        ["1_0", "\u0663", "-1", "-0", "3.0", "1e3", "x", "", "#",
+         "2100", str(2**63 - 1), str(2**63), str(2**64), str(-(2**63) - 1)]
+    ),
+)
+_value_text = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    _fuzz_field,
+    st.floats(width=32).map(lambda v: format(v, ".9g")),
+    st.sampled_from(
+        ["nan", "-inf", "Infinity", "1e5000", "1e-400", "-0.0", "1_0.5", " 2.5 ",
+         ".5", "5.", "0x10", "\u0661.5", "1.5#c", "#", "", "1 5", "\xa02.5\x1c"]
+    ),
+)
+_plain_rows = st.lists(
+    st.tuples(
+        st.integers(0, 6), st.integers(0, 6), st.floats(allow_nan=False, allow_infinity=False)
+    ),
+    max_size=8,
+    unique_by=lambda row: row[:2],
+).map(lambda rows: [f"{k},{j},{v!r}" for k, j, v in rows])
+_odd_line = st.one_of(
+    st.tuples(_index_text, _index_text, _value_text).map(",".join),
+    st.tuples(_index_text, _index_text, _value_text, _value_text).map(",".join),
+    st.tuples(_index_text, _index_text).map(",".join),
+    st.sampled_from(["k,j,value", "", "  ", "\t", "\x0c", "# note", "0,0,1.0"]),
+)
+
+
+@st.composite
+def _csv_lines(draw) -> list[str]:
+    """Plain rows with up to three odd lines at random places."""
+    lines = draw(_plain_rows)
+    for line in draw(st.lists(_odd_line, max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=_csv_lines(),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    final_newline=st.booleans(),
+    bom=st.booleans(),
+)
+def test_vectorised_csv_pass_agrees_with_scanner(lines, newline, final_newline, bom):
+    text = newline.join(lines) + (newline if final_newline else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "field.csv"
+        path.write_bytes((("\ufeff" if bom else "") + text).encode("utf-8"))
+        decoded = path.read_text(encoding="utf-8-sig")
+        fast = _parse_rows(decoded)
+        try:
+            expected = _scan_rows(decoded)
+        except ValueError as exc:
+            assert fast is None
+            with pytest.raises(ValueError) as info:
+                load_csv(path)
+            assert str(info.value) == str(exc)
+            return
+        loaded = load_csv(path)
+    for field in (loaded,) if fast is None else (loaded, fast):
+        assert field.values.shape == expected.values.shape
+        assert field.values.tobytes() == expected.values.tobytes()
+        assert field.stored.tobytes() == expected.stored.tobytes()
