@@ -29,8 +29,6 @@ from .coeffs import (
 )
 from .derivative import (
     DerivativeExpansion,
-    differentiate_axis,
-    mueller_step,
     phi_derivative_coeffs,
     phi_rr_closed_form,
     single_step_entry,
@@ -77,8 +75,6 @@ __all__ = [
     "save_csv",
     "load_csv",
     "single_step_entry",
-    "mueller_step",
-    "differentiate_axis",
     "phi_derivative_coeffs",
     "phi_rr_closed_form",
     "DerivativeExpansion",

@@ -66,9 +66,11 @@ class QuadratureRule:
 
 
 def _check_in_domain(t: np.ndarray) -> None:
-    bad = np.abs(t) > 1.0 + DOMAIN_TOL
-    if np.any(bad):
-        worst = float(np.asarray(t, dtype=np.float64).flat[int(np.argmax(np.abs(t)))])
+    """Reject any point not within DOMAIN_TOL of [-1, 1]; NaN is rejected too."""
+    points = np.asarray(t, dtype=np.float64).ravel()
+    size = np.abs(points)
+    if not np.all(size <= 1.0 + DOMAIN_TOL):
+        worst = float(points[int(np.argmax(size))])  # the first NaN, if any
         raise ValueError(f"point {worst!r} lies outside [-1, 1]")
 
 

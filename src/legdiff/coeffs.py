@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,11 +85,6 @@ class CoeffField:
     @property
     def j_max(self) -> int:
         return self.values.shape[1] - 1
-
-    @classmethod
-    def empty(cls) -> "CoeffField":
-        """The field with bounds (0, 0) and no stored entry."""
-        return cls(np.zeros((1, 1)), np.zeros((1, 1), dtype=bool))
 
     @classmethod
     def from_entries(
@@ -240,21 +236,16 @@ def _tensor_projection(
 def exact_coeffs(
     f: BivariateFunction, k_max: int, j_max: int, G: int | None = None
 ) -> CoeffField:
-    """Reference coefficients via tensor Gauss quadrature of order G per panel.
+    """Reference coefficients via tensor Gauss quadrature per panel.
 
-    G defaults to 2 * max(k_max, j_max) + 16, which gives reference-quality
-    values; an explicit G must be >= max(k_max, j_max) + 1 so products
-    f*phi_k*phi_j are integrated without aliasing.
+    The order per panel is max(G, 2 * max(k_max, j_max) + 16): G is a floor,
+    and the degree-based order, which integrates the products f*phi_k*phi_j
+    to reference quality, applies when it is larger or G is not given.
     """
     if k_max < 0 or j_max < 0:
         raise ValueError("degree bounds must be nonnegative")
-    if G is None:
-        G = 2 * max(k_max, j_max) + 16
-    if G < max(k_max, j_max) + 1:
-        raise ValueError(
-            f"quadrature order G={G} too small for degrees "
-            f"({k_max}, {j_max}); need G >= {max(k_max, j_max) + 1}"
-        )
+    floor = 2 * max(k_max, j_max) + 16
+    G = floor if G is None else max(G, floor)
     edges_t, edges_tau = f.axis_edges()
     rule_t = composite_gauss_rule(G, edges_t)
     rule_tau = rule_t if edges_tau == edges_t else composite_gauss_rule(G, edges_tau)
@@ -333,6 +324,9 @@ _CSV_ROW = np.dtype([("k", np.int64), ("j", np.int64), ("v", np.float64)])
 # numpy strips these from a field as whitespace; Python's int() and float()
 # reject them, so text holding one is left to the scanner.
 _ASCII_SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
+# A line after the first that str.strip() empties but that is not empty:
+# numpy reads it as a one-field row, the scanner skips it.
+_WHITESPACE_LINE = re.compile(r"\n[^\S\n]+(?=\n|\Z)")
 
 
 def _header_rows(text: str) -> int:
@@ -354,12 +348,15 @@ def _parse_rows(text: str) -> CoeffField | None:
     """
     if any(separator in text for separator in _ASCII_SEPARATORS):
         return None
+    if _header_rows(text):  # drop line 1, keeping its line break
+        text = text[len(text.partition("\n")[0]):]
+    text = _WHITESPACE_LINE.sub("\n", text)  # as the scanner, skip such lines
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an input without rows warns
             rows = np.loadtxt(
                 io.StringIO(text), dtype=_CSV_ROW, delimiter=",", comments=None,
-                skiprows=_header_rows(text), ndmin=1,
+                ndmin=1,
             )
     except (ValueError, Warning):
         return None

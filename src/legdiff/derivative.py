@@ -18,12 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import mueller_step_matrix
-from .coeffs import CoeffField
 
 __all__ = [
     "single_step_entry",
-    "mueller_step",
-    "differentiate_axis",
     "phi_derivative_coeffs",
     "phi_rr_closed_form",
     "DerivativeExpansion",
@@ -37,59 +34,13 @@ def single_step_entry(k: int, l: int) -> float:
     return 0.0
 
 
-def mueller_step(a: np.ndarray) -> np.ndarray:
-    """Coefficients of the derivative of sum_k a_k phi_k.
-
-    Input covers degrees 0..K; output covers degrees 0..K-1.  Degree K must be
-    at least 1 unless the input is identically zero (a constant differentiates
-    to the empty series).
-    """
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    if a.ndim != 1:
-        raise ValueError("coefficient input must be 1-D")
-    if a.size <= 1:
-        if a.size == 0 or np.any(a != 0.0):
-            raise ValueError("cannot differentiate: input has no degree-1 content")
-        return np.zeros(0, dtype=np.float64)
-    return mueller_step_matrix(a[:, None])[:, 0]
-
-
-def _apply_steps(matrix: np.ndarray, r: int) -> np.ndarray:
-    """Apply r derivative steps along axis 0 of a dense coefficient matrix."""
-    out = matrix
-    for _ in range(r):
-        if out.shape[0] <= 1:
-            return np.zeros((0, out.shape[1]), dtype=np.float64)
-        out = mueller_step_matrix(out)
-    return out
-
-
-def differentiate_axis(field: CoeffField, axis: str, r: int) -> CoeffField:
-    """Differentiate a coefficient field r times along one axis.
-
-    ``axis`` is ``"t"`` (first index) or ``"tau"`` (second index).  Degrees
-    along the chosen axis shrink by r; the result is exact.
-    """
-    if r < 1:
-        raise ValueError("derivative order r must be >= 1")
-    if axis not in ("t", "tau"):
-        raise ValueError(f"axis must be 't' or 'tau', got {axis!r}")
-    if axis == "t":
-        result = _apply_steps(field.values, r)
-    else:
-        result = _apply_steps(field.values.T, r).T
-    if result.size == 0:
-        return CoeffField.empty()
-    return CoeffField.from_dense(result)
-
-
 def phi_derivative_coeffs(k: int, r: int) -> np.ndarray:
     """Coefficients of phi_k^(r) over phi_0..phi_{k-r} (empty when r > k)."""
     if k < 0 or r < 0:
         raise ValueError("k and r must be nonnegative")
     unit = np.zeros(k + 1, dtype=np.float64)
     unit[k] = 1.0
-    return _apply_steps(unit[:, None], r)[:, 0] if r > 0 else unit
+    return DerivativeExpansion(r, k).apply(unit) if r > 0 else unit
 
 
 def phi_rr_closed_form(r: int) -> float:
@@ -122,15 +73,22 @@ class DerivativeExpansion:
             raise ValueError("max_degree must be nonnegative")
 
     def apply(self, a: np.ndarray) -> np.ndarray:
-        """Map coefficients of degrees 0..max_degree to degrees 0..max_degree-r."""
+        """Map coefficients of degrees 0..max_degree to degrees 0..max_degree-r.
+
+        The map acts along axis 0 of a 1-D or 2-D array, each column on its
+        own; the result is empty along axis 0 when r > max_degree.
+        """
         a = np.ascontiguousarray(a, dtype=np.float64)
-        if a.shape != (self.max_degree + 1,):
+        if a.ndim not in (1, 2) or a.shape[0] != self.max_degree + 1:
             raise ValueError(
-                f"expected {self.max_degree + 1} coefficients, got {a.shape}"
+                f"expected {self.max_degree + 1} coefficients along axis 0 of a "
+                f"1-D or 2-D array, got shape {a.shape}"
             )
-        return _apply_steps(a[:, None], self.r)[:, 0]
+        out = a if a.ndim == 2 else a[:, None]
+        for _ in range(self.r):
+            out = mueller_step_matrix(out)
+        return out if a.ndim == 2 else out[:, 0]
 
     def matrix(self) -> np.ndarray:
         """Dense (max_degree+1-r) x (max_degree+1) matrix of the r-step map."""
-        eye = np.eye(self.max_degree + 1, dtype=np.float64)
-        return _apply_steps(eye, self.r)
+        return self.apply(np.eye(self.max_degree + 1, dtype=np.float64))

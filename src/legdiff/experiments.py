@@ -139,8 +139,8 @@ class ExperimentPreset:
     ``noise`` is "gaussian" (raw delta-scaled normals on reference
     coefficients) or "trapezoid" (coefficients recomputed by the trapezoid
     rule with the per-row step ``hs``).  ``coeff_G`` is a floor on the Gauss
-    order of the gaussian presets' base coefficients, which is raised to
-    2 * degree + 16, the :func:`exact_coeffs` default, when that is larger.
+    order of the gaussian presets' base coefficients (see :func:`exact_coeffs`,
+    which raises it to 2 * degree + 16 when that is larger).
     ``metric_G`` is a floor on the square-mean metric's Gauss order (see
     :class:`ErrorMeter`).
     """
@@ -326,8 +326,7 @@ def run_table(
         if count < 1:
             raise ValueError("stochastic presets need at least one seed")
         degree = max(max(c.domain().max_degree()) for c in configs)
-        G = max(preset.coeff_G, 2 * degree + 16)
-        base = exact_coeffs(preset.function, degree, degree, G=G)
+        base = exact_coeffs(preset.function, degree, degree, G=preset.coeff_G)
         for config in configs:
             cells = _measure(base, config, range(count), "gaussian", meter)
             rows.extend(cells)

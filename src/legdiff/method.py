@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import series_eval_grid, series_eval_points
-from .basis import DOMAIN_TOL
-from .coeffs import MAX_DENSE_ENTRIES, CoeffField
-from .derivative import differentiate_axis
+from .basis import _check_in_domain
+from .coeffs import MAX_DENSE_ENTRIES, CoeffField, _read_only
+from .derivative import DerivativeExpansion
 from .index import IndexDomain
 
 __all__ = [
@@ -122,18 +122,29 @@ class MethodConfig:
         return IndexDomain.box(self.r, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LegendreSeries2D:
-    """A coefficient field with evaluation semantics sum c_{k,j} phi_k(t) phi_j(tau)."""
+    """The series sum c_{k,j} phi_k(t) phi_j(tau) of a coefficient array.
 
-    field: CoeffField
+    ``coeffs`` is a read-only, C-contiguous, nonempty 2-D float64 array of
+    shape (k_max + 1, j_max + 1).
+    """
+
+    coeffs: np.ndarray
+
+    def __post_init__(self) -> None:
+        coeffs = np.ascontiguousarray(self.coeffs, dtype=np.float64)
+        if coeffs.ndim != 2 or coeffs.size == 0:
+            raise ValueError("coefficient array must be 2-D and nonempty")
+        object.__setattr__(self, "coeffs", _read_only(coeffs))
 
     def eval_grid(self, t: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Series values on the tensor grid t x tau, shape (len(t), len(tau))."""
         t = np.ascontiguousarray(t, dtype=np.float64)
         tau = np.ascontiguousarray(tau, dtype=np.float64)
-        _check_points(t, tau)
-        return series_eval_grid(self.field.values, t, tau)
+        _check_in_domain(t)
+        _check_in_domain(tau)
+        return series_eval_grid(self.coeffs, t, tau)
 
     def eval_points(self, t: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Series values at paired points (t_i, tau_i)."""
@@ -141,15 +152,9 @@ class LegendreSeries2D:
         tau = np.ascontiguousarray(tau, dtype=np.float64)
         if t.shape != tau.shape:
             raise ValueError("t and tau must have identical shapes")
-        _check_points(t, tau)
-        return series_eval_points(self.field.values, t, tau)
-
-
-def _check_points(t: np.ndarray, tau: np.ndarray) -> None:
-    if (t.size and np.max(np.abs(t)) > 1.0 + DOMAIN_TOL) or (
-        tau.size and np.max(np.abs(tau)) > 1.0 + DOMAIN_TOL
-    ):
-        raise ValueError("evaluation points must lie in [-1, 1]^2")
+        _check_in_domain(t)
+        _check_in_domain(tau)
+        return series_eval_points(self.coeffs, t, tau)
 
 
 @dataclass(frozen=True)
@@ -198,17 +203,19 @@ def choose_n(
 
 
 def run(field_perturbed: CoeffField, config: MethodConfig) -> ApproxDerivative:
-    """Run the method: mask to the domain, then differentiate exactly.
+    """Run the method, the linear map B = S_r (M o C) S_r^T on the coefficients.
 
-    Entries of ``field_perturbed`` outside the domain are ignored; domain
-    pairs missing from the field count as exact zeros.
+    M masks the coefficients C to the domain and S_r is the r-step derivative
+    matrix of :class:`DerivativeExpansion`; both domains are square, so one
+    map serves both axes.  Entries of ``field_perturbed`` outside the domain
+    are ignored; domain pairs missing from the field count as exact zeros.
     """
     domain = config.domain()
     masked = field_perturbed.restrict(domain)
-    derived = differentiate_axis(masked, "t", config.r)
-    derived = differentiate_axis(derived, "tau", config.r)
+    expansion = DerivativeExpansion(config.r, masked.k_max)
+    derived = expansion.apply(expansion.apply(masked.values).T).T
     return ApproxDerivative(
-        series=LegendreSeries2D(field=derived),
+        series=LegendreSeries2D(coeffs=derived),
         config=config,
         n_used=domain.n,
         information_count=len(masked),

@@ -94,7 +94,7 @@ class ErrorMeter:
 
         ``set_t``/``set_tau`` name the node sets, keying the cached tables.
         """
-        coeffs = np.ascontiguousarray(approx.series.field.values, dtype=np.float64)
+        coeffs = approx.series.coeffs
         table_t = self._table(set_t, t, coeffs.shape[0] - 1)
         table_tau = self._table(set_tau, tau, coeffs.shape[1] - 1)
         diff = table_t.T @ coeffs @ table_tau
@@ -107,8 +107,7 @@ class ErrorMeter:
         Integrates with max(G, 2 * (max series degree) + 8) Gauss points per
         panel, so the squared series is integrated essentially exactly.
         """
-        field = approx.series.field
-        G = max(self.G, 2 * max(field.k_max, field.j_max) + 8)
+        G = max(self.G, 2 * (max(approx.series.coeffs.shape) - 1) + 8)
         rule_t, rule_tau, values = self._gauss(G)
         diff = self._diff(
             approx, ("gauss_t", G), rule_t.nodes, ("gauss_tau", G), rule_tau.nodes, values

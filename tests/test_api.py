@@ -1,0 +1,42 @@
+"""The public API: every exported name resolves, and none is listed twice."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import legdiff
+
+# legdiff.__main__ only starts the command line and exports nothing.
+_SUBMODULES = sorted(
+    info.name for info in pkgutil.iter_modules(legdiff.__path__) if info.name != "__main__"
+)
+
+
+def _module(name: str):
+    return legdiff if name == "legdiff" else importlib.import_module(f"legdiff.{name}")
+
+
+@pytest.mark.parametrize("name", ["legdiff", *_SUBMODULES])
+def test_every_exported_name_resolves_once(name):
+    module = _module(name)
+    exported = module.__all__
+    assert len(exported) == len(set(exported)), sorted(
+        n for n in set(exported) if exported.count(n) > 1
+    )
+    missing = [n for n in exported if not hasattr(module, n)]
+    assert not missing, missing
+
+
+def test_package_exports_come_from_submodules():
+    """A package-level name is the object its submodule exports."""
+    owners = {}
+    for name in _SUBMODULES:
+        module = _module(name)
+        for exported in module.__all__:
+            owners.setdefault(exported, getattr(module, exported))
+    for exported in legdiff.__all__:
+        if exported == "__version__":
+            continue
+        assert exported in owners, exported
+        assert getattr(legdiff, exported) is owners[exported], exported

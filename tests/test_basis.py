@@ -38,6 +38,18 @@ class TestEvalPhi:
         with pytest.raises(ValueError):
             eval_phi_table(3, np.array([0.0, -1.0001]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_point(self, bad):
+        with pytest.raises(ValueError, match="outside"):
+            eval_phi_table(2, np.array([0.5, bad, 1.0]))
+        with pytest.raises(ValueError, match="outside"):
+            eval_phi_row(2, bad)
+
+    def test_tolerance_edge_is_accepted(self):
+        eval_phi_table(2, np.array([-1.0 - 1e-12, 1.0 + 1e-12]))
+        with pytest.raises(ValueError, match="outside"):
+            eval_phi_table(2, np.array([1.0 + 2e-12]))
+
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
             eval_phi_row(-1, 0.0)

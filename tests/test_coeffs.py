@@ -16,8 +16,13 @@ from legdiff.coeffs import (
     trapezoid_coeffs,
     _parse_rows,
 )
+from legdiff import coeffs as coeffs_module
 from legdiff.experiments import F1
 from legdiff.index import IndexDomain
+
+
+def _no_scanner(text):
+    raise AssertionError("the line-by-line scanner ran")
 
 
 def _const_half():
@@ -159,9 +164,13 @@ class TestExactCoeffs:
         total = sum(v * v for _, v in field.items_sorted())
         assert total == pytest.approx(1.0, abs=1e-8)
 
-    def test_refuses_insufficient_quadrature_order(self):
-        with pytest.raises(ValueError):
-            exact_coeffs(_const_half(), 10, 10, G=10)
+    def test_order_below_the_floor_is_raised_to_it(self):
+        # G is a floor: at degree 10 the order is max(G, 2 * 10 + 16) = 36.
+        f = BivariateFunction(value=lambda t, tau: np.exp(np.asarray(t) * np.asarray(tau)))
+        low = exact_coeffs(f, 10, 10, G=10)
+        assert low.values.tobytes() == exact_coeffs(f, 10, 10).values.tobytes()
+        assert low.values.tobytes() == exact_coeffs(f, 10, 10, G=36).values.tobytes()
+        assert low.values.tobytes() != exact_coeffs(f, 10, 10, G=37).values.tobytes()
 
     def test_separable_fast_path_matches_generic(self):
         # The same function declared with and without its separable form must
@@ -209,16 +218,16 @@ class TestProjectionReuse:
 
     def test_exact_projects_once_on_equal_breakpoints(self):
         f, calls = _counting_separable((0.0,), (0.0,))
-        exact_coeffs(f, 6, 6, G=16)
-        assert calls == [32]
+        exact_coeffs(f, 6, 6, G=30)  # above the floor 2 * 6 + 16 = 28
+        assert calls == [60]
 
     @pytest.mark.parametrize(
         "tau_breakpoints, j_max, expected",
-        [((0.25,), 6, [32, 32]), ((), 6, [32, 16]), ((0.0,), 5, [32, 32])],
+        [((0.25,), 6, [60, 60]), ((), 6, [60, 30]), ((0.0,), 5, [60, 60])],
     )
     def test_exact_projects_twice_when_axes_differ(self, tau_breakpoints, j_max, expected):
         f, calls = _counting_separable((0.0,), tau_breakpoints)
-        exact_coeffs(f, 6, j_max, G=16)
+        exact_coeffs(f, 6, j_max, G=30)
         assert calls == expected
 
     @pytest.mark.parametrize("quadrature", ["trapezoid", "exact"])
@@ -438,6 +447,41 @@ class TestCsvRoundTrip:
         loaded = load_csv(path)
         assert loaded.values.tobytes() == field.values.tobytes()
         assert loaded.stored.all()
+
+    def test_whitespace_line_keeps_the_vectorised_pass(self, tmp_path, monkeypatch):
+        # The CLI benchmark's 201 x 201 file with one trailing whitespace-only
+        # line: read in one pass, the line-by-line scanner is never called.
+        field = exact_coeffs(F1, 200, 200)
+        path = tmp_path / "f1.csv"
+        save_csv(field, path)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("   ")
+        monkeypatch.setattr(coeffs_module, "_scan_rows", _no_scanner)
+        loaded = load_csv(path)
+        assert loaded.values.tobytes() == field.values.tobytes()
+        assert loaded.stored.all()
+
+    @pytest.mark.parametrize(
+        "space",
+        [" ", "   ", "\t", "\x0b", "\x0c", "\r", "\xa0", "\x85", "\u2003", "\u2028", "\u3000"],
+    )
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "{ws}\n0,0,1.5\n1,1,2.5\n",
+            "0,0,1.5\n{ws}\n1,1,2.5\n",
+            "k,j,value\n{ws}\n0,0,1.5\n1,1,2.5\n",
+            "0,0,1.5\n1,1,2.5\n{ws}",
+            "0,0,1.5\r\n{ws}\r\n1,1,2.5\r\n",
+        ],
+    )
+    def test_whitespace_only_lines_are_skipped_in_one_pass(
+        self, tmp_path, monkeypatch, space, template
+    ):
+        path = tmp_path / "ws.csv"
+        path.write_text(template.format(ws=space), encoding="utf-8", newline="")
+        monkeypatch.setattr(coeffs_module, "_scan_rows", _no_scanner)
+        assert load_csv(path).items_sorted() == [((0, 0), 1.5), ((1, 1), 2.5)]
 
     def test_values_survive_at_full_precision(self, tmp_path):
         value = math.pi * 1e-7

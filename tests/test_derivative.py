@@ -10,8 +10,6 @@ from legdiff.basis import eval_phi_table
 from legdiff.coeffs import CoeffField
 from legdiff.derivative import (
     DerivativeExpansion,
-    differentiate_axis,
-    mueller_step,
     phi_derivative_coeffs,
     phi_rr_closed_form,
     single_step_entry,
@@ -35,33 +33,56 @@ class TestSingleStepEntry:
             )
 
 
+def _apply(r: int, a) -> np.ndarray:
+    """DerivativeExpansion(r, K).apply on 1-D ``a`` and on a 2-D array of its columns.
+
+    The 2-D input holds ``a`` and ``2a``; both columns must come out bit for
+    bit as the 1-D result (and twice it: scaling by 2 is exact).
+    """
+    a = np.asarray(a, dtype=np.float64)
+    expansion = DerivativeExpansion(r, a.shape[0] - 1)
+    one = expansion.apply(a)
+    two = expansion.apply(np.column_stack([a, 2.0 * a]))
+    assert two.shape == (one.shape[0], 2)
+    np.testing.assert_array_equal(two[:, 0], one)
+    np.testing.assert_array_equal(two[:, 1], 2.0 * one)
+    return one
+
+
+def _along_tau(r: int, c: np.ndarray) -> np.ndarray:
+    """r steps along the second index of a 2-D coefficient array."""
+    return DerivativeExpansion(r, c.shape[1] - 1).apply(c.T).T
+
+
 class TestMuellerStep:
+    """One derivative step: DerivativeExpansion with r = 1."""
+
     def test_unit_degree_1(self):
-        out = mueller_step(np.array([0.0, 1.0]))
+        out = _apply(1, [0.0, 1.0])
         np.testing.assert_allclose(out, [math.sqrt(3)], rtol=1e-15)
 
     def test_unit_degree_2(self):
-        out = mueller_step(np.array([0.0, 0.0, 1.0]))
+        out = _apply(1, [0.0, 0.0, 1.0])
         np.testing.assert_allclose(out, [0.0, math.sqrt(15)], rtol=1e-15, atol=0)
 
     def test_unit_degree_3(self):
-        out = mueller_step(np.array([0.0, 0.0, 0.0, 1.0]))
+        out = _apply(1, [0.0, 0.0, 0.0, 1.0])
         np.testing.assert_allclose(
             out, [math.sqrt(7), 0.0, math.sqrt(35)], rtol=1e-15, atol=0
         )
 
-    def test_constant_with_content_rejected(self):
-        with pytest.raises(ValueError):
-            mueller_step(np.array([3.0]))
-        with pytest.raises(ValueError):
-            mueller_step(np.zeros(0))
-
     def test_zero_constant_gives_empty(self):
-        assert mueller_step(np.array([0.0])).shape == (0,)
+        assert _apply(1, [0.0]).shape == (0,)
+        # A constant with content differentiates to the empty series too.
+        assert _apply(1, [3.0]).shape == (0,)
+        assert DerivativeExpansion(1, 0).apply(np.ones((1, 4))).shape == (0, 4)
 
-    def test_rejects_matrix_input(self):
+    def test_rejects_three_dimensional_input(self):
+        expansion = DerivativeExpansion(1, 1)
         with pytest.raises(ValueError):
-            mueller_step(np.zeros((2, 2)))
+            expansion.apply(np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError):
+            expansion.apply(np.float64(1.0))
 
     def test_matches_dense_single_step_matrix(self):
         rng = np.random.default_rng(5)
@@ -69,58 +90,67 @@ class TestMuellerStep:
         dense = np.array(
             [[single_step_entry(k, l) for k in range(40)] for l in range(39)]
         )
-        np.testing.assert_allclose(mueller_step(a), dense @ a, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(_apply(1, a), dense @ a, rtol=1e-13, atol=1e-13)
+        m = rng.standard_normal((40, 3))
+        np.testing.assert_allclose(
+            DerivativeExpansion(1, 39).apply(m), dense @ m, rtol=1e-13, atol=1e-13
+        )
 
 
 class TestDifferentiateAxis:
+    """r steps along either axis of a 2-D coefficient array."""
+
     def test_phi2_twice_along_t(self):
-        field = CoeffField.from_entries({(2, 0): 1.0})
-        out = differentiate_axis(field, "t", 2)
-        items = out.items_sorted()
-        assert len(items) == 1
-        assert items[0][0] == (0, 0)
-        assert items[0][1] == pytest.approx(3 * math.sqrt(5), rel=1e-14)
+        out = DerivativeExpansion(2, 2).apply(
+            CoeffField.from_entries({(2, 0): 1.0}).values
+        )
+        assert out.shape == (1, 1)
+        assert out[0, 0] == pytest.approx(3 * math.sqrt(5), rel=1e-14)
+        assert _apply(2, [0.0, 0.0, 1.0])[0] == out[0, 0]
 
     def test_zero_field_stays_zero(self):
         field = CoeffField.from_entries({(5, 4): 0.0, (2, 2): 0.0})
-        out = differentiate_axis(field, "t", 2)
-        assert all(v == 0.0 for _, v in out.items_sorted())
+        out = DerivativeExpansion(2, field.k_max).apply(field.values)
+        assert out.shape == (4, 5)
+        np.testing.assert_array_equal(out, 0.0)
 
     def test_unit_rr_entry_both_axes(self):
-        field = CoeffField.from_entries({(2, 2): 1.0})
-        out = differentiate_axis(differentiate_axis(field, "t", 2), "tau", 2)
-        assert out.value(0, 0) == pytest.approx(45.0, rel=1e-13)
+        c = CoeffField.from_entries({(2, 2): 1.0}).values
+        out = _along_tau(2, DerivativeExpansion(2, 2).apply(c))
+        assert out.shape == (1, 1)
+        assert out[0, 0] == pytest.approx(45.0, rel=1e-13)
 
     def test_linearity(self):
         rng = np.random.default_rng(7)
-        a = CoeffField.from_dense(rng.standard_normal((8, 6)))
-        b = CoeffField.from_dense(rng.standard_normal((8, 6)))
+        a = rng.standard_normal((8, 6))
+        b = rng.standard_normal((8, 6))
         alpha, beta = 0.3, -1.7
-        combo = CoeffField.from_dense(alpha * a.to_dense() + beta * b.to_dense())
-        lhs = differentiate_axis(combo, "tau", 2).to_dense()
-        rhs = alpha * differentiate_axis(a, "tau", 2).to_dense() + beta * differentiate_axis(
-            b, "tau", 2
-        ).to_dense()
+        lhs = _along_tau(2, alpha * a + beta * b)
+        rhs = alpha * _along_tau(2, a) + beta * _along_tau(2, b)
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
+        for column in range(6):
+            np.testing.assert_allclose(
+                _apply(2, alpha * a[:, column] + beta * b[:, column]),
+                alpha * _apply(2, a[:, column]) + beta * _apply(2, b[:, column]),
+                rtol=0, atol=1e-12,
+            )
 
     def test_degrees_shrink_by_r(self):
-        field = CoeffField.from_dense(np.ones((9, 7)))
-        out = differentiate_axis(field, "t", 3)
-        assert (out.k_max, out.j_max) == (5, 6)
-        out2 = differentiate_axis(field, "tau", 3)
-        assert (out2.k_max, out2.j_max) == (8, 3)
+        ones = np.ones((9, 7))
+        assert DerivativeExpansion(3, 8).apply(ones).shape == (6, 7)
+        assert _along_tau(3, ones).shape == (9, 4)
+        assert _apply(3, np.ones(9)).shape == (6,)
 
     def test_rejects_bad_axis_and_order(self):
-        field = CoeffField.from_entries({(2, 2): 1.0})
-        with pytest.raises(ValueError):
-            differentiate_axis(field, "x", 1)
-        with pytest.raises(ValueError):
-            differentiate_axis(field, "t", 0)
+        for r in (0, -1):
+            with pytest.raises(ValueError):
+                DerivativeExpansion(r, 2)
 
     def test_constant_axis_collapses_to_empty(self):
-        field = CoeffField.from_entries({(0, 3): 2.0})
-        out = differentiate_axis(field, "t", 1)
-        assert len(out) == 0
+        c = CoeffField.from_entries({(0, 3): 2.0}).values
+        out = DerivativeExpansion(1, 0).apply(c)
+        assert out.shape == (0, 4)
+        assert _along_tau(4, c).shape == (1, 0)
 
 
 class TestOracleEquivalence:
@@ -171,6 +201,20 @@ class TestDerivativeExpansion:
         a = rng.standard_normal(15)
         exp = DerivativeExpansion(r=3, max_degree=14)
         np.testing.assert_allclose(exp.apply(a), exp.matrix() @ a, rtol=1e-13, atol=1e-13)
+
+    def test_order_above_degree_gives_empty_map(self):
+        expansion = DerivativeExpansion(r=3, max_degree=1)
+        assert expansion.matrix().shape == (0, 2)
+        assert expansion.apply(np.ones(2)).shape == (0,)
+        assert expansion.apply(np.ones((2, 5))).shape == (0, 5)
+
+    def test_phi_derivative_coeffs_are_matrix_columns(self):
+        for r in (1, 2, 3):
+            mat = DerivativeExpansion(r, 9).matrix()
+            for k in range(10):
+                column = phi_derivative_coeffs(k, r)
+                np.testing.assert_array_equal(column, mat[: column.size, k])
+                np.testing.assert_array_equal(mat[column.size :, k], 0.0)
 
     def test_shape_validation(self):
         exp = DerivativeExpansion(r=1, max_degree=4)

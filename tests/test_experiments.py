@@ -125,7 +125,7 @@ class TestBuiltinValues:
         # ||f1^(2,2)||_L2 is about 1e-4: the scale against which the pinned
         # reference errors (1e-5 .. 1e-7) are meaningfully small.
         cfg = MethodConfig(r=2, mu=6.0, delta=0.0, n_override=3, domain_shape="box")
-        zero = run(CoeffField.empty(), cfg)
+        zero = run(CoeffField.from_entries({}), cfg)
         norm = l2_error(zero, F1.derivative_function(), G=32)
         assert 3e-5 <= norm <= 3e-4
 

@@ -147,8 +147,8 @@ class TestRun:
         field = CoeffField.from_entries({(2, 2): 1.0})
         cfg = MethodConfig(r=2, mu=6.0, delta=0.0, n_override=3, domain_shape="box")
         approx = run(field, cfg)
-        out = approx.series.field
-        assert out.value(0, 0) == pytest.approx(45.0, rel=1e-14)
+        out = approx.series.coeffs
+        assert out[0, 0] == pytest.approx(45.0, rel=1e-14)
         grid = np.linspace(-1.0, 1.0, 9)
         values = approx.series.eval_grid(grid, grid)
         np.testing.assert_allclose(values, 22.5, rtol=1e-13)
@@ -163,7 +163,7 @@ class TestRun:
 
     def test_zero_field_gives_zero_everywhere(self):
         cfg = MethodConfig(r=2, mu=5.5, delta=0.0, n_override=7)
-        approx = run(CoeffField.empty(), cfg)
+        approx = run(CoeffField.from_entries({}), cfg)
         grid = np.linspace(-1.0, 1.0, 11)
         np.testing.assert_array_equal(approx.series.eval_grid(grid, grid), 0.0)
 
@@ -182,9 +182,9 @@ class TestRun:
         entries = {kj: rng.normal() for kj in domain.members()}
         field = CoeffField.from_entries(entries)
         approx = run(field, MethodConfig(r=r, mu=6.0, delta=0.0, n_override=n))
-        out = approx.series.field
-        assert out.k_max <= n - 1 - r
-        assert out.j_max <= n - 1 - r
+        k_max, j_max = np.subtract(approx.series.coeffs.shape, 1)
+        assert k_max <= n - 1 - r
+        assert j_max <= n - 1 - r
 
     def test_box_degree_bound_after_differentiation(self):
         rng = np.random.default_rng(6)
@@ -196,9 +196,9 @@ class TestRun:
             field,
             MethodConfig(r=r, mu=6.0, delta=0.0, n_override=n, domain_shape="box"),
         )
-        out = approx.series.field
-        assert out.k_max <= n - r
-        assert out.j_max <= n - r
+        k_max, j_max = np.subtract(approx.series.coeffs.shape, 1)
+        assert k_max <= n - r
+        assert j_max <= n - r
 
     def test_entries_outside_domain_are_ignored(self):
         # Perturbing only out-of-domain entries must not change the output.
@@ -219,7 +219,7 @@ class TestRun:
         base = run(CoeffField.from_entries(entries), cfg)
         tamp = run(CoeffField.from_entries(tampered), cfg)
         np.testing.assert_array_equal(
-            base.series.field.to_dense(), tamp.series.field.to_dense()
+            base.series.coeffs, tamp.series.coeffs
         )
 
     def test_sparse_field_missing_domain_entries_treated_as_zero(self):
@@ -232,7 +232,7 @@ class TestRun:
         a = run(sparse, cfg)
         b = run(dense, cfg)
         np.testing.assert_array_equal(
-            a.series.field.to_dense(), b.series.field.to_dense()
+            a.series.coeffs, b.series.coeffs
         )
 
     def test_noise_then_run_is_deterministic(self):
@@ -244,21 +244,21 @@ class TestRun:
         one = run(perturb(field, spec), cfg)
         two = run(perturb(field, spec), cfg)
         np.testing.assert_array_equal(
-            one.series.field.to_dense(), two.series.field.to_dense()
+            one.series.coeffs, two.series.coeffs
         )
 
 
 class TestLegendreSeries2D:
     def test_constant_series(self):
         # c_{0,0} = 2 means 2 * phi_0(t) phi_0(tau) = 2 * (1/sqrt 2)^2 = 1.
-        series = LegendreSeries2D(field=CoeffField.from_entries({(0, 0): 2.0}))
+        series = LegendreSeries2D(coeffs=CoeffField.from_entries({(0, 0): 2.0}).values)
         grid = np.linspace(-1.0, 1.0, 5)
         np.testing.assert_allclose(series.eval_grid(grid, grid), 1.0, rtol=1e-15)
 
     def test_grid_and_points_agree(self):
         rng = np.random.default_rng(11)
         dense = rng.normal(size=(5, 4))
-        series = LegendreSeries2D(field=CoeffField.from_dense(dense))
+        series = LegendreSeries2D(coeffs=dense)
         t = np.linspace(-1.0, 1.0, 7)
         tau = np.linspace(-1.0, 1.0, 6)
         grid_vals = series.eval_grid(t, tau)
@@ -267,16 +267,40 @@ class TestLegendreSeries2D:
         np.testing.assert_allclose(grid_vals, point_vals, rtol=1e-13, atol=1e-15)
 
     def test_points_shape_mismatch_rejected(self):
-        series = LegendreSeries2D(field=CoeffField.from_entries({(0, 0): 1.0}))
+        series = LegendreSeries2D(coeffs=CoeffField.from_entries({(0, 0): 1.0}).values)
         with pytest.raises(ValueError):
             series.eval_points(np.zeros(3), np.zeros(4))
 
     def test_rejects_points_outside_domain(self):
-        series = LegendreSeries2D(field=CoeffField.from_entries({(1, 1): 1.0}))
+        series = LegendreSeries2D(coeffs=CoeffField.from_entries({(1, 1): 1.0}).values)
         with pytest.raises(ValueError):
             series.eval_grid(np.array([1.5]), np.array([0.0]))
         with pytest.raises(ValueError):
             series.eval_points(np.array([0.0]), np.array([-1.01]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_points(self, bad):
+        series = LegendreSeries2D(coeffs=CoeffField.from_entries({(1, 1): 1.0}).values)
+        for t, tau in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError, match="outside"):
+                series.eval_grid(np.array([0.5, t]), np.array([tau]))
+            with pytest.raises(ValueError, match="outside"):
+                series.eval_points(np.array([t]), np.array([tau]))
+
+    def test_coeffs_are_read_only_c_contiguous_float64(self):
+        source = np.asfortranarray(np.arange(6, dtype=np.int64).reshape(2, 3))
+        series = LegendreSeries2D(coeffs=source)
+        coeffs = series.coeffs
+        assert coeffs.dtype == np.float64 and coeffs.flags.c_contiguous
+        assert not coeffs.flags.writeable
+        np.testing.assert_array_equal(coeffs, source)
+        with pytest.raises(ValueError):
+            coeffs[0, 0] = 1.0
+
+    @pytest.mark.parametrize("bad", [np.ones(3), np.ones((0, 3)), np.ones((2, 2, 2))])
+    def test_rejects_non_2d_or_empty_coeffs(self, bad):
+        with pytest.raises(ValueError, match="2-D and nonempty"):
+            LegendreSeries2D(coeffs=bad)
 
 
 class TestEvaluate:
@@ -292,6 +316,14 @@ class TestEvaluate:
         approx = run(field, MethodConfig(r=2, mu=6.0, delta=0.0, n_override=3))
         with pytest.raises(ValueError):
             evaluate(approx, [(0.1, 0.2, 0.3)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_points(self, bad):
+        field = CoeffField.from_entries({(2, 2): 1.0})
+        approx = run(field, MethodConfig(r=2, mu=6.0, delta=0.0, n_override=3))
+        for point in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError, match="outside"):
+                evaluate(approx, [(0.2, 0.1), point])
 
     def test_result_is_approx_derivative(self):
         field = CoeffField.from_entries({(2, 2): 1.0})

@@ -27,7 +27,7 @@ def _phi22_approx():
 
 def _zero_approx():
     cfg = MethodConfig(r=2, mu=6.0, delta=0.0, n_override=3, domain_shape="box")
-    return run(CoeffField.empty(), cfg)
+    return run(CoeffField.from_entries({}), cfg)
 
 
 class TestL2Error:

@@ -113,7 +113,7 @@ class TestPerturb:
     def test_projected_on_empty_draw_is_degenerate(self):
         # An empty field yields no draws; the projected scaling is undefined
         # but perturb returns the field unchanged before scaling is attempted.
-        empty = CoeffField.empty()
+        empty = CoeffField.from_entries({})
         out = perturb(empty, NoiseSpec(kind="projected", delta=0.1, seed=0))
         assert len(out) == 0
 

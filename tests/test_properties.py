@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legdiff.coeffs import CoeffField, _parse_rows, _scan_rows, load_csv, save_csv
-from legdiff.derivative import mueller_step
+from legdiff.derivative import DerivativeExpansion
 from legdiff.index import IndexDomain
 from legdiff.method import MethodConfig, choose_n, run
 from legdiff.noise import NoiseSpec, noise_vector, perturb
@@ -38,7 +38,7 @@ def _random_field(rng, config: MethodConfig, extra: int) -> CoeffField:
 
 
 def _derived(field: CoeffField, config: MethodConfig) -> np.ndarray:
-    return run(field, config).series.field.values
+    return run(field, config).series.coeffs
 
 
 @settings(max_examples=60, deadline=None)
@@ -64,8 +64,9 @@ def test_cross_membership_matches_brute_force(r, n):
 )
 def test_mueller_step_is_linear(data, scale):
     a = np.asarray(data, dtype=np.float64)
-    lhs = mueller_step(scale * a)
-    rhs = scale * mueller_step(a)
+    step = DerivativeExpansion(1, a.size - 1)
+    lhs = step.apply(scale * a)
+    rhs = scale * step.apply(a)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
     assert lhs.shape == (a.size - 1,)
 
@@ -131,6 +132,44 @@ def test_run_is_linear(r, n, shape, a, seed, extra):
     scale = abs(a) * np.max(np.abs(run_f)) + np.max(np.abs(run_g))
     assert lhs.shape == run_f.shape
     assert np.max(np.abs(lhs - (a * run_f + run_g))) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.integers(1, 3),
+    n=st.integers(2, 30),
+    shape=_shapes,
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.integers(0, 3),
+)
+def test_run_is_the_linear_map(r, n, shape, seed, extra):
+    # run(C) = S (M o C) S^T with S the r-step matrix and M the domain mask.
+    config = _config(r, _level(r, n), shape)
+    field = _random_field(np.random.default_rng(seed), config, extra)
+    mask = config.domain().mask()
+    masked = np.where(mask, field.values[: mask.shape[0], : mask.shape[1]], 0.0)
+    S = DerivativeExpansion(r, mask.shape[0] - 1).matrix()
+    expected = S @ masked @ S.T
+    derived = _derived(field, config)
+    assert derived.shape == expected.shape
+    scale = np.abs(S) @ np.abs(masked) @ np.abs(S).T  # entrywise operand scale
+    assert np.all(np.abs(derived - expected) <= 1e-12 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.integers(1, 3),
+    degree=st.integers(0, 30),
+    columns=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_apply_maps_each_column_on_its_own(r, degree, columns, seed):
+    a = np.random.default_rng(seed).standard_normal((degree + 1, columns))
+    expansion = DerivativeExpansion(r, degree)
+    out = expansion.apply(a)
+    assert out.shape == (max(degree + 1 - r, 0), columns)
+    for column in range(columns):
+        np.testing.assert_array_equal(out[:, column], expansion.apply(a[:, column]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -222,7 +261,10 @@ _odd_line = st.one_of(
     st.tuples(_index_text, _index_text, _value_text).map(",".join),
     st.tuples(_index_text, _index_text, _value_text, _value_text).map(",".join),
     st.tuples(_index_text, _index_text).map(",".join),
-    st.sampled_from(["k,j,value", "", "  ", "\t", "\x0c", "# note", "0,0,1.0"]),
+    st.sampled_from(
+        ["k,j,value", "", "  ", "\t", "\x0c", "# note", "0,0,1.0",
+         " ", "\xa0", "\u2003", "\u3000", "\x85", "\u2028", " \xa0\t", "\x1e"]
+    ),
 )
 
 
