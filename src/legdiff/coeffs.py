@@ -156,7 +156,7 @@ class CoeffField:
         return self.values.copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BivariateFunction:
     """A function on Q = [-1, 1]^2 given by a vectorized evaluation contract.
 
@@ -169,6 +169,9 @@ class BivariateFunction:
     fast paths in the tensor-product quadratures.  When ``ft`` and ``gtau``
     are one callable and both axes share the quadrature rule and degree, the
     one-dimensional projection is computed once and used for both axes.
+
+    Equality and hashing go by identity, so any instance can key a cache (the
+    error metrics keep their grids per reference object).
     """
 
     value: Callable[[np.ndarray, np.ndarray], np.ndarray]

@@ -492,6 +492,13 @@ class TestCsvRoundTrip:
 
 
 class TestBivariateFunction:
+    def test_identity_equality_and_hash(self):
+        # Equal fields make distinct references; unhashable fields still hash.
+        a = BivariateFunction(value=np.add, t_breakpoints=[0.0])
+        b = BivariateFunction(value=np.add, t_breakpoints=[0.0])
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     def test_derivative_function_requires_d22(self):
         with pytest.raises(ValueError):
             _const_half().derivative_function()

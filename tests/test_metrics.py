@@ -1,11 +1,15 @@
 """Square-mean and uniform error metrics."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from legdiff import metrics
 from legdiff.basis import composite_gauss_rule
 from legdiff.coeffs import BivariateFunction, CoeffField, exact_coeffs
-from legdiff.experiments import F1, F2
+from legdiff.experiments import F1, F2, ExperimentPreset, run_table
 from legdiff.method import MethodConfig, run
 from legdiff.metrics import ErrorMeter, ErrorReport, error_report, l2_error, sup_error
 from legdiff.noise import NoiseSpec, perturb
@@ -41,7 +45,7 @@ class TestL2Error:
         err = l2_error(_zero_approx(), _constant_reference(-1.5), G=16)
         assert err == pytest.approx(3.0, rel=1e-13)
 
-    def test_refuses_too_small_quadrature(self):
+    def test_order_below_floor_is_raised_to_the_floor(self):
         """An order below the floor is not refused: it is raised to the floor."""
         field = CoeffField.from_entries({(k, k): 1.0 for k in range(2, 8)})
         cfg = MethodConfig(r=2, mu=6.0, delta=0.0, n_override=8, domain_shape="box")
@@ -199,7 +203,7 @@ class TestErrorMeter:
                 standalone.n_used, standalone.information_count,
             )
 
-    def test_refuses_too_small_quadrature(self):
+    def test_order_below_floor_uses_one_grid_per_effective_order(self):
         """G is a floor: one meter picks a Gauss grid per effective order."""
         calls = []
 
@@ -243,3 +247,139 @@ class TestErrorMeter:
         for seed, n in enumerate((4, 6, 4)):
             meter.report(_noisy_approx(F2, "cross", n, seed))
         assert calls == [(48, 24), (11, 11)]
+
+
+def _smooth(t, tau):
+    return np.cos(t) * np.sin(tau)
+
+
+def _counted_reference(calls, **fields):
+    """A smooth reference that records the grid shape of every evaluation."""
+
+    def value(t, tau):
+        calls.append(np.broadcast_shapes(np.shape(t), np.shape(tau)))
+        return _smooth(t, tau)
+
+    return BivariateFunction(value=value, name="counted", **fields)
+
+
+class _UnhashableCallable:
+    """A callable reference value that cannot be hashed."""
+
+    __hash__ = None
+
+    def __call__(self, t, tau):
+        return _smooth(t, tau)
+
+
+class TestGridStore:
+    def test_held_reference_is_evaluated_once_per_grid(self):
+        calls = []
+        reference = _counted_reference(calls, t_breakpoints=(0.0,))
+        fresh = BivariateFunction(value=_smooth, t_breakpoints=(0.0,), name="fresh")
+        for seed, n in enumerate((4, 6, 4, 6)):
+            approx = _noisy_approx(F2, "cross", n, seed)
+            l2 = l2_error(approx, reference, G=24)
+            sup = sup_error(approx, reference, m=11)
+            report = error_report(approx, reference, G=24, m=11)
+            assert (report.l2_error, report.sup_error) == (l2, sup)
+            # A meter on another object builds everything from scratch.
+            scratch = ErrorMeter(fresh, G=24, m=11)
+            assert l2 == scratch.l2_error(approx) == _scratch_l2(approx, fresh, 24)
+            assert sup == scratch.sup_error(approx) == _scratch_sup(approx, fresh, 11)
+        assert calls == [(48, 24), (11, 11)]
+
+    def test_store_keeps_only_the_latest_grids(self, monkeypatch):
+        """Standalone calls over several sizes keep one grid of each kind."""
+        calls = []
+        reference = _counted_reference(calls, t_breakpoints=(0.0,))
+        held = []
+
+        def recording_rule(G, edges):
+            # While a new Gauss grid is built, the store holds no other.
+            held.append(metrics._GRIDS[reference].gauss)
+            return composite_gauss_rule(G, edges)
+
+        monkeypatch.setattr(metrics, "composite_gauss_rule", recording_rule)
+        fresh = BivariateFunction(value=_smooth, t_breakpoints=(0.0,), name="fresh")
+        approxs = [_noisy_approx(F2, "box", n, 0) for n in (5, 8, 11)]
+        earlier = []
+        # Derived degrees 3, 6 and 9: Gauss orders 14, 20 and 26 above the floor 8.
+        for approx, order, m in zip(approxs, (14, 20, 26), (5, 7, 9)):
+            assert l2_error(approx, reference, G=8) == _scratch_l2(approx, fresh, order)
+            assert sup_error(approx, reference, m=m) == _scratch_sup(approx, fresh, m)
+            grids = metrics._GRIDS[reference]
+            earlier.append(weakref.ref(grids.gauss[1][-1]))
+            earlier.append(weakref.ref(grids.uniform[1][-1]))
+        assert calls == [(28, 14), (5, 5), (40, 20), (7, 7), (52, 26), (9, 9)]
+        grids = metrics._GRIDS[reference]
+        assert (grids.gauss[0], grids.uniform[0]) == (26, 9)
+        assert len(grids.gauss[2]) == 2 and len(grids.uniform[2]) == 1
+        assert [alive() is None for alive in earlier] == [True] * 4 + [False] * 2
+        # A size measured before is built again.
+        l2_error(approxs[0], reference, G=8)
+        assert calls[-1] == (28, 14)
+        assert grids.gauss[0] == 14
+        assert held == [None] * 8  # four grids, two rules each
+
+    def test_store_goes_with_its_reference(self):
+        gc.collect()
+        before = len(metrics._GRIDS)
+        reference = BivariateFunction(value=_smooth, name="transient")
+        error_report(_phi22_approx(), reference, G=16, m=5)
+        assert len(metrics._GRIDS) == before + 1
+        alive = weakref.ref(reference)
+        del reference
+        gc.collect()
+        assert alive() is None
+        assert len(metrics._GRIDS) == before
+
+    def test_run_table_keeps_no_grids(self):
+        preset = ExperimentPreset(
+            name="tiny", function=F1, noise="gaussian",
+            deltas=(1e-4,), ns=(4,), hs=None, mu=5.5, default_seeds=2,
+        )
+        gc.collect()
+        before = len(metrics._GRIDS)
+        assert len(run_table(preset)) == 3
+        gc.collect()
+        assert len(metrics._GRIDS) == before
+
+    @pytest.mark.parametrize(
+        "reference",
+        [
+            BivariateFunction(value=_smooth, t_breakpoints=[0.0], tau_breakpoints=[-0.5, 0.5]),
+            BivariateFunction(value=_UnhashableCallable(), t_breakpoints=(0.0,)),
+        ],
+        ids=["list_breakpoints", "unhashable_callable"],
+    )
+    def test_unhashable_fields_still_key_the_store(self, reference):
+        approx = _noisy_approx(F2, "cross", 6, 1)
+        report = error_report(approx, reference, G=24, m=11)
+        assert report.l2_error == _scratch_l2(approx, reference, 24)
+        assert report.sup_error == _scratch_sup(approx, reference, 11)
+        assert reference in metrics._GRIDS
+
+    @pytest.mark.parametrize(
+        ("tau_breakpoints", "sizes"),
+        [((0.0,), [48]), ((), [48, 24])],
+        ids=["equal_edges", "unequal_edges"],
+    )
+    def test_gauss_tables_per_distinct_node_set(self, monkeypatch, tau_breakpoints, sizes):
+        built = []
+
+        def counting_table(degree, nodes):
+            built.append((degree, nodes.size))
+            return legendre_table(degree, nodes)
+
+        legendre_table = metrics.legendre_table
+        monkeypatch.setattr(metrics, "legendre_table", counting_table)
+        reference = BivariateFunction(
+            value=_smooth, t_breakpoints=(0.0,), tau_breakpoints=tau_breakpoints
+        )
+        meter = ErrorMeter(reference, G=24)
+        small = _noisy_approx(F2, "box", 5, 0)  # derived degree 3
+        large = _noisy_approx(F2, "box", 7, 0)  # derived degree 5
+        for approx in (small, large, small, large):
+            assert meter.l2_error(approx) == _scratch_l2(approx, reference, 24)
+        assert built == [(3, size) for size in sizes] + [(5, size) for size in sizes]
