@@ -13,6 +13,7 @@ __all__ = [
     "legendre_table",
     "weighted_projection",
     "mueller_step_matrix",
+    "grid_product",
     "series_eval_grid",
     "series_eval_points",
 ]
@@ -74,12 +75,23 @@ def mueller_step_matrix(coeffs: np.ndarray) -> np.ndarray:
     return 2.0 * scale[: n_deg - 1, None] * suffix[1:]
 
 
+def grid_product(
+    table_t: np.ndarray, coeffs: np.ndarray, table_tau: np.ndarray
+) -> np.ndarray:
+    """Series values on a tensor grid from its axes' Legendre tables, a fresh array.
+
+    Every grid evaluation goes through here, so the product order is fixed in
+    this one place.
+    """
+    return table_t.T @ coeffs @ table_tau
+
+
 def series_eval_grid(coeffs: np.ndarray, t: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Series values on the tensor grid t x tau, shape (t.size, tau.size)."""
     coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
     table_t = legendre_table(coeffs.shape[0] - 1, t)
     table_tau = legendre_table(coeffs.shape[1] - 1, tau)
-    return table_t.T @ coeffs @ table_tau
+    return grid_product(table_t, coeffs, table_tau)
 
 
 def series_eval_points(

@@ -52,6 +52,11 @@ def _seed(text: str) -> int:
     return value
 
 
+# Most noise levels one convergence sweep may ask for: far more than a slope
+# fit needs, and checked before the grid of levels is allocated.
+MAX_DELTA_COUNT = 1000
+
+
 def _delta_range(text: str) -> tuple[float, ...]:
     """Parse 'start:end:count' into a geometric grid of noise levels."""
     parts = text.split(":")
@@ -64,8 +69,8 @@ def _delta_range(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError("expected start:end:count with numeric parts")
     if start <= 0.0 or end <= 0.0:
         raise argparse.ArgumentTypeError("noise levels must be positive")
-    if count < 2:
-        raise argparse.ArgumentTypeError("count must be at least 2")
+    if not 2 <= count <= MAX_DELTA_COUNT:
+        raise argparse.ArgumentTypeError(f"count must be between 2 and {MAX_DELTA_COUNT}")
     return tuple(float(d) for d in np.geomspace(start, end, count))
 
 

@@ -39,7 +39,8 @@ _EVAL_CHUNK_ROWS = 256
 # Largest dense coefficient array a run or a coefficient file may need, in
 # float64 entries: 2**22 entries is 32 MiB, and a run holds a few arrays of
 # that size (error metrics on a reference with interior breakpoints evaluate
-# grids up to 16 times larger).  The cross fits up to n = 2048 and the box up
+# a grid just over 16 times the limit: 8196 x 8196, 16.02 times, for F1 at
+# n = 2048).  The cross fits up to n = 2048 and the box up
 # to n = 2047; with p = s and mu >= 4.6 the rule exceeds that only for
 # delta < 1e-15.  Larger sizes are rejected before anything is allocated.
 MAX_DENSE_ENTRIES = 2**22

@@ -6,23 +6,25 @@ references (whose derivative may have interior kinks) lose no accuracy.  The
 uniform error is the maximum over a uniform tensor grid that includes the
 boundary, where worst-case deviations concentrate.
 
-Each :class:`ErrorMeter` keeps what it builds for its own runs.  Across
-meters, including the ones inside :func:`l2_error`, :func:`sup_error` and
-:func:`error_report`, the reference object keeps the latest Gauss grid and
-the latest uniform grid it was measured on, with their Legendre tables, so
-repeated calls at one size against a held reference build nothing twice.
-The store is weak-keyed: it goes when the reference object goes.
+Grids are kept in one place: each reference object keeps the latest Gauss
+grid and the latest uniform grid it was measured on, each with the Legendre
+tables of its latest measurement.  Every :class:`ErrorMeter`, including the
+ones inside :func:`l2_error`, :func:`sup_error` and :func:`error_report`,
+measures on them and replaces one only when its size changes, so repeated
+calls at one size against a held reference build nothing twice.  The store
+is weak-keyed: it goes when the reference object goes.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import legendre_table
-from .basis import QuadratureRule, composite_gauss_rule
+from ._kernels import grid_product, legendre_table
+from .basis import composite_gauss_rule
 from .coeffs import BivariateFunction
 from .method import ApproxDerivative
 
@@ -47,23 +49,41 @@ class ErrorReport:
 
 
 @dataclass
-class _Grids:
-    """The latest grids measured on for one reference; holds no reference to it.
+class _Grid:
+    """Reference values on the tensor grid t x tau, without the reference itself.
 
-    ``gauss`` is for the latest effective Gauss order and ``uniform`` for the
-    latest uniform grid size: each a (G or m, grid, tables) triple or None,
-    where grid is what :class:`ErrorMeter` builds for that order or size and
-    tables maps (node set, degree) to the Legendre tables of the latest
-    measurement on it.  So a held reference keeps one grid of each kind and
-    at most four tables, whatever sizes it has been measured at.
+    ``size`` is the effective Gauss order or the uniform size m, and
+    ``weights`` the Gauss weights per axis (None on the uniform grid).
+    ``tau`` is ``t`` itself when both axes have the same nodes; they then
+    share their tables.  ``tables`` maps (axis, degree) to the Legendre tables
+    of the latest measurement on the grid, so it holds at most two.
     """
 
-    gauss: tuple[int, tuple, dict[tuple[object, int], np.ndarray]] | None = None
-    uniform: tuple[int, tuple, dict[tuple[object, int], np.ndarray]] | None = None
+    size: int
+    t: np.ndarray
+    tau: np.ndarray
+    values: np.ndarray
+    weights: tuple[np.ndarray, np.ndarray] | None = None
+    tables: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+
+    def diff(self, coeffs: np.ndarray) -> np.ndarray:
+        """Series minus reference on this grid, a fresh array."""
+        keys = (0, coeffs.shape[0] - 1), (int(self.tau is not self.t), coeffs.shape[1] - 1)
+        # Tables of other degrees go before the new ones are built.
+        self.tables = {key: self.tables[key] for key in keys if key in self.tables}
+        for key, nodes in zip(keys, (self.t, self.tau)):
+            if key not in self.tables:
+                self.tables[key] = legendre_table(key[1], nodes)
+        diff = grid_product(self.tables[keys[0]], coeffs, self.tables[keys[1]])
+        diff -= self.values
+        return diff
 
 
-#: Reference object -> its latest grids; an entry goes when its reference does.
-_GRIDS: weakref.WeakKeyDictionary[BivariateFunction, _Grids] = weakref.WeakKeyDictionary()
+#: Reference object -> its latest grid of each kind ("gauss", "uniform"); an
+#: entry goes when its reference does.
+_GRIDS: weakref.WeakKeyDictionary[BivariateFunction, dict[str, _Grid]] = (
+    weakref.WeakKeyDictionary()
+)
 
 
 class ErrorMeter:
@@ -72,18 +92,16 @@ class ErrorMeter:
     The square-mean metric integrates with ``max(G, 2 * (series degree) + 8)``
     Gauss points per panel (split at the reference's breakpoints), enough to
     integrate the squared series essentially exactly, so ``G`` is a floor.
-    The reference is evaluated once per such order and once on the m x m
-    uniform grid, each on first use; the Legendre tables are built once per
-    node set and series degree, and an axis whose panel edges equal the
-    other's shares its rule and tables.  The meter keeps all of these for as
-    long as it lives.  The latest Gauss grid and uniform grid, with their
-    tables, are also kept with the reference object, where a later meter on
-    the same object, such as the one inside each standalone metric call,
-    picks them up; drop the object to release them (an F1 reference last
-    measured at n = 2048 holds a 512 MiB Gauss grid and a 134 MB table).
-    Each measured approximation then costs two table products and a
-    reduction per metric, with the same arithmetic as evaluating from
-    scratch.
+    The meter keeps nothing of its own: it measures on the reference
+    object's latest Gauss grid and m x m uniform grid, rebuilding a grid when
+    the effective order or m changes and a Legendre table when the series
+    degree changes.  An axis whose panel edges equal the other's shares its
+    rule and tables.  So the seeds of one table row evaluate the reference
+    once per grid, and a meter alternating between two degrees rebuilds at
+    each change.  Drop the reference object to release its grids (an F1
+    reference last measured at n = 2048 holds a 512 MiB Gauss grid and a
+    134 MB table).  Each measured approximation costs two table products and
+    a reduction per metric, with the same arithmetic as from scratch.
     """
 
     def __init__(self, reference: BivariateFunction, G: int = 96, m: int = 201):
@@ -92,76 +110,29 @@ class ErrorMeter:
         self.reference = reference
         self.G = G
         self.m = m
-        self._gauss_grids: dict[int, tuple] = {}
-        self._uniform_grid: tuple[np.ndarray, np.ndarray] | None = None
-        self._tables: dict[tuple[object, int], np.ndarray] = {}
-        self._latest = _GRIDS.setdefault(reference, _Grids())
+        self._grids = _GRIDS.setdefault(reference, {})
 
-    def _adopt(self, kind: str, size: int) -> tuple | None:
-        """The reference's latest grid of this kind if it has this size, else None.
+    def _grid(self, kind: str, size: int, build: Callable[[int], _Grid]) -> _Grid:
+        """The reference's latest grid of this kind, built anew unless it has this size.
 
-        Its tables join the meter's.  A latest grid of another size is dropped
-        first, so a standalone call never holds two grids of one kind.
+        The old grid is dropped first, so the store never holds two of a kind.
         """
-        latest = getattr(self._latest, kind)
-        if latest is None or latest[0] != size:
-            setattr(self._latest, kind, None)
-            return None
-        self._tables.update(latest[2])
-        return latest[1]
+        if kind not in self._grids or self._grids[kind].size != size:
+            self._grids.pop(kind, None)
+            self._grids[kind] = build(size)
+        return self._grids[kind]
 
-    def _gauss(
-        self, G: int
-    ) -> tuple[object, QuadratureRule, object, QuadratureRule, np.ndarray]:
-        if G not in self._gauss_grids:
-            grid = self._adopt("gauss", G)
-            if grid is None:
-                edges_t, edges_tau = self.reference.axis_edges()
-                rule_t = composite_gauss_rule(G, edges_t)
-                rule_tau = (
-                    rule_t if edges_tau == edges_t else composite_gauss_rule(G, edges_tau)
-                )
-                values = self.reference.value(rule_t.nodes[:, None], rule_tau.nodes[None, :])
-                grid = (G, edges_t), rule_t, (G, edges_tau), rule_tau, values
-            self._gauss_grids[G] = grid
-        return self._gauss_grids[G]
+    def _gauss(self, G: int) -> _Grid:
+        edges_t, edges_tau = self.reference.axis_edges()
+        rule_t = composite_gauss_rule(G, edges_t)
+        rule_tau = rule_t if edges_tau == edges_t else composite_gauss_rule(G, edges_tau)
+        values = self.reference.value(rule_t.nodes[:, None], rule_tau.nodes[None, :])
+        weights = rule_t.weights, rule_tau.weights
+        return _Grid(G, rule_t.nodes, rule_tau.nodes, values, weights)
 
-    def _uniform(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._uniform_grid is None:
-            grid = self._adopt("uniform", self.m)
-            if grid is None:
-                nodes = np.linspace(-1.0, 1.0, self.m)
-                grid = nodes, self.reference.value(nodes[:, None], nodes[None, :])
-            self._uniform_grid = grid
-        return self._uniform_grid
-
-    def _table(self, key: tuple[object, int], nodes: np.ndarray) -> np.ndarray:
-        if key not in self._tables:
-            self._tables[key] = legendre_table(key[1], nodes)
-        return self._tables[key]
-
-    def _diff(
-        self,
-        approx: ApproxDerivative,
-        set_t: object,
-        t: np.ndarray,
-        set_tau: object,
-        tau: np.ndarray,
-        reference_values: np.ndarray,
-    ) -> tuple[np.ndarray, dict[tuple[object, int], np.ndarray]]:
-        """Series minus reference on the tensor grid t x tau, a fresh array.
-
-        ``set_t``/``set_tau`` name the node sets, keying the tables; the
-        tables used are returned with the difference.
-        """
-        coeffs = approx.series.coeffs
-        key_t = (set_t, coeffs.shape[0] - 1)
-        key_tau = (set_tau, coeffs.shape[1] - 1)
-        table_t = self._table(key_t, t)
-        table_tau = self._table(key_tau, tau)
-        diff = table_t.T @ coeffs @ table_tau
-        diff -= reference_values
-        return diff, {key_t: table_t, key_tau: table_tau}
+    def _uniform(self, m: int) -> _Grid:
+        nodes = np.linspace(-1.0, 1.0, m)
+        return _Grid(m, nodes, nodes, self.reference.value(nodes[:, None], nodes[None, :]))
 
     def l2_error(self, approx: ApproxDerivative) -> float:
         """Square-mean error ||approx - reference||_L2 over [-1, 1]^2.
@@ -169,21 +140,17 @@ class ErrorMeter:
         Integrates with max(G, 2 * (max series degree) + 8) Gauss points per
         panel, so the squared series is integrated essentially exactly.
         """
-        G = max(self.G, 2 * (max(approx.series.coeffs.shape) - 1) + 8)
-        grid = self._gauss(G)
-        set_t, rule_t, set_tau, rule_tau, values = grid
-        diff, tables = self._diff(approx, set_t, rule_t.nodes, set_tau, rule_tau.nodes, values)
-        self._latest.gauss = G, grid, tables
+        coeffs = approx.series.coeffs
+        grid = self._grid("gauss", max(self.G, 2 * (max(coeffs.shape) - 1) + 8), self._gauss)
+        diff = grid.diff(coeffs)
         diff *= diff  # in place: no second grid-sized array
-        quad = rule_t.weights @ diff @ rule_tau.weights
+        weights_t, weights_tau = grid.weights
+        quad = weights_t @ diff @ weights_tau
         return float(np.sqrt(max(quad, 0.0)))
 
     def sup_error(self, approx: ApproxDerivative) -> float:
         """Uniform error max |approx - reference| over the m x m grid including +-1."""
-        grid = self._uniform()
-        nodes, values = grid
-        diff, tables = self._diff(approx, self.m, nodes, self.m, nodes, values)
-        self._latest.uniform = self.m, grid, tables
+        diff = self._grid("uniform", self.m, self._uniform).diff(approx.series.coeffs)
         return float(np.max(np.abs(diff, out=diff)))
 
     def report(self, approx: ApproxDerivative) -> ErrorReport:

@@ -310,6 +310,26 @@ class TestConvergence:
             ) == 2
             capsys.readouterr()
 
+    @pytest.mark.parametrize("count", ["1001", "10000000000"])
+    def test_huge_delta_count_is_usage_error_before_allocating(self, count, capsys):
+        start = time.perf_counter()
+        code = main(
+            ["convergence", "--builtin", "f2", "--mu", "6", "--deltas", f"1e-5:1e-9:{count}"]
+        )
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "count must be between 2 and 1000" in captured.err
+        assert captured.out == ""
+        assert elapsed < 1.0
+
+    def test_delta_count_bound_is_inclusive(self, monkeypatch, capsys):
+        monkeypatch.setattr("legdiff.cli.MAX_DELTA_COUNT", 3)
+        argv = ["convergence", "--builtin", "f2", "--mu", "6", "--seeds", "1", "--noise", "none"]
+        assert main(argv + ["--deltas", "1e-4:1e-7:3"]) == 0
+        assert main(argv + ["--deltas", "1e-4:1e-7:4"]) == 2
+        capsys.readouterr()
+
     def test_too_narrow_range_is_data_error(self, capsys):
         code = main(
             ["convergence", "--builtin", "f2", "--mu", "6",

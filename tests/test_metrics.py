@@ -203,8 +203,8 @@ class TestErrorMeter:
                 standalone.n_used, standalone.information_count,
             )
 
-    def test_order_below_floor_uses_one_grid_per_effective_order(self):
-        """G is a floor: one meter picks a Gauss grid per effective order."""
+    def test_order_below_floor_rebuilds_the_grid_per_order_change(self):
+        """G is a floor: one meter measures on a Gauss grid of the effective order."""
         calls = []
 
         def value(t, tau):
@@ -212,14 +212,16 @@ class TestErrorMeter:
             return np.cos(t) * np.sin(tau)
 
         reference = BivariateFunction(value=value, t_breakpoints=(0.0,), name="counted")
+        fresh = BivariateFunction(value=_smooth, t_breakpoints=(0.0,), name="fresh")
         meter = ErrorMeter(reference, G=19)
         small = _noisy_approx(F2, "box", 5, 0)  # derived degree 3: floor 14, G = 19
         large = _noisy_approx(F2, "box", 8, 0)  # derived degree 6: floor 20
-        for approx in (small, large, small, large):
-            meter.l2_error(approx)
-        assert calls == [(38, 19), (40, 20)]
-        assert meter.l2_error(large) == l2_error(large, reference, G=20)
-        assert meter.l2_error(small) == l2_error(small, reference, G=19)
+        for approx, G in ((small, 19), (large, 20), (small, 19), (large, 20)):
+            l2 = meter.l2_error(approx)
+            assert l2 == l2_error(approx, reference, G=G) == _scratch_l2(approx, fresh, G)
+        # Each order change evaluates the reference again; a standalone call
+        # at the latest order reuses the meter's grid.
+        assert calls == [(38, 19), (40, 20)] * 2
 
     @pytest.mark.parametrize("function", [F1, F2], ids=["f1", "f2"])
     def test_raising_the_order_above_the_floor_moves_little(self, function):
@@ -297,7 +299,7 @@ class TestGridStore:
 
         def recording_rule(G, edges):
             # While a new Gauss grid is built, the store holds no other.
-            held.append(metrics._GRIDS[reference].gauss)
+            held.append(metrics._GRIDS[reference].get("gauss"))
             return composite_gauss_rule(G, edges)
 
         monkeypatch.setattr(metrics, "composite_gauss_rule", recording_rule)
@@ -309,18 +311,46 @@ class TestGridStore:
             assert l2_error(approx, reference, G=8) == _scratch_l2(approx, fresh, order)
             assert sup_error(approx, reference, m=m) == _scratch_sup(approx, fresh, m)
             grids = metrics._GRIDS[reference]
-            earlier.append(weakref.ref(grids.gauss[1][-1]))
-            earlier.append(weakref.ref(grids.uniform[1][-1]))
+            earlier.append(weakref.ref(grids["gauss"].values))
+            earlier.append(weakref.ref(grids["uniform"].values))
         assert calls == [(28, 14), (5, 5), (40, 20), (7, 7), (52, 26), (9, 9)]
         grids = metrics._GRIDS[reference]
-        assert (grids.gauss[0], grids.uniform[0]) == (26, 9)
-        assert len(grids.gauss[2]) == 2 and len(grids.uniform[2]) == 1
+        assert sorted(grids) == ["gauss", "uniform"]
+        assert (grids["gauss"].size, grids["uniform"].size) == (26, 9)
+        assert len(grids["gauss"].tables) == 2 and len(grids["uniform"].tables) == 1
         assert [alive() is None for alive in earlier] == [True] * 4 + [False] * 2
         # A size measured before is built again.
         l2_error(approxs[0], reference, G=8)
         assert calls[-1] == (28, 14)
-        assert grids.gauss[0] == 14
+        assert grids["gauss"].size == 14
         assert held == [None] * 8  # four grids, two rules each
+
+    def test_meter_holds_only_its_latest_gauss_grid(self, monkeypatch):
+        """One meter at rising Gauss orders, as in convergence_sweep, keeps one grid."""
+        values, tables = [], []
+
+        def tracked_value(t, tau):
+            result = _smooth(t, tau)
+            values.append(weakref.ref(result))
+            return result
+
+        def tracked_table(degree, nodes):
+            result = legendre_table(degree, nodes)
+            tables.append(weakref.ref(result))
+            return result
+
+        legendre_table = metrics.legendre_table
+        monkeypatch.setattr(metrics, "legendre_table", tracked_table)
+        reference = BivariateFunction(value=tracked_value, t_breakpoints=(0.0,), name="tracked")
+        meter = ErrorMeter(reference, G=8)
+        # Derived degrees 3, 6 and 9: Gauss orders 14, 20 and 26 above the floor 8.
+        for n in (5, 8, 11):
+            meter.l2_error(_noisy_approx(F2, "box", n, 0))
+        gc.collect()
+        assert [alive() is not None for alive in values] == [False, False, True]
+        # Two tables per grid: the axes have different panel edges.
+        assert [alive() is not None for alive in tables] == [False] * 4 + [True] * 2
+        assert meter.reference is reference  # the meter is still alive
 
     def test_store_goes_with_its_reference(self):
         gc.collect()
@@ -382,4 +412,5 @@ class TestGridStore:
         large = _noisy_approx(F2, "box", 7, 0)  # derived degree 5
         for approx in (small, large, small, large):
             assert meter.l2_error(approx) == _scratch_l2(approx, reference, 24)
-        assert built == [(3, size) for size in sizes] + [(5, size) for size in sizes]
+        # One Gauss grid throughout; its tables follow the latest degree.
+        assert built == ([(3, size) for size in sizes] + [(5, size) for size in sizes]) * 2
