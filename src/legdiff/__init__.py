@@ -55,7 +55,7 @@ from .method import (
     evaluate,
     run,
 )
-from .metrics import ErrorMeter, ErrorReport, error_report, l2_error, sup_error
+from .metrics import ErrorReport, error_report, l2_error, sup_error
 from .noise import NoiseSpec, noise_vector, perturb, standard_normals
 
 __version__ = "0.1.0"
@@ -91,7 +91,6 @@ __all__ = [
     "run",
     "evaluate",
     "ErrorReport",
-    "ErrorMeter",
     "l2_error",
     "sup_error",
     "error_report",

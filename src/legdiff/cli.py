@@ -67,8 +67,8 @@ def _delta_range(text: str) -> tuple[float, ...]:
         count = int(parts[2])
     except ValueError:
         raise argparse.ArgumentTypeError("expected start:end:count with numeric parts")
-    if start <= 0.0 or end <= 0.0:
-        raise argparse.ArgumentTypeError("noise levels must be positive")
+    if not (0.0 < start < 1.0 and 0.0 < end < 1.0):  # also refuses nan and inf
+        raise argparse.ArgumentTypeError("noise levels must be finite and lie in (0, 1)")
     if not 2 <= count <= MAX_DELTA_COUNT:
         raise argparse.ArgumentTypeError(f"count must be between 2 and {MAX_DELTA_COUNT}")
     return tuple(float(d) for d in np.geomspace(start, end, count))

@@ -201,6 +201,17 @@ class BivariateFunction:
 
         return edges(self.t_breakpoints), edges(self.tau_breakpoints)
 
+    def gauss_rules(self, G: int) -> tuple[QuadratureRule, QuadratureRule]:
+        """Composite G-point Gauss rules (t, tau), split at the breakpoints.
+
+        Axes with equal panel edges get one rule object, so callers can share
+        work between them by testing ``rule_tau is rule_t``.
+        """
+        edges_t, edges_tau = self.axis_edges()
+        rule_t = composite_gauss_rule(G, edges_t)
+        rule_tau = rule_t if edges_tau == edges_t else composite_gauss_rule(G, edges_tau)
+        return rule_t, rule_tau
+
 
 def _tensor_projection(
     f: BivariateFunction,
@@ -250,12 +261,7 @@ def exact_coeffs(
         raise ValueError("degree bounds must be nonnegative")
     floor = 2 * max(k_max, j_max) + 16
     G = floor if G is None else max(G, floor)
-    edges_t, edges_tau = f.axis_edges()
-    rule_t = composite_gauss_rule(G, edges_t)
-    rule_tau = rule_t if edges_tau == edges_t else composite_gauss_rule(G, edges_tau)
-    return CoeffField.from_dense(
-        _tensor_projection(f, rule_t, rule_tau, k_max, j_max)
-    )
+    return CoeffField.from_dense(_tensor_projection(f, *f.gauss_rules(G), k_max, j_max))
 
 
 def _trapezoid_rule(h: float) -> QuadratureRule:

@@ -85,7 +85,8 @@ class DerivativeExpansion:
                 f"1-D or 2-D array, got shape {a.shape}"
             )
         out = a if a.ndim == 2 else a[:, None]
-        for _ in range(self.r):
+        # Each step drops one degree, so after max_degree + 1 steps nothing is left.
+        for _ in range(min(self.r, self.max_degree + 1)):
             out = mueller_step_matrix(out)
         return out if a.ndim == 2 else out[:, 0]
 

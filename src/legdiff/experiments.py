@@ -23,7 +23,7 @@ import numpy as np
 
 from .coeffs import BivariateFunction, CoeffField, exact_coeffs, trapezoid_coeffs
 from .method import MethodConfig, choose_n, run
-from .metrics import ErrorMeter
+from .metrics import _check_m, error_report
 from .noise import NoiseSpec, perturb
 
 __all__ = [
@@ -141,8 +141,10 @@ class ExperimentPreset:
     rule with the per-row step ``hs``).  ``coeff_G`` is a floor on the Gauss
     order of the gaussian presets' base coefficients (see :func:`exact_coeffs`,
     which raises it to 2 * degree + 16 when that is larger).
-    ``metric_G`` is a floor on the square-mean metric's Gauss order (see
-    :class:`ErrorMeter`).
+    ``metric_G`` is a floor on the square-mean metric's Gauss order and
+    ``metric_m`` the uniform metric's grid size (see :func:`error_report`).
+    Every run is measured against the function's (2, 2) derivative, so ``r``
+    must be 2.
     """
 
     name: str
@@ -161,6 +163,11 @@ class ExperimentPreset:
     default_seeds: int = 20
 
     def __post_init__(self) -> None:
+        if self.r != 2:
+            raise ValueError(
+                f"presets measure against the (2, 2) derivative, so r must be 2, got {self.r}"
+            )
+        _check_m(self.metric_m)
         if self.noise not in ("gaussian", "trapezoid"):
             raise ValueError(f"unknown noise mechanism {self.noise!r}")
         if len(self.ns) != len(self.deltas):
@@ -255,12 +262,15 @@ def _measure(
     config: MethodConfig,
     seeds,
     noise: str | None,
-    meter: ErrorMeter,
+    reference: BivariateFunction,
+    G: int,
+    m: int,
 ) -> list[ExperimentRow]:
     """One row per seed: restrict to the domain, perturb, run, and measure.
 
     A seed of None runs the restricted field without noise; any other seed
-    draws ``noise`` (a :class:`NoiseSpec` kind) at the config's delta.
+    draws ``noise`` (a :class:`NoiseSpec` kind) at the config's delta.  Each
+    run is measured against ``reference`` with :func:`error_report`.
     """
     consumed = field.restrict(config.domain())
     cells = []
@@ -271,7 +281,7 @@ def _measure(
                 consumed,
                 NoiseSpec(kind=noise, delta=config.delta, p=config.p, seed=seed),
             )
-        report = meter.report(run(noisy, config))
+        report = error_report(run(noisy, config), reference, G, m)
         cells.append(
             ExperimentRow(
                 delta=config.delta,
@@ -318,9 +328,8 @@ def run_table(
         )
         for delta, n in zip(preset.deltas, preset.ns)
     ]
-    meter = ErrorMeter(
-        preset.function.derivative_function(), G=preset.metric_G, m=preset.metric_m
-    )
+    # error_report's reference, G and m for every run of the table.
+    metric = preset.function.derivative_function(), preset.metric_G, preset.metric_m
     if preset.noise == "gaussian":
         count = preset.default_seeds if seeds is None else seeds
         if count < 1:
@@ -328,13 +337,13 @@ def run_table(
         degree = max(max(c.domain().max_degree()) for c in configs)
         base = exact_coeffs(preset.function, degree, degree, G=preset.coeff_G)
         for config in configs:
-            cells = _measure(base, config, range(count), "gaussian", meter)
+            cells = _measure(base, config, range(count), "gaussian", *metric)
             rows.extend(cells)
             rows.append(_median_row(cells))
     else:
         for config, h in zip(configs, preset.hs):
             field = trapezoid_coeffs(preset.function, h, *config.domain().max_degree())
-            rows.extend(_measure(field, config, [None], None, meter))
+            rows.extend(_measure(field, config, [None], None, *metric))
     return rows
 
 
@@ -374,8 +383,10 @@ def convergence_sweep(
     For each delta the truncation level comes from the parameter-choice rule;
     the exact coefficients are perturbed per seed (``noise_kind`` "projected",
     "gaussian", or "none"), and the median square-mean error over seeds enters
-    a least-squares log-log fit of error against delta.  ``metric_G`` is a
-    floor on the square-mean metric's Gauss order (see :class:`ErrorMeter`).
+    a least-squares log-log fit of error against delta.  Every run is measured
+    with :func:`error_report` against the exact (2, 2) derivative, so ``r``
+    must be 2; ``metric_G`` is a floor on the square-mean metric's Gauss
+    order and ``metric_m`` the uniform metric's grid size.
     """
     deltas = sorted((float(d) for d in deltas), reverse=True)
     if len(deltas) < 3:
@@ -386,6 +397,11 @@ def convergence_sweep(
         raise ValueError(f"unknown noise kind {noise_kind!r}")
     if function.d22 is None:
         raise ValueError("convergence sweeps need a function with known derivative")
+    if r != 2:
+        raise ValueError(
+            f"sweeps measure against the (2, 2) derivative, so r must be 2, got {r}"
+        )
+    _check_m(metric_m)
     if seeds < 1:
         raise ValueError("need at least one seed")
 
@@ -402,13 +418,15 @@ def convergence_sweep(
     ]
     degree = max(max(c.domain().max_degree()) for c in configs)
     base = exact_coeffs(function, degree, degree)
-    meter = ErrorMeter(function.derivative_function(), G=metric_G, m=metric_m)
+    reference = function.derivative_function()
     seed_list = [None] if noise_kind == "none" else range(seeds)
 
     rows: list[ExperimentRow] = []
     median_l2: list[float] = []
     for config in configs:
-        cells = _measure(base, config, seed_list, noise_kind, meter)
+        cells = _measure(
+            base, config, seed_list, noise_kind, reference, metric_G, metric_m
+        )
         rows.extend(cells)
         if len(cells) > 1:
             rows.append(_median_row(cells))

@@ -6,13 +6,13 @@ references (whose derivative may have interior kinks) lose no accuracy.  The
 uniform error is the maximum over a uniform tensor grid that includes the
 boundary, where worst-case deviations concentrate.
 
-Grids are kept in one place: each reference object keeps the latest Gauss
-grid and the latest uniform grid it was measured on, each with the Legendre
-tables of its latest measurement.  Every :class:`ErrorMeter`, including the
-ones inside :func:`l2_error`, :func:`sup_error` and :func:`error_report`,
-measures on them and replaces one only when its size changes, so repeated
-calls at one size against a held reference build nothing twice.  The store
-is weak-keyed: it goes when the reference object goes.
+:func:`l2_error`, :func:`sup_error` and :func:`error_report` keep their grids
+with the reference object: its latest Gauss grid and latest uniform grid, each
+with the Legendre tables of its latest measurement.  A grid is rebuilt only
+when its size changes and a table only when the series degree does, so the
+seeds of a table row evaluate the reference once per grid.  The store is
+weak-keyed: drop the reference object to release its grids (an F1 reference
+last measured at n = 2048 holds a 512 MiB Gauss grid and a 134 MB table).
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import grid_product, legendre_table
-from .basis import composite_gauss_rule
 from .coeffs import BivariateFunction
 from .method import ApproxDerivative
 
-__all__ = ["ErrorReport", "ErrorMeter", "l2_error", "sup_error", "error_report"]
+__all__ = ["ErrorReport", "l2_error", "sup_error", "error_report"]
 
 
 @dataclass(frozen=True)
@@ -86,95 +85,49 @@ _GRIDS: weakref.WeakKeyDictionary[BivariateFunction, dict[str, _Grid]] = (
 )
 
 
-class ErrorMeter:
-    """Both error metrics against one reference.
+def _grid(reference: BivariateFunction, kind: str, size: int, build: Callable) -> _Grid:
+    """The reference's latest grid of this kind, built anew unless it has this size.
 
-    The square-mean metric integrates with ``max(G, 2 * (series degree) + 8)``
-    Gauss points per panel (split at the reference's breakpoints), enough to
-    integrate the squared series essentially exactly, so ``G`` is a floor.
-    The meter keeps nothing of its own: it measures on the reference
-    object's latest Gauss grid and m x m uniform grid, rebuilding a grid when
-    the effective order or m changes and a Legendre table when the series
-    degree changes.  An axis whose panel edges equal the other's shares its
-    rule and tables.  So the seeds of one table row evaluate the reference
-    once per grid, and a meter alternating between two degrees rebuilds at
-    each change.  Drop the reference object to release its grids (an F1
-    reference last measured at n = 2048 holds a 512 MiB Gauss grid and a
-    134 MB table).  Each measured approximation costs two table products and
-    a reduction per metric, with the same arithmetic as from scratch.
+    The old grid is dropped first, so the store never holds two of a kind.
     """
-
-    def __init__(self, reference: BivariateFunction, G: int = 96, m: int = 201):
-        if m < 3 or m % 2 == 0:
-            raise ValueError(f"grid resolution m={m} must be odd and >= 3")
-        self.reference = reference
-        self.G = G
-        self.m = m
-        self._grids = _GRIDS.setdefault(reference, {})
-
-    def _grid(self, kind: str, size: int, build: Callable[[int], _Grid]) -> _Grid:
-        """The reference's latest grid of this kind, built anew unless it has this size.
-
-        The old grid is dropped first, so the store never holds two of a kind.
-        """
-        if kind not in self._grids or self._grids[kind].size != size:
-            self._grids.pop(kind, None)
-            self._grids[kind] = build(size)
-        return self._grids[kind]
-
-    def _gauss(self, G: int) -> _Grid:
-        edges_t, edges_tau = self.reference.axis_edges()
-        rule_t = composite_gauss_rule(G, edges_t)
-        rule_tau = rule_t if edges_tau == edges_t else composite_gauss_rule(G, edges_tau)
-        values = self.reference.value(rule_t.nodes[:, None], rule_tau.nodes[None, :])
-        weights = rule_t.weights, rule_tau.weights
-        return _Grid(G, rule_t.nodes, rule_tau.nodes, values, weights)
-
-    def _uniform(self, m: int) -> _Grid:
-        nodes = np.linspace(-1.0, 1.0, m)
-        return _Grid(m, nodes, nodes, self.reference.value(nodes[:, None], nodes[None, :]))
-
-    def l2_error(self, approx: ApproxDerivative) -> float:
-        """Square-mean error ||approx - reference||_L2 over [-1, 1]^2.
-
-        Integrates with max(G, 2 * (max series degree) + 8) Gauss points per
-        panel, so the squared series is integrated essentially exactly.
-        """
-        coeffs = approx.series.coeffs
-        grid = self._grid("gauss", max(self.G, 2 * (max(coeffs.shape) - 1) + 8), self._gauss)
-        diff = grid.diff(coeffs)
-        diff *= diff  # in place: no second grid-sized array
-        weights_t, weights_tau = grid.weights
-        quad = weights_t @ diff @ weights_tau
-        return float(np.sqrt(max(quad, 0.0)))
-
-    def sup_error(self, approx: ApproxDerivative) -> float:
-        """Uniform error max |approx - reference| over the m x m grid including +-1."""
-        diff = self._grid("uniform", self.m, self._uniform).diff(approx.series.coeffs)
-        return float(np.max(np.abs(diff, out=diff)))
-
-    def report(self, approx: ApproxDerivative) -> ErrorReport:
-        """Both error metrics for one run."""
-        report = ErrorReport(
-            l2_error=self.l2_error(approx),
-            sup_error=self.sup_error(approx),
-            n_used=approx.n_used,
-            information_count=approx.information_count,
-        )
-        report.validate()
-        return report
+    grids = _GRIDS.setdefault(reference, {})
+    if kind not in grids or grids[kind].size != size:
+        grids.pop(kind, None)
+        grids[kind] = build(reference, size)
+    return grids[kind]
 
 
-def l2_error(
-    approx: ApproxDerivative, reference: BivariateFunction, G: int
-) -> float:
+def _gauss(reference: BivariateFunction, G: int) -> _Grid:
+    rule_t, rule_tau = reference.gauss_rules(G)
+    values = reference.value(rule_t.nodes[:, None], rule_tau.nodes[None, :])
+    weights = rule_t.weights, rule_tau.weights
+    return _Grid(G, rule_t.nodes, rule_tau.nodes, values, weights)
+
+
+def _uniform(reference: BivariateFunction, m: int) -> _Grid:
+    nodes = np.linspace(-1.0, 1.0, m)
+    return _Grid(m, nodes, nodes, reference.value(nodes[:, None], nodes[None, :]))
+
+
+def _check_m(m: int) -> None:
+    if m < 3 or m % 2 == 0:
+        raise ValueError(f"grid resolution m={m} must be odd and >= 3")
+
+
+def l2_error(approx: ApproxDerivative, reference: BivariateFunction, G: int) -> float:
     """Square-mean error ||approx - reference||_L2 over [-1, 1]^2.
 
     G is a floor: the integration uses max(G, 2 * (max series degree) + 8)
     Gauss points per panel, so the squared series is integrated essentially
     exactly.
     """
-    return ErrorMeter(reference, G=G).l2_error(approx)
+    coeffs = approx.series.coeffs
+    grid = _grid(reference, "gauss", max(G, 2 * (max(coeffs.shape) - 1) + 8), _gauss)
+    diff = grid.diff(coeffs)
+    diff *= diff  # in place: no second grid-sized array
+    weights_t, weights_tau = grid.weights
+    quad = weights_t @ diff @ weights_tau
+    return float(np.sqrt(max(quad, 0.0)))
 
 
 def sup_error(
@@ -184,7 +137,9 @@ def sup_error(
 
     m must be odd and >= 3 so that -1, 0, and 1 are all grid points.
     """
-    return ErrorMeter(reference, m=m).sup_error(approx)
+    _check_m(m)
+    diff = _grid(reference, "uniform", m, _uniform).diff(approx.series.coeffs)
+    return float(np.max(np.abs(diff, out=diff)))
 
 
 def error_report(
@@ -194,4 +149,12 @@ def error_report(
     m: int = 201,
 ) -> ErrorReport:
     """Both error metrics for one run; G is a floor, as for :func:`l2_error`."""
-    return ErrorMeter(reference, G=G, m=m).report(approx)
+    _check_m(m)  # before the reference is evaluated or L2 computed
+    report = ErrorReport(
+        l2_error=l2_error(approx, reference, G),
+        sup_error=sup_error(approx, reference, m),
+        n_used=approx.n_used,
+        information_count=approx.information_count,
+    )
+    report.validate()
+    return report

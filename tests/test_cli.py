@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -330,6 +331,34 @@ class TestConvergence:
         assert main(argv + ["--deltas", "1e-4:1e-7:4"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("bad", ["inf:1e-9:3", "1e-5:nan:3", "2:1e-9:3"])
+    def test_nonfinite_or_large_delta_is_refused_by_the_parser(self, bad, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(
+                ["convergence", "--builtin", "f1", "--mu", "4.6",
+                 "--deltas", bad, "--seeds", "1"]
+            )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert caught == []
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "argument --deltas: noise levels must be finite and lie in (0, 1)" in errors[0]
+
+    @pytest.mark.parametrize("r", ["1", "3"])
+    def test_r_other_than_2_is_data_error(self, r, capsys):
+        # Errors are measured against the (2, 2) derivative, so only r = 2 fits.
+        code = main(
+            ["convergence", "--builtin", "f2", "--mu", "8", "--r", r,
+             "--deltas", "1e-5:1e-9:3", "--seeds", "2"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "r must be 2" in captured.err
+
     def test_too_narrow_range_is_data_error(self, capsys):
         code = main(
             ["convergence", "--builtin", "f2", "--mu", "6",
@@ -365,6 +394,15 @@ class TestBasis:
         assert code == 0
         rows = _parse_grid_csv(captured.out, "t,value")
         assert all(v == 0.0 for _, v in rows)
+
+    def test_huge_order_gives_zero_column_quickly(self, capsys):
+        start = time.perf_counter()
+        code = main(["basis", "--k", "2", "--r", str(10**18), "--grid", "3"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 0
+        assert _parse_grid_csv(captured.out, "t,value") == [(-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)]
+        assert elapsed < 1.0
 
     def test_matches_derivative_oracle(self, capsys):
         # phi_5' sampled on a grid must match an independent polynomial oracle.

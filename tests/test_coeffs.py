@@ -17,6 +17,7 @@ from legdiff.coeffs import (
     _parse_rows,
 )
 from legdiff import coeffs as coeffs_module
+from legdiff.basis import composite_gauss_rule
 from legdiff.experiments import F1
 from legdiff.index import IndexDomain
 
@@ -512,3 +513,21 @@ class TestBivariateFunction:
         edges_t, edges_tau = f.axis_edges()
         assert edges_t == (-1.0, 0.0, 1.0)
         assert edges_tau == (-1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        ("tau_breakpoints", "shared"), [((0.0,), True), ((), False)],
+        ids=["equal_edges", "unequal_edges"],
+    )
+    def test_gauss_rules_share_one_rule_between_equal_axes(self, tau_breakpoints, shared):
+        f = BivariateFunction(
+            value=np.add, t_breakpoints=(0.0,), tau_breakpoints=tau_breakpoints
+        )
+        rule_t, rule_tau = f.gauss_rules(12)
+        # Callers share per-axis work by testing this identity.
+        assert (rule_tau is rule_t) is shared
+        np.testing.assert_array_equal(
+            rule_t.nodes, composite_gauss_rule(12, (-1.0, 0.0, 1.0)).nodes
+        )
+        np.testing.assert_array_equal(
+            rule_tau.nodes, composite_gauss_rule(12, f.axis_edges()[1]).nodes
+        )

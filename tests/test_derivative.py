@@ -1,6 +1,7 @@
 """The derivative-expansion step and its r-fold composition."""
 
 import math
+import time
 
 import numpy as np
 import numpy.polynomial.legendre as npleg
@@ -207,6 +208,13 @@ class TestDerivativeExpansion:
         assert expansion.matrix().shape == (0, 2)
         assert expansion.apply(np.ones(2)).shape == (0,)
         assert expansion.apply(np.ones((2, 5))).shape == (0, 5)
+
+    def test_huge_order_stops_once_the_series_is_empty(self):
+        start = time.perf_counter()
+        expansion = DerivativeExpansion(10**18, 5)
+        assert expansion.apply(np.ones(6)).shape == (0,)
+        assert expansion.apply(np.ones((6, 3))).shape == (0, 3)
+        assert time.perf_counter() - start < 1.0
 
     def test_phi_derivative_coeffs_are_matrix_columns(self):
         for r in (1, 2, 3):

@@ -211,6 +211,23 @@ class TestPresets:
                 deltas=(1e-6,), ns=(5,), hs=(1e-4,),
             )
 
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_rejects_r_other_than_2(self, r):
+        # A table measures against the (2, 2) derivative, whatever r is.
+        with pytest.raises(ValueError, match="r must be 2"):
+            ExperimentPreset(
+                name="x", function=F1, noise="gaussian",
+                deltas=(1e-6,), ns=(5,), hs=None, r=r,
+            )
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_rejects_even_or_tiny_metric_grid(self, m):
+        with pytest.raises(ValueError, match="odd and >= 3"):
+            ExperimentPreset(
+                name="x", function=F1, noise="gaussian",
+                deltas=(1e-6,), ns=(5,), hs=None, metric_m=m,
+            )
+
 
 def _tiny_gaussian_preset():
     return ExperimentPreset(
@@ -335,8 +352,8 @@ class TestReferenceEvaluations:
         assert len(result.rows) == 3 * (seeds + (seeds > 1))
         assert calls == [(192, 192), (201, 201)]
 
-    def test_sweep_builds_one_meter_per_quadrature_order(self):
-        """One meter serves the whole sweep, one Gauss grid per order."""
+    def test_sweep_builds_one_gauss_grid_per_quadrature_order(self):
+        """The sweep's reference keeps one Gauss grid per order, one uniform grid."""
         # metric_G = 8 is below every row's floor 2 * (n - 3) + 8, so each
         # of the three levels needs its own Gauss grid; the uniform grid is
         # evaluated once for the sweep.
@@ -454,6 +471,34 @@ class TestConvergenceSweep:
         bare = BivariateFunction(value=lambda t, tau: t * tau, name="bare")
         with pytest.raises(ValueError, match="derivative"):
             convergence_sweep(bare, 6.0, 2, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8))
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_rejects_r_other_than_2_before_projecting(self, r):
+        # The sweep measures against the (2, 2) derivative, whatever r is.
+        calls = []
+
+        def value(t, tau):
+            calls.append(np.broadcast_shapes(np.shape(t), np.shape(tau)))
+            return f2(t, tau)
+
+        counted = BivariateFunction(value=value, d22=f2_d22, name="f2_counted")
+        with pytest.raises(ValueError, match="r must be 2"):
+            convergence_sweep(counted, 8.0, r, 2.0, 2.0, deltas=(1e-5, 1e-7, 1e-9))
+        assert calls == []
+
+    def test_rejects_even_metric_grid_before_projecting(self):
+        calls = []
+
+        def value(t, tau):
+            calls.append(np.broadcast_shapes(np.shape(t), np.shape(tau)))
+            return f2(t, tau)
+
+        counted = BivariateFunction(value=value, d22=f2_d22, name="f2_counted")
+        with pytest.raises(ValueError, match="odd and >= 3"):
+            convergence_sweep(
+                counted, 6.0, 2, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8), metric_m=10
+            )
+        assert calls == []
 
     def test_rejects_nonpositive_seeds(self):
         with pytest.raises(ValueError, match="seed"):

@@ -6,12 +6,12 @@ import weakref
 import numpy as np
 import pytest
 
-from legdiff import metrics
+from legdiff import coeffs, metrics
 from legdiff.basis import composite_gauss_rule
 from legdiff.coeffs import BivariateFunction, CoeffField, exact_coeffs
 from legdiff.experiments import F1, F2, ExperimentPreset, run_table
 from legdiff.method import MethodConfig, run
-from legdiff.metrics import ErrorMeter, ErrorReport, error_report, l2_error, sup_error
+from legdiff.metrics import ErrorReport, error_report, l2_error, sup_error
 from legdiff.noise import NoiseSpec, perturb
 
 
@@ -181,30 +181,27 @@ def _noisy_approx(function, shape, n, seed):
     return run(field, cfg)
 
 
-class TestErrorMeter:
+class TestHeldReference:
     @pytest.mark.parametrize("shape", ["cross", "box"])
     @pytest.mark.parametrize("function", [F1, F2], ids=["f1", "f2"])
-    def test_reused_meter_is_bit_identical(self, function, shape):
-        # One meter across several n, revisiting a degree after others,
-        # gives exactly the standalone metrics and the from-scratch values.
+    def test_repeated_calls_are_bit_identical(self, function, shape):
+        # One held reference across several n, revisiting a degree after
+        # others, gives exactly the from-scratch values.
         reference = function.derivative_function()
-        meter = ErrorMeter(reference, G=40, m=51)
         for seed, n in enumerate((5, 12, 9, 5, 16)):
             approx = _noisy_approx(function, shape, n, seed)
-            l2 = meter.l2_error(approx)
-            sup = meter.sup_error(approx)
-            assert l2 == l2_error(approx, reference, G=40) == _scratch_l2(approx, reference, 40)
-            assert sup == sup_error(approx, reference, m=51) == _scratch_sup(approx, reference, 51)
-            report = meter.report(approx)
-            standalone = error_report(approx, reference, G=40, m=51)
+            l2 = l2_error(approx, reference, G=40)
+            sup = sup_error(approx, reference, m=51)
+            assert l2 == _scratch_l2(approx, reference, 40)
+            assert sup == _scratch_sup(approx, reference, 51)
+            report = error_report(approx, reference, G=40, m=51)
             assert (report.l2_error, report.sup_error) == (l2, sup)
-            assert (standalone.l2_error, standalone.sup_error) == (l2, sup)
             assert (report.n_used, report.information_count) == (
-                standalone.n_used, standalone.information_count,
+                approx.n_used, approx.information_count,
             )
 
     def test_order_below_floor_rebuilds_the_grid_per_order_change(self):
-        """G is a floor: one meter measures on a Gauss grid of the effective order."""
+        """G is a floor: each call measures on a Gauss grid of the effective order."""
         calls = []
 
         def value(t, tau):
@@ -213,14 +210,13 @@ class TestErrorMeter:
 
         reference = BivariateFunction(value=value, t_breakpoints=(0.0,), name="counted")
         fresh = BivariateFunction(value=_smooth, t_breakpoints=(0.0,), name="fresh")
-        meter = ErrorMeter(reference, G=19)
         small = _noisy_approx(F2, "box", 5, 0)  # derived degree 3: floor 14, G = 19
         large = _noisy_approx(F2, "box", 8, 0)  # derived degree 6: floor 20
         for approx, G in ((small, 19), (large, 20), (small, 19), (large, 20)):
-            l2 = meter.l2_error(approx)
+            l2 = l2_error(approx, reference, G=19)
             assert l2 == l2_error(approx, reference, G=G) == _scratch_l2(approx, fresh, G)
-        # Each order change evaluates the reference again; a standalone call
-        # at the latest order reuses the meter's grid.
+        # Each order change evaluates the reference again; a call at the
+        # latest effective order reuses its grid.
         assert calls == [(38, 19), (40, 20)] * 2
 
     @pytest.mark.parametrize("function", [F1, F2], ids=["f1", "f2"])
@@ -232,22 +228,22 @@ class TestErrorMeter:
 
     @pytest.mark.parametrize("m", [2, 1, 0, -3, 4, 100])
     def test_rejects_even_or_tiny_grid(self, m):
+        calls = []
+        reference = _counted_reference(calls, t_breakpoints=(0.0,))
+        approx = _zero_approx()
         with pytest.raises(ValueError, match="odd and >= 3"):
-            ErrorMeter(_constant_reference(1.0), m=m)
+            sup_error(approx, reference, m=m)
+        with pytest.raises(ValueError, match="odd and >= 3"):
+            error_report(approx, reference, G=16, m=m)
+        # Refused before the reference is evaluated or the L2 error computed.
+        assert calls == []
+        assert reference not in metrics._GRIDS
 
     def test_reference_evaluated_once_per_grid(self):
         calls = []
-
-        def value(t, tau):
-            calls.append(np.broadcast_shapes(np.shape(t), np.shape(tau)))
-            return np.cos(t) * np.sin(tau)
-
-        meter = ErrorMeter(
-            BivariateFunction(value=value, t_breakpoints=(0.0,), name="counted"),
-            G=24, m=11,
-        )
+        reference = _counted_reference(calls, t_breakpoints=(0.0,))
         for seed, n in enumerate((4, 6, 4)):
-            meter.report(_noisy_approx(F2, "cross", n, seed))
+            error_report(_noisy_approx(F2, "cross", n, seed), reference, G=24, m=11)
         assert calls == [(48, 24), (11, 11)]
 
 
@@ -278,17 +274,16 @@ class TestGridStore:
     def test_held_reference_is_evaluated_once_per_grid(self):
         calls = []
         reference = _counted_reference(calls, t_breakpoints=(0.0,))
-        fresh = BivariateFunction(value=_smooth, t_breakpoints=(0.0,), name="fresh")
         for seed, n in enumerate((4, 6, 4, 6)):
             approx = _noisy_approx(F2, "cross", n, seed)
             l2 = l2_error(approx, reference, G=24)
             sup = sup_error(approx, reference, m=11)
             report = error_report(approx, reference, G=24, m=11)
             assert (report.l2_error, report.sup_error) == (l2, sup)
-            # A meter on another object builds everything from scratch.
-            scratch = ErrorMeter(fresh, G=24, m=11)
-            assert l2 == scratch.l2_error(approx) == _scratch_l2(approx, fresh, 24)
-            assert sup == scratch.sup_error(approx) == _scratch_sup(approx, fresh, 11)
+            # Another object, new each time, builds everything from scratch.
+            fresh = BivariateFunction(value=_smooth, t_breakpoints=(0.0,), name="fresh")
+            assert l2 == l2_error(approx, fresh, G=24) == _scratch_l2(approx, fresh, 24)
+            assert sup == sup_error(approx, fresh, m=11) == _scratch_sup(approx, fresh, 11)
         assert calls == [(48, 24), (11, 11)]
 
     def test_store_keeps_only_the_latest_grids(self, monkeypatch):
@@ -302,9 +297,10 @@ class TestGridStore:
             held.append(metrics._GRIDS[reference].get("gauss"))
             return composite_gauss_rule(G, edges)
 
-        monkeypatch.setattr(metrics, "composite_gauss_rule", recording_rule)
-        fresh = BivariateFunction(value=_smooth, t_breakpoints=(0.0,), name="fresh")
         approxs = [_noisy_approx(F2, "box", n, 0) for n in (5, 8, 11)]
+        # The metrics take their Gauss rules from BivariateFunction.gauss_rules.
+        monkeypatch.setattr(coeffs, "composite_gauss_rule", recording_rule)
+        fresh = BivariateFunction(value=_smooth, t_breakpoints=(0.0,), name="fresh")
         earlier = []
         # Derived degrees 3, 6 and 9: Gauss orders 14, 20 and 26 above the floor 8.
         for approx, order, m in zip(approxs, (14, 20, 26), (5, 7, 9)):
@@ -325,8 +321,8 @@ class TestGridStore:
         assert grids["gauss"].size == 14
         assert held == [None] * 8  # four grids, two rules each
 
-    def test_meter_holds_only_its_latest_gauss_grid(self, monkeypatch):
-        """One meter at rising Gauss orders, as in convergence_sweep, keeps one grid."""
+    def test_held_reference_at_rising_orders_holds_only_its_latest_grid(self, monkeypatch):
+        """A held reference at rising Gauss orders keeps only its latest grid and tables."""
         values, tables = [], []
 
         def tracked_value(t, tau):
@@ -342,15 +338,14 @@ class TestGridStore:
         legendre_table = metrics.legendre_table
         monkeypatch.setattr(metrics, "legendre_table", tracked_table)
         reference = BivariateFunction(value=tracked_value, t_breakpoints=(0.0,), name="tracked")
-        meter = ErrorMeter(reference, G=8)
         # Derived degrees 3, 6 and 9: Gauss orders 14, 20 and 26 above the floor 8.
         for n in (5, 8, 11):
-            meter.l2_error(_noisy_approx(F2, "box", n, 0))
+            l2_error(_noisy_approx(F2, "box", n, 0), reference, G=8)
         gc.collect()
         assert [alive() is not None for alive in values] == [False, False, True]
         # Two tables per grid: the axes have different panel edges.
         assert [alive() is not None for alive in tables] == [False] * 4 + [True] * 2
-        assert meter.reference is reference  # the meter is still alive
+        assert metrics._GRIDS[reference]["gauss"].size == 26  # the reference is held
 
     def test_store_goes_with_its_reference(self):
         gc.collect()
@@ -407,10 +402,9 @@ class TestGridStore:
         reference = BivariateFunction(
             value=_smooth, t_breakpoints=(0.0,), tau_breakpoints=tau_breakpoints
         )
-        meter = ErrorMeter(reference, G=24)
         small = _noisy_approx(F2, "box", 5, 0)  # derived degree 3
         large = _noisy_approx(F2, "box", 7, 0)  # derived degree 5
         for approx in (small, large, small, large):
-            assert meter.l2_error(approx) == _scratch_l2(approx, reference, 24)
+            assert l2_error(approx, reference, G=24) == _scratch_l2(approx, reference, 24)
         # One Gauss grid throughout; its tables follow the latest degree.
         assert built == ([(3, size) for size in sizes] + [(5, size) for size in sizes]) * 2
