@@ -2,6 +2,12 @@
 
 The working basis is phi_k(t) = sqrt(k + 1/2) * P_k(t) with P_k the classical
 Legendre polynomial, so that integral(phi_k * phi_l) = delta_{kl} over [-1, 1].
+Values come from the stable three-term recurrence
+
+    P_{k+1}(t) = ((2k+1) t P_k(t) - k P_{k-1}(t)) / (k+1),
+
+and every series evaluation on a tensor grid is the one product
+:func:`grid_product` of the axes' tables.
 """
 
 from __future__ import annotations
@@ -10,8 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from ._kernels import legendre_table
 
 __all__ = [
     "DOMAIN_TOL",
@@ -63,6 +67,36 @@ class QuadratureRule:
             raise ValueError("nodes must lie inside (-1, 1)")
         if not np.all(self.weights > 0.0):
             raise ValueError("weights must be positive")
+
+
+def _orthonormal_scale(k_max: int) -> np.ndarray:
+    """Row scaling sqrt(k + 1/2) turning P_k values into phi_k values."""
+    return np.sqrt(np.arange(k_max + 1, dtype=np.float64) + 0.5)
+
+
+def legendre_table(k_max: int, t: np.ndarray) -> np.ndarray:
+    """Values phi_k(t_i) for k = 0..k_max, shape (k_max+1, t.size), unchecked.
+
+    ``t`` is a 1-D float64 array of nodes the package made itself; points from
+    outside go through :func:`eval_phi_table`.
+    """
+    table = np.empty((k_max + 1, t.size), dtype=np.float64)
+    table[0] = 1.0
+    if k_max >= 1:
+        table[1] = t
+    for k in range(1, k_max):
+        table[k + 1] = ((2 * k + 1) * t * table[k] - k * table[k - 1]) / (k + 1)
+    table *= _orthonormal_scale(k_max)[:, None]
+    return table
+
+
+def grid_product(table_t: np.ndarray, coeffs: np.ndarray, table_tau: np.ndarray) -> np.ndarray:
+    """Series values on a tensor grid from its axes' Legendre tables, a fresh array.
+
+    Every grid evaluation goes through here, so the product order is fixed in
+    this one place.
+    """
+    return table_t.T @ coeffs @ table_tau
 
 
 def _check_in_domain(t: np.ndarray) -> None:

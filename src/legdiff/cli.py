@@ -177,6 +177,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _finite(evaluate) -> np.ndarray:
+    """The values ``evaluate()`` returns; ValueError if one overflows float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = evaluate()
+    if not np.isfinite(values).all():
+        raise ValueError("the derivative's values overflow float64 on the grid")
+    return values
+
+
 def cmd_differentiate(args: argparse.Namespace) -> int:
     config = MethodConfig(
         r=args.r,
@@ -209,7 +218,7 @@ def cmd_differentiate(args: argparse.Namespace) -> int:
     approx = run(field, config)
 
     grid = np.linspace(-1.0, 1.0, args.grid)
-    values = approx.series.eval_grid(grid, grid)
+    values = _finite(lambda: approx.series.eval_grid(grid, grid))
     lines = ["t,tau,value"]
     for i in range(args.grid):
         for j in range(args.grid):
@@ -261,7 +270,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
     if coeffs.size == 0:
         values = np.zeros(args.grid, dtype=np.float64)
     else:
-        values = coeffs @ eval_phi_table(coeffs.size - 1, grid)
+        values = _finite(lambda: coeffs @ eval_phi_table(coeffs.size - 1, grid))
     lines = ["t,value"]
     lines.extend(f"{float(t)!r},{float(v)!r}" for t, v in zip(grid, values))
     _write_text(args.out, "\n".join(lines) + "\n")

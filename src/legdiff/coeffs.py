@@ -19,8 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._kernels import weighted_projection
-from .basis import QuadratureRule, composite_gauss_rule, eval_phi_table
+from .basis import QuadratureRule, composite_gauss_rule, eval_phi_table, legendre_table
 from .index import IndexDomain, pairs_mask
 
 __all__ = [
@@ -35,6 +34,7 @@ __all__ = [
 ]
 
 _EVAL_CHUNK_ROWS = 256
+_PROJECTION_CHUNK = 65536
 
 # Largest dense coefficient array a run or a coefficient file may need, in
 # float64 entries: 2**22 entries is 32 MiB, and a run holds a few arrays of
@@ -213,6 +213,16 @@ class BivariateFunction:
         return rule_t, rule_tau
 
 
+def _projection(values: np.ndarray, rule: QuadratureRule, k_max: int) -> np.ndarray:
+    """Quadrature projections c_k = sum_i w_i v_i phi_k(t_i) for k = 0..k_max."""
+    coeffs = np.zeros(k_max + 1, dtype=np.float64)
+    wv = rule.weights * values
+    for start in range(0, len(rule), _PROJECTION_CHUNK):
+        stop = start + _PROJECTION_CHUNK
+        coeffs += legendre_table(k_max, rule.nodes[start:stop]) @ wv[start:stop]
+    return coeffs
+
+
 def _tensor_projection(
     f: BivariateFunction,
     rule_t: QuadratureRule,
@@ -228,15 +238,11 @@ def _tensor_projection(
     """
     if f.factors is not None:
         ft, gtau, scale = f.factors
-        a = weighted_projection(
-            ft(rule_t.nodes), rule_t.weights, rule_t.nodes, k_max
-        )
+        a = _projection(ft(rule_t.nodes), rule_t, k_max)
         if gtau is ft and rule_tau is rule_t and j_max == k_max:
             b = a  # the same projection; computing it again gives the same bits
         else:
-            b = weighted_projection(
-                gtau(rule_tau.nodes), rule_tau.weights, rule_tau.nodes, j_max
-            )
+            b = _projection(gtau(rule_tau.nodes), rule_tau, j_max)
         return scale * np.outer(a, b)
     table_t = eval_phi_table(k_max, rule_t.nodes) * rule_t.weights[None, :]
     table_tau = eval_phi_table(j_max, rule_tau.nodes) * rule_tau.weights[None, :]
@@ -298,10 +304,10 @@ def smoothness_norm(field: CoeffField, s: float, mu: float) -> float:
     Here kbar = max(1, k).  The sum runs over the stored entries only, so the
     result is the truncated norm of the represented series.
     """
-    if s < 1.0:
-        raise ValueError("s must be >= 1")
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
+    if not 1.0 <= s < math.inf:
+        raise ValueError(f"s={s} must satisfy 1 <= s < inf")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"mu={mu} must be positive and finite")
     ks, js = np.nonzero(field.values)  # unstored entries are exactly zero
     weight = (np.maximum(ks, 1) * np.maximum(js, 1)).astype(np.float64) ** (s * mu)
     terms = weight * np.abs(field.values[ks, js]) ** s

@@ -7,7 +7,8 @@ degrees of opposite parity:
 
 Applying the induced coefficient map r times per axis turns the coefficients
 of a bivariate series into the coefficients of its mixed derivative of order
-(r, r), exactly and in closed form.
+(r, r), exactly and in closed form.  One step sums each parity class from the
+top degree down, so it costs one pass over the coefficients.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import mueller_step_matrix
+from .basis import _orthonormal_scale
 
 __all__ = [
     "single_step_entry",
@@ -32,6 +33,22 @@ def single_step_entry(k: int, l: int) -> float:
     if l < k and (k + l) % 2 == 1:
         return 2.0 * math.sqrt(k + 0.5) * math.sqrt(l + 0.5)
     return 0.0
+
+
+def _step(a: np.ndarray) -> np.ndarray:
+    """One derivative step along axis 0 of a 2-D float64 array of degrees 0..K.
+
+    The result holds degrees 0..K-1, b_l = sum_k single_step_entry(k, l) a_k.
+    """
+    scale = _orthonormal_scale(a.shape[0] - 1)
+    weighted = scale[:, None] * a
+    # suffix[k] = weighted[k] + weighted[k+2] + ... (suffix sums by parity class)
+    suffix = np.empty_like(weighted)
+    for parity in (0, 1):
+        rows = weighted[parity::2]
+        suffix[parity::2] = np.cumsum(rows[::-1], axis=0)[::-1]
+    # k > l with k+l odd means k runs over l+1, l+3, ...
+    return 2.0 * scale[:-1, None] * suffix[1:]
 
 
 def phi_derivative_coeffs(k: int, r: int) -> np.ndarray:
@@ -76,7 +93,8 @@ class DerivativeExpansion:
         """Map coefficients of degrees 0..max_degree to degrees 0..max_degree-r.
 
         The map acts along axis 0 of a 1-D or 2-D array, each column on its
-        own; the result is empty along axis 0 when r > max_degree.
+        own; the result is empty along axis 0 when r > max_degree.  A result
+        that is not finite in float64 raises ValueError.
         """
         a = np.ascontiguousarray(a, dtype=np.float64)
         if a.ndim not in (1, 2) or a.shape[0] != self.max_degree + 1:
@@ -86,8 +104,14 @@ class DerivativeExpansion:
             )
         out = a if a.ndim == 2 else a[:, None]
         # Each step drops one degree, so after max_degree + 1 steps nothing is left.
-        for _ in range(min(self.r, self.max_degree + 1)):
-            out = mueller_step_matrix(out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(min(self.r, self.max_degree + 1)):
+                out = _step(out)
+        if not np.isfinite(out).all():
+            raise ValueError(
+                f"the order r={self.r} derivative of degree-{self.max_degree} "
+                "coefficients is not finite in float64"
+            )
         return out if a.ndim == 2 else out[:, 0]
 
     def matrix(self) -> np.ndarray:

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import series_eval_grid, series_eval_points
-from .basis import _check_in_domain
+from .basis import eval_phi_table, grid_product
 from .coeffs import MAX_DENSE_ENTRIES, CoeffField, _read_only
 from .derivative import DerivativeExpansion
 from .index import IndexDomain
@@ -140,21 +139,17 @@ class LegendreSeries2D:
 
     def eval_grid(self, t: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Series values on the tensor grid t x tau, shape (len(t), len(tau))."""
-        t = np.ascontiguousarray(t, dtype=np.float64)
-        tau = np.ascontiguousarray(tau, dtype=np.float64)
-        _check_in_domain(t)
-        _check_in_domain(tau)
-        return series_eval_grid(self.coeffs, t, tau)
+        table_t = eval_phi_table(self.coeffs.shape[0] - 1, t)
+        table_tau = eval_phi_table(self.coeffs.shape[1] - 1, tau)
+        return grid_product(table_t, self.coeffs, table_tau)
 
     def eval_points(self, t: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Series values at paired points (t_i, tau_i)."""
-        t = np.ascontiguousarray(t, dtype=np.float64)
-        tau = np.ascontiguousarray(tau, dtype=np.float64)
-        if t.shape != tau.shape:
+        if np.shape(t) != np.shape(tau):
             raise ValueError("t and tau must have identical shapes")
-        _check_in_domain(t)
-        _check_in_domain(tau)
-        return series_eval_points(self.coeffs, t, tau)
+        table_t = eval_phi_table(self.coeffs.shape[0] - 1, t)
+        table_tau = eval_phi_table(self.coeffs.shape[1] - 1, tau)
+        return np.einsum("ki,kj,ji->i", table_t, self.coeffs, table_tau, optimize=True)
 
 
 @dataclass(frozen=True)
@@ -184,6 +179,8 @@ def choose_n(
     """
     if not (0.0 < delta < 1.0):
         raise ConfigError(f"delta={delta} must lie in (0, 1)")
+    if not rule_constant > 0.0:
+        raise ConfigError(f"rule constant {rule_constant} must be positive")
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
     exponent_denom = mu - inv_p + 1.0 / s
     if exponent_denom <= 0.0:

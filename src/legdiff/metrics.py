@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import grid_product, legendre_table
-from .coeffs import BivariateFunction
+from .basis import grid_product, legendre_table
+from .coeffs import MAX_DENSE_ENTRIES, BivariateFunction
 from .method import ApproxDerivative
 
 __all__ = ["ErrorReport", "l2_error", "sup_error", "error_report"]
@@ -112,6 +112,10 @@ def _uniform(reference: BivariateFunction, m: int) -> _Grid:
 def _check_m(m: int) -> None:
     if m < 3 or m % 2 == 0:
         raise ValueError(f"grid resolution m={m} must be odd and >= 3")
+    if m * m > MAX_DENSE_ENTRIES:
+        raise ValueError(
+            f"grid resolution m={m} needs {m * m} points, over the limit of {MAX_DENSE_ENTRIES}"
+        )
 
 
 def l2_error(approx: ApproxDerivative, reference: BivariateFunction, G: int) -> float:
@@ -135,7 +139,8 @@ def sup_error(
 ) -> float:
     """Uniform error max |approx - reference| over the m x m grid including +-1.
 
-    m must be odd and >= 3 so that -1, 0, and 1 are all grid points.
+    m must be odd and >= 3 so that -1, 0, and 1 are all grid points, and m^2
+    must not exceed :data:`~legdiff.coeffs.MAX_DENSE_ENTRIES` (m <= 2047).
     """
     _check_m(m)
     diff = _grid(reference, "uniform", m, _uniform).diff(approx.series.coeffs)

@@ -1,7 +1,12 @@
-"""The public API: every exported name resolves, and none is listed twice."""
+"""The public API: every exported name resolves, and none is listed twice.
+
+The README's repository layout names exactly the package's modules.
+"""
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -40,3 +45,15 @@ def test_package_exports_come_from_submodules():
             continue
         assert exported in owners, exported
         assert getattr(legdiff, exported) is owners[exported], exported
+
+
+def test_readme_layout_names_every_module():
+    """The "Repository layout" block lists each src/legdiff/*.py but __init__ and __main__."""
+    package = Path(legdiff.__file__).parent
+    readme = (package.parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Repository layout", 1)[1].split("```")[1]
+    listed = re.findall(r"^\s+(\w+\.py)\b", block, flags=re.MULTILINE)
+    entry_points = ("__init__.py", "__main__.py")
+    modules = sorted(path.name for path in package.glob("*.py") if path.name not in entry_points)
+    assert sorted(listed) == modules
+    assert len(listed) == len(set(listed))

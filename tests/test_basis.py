@@ -12,6 +12,7 @@ from legdiff.basis import (
     eval_phi_row,
     eval_phi_table,
     gauss_rule,
+    legendre_table,
 )
 
 
@@ -71,6 +72,18 @@ class TestEvalPhi:
         table = eval_phi_table(12, t)
         for i, ti in enumerate(t):
             np.testing.assert_allclose(table[:, i], eval_phi_row(12, ti), rtol=0, atol=0)
+
+
+class TestLegendreTable:
+    def test_legendre_table_matches_oracle(self):
+        t = np.linspace(-1.0, 1.0, 33)
+        table = legendre_table(20, t)
+        for k in range(21):
+            basis = np.zeros(k + 1)
+            basis[k] = np.sqrt(k + 0.5)
+            np.testing.assert_allclose(
+                table[k], npleg.legval(t, basis), rtol=1e-12, atol=1e-13
+            )
 
 
 class TestGaussRule:

@@ -217,6 +217,19 @@ class TestDifferentiate:
         capsys.readouterr()
         assert code == 1
 
+    def test_overflowing_derivative_is_a_data_error(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(
+                ["differentiate", "--builtin", "f2", "--r", "80", "--mu", "200",
+                 "--n", "400", "--grid", "3"]
+            )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert caught == []
+        assert captured.out == ""
+        assert "r=80 derivative of degree-399" in captured.err
+
 
 class TestExperiment:
     def test_unknown_preset_is_usage_error(self, capsys):
@@ -419,6 +432,18 @@ class TestBasis:
         oracle = npleg.legval(ts, npleg.legder(basis5, 1))
         np.testing.assert_allclose(values, oracle, rtol=1e-12, atol=1e-12)
 
+
+    @pytest.mark.parametrize("k, r", [("400", "150"), ("304", "100")])
+    def test_overflowing_derivative_is_a_data_error(self, k, r, capsys):
+        # (400, 150) overflows in the coefficients, (304, 100) only at t = +-1.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["basis", "--k", k, "--r", r, "--grid", "3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert caught == []
+        assert captured.out == ""
+        assert "float64" in captured.err
 
     @pytest.mark.parametrize(
         "k, grid", [("2047", "2049"), ("0", str(2**22 + 1)), (str(2**22), "1")]

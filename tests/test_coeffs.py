@@ -17,7 +17,7 @@ from legdiff.coeffs import (
     _parse_rows,
 )
 from legdiff import coeffs as coeffs_module
-from legdiff.basis import composite_gauss_rule
+from legdiff.basis import QuadratureRule, composite_gauss_rule, legendre_table
 from legdiff.experiments import F1
 from legdiff.index import IndexDomain
 
@@ -251,6 +251,18 @@ class TestProjectionReuse:
         assert np.array_equal(once.values, twice.values)
 
 
+class TestProjection:
+    def test_weighted_projection_matches_matmul(self):
+        rng = np.random.default_rng(0)
+        t = rng.uniform(-1.0, 1.0, 57)
+        w = rng.uniform(0.1, 1.0, 57)
+        v = rng.normal(size=57)
+        direct = legendre_table(9, t) @ (w * v)
+        np.testing.assert_allclose(
+            coeffs_module._projection(v, QuadratureRule(t, w), 9), direct, rtol=1e-13
+        )
+
+
 class TestTrapezoidCoeffs:
     def test_constant_entry(self):
         field = trapezoid_coeffs(_const_half(), 0.01, 2, 2)
@@ -340,6 +352,14 @@ class TestSmoothnessNorm:
             smoothness_norm(field, 0.5, 1.0)
         with pytest.raises(ValueError):
             smoothness_norm(field, 2.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "s_exp, mu", [(math.nan, 5.5), (math.inf, 5.5), (2.0, math.nan), (2.0, math.inf)]
+    )
+    def test_rejects_non_finite_parameters(self, s_exp, mu):
+        field = CoeffField.from_entries({(1, 1): 1.0})
+        with pytest.raises(ValueError):
+            smoothness_norm(field, s_exp, mu)
 
 
 class TestCsvRoundTrip:

@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 
 import numpy as np
 import numpy.polynomial.legendre as npleg
@@ -11,6 +12,7 @@ from legdiff.basis import eval_phi_table
 from legdiff.coeffs import CoeffField
 from legdiff.derivative import (
     DerivativeExpansion,
+    _step,
     phi_derivative_coeffs,
     phi_rr_closed_form,
     single_step_entry,
@@ -96,6 +98,19 @@ class TestMuellerStep:
         np.testing.assert_allclose(
             DerivativeExpansion(1, 39).apply(m), dense @ m, rtol=1e-13, atol=1e-13
         )
+
+    def test_mueller_step_matches_dense_entry_matrix(self):
+        rng = np.random.default_rng(1)
+        coeffs = rng.normal(size=(9, 4))
+        dense = np.array(
+            [[single_step_entry(k, l) for k in range(9)] for l in range(8)]
+        )
+        np.testing.assert_allclose(
+            _step(coeffs), dense @ coeffs, rtol=1e-12, atol=1e-12
+        )
+
+    def test_mueller_step_degenerate_shapes(self):
+        assert _step(np.ones((1, 3))).shape == (0, 3)
 
 
 class TestDifferentiateAxis:
@@ -215,6 +230,14 @@ class TestDerivativeExpansion:
         assert expansion.apply(np.ones(6)).shape == (0,)
         assert expansion.apply(np.ones((6, 3))).shape == (0, 3)
         assert time.perf_counter() - start < 1.0
+
+    def test_overflow_raises_naming_order_and_degree(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="r=150 derivative of degree-400"):
+                phi_derivative_coeffs(400, 150)
+            with pytest.raises(ValueError, match="r=2 derivative of degree-3"):
+                DerivativeExpansion(2, 3).apply(np.array([0.0, 0.0, 1e308, 1e308]))
 
     def test_phi_derivative_coeffs_are_matrix_columns(self):
         for r in (1, 2, 3):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from legdiff.basis import legendre_table
 from legdiff.coeffs import MAX_DENSE_ENTRIES, CoeffField
 from legdiff.index import IndexDomain
 from legdiff.method import (
@@ -49,6 +50,11 @@ class TestChooseN:
         # mu - 1/p + 1/s = 0.1 - 1 + 0.5 < 0: the rule has no meaning there.
         with pytest.raises(ConfigError):
             choose_n(1e-6, 0.1, p=1.0, s=2.0)
+
+    @pytest.mark.parametrize("constant", [-1.0, 0.0, math.nan])
+    def test_rejects_nonpositive_rule_constant(self, constant):
+        with pytest.raises(ConfigError, match="rule constant"):
+            choose_n(1e-6, 5.5, rule_constant=constant)
 
     def test_floor_at_r_plus_two(self):
         # Large delta would give a tiny level; the floor keeps n usable.
@@ -248,7 +254,43 @@ class TestRun:
         )
 
 
+def _random_inputs(seed):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=(rng.integers(2, 12), rng.integers(2, 12)))
+    t = rng.uniform(-1.0, 1.0, size=rng.integers(1, 40))
+    tau = rng.uniform(-1.0, 1.0, size=rng.integers(1, 40))
+    return coeffs, t, tau
+
+
 class TestLegendreSeries2D:
+    def test_eval_grid_matches_einsum(self):
+        coeffs, t, tau = _random_inputs(2)
+        table_t = legendre_table(coeffs.shape[0] - 1, t)
+        table_tau = legendre_table(coeffs.shape[1] - 1, tau)
+        expected = np.einsum("ki,kj,jm->im", table_t, coeffs, table_tau)
+        np.testing.assert_allclose(
+            LegendreSeries2D(coeffs).eval_grid(t, tau), expected, rtol=1e-12, atol=1e-13
+        )
+
+    def test_eval_points_matches_loop(self):
+        coeffs, t, _ = _random_inputs(3)
+        tau = np.random.default_rng(4).uniform(-1.0, 1.0, size=t.size)
+        expected = np.array(
+            [
+                sum(
+                    coeffs[k, j]
+                    * legendre_table(k, np.array([t[i]]))[k, 0]
+                    * legendre_table(j, np.array([tau[i]]))[j, 0]
+                    for k in range(coeffs.shape[0])
+                    for j in range(coeffs.shape[1])
+                )
+                for i in range(t.size)
+            ]
+        )
+        np.testing.assert_allclose(
+            LegendreSeries2D(coeffs).eval_points(t, tau), expected, rtol=1e-11, atol=1e-12
+        )
+
     def test_constant_series(self):
         # c_{0,0} = 2 means 2 * phi_0(t) phi_0(tau) = 2 * (1/sqrt 2)^2 = 1.
         series = LegendreSeries2D(coeffs=CoeffField.from_entries({(0, 0): 2.0}).values)

@@ -239,6 +239,25 @@ class TestHeldReference:
         assert calls == []
         assert reference not in metrics._GRIDS
 
+    @pytest.mark.parametrize("m", [2049, 100001])
+    def test_rejects_oversized_grid_before_allocating(self, m):
+        def value(t, tau):
+            raise AssertionError("the reference must not be evaluated")
+
+        reference = BivariateFunction(value=value, name="untouchable")
+        approx = _zero_approx()
+        with pytest.raises(ValueError, match="over the limit"):
+            sup_error(approx, reference, m=m)
+        with pytest.raises(ValueError, match="over the limit"):
+            error_report(approx, reference, G=16, m=m)
+        assert reference not in metrics._GRIDS
+
+    def test_grid_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(metrics, "MAX_DENSE_ENTRIES", 49)
+        assert sup_error(_zero_approx(), _constant_reference(1.0), m=7) == pytest.approx(1.0)
+        with pytest.raises(ValueError, match="over the limit"):
+            sup_error(_zero_approx(), _constant_reference(1.0), m=9)
+
     def test_reference_evaluated_once_per_grid(self):
         calls = []
         reference = _counted_reference(calls, t_breakpoints=(0.0,))
