@@ -73,8 +73,7 @@ class MethodConfig:
             raise ConfigError(f"p={self.p} must satisfy 1 <= p <= inf")
         if self.domain_shape not in ("cross", "box"):
             raise ConfigError(f"domain shape must be 'cross' or 'box', got {self.domain_shape!r}")
-        if self.rule_constant <= 0.0:
-            raise ConfigError(f"rule constant {self.rule_constant} must be positive")
+        _check_rule_constant(self.rule_constant)
         if self.n_override is not None:
             if self.n_override <= self.r:
                 raise ConfigError(
@@ -162,6 +161,11 @@ class ApproxDerivative:
     information_count: int
 
 
+def _check_rule_constant(rule_constant: float) -> None:
+    if not 0.0 < rule_constant < math.inf:  # NaN fails too
+        raise ConfigError(f"rule constant {rule_constant} must be finite and positive")
+
+
 def choose_n(
     delta: float,
     mu: float,
@@ -179,8 +183,7 @@ def choose_n(
     """
     if not (0.0 < delta < 1.0):
         raise ConfigError(f"delta={delta} must lie in (0, 1)")
-    if not rule_constant > 0.0:
-        raise ConfigError(f"rule constant {rule_constant} must be positive")
+    _check_rule_constant(rule_constant)
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
     exponent_denom = mu - inv_p + 1.0 / s
     if exponent_denom <= 0.0:

@@ -93,6 +93,20 @@ class TestDifferentiate:
         assert code == 2
         assert "error:" in captured.err
 
+    @pytest.mark.parametrize("constant", ["nan", "inf"])
+    @pytest.mark.parametrize("level", [["--n", "11"], ["--delta", "1e-6"]])
+    def test_non_finite_rule_constant_is_usage_error(self, constant, level, capsys):
+        code = main(
+            ["differentiate", "--builtin", "f2", "--mu", "6", *level,
+             "--grid", "3", "--constant", constant]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: rule constant {constant} must be finite and positive"
+        ]
+
     def test_missing_mu_is_usage_error(self, capsys):
         assert main(["differentiate", "--builtin", "f1"]) == 2
         capsys.readouterr()

@@ -1,6 +1,7 @@
 """Bundled test functions, experiment presets, tables, and convergence sweeps."""
 
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -434,13 +435,39 @@ class TestRunTableMetricFloor:
             assert row.sup_error == sup_error(approx, reference, 201)
 
 
+_REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
+
+
 class TestBenchmarkReferences:
-    """Table outputs equal the benchmark's recorded references byte for byte."""
+    """Outputs against the benchmark's recorded references."""
 
     @pytest.mark.parametrize("name", ["table1", "table2"])
     def test_table_csv_matches_reference(self, name):
-        ref = Path(__file__).resolve().parent.parent / "perfbench" / "refs" / f"{name}.csv"
+        ref = _REFS / f"{name}.csv"
         assert rows_to_csv(run_table(get_preset(name))) == ref.read_text(encoding="utf-8")
+
+    @pytest.fixture(scope="class")
+    def large_n_cross(self):
+        recorded = json.loads((_REFS / "large_n_cross.json").read_text(encoding="utf-8"))
+        n = recorded["n"]
+        config = MethodConfig(
+            r=recorded["r"], mu=recorded["mu"], delta=recorded["delta"], n_override=n
+        )
+        base = exact_coeffs(F1, n - 1, n - 1, G=2 * (n - 1) + 16).restrict(config.domain())
+        return recorded, config, base, F1.derivative_function()
+
+    @pytest.mark.parametrize("seed", [0, 31])
+    def test_large_cross_errors_match_reference(self, large_n_cross, seed):
+        # n = 300: the metric grid products take grid_product's factorized branch.
+        recorded, config, base, reference = large_n_cross
+        noise = NoiseSpec(kind="gaussian", delta=config.delta, seed=seed)
+        approx = run(perturb(base, noise), config)
+        want = recorded["seeds"][str(seed)]
+        assert approx.information_count == want["card"]
+        l2 = l2_error(approx, reference, recorded["l2_G"])
+        sup = sup_error(approx, reference, recorded["sup_m"])
+        # The benchmark's own tolerance for a changed arithmetic order (REL_TOL).
+        assert (l2, sup) == pytest.approx((want["l2_error"], want["sup_error"]), rel=1e-12, abs=0)
 
 
 class TestTheoreticalExponent:

@@ -51,7 +51,7 @@ class TestChooseN:
         with pytest.raises(ConfigError):
             choose_n(1e-6, 0.1, p=1.0, s=2.0)
 
-    @pytest.mark.parametrize("constant", [-1.0, 0.0, math.nan])
+    @pytest.mark.parametrize("constant", [-1.0, 0.0, math.nan, math.inf])
     def test_rejects_nonpositive_rule_constant(self, constant):
         with pytest.raises(ConfigError, match="rule constant"):
             choose_n(1e-6, 5.5, rule_constant=constant)
@@ -92,9 +92,12 @@ class TestMethodConfig:
         with pytest.raises(ConfigError):
             MethodConfig(r=2, mu=5.5, delta=1e-7, domain_shape="disk")
 
-    def test_rejects_nonpositive_rule_constant(self):
-        with pytest.raises(ConfigError):
-            MethodConfig(r=2, mu=5.5, delta=1e-7, rule_constant=0.0)
+    @pytest.mark.parametrize("constant", [0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("n_override", [None, 11])
+    def test_rejects_nonpositive_rule_constant(self, constant, n_override):
+        # With n given nothing reads the constant, so the config must check it.
+        with pytest.raises(ConfigError, match="rule constant"):
+            MethodConfig(r=2, mu=5.5, delta=1e-7, n_override=n_override, rule_constant=constant)
 
     def test_rejects_smoothness_at_or_below_bound(self):
         # r=2, s=2 requires mu > 4 - 1/2 + 1/2 = 4; equality must fail too.
