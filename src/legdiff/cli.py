@@ -52,6 +52,20 @@ def _seed(text: str) -> int:
     return value
 
 
+# Most seeds one experiment or sweep may ask for.  Each seed adds a run and a
+# row per noise level, so the count is checked before anything runs; the
+# median of 1000 draws already has a standard error of about
+# 1.25 / sqrt(1000), 4% of the spread, more than any table needs.
+MAX_SEED_COUNT = 1000
+
+
+def _seed_count(text: str) -> int:
+    value = int(text)
+    if not 1 <= value <= MAX_SEED_COUNT:
+        raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_SEED_COUNT}")
+    return value
+
+
 # Most noise levels one convergence sweep may ask for: far more than a slope
 # fit needs, and checked before the grid of levels is allocated.
 MAX_DELTA_COUNT = 1000
@@ -137,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_exp.add_argument("--preset", choices=PRESET_NAMES, required=True)
     p_exp.add_argument(
-        "--seeds", type=_positive_int, default=None,
+        "--seeds", type=_seed_count, default=None,
         help="seed count for stochastic presets (default: preset's own)",
     )
     p_exp.add_argument("--out", help="write the table CSV here instead of stdout")
@@ -156,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--deltas", type=_delta_range, required=True,
         help="geometric noise grid as start:end:count, e.g. 1e-5:1e-9:5",
     )
-    p_conv.add_argument("--seeds", type=_positive_int, default=10)
+    p_conv.add_argument("--seeds", type=_seed_count, default=10)
     p_conv.add_argument(
         "--noise", choices=("projected", "gaussian", "none"), default="projected"
     )

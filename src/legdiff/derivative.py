@@ -9,6 +9,25 @@ Applying the induced coefficient map r times per axis turns the coefficients
 of a bivariate series into the coefficients of its mixed derivative of order
 (r, r), exactly and in closed form.  One step sums each parity class from the
 top degree down, so it costs one pass over the coefficients.
+
+On both axes of a hyperbolic-cross array the map can skip the cross's zero
+corner: every entry of ``values[a:, b:]`` is zero, with a, b about sqrt(r n)
+(:meth:`IndexDomain.zero_corner`).  :meth:`DerivativeExpansion.apply_both`
+then derives two blocks along the first axis, the left block
+``values[:, :b]`` (every row) and the top block ``values[:a, b:]``.  Along the
+second axis it derives the top a - r rows of that result, full width, and the
+remaining rows of the left block, and writes both into one zero-filled
+output.  At n = 300 the steps see 54,602 entries instead of 358,202.
+
+The result is the dense map's, bit for bit.  Below a column's last nonzero
+the dense cumsum adds only exact zeros, so starting it at the block's edge
+gives the same floats.  The one exception is the sign of a zero: an input
+-0.0 at a block edge can turn an exactly-zero result entry from +0.0 into
+-0.0, or back.
+
+The blocks take twice as many steps, each on a smaller array, so they pay
+only from about 80 rows on; :func:`legdiff.method.run` passes the corner from
+there (its docstring has the measurement).
 """
 
 from __future__ import annotations
@@ -49,6 +68,17 @@ def _step(a: np.ndarray) -> np.ndarray:
         suffix[parity::2] = np.cumsum(rows[::-1], axis=0)[::-1]
     # k > l with k+l odd means k runs over l+1, l+3, ...
     return 2.0 * scale[:-1, None] * suffix[1:]
+
+
+def _steps(a: np.ndarray, r: int) -> np.ndarray:
+    """r derivative steps along axis 0 of a 2-D array, unchecked.
+
+    Each step drops one degree, so after a.shape[0] steps nothing is left.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(min(r, a.shape[0])):
+            a = _step(a)
+    return a
 
 
 def phi_derivative_coeffs(k: int, r: int) -> np.ndarray:
@@ -102,17 +132,52 @@ class DerivativeExpansion:
                 f"expected {self.max_degree + 1} coefficients along axis 0 of a "
                 f"1-D or 2-D array, got shape {a.shape}"
             )
-        out = a if a.ndim == 2 else a[:, None]
-        # Each step drops one degree, so after max_degree + 1 steps nothing is left.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(min(self.r, self.max_degree + 1)):
-                out = _step(out)
+        out = self._checked(_steps(a if a.ndim == 2 else a[:, None], self.r))
+        return out if a.ndim == 2 else out[:, 0]
+
+    def apply_both(
+        self, values: np.ndarray, corner: tuple[int, int] | None = None
+    ) -> np.ndarray:
+        """The map on both axes of a square array, ``S_r values S_r^T``, a fresh array.
+
+        Without ``corner`` this is ``apply(apply(values).T).T``.  With a zero
+        corner (a, b) of ``values``, r < a, b <= max_degree and
+        ``values[a:, b:]`` all zero, as outside a hyperbolic cross
+        (:meth:`IndexDomain.zero_corner` gives it), the map touches only the
+        two blocks outside the corner (see the module docstring), and the
+        result is the dense map's bit for bit, up to the sign of exact zeros.
+        Any other corner raises ValueError.  A result, or the intermediate
+        after the first axis, that is not finite in float64 raises ValueError
+        naming max_degree.
+        """
+        side = self.max_degree + 1
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != (side, side):
+            raise ValueError(f"expected a {side} x {side} array, got shape {values.shape}")
+        if corner is None:
+            return self.apply(self.apply(values).T).T
+        r = self.r
+        a, b = corner
+        if not (r < a < side and r < b < side) or values[a:, b:].any():
+            raise ValueError(
+                f"{corner} is not a zero corner of a {side} x {side} array "
+                f"for a derivative of order {r}"
+            )
+        left = self._checked(_steps(values[:, :b], r))
+        top = self._checked(_steps(values[:a, b:], r))
+        out = np.zeros((side - r, side - r))
+        out[: a - r] = _steps(np.concatenate((left[: a - r], top), axis=1).T, r).T
+        out[a - r :, : b - r] = _steps(left[a - r :].T, r).T
+        return self._checked(out)
+
+    def _checked(self, out: np.ndarray) -> np.ndarray:
+        """``out``, or ValueError if it is not finite in float64."""
         if not np.isfinite(out).all():
             raise ValueError(
                 f"the order r={self.r} derivative of degree-{self.max_degree} "
                 "coefficients is not finite in float64"
             )
-        return out if a.ndim == 2 else out[:, 0]
+        return out
 
     def matrix(self) -> np.ndarray:
         """Dense (max_degree+1-r) x (max_degree+1) matrix of the r-step map."""

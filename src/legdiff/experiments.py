@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import BivariateFunction, CoeffField, exact_coeffs, trapezoid_coeffs
-from .method import MethodConfig, choose_n, run
+from .method import MethodConfig, _check_mu, choose_n, run
 from .metrics import _check_m, error_report
 from .noise import NoiseSpec, perturb
 
@@ -349,6 +349,7 @@ def run_table(
 
 def theoretical_exponent(mu: float, r: int, s: float, p: float) -> float:
     """Square-mean rate exponent (mu - 2r + 1/s - 1/2) / (mu - 1/p + 1/s)."""
+    _check_mu(mu)
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
     return (mu - 2.0 * r + 1.0 / s - 0.5) / (mu - inv_p + 1.0 / s)
 

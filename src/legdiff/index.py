@@ -71,6 +71,25 @@ class IndexDomain:
             return np.full(k.size, self.r - 1)
         return np.minimum(self.n - 1, budget // k)
 
+    def zero_corner(self) -> tuple[int, int] | None:
+        """A corner (a, b) of the mask holding no member: k >= a, j >= b.
+
+        Of the cross's corners with rows a.. and columns b.. inside the
+        n x n mask, the one leaving the smallest rest ``n*(a + b) - a*b``.
+        Row a is the widest row at or below a, so b is its top plus one;
+        for r >= 1 both a and b exceed r.  None for the box, which has no
+        zero corner, and for a cross too small to have one.
+        """
+        if self.shape != "cross":
+            return None
+        a = np.arange(self.r, self.n)
+        b = self._cross_tops() + 1
+        rest = self.n * (a + b) - a * b  # n^2, the most, where b = n
+        best = int(np.argmin(rest))
+        if b[best] >= self.n:
+            return None
+        return int(a[best]), int(b[best])
+
     def members(self) -> list[tuple[int, int]]:
         """All index pairs in lexicographic (k, j) order."""
         if self.shape == "cross":

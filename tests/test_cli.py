@@ -107,6 +107,15 @@ class TestDifferentiate:
             f"error: rule constant {constant} must be finite and positive"
         ]
 
+    def test_non_finite_mu_is_usage_error(self, capsys):
+        code = main(
+            ["differentiate", "--builtin", "f1", "--mu", "inf", "--delta", "1e-6", "--grid", "3"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: smoothness mu=inf must be finite"]
+
     def test_missing_mu_is_usage_error(self, capsys):
         assert main(["differentiate", "--builtin", "f1"]) == 2
         capsys.readouterr()
@@ -245,6 +254,44 @@ class TestDifferentiate:
         assert "r=80 derivative of degree-399" in captured.err
 
 
+class TestSeedCount:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "--preset", "table1"],
+            ["convergence", "--builtin", "f2", "--mu", "6", "--deltas", "1e-4:1e-7:3",
+             "--noise", "none"],
+        ],
+        ids=["experiment", "convergence"],
+    )
+    def test_seed_count_bound_is_inclusive(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr("legdiff.cli.MAX_SEED_COUNT", 2)
+        assert main(argv + ["--seeds", "2"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--seeds", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seeds: must be between 1 and 2" in captured.err
+
+    @pytest.mark.parametrize("subcommand", ["experiment", "convergence"])
+    @pytest.mark.parametrize("count", ["0", "1001", "1000000000"])
+    def test_out_of_range_seed_count_is_usage_error_before_running(
+        self, subcommand, count, capsys
+    ):
+        args = {
+            "experiment": ["--preset", "table1"],
+            "convergence": ["--builtin", "f2", "--mu", "6", "--deltas", "1e-5:1e-9:3"],
+        }[subcommand]
+        start = time.perf_counter()
+        code = main([subcommand, *args, "--seeds", count])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--seeds: must be between 1 and 1000" in captured.err
+        assert elapsed < 1.0
+
+
 class TestExperiment:
     def test_unknown_preset_is_usage_error(self, capsys):
         assert main(["experiment", "--preset", "bogus"]) == 2
@@ -350,6 +397,16 @@ class TestConvergence:
         assert "count must be between 2 and 1000" in captured.err
         assert captured.out == ""
         assert elapsed < 1.0
+
+    def test_non_finite_mu_is_usage_error(self, capsys):
+        code = main(
+            ["convergence", "--builtin", "f2", "--mu", "inf", "--deltas", "1e-5:1e-9:3",
+             "--seeds", "1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: smoothness mu=inf must be finite"]
 
     def test_delta_count_bound_is_inclusive(self, monkeypatch, capsys):
         monkeypatch.setattr("legdiff.cli.MAX_DELTA_COUNT", 3)

@@ -247,6 +247,30 @@ class TestDerivativeExpansion:
                 np.testing.assert_array_equal(column, mat[: column.size, k])
                 np.testing.assert_array_equal(mat[column.size :, k], 0.0)
 
+    def test_apply_both_without_corner_is_the_dense_map(self):
+        values = np.random.default_rng(4).standard_normal((90, 90))
+        expansion = DerivativeExpansion(2, 89)
+        dense = expansion.apply(expansion.apply(values).T).T
+        assert expansion.apply_both(values).tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize(
+        "corner", [(2, 30), (30, 2), (90, 30), (30, 90), (28, 29)],
+        ids=["a=r", "b=r", "a=side", "b=side", "nonzero"],
+    )
+    def test_apply_both_rejects_what_is_no_zero_corner(self, corner):
+        values = np.zeros((90, 90))
+        values[:30, :30] = 1.0
+        values[29, 29] = -0.0  # a signed zero still counts as zero
+        expansion = DerivativeExpansion(2, 89)
+        for zero_corner in ((30, 30), (29, 29)):
+            assert expansion.apply_both(values, zero_corner).shape == (88, 88)
+        with pytest.raises(ValueError, match="not a zero corner"):
+            expansion.apply_both(values, corner)
+
+    def test_apply_both_needs_a_square_array_of_its_degree(self):
+        with pytest.raises(ValueError, match="90 x 90"):
+            DerivativeExpansion(2, 89).apply_both(np.zeros((90, 91)))
+
     def test_shape_validation(self):
         exp = DerivativeExpansion(r=1, max_degree=4)
         with pytest.raises(ValueError):

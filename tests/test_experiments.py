@@ -11,7 +11,7 @@ from legdiff.basis import composite_gauss_rule
 from legdiff.coeffs import BivariateFunction, exact_coeffs, smoothness_norm, trapezoid_coeffs
 from legdiff.coeffs import _trapezoid_rule
 from legdiff.index import IndexDomain
-from legdiff.method import MethodConfig, run
+from legdiff.method import ConfigError, MethodConfig, run
 from legdiff.metrics import l2_error, sup_error
 from legdiff.coeffs import CoeffField
 from legdiff.noise import NoiseSpec, perturb
@@ -478,6 +478,11 @@ class TestTheoreticalExponent:
     def test_infinite_p(self):
         assert theoretical_exponent(6.0, 2, 2.0, np.inf) == pytest.approx(4.0 / 13.0)
 
+    @pytest.mark.parametrize("mu", [np.inf, np.nan])
+    def test_rejects_non_finite_mu(self, mu):
+        with pytest.raises(ConfigError, match="must be finite"):
+            theoretical_exponent(mu, 2, 2.0, 2.0)
+
 
 class TestConvergenceSweep:
     def test_rejects_short_grid(self):
@@ -525,6 +530,18 @@ class TestConvergenceSweep:
             convergence_sweep(
                 counted, 6.0, 2, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8), metric_m=10
             )
+        assert calls == []
+
+    def test_rejects_non_finite_mu_before_projecting(self):
+        calls = []
+
+        def value(t, tau):
+            calls.append(np.broadcast_shapes(np.shape(t), np.shape(tau)))
+            return f2(t, tau)
+
+        counted = BivariateFunction(value=value, d22=f2_d22, name="f2_counted")
+        with pytest.raises(ConfigError, match="mu=inf must be finite"):
+            convergence_sweep(counted, np.inf, 2, 2.0, 2.0, deltas=(1e-5, 1e-7, 1e-9))
         assert calls == []
 
     def test_rejects_nonpositive_seeds(self):

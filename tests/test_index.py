@@ -87,6 +87,14 @@ class TestCross:
     def test_max_degree(self):
         assert IndexDomain.cross(2, 19).max_degree() == (18, 18)
 
+    def test_zero_corner(self):
+        # At n = 300 row 24 holds j <= 24 (24 * 25 > 599), so columns 25.. of
+        # rows 24.. are empty.
+        assert IndexDomain.cross(2, 300).zero_corner() == (24, 25)
+        assert IndexDomain.cross(2, 5).zero_corner() == (3, 4)
+        # Cross(1, 2) is the single pair (1, 1): no corner inside the mask.
+        assert IndexDomain.cross(1, 2).zero_corner() is None
+
 
 class TestBox:
     def test_box_2_3_members(self):
@@ -106,6 +114,9 @@ class TestBox:
 
     def test_max_degree(self):
         assert IndexDomain.box(2, 19).max_degree() == (19, 19)
+
+    def test_has_no_zero_corner(self):
+        assert IndexDomain.box(2, 19).zero_corner() is None
 
 
 def test_unknown_shape_rejected():

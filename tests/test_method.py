@@ -1,12 +1,15 @@
 """Parameter-choice rule, method configuration, and the truncation method itself."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from legdiff import derivative
 from legdiff.basis import legendre_table
 from legdiff.coeffs import MAX_DENSE_ENTRIES, CoeffField
+from legdiff.derivative import DerivativeExpansion
 from legdiff.index import IndexDomain
 from legdiff.method import (
     ApproxDerivative,
@@ -56,6 +59,11 @@ class TestChooseN:
         with pytest.raises(ConfigError, match="rule constant"):
             choose_n(1e-6, 5.5, rule_constant=constant)
 
+    @pytest.mark.parametrize("mu", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_mu(self, mu):
+        with pytest.raises(ConfigError, match="must be finite"):
+            choose_n(1e-6, mu)
+
     def test_floor_at_r_plus_two(self):
         # Large delta would give a tiny level; the floor keeps n usable.
         assert choose_n(0.5, 6.0, r=2) == 4
@@ -98,6 +106,12 @@ class TestMethodConfig:
         # With n given nothing reads the constant, so the config must check it.
         with pytest.raises(ConfigError, match="rule constant"):
             MethodConfig(r=2, mu=5.5, delta=1e-7, n_override=n_override, rule_constant=constant)
+
+    @pytest.mark.parametrize("mu", [math.inf, math.nan])
+    @pytest.mark.parametrize("n_override", [None, 11])
+    def test_rejects_non_finite_mu(self, mu, n_override):
+        with pytest.raises(ConfigError, match=f"mu={mu} must be finite"):
+            MethodConfig(r=2, mu=mu, delta=1e-6, n_override=n_override)
 
     def test_rejects_smoothness_at_or_below_bound(self):
         # r=2, s=2 requires mu > 4 - 1/2 + 1/2 = 4; equality must fail too.
@@ -255,6 +269,72 @@ class TestRun:
         np.testing.assert_array_equal(
             one.series.coeffs, two.series.coeffs
         )
+
+
+def _step_shapes(monkeypatch) -> list[tuple[int, ...]]:
+    """The shapes every derivative step sees from now on, in call order."""
+    shapes = []
+    step = derivative._step
+
+    def spy(a):
+        shapes.append(a.shape)
+        return step(a)
+
+    monkeypatch.setattr(derivative, "_step", spy)
+    return shapes
+
+
+def _dense_map(values: np.ndarray, r: int) -> np.ndarray:
+    """S_r values S_r^T by the dense map on both axes."""
+    expansion = DerivativeExpansion(r, values.shape[0] - 1)
+    return expansion.apply(expansion.apply(values).T).T
+
+
+class TestStaircase:
+    """run() derives only the two blocks outside the cross's zero corner."""
+
+    def test_large_cross_never_steps_the_full_array(self, monkeypatch):
+        config = MethodConfig(r=2, mu=5.5, delta=0.0, n_override=300)
+        domain = config.domain()
+        a, b = domain.zero_corner()
+        masked = CoeffField.from_dense(
+            np.random.default_rng(8).standard_normal((300, 300))
+        ).restrict(domain)
+        shapes = _step_shapes(monkeypatch)
+        derived = run(masked, config).series.coeffs
+        assert len(shapes) == 8  # two steps on each of four blocks
+        assert max(min(shape) for shape in shapes) == max(a, b)
+        blocks = sum(math.prod(shape) for shape in shapes)
+        del shapes[:]
+        assert derived.tobytes() == _dense_map(masked.values, 2).tobytes()
+        assert shapes[0] == (300, 300)
+        assert 5 * blocks < sum(math.prod(shape) for shape in shapes)
+
+    @pytest.mark.parametrize("n", [5, 19, 24, 31])
+    def test_table_levels_keep_the_dense_map(self, monkeypatch, n):
+        config = MethodConfig(r=2, mu=5.5, delta=0.0, n_override=n)
+        field = CoeffField.from_dense(np.ones((n, n)))
+        shapes = _step_shapes(monkeypatch)
+        run(field, config)
+        assert shapes == [(n, n), (n - 1, n), (n, n - 2), (n - 1, n - 2)]
+
+    @pytest.mark.parametrize(
+        "value", [1e308, 1e307], ids=["first-axis", "second-axis"]
+    )
+    def test_overflow_in_the_top_block_names_the_full_degree(self, value):
+        # The member (2, 299) lies in the top block, right of column b = 25.
+        # The first axis scales it by about 6.7, so 1e308 overflows there and
+        # 1e307 only along the second axis.
+        config = MethodConfig(r=2, mu=5.5, delta=0.0, n_override=300)
+        assert config.domain().zero_corner() == (24, 25)
+        values = np.zeros((300, 300))
+        values[2, 299] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="r=2 derivative of degree-299 "):
+                run(CoeffField.from_dense(values), config)
+            values[2, 299] = value / 1e8
+            assert np.isfinite(run(CoeffField.from_dense(values), config).series.coeffs).all()
 
 
 def _random_inputs(seed):

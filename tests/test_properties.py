@@ -3,12 +3,14 @@
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legdiff import method
 from legdiff.coeffs import CoeffField, _parse_rows, _scan_rows, load_csv, save_csv
 from legdiff.derivative import DerivativeExpansion
 from legdiff.index import IndexDomain
@@ -55,6 +57,67 @@ def test_cross_membership_matches_brute_force(r, n):
     }
     assert members == brute
     assert IndexDomain.cross(r, n).cardinality() == len(brute)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.integers(1, 4), n=st.integers(2, 60), shape=_shapes)
+def test_zero_corner_is_the_cheapest_empty_corner(r, n, shape):
+    n = _level(r, n)
+    domain = IndexDomain(shape, r, n)
+    mask = domain.mask()
+    side = mask.shape[0]
+    rests = {
+        (a, b): side * (a + b) - a * b
+        for a in range(side)
+        for b in range(side)
+        if not mask[a:, b:].any()
+    }
+    corner = domain.zero_corner()
+    if not rests:  # always so for the box
+        assert corner is None
+        return
+    assert corner in rests
+    assert rests[corner] == min(rests.values())
+    assert corner[0] > r and corner[1] > r
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    r=st.integers(1, 3),
+    n=st.one_of(st.integers(2, 40), st.integers(70, 160)),
+    shape=_shapes,
+    seed=st.integers(0, 2**32 - 1),
+    zero_share=st.sampled_from([0.0, 0.3, 0.9]),
+    zero=st.sampled_from([0.0, -0.0]),
+    blocks_at_every_size=st.booleans(),
+)
+def test_run_derives_the_staircase_as_the_dense_map(
+    r, n, shape, seed, zero_share, zero, blocks_at_every_size
+):
+    # Byte for byte, except that a -0.0 at a block edge may flip the sign of
+    # an exactly-zero result (see the legdiff.derivative docstring).
+    n = _level(r, n)
+    config = _config(r, n, shape)
+    rng = np.random.default_rng(seed)
+    values = _random_field(rng, config, extra=3).to_dense()
+    values[rng.random(values.shape) < zero_share] = zero
+    field = CoeffField.from_dense(values)
+    domain = config.domain()
+    masked = field.restrict(domain).values
+    expansion = DerivativeExpansion(r, masked.shape[0] - 1)
+    dense = expansion.apply(expansion.apply(masked).T).T
+    min_side = 0 if blocks_at_every_size else method._BLOCKS_MIN_SIDE
+    with mock.patch.object(method, "_BLOCKS_MIN_SIDE", min_side):
+        derived = _derived(field, config)
+    assert derived.shape == dense.shape
+    if np.signbit(masked[masked == 0.0]).any():
+        assert np.array_equal(derived, dense)
+    else:
+        assert derived.tobytes() == dense.tobytes()
+    corner = domain.zero_corner()
+    if corner is not None:
+        a, b = corner
+        assert not derived[a - r :, b - r :].any()
 
 
 @settings(max_examples=40, deadline=None)
