@@ -8,9 +8,9 @@ Values come from the stable three-term recurrence
 
 and every series evaluation on a tensor grid is the one product
 :func:`grid_product` of the axes' tables.  It multiplies densely, or, once the
-dense product needs at least 2**22 multiply-adds and the coefficients have an
-exactly zero corner that makes it cheaper, as one low-rank product past that
-corner (a derived hyperbolic-cross series has one).
+dense product needs at least 2**22 multiply-adds and a given exactly zero
+corner of the coefficients makes it cheaper, as one low-rank product past
+that corner (a derived hyperbolic-cross series carries one).
 """
 
 from __future__ import annotations
@@ -97,65 +97,43 @@ def legendre_table(k_max: int, t: np.ndarray) -> np.ndarray:
 _FACTOR_MIN_MULADDS = 2**22
 
 
-def _corner_split(coeffs: np.ndarray, n_t: int, n_tau: int) -> tuple[int, int] | None:
-    """The zero corner (a, b) that makes :func:`grid_product` cheapest, or None.
-
-    None unless the dense product needs at least ``_FACTOR_MIN_MULADDS``
-    multiply-adds and some nonempty corner ``coeffs[a:, b:]`` is exactly zero
-    (``-0.0`` counts as zero) with a smaller factorized count
-    ``n_t*n_tau*(a+b) + n_t*(K-a)*b + a*J*n_tau``.  For each a, b is the width
-    of the widest row at or below a.
-    """
-    K, J = coeffs.shape
-    dense = n_t * K * J + n_t * J * n_tau
-    if dense < _FACTOR_MIN_MULADDS:
-        return None
-    nonzero = coeffs != 0.0
-    widths = np.where(nonzero.any(axis=1), J - np.argmax(nonzero[:, ::-1], axis=1), 0)
-    b = np.maximum.accumulate(widths[::-1])[::-1]
-    a = np.arange(K, dtype=np.int64)
-    muladds = n_t * n_tau * (a + b) + n_t * (K - a) * b + a * J * n_tau
-    muladds[b == J] = dense  # no nonempty zero corner at this a
-    best = int(np.argmin(muladds))
-    if muladds[best] >= dense:
-        return None
-    return best, int(b[best])
-
-
-def grid_product(table_t: np.ndarray, coeffs: np.ndarray, table_tau: np.ndarray) -> np.ndarray:
+def grid_product(
+    table_t: np.ndarray, coeffs: np.ndarray, table_tau: np.ndarray, corner=None
+) -> np.ndarray:
     """Series values on a tensor grid from its axes' Legendre tables, a fresh array.
 
     Every grid evaluation goes through here, so the product order is fixed in
-    this one place.  Two branches, chosen from the shapes and the zero pattern
-    of ``coeffs`` alone:
+    this one place.  Two branches, chosen from the shapes and ``corner`` alone:
 
     - dense, ``table_t.T @ coeffs @ table_tau``;
-    - factorized, when :func:`_corner_split` finds a zero corner
-      ``coeffs[a:, b:] == 0`` that pays, as a derived hyperbolic-cross series
-      has (at n = 300 a 298 x 298 array splits at (22, 23)).  Then the
-      product is the one rank-(a+b) product ``L @ R`` with
+    - factorized, when ``corner`` = (a, b) names a zero corner
+      ``coeffs[a:, b:] == 0`` (unchecked; a derived hyperbolic-cross series
+      carries one, at n = 300 (22, 23) of a 298 x 298 array) whose count
+      ``n_t*n_tau*(a+b) + n_t*(K-a)*b + a*J*n_tau`` is below the dense one.
+      Then the product is the one rank-(a+b) product ``L @ R`` with
       ``L = [table_t[:a].T | table_t[a:].T @ coeffs[a:, :b]]`` and
       ``R = [coeffs[:a] @ table_tau ; table_tau[:b]]``.  The identity is exact;
       only the grouping of the rounding changes.
 
     Products under 2**22 multiply-adds stay dense.  Measured on derived cross
     series with one BLAS thread (2-vCPU Xeon, OpenBLAS 0.3.31, min of 41),
-    the factorized branch, zero scan included, loses below about 1M
-    multiply-adds (n = 19 on 192/201 nodes: 41 us against 22-24 us), breaks
-    even around 1.3-1.9M (n = 31 on 201 nodes: 47 against 50 us; n = 200 on
-    41 nodes: 80 against 81 us) and wins from about 2M (n = 48 on 201 nodes:
-    54 against 76 us).  Under 2**22 the dense product takes at most about
-    0.2 ms, so the threshold forgoes tens of microseconds at most, and the
-    pinned table and CLI outputs, whose products stay under 2M, keep their
-    bytes.
+    the factorized branch, with the n^2 zero scan that then found the corner,
+    lost below about 1M multiply-adds (n = 19 on 201 nodes: 41 against
+    22-24 us), broke even around 1.3-1.9M (n = 31 on 201 nodes: 47 against
+    50 us) and won from about 2M (n = 48 on 201 nodes: 54 against 76 us).
+    Under 2**22 the dense product takes at most about 0.2 ms, and the pinned
+    table and CLI outputs, whose products stay under 2M, keep their bytes.
     """
-    split = _corner_split(coeffs, table_t.shape[1], table_tau.shape[1])
-    if split is None:
-        return table_t.T @ coeffs @ table_tau
-    a, b = split
-    left = np.concatenate((table_t[:a].T, table_t[a:].T @ coeffs[a:, :b]), axis=1)
-    right = np.concatenate((coeffs[:a] @ table_tau, table_tau[:b]))
-    return left @ right
+    n_t, n_tau = table_t.shape[1], table_tau.shape[1]
+    K, J = coeffs.shape
+    dense = n_t * K * J + n_t * J * n_tau
+    if corner is not None and dense >= _FACTOR_MIN_MULADDS:
+        a, b = corner
+        if n_t * n_tau * (a + b) + n_t * (K - a) * b + a * J * n_tau < dense:
+            left = np.concatenate((table_t[:a].T, table_t[a:].T @ coeffs[a:, :b]), axis=1)
+            right = np.concatenate((coeffs[:a] @ table_tau, table_tau[:b]))
+            return left @ right
+    return table_t.T @ coeffs @ table_tau
 
 
 def _check_in_domain(t: np.ndarray) -> None:

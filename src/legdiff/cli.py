@@ -152,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--preset", choices=PRESET_NAMES, required=True)
     p_exp.add_argument(
         "--seeds", type=_seed_count, default=None,
-        help="seed count for stochastic presets (default: preset's own)",
+        help="seed count, gaussian presets only (default: preset's own)",
     )
     p_exp.add_argument("--out", help="write the table CSV here instead of stdout")
     p_exp.set_defaults(func=cmd_experiment)
@@ -251,6 +251,8 @@ def cmd_differentiate(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     preset = get_preset(args.preset)
+    if args.seeds is not None and preset.noise != "gaussian":
+        raise UsageError(f"--seeds applies to gaussian presets only, not {args.preset}")
     rows = run_table(preset, seeds=args.seeds)
     _write_text(args.out, rows_to_csv(rows))
     return 0

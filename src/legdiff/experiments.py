@@ -313,8 +313,9 @@ def run_table(
 ) -> list[ExperimentRow]:
     """All rows of one experiment table, in preset order.
 
-    Stochastic presets produce one row per (delta, seed) followed by a
-    per-delta median row; deterministic presets produce one row per delta.
+    Gaussian presets produce one row per (delta, seed), for ``seeds`` seeds
+    (gaussian presets only), followed by a per-delta median row;
+    deterministic presets produce one row per delta.
     The output is a pure function of (preset, seeds, domain_shape).
     """
     rows: list[ExperimentRow] = []

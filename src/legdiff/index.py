@@ -15,10 +15,14 @@ runs are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = ["IndexDomain", "pairs_mask"]
+
+#: Distinct domains whose zero corner :meth:`IndexDomain.zero_corner` keeps.
+_ZERO_CORNERS_CACHED = 256
 
 
 def pairs_mask(pairs) -> np.ndarray:
@@ -71,6 +75,7 @@ class IndexDomain:
             return np.full(k.size, self.r - 1)
         return np.minimum(self.n - 1, budget // k)
 
+    @lru_cache(maxsize=_ZERO_CORNERS_CACHED)
     def zero_corner(self) -> tuple[int, int] | None:
         """A corner (a, b) of the mask holding no member: k >= a, j >= b.
 
@@ -78,7 +83,7 @@ class IndexDomain:
         n x n mask, the one leaving the smallest rest ``n*(a + b) - a*b``.
         Row a is the widest row at or below a, so b is its top plus one;
         for r >= 1 both a and b exceed r.  None for the box, which has no
-        zero corner, and for a cross too small to have one.
+        zero corner, and for a cross too small to have one; cached by value.
         """
         if self.shape != "cross":
             return None

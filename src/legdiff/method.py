@@ -130,22 +130,30 @@ class LegendreSeries2D:
     """The series sum c_{k,j} phi_k(t) phi_j(tau) of a coefficient array.
 
     ``coeffs`` is a read-only, C-contiguous, nonempty 2-D float64 array of
-    shape (k_max + 1, j_max + 1).
+    shape (k_max + 1, j_max + 1).  ``zero_corner`` (a, b), if given, is a
+    corner with 0 <= a <= k_max, 0 <= b <= j_max and ``coeffs[a:, b:]`` all
+    zero (``-0.0`` too) that grid evaluations may skip; any other corner
+    raises ValueError.
     """
 
     coeffs: np.ndarray
+    zero_corner: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         coeffs = np.ascontiguousarray(self.coeffs, dtype=np.float64)
         if coeffs.ndim != 2 or coeffs.size == 0:
             raise ValueError("coefficient array must be 2-D and nonempty")
+        if self.zero_corner is not None:
+            a, b = self.zero_corner
+            if not (0 <= a < coeffs.shape[0] and 0 <= b < coeffs.shape[1]) or coeffs[a:, b:].any():
+                raise ValueError(f"{self.zero_corner} is not a zero corner of the coefficients")
         object.__setattr__(self, "coeffs", _read_only(coeffs))
 
     def eval_grid(self, t: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Series values on the tensor grid t x tau, shape (len(t), len(tau))."""
         table_t = eval_phi_table(self.coeffs.shape[0] - 1, t)
         table_tau = eval_phi_table(self.coeffs.shape[1] - 1, tau)
-        return grid_product(table_t, self.coeffs, table_tau)
+        return grid_product(table_t, self.coeffs, table_tau, self.zero_corner)
 
     def eval_points(self, t: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Series values at paired points (t_i, tau_i)."""
@@ -221,28 +229,32 @@ def run(field_perturbed: CoeffField, config: MethodConfig) -> ApproxDerivative:
     map serves both axes.  Entries of ``field_perturbed`` outside the domain
     are ignored; domain pairs missing from the field count as exact zeros.
 
-    On a cross from n = ``_BLOCKS_MIN_SIDE`` = 80 on, the map skips the
-    domain's zero corner (:meth:`IndexDomain.zero_corner`) and derives only
-    the left block and the top block outside it, so its work follows the
-    staircase, not n^2.  The result keeps the dense map's bytes up to the
-    sign of exact zeros (see the :mod:`legdiff.derivative` docstring).
-    Smaller crosses, every table preset's (n <= 31) among them, and the box
-    take the dense map.  Measured with one BLAS thread (2-vCPU Xeon, NumPy
-    2.4.6, min of 41 in two host phases), the dense map against the blocks
-    at r = 2: n = 48 took 102-147 against 131-211 us, n = 64 138-197
-    against 143-224 us, n = 80 182-246 against 161-246 us, n = 100 259-326
-    against 183-272 us; r = 1 and r = 3 cross over between n = 64 and 72.
-    Past that the gain grows with n: 2.9-3.3 against 0.56-0.61 ms at
-    n = 300, 35-42 against 3.6-3.9 ms at n = 1000, 329 against 18 ms at
-    n = 2048 (min of 11).
+    On a cross the derived series carries the domain's zero corner
+    (:meth:`IndexDomain.zero_corner`) less r on each axis, which its grid
+    evaluations may skip.  From n = ``_BLOCKS_MIN_SIDE`` = 80 on, the map
+    skips the corner too and derives only the left block and the top block
+    outside it, so its work follows the staircase, not n^2.  The result
+    keeps the dense map's bytes up to the sign of exact zeros (see the
+    :mod:`legdiff.derivative` docstring).  Smaller crosses, every table
+    preset's (n <= 31) among them, and the box take the dense map.  Measured
+    with one BLAS thread (2-vCPU Xeon, NumPy 2.4.6, min of 41 in two host
+    phases), the dense map against the blocks at r = 2: n = 48 took 102-147
+    against 131-211 us, n = 64 138-197 against 143-224 us, n = 80 182-246
+    against 161-246 us, n = 100 259-326 against 183-272 us; r = 1 and r = 3
+    cross over between n = 64 and 72.  Past that the gain grows with n:
+    2.9-3.3 against 0.56-0.61 ms at n = 300, 35-42 against 3.6-3.9 ms at
+    n = 1000, 329 against 18 ms at n = 2048 (min of 11).
     """
     domain = config.domain()
     masked = field_perturbed.restrict(domain)
     expansion = DerivativeExpansion(config.r, masked.k_max)
-    corner = domain.zero_corner() if masked.k_max + 1 >= _BLOCKS_MIN_SIDE else None
-    derived = expansion.apply_both(masked.values, corner)
+    corner = domain.zero_corner()
+    blocks = corner if masked.k_max + 1 >= _BLOCKS_MIN_SIDE else None
+    derived = expansion.apply_both(masked.values, blocks)
+    if corner is not None:
+        corner = corner[0] - config.r, corner[1] - config.r
     return ApproxDerivative(
-        series=LegendreSeries2D(coeffs=derived),
+        series=LegendreSeries2D(derived, zero_corner=corner),
         config=config,
         n_used=domain.n,
         information_count=len(masked),

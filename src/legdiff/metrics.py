@@ -25,7 +25,7 @@ import numpy as np
 
 from .basis import grid_product, legendre_table
 from .coeffs import MAX_DENSE_ENTRIES, BivariateFunction
-from .method import ApproxDerivative
+from .method import ApproxDerivative, LegendreSeries2D
 
 __all__ = ["ErrorReport", "l2_error", "sup_error", "error_report"]
 
@@ -65,15 +65,16 @@ class _Grid:
     weights: tuple[np.ndarray, np.ndarray] | None = None
     tables: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
 
-    def diff(self, coeffs: np.ndarray) -> np.ndarray:
+    def diff(self, series: LegendreSeries2D) -> np.ndarray:
         """Series minus reference on this grid, a fresh array."""
+        coeffs = series.coeffs
         keys = (0, coeffs.shape[0] - 1), (int(self.tau is not self.t), coeffs.shape[1] - 1)
         # Tables of other degrees go before the new ones are built.
         self.tables = {key: self.tables[key] for key in keys if key in self.tables}
         for key, nodes in zip(keys, (self.t, self.tau)):
             if key not in self.tables:
                 self.tables[key] = legendre_table(key[1], nodes)
-        diff = grid_product(self.tables[keys[0]], coeffs, self.tables[keys[1]])
+        diff = grid_product(self.tables[keys[0]], coeffs, self.tables[keys[1]], series.zero_corner)
         diff -= self.values
         return diff
 
@@ -127,7 +128,7 @@ def l2_error(approx: ApproxDerivative, reference: BivariateFunction, G: int) -> 
     """
     coeffs = approx.series.coeffs
     grid = _grid(reference, "gauss", max(G, 2 * (max(coeffs.shape) - 1) + 8), _gauss)
-    diff = grid.diff(coeffs)
+    diff = grid.diff(approx.series)
     diff *= diff  # in place: no second grid-sized array
     weights_t, weights_tau = grid.weights
     quad = weights_t @ diff @ weights_tau
@@ -143,7 +144,7 @@ def sup_error(
     must not exceed :data:`~legdiff.coeffs.MAX_DENSE_ENTRIES` (m <= 2047).
     """
     _check_m(m)
-    diff = _grid(reference, "uniform", m, _uniform).diff(approx.series.coeffs)
+    diff = _grid(reference, "uniform", m, _uniform).diff(approx.series)
     return float(np.max(np.abs(diff, out=diff)))
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from legdiff import basis
 from legdiff.basis import (
     QuadratureRule,
-    _corner_split,
     composite_gauss_rule,
     eval_phi_row,
     eval_phi_table,
@@ -21,7 +20,7 @@ from legdiff.basis import (
     legendre_table,
 )
 from legdiff.coeffs import exact_coeffs
-from legdiff.experiments import F1
+from legdiff.experiments import F1, F2
 from legdiff.method import MethodConfig, run
 
 
@@ -188,10 +187,10 @@ class TestCompositeGaussRule:
             composite_gauss_rule(8, edges=(-1.0, 0.5, 0.2, 1.0))
 
 
-def _cross_series(n: int) -> np.ndarray:
-    """The derived (r = 2) coefficients of F1 on the hyperbolic cross at level n."""
+def _cross_series(n: int):
+    """The derived (r = 2) series of F1 on the hyperbolic cross at level n."""
     config = MethodConfig(r=2, mu=5.5, delta=0.0, n_override=n)
-    return run(exact_coeffs(F1, n - 1, n - 1, G=2 * (n - 1) + 16), config).series.coeffs
+    return run(exact_coeffs(F1, n - 1, n - 1, G=2 * (n - 1) + 16), config).series
 
 
 def _oracle(table_t, coeffs, table_tau) -> np.ndarray:
@@ -215,104 +214,93 @@ def _rounding_bound(table_t, coeffs, table_tau, split) -> np.ndarray:
     return np.finfo(np.float64).eps * (max(coeffs.shape) + a + b) * size
 
 
-def _best_split_by_search(coeffs: np.ndarray, n_t: int, n_tau: int):
-    """Every nonempty exactly-zero corner tried in turn; the cheapest, if it pays."""
-    K, J = coeffs.shape
-    best = None
-    for a in range(K):
-        cols = np.nonzero(coeffs[a:])[1]
-        b = int(cols.max()) + 1 if cols.size else 0
-        if b == J:
-            continue
-        muladds = n_t * n_tau * (a + b) + n_t * (K - a) * b + a * J * n_tau
-        if best is None or muladds < best[0]:
-            best = (muladds, a, b)
-    if best is None or best[0] >= n_t * K * J + n_t * J * n_tau:
-        return None
-    return best[1:]
-
-
 class TestGridProduct:
     @pytest.fixture(scope="class")
     def cross_300(self):
         """B at n = 300 and the tables of the 1204-node Gauss grid its L2 error uses."""
-        coeffs = _cross_series(300)
+        series = _cross_series(300)
         rule_t, rule_tau = F1.derivative_function().gauss_rules(2 * 297 + 8)
-        degree = coeffs.shape[0] - 1
-        return coeffs, legendre_table(degree, rule_t.nodes), legendre_table(degree, rule_tau.nodes)
+        degree = series.coeffs.shape[0] - 1
+        tables = legendre_table(degree, rule_t.nodes), legendre_table(degree, rule_tau.nodes)
+        return series, *tables
 
     def test_cross_at_n300_matches_long_double_oracle(self, cross_300):
-        coeffs, table_t, table_tau = cross_300
-        split = _corner_split(coeffs, table_t.shape[1], table_tau.shape[1])
-        assert split == (22, 23)
-        assert not np.any(coeffs[22:, 23:])
-        values = grid_product(table_t, coeffs, table_tau)
+        series, table_t, table_tau = cross_300
+        coeffs = series.coeffs
+        assert series.zero_corner == (22, 23)
+        values = grid_product(table_t, coeffs, table_tau, (22, 23))
         rows = np.r_[0:1204:29, 1203]  # both ends and a spread of interior nodes
         cols = np.r_[0:1204:31, 1203]
         sub_t, sub_tau = table_t[:, rows], table_tau[:, cols]
         error = np.abs(values[np.ix_(rows, cols)] - _oracle(sub_t, coeffs, sub_tau))
-        assert np.all(error <= _rounding_bound(sub_t, coeffs, sub_tau, split))
+        assert np.all(error <= _rounding_bound(sub_t, coeffs, sub_tau, (22, 23)))
+
+    def test_f2_r3_at_n100_matches_long_double_oracle(self):
+        # The grid of `legdiff differentiate --builtin f2 --r 3 --n 100 --grid 201`.
+        config = MethodConfig(r=3, mu=8.5, delta=0.0, n_override=100)
+        series = run(exact_coeffs(F2, 99, 99), config).series
+        coeffs, corner = series.coeffs, series.zero_corner
+        assert corner == (14, 15)
+        table = legendre_table(coeffs.shape[0] - 1, np.linspace(-1.0, 1.0, 201))
+        assert 201 * coeffs.size + 201 * coeffs.shape[1] * 201 >= 2**22  # factorized
+        error = np.abs(grid_product(table, coeffs, table, corner) - _oracle(table, coeffs, table))
+        assert np.all(error <= _rounding_bound(table, coeffs, table, corner))
 
     @pytest.mark.parametrize(
         "n, nodes",
         [(31, 201), (200, 41), (300, 41)],  # table1's largest, cli_csv's, just under 2**22
     )
     def test_products_under_threshold_stay_dense(self, n, nodes):
-        coeffs = _cross_series(n)
+        series = _cross_series(n)
+        coeffs = series.coeffs
         table = legendre_table(coeffs.shape[0] - 1, np.linspace(-1.0, 1.0, nodes))
         assert nodes * coeffs.size + nodes * coeffs.shape[1] * nodes < 2**22
-        assert grid_product(table, coeffs, table).tobytes() == (table.T @ coeffs @ table).tobytes()
+        assert (
+            grid_product(table, coeffs, table, series.zero_corner).tobytes()
+            == (table.T @ coeffs @ table).tobytes()
+        )
+
+    def test_corner_that_does_not_pay_stays_dense(self, cross_300):
+        series, table_t, table_tau = cross_300
+        coeffs = series.coeffs
+        K, J = coeffs.shape
+        assert not coeffs[K - 1 :, J - 1 :].any()  # a zero corner, but too small to pay
+        assert (
+            grid_product(table_t, coeffs, table_tau, (K - 1, J - 1)).tobytes()
+            == (table_t.T @ coeffs @ table_tau).tobytes()
+        )
 
     def test_box_stays_dense(self):
         rng = np.random.default_rng(5)
         coeffs = rng.standard_normal((60, 60))
         table = legendre_table(59, np.linspace(-1.0, 1.0, 301))
-        assert _corner_split(coeffs, 301, 301) is None
         assert grid_product(table, coeffs, table).tobytes() == (table.T @ coeffs @ table).tobytes()
-
-    def test_stray_nonzero_in_corner_moves_split(self, cross_300):
-        coeffs, table_t, table_tau = cross_300
-        n_t, n_tau = table_t.shape[1], table_tau.shape[1]
-        stray = coeffs.copy()
-        stray[22, 23] = 1e-300
-        split = _corner_split(stray, n_t, n_tau)
-        assert split not in (None, (22, 23))
-        assert split == _best_split_by_search(stray, n_t, n_tau)
-        assert not np.any(stray[split[0]:, split[1]:])
-
-    def test_negative_zero_counts_as_zero(self, cross_300):
-        coeffs, table_t, table_tau = cross_300
-        signed = coeffs.copy()
-        signed[22:, 23:] = -0.0
-        assert _corner_split(signed, table_t.shape[1], table_tau.shape[1]) == (22, 23)
-        # The corner is never read, so the bytes cannot move.
-        assert (
-            grid_product(table_t, signed, table_tau).tobytes()
-            == grid_product(table_t, coeffs, table_tau).tobytes()
-        )
 
     @settings(max_examples=200, deadline=None)
     @given(
         widths=st.lists(st.integers(0, 24), min_size=1, max_size=24),
+        row=st.integers(0, 23),
         n_t=st.integers(1, 30),
         n_tau=st.integers(1, 30),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_staircases_match_oracle_at_any_size(self, widths, n_t, n_tau, seed):
+    def test_staircases_match_oracle_at_any_size(self, widths, row, n_t, n_tau, seed):
         rng = np.random.default_rng(seed)
         widths = sorted(widths, reverse=True)
         K, J = len(widths), max(max(widths), 1)
         coeffs = np.where(rng.random((K, J)) < 0.8, rng.standard_normal((K, J)), 0.0)
         coeffs[np.arange(J)[None, :] >= np.array(widths)[:, None]] = -0.0
+        a = row % K
+        corner = a, widths[a]  # the widest row at or below a is row a
+        assert not coeffs[corner[0] :, corner[1] :].any()
         table_t = legendre_table(K - 1, rng.uniform(-1.0, 1.0, n_t))
         table_tau = legendre_table(J - 1, rng.uniform(-1.0, 1.0, n_tau))
         with mock.patch.object(basis, "_FACTOR_MIN_MULADDS", 0):
-            split = _corner_split(coeffs, n_t, n_tau)
-            values = grid_product(table_t, coeffs, table_tau)
-        assert split == _best_split_by_search(coeffs, n_t, n_tau)
-        if split is None:
-            assert values.tobytes() == (table_t.T @ coeffs @ table_tau).tobytes()
+            values = grid_product(table_t, coeffs, table_tau, corner)
+        dense = table_t.T @ coeffs @ table_tau
+        muladds = n_t * n_tau * sum(corner) + n_t * (K - a) * widths[a] + a * J * n_tau
+        if muladds >= n_t * K * J + n_t * J * n_tau:
+            assert values.tobytes() == dense.tobytes()
             return
-        assert not np.any(coeffs[split[0]:, split[1]:])
         error = np.abs(values - _oracle(table_t, coeffs, table_tau))
-        assert np.all(error <= _rounding_bound(table_t, coeffs, table_tau, split))
+        assert np.all(error <= _rounding_bound(table_t, coeffs, table_tau, corner))

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from legdiff import cli
 from legdiff.cli import main
 from legdiff.coeffs import CoeffField, save_csv
 
@@ -325,6 +326,16 @@ class TestExperiment:
     def test_zero_seeds_is_usage_error(self, capsys):
         assert main(["experiment", "--preset", "table1", "--seeds", "0"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("preset", ["table2", "table3"])
+    def test_seeds_on_deterministic_preset_is_usage_error(self, capsys, monkeypatch, preset):
+        # Refused before run_table builds any coefficient.
+        monkeypatch.setattr(cli, "run_table", None)
+        code = main(["experiment", "--preset", preset, "--seeds", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "gaussian presets only" in captured.err
 
 
 class TestConvergence:

@@ -428,6 +428,49 @@ class TestLegendreSeries2D:
             LegendreSeries2D(coeffs=bad)
 
 
+class TestZeroCorner:
+    """LegendreSeries2D checks the zero corner it carries, once."""
+
+    @pytest.fixture(scope="class")
+    def derived_300(self):
+        config = MethodConfig(r=2, mu=5.5, delta=0.0, n_override=300)
+        field = CoeffField.from_dense(np.random.default_rng(9).standard_normal((300, 300)))
+        return run(field, config).series
+
+    def test_rejects_a_corner_holding_a_nonzero_entry(self):
+        coeffs = np.zeros((6, 5))
+        coeffs[:3, :] = 1.0
+        coeffs[:, :2] = 1.0
+        assert LegendreSeries2D(coeffs, zero_corner=(3, 2)).zero_corner == (3, 2)
+        coeffs[5, 4] = 1e-300
+        with pytest.raises(ValueError, match=r"\(3, 2\) is not a zero corner"):
+            LegendreSeries2D(coeffs, zero_corner=(3, 2))
+
+    @pytest.mark.parametrize("corner", [(6, 0), (0, 5), (6, 5), (-1, 2), (2, -1)])
+    def test_rejects_corners_out_of_range(self, corner):
+        with pytest.raises(ValueError, match="is not a zero corner"):
+            LegendreSeries2D(np.zeros((6, 5)), zero_corner=corner)
+
+    def test_accepts_a_corner_of_negative_zeros(self, derived_300):
+        signed = derived_300.coeffs.copy()
+        signed[22:, 23:] = -0.0
+        series = LegendreSeries2D(signed, zero_corner=(22, 23))
+        grid = np.linspace(-1.0, 1.0, 401)
+        # The factorized product never reads the corner, so the bytes cannot move.
+        assert series.eval_grid(grid, grid).tobytes() == derived_300.eval_grid(grid, grid).tobytes()
+
+    def test_without_a_corner_eval_grid_is_dense(self, derived_300):
+        coeffs = derived_300.coeffs
+        assert derived_300.zero_corner == (22, 23)
+        grid = np.linspace(-1.0, 1.0, 401)
+        table = legendre_table(coeffs.shape[0] - 1, grid)
+        assert 401 * coeffs.size + 401 * coeffs.shape[1] * 401 >= 2**22  # above the threshold
+        assert (
+            LegendreSeries2D(coeffs).eval_grid(grid, grid).tobytes()
+            == (table.T @ coeffs @ table).tobytes()
+        )
+
+
 class TestEvaluate:
     def test_empty_points_gives_empty_array(self):
         field = CoeffField.from_entries({(2, 2): 1.0})

@@ -6,8 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
-from legdiff import coeffs, metrics
-from legdiff.basis import composite_gauss_rule
+from legdiff import coeffs, method, metrics
+from legdiff.basis import composite_gauss_rule, grid_product
 from legdiff.coeffs import BivariateFunction, CoeffField, exact_coeffs
 from legdiff.experiments import F1, F2, ExperimentPreset, run_table
 from legdiff.method import MethodConfig, run
@@ -427,3 +427,24 @@ class TestGridStore:
             assert l2_error(approx, reference, G=24) == _scratch_l2(approx, reference, 24)
         # One Gauss grid throughout; its tables follow the latest degree.
         assert built == ([(3, size) for size in sizes] + [(5, size) for size in sizes]) * 2
+
+
+def test_grid_products_receive_the_derived_corner(monkeypatch):
+    # n = 300, r = 2: the domain's corner (24, 25) less r on each axis.
+    config = MethodConfig(r=2, mu=5.5, delta=0.0, n_override=300)
+    field = CoeffField.from_dense(np.random.default_rng(4).standard_normal((300, 300)))
+    approx = run(field, config)
+    corners = []
+
+    def spy(table_t, coeffs, table_tau, corner=None):
+        corners.append(corner)
+        return grid_product(table_t, coeffs, table_tau, corner)
+
+    monkeypatch.setattr(metrics, "grid_product", spy)
+    monkeypatch.setattr(method, "grid_product", spy)
+    reference = F1.derivative_function()
+    l2_error(approx, reference, G=96)
+    sup_error(approx, reference, m=401)
+    grid = np.linspace(-1.0, 1.0, 401)
+    approx.series.eval_grid(grid, grid)
+    assert corners == [(22, 23)] * 3

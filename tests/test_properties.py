@@ -108,7 +108,8 @@ def test_run_derives_the_staircase_as_the_dense_map(
     dense = expansion.apply(expansion.apply(masked).T).T
     min_side = 0 if blocks_at_every_size else method._BLOCKS_MIN_SIDE
     with mock.patch.object(method, "_BLOCKS_MIN_SIDE", min_side):
-        derived = _derived(field, config)
+        series = run(field, config).series
+    derived = series.coeffs
     assert derived.shape == dense.shape
     if np.signbit(masked[masked == 0.0]).any():
         assert np.array_equal(derived, dense)
@@ -118,6 +119,8 @@ def test_run_derives_the_staircase_as_the_dense_map(
     if corner is not None:
         a, b = corner
         assert not derived[a - r :, b - r :].any()
+        corner = a - r, b - r
+    assert series.zero_corner == corner  # None on the box
 
 
 @settings(max_examples=40, deadline=None)
