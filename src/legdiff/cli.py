@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 runtime or data error, 2 usage error (bad flags,
 unknown preset, or a parameter set violating the method's hypotheses).  All
 output is deterministic: repeated runs with identical flags and seeds produce
-byte-identical CSVs.
+byte-identical CSVs on one numpy/BLAS build with a fixed BLAS thread count
+(BLAS splits some sums by thread, so other thread counts may move last bits).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .experiments import (
     rows_to_csv,
     run_table,
 )
+from .index import IndexDomain
 from .method import ConfigError, MethodConfig, run
 from .metrics import error_report
 from .noise import NoiseSpec, perturb
@@ -135,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("--delta", type=float, default=0.0, help="noise level")
     p_diff.add_argument("--n", type=_positive_int, default=None, help="truncation level override")
     p_diff.add_argument("--constant", type=float, default=1.0, help="parameter-rule constant")
-    p_diff.add_argument("--domain", choices=("cross", "box"), default="cross", help="index-set shape")
+    p_diff.add_argument("--domain", choices=IndexDomain.SHAPES, default="cross", help="index-set shape")
     p_diff.add_argument(
         "--noise", choices=("none", "gaussian", "projected"), default="none",
         help="perturb the consumed coefficients before running",
@@ -163,19 +165,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_conv.add_argument("--builtin", choices=("f1", "f2"), required=True)
     p_conv.add_argument("--mu", type=float, required=True)
-    p_conv.add_argument("--r", type=_positive_int, default=2)
     p_conv.add_argument("--s", type=float, default=2.0)
     p_conv.add_argument("--p", type=float, default=2.0)
     p_conv.add_argument(
         "--deltas", type=_delta_range, required=True,
         help="geometric noise grid as start:end:count, e.g. 1e-5:1e-9:5",
     )
-    p_conv.add_argument("--seeds", type=_seed_count, default=10)
+    p_conv.add_argument("--seeds", type=_seed_count, help="seed count, noisy sweeps only (default: 10)")
     p_conv.add_argument(
         "--noise", choices=("projected", "gaussian", "none"), default="projected"
     )
     p_conv.add_argument("--constant", type=float, default=1.0)
-    p_conv.add_argument("--domain", choices=("cross", "box"), default="cross")
+    p_conv.add_argument("--domain", choices=IndexDomain.SHAPES, default="cross")
     p_conv.add_argument("--out", help="write per-run rows here instead of stdout")
     p_conv.set_defaults(func=cmd_convergence)
 
@@ -259,14 +260,16 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_convergence(args: argparse.Namespace) -> int:
+    if args.seeds is not None and args.noise == "none":
+        raise UsageError("--seeds applies to noisy sweeps only, not --noise none")
     result = convergence_sweep(
         builtin_function(args.builtin),
         mu=args.mu,
-        r=args.r,
+        r=2,  # sweeps measure against the exact (2, 2) derivative
         s=args.s,
         p=args.p,
         deltas=args.deltas,
-        seeds=args.seeds,
+        seeds=10 if args.seeds is None else args.seeds,
         noise_kind=args.noise,
         rule_constant=args.constant,
         domain_shape=args.domain,

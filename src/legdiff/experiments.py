@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -144,7 +145,7 @@ class ExperimentPreset:
     ``metric_G`` is a floor on the square-mean metric's Gauss order and
     ``metric_m`` the uniform metric's grid size (see :func:`error_report`).
     Every run is measured against the function's (2, 2) derivative, so ``r``
-    must be 2.
+    is the class constant 2, not a field.
     """
 
     name: str
@@ -153,7 +154,7 @@ class ExperimentPreset:
     deltas: tuple[float, ...]
     ns: tuple[int, ...]
     hs: tuple[float, ...] | None
-    r: int = 2
+    r: ClassVar[int] = 2
     mu: float = 5.5
     s: float = 2.0
     p: float = 2.0
@@ -163,10 +164,6 @@ class ExperimentPreset:
     default_seeds: int = 20
 
     def __post_init__(self) -> None:
-        if self.r != 2:
-            raise ValueError(
-                f"presets measure against the (2, 2) derivative, so r must be 2, got {self.r}"
-            )
         _check_m(self.metric_m)
         if self.noise not in ("gaussian", "trapezoid"):
             raise ValueError(f"unknown noise mechanism {self.noise!r}")
@@ -385,7 +382,8 @@ def convergence_sweep(
     For each delta the truncation level comes from the parameter-choice rule;
     the exact coefficients are perturbed per seed (``noise_kind`` "projected",
     "gaussian", or "none"), and the median square-mean error over seeds enters
-    a least-squares log-log fit of error against delta.  Every run is measured
+    a least-squares log-log fit of error against delta.  Under "none" each
+    delta runs once and ``seeds`` is unused.  Every run is measured
     with :func:`error_report` against the exact (2, 2) derivative, so ``r``
     must be 2; ``metric_G`` is a floor on the square-mean metric's Gauss
     order and ``metric_m`` the uniform metric's grid size.

@@ -1,28 +1,31 @@
 """Information domains: which coefficient indices (k, j) an approximation reads.
 
-Two parametric shapes are provided.  The hyperbolic cross
+Both shapes are staircases: row k = r, r+1, ... holds j = r..top(k), and the
+row tops define the domain.  The hyperbolic cross
 
     Cross(r, n) = {(k, j) : k*j <= r*n - 1,  r <= k, j <= n - 1}
 
-holds O(n log n) pairs, against O(n^2) for the full square
+has top(k) = min(n - 1, (r*n - 1) // k) on rows r..n-1 and holds
+O(n log n) pairs, against O(n^2) for the full square
 
-    Box(r, n) = {(k, j) : r <= k, j <= n}.
+    Box(r, n) = {(k, j) : r <= k, j <= n},
 
-Members are always enumerated in lexicographic (k, j) order so downstream
-runs are reproducible.
+whose rows r..n all have top n.  Members are always enumerated in
+lexicographic (k, j) order so downstream runs are reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
 __all__ = ["IndexDomain", "pairs_mask"]
 
-#: Distinct domains whose zero corner :meth:`IndexDomain.zero_corner` keeps.
-_ZERO_CORNERS_CACHED = 256
+#: Distinct domains whose row tops and zero corner :class:`IndexDomain` keeps.
+_DOMAINS_CACHED = 256
 
 
 def pairs_mask(pairs) -> np.ndarray:
@@ -43,12 +46,14 @@ def pairs_mask(pairs) -> np.ndarray:
 class IndexDomain:
     """A finite set of index pairs, all with k >= r and j >= r."""
 
-    shape: str  # "cross" | "box"
+    SHAPES: ClassVar[tuple[str, ...]] = ("cross", "box")
+
+    shape: str  # one of SHAPES
     r: int
     n: int
 
     def __post_init__(self) -> None:
-        if self.shape not in ("cross", "box"):
+        if self.shape not in self.SHAPES:
             raise ValueError(f"unknown domain shape {self.shape!r}")
         if self.r < 0:
             raise ValueError("r must be nonnegative")
@@ -67,65 +72,61 @@ class IndexDomain:
         """Full square {(k, j): r <= k, j <= n}."""
         return cls(shape="box", r=r, n=n)
 
-    def _cross_tops(self) -> np.ndarray:
-        """j_top of rows k = r..n-1 of the cross: row k holds j = r..j_top."""
-        budget = self.r * self.n - 1
-        k = np.arange(self.r, self.n)
-        if budget < 0:  # r = 0: every row is empty
-            return np.full(k.size, self.r - 1)
-        return np.minimum(self.n - 1, budget // k)
+    @lru_cache(maxsize=_DOMAINS_CACHED)
+    def _tops(self) -> np.ndarray:
+        """Read-only, cached tops of rows k = r..side-1: row k holds j = r..top."""
+        if self.shape == "box":
+            tops = np.full(self.n - self.r + 1, self.n)
+        else:  # at r = 0 the budget is -1: max(k, 1) gives row 0 top -1 too
+            k = np.arange(self.r, self.n)
+            tops = np.minimum(self.n - 1, (self.r * self.n - 1) // np.maximum(k, 1))
+        tops.flags.writeable = False
+        return tops
 
-    @lru_cache(maxsize=_ZERO_CORNERS_CACHED)
+    @lru_cache(maxsize=_DOMAINS_CACHED)
     def zero_corner(self) -> tuple[int, int] | None:
         """A corner (a, b) of the mask holding no member: k >= a, j >= b.
 
-        Of the cross's corners with rows a.. and columns b.. inside the
-        n x n mask, the one leaving the smallest rest ``n*(a + b) - a*b``.
-        Row a is the widest row at or below a, so b is its top plus one;
-        for r >= 1 both a and b exceed r.  None for the box, which has no
-        zero corner, and for a cross too small to have one; cached by value.
+        Of the corners with rows a.. and columns b.. inside the mask, side
+        r + len(tops) per axis, the one leaving the smallest rest
+        ``side*(a + b) - a*b``.  Row a is the widest row at or below a, so b
+        is its top plus one; on a cross with r >= 1 both a and b exceed r.
+        None when every candidate reaches b = side, as on the box and on a
+        cross too small to have one; cached by value.
         """
-        if self.shape != "cross":
-            return None
-        a = np.arange(self.r, self.n)
-        b = self._cross_tops() + 1
-        rest = self.n * (a + b) - a * b  # n^2, the most, where b = n
+        tops = self._tops()
+        side = self.r + tops.size
+        a = np.arange(self.r, side)
+        b = tops + 1
+        rest = side * (a + b) - a * b  # side^2, the most, where b = side
         best = int(np.argmin(rest))
-        if b[best] >= self.n:
+        if b[best] >= side:
             return None
         return int(a[best]), int(b[best])
 
     def members(self) -> list[tuple[int, int]]:
         """All index pairs in lexicographic (k, j) order."""
-        if self.shape == "cross":
-            counts = np.maximum(self._cross_tops() - self.r + 1, 0)
-            k = np.repeat(np.arange(self.r, self.n), counts)
-            starts = np.repeat(np.cumsum(counts) - counts, counts)
-            j = self.r + np.arange(k.size) - starts
-            return list(zip(k.tolist(), j.tolist()))
-        rng = range(self.r, self.n + 1)
-        return [(k, j) for k in rng for j in rng]
+        tops = self._tops()
+        counts = np.maximum(tops - self.r + 1, 0)
+        k = np.repeat(np.arange(self.r, self.r + tops.size), counts)
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        j = self.r + np.arange(k.size) - starts
+        return list(zip(k.tolist(), j.tolist()))
 
     def mask(self) -> np.ndarray:
         """Boolean membership array of shape ``max_degree() + 1`` per axis."""
-        deg_k, deg_j = self.max_degree()
-        mask = np.zeros((deg_k + 1, deg_j + 1), dtype=bool)
-        if self.shape == "cross":
-            j = np.arange(self.r, deg_j + 1)
-            mask[self.r :, self.r :] = j[None, :] <= self._cross_tops()[:, None]
-        else:
-            mask[self.r :, self.r :] = True
+        tops = self._tops()
+        side = self.r + tops.size
+        mask = np.zeros((side, side), dtype=bool)
+        mask[self.r :, self.r :] = np.arange(self.r, side) <= tops[:, None]
         return mask
 
     def cardinality(self) -> int:
         """Number of pairs, computed without materializing them."""
-        if self.shape == "cross":
-            return int(np.maximum(self._cross_tops() - self.r + 1, 0).sum())
-        side = self.n - self.r + 1
-        return side * side
+        return int(np.maximum(self._tops() - self.r + 1, 0).sum())
 
     def max_degree(self) -> tuple[int, int]:
-        """Largest (k, j) degrees the domain can contain, per axis."""
-        if self.shape == "cross":
-            return self.n - 1, self.n - 1
-        return self.n, self.n
+        """Largest (k, j) degrees per axis: side - 1, without building the
+        tops, so a size limit can be checked against any n."""
+        degree = self.n - 1 if self.shape == "cross" else self.n
+        return degree, degree

@@ -75,8 +75,8 @@ class MethodConfig:
             raise ConfigError(f"s={self.s} must satisfy 1 <= s < inf")
         if not (1.0 <= self.p):
             raise ConfigError(f"p={self.p} must satisfy 1 <= p <= inf")
-        if self.domain_shape not in ("cross", "box"):
-            raise ConfigError(f"domain shape must be 'cross' or 'box', got {self.domain_shape!r}")
+        if self.domain_shape not in IndexDomain.SHAPES:
+            raise ConfigError(f"domain shape must be one of {IndexDomain.SHAPES}, got {self.domain_shape!r}")
         _check_rule_constant(self.rule_constant)
         if self.n_override is not None:
             if self.n_override <= self.r:
@@ -119,10 +119,7 @@ class MethodConfig:
 
     def domain(self) -> IndexDomain:
         """The information domain at the resolved truncation level."""
-        n = self.resolve_n()
-        if self.domain_shape == "cross":
-            return IndexDomain.cross(self.r, n)
-        return IndexDomain.box(self.r, n)
+        return IndexDomain(self.domain_shape, self.r, self.resolve_n())
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,7 +254,7 @@ def run(field_perturbed: CoeffField, config: MethodConfig) -> ApproxDerivative:
         series=LegendreSeries2D(derived, zero_corner=corner),
         config=config,
         n_used=domain.n,
-        information_count=len(masked),
+        information_count=domain.cardinality(),
     )
 
 

@@ -261,7 +261,7 @@ class TestSeedCount:
         [
             ["experiment", "--preset", "table1"],
             ["convergence", "--builtin", "f2", "--mu", "6", "--deltas", "1e-4:1e-7:3",
-             "--noise", "none"],
+             "--noise", "gaussian"],
         ],
         ids=["experiment", "convergence"],
     )
@@ -343,7 +343,7 @@ class TestConvergence:
         out = tmp_path / "rows.csv"
         code = main(
             [
-                "convergence", "--builtin", "f2", "--mu", "6", "--r", "2",
+                "convergence", "--builtin", "f2", "--mu", "6",
                 "--deltas", "1e-5:1e-8:4", "--seeds", "2", "--out", str(out),
             ]
         )
@@ -362,7 +362,7 @@ class TestConvergence:
         code = main(
             [
                 "convergence", "--builtin", "f1", "--mu", "5.5",
-                "--deltas", "1e-4:1e-7:4", "--seeds", "1", "--noise", "none",
+                "--deltas", "1e-4:1e-7:4", "--noise", "none",
             ]
         )
         captured = capsys.readouterr()
@@ -421,7 +421,7 @@ class TestConvergence:
 
     def test_delta_count_bound_is_inclusive(self, monkeypatch, capsys):
         monkeypatch.setattr("legdiff.cli.MAX_DELTA_COUNT", 3)
-        argv = ["convergence", "--builtin", "f2", "--mu", "6", "--seeds", "1", "--noise", "none"]
+        argv = ["convergence", "--builtin", "f2", "--mu", "6", "--noise", "none"]
         assert main(argv + ["--deltas", "1e-4:1e-7:3"]) == 0
         assert main(argv + ["--deltas", "1e-4:1e-7:4"]) == 2
         capsys.readouterr()
@@ -442,17 +442,28 @@ class TestConvergence:
         assert len(errors) == 1
         assert "argument --deltas: noise levels must be finite and lie in (0, 1)" in errors[0]
 
-    @pytest.mark.parametrize("r", ["1", "3"])
-    def test_r_other_than_2_is_data_error(self, r, capsys):
-        # Errors are measured against the (2, 2) derivative, so only r = 2 fits.
+    def test_r_is_not_a_flag(self, capsys):
+        # Errors are measured against the (2, 2) derivative, so r is always 2.
         code = main(
-            ["convergence", "--builtin", "f2", "--mu", "8", "--r", r,
+            ["convergence", "--builtin", "f2", "--mu", "8", "--r", "2",
              "--deltas", "1e-5:1e-9:3", "--seeds", "2"]
         )
         captured = capsys.readouterr()
-        assert code == 1
+        assert code == 2
         assert captured.out == ""
-        assert "r must be 2" in captured.err
+        assert "unrecognized arguments: --r 2" in captured.err
+
+    def test_seeds_under_noise_none_is_usage_error(self, capsys, monkeypatch):
+        # A noise-free sweep runs each level once; refused before it runs.
+        monkeypatch.setattr(cli, "convergence_sweep", None)
+        code = main(
+            ["convergence", "--builtin", "f2", "--mu", "6", "--deltas", "1e-5:1e-9:3",
+             "--noise", "none", "--seeds", "7"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "noisy sweeps only" in captured.err
 
     def test_too_narrow_range_is_data_error(self, capsys):
         code = main(

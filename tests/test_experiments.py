@@ -179,6 +179,7 @@ class TestPresets:
         assert t3.ns == (11, 18, 25)
         assert t3.hs == (4e-4, 1e-4, 4e-5)
         assert t3.mu == 6.0
+        assert t1.r == t3.r == 2  # a class constant, still read as preset.r
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="bogus"):
@@ -210,15 +211,6 @@ class TestPresets:
             ExperimentPreset(
                 name="x", function=F1, noise="gaussian",
                 deltas=(1e-6,), ns=(5,), hs=(1e-4,),
-            )
-
-    @pytest.mark.parametrize("r", [1, 3])
-    def test_rejects_r_other_than_2(self, r):
-        # A table measures against the (2, 2) derivative, whatever r is.
-        with pytest.raises(ValueError, match="r must be 2"):
-            ExperimentPreset(
-                name="x", function=F1, noise="gaussian",
-                deltas=(1e-6,), ns=(5,), hs=None, r=r,
             )
 
     @pytest.mark.parametrize("m", [1, 4])

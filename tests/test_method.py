@@ -196,6 +196,15 @@ class TestRun:
         approx = run(field, cfg)
         assert approx.n_used == 5
         assert approx.information_count == IndexDomain.cross(2, 5).cardinality()
+        # Entries outside the domain and stored zeros inside it do not change
+        # the count: it is the domain's, as restrict stores it, on both shapes.
+        field = CoeffField.from_entries(
+            {(0, 0): 2.0, (1, 3): 1.0, (2, 2): 1.0, (3, 3): 0.0, (4, 4): 0.0, (9, 9): 3.0}
+        )
+        for shape, count in (("cross", 6), ("box", 16)):
+            cfg = MethodConfig(r=2, mu=5.5, delta=0.0, n_override=5, domain_shape=shape)
+            approx = run(field, cfg)
+            assert approx.information_count == count == len(field.restrict(cfg.domain()))
 
     def test_cross_degree_bound_after_differentiation(self):
         # Cross members reach degree n-1; r derivatives lower that by r.
