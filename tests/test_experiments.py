@@ -213,6 +213,17 @@ class TestPresets:
                 deltas=(1e-6,), ns=(5,), hs=(1e-4,),
             )
 
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_rejects_r_other_than_2(self, r):
+        # A table measures against the (2, 2) derivative, so r is the class
+        # constant 2 and not a constructor field: no preset can carry another r.
+        with pytest.raises(TypeError, match="'r'"):
+            ExperimentPreset(
+                name="x", function=F1, noise="gaussian",
+                deltas=(1e-6,), ns=(5,), hs=None, r=r,
+            )
+        assert ExperimentPreset.r == 2
+
     @pytest.mark.parametrize("m", [1, 4])
     def test_rejects_even_or_tiny_metric_grid(self, m):
         with pytest.raises(ValueError, match="odd and >= 3"):
