@@ -142,7 +142,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--noise", choices=("none", "gaussian", "projected"), default="none",
         help="perturb the consumed coefficients before running",
     )
-    p_diff.add_argument("--seed", type=_seed, default=0, help="noise seed")
+    p_diff.add_argument(
+        "--seed", type=_seed, default=None,
+        help="noise seed, noisy runs only (default: 0)",
+    )
     p_diff.add_argument("--grid", type=_positive_int, default=41, help="evaluation grid size per axis")
     p_diff.add_argument("--out", help="write the grid CSV here instead of stdout")
     p_diff.set_defaults(func=cmd_differentiate)
@@ -214,6 +217,8 @@ def cmd_differentiate(args: argparse.Namespace) -> int:
     )
     if args.noise != "none" and not 0.0 < args.delta < 1.0:
         raise UsageError("--noise requires 0 < --delta < 1")
+    if args.seed is not None and args.noise == "none":
+        raise UsageError("--seed applies to noisy runs only, not --noise none")
     _check_table(args.grid, args.grid)
     n = config.resolve_n()
     print(f"n={n}", file=sys.stderr)
@@ -228,7 +233,7 @@ def cmd_differentiate(args: argparse.Namespace) -> int:
     if args.noise != "none":
         field = perturb(
             field,
-            NoiseSpec(kind=args.noise, delta=args.delta, p=args.p, seed=args.seed),
+            NoiseSpec(kind=args.noise, delta=args.delta, p=args.p, seed=args.seed or 0),
         )
     approx = run(field, config)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .coeffs import BivariateFunction, CoeffField, exact_coeffs, trapezoid_coeffs
 from .method import MethodConfig, _check_mu, choose_n, run
-from .metrics import _check_m, error_report
+from .metrics import error_report
 from .noise import NoiseSpec, perturb
 
 __all__ = [
@@ -137,15 +137,15 @@ def builtin_function(name: str) -> BivariateFunction:
 class ExperimentPreset:
     """A fully pinned experiment: function, noise mechanism, and per-row settings.
 
-    ``noise`` is "gaussian" (raw delta-scaled normals on reference
-    coefficients) or "trapezoid" (coefficients recomputed by the trapezoid
-    rule with the per-row step ``hs``).  ``coeff_G`` is a floor on the Gauss
-    order of the gaussian presets' base coefficients (see :func:`exact_coeffs`,
-    which raises it to 2 * degree + 16 when that is larger).
-    ``metric_G`` is a floor on the square-mean metric's Gauss order and
-    ``metric_m`` the uniform metric's grid size (see :func:`error_report`).
-    Every run is measured against the function's (2, 2) derivative, so ``r``
-    is the class constant 2, not a field.
+    A preset sets only its data: ``function``, ``noise`` ("gaussian", raw
+    delta-scaled normals on reference coefficients, or "trapezoid",
+    coefficients recomputed by the trapezoid rule with the per-row step
+    ``hs``), the per-row ``deltas`` and levels ``ns``, and ``mu``.  Every
+    table is measured alike, so the rest are class constants, read as
+    ``preset.s`` and so on: ``r`` = 2 (the (2, 2) derivative), ``s`` = ``p``
+    = 2, ``coeff_G`` the floor on the base coefficients' Gauss order (see
+    :func:`exact_coeffs`), ``metric_G`` and ``metric_m`` the G and m of
+    :func:`error_report`, and ``default_seeds`` the gaussian seed count.
     """
 
     name: str
@@ -154,17 +154,16 @@ class ExperimentPreset:
     deltas: tuple[float, ...]
     ns: tuple[int, ...]
     hs: tuple[float, ...] | None
-    r: ClassVar[int] = 2
     mu: float = 5.5
-    s: float = 2.0
-    p: float = 2.0
-    coeff_G: int = 96
-    metric_G: int = 96
-    metric_m: int = 201
-    default_seeds: int = 20
+    r: ClassVar[int] = 2
+    s: ClassVar[float] = 2.0
+    p: ClassVar[float] = 2.0
+    coeff_G: ClassVar[int] = 96
+    metric_G: ClassVar[int] = 96
+    metric_m: ClassVar[int] = 201
+    default_seeds: ClassVar[int] = 20
 
     def __post_init__(self) -> None:
-        _check_m(self.metric_m)
         if self.noise not in ("gaussian", "trapezoid"):
             raise ValueError(f"unknown noise mechanism {self.noise!r}")
         if len(self.ns) != len(self.deltas):
@@ -260,14 +259,14 @@ def _measure(
     seeds,
     noise: str | None,
     reference: BivariateFunction,
-    G: int,
-    m: int,
+    *metric: int,
 ) -> list[ExperimentRow]:
     """One row per seed: restrict to the domain, perturb, run, and measure.
 
     A seed of None runs the restricted field without noise; any other seed
     draws ``noise`` (a :class:`NoiseSpec` kind) at the config's delta.  Each
-    run is measured against ``reference`` with :func:`error_report`.
+    run is measured against ``reference`` with :func:`error_report`, given
+    ``metric`` as its (G, m), or its defaults when ``metric`` is empty.
     """
     consumed = field.restrict(config.domain())
     cells = []
@@ -278,7 +277,7 @@ def _measure(
                 consumed,
                 NoiseSpec(kind=noise, delta=config.delta, p=config.p, seed=seed),
             )
-        report = error_report(run(noisy, config), reference, G, m)
+        report = error_report(run(noisy, config), reference, *metric)
         cells.append(
             ExperimentRow(
                 delta=config.delta,
@@ -374,8 +373,6 @@ def convergence_sweep(
     noise_kind: str = "projected",
     rule_constant: float = 1.0,
     domain_shape: str = "cross",
-    metric_G: int = 96,
-    metric_m: int = 201,
 ) -> SweepResult:
     """Run the full pipeline over a noise-level grid and fit the error slope.
 
@@ -383,10 +380,9 @@ def convergence_sweep(
     the exact coefficients are perturbed per seed (``noise_kind`` "projected",
     "gaussian", or "none"), and the median square-mean error over seeds enters
     a least-squares log-log fit of error against delta.  Under "none" each
-    delta runs once and ``seeds`` is unused.  Every run is measured
-    with :func:`error_report` against the exact (2, 2) derivative, so ``r``
-    must be 2; ``metric_G`` is a floor on the square-mean metric's Gauss
-    order and ``metric_m`` the uniform metric's grid size.
+    delta runs once and ``seeds`` is unused.  Every run is measured with
+    :func:`error_report`'s default G and m against the exact (2, 2)
+    derivative, so ``r`` must be 2.
     """
     deltas = sorted((float(d) for d in deltas), reverse=True)
     if len(deltas) < 3:
@@ -401,7 +397,6 @@ def convergence_sweep(
         raise ValueError(
             f"sweeps measure against the (2, 2) derivative, so r must be 2, got {r}"
         )
-    _check_m(metric_m)
     if seeds < 1:
         raise ValueError("need at least one seed")
 
@@ -424,9 +419,7 @@ def convergence_sweep(
     rows: list[ExperimentRow] = []
     median_l2: list[float] = []
     for config in configs:
-        cells = _measure(
-            base, config, seed_list, noise_kind, reference, metric_G, metric_m
-        )
+        cells = _measure(base, config, seed_list, noise_kind, reference)
         rows.extend(cells)
         if len(cells) > 1:
             rows.append(_median_row(cells))

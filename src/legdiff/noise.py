@@ -4,7 +4,9 @@ Two mechanisms are provided.  ``gaussian`` adds an independent draw
 delta * N(0, 1) to every stored entry — the raw scheme used by the bundled
 experiment presets.  ``projected`` draws the same Gaussian vector and then
 rescales it so its l_p norm equals delta exactly, matching the formal
-noise model ||xi||_{l_p} <= delta with equality.
+noise model ||xi||_{l_p} <= delta with equality.  At large finite p the
+sum of |xi|^p can overflow or underflow float64; the norm is then taken as
+max|xi| * ||xi / max|xi|||_p, so the rescaled draw still has l_p norm delta.
 
 Draws come from a 64-bit counter-based generator (Philox) pushed through an
 explicit Box-Muller transform, consumed in the lexicographic (row-major)
@@ -77,9 +79,18 @@ def standard_normals(seed: int, count: int) -> np.ndarray:
 
 
 def _lp_norm(x: np.ndarray, p: float) -> float:
+    """``||x||_p``, scaled by ``max|x|`` where the direct sum is not a normal float64."""
+    size = np.abs(x)
     if math.isinf(p):
-        return float(np.max(np.abs(x)))
-    return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
+        return float(np.max(size))
+    with np.errstate(over="ignore", under="ignore"):
+        total = np.sum(size**p)
+        if np.finfo(np.float64).tiny <= total < math.inf:
+            return float(total ** (1.0 / p))
+        peak = np.max(size)
+        if peak == 0.0:
+            return 0.0
+        return float(peak * np.sum((size / peak) ** p) ** (1.0 / p))
 
 
 def noise_vector(field: CoeffField, spec: NoiseSpec) -> np.ndarray:

@@ -1,15 +1,19 @@
 """End-to-end command-line behavior: flags, outputs, determinism, exit codes."""
 
+import hashlib
+import json
 import math
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from legdiff import cli
 from legdiff.cli import main
-from legdiff.coeffs import CoeffField, save_csv
+from legdiff.coeffs import CoeffField, exact_coeffs, save_csv
+from legdiff.experiments import F1
 
 
 def _parse_grid_csv(text, header):
@@ -58,9 +62,9 @@ class TestDifferentiate:
     def test_noise_changes_output_deterministically(self, capsys):
         common = [
             "differentiate", "--builtin", "f1", "--mu", "5.5", "--delta", "1e-6",
-            "--seed", "7", "--n", "6", "--grid", "5",
+            "--n", "6", "--grid", "5",
         ]
-        noisy = common + ["--noise", "gaussian"]
+        noisy = common + ["--noise", "gaussian", "--seed", "7"]
         assert main(noisy) == 0
         first = capsys.readouterr().out
         assert main(noisy) == 0
@@ -69,6 +73,21 @@ class TestDifferentiate:
         assert main(common + ["--noise", "none"]) == 0
         clean = capsys.readouterr().out
         assert first != clean
+
+    @pytest.mark.parametrize("noise", [[], ["--noise", "none"]])
+    def test_seed_under_noise_none_is_usage_error(self, noise, tmp_path, capsys):
+        # A noise-free run draws nothing, so a seed would be a silent no-op.
+        # The coefficient file does not exist: the refusal comes first.
+        code = main(
+            ["differentiate", "--coeffs", str(tmp_path / "missing.csv"),
+             "--mu", "5.5", "--n", "6", "--grid", "3", *noise, "--seed", "7"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: --seed applies to noisy runs only, not --noise none"
+        ]
 
     def test_writes_to_file(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
@@ -253,6 +272,32 @@ class TestDifferentiate:
         assert caught == []
         assert captured.out == ""
         assert "r=80 derivative of degree-399" in captured.err
+
+
+_REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
+
+
+class TestBenchmarkReference:
+    """`differentiate` stdout against the benchmark's recorded cli_csv hashes."""
+
+    @pytest.fixture(scope="class")
+    def coeffs_201(self, tmp_path_factory):
+        # The benchmark's full 201 x 201 F1 coefficient file.
+        path = tmp_path_factory.mktemp("cli_csv") / "coeffs_201x201.csv"
+        save_csv(exact_coeffs(F1, 200, 200, 2 * 200 + 16), path)
+        return path
+
+    @pytest.mark.parametrize("seed", ["0", "7"])
+    def test_cli_csv_stdout_matches_reference(self, coeffs_201, seed, capsys):
+        recorded = json.loads((_REFS / "cli_csv.json").read_text(encoding="utf-8"))
+        code = main(
+            ["differentiate", "--coeffs", str(coeffs_201), "--n", "200", "--mu", "5.5",
+             "--delta", "1e-06", "--noise", "gaussian", "--seed", seed]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        digest = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
+        assert digest == recorded["sha256"][seed]
 
 
 class TestSeedCount:

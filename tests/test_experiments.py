@@ -179,7 +179,12 @@ class TestPresets:
         assert t3.ns == (11, 18, 25)
         assert t3.hs == (4e-4, 1e-4, 4e-5)
         assert t3.mu == 6.0
-        assert t1.r == t3.r == 2  # a class constant, still read as preset.r
+        # Class constants, still read through the preset.
+        for preset in (t1, get_preset("table2"), t3):
+            assert preset.r == 2
+            assert (preset.s, preset.p) == (2.0, 2.0)
+            assert (preset.coeff_G, preset.metric_G, preset.metric_m) == (96, 96, 201)
+            assert preset.default_seeds == 20
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="bogus"):
@@ -224,19 +229,30 @@ class TestPresets:
             )
         assert ExperimentPreset.r == 2
 
-    @pytest.mark.parametrize("m", [1, 4])
-    def test_rejects_even_or_tiny_metric_grid(self, m):
-        with pytest.raises(ValueError, match="odd and >= 3"):
+    @pytest.mark.parametrize(
+        "name, value",
+        [("s", 1.5), ("p", 3.0), ("coeff_G", 48), ("metric_G", 24),
+         ("metric_m", 11), ("default_seeds", 2)],
+    )
+    def test_measurement_settings_are_not_fields(self, name, value):
+        # Every table and sweep is measured alike, so these are class
+        # constants (or error_report's defaults) and no caller can set them.
+        with pytest.raises(TypeError, match=f"'{name}'"):
             ExperimentPreset(
                 name="x", function=F1, noise="gaussian",
-                deltas=(1e-6,), ns=(5,), hs=None, metric_m=m,
+                deltas=(1e-6,), ns=(5,), hs=None, **{name: value},
             )
+        if name.startswith("metric_"):
+            with pytest.raises(TypeError, match=f"'{name}'"):
+                convergence_sweep(
+                    F2, 6.0, 2, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8), **{name: value}
+                )
 
 
 def _tiny_gaussian_preset():
     return ExperimentPreset(
         name="tiny", function=F1, noise="gaussian",
-        deltas=(1e-4,), ns=(4,), hs=None, mu=5.5, default_seeds=2,
+        deltas=(1e-4,), ns=(4,), hs=None, mu=5.5,
     )
 
 
@@ -330,22 +346,21 @@ class TestReferenceEvaluations:
         preset = ExperimentPreset(
             name="counted", function=function, noise="gaussian",
             deltas=(1e-4, 1e-5), ns=(4, 6), hs=None, mu=5.5,
-            metric_G=24, metric_m=11,
         )
         rows = run_table(preset, seeds=seeds)
         assert len(rows) == 2 * (seeds + 1)
-        # One Gauss grid (two panels of 24 per axis) and one 11 x 11 grid.
-        assert calls == [(48, 48), (11, 11)]
+        # One Gauss grid (two panels of 96 per axis) and one 201 x 201 grid.
+        assert calls == [(192, 192), (201, 201)]
 
     def test_trapezoid_table_evaluates_reference_once_per_grid(self):
         function, calls = _counting_f1()
         preset = ExperimentPreset(
             name="counted", function=function, noise="trapezoid",
             deltas=(1e-4, 1e-5, 1e-6), ns=(4, 5, 6), hs=(1e-2, 5e-3, 4e-3),
-            mu=5.5, metric_G=24, metric_m=11,
+            mu=5.5,
         )
         assert len(run_table(preset)) == 3
-        assert calls == [(48, 48), (11, 11)]
+        assert calls == [(192, 192), (201, 201)]
 
     @pytest.mark.parametrize("seeds", [1, 4])
     def test_sweep_evaluates_reference_once_per_grid(self, seeds):
@@ -358,17 +373,18 @@ class TestReferenceEvaluations:
 
     def test_sweep_builds_one_gauss_grid_per_quadrature_order(self):
         """The sweep's reference keeps one Gauss grid per order, one uniform grid."""
-        # metric_G = 8 is below every row's floor 2 * (n - 3) + 8, so each
-        # of the three levels needs its own Gauss grid; the uniform grid is
-        # evaluated once for the sweep.
+        # The levels n = 60, 130 and 279 put every row's floor
+        # 2 * (n - 3) + 8 above the default G = 96, so each level needs its
+        # own Gauss grid; the uniform grid is evaluated once for the sweep.
         function, calls = _counting_f1()
         result = convergence_sweep(
-            function, 5.5, 2, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8), seeds=3,
-            metric_G=8, metric_m=11,
+            function, 4.5, 2, 2.0, 2.0, deltas=(1e-8, 10**-9.5, 1e-11), seeds=3,
         )
-        g1, g2, g3 = (2 * (2 * (n - 3) + 8) for n in sorted({r.n for r in result.rows}))
+        levels = sorted({r.n for r in result.rows})
+        assert all(2 * (n - 3) + 8 > 96 for n in levels)
+        g1, g2, g3 = (2 * (2 * (n - 3) + 8) for n in levels)
         assert len({g1, g2, g3}) == 3
-        assert calls == [(g1, g1), (11, 11), (g2, g2), (g3, g3)]
+        assert calls == [(g1, g1), (201, 201), (g2, g2), (g3, g3)]
 
 
 class TestTable2Projection:
@@ -449,6 +465,18 @@ class TestBenchmarkReferences:
         ref = _REFS / f"{name}.csv"
         assert rows_to_csv(run_table(get_preset(name))) == ref.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_benchmark_replay_matches_run_table(self, name, monkeypatch):
+        # The benchmark's traced run replays run_table stage by stage and
+        # reads the preset's settings by name (r, s, p, coeff_G, metric_G,
+        # metric_m, default_seeds); the replay must give run_table's rows.
+        monkeypatch.syspath_prepend(str(_REFS.parent))
+        import spans
+        import workloads
+
+        preset = get_preset(name)
+        assert workloads.replay_table(preset, spans.NULL) == run_table(preset)
+
     @pytest.fixture(scope="class")
     def large_n_cross(self):
         recorded = json.loads((_REFS / "large_n_cross.json").read_text(encoding="utf-8"))
@@ -519,20 +547,6 @@ class TestConvergenceSweep:
         counted = BivariateFunction(value=value, d22=f2_d22, name="f2_counted")
         with pytest.raises(ValueError, match="r must be 2"):
             convergence_sweep(counted, 8.0, r, 2.0, 2.0, deltas=(1e-5, 1e-7, 1e-9))
-        assert calls == []
-
-    def test_rejects_even_metric_grid_before_projecting(self):
-        calls = []
-
-        def value(t, tau):
-            calls.append(np.broadcast_shapes(np.shape(t), np.shape(tau)))
-            return f2(t, tau)
-
-        counted = BivariateFunction(value=value, d22=f2_d22, name="f2_counted")
-        with pytest.raises(ValueError, match="odd and >= 3"):
-            convergence_sweep(
-                counted, 6.0, 2, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8), metric_m=10
-            )
         assert calls == []
 
     def test_rejects_non_finite_mu_before_projecting(self):

@@ -381,11 +381,11 @@ class TestGridStore:
     def test_run_table_keeps_no_grids(self):
         preset = ExperimentPreset(
             name="tiny", function=F1, noise="gaussian",
-            deltas=(1e-4,), ns=(4,), hs=None, mu=5.5, default_seeds=2,
+            deltas=(1e-4,), ns=(4,), hs=None, mu=5.5,
         )
         gc.collect()
         before = len(metrics._GRIDS)
-        assert len(run_table(preset)) == 3
+        assert len(run_table(preset, seeds=2)) == 3
         gc.collect()
         assert len(metrics._GRIDS) == before
 

@@ -167,3 +167,40 @@ class TestNoiseVector:
         else:
             norm = float(np.sum(np.abs(xi) ** p) ** (1 / p))
         assert abs(norm - delta) / delta < 1e-12
+
+
+def _lp_norm_long_double(x, p):
+    """||x||_p as exp(logsumexp(p log|x|) / p) in long double: no power of |x| is formed."""
+    logs = p * np.log(np.abs(np.asarray(x, dtype=np.longdouble)))
+    top = np.max(logs)
+    return float(np.exp((top + np.log(np.sum(np.exp(logs - top)))) / p))
+
+
+class TestLargeFiniteP:
+    """The projected draw keeps l_p norm delta when sum |x|^p leaves float64."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [1000.0, 1e308])
+    def test_overflowing_power_sum(self, p):
+        field = CoeffField.from_entries(
+            {(k, j): 0.0 for k in range(2, 12) for j in range(2, 12)}
+        )
+        with np.errstate(over="ignore"):
+            assert np.sum(np.abs(standard_normals(3, len(field))) ** p) == math.inf
+        delta = 1e-6
+        xi = noise_vector(field, NoiseSpec(kind="projected", delta=delta, p=p, seed=3))
+        assert abs(_lp_norm_long_double(xi, p) - delta) / delta < 1e-12
+        assert np.count_nonzero(xi) == len(field)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_underflowing_power_sum(self, seed):
+        field = CoeffField.from_entries({(2, 2): 0.5})
+        with np.errstate(under="ignore"):
+            assert np.sum(np.abs(standard_normals(seed, 1)) ** 2000.0) == 0.0
+        delta = 1e-6
+        xi = noise_vector(
+            field, NoiseSpec(kind="projected", delta=delta, p=2000.0, seed=seed)
+        )
+        # One entry: its l_p norm is its size, for every p.
+        assert abs(abs(xi[0]) - delta) / delta < 1e-15
