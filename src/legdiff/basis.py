@@ -6,11 +6,13 @@ Values come from the stable three-term recurrence
 
     P_{k+1}(t) = ((2k+1) t P_k(t) - k P_{k-1}(t)) / (k+1),
 
-and every series evaluation on a tensor grid is the one product
-:func:`grid_product` of the axes' tables.  It multiplies densely, or, once the
-dense product needs at least 2**22 multiply-adds and a given exactly zero
-corner of the coefficients makes it cheaper, as one low-rank product past
-that corner (a derived hyperbolic-cross series carries one).
+and every series evaluation on a tensor grid is the product ``left @ right``
+of the two factors :func:`grid_factors` makes from the axes' tables
+(:func:`grid_product` multiplies them out; the error metrics multiply them one
+block of rows at a time).  The factors are dense, ``table_t.T @ coeffs`` and
+``table_tau``, or, once the dense product needs at least 2**22 multiply-adds
+and a given exactly zero corner of the coefficients makes it cheaper, one
+low-rank pair past that corner (a derived hyperbolic-cross series carries one).
 """
 
 from __future__ import annotations
@@ -93,24 +95,26 @@ def legendre_table(k_max: int, t: np.ndarray) -> np.ndarray:
     return table
 
 
-#: Products needing fewer multiply-adds stay dense; see :func:`grid_product`.
+#: Products needing fewer multiply-adds stay dense; see :func:`grid_factors`.
 _FACTOR_MIN_MULADDS = 2**22
 
 
-def grid_product(
+def grid_factors(
     table_t: np.ndarray, coeffs: np.ndarray, table_tau: np.ndarray, corner=None
-) -> np.ndarray:
-    """Series values on a tensor grid from its axes' Legendre tables, a fresh array.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two factors ``(left, right)`` whose product ``left @ right`` is the grid.
 
-    Every grid evaluation goes through here, so the product order is fixed in
-    this one place.  Two branches, chosen from the shapes and ``corner`` alone:
+    The grid holds the series values on the tensor grid of the axes' Legendre
+    tables; ``left`` has one row per ``t`` node and ``right`` one column per
+    ``tau`` node, so any block of grid rows is ``left[rows] @ right``.  Two
+    branches, chosen from the shapes and ``corner`` alone:
 
-    - dense, ``table_t.T @ coeffs @ table_tau``;
+    - dense, ``(table_t.T @ coeffs, table_tau)``;
     - factorized, when ``corner`` = (a, b) names a zero corner
       ``coeffs[a:, b:] == 0`` (unchecked; a derived hyperbolic-cross series
       carries one, at n = 300 (22, 23) of a 298 x 298 array) whose count
       ``n_t*n_tau*(a+b) + n_t*(K-a)*b + a*J*n_tau`` is below the dense one.
-      Then the product is the one rank-(a+b) product ``L @ R`` with
+      Then the factors are the rank-(a+b) pair
       ``L = [table_t[:a].T | table_t[a:].T @ coeffs[a:, :b]]`` and
       ``R = [coeffs[:a] @ table_tau ; table_tau[:b]]``.  The identity is exact;
       only the grouping of the rounding changes.
@@ -132,8 +136,21 @@ def grid_product(
         if n_t * n_tau * (a + b) + n_t * (K - a) * b + a * J * n_tau < dense:
             left = np.concatenate((table_t[:a].T, table_t[a:].T @ coeffs[a:, :b]), axis=1)
             right = np.concatenate((coeffs[:a] @ table_tau, table_tau[:b]))
-            return left @ right
-    return table_t.T @ coeffs @ table_tau
+            return left, right
+    return table_t.T @ coeffs, table_tau
+
+
+def grid_product(
+    table_t: np.ndarray, coeffs: np.ndarray, table_tau: np.ndarray, corner=None
+) -> np.ndarray:
+    """Series values on a tensor grid from its axes' Legendre tables, a fresh array.
+
+    The product ``left @ right`` of :func:`grid_factors`, so the dense branch
+    is ``table_t.T @ coeffs @ table_tau`` and every grid evaluation follows
+    the one product order fixed there.
+    """
+    left, right = grid_factors(table_t, coeffs, table_tau, corner)
+    return left @ right
 
 
 def _check_in_domain(t: np.ndarray) -> None:

@@ -132,11 +132,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_diff.add_argument("--r", type=_positive_int, default=2, help="derivative order per axis")
     p_diff.add_argument("--mu", type=float, required=True, help="smoothness exponent of the data class")
-    p_diff.add_argument("--s", type=float, default=2.0, help="coefficient-norm exponent")
-    p_diff.add_argument("--p", type=float, default=2.0, help="noise-norm exponent (inf allowed)")
-    p_diff.add_argument("--delta", type=float, default=0.0, help="noise level")
+    p_diff.add_argument(
+        "--s", type=float, default=2.0,
+        help="coefficient-norm exponent; also checked in mu > 2r - 1/s + 1/2 under --n",
+    )
+    p_diff.add_argument(
+        "--p", type=float, default=2.0,
+        help="noise-norm exponent (inf allowed); its range is checked under --n too",
+    )
+    p_diff.add_argument(
+        "--delta", type=float, default=None,
+        help="noise level (default 0); with --n, noisy runs only",
+    )
     p_diff.add_argument("--n", type=_positive_int, default=None, help="truncation level override")
-    p_diff.add_argument("--constant", type=float, default=1.0, help="parameter-rule constant")
+    p_diff.add_argument(
+        "--constant", type=float, default=None,
+        help="parameter-rule constant (default 1), not with --n",
+    )
     p_diff.add_argument("--domain", choices=IndexDomain.SHAPES, default="cross", help="index-set shape")
     p_diff.add_argument(
         "--noise", choices=("none", "gaussian", "projected"), default="none",
@@ -205,20 +217,26 @@ def _finite(evaluate) -> np.ndarray:
 
 
 def cmd_differentiate(args: argparse.Namespace) -> int:
+    delta = 0.0 if args.delta is None else args.delta
     config = MethodConfig(
         r=args.r,
         mu=args.mu,
-        delta=args.delta,
+        delta=delta,
         s=args.s,
         p=args.p,
         n_override=args.n,
-        rule_constant=args.constant,
+        rule_constant=1.0 if args.constant is None else args.constant,
         domain_shape=args.domain,
     )
-    if args.noise != "none" and not 0.0 < args.delta < 1.0:
+    if args.noise != "none" and not 0.0 < delta < 1.0:
         raise UsageError("--noise requires 0 < --delta < 1")
     if args.seed is not None and args.noise == "none":
         raise UsageError("--seed applies to noisy runs only, not --noise none")
+    # With --n the parameter rule is bypassed: only a noise draw reads delta.
+    if args.n is not None and args.constant is not None:
+        raise UsageError("--constant feeds the parameter rule, which --n bypasses")
+    if args.n is not None and args.delta is not None and args.noise == "none":
+        raise UsageError("--delta with --n applies to noisy runs only, not --noise none")
     _check_table(args.grid, args.grid)
     n = config.resolve_n()
     print(f"n={n}", file=sys.stderr)
@@ -233,7 +251,7 @@ def cmd_differentiate(args: argparse.Namespace) -> int:
     if args.noise != "none":
         field = perturb(
             field,
-            NoiseSpec(kind=args.noise, delta=args.delta, p=args.p, seed=args.seed or 0),
+            NoiseSpec(kind=args.noise, delta=delta, p=args.p, seed=args.seed or 0),
         )
     approx = run(field, config)
 

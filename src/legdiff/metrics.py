@@ -13,17 +13,24 @@ when its size changes and a table only when the series degree does, so the
 seeds of a table row evaluate the reference once per grid.  The store is
 weak-keyed: drop the reference object to release its grids (an F1 reference
 last measured at n = 2048 holds a 512 MiB Gauss grid and a 134 MB table).
+
+A measurement reduces series minus reference one block of grid rows at a time
+in one reused buffer of at most 2**18 entries (2 MiB), so next to the held grid
+it allocates that block and the two factors of :func:`~legdiff.basis.grid_factors`,
+never a second grid.  A grid of at most 2**18 entries (every grid the table
+presets measure on, and the default 201 x 201 sup grid) is one block, reduced
+with exactly the operations of a whole-grid product.
 """
 
 from __future__ import annotations
 
 import weakref
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import grid_product, legendre_table
+from .basis import grid_factors, legendre_table
 from .coeffs import MAX_DENSE_ENTRIES, BivariateFunction
 from .method import ApproxDerivative, LegendreSeries2D
 
@@ -47,6 +54,11 @@ class ErrorReport:
             )
 
 
+#: Entries of the one row block a measurement fills at a time (2 MiB); grids
+#: of at most this many entries are reduced in one block, exactly as a whole.
+_BLOCK_ENTRIES = 2**18
+
+
 @dataclass
 class _Grid:
     """Reference values on the tensor grid t x tau, without the reference itself.
@@ -65,8 +77,13 @@ class _Grid:
     weights: tuple[np.ndarray, np.ndarray] | None = None
     tables: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
 
-    def diff(self, series: LegendreSeries2D) -> np.ndarray:
-        """Series minus reference on this grid, a fresh array."""
+    def diff_blocks(self, series: LegendreSeries2D) -> Iterator[tuple[slice, np.ndarray]]:
+        """Series minus reference on this grid, one block of rows at a time.
+
+        Yields ``(rows, block)`` with ``block`` = (series - values)[rows]; every
+        block is a view of one reused buffer of at most :data:`_BLOCK_ENTRIES`
+        entries (or one row), so it is overwritten by the next.
+        """
         coeffs = series.coeffs
         keys = (0, coeffs.shape[0] - 1), (int(self.tau is not self.t), coeffs.shape[1] - 1)
         # Tables of other degrees go before the new ones are built.
@@ -74,9 +91,17 @@ class _Grid:
         for key, nodes in zip(keys, (self.t, self.tau)):
             if key not in self.tables:
                 self.tables[key] = legendre_table(key[1], nodes)
-        diff = grid_product(self.tables[keys[0]], coeffs, self.tables[keys[1]], series.zero_corner)
-        diff -= self.values
-        return diff
+        left, right = grid_factors(
+            self.tables[keys[0]], coeffs, self.tables[keys[1]], series.zero_corner
+        )
+        n_rows, n_cols = self.values.shape
+        height = max(1, _BLOCK_ENTRIES // n_cols)
+        buffer = np.empty((min(height, n_rows), n_cols))
+        for start in range(0, n_rows, height):
+            rows = slice(start, min(start + height, n_rows))
+            block = np.matmul(left[rows], right, out=buffer[: rows.stop - start])
+            block -= self.values[rows]
+            yield rows, block
 
 
 #: Reference object -> its latest grid of each kind ("gauss", "uniform"); an
@@ -128,10 +153,12 @@ def l2_error(approx: ApproxDerivative, reference: BivariateFunction, G: int) -> 
     """
     coeffs = approx.series.coeffs
     grid = _grid(reference, "gauss", max(G, 2 * (max(coeffs.shape) - 1) + 8), _gauss)
-    diff = grid.diff(approx.series)
-    diff *= diff  # in place: no second grid-sized array
     weights_t, weights_tau = grid.weights
-    quad = weights_t @ diff @ weights_tau
+    column = np.zeros(grid.values.shape[1])
+    for rows, block in grid.diff_blocks(approx.series):
+        block *= block  # in place, in the reused buffer
+        column += weights_t[rows] @ block
+    quad = column @ weights_tau
     return float(np.sqrt(max(quad, 0.0)))
 
 
@@ -144,8 +171,11 @@ def sup_error(
     must not exceed :data:`~legdiff.coeffs.MAX_DENSE_ENTRIES` (m <= 2047).
     """
     _check_m(m)
-    diff = _grid(reference, "uniform", m, _uniform).diff(approx.series)
-    return float(np.max(np.abs(diff, out=diff)))
+    worst = -np.inf
+    for _, block in _grid(reference, "uniform", m, _uniform).diff_blocks(approx.series):
+        # np.maximum propagates a NaN block maximum, where Python's max() may drop it.
+        worst = np.maximum(worst, np.abs(block, out=block).max())
+    return float(worst)
 
 
 def error_report(

@@ -27,7 +27,7 @@ class TestDifferentiate:
         code = main(
             [
                 "differentiate", "--builtin", "f2", "--r", "2", "--mu", "6",
-                "--delta", "1e-6", "--noise", "none", "--n", "11", "--grid", "5",
+                "--noise", "none", "--n", "11", "--grid", "5",
             ]
         )
         captured = capsys.readouterr()
@@ -60,11 +60,8 @@ class TestDifferentiate:
         assert len(_parse_grid_csv(captured.out, "t,tau,value")) == 81
 
     def test_noise_changes_output_deterministically(self, capsys):
-        common = [
-            "differentiate", "--builtin", "f1", "--mu", "5.5", "--delta", "1e-6",
-            "--n", "6", "--grid", "5",
-        ]
-        noisy = common + ["--noise", "gaussian", "--seed", "7"]
+        common = ["differentiate", "--builtin", "f1", "--mu", "5.5", "--n", "6", "--grid", "5"]
+        noisy = common + ["--delta", "1e-6", "--noise", "gaussian", "--seed", "7"]
         assert main(noisy) == 0
         first = capsys.readouterr().out
         assert main(noisy) == 0
@@ -88,6 +85,59 @@ class TestDifferentiate:
         assert captured.err.splitlines() == [
             "error: --seed applies to noisy runs only, not --noise none"
         ]
+
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--constant", "2"], "--constant feeds the parameter rule, which --n bypasses"),
+            (["--constant", "1"], "--constant feeds the parameter rule, which --n bypasses"),
+            (
+                ["--noise", "gaussian", "--delta", "1e-6", "--seed", "1", "--constant", "2"],
+                "--constant feeds the parameter rule, which --n bypasses",
+            ),
+            (["--delta", "1e-6"], "--delta with --n applies to noisy runs only, not --noise none"),
+            (
+                ["--noise", "none", "--delta", "0"],
+                "--delta with --n applies to noisy runs only, not --noise none",
+            ),
+        ],
+        ids=["constant", "constant_at_default", "constant_noisy", "delta", "delta_zero"],
+    )
+    def test_flags_the_level_bypasses_are_usage_errors(self, flags, message, tmp_path, capsys):
+        # With --n the rule is not run, so these flags would be silent no-ops.
+        # The coefficient file does not exist: the refusal comes first.
+        code = main(
+            ["differentiate", "--coeffs", str(tmp_path / "missing.csv"),
+             "--mu", "6", "--n", "11", "--grid", "3", *flags]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--delta", "1e-6", "--constant", "2"],  # the rule reads both
+            ["--n", "11", "--noise", "gaussian", "--delta", "1e-6"],  # the draw reads delta
+            ["--n", "11", "--s", "3", "--p", "7"],  # the mu and p checks read s and p
+        ],
+        ids=["rule", "noisy_level", "level_s_p"],
+    )
+    def test_flags_that_are_read_are_accepted(self, flags, capsys):
+        code = main(["differentiate", "--builtin", "f2", "--mu", "6", "--grid", "3", *flags])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("t,tau,value\n")
+
+    def test_s_and_p_are_still_checked_under_n(self, capsys):
+        # mu = 4 violates mu > 2r - 1/s + 1/2 for s = 2 (4.0) but not for s = 1.5.
+        argv = ["differentiate", "--builtin", "f2", "--mu", "4", "--n", "11", "--grid", "3"]
+        assert main(argv) == 2
+        assert "violates mu > 2r - 1/s + 1/2" in capsys.readouterr().err
+        assert main(argv + ["--s", "1.5"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--s", "1.5", "--p", "0.5"]) == 2
+        assert "p=0.5 must satisfy 1 <= p <= inf" in capsys.readouterr().err
 
     def test_writes_to_file(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"

@@ -489,7 +489,7 @@ class TestBenchmarkReferences:
 
     @pytest.mark.parametrize("seed", [0, 31])
     def test_large_cross_errors_match_reference(self, large_n_cross, seed):
-        # n = 300: the metric grid products take grid_product's factorized branch.
+        # n = 300: the metrics take grid_factors' factorized branch, in row blocks.
         recorded, config, base, reference = large_n_cross
         noise = NoiseSpec(kind="gaussian", delta=config.delta, seed=seed)
         approx = run(perturb(base, noise), config)

@@ -1,13 +1,14 @@
 """Square-mean and uniform error metrics."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from legdiff import coeffs, method, metrics
-from legdiff.basis import composite_gauss_rule, grid_product
+from legdiff import basis, coeffs, metrics
+from legdiff.basis import composite_gauss_rule, grid_factors, grid_product, legendre_table
 from legdiff.coeffs import BivariateFunction, CoeffField, exact_coeffs
 from legdiff.experiments import F1, F2, ExperimentPreset, run_table
 from legdiff.method import MethodConfig, run
@@ -438,13 +439,101 @@ def test_grid_products_receive_the_derived_corner(monkeypatch):
 
     def spy(table_t, coeffs, table_tau, corner=None):
         corners.append(corner)
-        return grid_product(table_t, coeffs, table_tau, corner)
+        return grid_factors(table_t, coeffs, table_tau, corner)
 
-    monkeypatch.setattr(metrics, "grid_product", spy)
-    monkeypatch.setattr(method, "grid_product", spy)
+    # The metrics call grid_factors directly, eval_grid through grid_product.
+    monkeypatch.setattr(metrics, "grid_factors", spy)
+    monkeypatch.setattr(basis, "grid_factors", spy)
     reference = F1.derivative_function()
     l2_error(approx, reference, G=96)
     sup_error(approx, reference, m=401)
     grid = np.linspace(-1.0, 1.0, 401)
     approx.series.eval_grid(grid, grid)
     assert corners == [(22, 23)] * 3
+
+
+def _unblocked_diff(approx, t, tau, values):
+    """Series minus reference from one whole-grid product, and the bound E on
+    each product entry's rounding: E = eps * (max(K, J) + a + b) *
+    |T_t|^T |C| |T_tau|, the rounding model of ``test_basis._rounding_bound``.
+    """
+    coeffs, corner = approx.series.coeffs, approx.series.zero_corner
+    table_t = legendre_table(coeffs.shape[0] - 1, t)
+    table_tau = legendre_table(coeffs.shape[1] - 1, tau)
+    diff = grid_product(table_t, coeffs, table_tau, corner) - values
+    a, b = corner or (0, 0)
+    size = np.abs(table_t).T @ np.abs(coeffs) @ np.abs(table_tau)
+    return diff, np.finfo(np.float64).eps * (max(coeffs.shape) + a + b) * size
+
+
+class TestRowBlocks:
+    """The metrics reduce the grid in row blocks of at most _BLOCK_ENTRIES entries."""
+
+    @pytest.fixture(scope="class")
+    def cross_300(self):
+        """F1's derived cross series at n = 300 and a held reference, both grids warm."""
+        approx = _noisy_approx(F1, "cross", 300, 0)
+        reference = F1.derivative_function()
+        l2_error(approx, reference, G=96)
+        sup_error(approx, reference)
+        return approx, reference
+
+    def test_blocks_match_the_unblocked_product(self, cross_300):
+        """Both metrics stay within the rounding of one whole-grid product.
+
+        Each entry of either evaluation errs from the exact grid by at most
+        E + eps |diff| (product, then subtraction of the reference), so the two
+        differ by at most D = 2 (E + eps |diff|), and so do their sup errors.
+        For the squared L2 error, sum w_t w_tau |d1^2 - d2^2| <= sum w_t w_tau
+        D (2 |diff| + D); both sides then add their weighted sums of
+        nonnegative terms, N_t + N_tau + 2 roundings deep, each erring by at
+        most (N_t + N_tau + 2) * eps / 2 relative.
+        """
+        approx, reference = cross_300
+        eps = np.finfo(np.float64).eps
+        rule_t, rule_tau = reference.gauss_rules(2 * 297 + 8)  # the effective order
+        t, tau = rule_t.nodes, rule_tau.nodes
+        assert t.size == tau.size == 1204
+        assert t.size > metrics._BLOCK_ENTRIES // tau.size  # several blocks
+        values = reference.value(t[:, None], tau[None, :])
+        diff, bound = _unblocked_diff(approx, t, tau, values)
+        quad = rule_t.weights @ (diff * diff) @ rule_tau.weights
+        spread = 2.0 * (bound + eps * np.abs(diff))
+        quad_bound = rule_t.weights @ (spread * (2.0 * np.abs(diff) + spread)) @ rule_tau.weights
+        quad_bound += (t.size + tau.size + 2) * eps * quad
+        l2 = l2_error(approx, reference, G=96)
+        assert abs(l2 * l2 - quad) <= quad_bound
+
+        grid = np.linspace(-1.0, 1.0, 1001)
+        assert grid.size > metrics._BLOCK_ENTRIES // grid.size  # several blocks
+        values = reference.value(grid[:, None], grid[None, :])
+        diff, bound = _unblocked_diff(approx, grid, grid, values)
+        spread = 2.0 * (bound + eps * np.abs(diff))
+        assert abs(sup_error(approx, reference, m=1001) - np.max(np.abs(diff))) <= np.max(spread)
+
+    def test_nan_past_the_first_block_propagates(self):
+        def value(t, tau):
+            return np.where(t > 0.9, np.nan, 1.0) + 0.0 * tau
+
+        reference = BivariateFunction(value=value, t_breakpoints=(0.0,), tau_breakpoints=(0.0,))
+        approx = _phi22_approx()
+        G, m = 602, 1001
+        for t in reference.gauss_rules(G)[0].nodes, np.linspace(-1.0, 1.0, m):
+            first = metrics._BLOCK_ENTRIES // t.size  # rows of the first block
+            assert first < t.size and t[first] < 0.9  # the NaN rows come later
+        assert np.isnan(l2_error(approx, reference, G=G))
+        assert np.isnan(sup_error(approx, reference, m=m))
+
+    def test_measurement_allocates_less_than_half_a_grid(self, cross_300):
+        approx, reference = cross_300
+        held = metrics._GRIDS[reference]["gauss"].values
+        assert held.shape == (1204, 1204)
+        grid_bytes = held.size * held.itemsize
+        tracemalloc.start()
+        try:
+            l2_error(approx, reference, G=96)
+            sup_error(approx, reference)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid_bytes / 2
