@@ -5,6 +5,7 @@ unknown preset, or a parameter set violating the method's hypotheses).  All
 output is deterministic: repeated runs with identical flags and seeds produce
 byte-identical CSVs on one numpy/BLAS build with a fixed BLAS thread count
 (BLAS splits some sums by thread, so other thread counts may move last bits).
+Flag choices and measurement defaults come from the modules that own them.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from .basis import eval_phi_table
 from .coeffs import MAX_DENSE_ENTRIES, exact_coeffs, load_csv
 from .derivative import phi_derivative_coeffs
 from .experiments import (
+    BUILTIN_NAMES,
+    MEASURED_ORDER,
     PRESET_NAMES,
     builtin_function,
     convergence_sweep,
@@ -127,10 +130,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     source = p_diff.add_mutually_exclusive_group(required=True)
     source.add_argument("--coeffs", help="coefficient CSV (k,j,value) to consume")
-    source.add_argument(
-        "--builtin", choices=("f1", "f2"), help="use a bundled test function"
-    )
-    p_diff.add_argument("--r", type=_positive_int, default=2, help="derivative order per axis")
+    source.add_argument("--builtin", choices=BUILTIN_NAMES, help="use a bundled test function")
+    p_diff.add_argument("--r", type=_positive_int, default=MEASURED_ORDER, help="derivative order per axis")
     p_diff.add_argument("--mu", type=float, required=True, help="smoothness exponent of the data class")
     p_diff.add_argument(
         "--s", type=float, default=2.0,
@@ -151,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_diff.add_argument("--domain", choices=IndexDomain.SHAPES, default="cross", help="index-set shape")
     p_diff.add_argument(
-        "--noise", choices=("none", "gaussian", "projected"), default="none",
+        "--noise", choices=NoiseSpec.KINDS, default="none",
         help="perturb the consumed coefficients before running",
     )
     p_diff.add_argument(
@@ -178,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "convergence",
         help="sweep noise levels and fit the empirical error-vs-noise slope",
     )
-    p_conv.add_argument("--builtin", choices=("f1", "f2"), required=True)
+    p_conv.add_argument("--builtin", choices=BUILTIN_NAMES, required=True)
     p_conv.add_argument("--mu", type=float, required=True)
     p_conv.add_argument("--s", type=float, default=2.0)
     p_conv.add_argument("--p", type=float, default=2.0)
@@ -186,10 +187,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--deltas", type=_delta_range, required=True,
         help="geometric noise grid as start:end:count, e.g. 1e-5:1e-9:5",
     )
-    p_conv.add_argument("--seeds", type=_seed_count, help="seed count, noisy sweeps only (default: 10)")
     p_conv.add_argument(
-        "--noise", choices=("projected", "gaussian", "none"), default="projected"
+        "--seeds", type=_seed_count, help="seed count, noisy sweeps only (default: the sweep's own)"
     )
+    p_conv.add_argument("--noise", choices=NoiseSpec.KINDS, default="projected")
     p_conv.add_argument("--constant", type=float, default=1.0)
     p_conv.add_argument("--domain", choices=IndexDomain.SHAPES, default="cross")
     p_conv.add_argument("--out", help="write per-run rows here instead of stdout")
@@ -265,7 +266,7 @@ def cmd_differentiate(args: argparse.Namespace) -> int:
             )
     _write_text(args.out, "\n".join(lines) + "\n")
 
-    if function is not None and function.d22 is not None and args.r == 2:
+    if function is not None and args.r == MEASURED_ORDER:  # every builtin has its d22
         report = error_report(approx, function.derivative_function())
         print(f"card={report.information_count}", file=sys.stderr)
         print(f"l2_error={report.l2_error!r}", file=sys.stderr)
@@ -285,17 +286,17 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 def cmd_convergence(args: argparse.Namespace) -> int:
     if args.seeds is not None and args.noise == "none":
         raise UsageError("--seeds applies to noisy sweeps only, not --noise none")
+    seeds = {} if args.seeds is None else {"seeds": args.seeds}  # none: the sweep's default
     result = convergence_sweep(
         builtin_function(args.builtin),
         mu=args.mu,
-        r=2,  # sweeps measure against the exact (2, 2) derivative
         s=args.s,
         p=args.p,
         deltas=args.deltas,
-        seeds=10 if args.seeds is None else args.seeds,
         noise_kind=args.noise,
         rule_constant=args.constant,
         domain_shape=args.domain,
+        **seeds,
     )
     _write_text(args.out, rows_to_csv(result.rows))
     print(

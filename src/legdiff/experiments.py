@@ -23,8 +23,8 @@ from typing import ClassVar
 import numpy as np
 
 from .coeffs import BivariateFunction, CoeffField, exact_coeffs, trapezoid_coeffs
-from .method import MethodConfig, _check_mu, choose_n, run
-from .metrics import error_report
+from .method import MethodConfig, _check_mu, run
+from .metrics import DEFAULT_G, DEFAULT_M, error_report
 from .noise import NoiseSpec, perturb
 
 __all__ = [
@@ -35,6 +35,8 @@ __all__ = [
     "f2",
     "f2_d22",
     "builtin_function",
+    "BUILTIN_NAMES",
+    "MEASURED_ORDER",
     "ExperimentPreset",
     "ExperimentRow",
     "SweepResult",
@@ -125,12 +127,19 @@ F2 = BivariateFunction(
 )
 
 
+_BUILTINS = {function.name: function for function in (F1, F2)}
+BUILTIN_NAMES = tuple(_BUILTINS)
+
+#: Per-axis order every table, sweep and CLI report measures: that of ``d22``.
+MEASURED_ORDER = 2
+
+
 def builtin_function(name: str) -> BivariateFunction:
-    """Look up a bundled function by its CLI name ("f1" or "f2")."""
+    """Look up a bundled function by its name, one of ``BUILTIN_NAMES``."""
     try:
-        return {"f1": F1, "f2": F2}[name]
+        return _BUILTINS[name]
     except KeyError:
-        raise ValueError(f"unknown builtin function {name!r}; expected 'f1' or 'f2'")
+        raise ValueError(f"unknown builtin function {name!r}; expected one of {BUILTIN_NAMES}")
 
 
 @dataclass(frozen=True)
@@ -142,10 +151,10 @@ class ExperimentPreset:
     coefficients recomputed by the trapezoid rule with the per-row step
     ``hs``), the per-row ``deltas`` and levels ``ns``, and ``mu``.  Every
     table is measured alike, so the rest are class constants, read as
-    ``preset.s`` and so on: ``r`` = 2 (the (2, 2) derivative), ``s`` = ``p``
-    = 2, ``coeff_G`` the floor on the base coefficients' Gauss order (see
-    :func:`exact_coeffs`), ``metric_G`` and ``metric_m`` the G and m of
-    :func:`error_report`, and ``default_seeds`` the gaussian seed count.
+    ``preset.s`` and so on: ``coeff_G`` floors the base coefficients' Gauss
+    order (see :func:`exact_coeffs`), ``default_seeds`` counts gaussian
+    seeds, and ``metric_G``/``metric_m`` only name :func:`error_report`'s
+    defaults, which every run is measured with.
     """
 
     name: str
@@ -155,12 +164,12 @@ class ExperimentPreset:
     ns: tuple[int, ...]
     hs: tuple[float, ...] | None
     mu: float = 5.5
-    r: ClassVar[int] = 2
+    r: ClassVar[int] = MEASURED_ORDER
     s: ClassVar[float] = 2.0
     p: ClassVar[float] = 2.0
     coeff_G: ClassVar[int] = 96
-    metric_G: ClassVar[int] = 96
-    metric_m: ClassVar[int] = 201
+    metric_G: ClassVar[int] = DEFAULT_G
+    metric_m: ClassVar[int] = DEFAULT_M
     default_seeds: ClassVar[int] = 20
 
     def __post_init__(self) -> None:
@@ -259,14 +268,13 @@ def _measure(
     seeds,
     noise: str | None,
     reference: BivariateFunction,
-    *metric: int,
 ) -> list[ExperimentRow]:
     """One row per seed: restrict to the domain, perturb, run, and measure.
 
     A seed of None runs the restricted field without noise; any other seed
     draws ``noise`` (a :class:`NoiseSpec` kind) at the config's delta.  Each
-    run is measured against ``reference`` with :func:`error_report`, given
-    ``metric`` as its (G, m), or its defaults when ``metric`` is empty.
+    run is measured against ``reference`` with :func:`error_report` and its
+    default G and m.
     """
     consumed = field.restrict(config.domain())
     cells = []
@@ -277,7 +285,7 @@ def _measure(
                 consumed,
                 NoiseSpec(kind=noise, delta=config.delta, p=config.p, seed=seed),
             )
-        report = error_report(run(noisy, config), reference, *metric)
+        report = error_report(run(noisy, config), reference)
         cells.append(
             ExperimentRow(
                 delta=config.delta,
@@ -311,8 +319,9 @@ def run_table(
 
     Gaussian presets produce one row per (delta, seed), for ``seeds`` seeds
     (gaussian presets only), followed by a per-delta median row;
-    deterministic presets produce one row per delta.
-    The output is a pure function of (preset, seeds, domain_shape).
+    deterministic presets produce one row per delta, each measured with
+    :func:`error_report`'s defaults.  The output is a pure function of
+    (preset, seeds, domain_shape).
     """
     rows: list[ExperimentRow] = []
     if not preset.deltas:
@@ -325,8 +334,7 @@ def run_table(
         )
         for delta, n in zip(preset.deltas, preset.ns)
     ]
-    # error_report's reference, G and m for every run of the table.
-    metric = preset.function.derivative_function(), preset.metric_G, preset.metric_m
+    reference = preset.function.derivative_function()
     if preset.noise == "gaussian":
         count = preset.default_seeds if seeds is None else seeds
         if count < 1:
@@ -334,13 +342,13 @@ def run_table(
         degree = max(max(c.domain().max_degree()) for c in configs)
         base = exact_coeffs(preset.function, degree, degree, G=preset.coeff_G)
         for config in configs:
-            cells = _measure(base, config, range(count), "gaussian", *metric)
+            cells = _measure(base, config, range(count), "gaussian", reference)
             rows.extend(cells)
             rows.append(_median_row(cells))
     else:
         for config, h in zip(configs, preset.hs):
             field = trapezoid_coeffs(preset.function, h, *config.domain().max_degree())
-            rows.extend(_measure(field, config, [None], None, *metric))
+            rows.extend(_measure(field, config, [None], None, reference))
     return rows
 
 
@@ -365,7 +373,6 @@ class SweepResult:
 def convergence_sweep(
     function: BivariateFunction,
     mu: float,
-    r: int,
     s: float,
     p: float,
     deltas,
@@ -377,43 +384,34 @@ def convergence_sweep(
     """Run the full pipeline over a noise-level grid and fit the error slope.
 
     For each delta the truncation level comes from the parameter-choice rule;
-    the exact coefficients are perturbed per seed (``noise_kind`` "projected",
-    "gaussian", or "none"), and the median square-mean error over seeds enters
-    a least-squares log-log fit of error against delta.  Under "none" each
-    delta runs once and ``seeds`` is unused.  Every run is measured with
-    :func:`error_report`'s default G and m against the exact (2, 2)
-    derivative, so ``r`` must be 2.
+    the exact coefficients are perturbed per seed (``noise_kind`` one of
+    :attr:`NoiseSpec.KINDS`), and the median square-mean error over seeds
+    enters a least-squares log-log fit of error against delta.  Under "none"
+    each delta runs once and ``seeds`` is unused.  The method recovers the
+    derivative of order :data:`MEASURED_ORDER`, and every run is measured
+    against its exact values with :func:`error_report`'s default G and m.
     """
     deltas = sorted((float(d) for d in deltas), reverse=True)
     if len(deltas) < 3:
         raise ValueError("a sweep needs at least 3 noise levels")
     if deltas[0] / deltas[-1] < 1e3 * (1.0 - 1e-12):
         raise ValueError("the noise-level grid must span at least 3 decades")
-    if noise_kind not in ("projected", "gaussian", "none"):
+    if noise_kind not in NoiseSpec.KINDS:
         raise ValueError(f"unknown noise kind {noise_kind!r}")
-    if function.d22 is None:
-        raise ValueError("convergence sweeps need a function with known derivative")
-    if r != 2:
-        raise ValueError(
-            f"sweeps measure against the (2, 2) derivative, so r must be 2, got {r}"
-        )
+    reference = function.derivative_function()  # refuses a function without one
     if seeds < 1:
         raise ValueError("need at least one seed")
 
-    levels = [
-        choose_n(d, mu, p=p, s=s, rule_constant=rule_constant, r=r) for d in deltas
-    ]
     # Validated, size limit included, before any coefficient is built.
     configs = [
         MethodConfig(
-            r=r, mu=mu, delta=delta, s=s, p=p,
-            n_override=n, rule_constant=rule_constant, domain_shape=domain_shape,
+            r=MEASURED_ORDER, mu=mu, delta=delta, s=s, p=p,
+            rule_constant=rule_constant, domain_shape=domain_shape,
         )
-        for delta, n in zip(deltas, levels)
+        for delta in deltas
     ]
     degree = max(max(c.domain().max_degree()) for c in configs)
     base = exact_coeffs(function, degree, degree)
-    reference = function.derivative_function()
     seed_list = [None] if noise_kind == "none" else range(seeds)
 
     rows: list[ExperimentRow] = []
@@ -433,5 +431,5 @@ def convergence_sweep(
         deltas=tuple(deltas),
         median_l2=tuple(median_l2),
         fitted_slope=slope,
-        theoretical_exponent=theoretical_exponent(mu, r, s, p),
+        theoretical_exponent=theoretical_exponent(mu, MEASURED_ORDER, s, p),
     )

@@ -18,7 +18,7 @@ A measurement reduces series minus reference one block of grid rows at a time
 in one reused buffer of at most 2**18 entries (2 MiB), so next to the held grid
 it allocates that block and the two factors of :func:`~legdiff.basis.grid_factors`,
 never a second grid.  A grid of at most 2**18 entries (every grid the table
-presets measure on, and the default 201 x 201 sup grid) is one block, reduced
+presets measure on, and the default uniform grid) is one block, reduced
 with exactly the operations of a whole-grid product.
 """
 
@@ -34,7 +34,11 @@ from .basis import grid_factors, legendre_table
 from .coeffs import MAX_DENSE_ENTRIES, BivariateFunction
 from .method import ApproxDerivative, LegendreSeries2D
 
-__all__ = ["ErrorReport", "l2_error", "sup_error", "error_report"]
+__all__ = ["ErrorReport", "l2_error", "sup_error", "error_report", "DEFAULT_G", "DEFAULT_M"]
+
+#: error_report's defaults: the floor G on Gauss points per panel, the uniform grid size m.
+DEFAULT_G = 96
+DEFAULT_M = 201
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,10 @@ class ErrorReport:
     information_count: int
 
     def validate(self) -> None:
-        """Check ||g||_L2 <= 2 ||g||_C (the domain has area 4)."""
+        """Check that both errors are finite and ||g||_L2 <= 2 ||g||_C (area 4)."""
+        for name, value in (("l2_error", self.l2_error), ("sup_error", self.sup_error)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name}={value} is not finite on the measurement grid")
         if not self.l2_error <= 2.0 * self.sup_error * (1.0 + 1e-9) + 1e-300:
             raise ValueError(
                 f"l2_error={self.l2_error} exceeds 2*sup_error={2 * self.sup_error}"
@@ -163,7 +170,7 @@ def l2_error(approx: ApproxDerivative, reference: BivariateFunction, G: int) -> 
 
 
 def sup_error(
-    approx: ApproxDerivative, reference: BivariateFunction, m: int = 201
+    approx: ApproxDerivative, reference: BivariateFunction, m: int = DEFAULT_M
 ) -> float:
     """Uniform error max |approx - reference| over the m x m grid including +-1.
 
@@ -181,8 +188,8 @@ def sup_error(
 def error_report(
     approx: ApproxDerivative,
     reference: BivariateFunction,
-    G: int = 96,
-    m: int = 201,
+    G: int = DEFAULT_G,
+    m: int = DEFAULT_M,
 ) -> ErrorReport:
     """Both error metrics for one run; G is a floor, as for :func:`l2_error`."""
     _check_m(m)  # before the reference is evaluated or L2 computed

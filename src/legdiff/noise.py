@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .coeffs import CoeffField
 
 __all__ = ["NoiseSpec", "standard_normals", "noise_vector", "perturb"]
-
-_KINDS = ("none", "gaussian", "projected")
 
 
 @dataclass(frozen=True)
@@ -38,14 +37,16 @@ class NoiseSpec:
     ``math.inf``.
     """
 
-    kind: str
+    KINDS: ClassVar[tuple[str, ...]] = ("none", "gaussian", "projected")
+
+    kind: str  # one of KINDS
     delta: float = 0.0
     p: float = 2.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}; expected {_KINDS}")
+        if self.kind not in self.KINDS:
+            raise ValueError(f"unknown noise kind {self.kind!r}; expected {self.KINDS}")
         if self.kind != "none" and not (0.0 < self.delta < 1.0):
             raise ValueError(f"noise level delta={self.delta} must lie in (0, 1)")
         if not (1.0 <= self.p):

@@ -81,7 +81,6 @@ def rate_sweep():
     return convergence_sweep(
         F2,
         mu=6.0,
-        r=2,
         s=2.0,
         p=2.0,
         deltas=preset_deltas,

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: flags, outputs, determinism, exit codes."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -13,7 +14,9 @@ import pytest
 from legdiff import cli
 from legdiff.cli import main
 from legdiff.coeffs import CoeffField, exact_coeffs, save_csv
-from legdiff.experiments import F1
+from legdiff.experiments import BUILTIN_NAMES, F1
+from legdiff.index import IndexDomain
+from legdiff.noise import NoiseSpec
 
 
 def _parse_grid_csv(text, header):
@@ -661,3 +664,19 @@ class TestSharedFlags:
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "flag, owned",
+        [("--noise", NoiseSpec.KINDS), ("--builtin", BUILTIN_NAMES),
+         ("--domain", IndexDomain.SHAPES)],
+    )
+    def test_choices_are_read_from_their_owners(self, flag, owned):
+        # differentiate and convergence offer exactly the owning module's tuple.
+        (subcommands,) = [
+            action for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        for command in ("differentiate", "convergence"):
+            parser = subcommands.choices[command]
+            (action,) = [a for a in parser._actions if flag in a.option_strings]
+            assert tuple(action.choices) == owned

@@ -1,6 +1,7 @@
 """Bundled test functions, experiment presets, tables, and convergence sweeps."""
 
 import dataclasses
+import inspect
 import json
 from pathlib import Path
 
@@ -12,13 +13,15 @@ from legdiff.coeffs import BivariateFunction, exact_coeffs, smoothness_norm, tra
 from legdiff.coeffs import _trapezoid_rule
 from legdiff.index import IndexDomain
 from legdiff.method import ConfigError, MethodConfig, run
-from legdiff.metrics import l2_error, sup_error
+from legdiff.metrics import error_report, l2_error, sup_error
 from legdiff.coeffs import CoeffField
 from legdiff.noise import NoiseSpec, perturb
 from legdiff.experiments import (
+    BUILTIN_NAMES,
     CSV_HEADER,
     F1,
     F2,
+    MEASURED_ORDER,
     ExperimentPreset,
     PRESET_NAMES,
     SweepResult,
@@ -110,6 +113,7 @@ class TestBuiltinValues:
         )
 
     def test_builtin_lookup(self):
+        assert BUILTIN_NAMES == ("f1", "f2")
         assert builtin_function("f1") is F1
         assert builtin_function("f2") is F2
         with pytest.raises(ValueError, match="unknown builtin"):
@@ -180,10 +184,14 @@ class TestPresets:
         assert t3.hs == (4e-4, 1e-4, 4e-5)
         assert t3.mu == 6.0
         # Class constants, still read through the preset.
+        defaults = inspect.signature(error_report).parameters
         for preset in (t1, get_preset("table2"), t3):
             assert preset.r == 2
             assert (preset.s, preset.p) == (2.0, 2.0)
             assert (preset.coeff_G, preset.metric_G, preset.metric_m) == (96, 96, 201)
+            # The table is measured with error_report's own defaults.
+            assert preset.metric_G == defaults["G"].default
+            assert preset.metric_m == defaults["m"].default
             assert preset.default_seeds == 20
 
     def test_unknown_preset(self):
@@ -245,7 +253,7 @@ class TestPresets:
         if name.startswith("metric_"):
             with pytest.raises(TypeError, match=f"'{name}'"):
                 convergence_sweep(
-                    F2, 6.0, 2, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8), **{name: value}
+                    F2, 6.0, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8), **{name: value}
                 )
 
 
@@ -366,7 +374,7 @@ class TestReferenceEvaluations:
     def test_sweep_evaluates_reference_once_per_grid(self, seeds):
         function, calls = _counting_f1()
         result = convergence_sweep(
-            function, 5.5, 2, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8), seeds=seeds,
+            function, 5.5, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8), seeds=seeds,
         )
         assert len(result.rows) == 3 * (seeds + (seeds > 1))
         assert calls == [(192, 192), (201, 201)]
@@ -378,7 +386,7 @@ class TestReferenceEvaluations:
         # own Gauss grid; the uniform grid is evaluated once for the sweep.
         function, calls = _counting_f1()
         result = convergence_sweep(
-            function, 4.5, 2, 2.0, 2.0, deltas=(1e-8, 10**-9.5, 1e-11), seeds=3,
+            function, 4.5, 2.0, 2.0, deltas=(1e-8, 10**-9.5, 1e-11), seeds=3,
         )
         levels = sorted({r.n for r in result.rows})
         assert all(2 * (n - 3) + 8 > 96 for n in levels)
@@ -518,26 +526,27 @@ class TestTheoreticalExponent:
 class TestConvergenceSweep:
     def test_rejects_short_grid(self):
         with pytest.raises(ValueError, match="3 noise levels"):
-            convergence_sweep(F2, 6.0, 2, 2.0, 2.0, deltas=(1e-4, 1e-6))
+            convergence_sweep(F2, 6.0, 2.0, 2.0, deltas=(1e-4, 1e-6))
 
     def test_rejects_narrow_grid(self):
         with pytest.raises(ValueError, match="decades"):
-            convergence_sweep(F2, 6.0, 2, 2.0, 2.0, deltas=(1e-2, 1e-3, 1e-4))
+            convergence_sweep(F2, 6.0, 2.0, 2.0, deltas=(1e-2, 1e-3, 1e-4))
 
     def test_rejects_unknown_noise_kind(self):
         with pytest.raises(ValueError, match="noise kind"):
             convergence_sweep(
-                F2, 6.0, 2, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8), noise_kind="pink"
+                F2, 6.0, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8), noise_kind="pink"
             )
 
     def test_rejects_function_without_derivative(self):
         bare = BivariateFunction(value=lambda t, tau: t * tau, name="bare")
         with pytest.raises(ValueError, match="derivative"):
-            convergence_sweep(bare, 6.0, 2, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8))
+            convergence_sweep(bare, 6.0, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8))
 
     @pytest.mark.parametrize("r", [1, 3])
     def test_rejects_r_other_than_2_before_projecting(self, r):
-        # The sweep measures against the (2, 2) derivative, whatever r is.
+        # The sweep measures against the (2, 2) derivative, so r is not a
+        # parameter: an order is refused as an unknown argument.
         calls = []
 
         def value(t, tau):
@@ -545,9 +554,16 @@ class TestConvergenceSweep:
             return f2(t, tau)
 
         counted = BivariateFunction(value=value, d22=f2_d22, name="f2_counted")
-        with pytest.raises(ValueError, match="r must be 2"):
-            convergence_sweep(counted, 8.0, r, 2.0, 2.0, deltas=(1e-5, 1e-7, 1e-9))
+        with pytest.raises(TypeError, match="'r'"):
+            convergence_sweep(counted, 8.0, 2.0, 2.0, deltas=(1e-5, 1e-7, 1e-9), r=r)
         assert calls == []
+
+    def test_r_is_not_a_parameter(self):
+        # Even the order it measures: the sweep reads MEASURED_ORDER, as
+        # ExperimentPreset.r does.
+        with pytest.raises(TypeError, match="'r'"):
+            convergence_sweep(F2, 6.0, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8), r=2)
+        assert ExperimentPreset.r == MEASURED_ORDER == 2
 
     def test_rejects_non_finite_mu_before_projecting(self):
         calls = []
@@ -558,18 +574,18 @@ class TestConvergenceSweep:
 
         counted = BivariateFunction(value=value, d22=f2_d22, name="f2_counted")
         with pytest.raises(ConfigError, match="mu=inf must be finite"):
-            convergence_sweep(counted, np.inf, 2, 2.0, 2.0, deltas=(1e-5, 1e-7, 1e-9))
+            convergence_sweep(counted, np.inf, 2.0, 2.0, deltas=(1e-5, 1e-7, 1e-9))
         assert calls == []
 
     def test_rejects_nonpositive_seeds(self):
         with pytest.raises(ValueError, match="seed"):
             convergence_sweep(
-                F2, 6.0, 2, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8), seeds=0
+                F2, 6.0, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8), seeds=0
             )
 
     def test_noiseless_sweep_decreases(self):
         result = convergence_sweep(
-            F2, 6.0, 2, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8), noise_kind="none"
+            F2, 6.0, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8), noise_kind="none"
         )
         assert isinstance(result, SweepResult)
         assert result.deltas == (1e-4, 1e-6, 1e-8)
@@ -580,7 +596,7 @@ class TestConvergenceSweep:
 
     def test_rows_sorted_by_descending_delta(self):
         result = convergence_sweep(
-            F2, 6.0, 2, 2.0, 2.0, deltas=(1e-8, 1e-4, 1e-6), noise_kind="none"
+            F2, 6.0, 2.0, 2.0, deltas=(1e-8, 1e-4, 1e-6), noise_kind="none"
         )
         assert result.deltas == (1e-4, 1e-6, 1e-8)
         row_deltas = [row.delta for row in result.rows]
@@ -588,7 +604,7 @@ class TestConvergenceSweep:
 
     def test_projected_sweep_structure(self):
         result = convergence_sweep(
-            F2, 6.0, 2, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8),
+            F2, 6.0, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8),
             seeds=2, noise_kind="projected",
         )
         # Two seed rows plus a median row per level.
@@ -599,7 +615,7 @@ class TestConvergenceSweep:
 
     def test_levels_follow_choice_rule(self):
         result = convergence_sweep(
-            F2, 6.0, 2, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8), noise_kind="none"
+            F2, 6.0, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8), noise_kind="none"
         )
         assert sorted({row.n for row in result.rows}) == [5, 10, 22]
 
@@ -607,7 +623,7 @@ class TestConvergenceSweep:
         # At delta = 1e-13 the rule picks n = 147: the derived series has
         # degree 144, which needs G >= 296, above the default 96.
         deltas = (1e-6, 1e-8, 1e-10, 1e-13)
-        result = convergence_sweep(F2, 6.0, 2, 2.0, 2.0, deltas=deltas, seeds=1)
+        result = convergence_sweep(F2, 6.0, 2.0, 2.0, deltas=deltas, seeds=1)
         reference = F2.derivative_function()
         base = exact_coeffs(F2, 146, 146, G=2 * 146 + 16)  # the sweep's own base
         for row in result.rows:

@@ -151,8 +151,24 @@ class TestErrorReport:
 
     def test_validate_rejects_inconsistent_report(self):
         bad = ErrorReport(l2_error=10.0, sup_error=1.0, n_used=3, information_count=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"l2_error=10.0 exceeds 2\*sup_error=2.0"):
             bad.validate()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["l2_error", "sup_error"])
+    def test_validate_names_the_non_finite_error(self, name, value):
+        # NaN fails every comparison, so the inequality alone would blame it.
+        errors = {"l2_error": 1.0, "sup_error": 1.0, name: value}
+        bad = ErrorReport(**errors, n_used=3, information_count=4)
+        with pytest.raises(ValueError, match=rf"^{name}={value} is not finite"):
+            bad.validate()
+
+    def test_nan_reference_is_reported_as_not_finite(self):
+        reference = BivariateFunction(
+            value=lambda t, tau: np.where(t > 0.5, np.nan, 22.5) + 0.0 * tau
+        )
+        with pytest.raises(ValueError, match=r"^l2_error=nan is not finite"):
+            error_report(_phi22_approx(), reference, G=8, m=11)
 
 
 def _scratch_l2(approx, reference, G):
