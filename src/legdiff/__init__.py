@@ -17,7 +17,7 @@ Quick start::
     values = approx.series.eval_grid([0.0], [0.0])
 """
 
-from .basis import QuadratureRule, composite_gauss_rule, eval_phi_row, eval_phi_table, gauss_rule
+from .basis import QuadratureRule, composite_gauss_rule, eval_phi_table, gauss_rule
 from .coeffs import (
     BivariateFunction,
     CoeffField,
@@ -27,12 +27,7 @@ from .coeffs import (
     smoothness_norm,
     trapezoid_coeffs,
 )
-from .derivative import (
-    DerivativeExpansion,
-    phi_derivative_coeffs,
-    phi_rr_closed_form,
-    single_step_entry,
-)
+from .derivative import DerivativeExpansion, phi_derivative_coeffs
 from .experiments import (
     F1,
     F2,
@@ -65,7 +60,6 @@ __all__ = [
     "QuadratureRule",
     "gauss_rule",
     "composite_gauss_rule",
-    "eval_phi_row",
     "eval_phi_table",
     "CoeffField",
     "BivariateFunction",
@@ -74,9 +68,7 @@ __all__ = [
     "smoothness_norm",
     "save_csv",
     "load_csv",
-    "single_step_entry",
     "phi_derivative_coeffs",
-    "phi_rr_closed_form",
     "DerivativeExpansion",
     "IndexDomain",
     "NoiseSpec",

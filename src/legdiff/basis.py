@@ -25,7 +25,6 @@ import numpy as np
 __all__ = [
     "DOMAIN_TOL",
     "QuadratureRule",
-    "eval_phi_row",
     "eval_phi_table",
     "gauss_rule",
     "composite_gauss_rule",
@@ -57,10 +56,6 @@ class QuadratureRule:
 
     def __len__(self) -> int:
         return self.nodes.size
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Apply the rule to integrand values sampled at the nodes."""
-        return float(self.weights @ np.asarray(values, dtype=np.float64))
 
     def validate(self) -> None:
         """Check the rule invariants, raising ValueError on violation."""
@@ -160,15 +155,6 @@ def _check_in_domain(t: np.ndarray) -> None:
     if not np.all(size <= 1.0 + DOMAIN_TOL):
         worst = float(points[int(np.argmax(size))])  # the first NaN, if any
         raise ValueError(f"point {worst!r} lies outside [-1, 1]")
-
-
-def eval_phi_row(k_max: int, t: float) -> np.ndarray:
-    """Values phi_0(t) .. phi_{k_max}(t) at a single point t in [-1, 1]."""
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    arr = np.asarray([t], dtype=np.float64)
-    _check_in_domain(arr)
-    return legendre_table(k_max, arr)[:, 0].copy()
 
 
 def eval_phi_table(k_max: int, t: np.ndarray) -> np.ndarray:

@@ -258,12 +258,10 @@ def cmd_differentiate(args: argparse.Namespace) -> int:
 
     grid = np.linspace(-1.0, 1.0, args.grid)
     values = _finite(lambda: approx.series.eval_grid(grid, grid))
+    nodes = [repr(t) for t in grid.tolist()]  # each node formatted once
     lines = ["t,tau,value"]
-    for i in range(args.grid):
-        for j in range(args.grid):
-            lines.append(
-                f"{float(grid[i])!r},{float(grid[j])!r},{float(values[i, j])!r}"
-            )
+    for t, row in zip(nodes, values.tolist()):
+        lines.extend(f"{t},{tau},{v!r}" for tau, v in zip(nodes, row))
     _write_text(args.out, "\n".join(lines) + "\n")
 
     if function is not None and args.r == MEASURED_ORDER:  # every builtin has its d22
@@ -315,7 +313,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
     else:
         values = _finite(lambda: coeffs @ eval_phi_table(coeffs.size - 1, grid))
     lines = ["t,value"]
-    lines.extend(f"{float(t)!r},{float(v)!r}" for t, v in zip(grid, values))
+    lines.extend(f"{t!r},{v!r}" for t, v in zip(grid.tolist(), values.tolist()))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

@@ -45,6 +45,13 @@ _PROJECTION_CHUNK = 65536
 # delta < 1e-15.  Larger sizes are rejected before anything is allocated.
 MAX_DENSE_ENTRIES = 2**22
 
+#: Side of the largest square array within MAX_DENSE_ENTRIES (2048).
+_MAX_SIDE = math.isqrt(MAX_DENSE_ENTRIES)
+
+#: The Gauss order per panel :func:`exact_coeffs` gives degree _MAX_SIDE - 1
+#: (4110); a larger order is refused before its O(G^2) rule is built.
+_MAX_GAUSS_ORDER = 2 * (_MAX_SIDE - 1) + 16
+
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     """A read-only view of ``array``; the data is not copied."""
@@ -88,31 +95,6 @@ class CoeffField:
         return self.values.shape[1] - 1
 
     @classmethod
-    def from_entries(
-        cls,
-        entries: dict[tuple[int, int], float],
-        k_max: int | None = None,
-        j_max: int | None = None,
-    ) -> "CoeffField":
-        """Field storing ``entries``; omitted bounds are inferred from the indices."""
-        if k_max is None:
-            k_max = max((k for k, _ in entries), default=0)
-        if j_max is None:
-            j_max = max((j for _, j in entries), default=0)
-        if k_max < 0 or j_max < 0:
-            raise ValueError("degree bounds must be nonnegative")
-        values = np.zeros((k_max + 1, j_max + 1))
-        stored = np.zeros(values.shape, dtype=bool)
-        for (k, j), v in entries.items():
-            if not (0 <= k <= k_max and 0 <= j <= j_max):
-                raise ValueError(
-                    f"entry {(k, j)} outside bounds [0, {k_max}] x [0, {j_max}]"
-                )
-            values[k, j] = v
-            stored[k, j] = True
-        return cls(values, stored)
-
-    @classmethod
     def from_dense(cls, array: np.ndarray) -> "CoeffField":
         """Field storing every entry of a dense coefficient array.
 
@@ -121,12 +103,6 @@ class CoeffField:
         """
         array = np.asarray(array, dtype=np.float64)
         return cls(array, np.broadcast_to(np.True_, array.shape))
-
-    def value(self, k: int, j: int) -> float:
-        """Value at (k, j); entries not stored are exactly zero."""
-        if 0 <= k <= self.k_max and 0 <= j <= self.j_max:
-            return float(self.values[k, j])
-        return 0.0
 
     def items_sorted(self) -> list[tuple[tuple[int, int], float]]:
         """Stored entries in lexicographic (k, j) order."""
@@ -151,10 +127,6 @@ class CoeffField:
             values[:rows, :cols], self.values[:rows, :cols], where=mask[:rows, :cols]
         )
         return CoeffField(values, mask)
-
-    def to_dense(self) -> np.ndarray:
-        """Writable copy of the (k_max+1, j_max+1) coefficient array."""
-        return self.values.copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,6 +185,17 @@ class BivariateFunction:
         return rule_t, rule_tau
 
 
+def _check_degrees(k_max: int, j_max: int) -> None:
+    """Refuse degree bounds that are negative or whose array exceeds the limit."""
+    if k_max < 0 or j_max < 0:
+        raise ValueError("degree bounds must be nonnegative")
+    if (k_max + 1) * (j_max + 1) > MAX_DENSE_ENTRIES:
+        raise ValueError(
+            f"degrees ({k_max}, {j_max}) need a {k_max + 1}x{j_max + 1} coefficient "
+            f"array, over the limit of {MAX_DENSE_ENTRIES} entries"
+        )
+
+
 def _projection(values: np.ndarray, rule: QuadratureRule, k_max: int) -> np.ndarray:
     """Quadrature projections c_k = sum_i w_i v_i phi_k(t_i) for k = 0..k_max."""
     coeffs = np.zeros(k_max + 1, dtype=np.float64)
@@ -261,12 +244,17 @@ def exact_coeffs(
 
     The order per panel is max(G, 2 * max(k_max, j_max) + 16): G is a floor,
     and the degree-based order, which integrates the products f*phi_k*phi_j
-    to reference quality, applies when it is larger or G is not given.
+    to reference quality, applies when it is larger or G is not given.  An
+    order above 4110 (the degree rule's at degree 2047) or a coefficient
+    array over :data:`MAX_DENSE_ENTRIES` raises ValueError.
     """
-    if k_max < 0 or j_max < 0:
-        raise ValueError("degree bounds must be nonnegative")
+    _check_degrees(k_max, j_max)
     floor = 2 * max(k_max, j_max) + 16
     G = floor if G is None else max(G, floor)
+    if G > _MAX_GAUSS_ORDER:
+        raise ValueError(
+            f"quadrature order G={G} per panel is over the limit of {_MAX_GAUSS_ORDER}"
+        )
     return CoeffField.from_dense(_tensor_projection(f, *f.gauss_rules(G), k_max, j_max))
 
 
@@ -274,6 +262,11 @@ def _trapezoid_rule(h: float) -> QuadratureRule:
     """Composite trapezoid rule covering [-1, 1] with step h exactly."""
     if not (0.0 < h <= 0.1):
         raise ValueError(f"grid step h={h} must lie in (0, 0.1]")
+    if 2.0 / h + 1.0 > MAX_DENSE_ENTRIES:  # before round(), which fails on inf
+        raise ValueError(
+            f"grid step h={h} needs {2.0 / h + 1.0:.4g} nodes, over the limit of "
+            f"{MAX_DENSE_ENTRIES}"
+        )
     steps = round(2.0 / h)
     if steps < 1 or abs(steps * h - 2.0) > 1e-9:
         raise ValueError(f"grid step h={h} does not tile [-1, 1] in whole steps")
@@ -289,11 +282,12 @@ def trapezoid_coeffs(
 ) -> CoeffField:
     """Coefficients via the composite tensor trapezoid rule with step h.
 
-    The step must tile [-1, 1] into whole intervals and satisfy h <= 0.1.
-    The rule's quadrature error is the implicit perturbation of the data.
+    The step must tile [-1, 1] into whole intervals of at most
+    :data:`MAX_DENSE_ENTRIES` nodes and satisfy h <= 0.1; the coefficient
+    array must fit that limit too.  The rule's quadrature error is the
+    implicit perturbation of the data.
     """
-    if k_max < 0 or j_max < 0:
-        raise ValueError("degree bounds must be nonnegative")
+    _check_degrees(k_max, j_max)
     rule = _trapezoid_rule(h)
     return CoeffField.from_dense(_tensor_projection(f, rule, rule, k_max, j_max))
 

@@ -32,32 +32,20 @@ there (its docstring has the measurement).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import _orthonormal_scale
 
-__all__ = [
-    "single_step_entry",
-    "phi_derivative_coeffs",
-    "phi_rr_closed_form",
-    "DerivativeExpansion",
-]
-
-
-def single_step_entry(k: int, l: int) -> float:
-    """Entry (k -> l) of the single derivative step: the weight of phi_l in phi_k'."""
-    if l < k and (k + l) % 2 == 1:
-        return 2.0 * math.sqrt(k + 0.5) * math.sqrt(l + 0.5)
-    return 0.0
+__all__ = ["phi_derivative_coeffs", "DerivativeExpansion"]
 
 
 def _step(a: np.ndarray) -> np.ndarray:
     """One derivative step along axis 0 of a 2-D float64 array of degrees 0..K.
 
-    The result holds degrees 0..K-1, b_l = sum_k single_step_entry(k, l) a_k.
+    The result holds degrees 0..K-1,
+    b_l = 2 sqrt(l + 1/2) * sum_{k > l, k+l odd} sqrt(k + 1/2) a_k.
     """
     scale = _orthonormal_scale(a.shape[0] - 1)
     weighted = scale[:, None] * a
@@ -88,18 +76,6 @@ def phi_derivative_coeffs(k: int, r: int) -> np.ndarray:
     unit = np.zeros(k + 1, dtype=np.float64)
     unit[k] = 1.0
     return DerivativeExpansion(r, k).apply(unit) if r > 0 else unit
-
-
-def phi_rr_closed_form(r: int) -> float:
-    """The constant value of phi_r^(r) as a multiple of phi_0.
-
-    phi_r^(r)(t) = sqrt(r + 1/2) * 2^(1/2 - r) * (2r)!/r! * phi_0(t).
-    """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    if r == 0:
-        return 1.0
-    return math.sqrt(r + 0.5) * 2.0 ** (0.5 - r) * math.factorial(2 * r) / math.factorial(r)
 
 
 @dataclass(frozen=True)

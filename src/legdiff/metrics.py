@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import grid_factors, legendre_table
-from .coeffs import MAX_DENSE_ENTRIES, BivariateFunction
+from .coeffs import MAX_DENSE_ENTRIES, BivariateFunction, _MAX_SIDE
 from .method import ApproxDerivative, LegendreSeries2D
 
 __all__ = ["ErrorReport", "l2_error", "sup_error", "error_report", "DEFAULT_G", "DEFAULT_M"]
@@ -60,6 +60,10 @@ class ErrorReport:
                 f"l2_error={self.l2_error} exceeds 2*sup_error={2 * self.sup_error}"
             )
 
+
+#: The Gauss order per panel :func:`l2_error` gives a series of degree
+#: _MAX_SIDE - 1 (4102); a larger order is refused before any rule is built.
+_MAX_GAUSS_ORDER = 2 * (_MAX_SIDE - 1) + 8
 
 #: Entries of the one row block a measurement fills at a time (2 MiB); grids
 #: of at most this many entries are reduced in one block, exactly as a whole.
@@ -156,10 +160,15 @@ def l2_error(approx: ApproxDerivative, reference: BivariateFunction, G: int) -> 
 
     G is a floor: the integration uses max(G, 2 * (max series degree) + 8)
     Gauss points per panel, so the squared series is integrated essentially
-    exactly.
+    exactly.  An order above 4102, the one a series of degree 2047 gets,
+    raises ValueError before any rule is built.
     """
-    coeffs = approx.series.coeffs
-    grid = _grid(reference, "gauss", max(G, 2 * (max(coeffs.shape) - 1) + 8), _gauss)
+    order = max(G, 2 * (max(approx.series.coeffs.shape) - 1) + 8)
+    if order > _MAX_GAUSS_ORDER:
+        raise ValueError(
+            f"quadrature order G={order} per panel is over the limit of {_MAX_GAUSS_ORDER}"
+        )
+    grid = _grid(reference, "gauss", order, _gauss)
     weights_t, weights_tau = grid.weights
     column = np.zeros(grid.values.shape[1])
     for rows, block in grid.diff_blocks(approx.series):

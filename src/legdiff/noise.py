@@ -124,6 +124,6 @@ def perturb(field: CoeffField, spec: NoiseSpec) -> CoeffField:
     """
     if spec.kind == "none" or len(field) == 0:
         return field
-    values = field.to_dense()
+    values = field.values.copy()
     values[field.stored] += noise_vector(field, spec)
     return CoeffField(values, field.stored)

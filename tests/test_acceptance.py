@@ -32,12 +32,14 @@ import numpy.polynomial.legendre as npleg
 import pytest
 
 from legdiff.basis import eval_phi_table, gauss_rule
-from legdiff.coeffs import BivariateFunction, CoeffField, exact_coeffs
+from legdiff.coeffs import BivariateFunction, exact_coeffs
 from legdiff.derivative import phi_derivative_coeffs
 from legdiff.experiments import F2, convergence_sweep, get_preset, run_table
 from legdiff.index import IndexDomain
 from legdiff.method import MethodConfig, evaluate, run
 from legdiff.noise import NoiseSpec, noise_vector
+
+from oracles import from_entries
 
 # --------------------------------------------------------------------------
 # Shared expensive runs (computed once per module)
@@ -323,7 +325,7 @@ class TestProjectedNoiseContract:
                 (int(rng.integers(0, k_max + 1)), int(rng.integers(0, j_max + 1)))
                 for _ in range(count)
             }
-            field = CoeffField.from_entries(
+            field = from_entries(
                 {kj: float(rng.normal()) * 10.0 ** rng.integers(-6, 3) for kj in pairs}
             )
             delta = float(10.0 ** rng.uniform(-8.0, -0.5))

@@ -13,7 +13,6 @@ from legdiff import basis
 from legdiff.basis import (
     QuadratureRule,
     composite_gauss_rule,
-    eval_phi_row,
     eval_phi_table,
     gauss_rule,
     grid_product,
@@ -26,24 +25,24 @@ from legdiff.method import MethodConfig, run
 
 class TestEvalPhi:
     def test_phi0_is_constant_inverse_sqrt2(self):
-        row = eval_phi_row(0, 0.5)
+        row = eval_phi_table(0, [0.5])[:, 0]
         assert row.shape == (1,)
         assert row[0] == pytest.approx(0.7071067811865476, abs=1e-15)
 
     def test_phi1_at_one(self):
-        row = eval_phi_row(1, 1.0)
+        row = eval_phi_table(1, [1.0])[:, 0]
         assert row[0] == pytest.approx(math.sqrt(0.5), abs=1e-15)
         assert row[1] == pytest.approx(1.2247448713915890, abs=1e-15)
 
     def test_phi5_matches_closed_form(self):
         t = 0.3
         p5 = (63 * t**5 - 70 * t**3 + 15 * t) / 8
-        row = eval_phi_row(5, t)
+        row = eval_phi_table(5, [t])[:, 0]
         assert row[5] == pytest.approx(math.sqrt(5.5) * p5, rel=1e-14)
 
     def test_rejects_point_outside_interval(self):
         with pytest.raises(ValueError):
-            eval_phi_row(3, 1.1)
+            eval_phi_table(3, [1.1])
         with pytest.raises(ValueError):
             eval_phi_table(3, np.array([0.0, -1.0001]))
 
@@ -52,7 +51,7 @@ class TestEvalPhi:
         with pytest.raises(ValueError, match="outside"):
             eval_phi_table(2, np.array([0.5, bad, 1.0]))
         with pytest.raises(ValueError, match="outside"):
-            eval_phi_row(2, bad)
+            eval_phi_table(2, [bad])
 
     def test_tolerance_edge_is_accepted(self):
         eval_phi_table(2, np.array([-1.0 - 1e-12, 1.0 + 1e-12]))
@@ -61,10 +60,10 @@ class TestEvalPhi:
 
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
-            eval_phi_row(-1, 0.0)
+            eval_phi_table(-1, [0.0])
 
     def test_boundary_value_sqrt_k_plus_half(self):
-        row = eval_phi_row(40, 1.0)
+        row = eval_phi_table(40, [1.0])[:, 0]
         expected = np.sqrt(np.arange(41) + 0.5)
         np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
 
@@ -79,7 +78,7 @@ class TestEvalPhi:
         t = np.array([-0.9, -0.2, 0.0, 0.4, 1.0])
         table = eval_phi_table(12, t)
         for i, ti in enumerate(t):
-            np.testing.assert_allclose(table[:, i], eval_phi_row(12, ti), rtol=0, atol=0)
+            np.testing.assert_allclose(table[:, i], eval_phi_table(12, [ti])[:, 0], rtol=0, atol=0)
 
 
 class TestLegendreTable:
@@ -109,7 +108,7 @@ class TestGaussRule:
 
     def test_degree_20_monomial_with_16_points(self):
         rule = gauss_rule(16)
-        assert rule.integrate(rule.nodes**20) == pytest.approx(2 / 21, abs=1e-14)
+        assert rule.weights @ rule.nodes**20 == pytest.approx(2 / 21, abs=1e-14)
 
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError):
@@ -132,7 +131,7 @@ class TestGaussRule:
         rule = gauss_rule(G)
         for m in range(2 * G):
             exact = 0.0 if m % 2 else 2.0 / (m + 1)
-            assert rule.integrate(rule.nodes**m) == pytest.approx(exact, abs=1e-13)
+            assert rule.weights @ rule.nodes**m == pytest.approx(exact, abs=1e-13)
 
     def test_invariants(self):
         for G in (1, 2, 17, 64):
@@ -151,10 +150,9 @@ class TestGaussRule:
 
 
 class TestQuadratureRule:
-    def test_integrate_shape_mismatch(self):
-        rule = gauss_rule(4)
-        with pytest.raises(ValueError):
-            rule.integrate(np.ones(5))
+    def test_rejects_nodes_and_weights_of_unequal_length(self):
+        with pytest.raises(ValueError, match="equal length"):
+            QuadratureRule(nodes=np.array([-0.5, 0.5]), weights=np.ones(3))
 
     def test_validate_rejects_bad_weights(self):
         bad = QuadratureRule(nodes=np.array([-0.5, 0.5]), weights=np.array([1.0, 0.5]))
@@ -178,7 +176,7 @@ class TestCompositeGaussRule:
         comp = composite_gauss_rule(24, edges=(-1.0, 0.0, 1.0))
         comp.validate()
         # integral of |t| over [-1, 1] is exactly 1; each panel sees a polynomial
-        assert comp.integrate(np.abs(comp.nodes)) == pytest.approx(1.0, abs=1e-14)
+        assert comp.weights @ np.abs(comp.nodes) == pytest.approx(1.0, abs=1e-14)
 
     def test_rejects_bad_edges(self):
         with pytest.raises(ValueError):

@@ -13,10 +13,12 @@ import pytest
 
 from legdiff import cli
 from legdiff.cli import main
-from legdiff.coeffs import CoeffField, exact_coeffs, save_csv
+from legdiff.coeffs import exact_coeffs, save_csv
 from legdiff.experiments import BUILTIN_NAMES, F1
 from legdiff.index import IndexDomain
 from legdiff.noise import NoiseSpec
+
+from oracles import from_entries
 
 
 def _parse_grid_csv(text, header):
@@ -48,7 +50,7 @@ class TestDifferentiate:
 
     def test_coeffs_file_resolves_level_from_rule(self, tmp_path, capsys):
         path = tmp_path / "c.csv"
-        save_csv(CoeffField.from_entries({(2, 2): 0.1, (3, 2): -0.05}), path)
+        save_csv(from_entries({(2, 2): 0.1, (3, 2): -0.05}), path)
         code = main(
             [
                 "differentiate", "--coeffs", str(path), "--r", "2",
@@ -197,7 +199,7 @@ class TestDifferentiate:
         assert main(["differentiate", "--mu", "6"]) == 2
         capsys.readouterr()
         path = tmp_path / "c.csv"
-        save_csv(CoeffField.from_entries({(2, 2): 0.1}), path)
+        save_csv(from_entries({(2, 2): 0.1}), path)
         assert (
             main(
                 [

@@ -16,10 +16,14 @@ from legdiff.coeffs import (
     trapezoid_coeffs,
     _parse_rows,
 )
+from legdiff import basis as basis_module
 from legdiff import coeffs as coeffs_module
 from legdiff.basis import QuadratureRule, composite_gauss_rule, legendre_table
 from legdiff.experiments import F1
 from legdiff.index import IndexDomain
+from legdiff.noise import NoiseSpec, perturb
+
+from oracles import from_entries
 
 
 def _no_scanner(text):
@@ -34,34 +38,52 @@ def _t_times_tau():
     return BivariateFunction(value=lambda t, tau: np.asarray(t) * np.asarray(tau))
 
 
+def _untouchable():
+    def value(t, tau):
+        raise AssertionError("the function must not be evaluated")
+
+    return BivariateFunction(value=value, name="untouchable")
+
+
+@pytest.fixture
+def no_rules(monkeypatch):
+    """Fail the test if a Gauss rule or trapezoid nodes are ever built."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no quadrature rule may be built")
+
+    monkeypatch.setattr(basis_module, "gauss_rule", refuse)
+    monkeypatch.setattr(np, "linspace", refuse)
+
+
 class TestCoeffField:
     def test_missing_entries_are_zero(self):
-        field = CoeffField.from_entries({(2, 3): 1.5})
-        assert field.value(0, 0) == 0.0
-        assert field.value(2, 3) == 1.5
+        field = from_entries({(2, 3): 1.5})
+        assert field.values[0, 0] == 0.0
+        assert field.values[2, 3] == 1.5
 
     def test_bounds_enforced(self):
         with pytest.raises(ValueError):
-            CoeffField.from_entries({(3, 0): 1.0}, k_max=2, j_max=2)
+            from_entries({(3, 0): 1.0}, k_max=2, j_max=2)
         with pytest.raises(ValueError):
-            CoeffField.from_entries({}, k_max=-2, j_max=0)
+            from_entries({}, k_max=-2, j_max=0)
 
     def test_items_sorted_lexicographic(self):
-        field = CoeffField.from_entries({(2, 1): 1.0, (0, 5): 2.0, (2, 0): 3.0})
+        field = from_entries({(2, 1): 1.0, (0, 5): 2.0, (2, 0): 3.0})
         assert [kj for kj, _ in field.items_sorted()] == [(0, 5), (2, 0), (2, 1)]
 
     def test_restrict_materializes_requested_pairs(self):
-        field = CoeffField.from_entries({(2, 2): 1.0, (9, 9): 4.0})
+        field = from_entries({(2, 2): 1.0, (9, 9): 4.0})
         sub = field.restrict([(2, 2), (3, 3)])
         assert len(sub) == 2
-        assert sub.value(2, 2) == 1.0
-        assert sub.value(3, 3) == 0.0
+        assert sub.values[2, 2] == 1.0
+        assert sub.values[3, 3] == 0.0
         assert (sub.k_max, sub.j_max) == (3, 3)
 
     def test_dense_round_trip(self):
         rng = np.random.default_rng(3)
         arr = rng.standard_normal((4, 6))
-        np.testing.assert_array_equal(CoeffField.from_dense(arr).to_dense(), arr)
+        np.testing.assert_array_equal(CoeffField.from_dense(arr).values, arr)
 
     def test_from_dense_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -71,16 +93,15 @@ class TestCoeffField:
 
 
 class TestArrayInvariants:
-    def test_to_dense_returns_a_copy(self):
-        field = CoeffField.from_entries({(1, 2): 0.5})
-        dense = field.to_dense()
-        dense[1, 2] = 9.0
-        dense[0, 0] = 9.0
-        assert field.value(1, 2) == 0.5
-        assert field.value(0, 0) == 0.0
+    def test_perturb_copies_its_input(self):
+        field = from_entries({(1, 2): 0.5})
+        noisy = perturb(field, NoiseSpec(kind="gaussian", delta=0.5, seed=0))
+        assert noisy.values[1, 2] != 0.5
+        assert field.values[1, 2] == 0.5
+        assert field.values[0, 0] == 0.0
 
     def test_values_and_stored_are_read_only(self):
-        field = CoeffField.from_entries({(1, 2): 0.5})
+        field = from_entries({(1, 2): 0.5})
         for array in (field.values, field.stored):
             with pytest.raises(ValueError):
                 array[0, 0] = 1
@@ -89,7 +110,7 @@ class TestArrayInvariants:
             dense.values[0, 0] = 2.0
 
     def test_shapes_match_bounds(self):
-        field = CoeffField.from_entries({(1, 4): 0.5}, k_max=3, j_max=4)
+        field = from_entries({(1, 4): 0.5}, k_max=3, j_max=4)
         assert field.values.shape == field.stored.shape == (4, 5)
         assert field.values.dtype == np.float64
         assert field.stored.dtype == bool
@@ -107,12 +128,12 @@ class TestArrayInvariants:
 
     def test_from_entries_rejects_out_of_bounds_and_negative_bounds(self):
         with pytest.raises(ValueError):
-            CoeffField.from_entries({(1, 3): 1.0}, k_max=2, j_max=2)
+            from_entries({(1, 3): 1.0}, k_max=2, j_max=2)
         with pytest.raises(ValueError):
-            CoeffField.from_entries({(-1, 0): 1.0}, k_max=2, j_max=2)
+            from_entries({(-1, 0): 1.0}, k_max=2, j_max=2)
         with pytest.raises(ValueError):
-            CoeffField.from_entries({}, k_max=0, j_max=-1)
-        empty = CoeffField.from_entries({}, k_max=2, j_max=1)
+            from_entries({}, k_max=0, j_max=-1)
+        empty = from_entries({}, k_max=2, j_max=1)
         assert len(empty) == 0
         assert (empty.k_max, empty.j_max) == (2, 1)
 
@@ -121,7 +142,7 @@ class TestArrayInvariants:
             CoeffField(np.zeros((2, 2)), np.zeros((2, 3), dtype=bool))
 
     def test_restrict_by_pairs_validates_and_accepts_empty(self):
-        field = CoeffField.from_entries({(1, 1): 2.0})
+        field = from_entries({(1, 1): 2.0})
         with pytest.raises(ValueError):
             field.restrict([(1, 1), (-1, 0)])
         with pytest.raises(ValueError):
@@ -131,7 +152,7 @@ class TestArrayInvariants:
         assert (empty.k_max, empty.j_max) == (0, 0)
 
     def test_has_no_entries_dict(self):
-        assert not hasattr(CoeffField.from_entries({(0, 0): 1.0}), "entries")
+        assert not hasattr(from_entries({(0, 0): 1.0}), "entries")
 
     def test_restrict_by_domain_matches_restrict_by_members(self):
         rng = np.random.default_rng(11)
@@ -148,14 +169,14 @@ class TestExactCoeffs:
     def test_phi0_phi0_projects_to_unit(self):
         f = _const_half()  # 0.5 == phi_0(t) phi_0(tau)
         field = exact_coeffs(f, 6, 6, G=24)
-        dense = field.to_dense()
+        dense = field.values.copy()
         assert dense[0, 0] == pytest.approx(1.0, abs=1e-13)
         dense[0, 0] = 0.0
         assert np.max(np.abs(dense)) < 1e-12
 
     def test_t_tau_has_single_coefficient(self):
         field = exact_coeffs(_t_times_tau(), 5, 5, G=24)
-        dense = field.to_dense()
+        dense = field.values.copy()
         assert dense[1, 1] == pytest.approx(2.0 / 3.0, rel=1e-13)
         dense[1, 1] = 0.0
         assert np.max(np.abs(dense)) < 1e-13
@@ -182,9 +203,33 @@ class TestExactCoeffs:
             value=lambda t, tau: 1.7 * ft(t) * gt(tau), factors=(ft, gt, 1.7)
         )
         slow = BivariateFunction(value=lambda t, tau: 1.7 * ft(t) * gt(tau))
-        a = exact_coeffs(fast, 8, 8, G=32).to_dense()
-        b = exact_coeffs(slow, 8, 8, G=32).to_dense()
+        a = exact_coeffs(fast, 8, 8, G=32).values
+        b = exact_coeffs(slow, 8, 8, G=32).values
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        ("k_max", "j_max", "G", "message"),
+        [
+            (3000, 3000, None, "3001x3001 coefficient array, over the limit"),
+            (2048, 2048, None, "2049x2049 coefficient array, over the limit"),
+            (2048, 0, None, "order G=4112 per panel is over the limit of 4110"),
+            (4, 4, 4111, "order G=4111 per panel is over the limit of 4110"),
+            (4, 4, 10**6, "over the limit of 4110"),
+        ],
+    )
+    def test_refuses_oversized_requests_before_any_rule(self, no_rules, k_max, j_max, G, message):
+        with pytest.raises(ValueError, match=message):
+            exact_coeffs(_untouchable(), k_max, j_max, G=G)
+
+    def test_size_bounds_are_inclusive(self, monkeypatch):
+        f = _t_times_tau()
+        monkeypatch.setattr(coeffs_module, "_MAX_GAUSS_ORDER", 37)
+        monkeypatch.setattr(coeffs_module, "MAX_DENSE_ENTRIES", 30)
+        assert exact_coeffs(f, 4, 5, G=37).values.shape == (5, 6)
+        with pytest.raises(ValueError, match="over the limit of 37"):
+            exact_coeffs(f, 4, 5, G=38)
+        with pytest.raises(ValueError, match="5x7 coefficient array, over the limit of 30"):
+            exact_coeffs(f, 4, 6)
 
 
 def _counting_separable(t_breakpoints=(), tau_breakpoints=()):
@@ -266,23 +311,23 @@ class TestProjection:
 class TestTrapezoidCoeffs:
     def test_constant_entry(self):
         field = trapezoid_coeffs(_const_half(), 0.01, 2, 2)
-        assert field.value(0, 0) == pytest.approx(1.0, abs=1e-6)
+        assert field.values[0, 0] == pytest.approx(1.0, abs=1e-6)
 
     def test_matches_exact_for_smooth_function(self):
         f = BivariateFunction(
             value=lambda t, tau: np.asarray(t) ** 2 + np.asarray(tau) ** 2
         )
-        trap = trapezoid_coeffs(f, 1e-3, 4, 4).to_dense()
-        ref = exact_coeffs(f, 4, 4, G=32).to_dense()
+        trap = trapezoid_coeffs(f, 1e-3, 4, 4).values
+        ref = exact_coeffs(f, 4, 4, G=32).values
         assert np.max(np.abs(trap - ref)) < 1e-5
 
     def test_second_order_convergence(self):
         f = BivariateFunction(
             value=lambda t, tau: np.asarray(t) ** 2 + np.asarray(tau) ** 2
         )
-        ref = exact_coeffs(f, 4, 4, G=32).to_dense()
+        ref = exact_coeffs(f, 4, 4, G=32).values
         err = {
-            h: np.abs(trapezoid_coeffs(f, h, 4, 4).to_dense() - ref)
+            h: np.abs(trapezoid_coeffs(f, h, 4, 4).values - ref)
             for h in (0.02, 0.01)
         }
         # Halving h divides the quadrature error by ~4 (second-order rule).
@@ -301,6 +346,29 @@ class TestTrapezoidCoeffs:
         with pytest.raises(ValueError):
             trapezoid_coeffs(_const_half(), -0.01, 2, 2)
 
+    @pytest.mark.parametrize(
+        ("h", "message"),
+        [
+            (1e-9, "needs 2e\\+09 nodes, over the limit"),
+            (2.0 / 2**22, "needs 4.194e\\+06 nodes, over the limit"),
+            (5e-324, "needs inf nodes, over the limit"),
+        ],
+    )
+    def test_refuses_a_step_needing_too_many_nodes(self, no_rules, h, message):
+        with pytest.raises(ValueError, match=message):
+            trapezoid_coeffs(_untouchable(), h, 4, 4)
+
+    def test_refuses_an_oversized_array_before_any_rule(self, no_rules):
+        with pytest.raises(ValueError, match="3001x3001 coefficient array, over the limit"):
+            trapezoid_coeffs(_untouchable(), 0.05, 3000, 3000)
+
+    def test_node_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(coeffs_module, "MAX_DENSE_ENTRIES", 21)  # h = 0.1: 21 nodes
+        assert trapezoid_coeffs(_const_half(), 0.1, 2, 2).values[0, 0] == pytest.approx(1.0)
+        monkeypatch.setattr(coeffs_module, "MAX_DENSE_ENTRIES", 20)
+        with pytest.raises(ValueError, match="needs 21 nodes, over the limit of 20"):
+            trapezoid_coeffs(_const_half(), 0.1, 2, 2)
+
     def test_separable_fast_path_matches_generic(self):
         ft = lambda t: np.asarray(t) ** 3 - np.asarray(t)
         gt = lambda tau: np.exp(0.5 * np.asarray(tau))
@@ -308,18 +376,18 @@ class TestTrapezoidCoeffs:
             value=lambda t, tau: 0.25 * ft(t) * gt(tau), factors=(ft, gt, 0.25)
         )
         slow = BivariateFunction(value=lambda t, tau: 0.25 * ft(t) * gt(tau))
-        a = trapezoid_coeffs(fast, 0.05, 6, 6).to_dense()
-        b = trapezoid_coeffs(slow, 0.05, 6, 6).to_dense()
+        a = trapezoid_coeffs(fast, 0.05, 6, 6).values
+        b = trapezoid_coeffs(slow, 0.05, 6, 6).values
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
 
 
 class TestSmoothnessNorm:
     def test_single_origin_entry(self):
-        field = CoeffField.from_entries({(0, 0): -0.7})
+        field = from_entries({(0, 0): -0.7})
         assert smoothness_norm(field, 2.0, 5.0) == pytest.approx(0.7, rel=1e-15)
 
     def test_single_entry_2_3(self):
-        field = CoeffField.from_entries({(2, 3): 1.0})
+        field = from_entries({(2, 3): 1.0})
         assert smoothness_norm(field, 2.0, 1.0) == pytest.approx(6.0, rel=1e-14)
 
     def test_monotone_in_mu_for_high_degrees(self):
@@ -329,7 +397,7 @@ class TestSmoothnessNorm:
             for k in rng.integers(2, 15, size=20)
             for j in rng.integers(2, 15, size=2)
         }
-        field = CoeffField.from_entries(entries)
+        field = from_entries(entries)
         norms = [smoothness_norm(field, 2.0, mu) for mu in (1.0, 2.0, 3.5, 5.0)]
         assert all(a <= b for a, b in zip(norms, norms[1:]))
 
@@ -347,7 +415,7 @@ class TestSmoothnessNorm:
         assert smoothness_norm(field, s_exp, mu) == pytest.approx(reference, rel=1e-14)
 
     def test_validation(self):
-        field = CoeffField.from_entries({(1, 1): 1.0})
+        field = from_entries({(1, 1): 1.0})
         with pytest.raises(ValueError):
             smoothness_norm(field, 0.5, 1.0)
         with pytest.raises(ValueError):
@@ -357,7 +425,7 @@ class TestSmoothnessNorm:
         "s_exp, mu", [(math.nan, 5.5), (math.inf, 5.5), (2.0, math.nan), (2.0, math.inf)]
     )
     def test_rejects_non_finite_parameters(self, s_exp, mu):
-        field = CoeffField.from_entries({(1, 1): 1.0})
+        field = from_entries({(1, 1): 1.0})
         with pytest.raises(ValueError):
             smoothness_norm(field, s_exp, mu)
 
@@ -371,7 +439,7 @@ class TestCsvRoundTrip:
                 rng.integers(0, 30, 40), rng.integers(0, 30, 40), rng.standard_normal(40)
             )
         }
-        field = CoeffField.from_entries(entries)
+        field = from_entries(entries)
         path = tmp_path / "field.csv"
         save_csv(field, path)
         loaded = load_csv(path)
@@ -393,7 +461,7 @@ class TestCsvRoundTrip:
     def test_header_line_skipped(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("k,j,value\n1,2,0.5\n")
-        assert load_csv(path).value(1, 2) == 0.5
+        assert load_csv(path).values[1, 2] == 0.5
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -506,10 +574,10 @@ class TestCsvRoundTrip:
 
     def test_values_survive_at_full_precision(self, tmp_path):
         value = math.pi * 1e-7
-        field = CoeffField.from_entries({(3, 4): value})
+        field = from_entries({(3, 4): value})
         path = tmp_path / "pi.csv"
         save_csv(field, path)
-        assert load_csv(path).value(3, 4) == value
+        assert load_csv(path).values[3, 4] == value
 
 
 class TestBivariateFunction:

@@ -14,7 +14,6 @@ from legdiff.coeffs import _trapezoid_rule
 from legdiff.index import IndexDomain
 from legdiff.method import ConfigError, MethodConfig, run
 from legdiff.metrics import error_report, l2_error, sup_error
-from legdiff.coeffs import CoeffField
 from legdiff.noise import NoiseSpec, perturb
 from legdiff.experiments import (
     BUILTIN_NAMES,
@@ -37,6 +36,8 @@ from legdiff.experiments import (
     theoretical_exponent,
 )
 from legdiff.experiments import _f1_factor, _f1_factor_d2, _f2_factor, _f2_factor_d2
+
+from oracles import from_entries
 
 _F1_SCALE = 754.0
 _F2_SCALE = 43940129.0
@@ -130,7 +131,7 @@ class TestBuiltinValues:
         # ||f1^(2,2)||_L2 is about 1e-4: the scale against which the pinned
         # reference errors (1e-5 .. 1e-7) are meaningfully small.
         cfg = MethodConfig(r=2, mu=6.0, delta=0.0, n_override=3, domain_shape="box")
-        zero = run(CoeffField.from_entries({}), cfg)
+        zero = run(from_entries({}), cfg)
         norm = l2_error(zero, F1.derivative_function(), G=32)
         assert 3e-5 <= norm <= 3e-4
 

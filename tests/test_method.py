@@ -22,6 +22,8 @@ from legdiff.method import (
 )
 from legdiff.noise import NoiseSpec, perturb
 
+from oracles import from_entries
+
 
 class TestChooseN:
     def test_reference_example_with_constant(self):
@@ -167,7 +169,7 @@ class TestMethodConfig:
 class TestRun:
     def test_phi2_phi2_recovers_constant_second_mixed_derivative(self):
         # f = phi_2(t) phi_2(tau): f^(2,2) = 45 phi_0 phi_0 = 22.5 everywhere.
-        field = CoeffField.from_entries({(2, 2): 1.0})
+        field = from_entries({(2, 2): 1.0})
         cfg = MethodConfig(r=2, mu=6.0, delta=0.0, n_override=3, domain_shape="box")
         approx = run(field, cfg)
         out = approx.series.coeffs
@@ -177,7 +179,7 @@ class TestRun:
         np.testing.assert_allclose(values, 22.5, rtol=1e-13)
 
     def test_evaluate_at_single_point(self):
-        field = CoeffField.from_entries({(2, 2): 1.0})
+        field = from_entries({(2, 2): 1.0})
         cfg = MethodConfig(r=2, mu=6.0, delta=0.0, n_override=3, domain_shape="box")
         approx = run(field, cfg)
         vals = evaluate(approx, [(0.3, -0.7)])
@@ -186,19 +188,19 @@ class TestRun:
 
     def test_zero_field_gives_zero_everywhere(self):
         cfg = MethodConfig(r=2, mu=5.5, delta=0.0, n_override=7)
-        approx = run(CoeffField.from_entries({}), cfg)
+        approx = run(from_entries({}), cfg)
         grid = np.linspace(-1.0, 1.0, 11)
         np.testing.assert_array_equal(approx.series.eval_grid(grid, grid), 0.0)
 
     def test_metadata_echoes_level_and_cardinality(self):
-        field = CoeffField.from_entries({(2, 2): 1.0, (2, 4): 0.5})
+        field = from_entries({(2, 2): 1.0, (2, 4): 0.5})
         cfg = MethodConfig(r=2, mu=5.5, delta=0.0, n_override=5)
         approx = run(field, cfg)
         assert approx.n_used == 5
         assert approx.information_count == IndexDomain.cross(2, 5).cardinality()
         # Entries outside the domain and stored zeros inside it do not change
         # the count: it is the domain's, as restrict stores it, on both shapes.
-        field = CoeffField.from_entries(
+        field = from_entries(
             {(0, 0): 2.0, (1, 3): 1.0, (2, 2): 1.0, (3, 3): 0.0, (4, 4): 0.0, (9, 9): 3.0}
         )
         for shape, count in (("cross", 6), ("box", 16)):
@@ -212,7 +214,7 @@ class TestRun:
         n, r = 9, 2
         domain = IndexDomain.cross(r, n)
         entries = {kj: rng.normal() for kj in domain.members()}
-        field = CoeffField.from_entries(entries)
+        field = from_entries(entries)
         approx = run(field, MethodConfig(r=r, mu=6.0, delta=0.0, n_override=n))
         k_max, j_max = np.subtract(approx.series.coeffs.shape, 1)
         assert k_max <= n - 1 - r
@@ -223,7 +225,7 @@ class TestRun:
         n, r = 7, 2
         domain = IndexDomain.box(r, n)
         entries = {kj: rng.normal() for kj in domain.members()}
-        field = CoeffField.from_entries(entries)
+        field = from_entries(entries)
         approx = run(
             field,
             MethodConfig(r=r, mu=6.0, delta=0.0, n_override=n, domain_shape="box"),
@@ -248,19 +250,19 @@ class TestRun:
                 changed += 1
         assert changed > 0
         cfg = MethodConfig(r=r, mu=6.0, delta=0.0, n_override=n)
-        base = run(CoeffField.from_entries(entries), cfg)
-        tamp = run(CoeffField.from_entries(tampered), cfg)
+        base = run(from_entries(entries), cfg)
+        tamp = run(from_entries(tampered), cfg)
         np.testing.assert_array_equal(
             base.series.coeffs, tamp.series.coeffs
         )
 
     def test_sparse_field_missing_domain_entries_treated_as_zero(self):
         # Only one domain pair present: identical to a dense field with zeros.
-        sparse = CoeffField.from_entries({(2, 3): 0.8})
+        sparse = from_entries({(2, 3): 0.8})
         cfg = MethodConfig(r=2, mu=6.0, delta=0.0, n_override=6)
         dense_entries = {kj: 0.0 for kj in IndexDomain.cross(2, 6).members()}
         dense_entries[(2, 3)] = 0.8
-        dense = CoeffField.from_entries(dense_entries)
+        dense = from_entries(dense_entries)
         a = run(sparse, cfg)
         b = run(dense, cfg)
         np.testing.assert_array_equal(
@@ -268,7 +270,7 @@ class TestRun:
         )
 
     def test_noise_then_run_is_deterministic(self):
-        field = CoeffField.from_entries(
+        field = from_entries(
             {kj: 0.1 for kj in IndexDomain.cross(2, 6).members()}
         )
         spec = NoiseSpec(kind="gaussian", delta=1e-4, seed=3)
@@ -385,7 +387,7 @@ class TestLegendreSeries2D:
 
     def test_constant_series(self):
         # c_{0,0} = 2 means 2 * phi_0(t) phi_0(tau) = 2 * (1/sqrt 2)^2 = 1.
-        series = LegendreSeries2D(coeffs=CoeffField.from_entries({(0, 0): 2.0}).values)
+        series = LegendreSeries2D(coeffs=from_entries({(0, 0): 2.0}).values)
         grid = np.linspace(-1.0, 1.0, 5)
         np.testing.assert_allclose(series.eval_grid(grid, grid), 1.0, rtol=1e-15)
 
@@ -401,12 +403,12 @@ class TestLegendreSeries2D:
         np.testing.assert_allclose(grid_vals, point_vals, rtol=1e-13, atol=1e-15)
 
     def test_points_shape_mismatch_rejected(self):
-        series = LegendreSeries2D(coeffs=CoeffField.from_entries({(0, 0): 1.0}).values)
+        series = LegendreSeries2D(coeffs=from_entries({(0, 0): 1.0}).values)
         with pytest.raises(ValueError):
             series.eval_points(np.zeros(3), np.zeros(4))
 
     def test_rejects_points_outside_domain(self):
-        series = LegendreSeries2D(coeffs=CoeffField.from_entries({(1, 1): 1.0}).values)
+        series = LegendreSeries2D(coeffs=from_entries({(1, 1): 1.0}).values)
         with pytest.raises(ValueError):
             series.eval_grid(np.array([1.5]), np.array([0.0]))
         with pytest.raises(ValueError):
@@ -414,7 +416,7 @@ class TestLegendreSeries2D:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_points(self, bad):
-        series = LegendreSeries2D(coeffs=CoeffField.from_entries({(1, 1): 1.0}).values)
+        series = LegendreSeries2D(coeffs=from_entries({(1, 1): 1.0}).values)
         for t, tau in ((bad, 0.0), (0.0, bad)):
             with pytest.raises(ValueError, match="outside"):
                 series.eval_grid(np.array([0.5, t]), np.array([tau]))
@@ -482,27 +484,27 @@ class TestZeroCorner:
 
 class TestEvaluate:
     def test_empty_points_gives_empty_array(self):
-        field = CoeffField.from_entries({(2, 2): 1.0})
+        field = from_entries({(2, 2): 1.0})
         cfg = MethodConfig(r=2, mu=6.0, delta=0.0, n_override=3)
         approx = run(field, cfg)
         out = evaluate(approx, [])
         assert out.shape == (0,)
 
     def test_rejects_malformed_points(self):
-        field = CoeffField.from_entries({(2, 2): 1.0})
+        field = from_entries({(2, 2): 1.0})
         approx = run(field, MethodConfig(r=2, mu=6.0, delta=0.0, n_override=3))
         with pytest.raises(ValueError):
             evaluate(approx, [(0.1, 0.2, 0.3)])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_points(self, bad):
-        field = CoeffField.from_entries({(2, 2): 1.0})
+        field = from_entries({(2, 2): 1.0})
         approx = run(field, MethodConfig(r=2, mu=6.0, delta=0.0, n_override=3))
         for point in ((bad, 0.0), (0.0, bad)):
             with pytest.raises(ValueError, match="outside"):
                 evaluate(approx, [(0.2, 0.1), point])
 
     def test_result_is_approx_derivative(self):
-        field = CoeffField.from_entries({(2, 2): 1.0})
+        field = from_entries({(2, 2): 1.0})
         approx = run(field, MethodConfig(r=2, mu=6.0, delta=0.0, n_override=3))
         assert isinstance(approx, ApproxDerivative)

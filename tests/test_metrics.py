@@ -1,5 +1,6 @@
 """Square-mean and uniform error metrics."""
 
+import dataclasses
 import gc
 import tracemalloc
 import weakref
@@ -11,9 +12,11 @@ from legdiff import basis, coeffs, metrics
 from legdiff.basis import composite_gauss_rule, grid_factors, grid_product, legendre_table
 from legdiff.coeffs import BivariateFunction, CoeffField, exact_coeffs
 from legdiff.experiments import F1, F2, ExperimentPreset, run_table
-from legdiff.method import MethodConfig, run
+from legdiff.method import LegendreSeries2D, MethodConfig, run
 from legdiff.metrics import ErrorReport, error_report, l2_error, sup_error
 from legdiff.noise import NoiseSpec, perturb
+
+from oracles import from_entries
 
 
 def _constant_reference(c):
@@ -25,14 +28,14 @@ def _constant_reference(c):
 
 def _phi22_approx():
     """phi_2 phi_2 differentiated twice per axis: the constant 22.5."""
-    field = CoeffField.from_entries({(2, 2): 1.0})
+    field = from_entries({(2, 2): 1.0})
     cfg = MethodConfig(r=2, mu=6.0, delta=0.0, n_override=3, domain_shape="box")
     return run(field, cfg)
 
 
 def _zero_approx():
     cfg = MethodConfig(r=2, mu=6.0, delta=0.0, n_override=3, domain_shape="box")
-    return run(CoeffField.from_entries({}), cfg)
+    return run(from_entries({}), cfg)
 
 
 class TestL2Error:
@@ -48,7 +51,7 @@ class TestL2Error:
 
     def test_order_below_floor_is_raised_to_the_floor(self):
         """An order below the floor is not refused: it is raised to the floor."""
-        field = CoeffField.from_entries({(k, k): 1.0 for k in range(2, 8)})
+        field = from_entries({(k, k): 1.0 for k in range(2, 8)})
         cfg = MethodConfig(r=2, mu=6.0, delta=0.0, n_override=8, domain_shape="box")
         approx = run(field, cfg)
         # The mask materializes the full Box(2, 8), so the differentiated
@@ -274,6 +277,34 @@ class TestHeldReference:
         assert sup_error(_zero_approx(), _constant_reference(1.0), m=7) == pytest.approx(1.0)
         with pytest.raises(ValueError, match="over the limit"):
             sup_error(_zero_approx(), _constant_reference(1.0), m=9)
+
+    @pytest.mark.parametrize("G", [4103, 10**6])
+    def test_rejects_gauss_order_over_the_limit_before_any_rule(self, G, monkeypatch):
+        def value(t, tau):
+            raise AssertionError("the reference must not be evaluated")
+
+        def no_rule(order):
+            raise AssertionError("no Gauss rule may be built")
+
+        monkeypatch.setattr(basis, "gauss_rule", no_rule)
+        reference = BivariateFunction(value=value, name="untouchable")
+        approx = _zero_approx()
+        message = f"order G={G} per panel is over the limit of 4102"
+        with pytest.raises(ValueError, match=message):
+            l2_error(approx, reference, G)
+        with pytest.raises(ValueError, match=message):
+            error_report(approx, reference, G=G)
+        # A series of degree 2048 gets the degree rule's order 4104 at any G.
+        wide = dataclasses.replace(approx, series=LegendreSeries2D(np.zeros((1, 2049))))
+        with pytest.raises(ValueError, match="order G=4104 per panel is over the limit"):
+            l2_error(wide, reference, 16)
+        assert reference not in metrics._GRIDS
+
+    def test_gauss_order_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_MAX_GAUSS_ORDER", 20)
+        assert l2_error(_zero_approx(), _constant_reference(1.0), G=20) == pytest.approx(2.0)
+        with pytest.raises(ValueError, match="over the limit of 20"):
+            l2_error(_zero_approx(), _constant_reference(1.0), G=21)
 
     def test_reference_evaluated_once_per_grid(self):
         calls = []

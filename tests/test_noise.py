@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from legdiff.coeffs import CoeffField
 from legdiff.noise import NoiseSpec, noise_vector, perturb, standard_normals
+
+from oracles import from_entries
 
 
 def _field():
-    return CoeffField.from_entries({(2, 2): 0.4, (2, 3): -1.1, (5, 2): 0.02})
+    return from_entries({(2, 2): 0.4, (2, 3): -1.1, (5, 2): 0.02})
 
 
 class TestNoiseSpec:
@@ -80,7 +81,7 @@ class TestPerturb:
         field = _field()
         out = perturb(field, NoiseSpec(kind="gaussian", delta=1e-3, seed=1))
         for (k, j), v in field.items_sorted():
-            assert out.value(k, j) != v
+            assert out.values[k, j] != v
 
     def test_deterministic_given_seed(self):
         field = _field()
@@ -95,8 +96,8 @@ class TestPerturb:
         e = {(2, 2): 0.4, (2, 3): -1.1, (5, 2): 0.02}
         scrambled = {kj: e[kj] for kj in [(5, 2), (2, 2), (2, 3)]}
         spec = NoiseSpec(kind="gaussian", delta=1e-3, seed=4)
-        a = perturb(CoeffField.from_entries(e), spec)
-        b = perturb(CoeffField.from_entries(scrambled), spec)
+        a = perturb(from_entries(e), spec)
+        b = perturb(from_entries(scrambled), spec)
         assert a.items_sorted() == b.items_sorted()
 
     def test_projected_linf_peak_is_delta(self):
@@ -113,17 +114,17 @@ class TestPerturb:
     def test_projected_on_empty_draw_is_degenerate(self):
         # An empty field yields no draws; the projected scaling is undefined
         # but perturb returns the field unchanged before scaling is attempted.
-        empty = CoeffField.from_entries({})
+        empty = from_entries({})
         out = perturb(empty, NoiseSpec(kind="projected", delta=0.1, seed=0))
         assert len(out) == 0
 
     def test_gaussian_empirical_std(self):
-        field = CoeffField.from_entries({(0, 0): 0.3, (1, 2): -0.7})
+        field = from_entries({(0, 0): 0.3, (1, 2): -0.7})
         delta = 1e-3
         diffs = np.empty((10_000, 2))
         for seed in range(10_000):
             out = perturb(field, NoiseSpec(kind="gaussian", delta=delta, seed=seed))
-            diffs[seed] = (out.value(0, 0) - 0.3, out.value(1, 2) + 0.7)
+            diffs[seed] = (out.values[0, 0] - 0.3, out.values[1, 2] + 0.7)
         stds = diffs.std(axis=0)
         assert np.all(np.abs(stds - delta) < 0.05 * delta)
 
@@ -136,7 +137,7 @@ class TestPerturb:
         ]
 
     def test_perturb_changes_stored_entries_only(self):
-        field = CoeffField.from_entries({(2, 2): 0.4, (3, 1): 0.0}, k_max=4, j_max=3)
+        field = from_entries({(2, 2): 0.4, (3, 1): 0.0}, k_max=4, j_max=3)
         out = perturb(field, NoiseSpec(kind="gaussian", delta=1e-2, seed=5))
         changed = out.values != field.values
         np.testing.assert_array_equal(changed, field.stored)
@@ -148,7 +149,7 @@ class TestNoiseVector:
     def test_matches_perturb_difference_for_zero_field(self):
         # A zero-valued field makes the reconstruction exact.
         pairs = [(2, 2), (2, 5), (3, 3), (7, 2)]
-        field = CoeffField.from_entries({kj: 0.0 for kj in pairs})
+        field = from_entries({kj: 0.0 for kj in pairs})
         spec = NoiseSpec(kind="projected", delta=1e-5, p=1.0, seed=11)
         xi = noise_vector(field, spec)
         out = perturb(field, spec)
@@ -182,7 +183,7 @@ class TestLargeFiniteP:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("p", [1000.0, 1e308])
     def test_overflowing_power_sum(self, p):
-        field = CoeffField.from_entries(
+        field = from_entries(
             {(k, j): 0.0 for k in range(2, 12) for j in range(2, 12)}
         )
         with np.errstate(over="ignore"):
@@ -195,7 +196,7 @@ class TestLargeFiniteP:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_underflowing_power_sum(self, seed):
-        field = CoeffField.from_entries({(2, 2): 0.5})
+        field = from_entries({(2, 2): 0.5})
         with np.errstate(under="ignore"):
             assert np.sum(np.abs(standard_normals(seed, 1)) ** 2000.0) == 0.0
         delta = 1e-6
