@@ -35,6 +35,7 @@ __all__ = [
 
 _EVAL_CHUNK_ROWS = 256
 _PROJECTION_CHUNK = 65536
+_PROJECTION_TABLE_ENTRIES = 2**22
 
 # Largest dense coefficient array a run or a coefficient file may need, in
 # float64 entries: 2**22 entries is 32 MiB, and a run holds a few arrays of
@@ -142,6 +143,10 @@ class BivariateFunction:
     fast paths in the tensor-product quadratures.  When ``ft`` and ``gtau``
     are one callable and both axes share the quadrature rule and degree, the
     one-dimensional projection is computed once and used for both axes.
+    ``d22_factors`` declares the same separable form for ``d22``;
+    :meth:`derivative_function` passes it on as the derivative's ``factors``,
+    so the square-mean error measures against the derivative from
+    one-dimensional projections (see :func:`legdiff.metrics.l2_error`).
 
     Equality and hashing go by identity, so any instance can key a cache (the
     error metrics keep their grids per reference object).
@@ -153,6 +158,7 @@ class BivariateFunction:
     tau_breakpoints: tuple[float, ...] = ()
     factors: tuple[Callable, Callable, float] | None = None
     name: str = ""
+    d22_factors: tuple[Callable, Callable, float] | None = None
 
     def derivative_function(self) -> "BivariateFunction":
         """The exact (2, 2) derivative as a function, when known."""
@@ -162,6 +168,7 @@ class BivariateFunction:
             value=self.d22,
             t_breakpoints=self.t_breakpoints,
             tau_breakpoints=self.tau_breakpoints,
+            factors=self.d22_factors,
             name=f"{self.name}_d22" if self.name else "",
         )
 
@@ -197,11 +204,16 @@ def _check_degrees(k_max: int, j_max: int) -> None:
 
 
 def _projection(values: np.ndarray, rule: QuadratureRule, k_max: int) -> np.ndarray:
-    """Quadrature projections c_k = sum_i w_i v_i phi_k(t_i) for k = 0..k_max."""
+    """Quadrature projections c_k = sum_i w_i v_i phi_k(t_i) for k = 0..k_max.
+
+    The nodes go in chunks whose table holds at most 2**22 entries (32 MiB),
+    of at most 65,536 nodes.
+    """
     coeffs = np.zeros(k_max + 1, dtype=np.float64)
     wv = rule.weights * values
-    for start in range(0, len(rule), _PROJECTION_CHUNK):
-        stop = start + _PROJECTION_CHUNK
+    chunk = min(_PROJECTION_CHUNK, _PROJECTION_TABLE_ENTRIES // (k_max + 1))
+    for start in range(0, len(rule), chunk):
+        stop = start + chunk
         coeffs += legendre_table(k_max, rule.nodes[start:stop]) @ wv[start:stop]
     return coeffs
 

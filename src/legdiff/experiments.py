@@ -86,6 +86,14 @@ def _f2_factor_d2(t: np.ndarray) -> np.ndarray:
     return 48.0 * u * u - 32.0
 
 
+def _f2_tau_factor(tau: np.ndarray) -> np.ndarray:
+    return np.cos(4.0 * np.asarray(tau, dtype=np.float64))
+
+
+def _f2_tau_factor_d2(tau: np.ndarray) -> np.ndarray:
+    return -16.0 * np.cos(4.0 * np.asarray(tau, dtype=np.float64))
+
+
 def f1(t, tau) -> np.ndarray:
     """F1(t, tau) = f(t) f(tau) / 754 with the piecewise degree-8 factor f."""
     return _f1_factor(t) * _f1_factor(tau) / _F1_SCALE
@@ -98,16 +106,12 @@ def f1_d22(t, tau) -> np.ndarray:
 
 def f2(t, tau) -> np.ndarray:
     """F2(t, tau) = (2 - (2t-1)^2)^2 cos(4 tau) / 43940129."""
-    return _f2_factor(t) * np.cos(4.0 * np.asarray(tau, dtype=np.float64)) / _F2_SCALE
+    return _f2_factor(t) * _f2_tau_factor(tau) / _F2_SCALE
 
 
 def f2_d22(t, tau) -> np.ndarray:
     """Exact mixed derivative of order (2, 2) of F2."""
-    return (
-        _f2_factor_d2(t)
-        * (-16.0 * np.cos(4.0 * np.asarray(tau, dtype=np.float64)))
-        / _F2_SCALE
-    )
+    return _f2_factor_d2(t) * _f2_tau_factor_d2(tau) / _F2_SCALE
 
 
 F1 = BivariateFunction(
@@ -117,13 +121,15 @@ F1 = BivariateFunction(
     tau_breakpoints=(0.0,),
     factors=(_f1_factor, _f1_factor, 1.0 / _F1_SCALE),
     name="f1",
+    d22_factors=(_f1_factor_d2, _f1_factor_d2, 1.0 / _F1_SCALE),
 )
 
 F2 = BivariateFunction(
     value=f2,
     d22=f2_d22,
-    factors=(_f2_factor, lambda tau: np.cos(4.0 * np.asarray(tau, dtype=np.float64)), 1.0 / _F2_SCALE),
+    factors=(_f2_factor, _f2_tau_factor, 1.0 / _F2_SCALE),
     name="f2",
+    d22_factors=(_f2_factor_d2, _f2_tau_factor_d2, 1.0 / _F2_SCALE),
 )
 
 

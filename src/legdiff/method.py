@@ -146,6 +146,17 @@ class LegendreSeries2D:
                 raise ValueError(f"{self.zero_corner} is not a zero corner of the coefficients")
         object.__setattr__(self, "coeffs", _read_only(coeffs))
 
+    @classmethod
+    def _with_corner(cls, coeffs: np.ndarray, zero_corner: tuple[int, int] | None):
+        """The series with a zero corner its maker guarantees, which is not scanned.
+
+        For :func:`run`, whose derivative map leaves the domain's corner less
+        r exactly zero; every other caller's corner is checked.
+        """
+        series = cls(coeffs)
+        object.__setattr__(series, "zero_corner", zero_corner)
+        return series
+
     def eval_grid(self, t: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Series values on the tensor grid t x tau, shape (len(t), len(tau))."""
         table_t = eval_phi_table(self.coeffs.shape[0] - 1, t)
@@ -251,7 +262,7 @@ def run(field_perturbed: CoeffField, config: MethodConfig) -> ApproxDerivative:
     if corner is not None:
         corner = corner[0] - config.r, corner[1] - config.r
     return ApproxDerivative(
-        series=LegendreSeries2D(derived, zero_corner=corner),
+        series=LegendreSeries2D._with_corner(derived, corner),
         config=config,
         n_used=domain.n,
         information_count=domain.cardinality(),

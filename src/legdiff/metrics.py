@@ -20,6 +20,33 @@ it allocates that block and the two factors of :func:`~legdiff.basis.grid_factor
 never a second grid.  A grid of at most 2**18 entries (every grid the table
 presets measure on, and the default uniform grid) is one block, reduced
 with exactly the operations of a whole-grid product.
+
+The square-mean error has two forms, chosen by that same block size:
+
+- a Gauss grid of at most 2**18 entries sums the squared difference over the
+  grid in its one block, as above;
+- a larger one (on the cross, F1'' from n = 128 and F2'' from n = 256) works in coefficient
+  space.  The series is a finite sum in the basis phi_k phi_j, which the Gauss
+  rule holds orthonormal up to rounding, so the squared error is
+  ||C - B||^2 + tail: B is the reference's projection onto the series' index
+  block and tail the weighted square sum of the reference minus B's grid.
+  Both depend on the reference and the degree only, so the grid keeps them
+  for its latest coefficient shape and each further seed costs one reduction
+  over the K x J coefficients (0.1-0.3 ms at n = 300, against 5-9 ms for the
+  grid sum).  The first call per (reference, degree) builds them in row
+  blocks from the grid's tables, weights and values: about 60-75 ms at
+  n = 300, or, for a reference that declares ``factors`` (the built-in
+  derivatives do), two one-dimensional projections and one pass over B's
+  rank-1 grid, no slower than a grid sum.
+
+Both forms give the same number up to rounding and the orthonormality defect
+T W T^T - I of the float64 tables and weights (about 2e-14 at degree 297,
+which the grid sum carries); at n = 300 the coefficient form lies within
+5e-17 relative of a long-double Gauss rule, where the grid sum lies
+2.4-4.3e-13 away (seeds 0, 8, 9 and 26 of the benchmark's large cross).  The one-block form stays because ``perfbench/refs`` and the
+table tests pin table1's and table2's bytes, which its grids measure; moving
+them to coefficient space waits for a benchmark change that re-records those
+references.
 """
 
 from __future__ import annotations
@@ -79,6 +106,8 @@ class _Grid:
     ``tau`` is ``t`` itself when both axes have the same nodes; they then
     share their tables.  ``tables`` maps (axis, degree) to the Legendre tables
     of the latest measurement on the grid, so it holds at most two.
+    ``projection`` holds the reference's ``(B, tail)`` for the latest
+    coefficient shape measured in coefficient space (see :func:`l2_error`).
     """
 
     size: int
@@ -87,32 +116,103 @@ class _Grid:
     values: np.ndarray
     weights: tuple[np.ndarray, np.ndarray] | None = None
     tables: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    projection: tuple[np.ndarray, float] | None = None
 
-    def diff_blocks(self, series: LegendreSeries2D) -> Iterator[tuple[slice, np.ndarray]]:
-        """Series minus reference on this grid, one block of rows at a time.
-
-        Yields ``(rows, block)`` with ``block`` = (series - values)[rows]; every
-        block is a view of one reused buffer of at most :data:`_BLOCK_ENTRIES`
-        entries (or one row), so it is overwritten by the next.
-        """
-        coeffs = series.coeffs
-        keys = (0, coeffs.shape[0] - 1), (int(self.tau is not self.t), coeffs.shape[1] - 1)
+    def axis_tables(self, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """The Legendre tables (t, tau) for a coefficient array of this shape."""
+        keys = (0, shape[0] - 1), (int(self.tau is not self.t), shape[1] - 1)
         # Tables of other degrees go before the new ones are built.
         self.tables = {key: self.tables[key] for key in keys if key in self.tables}
         for key, nodes in zip(keys, (self.t, self.tau)):
             if key not in self.tables:
                 self.tables[key] = legendre_table(key[1], nodes)
-        left, right = grid_factors(
-            self.tables[keys[0]], coeffs, self.tables[keys[1]], series.zero_corner
-        )
+        return self.tables[keys[0]], self.tables[keys[1]]
+
+    def row_blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """The grid's row blocks, each with its part of one reused buffer.
+
+        Yields ``(rows, buffer)``, ``buffer`` of shape (rows, columns) and at
+        most :data:`_BLOCK_ENTRIES` entries (or one row); it is the same
+        memory for every block.
+        """
         n_rows, n_cols = self.values.shape
         height = max(1, _BLOCK_ENTRIES // n_cols)
         buffer = np.empty((min(height, n_rows), n_cols))
         for start in range(0, n_rows, height):
             rows = slice(start, min(start + height, n_rows))
-            block = np.matmul(left[rows], right, out=buffer[: rows.stop - start])
+            yield rows, buffer[: rows.stop - start]
+
+    def remainders(
+        self, product: Callable[[slice, np.ndarray], np.ndarray]
+    ) -> Iterator[tuple[slice, np.ndarray]]:
+        """A grid minus the values, one block of rows at a time.
+
+        ``product(rows, out)`` writes the grid's ``rows`` into ``out`` and
+        returns it.  Yields ``(rows, block)``; every block is a view of one
+        reused buffer, so it is overwritten by the next.
+        """
+        for rows, buffer in self.row_blocks():
+            block = product(rows, buffer)
             block -= self.values[rows]
             yield rows, block
+
+    def diff_blocks(self, series: LegendreSeries2D) -> Iterator[tuple[slice, np.ndarray]]:
+        """Series minus reference on this grid, one block of rows at a time."""
+        table_t, table_tau = self.axis_tables(series.coeffs.shape)
+        left, right = grid_factors(table_t, series.coeffs, table_tau, series.zero_corner)
+        return self.remainders(lambda rows, out: np.matmul(left[rows], right, out=out))
+
+    def square_sum(self, blocks: Iterator[tuple[slice, np.ndarray]]) -> float:
+        """The weighted sum of the squared blocks of a Gauss grid (squared in place)."""
+        weights_t, weights_tau = self.weights
+        column = np.zeros(self.values.shape[1])
+        for rows, block in blocks:
+            block *= block  # in place, in the reused buffer
+            column += weights_t[rows] @ block
+        return column @ weights_tau
+
+    def projected(
+        self, shape: tuple[int, int], factors: tuple[Callable, Callable, float] | None
+    ) -> tuple[np.ndarray, float]:
+        """The reference's projection B onto this index block and its remainder.
+
+        ``B = (T_t W_t) F (W_tau T_tau^T)`` for the grid's values F, and
+        ``tail`` is the weighted square sum of F minus B's grid.  Both are
+        kept for the latest shape.  With ``factors`` (ft, gtau, s) declaring
+        F = s ft(t) gtau(tau), B is ``s outer(T_t W_t ft, T_tau W_tau gtau)``
+        and B's grid is rank 1; otherwise B is summed over the row blocks.
+        """
+        if self.projection is not None and self.projection[0].shape == shape:
+            return self.projection
+        self.projection = None  # dropped before the next is built
+        table_t, table_tau = self.axis_tables(shape)
+        weights_t, weights_tau = self.weights
+        if factors is not None:
+            ft, gtau, scale = factors
+            a = table_t @ (weights_t * ft(self.t))
+            if gtau is ft and table_tau is table_t:
+                b = a  # the same projection
+            else:
+                b = table_tau @ (weights_tau * gtau(self.tau))
+            projection = scale * np.outer(a, b)
+            column, row = scale * (a @ table_t)[:, None], b @ table_tau
+            tail = self.square_sum(
+                self.remainders(lambda rows, out: np.multiply(column[rows], row, out=out))
+            )
+        else:
+            projection = np.zeros(shape)
+            for rows, buffer in self.row_blocks():
+                part = np.multiply(self.values[rows], weights_tau, out=buffer) @ table_tau.T
+                part *= weights_t[rows, None]
+                projection += table_t[:, rows] @ part
+
+            def product(rows: slice, out: np.ndarray) -> np.ndarray:
+                # Each block's left factor is made per block, never all N_t x J.
+                return np.matmul(table_t[:, rows].T @ projection, table_tau, out=out)
+
+            tail = self.square_sum(self.remainders(product))
+        self.projection = projection, tail
+        return self.projection
 
 
 #: Reference object -> its latest grid of each kind ("gauss", "uniform"); an
@@ -162,6 +262,13 @@ def l2_error(approx: ApproxDerivative, reference: BivariateFunction, G: int) -> 
     Gauss points per panel, so the squared series is integrated essentially
     exactly.  An order above 4102, the one a series of degree 2047 gets,
     raises ValueError before any rule is built.
+
+    A Gauss grid of at most 2**18 entries is summed over; a larger one gives
+    sqrt(sum((C - B)^2) + tail) from the projection B and remainder tail the
+    grid keeps for the latest coefficient shape (see the module docstring).
+    Building them is the first call's cost per (reference, degree); with the
+    reference's ``factors`` declared it takes one-dimensional projections.
+    A reference that is NaN anywhere on the grid gives NaN either way.
     """
     order = max(G, 2 * (max(approx.series.coeffs.shape) - 1) + 8)
     if order > _MAX_GAUSS_ORDER:
@@ -169,12 +276,14 @@ def l2_error(approx: ApproxDerivative, reference: BivariateFunction, G: int) -> 
             f"quadrature order G={order} per panel is over the limit of {_MAX_GAUSS_ORDER}"
         )
     grid = _grid(reference, "gauss", order, _gauss)
-    weights_t, weights_tau = grid.weights
-    column = np.zeros(grid.values.shape[1])
-    for rows, block in grid.diff_blocks(approx.series):
-        block *= block  # in place, in the reused buffer
-        column += weights_t[rows] @ block
-    quad = column @ weights_tau
+    if grid.values.size <= _BLOCK_ENTRIES:
+        quad = grid.square_sum(grid.diff_blocks(approx.series))
+    else:
+        coeffs = approx.series.coeffs
+        projection, tail = grid.projected(coeffs.shape, reference.factors)
+        diff = coeffs - projection
+        diff *= diff  # in place: no second coefficient array
+        quad = np.sum(diff) + tail  # pairwise, and independent of BLAS threads
     return float(np.sqrt(max(quad, 0.0)))
 
 

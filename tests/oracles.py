@@ -88,3 +88,53 @@ def derivative_steps_ld(a, r: int) -> np.ndarray:
             tails[parity::2] = np.cumsum(weighted[parity::2][::-1], axis=0)[::-1]
         a = 2 * root[:-1] * tails[1:]
     return a
+
+
+def _legendre_and_derivative_ld(G: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_G(x) and P_G'(x) = G (x P_G - P_{G-1}) / (x^2 - 1) in long double."""
+    p_prev, p = np.ones_like(x), x.copy()
+    for k in range(1, G):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    return p, G * (x * p - p_prev) / (x * x - 1)
+
+
+def gauss_rule_ld(G: int, edges=(-1, 1)) -> tuple[np.ndarray, np.ndarray]:
+    """Composite G-point Gauss-Legendre rule in long double: (nodes, weights).
+
+    The roots of P_G by Newton's method from the Chebyshev-angle guesses
+    cos(pi (i + 3/4) / (G + 1/2)), until a step is below 4 eps_ld (the
+    iterate then errs by about the step squared); the weights are
+    2 / ((1 - x^2) P_G'(x)^2).  Each panel [a, b] gets the nodes
+    (a + b) / 2 + (b - a) / 2 x and the weights (b - a) / 2 w.
+    """
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    x = np.cos(pi * (np.arange(G, dtype=np.longdouble) + 0.75) / (G + 0.5))
+    for _ in range(100):
+        value, deriv = _legendre_and_derivative_ld(G, x)
+        step = value / deriv
+        x = x - step
+        if np.max(np.abs(step)) < 4 * np.finfo(np.longdouble).eps:
+            break
+    else:
+        raise RuntimeError(f"Newton iteration failed to converge for G={G}")
+    x = np.sort(x)
+    weights = 2 / ((1 - x * x) * _legendre_and_derivative_ld(G, x)[1] ** 2)
+    nodes, panel_weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        a, b = np.longdouble(a), np.longdouble(b)
+        nodes.append((a + b) / 2 + (b - a) / 2 * x)
+        panel_weights.append((b - a) / 2 * weights)
+    return np.concatenate(nodes), np.concatenate(panel_weights)
+
+
+def f1_factor_d2_ld(t) -> np.ndarray:
+    """Second derivative of F1's one-dimensional factor in long double.
+
+    -1/4 + t^2 - t^3 plus t^5 - 3/4 t^6 for t < 0 and 14/15 t^5 - 7/10 t^6
+    otherwise; F1'' = f''(t) f''(tau) / 754.
+    """
+    t = np.asarray(t, dtype=np.longdouble)
+    common = -np.longdouble(1) / 4 + t**2 - t**3
+    neg = t**5 - 3 * t**6 / 4
+    pos = 14 * t**5 / 15 - 7 * t**6 / 10
+    return common + np.where(t < 0, neg, pos)

@@ -1,6 +1,7 @@
 """Coefficient fields: production, storage, norms, and I/O."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -306,6 +307,27 @@ class TestProjection:
         np.testing.assert_allclose(
             coeffs_module._projection(v, QuadratureRule(t, w), 9), direct, rtol=1e-13
         )
+
+
+    def test_chunk_table_is_bounded_at_the_largest_degree(self):
+        # At k_max = 2047 a chunk is 2**22 // 2048 = 2048 nodes, so its table
+        # holds 2**22 entries (32 MiB); 65,536-node chunks would table all
+        # 4097 nodes at once (64 MiB).
+        k_max = 2047
+        rule = coeffs_module._trapezoid_rule(2.0 / 4096)
+        values = np.ones(len(rule))
+        tracemalloc.start()
+        try:
+            got = coeffs_module._projection(values, rule, k_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk = 2**22 // (k_max + 1)
+        # The table plus a few chunk-length temporaries and length-(k_max + 1)
+        # vectors of the recurrence and the sum.
+        assert peak <= 8 * (chunk * (k_max + 1) + 8 * chunk + 8 * (k_max + 1))
+        # Chunking only regroups the sum: phi_0 gets the rule's total weight.
+        assert got[0] == pytest.approx(2.0 * np.sqrt(0.5), rel=1e-14)
 
 
 class TestTrapezoidCoeffs:

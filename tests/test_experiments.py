@@ -113,6 +113,22 @@ class TestBuiltinValues:
             float(f2_d22(t, tau)), rel=1e-6
         )
 
+    @pytest.mark.parametrize("function", [F1, F2], ids=["f1", "f2"])
+    def test_declared_d22_factors_match_d22(self, function):
+        """fl(1/S) ft(t) gtau(tau) against d22's ft(t) gtau(tau) / S.
+
+        Both round one exact product of the same two factor values: d22 twice,
+        the declared form three times (1/S included), so they differ by at most
+        5 u = 2.5 eps relative.
+        """
+        grid = np.linspace(-1.0, 1.0, 201)
+        ft, gtau, scale = function.d22_factors
+        declared = scale * ft(grid)[:, None] * gtau(grid)[None, :]
+        exact = function.d22(grid[:, None], grid[None, :])
+        eps = np.finfo(np.float64).eps
+        assert np.all(np.abs(declared - exact) <= 2.5 * eps * np.abs(exact))
+        assert function.derivative_function().factors is function.d22_factors
+
     def test_builtin_lookup(self):
         assert BUILTIN_NAMES == ("f1", "f2")
         assert builtin_function("f1") is F1

@@ -462,6 +462,19 @@ class TestZeroCorner:
         with pytest.raises(ValueError, match="is not a zero corner"):
             LegendreSeries2D(np.zeros((6, 5)), zero_corner=corner)
 
+    @pytest.mark.parametrize(
+        ("n", "r"), [(19, 2), (79, 2), (80, 2), (300, 2), (120, 1), (120, 3)]
+    )
+    def test_run_declares_a_corner_the_check_accepts(self, n, r):
+        # run() builds its series without the corner scan, through the dense
+        # map below n = 80 and the blocks from there on; the corner holds.
+        config = MethodConfig(r=r, mu=8.5, delta=0.0, n_override=n)
+        field = CoeffField.from_dense(np.random.default_rng(n).standard_normal((n, n)))
+        series = run(field, config).series
+        assert series.zero_corner is not None
+        checked = LegendreSeries2D(series.coeffs, zero_corner=series.zero_corner)
+        assert checked.coeffs.tobytes() == series.coeffs.tobytes()
+
     def test_accepts_a_corner_of_negative_zeros(self, derived_300):
         signed = derived_300.coeffs.copy()
         signed[22:, 23:] = -0.0

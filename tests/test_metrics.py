@@ -492,19 +492,22 @@ def test_grid_products_receive_the_derived_corner(monkeypatch):
     monkeypatch.setattr(metrics, "grid_factors", spy)
     monkeypatch.setattr(basis, "grid_factors", spy)
     reference = F1.derivative_function()
-    l2_error(approx, reference, G=96)
+    # On its 1204-node Gauss grid the L2 error is taken in coefficient space:
+    # neither the first call nor a warm one makes a grid product.
+    assert l2_error(approx, reference, G=96) == l2_error(approx, reference, G=96)
+    assert corners == []
     sup_error(approx, reference, m=401)
     grid = np.linspace(-1.0, 1.0, 401)
     approx.series.eval_grid(grid, grid)
-    assert corners == [(22, 23)] * 3
+    assert corners == [(22, 23)] * 2
 
 
-def _unblocked_diff(approx, t, tau, values):
+def _unblocked_diff(series, t, tau, values):
     """Series minus reference from one whole-grid product, and the bound E on
     each product entry's rounding: E = eps * (max(K, J) + a + b) *
     |T_t|^T |C| |T_tau|, the rounding model of ``test_basis._rounding_bound``.
     """
-    coeffs, corner = approx.series.coeffs, approx.series.zero_corner
+    coeffs, corner = series.coeffs, series.zero_corner
     table_t = legendre_table(coeffs.shape[0] - 1, t)
     table_tau = legendre_table(coeffs.shape[1] - 1, tau)
     diff = grid_product(table_t, coeffs, table_tau, corner) - values
@@ -513,17 +516,18 @@ def _unblocked_diff(approx, t, tau, values):
     return diff, np.finfo(np.float64).eps * (max(coeffs.shape) + a + b) * size
 
 
+@pytest.fixture(scope="module")
+def cross_300():
+    """F1's derived cross series at n = 300 and a held reference, both grids warm."""
+    approx = _noisy_approx(F1, "cross", 300, 0)
+    reference = F1.derivative_function()
+    l2_error(approx, reference, G=96)
+    sup_error(approx, reference)
+    return approx, reference
+
+
 class TestRowBlocks:
     """The metrics reduce the grid in row blocks of at most _BLOCK_ENTRIES entries."""
-
-    @pytest.fixture(scope="class")
-    def cross_300(self):
-        """F1's derived cross series at n = 300 and a held reference, both grids warm."""
-        approx = _noisy_approx(F1, "cross", 300, 0)
-        reference = F1.derivative_function()
-        l2_error(approx, reference, G=96)
-        sup_error(approx, reference)
-        return approx, reference
 
     def test_blocks_match_the_unblocked_product(self, cross_300):
         """Both metrics stay within the rounding of one whole-grid product.
@@ -531,30 +535,92 @@ class TestRowBlocks:
         Each entry of either evaluation errs from the exact grid by at most
         E + eps |diff| (product, then subtraction of the reference), so the two
         differ by at most D = 2 (E + eps |diff|), and so do their sup errors.
-        For the squared L2 error, sum w_t w_tau |d1^2 - d2^2| <= sum w_t w_tau
-        D (2 |diff| + D); both sides then add their weighted sums of
-        nonnegative terms, N_t + N_tau + 2 roundings deep, each erring by at
-        most (N_t + N_tau + 2) * eps / 2 relative.
+
+        On this multi-block Gauss grid the L2 error is taken in coefficient
+        space, as ||C - B||^2 + tail with B = T_t W_t F W_tau T_tau^T and tail
+        the weighted square sum of F minus B's grid.  In exact arithmetic on
+        the float64 tables T, weights W and values F, it differs from the grid
+        sum sum w_t w_tau (T_t^T C T_tau - F)^2 by the orthonormality defect
+        of those tables and weights: the grid sum is larger by q(C) - q(B), where
+        q(X) = <X, Dl X> + <X, X Dr> + <X, Dl X Dr> and Dl, Dr are
+        T W T^T - I per axis (here one matrix, the axes sharing their nodes).
+        The rounding on each side:
+
+        - the grid sum: sum w_t w_tau |d1^2 - d2^2| <= sum w_t w_tau
+          D (2 |diff| + D) against the exact sum, plus the weighted sums of
+          nonnegative terms, N_t + N_tau + 2 roundings deep, each erring by at
+          most (N_t + N_tau + 2) * eps / 2 relative;
+        - q: T W T^T is taken in long double, erring by at most
+          (N + 2) eps_ld |T| W |T|^T, then rounded to float64 (eps |D|), and q
+          is evaluated in float64 in at most 2K + 4 roundings per term, so
+          it errs by at most qa(C, E) + qa(B, |D| + E) + (2K + 4) eps
+          qa(C, |D| + E), where qa(X, A) is q with |X| and A for both defects;
+        - B: the metric projects F1''s declared factors u, v (F rounds
+          s u v twice), through an N-term sum per axis and two roundings on
+          the outer product and the scale s: (N_t + N_tau + 10) eps s
+          (|T_t| W_t |u|)(|T_tau| W_tau |v|)^T bounds the error, EB;
+        - ||C - B||^2 by sum EB (2 |C - B| + EB) for B, and by
+          (K + J + 3) eps of itself for the subtraction, the square and the
+          pairwise np.sum over K x J terms (no deeper than K + J);
+        - the tail, a nonnegative sum, by itself plus the exact tail, which is
+          at most sum w_t w_tau (|B's grid - F| + its E)^2.
         """
         approx, reference = cross_300
         eps = np.finfo(np.float64).eps
+        eps_ld = float(np.finfo(np.longdouble).eps)
         rule_t, rule_tau = reference.gauss_rules(2 * 297 + 8)  # the effective order
         t, tau = rule_t.nodes, rule_tau.nodes
-        assert t.size == tau.size == 1204
+        weights = rule_t.weights
+        assert t.size == tau.size == 1204 and rule_tau is rule_t
         assert t.size > metrics._BLOCK_ENTRIES // tau.size  # several blocks
         values = reference.value(t[:, None], tau[None, :])
-        diff, bound = _unblocked_diff(approx, t, tau, values)
-        quad = rule_t.weights @ (diff * diff) @ rule_tau.weights
+        diff, bound = _unblocked_diff(approx.series, t, tau, values)
+        quad = weights @ (diff * diff) @ weights
         spread = 2.0 * (bound + eps * np.abs(diff))
-        quad_bound = rule_t.weights @ (spread * (2.0 * np.abs(diff) + spread)) @ rule_tau.weights
+        quad_bound = weights @ (spread * (2.0 * np.abs(diff) + spread)) @ weights
         quad_bound += (t.size + tau.size + 2) * eps * quad
+
+        coeffs = approx.series.coeffs
+        K, J = coeffs.shape
+        assert K == J
+        projection, tail = metrics._GRIDS[reference]["gauss"].projection
+        table = legendre_table(K - 1, t)
+        table_ld = table.astype(np.longdouble)
+        defect = ((table_ld * weights) @ table_ld.T - np.eye(K, dtype=np.longdouble))
+        defect = defect.astype(np.float64)
+        gram = (np.abs(table) * weights) @ np.abs(table).T
+        error = (t.size + 2) * eps_ld * gram + eps * np.abs(defect)
+
+        def q(x, d):
+            return np.sum(x * (d @ x)) + np.sum(x * (x @ d)) + np.sum(x * (d @ x @ d))
+
+        def qa(x, a):
+            return q(np.abs(x), a)
+
+        shift = q(coeffs, defect) - q(projection, defect)
+        size = np.abs(defect) + error
+        shift_bound = (
+            qa(coeffs, error) + qa(projection, size) + (2 * K + 4) * eps * qa(coeffs, size)
+        )
+        ft, gtau, scale = reference.factors
+        row = np.abs(table) @ (weights * np.abs(ft(t)))
+        error_b = (t.size + tau.size + 10) * eps * scale * np.outer(
+            row, np.abs(table) @ (weights * np.abs(gtau(tau)))
+        )
+        residual = np.abs(coeffs - projection)
+        coeff_bound = np.sum(error_b * (2.0 * residual + error_b))
+        coeff_bound += (K + J + 3) * eps * np.sum(residual * residual)
+        tail_diff, tail_error = _unblocked_diff(LegendreSeries2D(projection), t, tau, values)
+        tail_size = np.abs(tail_diff) + tail_error + eps * np.abs(values)
+        coeff_bound += tail + weights @ (tail_size * tail_size) @ weights
+
         l2 = l2_error(approx, reference, G=96)
-        assert abs(l2 * l2 - quad) <= quad_bound
+        assert abs(l2 * l2 - (quad - shift)) <= quad_bound + shift_bound + coeff_bound
 
         grid = np.linspace(-1.0, 1.0, 1001)
         assert grid.size > metrics._BLOCK_ENTRIES // grid.size  # several blocks
         values = reference.value(grid[:, None], grid[None, :])
-        diff, bound = _unblocked_diff(approx, grid, grid, values)
+        diff, bound = _unblocked_diff(approx.series, grid, grid, values)
         spread = 2.0 * (bound + eps * np.abs(diff))
         assert abs(sup_error(approx, reference, m=1001) - np.max(np.abs(diff))) <= np.max(spread)
 
@@ -584,3 +650,101 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < grid_bytes / 2
+
+
+def _nan_above(t, cut=0.9):
+    return np.where(np.asarray(t) > cut, np.nan, 1.0)
+
+
+class TestCoefficientSpace:
+    """On a Gauss grid of several row blocks, l2_error is ||C - B||^2 + tail."""
+
+    def test_gate_is_the_block_size(self):
+        # A 512 x 512 grid is one block (2**18 entries) and keeps the grid
+        # sum bit for bit; 514 x 514 is measured in coefficient space.
+        reference = BivariateFunction(value=_smooth, name="smooth")
+        approx = _noisy_approx(F2, "box", 8, 0)
+        grid_sum = l2_error(approx, reference, G=512)
+        grid = metrics._GRIDS[reference]["gauss"]
+        assert grid.values.size == metrics._BLOCK_ENTRIES and grid.projection is None
+        assert grid_sum == _scratch_l2(approx, reference, 512)
+        coefficient = l2_error(approx, reference, G=514)
+        assert metrics._GRIDS[reference]["gauss"].projection is not None
+        assert coefficient == pytest.approx(grid_sum, rel=1e-13, abs=0.0)
+
+    def test_projection_is_kept_for_the_latest_shape(self):
+        calls = []
+
+        def factor(t):
+            calls.append(np.size(t))
+            return np.cos(t)
+
+        reference = BivariateFunction(
+            value=lambda t, tau: np.cos(t) * np.cos(tau), factors=(factor, factor, 1.0)
+        )
+        small = _noisy_approx(F2, "box", 5, 0)  # derived degree 3
+        large = _noisy_approx(F2, "box", 8, 0)  # derived degree 6
+        for approx in (small, small, large, large, small):
+            l2_error(approx, reference, G=600)
+        # One 600 x 600 grid; a 1-D projection per new shape, shared by the axes.
+        assert calls == [600] * 3
+        assert metrics._GRIDS[reference]["gauss"].projection[0].shape == (4, 4)
+
+    def test_general_path_agrees_with_declared_factors(self, cross_300):
+        """F1'' with and without its declared factors, at n = 300.
+
+        Both forms compute fl(||C - B||^2) + tail.  Each B errs from the exact
+        T_t W_t F W_tau T_tau^T by at most EB = (N_t + N_tau + 10) eps s
+        (|T_t| W_t |u|)(|T_tau| W_tau |v|)^T: the general one through its
+        N_tau-term products, its row blocks' sums (rows plus blocks at most
+        N_t + 1 deep) and the weights; the factored one through the N-term
+        projections, the outer product and the scale, and by F rounding
+        s u v twice.  So the two squared errors differ by at most
+        sum 2 EB (2 |C - B_f| + 2 EB) + (K + J + 3) eps (R_f + R_g) plus both
+        nonnegative tails, R the two sums of squares.
+        """
+        approx, factored = cross_300
+        general = dataclasses.replace(factored, factors=None)
+        coeffs = approx.series.coeffs
+        K, J = coeffs.shape
+        l2_f = l2_error(approx, factored, G=96)
+        l2_g = l2_error(approx, general, G=96)
+        grid_f = metrics._GRIDS[factored]["gauss"]
+        grid_g = metrics._GRIDS[general]["gauss"]
+        (b_f, tail_f), (b_g, tail_g) = grid_f.projection, grid_g.projection
+        eps = np.finfo(np.float64).eps
+        ft, gtau, scale = factored.factors
+        weights_t, weights_tau = grid_f.weights
+        table_t = np.abs(legendre_table(K - 1, grid_f.t))
+        table_tau = np.abs(legendre_table(J - 1, grid_f.tau))
+        error_b = (grid_f.t.size + grid_f.tau.size + 10) * eps * scale * np.outer(
+            table_t @ (weights_t * np.abs(ft(grid_f.t))),
+            table_tau @ (weights_tau * np.abs(gtau(grid_f.tau))),
+        )
+        r_f, r_g = np.sum((coeffs - b_f) ** 2), np.sum((coeffs - b_g) ** 2)
+        bound = np.sum(2 * error_b * (2 * np.abs(coeffs - b_f) + 2 * error_b))
+        bound += (K + J + 3) * eps * (r_f + r_g) + tail_f + tail_g
+        assert abs(l2_f**2 - l2_g**2) <= bound
+
+    @pytest.mark.parametrize("declared", [False, True], ids=["general", "factors"])
+    def test_nan_reference_gives_nan(self, declared):
+        factors = (_nan_above, lambda tau: np.ones_like(np.asarray(tau)), 1.0) if declared else None
+        reference = BivariateFunction(
+            value=lambda t, tau: _nan_above(t) + 0.0 * tau,
+            t_breakpoints=(0.0,), tau_breakpoints=(0.0,), factors=factors,
+        )
+        assert np.isnan(l2_error(_phi22_approx(), reference, G=602))
+        assert metrics._GRIDS[reference]["gauss"].values.size > metrics._BLOCK_ENTRIES
+
+    def test_warm_call_allocates_one_coefficient_array(self, cross_300):
+        approx, reference = cross_300
+        l2_error(approx, reference, G=96)  # warm
+        coeffs = approx.series.coeffs
+        tracemalloc.start()
+        try:
+            l2_error(approx, reference, G=96)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # C - B and nothing of the grid's size: two coefficient arrays at most.
+        assert peak <= 2 * coeffs.size * coeffs.itemsize

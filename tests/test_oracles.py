@@ -13,10 +13,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from legdiff.basis import gauss_rule, legendre_table
+from legdiff import MethodConfig, exact_coeffs, l2_error, metrics, run
+from legdiff.basis import composite_gauss_rule, gauss_rule, legendre_table
 from legdiff.derivative import DerivativeExpansion
+from legdiff.experiments import F1
+from legdiff.noise import NoiseSpec, perturb
 
-from oracles import derivative_steps_ld, legendre_table_ld, single_step_entry
+from oracles import (
+    derivative_steps_ld,
+    f1_factor_d2_ld,
+    gauss_rule_ld,
+    legendre_table_ld,
+    single_step_entry,
+)
 
 EPS = np.finfo(np.float64).eps
 EPS_LD = float(np.finfo(np.longdouble).eps)
@@ -102,3 +111,74 @@ def test_derivative_map_within_summation_bound(K):
     error = np.abs(DerivativeExpansion(2, K).apply(a) - derivative_steps_ld(a, 2))
     bound = (K + 2) * (EPS + EPS_LD) * derivative_steps_ld(np.abs(a), 2)
     assert np.all(error <= bound), float(np.max(error / bound))
+
+
+def test_large_cross_l2_error_within_long_double_projection_bound():
+    """l2_error at n = 300, seed 0 of the benchmark's large cross, against long double.
+
+    The oracle takes F1'' = s u(t) u(tau), s = 1/754, on its own long-double
+    Gauss rule (602 points per panel, split at 0) and computes
+    ||C - B_ld||^2 + tail_ld from one-dimensional projections: with
+    a = T W u and p = T^T a, B_ld = s a a^T, and the tail
+    s^2 (||u - p||^2 ||u||^2 + ||p||^2 ||u - p||^2) is a sum of orthogonal
+    parts (no cancellation).  C, the method's float64 coefficients, is the
+    input both sides share.
+
+    The metric computes fl(||C - B||^2) + tail from the float64 rule
+    (nodes x, weights w), table T and factor values u.  Its B errs by EB =
+    s (da a^T + a da^T + da da^T) + 3 eps s |a| |a|^T, where
+    da = |T_64 - T_ld| w |u| + |T| |w_64 - w_ld| |u| + |T| w |u_64 - u_ld|
+    + (N + 1) eps |T| w |u|: the inputs' own distances from the oracle's
+    (table, rule and factor at the float64 and long-double nodes), carried
+    through the N-term projection sum, plus that sum's rounding.  So
+
+        |l2^2 - want^2| <= sum EB (2 |C - B_ld| + EB)
+                           + (K + J + 3) eps ||C - B_ld||^2 + tail + tail_ld,
+
+    the second term for the subtraction, square and pairwise np.sum of K x J
+    terms, the last two because both tails are nonnegative.
+    """
+    n, r, G = 300, 2, 602
+    config = MethodConfig(r=r, mu=5.5, delta=1e-10, n_override=n)
+    base = exact_coeffs(F1, n - 1, n - 1, G=2 * (n - 1) + 16).restrict(config.domain())
+    approx = run(perturb(base, NoiseSpec(kind="gaussian", delta=1e-10, seed=0)), config)
+    reference = F1.derivative_function()
+    l2 = l2_error(approx, reference, G)
+    coeffs = approx.series.coeffs
+    K, J = coeffs.shape
+    assert (K, J) == (n - r, n - r) and G == 2 * (K - 1) + 8  # the effective order
+
+    nodes, weights = gauss_rule_ld(G, (-1, 0, 1))
+    table = legendre_table_ld(K - 1, nodes)
+    u = f1_factor_d2_ld(nodes)
+    scale = 1 / np.longdouble(754)
+    a = table @ (weights * u)
+    p = a @ table
+    gap = weights @ (u - p) ** 2
+    tail_ld = scale**2 * (gap * (weights @ u**2) + (weights @ p**2) * gap)
+    residual = coeffs - scale * np.outer(a, a)
+    want2 = float(np.sum(residual**2) + tail_ld)
+
+    rule = composite_gauss_rule(G, (-1.0, 0.0, 1.0))
+    table_64 = legendre_table(K - 1, rule.nodes)
+    u_64 = reference.factors[0](rule.nodes)
+    abs_u, abs_table = np.abs(u_64), np.abs(table_64)
+    da = (
+        np.abs(table_64 - table).astype(np.float64) @ (rule.weights * abs_u)
+        + abs_table @ (np.abs(rule.weights - weights).astype(np.float64) * abs_u)
+        + abs_table @ (rule.weights * np.abs(u_64 - u).astype(np.float64))
+        + (rule.nodes.size + 1) * EPS * abs_table @ (rule.weights * abs_u)
+    )
+    size = np.abs(a).astype(np.float64)
+    s = float(scale)
+    error_b = s * (np.outer(da, size) + np.outer(size, da) + np.outer(da, da))
+    error_b += 3 * EPS * s * np.outer(size + da, size + da)
+    residual = np.abs(residual).astype(np.float64)
+    tail = metrics._GRIDS[reference]["gauss"].projection[1]
+    bound = (
+        np.sum(error_b * (2 * residual + error_b))
+        + (K + J + 3) * EPS * np.sum(residual**2)
+        + tail
+        + float(tail_ld)
+    )
+    assert abs(l2 * l2 - want2) <= bound, (abs(l2 * l2 - want2), bound)
