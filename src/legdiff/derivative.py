@@ -10,9 +10,18 @@ of a bivariate series into the coefficients of its mixed derivative of order
 (r, r), exactly and in closed form.  One step sums each parity class from the
 top degree down, so it costs one pass over the coefficients.
 
+That pass is one ``cumsum``.  Taken from the top degree down, the rows pair
+up as an array of shape (rows/2, 2, cols), and a cumsum along its first axis
+sums each class in the order one cumsum per class would, so the floats are
+the same.  An odd row count gets one pad row above the top degree, added
+first in its class.  The pad is -0.0, the additive identity of every float:
+x + -0.0 is x for every x, where +0.0 + -0.0 is +0.0, so a +0.0 pad would turn
+a class that starts with -0.0 into +0.0, which ``np.array_equal`` does not
+see.  The scale columns each step multiplies by are cached per degree.
+
 On both axes of a hyperbolic-cross array the map can skip the cross's zero
 corner: every entry of ``values[a:, b:]`` is zero, with a, b about sqrt(r n)
-(:meth:`IndexDomain.zero_corner`).  :meth:`DerivativeExpansion.apply_both`
+(:meth:`IndexDomain.zero_corner`).  :meth:`DerivativeExpansion.apply_blocks`
 then derives two blocks along the first axis, the left block
 ``values[:, :b]`` (every row) and the top block ``values[:a, b:]``.  Along the
 second axis it derives the top a - r rows of that result, full width, and the
@@ -26,13 +35,17 @@ gives the same floats.  The one exception is the sign of a zero: an input
 -0.0, or back.
 
 The blocks take twice as many steps, each on a smaller array, so they pay
-only from about 80 rows on; :func:`legdiff.method.run` passes the corner from
-there (its docstring has the measurement).
+only from about 80 rows on.  :func:`legdiff.method.run` calls
+:meth:`DerivativeExpansion.apply_blocks` from there (its docstring has the
+measurement), which never reads the corner, as ``run`` zero-filled it itself;
+``apply_both`` scans the corner first for any other caller.  Either way
+finiteness is checked on each region the map writes, never on the zero fill.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,21 +54,39 @@ from .basis import _orthonormal_scale
 __all__ = ["phi_derivative_coeffs", "DerivativeExpansion"]
 
 
+#: Distinct degrees whose step scales :func:`_step_scales` keeps.
+_SCALES_CACHED = 64
+
+
+@lru_cache(maxsize=_SCALES_CACHED)
+def _step_scales(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only columns sqrt(k + 1/2), k = 0..K, and 2 sqrt(l + 1/2), l < K."""
+    scale = _orthonormal_scale(K)
+    twice = 2.0 * scale[:-1, None]
+    scale = scale[:, None]
+    scale.flags.writeable = twice.flags.writeable = False
+    return scale, twice
+
+
 def _step(a: np.ndarray) -> np.ndarray:
     """One derivative step along axis 0 of a 2-D float64 array of degrees 0..K.
 
     The result holds degrees 0..K-1,
     b_l = 2 sqrt(l + 1/2) * sum_{k > l, k+l odd} sqrt(k + 1/2) a_k.
     """
-    scale = _orthonormal_scale(a.shape[0] - 1)
-    weighted = scale[:, None] * a
-    # suffix[k] = weighted[k] + weighted[k+2] + ... (suffix sums by parity class)
-    suffix = np.empty_like(weighted)
-    for parity in (0, 1):
-        rows = weighted[parity::2]
-        suffix[parity::2] = np.cumsum(rows[::-1], axis=0)[::-1]
+    rows, cols = a.shape
+    scale, twice = _step_scales(rows - 1)
+    # suffix[k] = weighted[k] + weighted[k+2] + ..., summed from the top
+    # degree down: one cumsum down the rows taken in pairs from the top.  An
+    # odd count gets a top pad row of -0.0 (see the module docstring).
+    suffix = np.empty((rows + rows % 2, cols))
+    suffix[rows:] = -0.0
+    np.multiply(scale, a, out=suffix[:rows])
+    # a view: the rows top down (no -1 in the shape, which fails for 0 columns)
+    pairs = suffix.reshape(suffix.shape[0] // 2, 2, cols)[::-1, ::-1]
+    np.cumsum(pairs, axis=0, out=pairs)
     # k > l with k+l odd means k runs over l+1, l+3, ...
-    return 2.0 * scale[:-1, None] * suffix[1:]
+    return twice * suffix[1:rows]
 
 
 def _steps(a: np.ndarray, r: int) -> np.ndarray:
@@ -119,32 +150,61 @@ class DerivativeExpansion:
         Without ``corner`` this is ``apply(apply(values).T).T``.  With a zero
         corner (a, b) of ``values``, r < a, b <= max_degree and
         ``values[a:, b:]`` all zero, as outside a hyperbolic cross
-        (:meth:`IndexDomain.zero_corner` gives it), the map touches only the
-        two blocks outside the corner (see the module docstring), and the
-        result is the dense map's bit for bit, up to the sign of exact zeros.
-        Any other corner raises ValueError.  A result, or the intermediate
-        after the first axis, that is not finite in float64 raises ValueError
-        naming max_degree.
+        (:meth:`IndexDomain.zero_corner` gives it), it checks that the corner
+        is zero and is :meth:`apply_blocks`.  Any other corner raises
+        ValueError.  A result, or the intermediate after the first axis, that
+        is not finite in float64 raises ValueError naming max_degree.
         """
+        values = self._square(values)
+        if corner is None:
+            return self.apply(self.apply(values).T).T
+        a, b = corner
+        if values[a:, b:].any():
+            raise self._no_zero_corner(corner)
+        return self.apply_blocks(values, corner)
+
+    def apply_blocks(self, values: np.ndarray, corner: tuple[int, int]) -> np.ndarray:
+        """The map on both axes of a square array whose corner (a, b) is zero, unread.
+
+        For a caller that zero-filled ``values[a:, b:]`` itself, as
+        :func:`legdiff.method.run` does: the map touches only the two blocks
+        outside the corner (see the module docstring) and never reads the
+        corner, and the result is the dense map's bit for bit, up to the sign
+        of exact zeros, when the corner is zero.  A corner without
+        r < a, b <= max_degree raises ValueError.  Each region the map writes
+        is checked to be finite, as in :meth:`apply_both`; the rest of the
+        result is the zero fill.
+        """
+        values = self._square(values)
+        r = self.r
+        side = values.shape[0]
+        a, b = corner
+        if not (r < a < side and r < b < side):
+            raise self._no_zero_corner(corner)
+        left = self._checked(_steps(values[:, :b], r))
+        top = self._checked(_steps(values[:a, b:], r))
+        out = np.zeros((side - r, side - r))
+        out[: a - r] = self._checked(
+            _steps(np.concatenate((left[: a - r], top), axis=1).T, r).T
+        )
+        out[a - r :, : b - r] = self._checked(_steps(left[a - r :].T, r).T)
+        return out
+
+    def _square(self, values: np.ndarray) -> np.ndarray:
+        """``values`` as float64, or ValueError unless it is square of side max_degree + 1."""
         side = self.max_degree + 1
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (side, side):
             raise ValueError(f"expected a {side} x {side} array, got shape {values.shape}")
-        if corner is None:
-            return self.apply(self.apply(values).T).T
-        r = self.r
-        a, b = corner
-        if not (r < a < side and r < b < side) or values[a:, b:].any():
-            raise ValueError(
-                f"{corner} is not a zero corner of a {side} x {side} array "
-                f"for a derivative of order {r}"
-            )
-        left = self._checked(_steps(values[:, :b], r))
-        top = self._checked(_steps(values[:a, b:], r))
-        out = np.zeros((side - r, side - r))
-        out[: a - r] = _steps(np.concatenate((left[: a - r], top), axis=1).T, r).T
-        out[a - r :, : b - r] = _steps(left[a - r :].T, r).T
-        return self._checked(out)
+        return values
+
+    def _no_zero_corner(self, corner: tuple[int, int]) -> ValueError:
+        """The error for a corner the map's square arrays cannot have as zero corner."""
+        side = self.max_degree + 1
+        return ValueError(
+            f"{corner} is not a zero corner of a {side} x {side} array "
+            f"for a derivative of order {self.r}"
+        )
 
     def _checked(self, out: np.ndarray) -> np.ndarray:
         """``out``, or ValueError if it is not finite in float64."""

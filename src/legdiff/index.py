@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import ClassVar
 
 import numpy as np
@@ -27,18 +28,39 @@ __all__ = ["IndexDomain", "pairs_mask"]
 #: Distinct domains whose row tops and zero corner :class:`IndexDomain` keeps.
 _DOMAINS_CACHED = 256
 
+#: Distinct domains whose membership mask :class:`IndexDomain` keeps: a mask
+#: has side**2 bytes, so at most 32 MiB at n = 2048.
+_MASKS_CACHED = 8
+
+#: What :func:`pairs_mask` takes as one (k, j) pair.
+_PAIR_TYPES = (tuple, list, np.ndarray)
+
 
 def pairs_mask(pairs) -> np.ndarray:
-    """Boolean membership array of (k, j) pairs, shape (max k + 1, max j + 1)."""
-    idx = np.array(list(pairs), dtype=np.intp)
-    if not idx.size:
+    """Boolean membership array of (k, j) pairs, shape (max k + 1, max j + 1).
+
+    ``pairs`` is an iterable of tuples, lists or 1-D arrays of two integers;
+    an empty one gives a 1 x 1 False array, and anything else raises
+    ValueError.  Each index converts as ``np.array(..., dtype=np.intp)``
+    converts it (a float is truncated).  Only restricting a field by pairs
+    comes here; the pipeline restricts by domain (ROADMAP item 11).
+    """
+    pairs = list(pairs)
+    try:
+        if not all(issubclass(kind, _PAIR_TYPES) for kind in set(map(type, pairs))):
+            raise TypeError
+        if set(map(len, pairs)) - {2}:
+            raise TypeError
+        flat = np.fromiter(chain.from_iterable(pairs), np.intp, count=2 * len(pairs))
+    except TypeError:  # not a pair, or an index that is no number
+        raise ValueError("expected a sequence of (k, j) pairs") from None
+    if not pairs:
         return np.zeros((1, 1), dtype=bool)
-    if idx.ndim != 2 or idx.shape[1] != 2:
-        raise ValueError("expected a sequence of (k, j) pairs")
-    if idx.min() < 0:
+    k, j = flat.reshape(-1, 2).T
+    if min(k.min(), j.min()) < 0:
         raise ValueError("index pairs must be nonnegative")
-    mask = np.zeros(tuple(idx.max(axis=0) + 1), dtype=bool)
-    mask[idx[:, 0], idx[:, 1]] = True
+    mask = np.zeros((k.max() + 1, j.max() + 1), dtype=bool)
+    mask[k, j] = True
     return mask
 
 
@@ -113,12 +135,18 @@ class IndexDomain:
         j = self.r + np.arange(k.size) - starts
         return list(zip(k.tolist(), j.tolist()))
 
+    @lru_cache(maxsize=_MASKS_CACHED)
     def mask(self) -> np.ndarray:
-        """Boolean membership array of shape ``max_degree() + 1`` per axis."""
+        """Boolean membership array of shape ``max_degree() + 1`` per axis.
+
+        Read-only and cached by value, as the row tops are: every call on an
+        equal domain returns the same array while it stays in the cache.
+        """
         tops = self._tops()
         side = self.r + tops.size
         mask = np.zeros((side, side), dtype=bool)
         mask[self.r :, self.r :] = np.arange(self.r, side) <= tops[:, None]
+        mask.flags.writeable = False
         return mask
 
     def cardinality(self) -> int:

@@ -241,24 +241,29 @@ def run(field_perturbed: CoeffField, config: MethodConfig) -> ApproxDerivative:
     (:meth:`IndexDomain.zero_corner`) less r on each axis, which its grid
     evaluations may skip.  From n = ``_BLOCKS_MIN_SIDE`` = 80 on, the map
     skips the corner too and derives only the left block and the top block
-    outside it, so its work follows the staircase, not n^2.  The result
-    keeps the dense map's bytes up to the sign of exact zeros (see the
+    outside it, so its work follows the staircase, not n^2: ``restrict``
+    zero-filled the corner, so the blocks go to the map unscanned.  The
+    result keeps the dense map's bytes up to the sign of exact zeros (see the
     :mod:`legdiff.derivative` docstring).  Smaller crosses, every table
     preset's (n <= 31) among them, and the box take the dense map.  Measured
-    with one BLAS thread (2-vCPU Xeon, NumPy 2.4.6, min of 41 in two host
-    phases), the dense map against the blocks at r = 2: n = 48 took 102-147
-    against 131-211 us, n = 64 138-197 against 143-224 us, n = 80 182-246
-    against 161-246 us, n = 100 259-326 against 183-272 us; r = 1 and r = 3
-    cross over between n = 64 and 72.  Past that the gain grows with n:
-    2.9-3.3 against 0.56-0.61 ms at n = 300, 35-42 against 3.6-3.9 ms at
-    n = 1000, 329 against 18 ms at n = 2048 (min of 11).
+    for the whole of run() with one BLAS thread (2-vCPU Xeon, NumPy 2.4.6, one
+    process per side, the second of two timings per n, each the min of 41,
+    in two host phases), the dense map
+    against the blocks at r = 2: n = 48 took 114-118 against 145-162 us,
+    n = 64 155-203 against 155-216 us, n = 80 213-215 against 154-187 us,
+    n = 100 301-302 against 179-196 us.  Past that the gain grows with n:
+    3.4-4.7 against 0.52-0.75 ms at n = 300, 50-51 against 3.6-4.9 ms at
+    n = 1000, 304-340 against 19-24 ms at n = 2048 (min of 11 from n = 1000).
     """
     domain = config.domain()
     masked = field_perturbed.restrict(domain)
     expansion = DerivativeExpansion(config.r, masked.k_max)
     corner = domain.zero_corner()
-    blocks = corner if masked.k_max + 1 >= _BLOCKS_MIN_SIDE else None
-    derived = expansion.apply_both(masked.values, blocks)
+    if corner is not None and masked.k_max + 1 >= _BLOCKS_MIN_SIDE:
+        # restrict() zero-filled the corner, so it goes unscanned.
+        derived = expansion.apply_blocks(masked.values, corner)
+    else:
+        derived = expansion.apply_both(masked.values)
     if corner is not None:
         corner = corner[0] - config.r, corner[1] - config.r
     return ApproxDerivative(

@@ -11,8 +11,10 @@ with the reference object: its latest Gauss grid and latest uniform grid, each
 with the Legendre tables of its latest measurement.  A grid is rebuilt only
 when its size changes and a table only when the series degree does, so the
 seeds of a table row evaluate the reference once per grid.  The store is
-weak-keyed: drop the reference object to release its grids (an F1 reference
-last measured at n = 2048 holds a 512 MiB Gauss grid and a 134 MB table).
+weak-keyed: drop the reference object to release its grids.  A Gauss grid
+measured in coefficient space (below) keeps only what that form reads, so an
+F1'' reference last measured at n = 2048 holds a 32 MiB projection, not the
+512 MiB grid and 134 MB table it was built from.
 
 A measurement reduces series minus reference one block of grid rows at a time
 in one reused buffer of at most 2**18 entries (2 MiB), so next to the held grid
@@ -31,11 +33,12 @@ The square-mean error has two forms, chosen by that same block size:
   ||C - B||^2 + tail: B is the reference's projection onto the series' index
   block and tail the weighted square sum of the reference minus B's grid.
   Both depend on the reference and the degree only, so the grid keeps them
-  for its latest coefficient shape and each further seed costs one reduction
-  over the K x J coefficients (0.1-0.3 ms at n = 300, against 5-9 ms for the
-  grid sum).  The first call per (reference, degree) builds them in row
-  blocks from the grid's tables, weights and values: about 60-75 ms at
-  n = 300, or, for a reference that declares ``factors`` (the built-in
+  for its latest coefficient shape, drops its values and tables, and each
+  further seed costs one reduction over the K x J coefficients (0.1-0.3 ms at
+  n = 300, against 5-9 ms for the grid sum); another shape at the same order
+  evaluates the grid again.  The first call per (reference, degree) builds
+  them in row blocks from the grid's tables, weights and values: about
+  60-75 ms at n = 300, or, for a reference that declares ``factors`` (the built-in
   derivatives do), two one-dimensional projections and one pass over B's
   rank-1 grid, no slower than a grid sum.
 
@@ -107,13 +110,15 @@ class _Grid:
     share their tables.  ``tables`` maps (axis, degree) to the Legendre tables
     of the latest measurement on the grid, so it holds at most two.
     ``projection`` holds the reference's ``(B, tail)`` for the latest
-    coefficient shape measured in coefficient space (see :func:`l2_error`).
+    coefficient shape measured in coefficient space (see :func:`l2_error`);
+    once it is built, ``values`` is None and ``tables`` empty, as no
+    measurement of that shape reads them again.
     """
 
     size: int
     t: np.ndarray
     tau: np.ndarray
-    values: np.ndarray
+    values: np.ndarray | None
     weights: tuple[np.ndarray, np.ndarray] | None = None
     tables: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
     projection: tuple[np.ndarray, float] | None = None
@@ -127,6 +132,11 @@ class _Grid:
             if key not in self.tables:
                 self.tables[key] = legendre_table(key[1], nodes)
         return self.tables[keys[0]], self.tables[keys[1]]
+
+    def serves(self, shape: tuple[int, int] | None) -> bool:
+        """Whether the grid can measure a coefficient array of this shape:
+        it holds its values, or the projection for this shape."""
+        return self.values is not None or self.projection[0].shape == shape
 
     def row_blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
         """The grid's row blocks, each with its part of one reused buffer.
@@ -178,9 +188,11 @@ class _Grid:
 
         ``B = (T_t W_t) F (W_tau T_tau^T)`` for the grid's values F, and
         ``tail`` is the weighted square sum of F minus B's grid.  Both are
-        kept for the latest shape.  With ``factors`` (ft, gtau, s) declaring
-        F = s ft(t) gtau(tau), B is ``s outer(T_t W_t ft, T_tau W_tau gtau)``
-        and B's grid is rank 1; otherwise B is summed over the row blocks.
+        kept for the latest shape, and the grid's values and tables are
+        dropped, so a new shape needs a new grid.  With ``factors`` (ft, gtau,
+        s) declaring F = s ft(t) gtau(tau), B is ``s outer(T_t W_t ft, T_tau
+        W_tau gtau)`` and B's grid is rank 1; otherwise B is summed over the
+        row blocks.
         """
         if self.projection is not None and self.projection[0].shape == shape:
             return self.projection
@@ -212,6 +224,7 @@ class _Grid:
 
             tail = self.square_sum(self.remainders(product))
         self.projection = projection, tail
+        self.values, self.tables = None, {}
         return self.projection
 
 
@@ -222,13 +235,20 @@ _GRIDS: weakref.WeakKeyDictionary[BivariateFunction, dict[str, _Grid]] = (
 )
 
 
-def _grid(reference: BivariateFunction, kind: str, size: int, build: Callable) -> _Grid:
-    """The reference's latest grid of this kind, built anew unless it has this size.
+def _grid(
+    reference: BivariateFunction,
+    kind: str,
+    size: int,
+    build: Callable,
+    shape: tuple[int, int] | None = None,
+) -> _Grid:
+    """The reference's latest grid of this kind, built anew unless it has this
+    size and serves coefficients of this shape (see :meth:`_Grid.serves`).
 
     The old grid is dropped first, so the store never holds two of a kind.
     """
     grids = _GRIDS.setdefault(reference, {})
-    if kind not in grids or grids[kind].size != size:
+    if kind not in grids or grids[kind].size != size or not grids[kind].serves(shape):
         grids.pop(kind, None)
         grids[kind] = build(reference, size)
     return grids[kind]
@@ -275,11 +295,11 @@ def l2_error(approx: ApproxDerivative, reference: BivariateFunction, G: int) -> 
         raise ValueError(
             f"quadrature order G={order} per panel is over the limit of {_MAX_GAUSS_ORDER}"
         )
-    grid = _grid(reference, "gauss", order, _gauss)
-    if grid.values.size <= _BLOCK_ENTRIES:
+    coeffs = approx.series.coeffs
+    grid = _grid(reference, "gauss", order, _gauss, coeffs.shape)
+    if grid.t.size * grid.tau.size <= _BLOCK_ENTRIES:
         quad = grid.square_sum(grid.diff_blocks(approx.series))
     else:
-        coeffs = approx.series.coeffs
         projection, tail = grid.projected(coeffs.shape, reference.factors)
         diff = coeffs - projection
         diff *= diff  # in place: no second coefficient array

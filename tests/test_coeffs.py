@@ -21,7 +21,7 @@ from legdiff import basis as basis_module
 from legdiff import coeffs as coeffs_module
 from legdiff.basis import QuadratureRule, composite_gauss_rule, legendre_table
 from legdiff.experiments import F1
-from legdiff.index import IndexDomain
+from legdiff.index import IndexDomain, pairs_mask
 from legdiff.noise import NoiseSpec, perturb
 
 from oracles import from_entries
@@ -164,6 +164,79 @@ class TestArrayInvariants:
             assert by_domain.items_sorted() == by_pairs.items_sorted()
             np.testing.assert_array_equal(by_domain.stored, domain.mask())
             np.testing.assert_array_equal(by_domain.values[~by_domain.stored], 0.0)
+
+
+def _array_pairs_mask(pairs):
+    """The membership mask by one np.array conversion of all pairs."""
+    idx = np.array(list(pairs), dtype=np.intp)
+    if not idx.size:
+        return np.zeros((1, 1), dtype=bool)
+    if idx.ndim != 2 or idx.shape[1] != 2:
+        raise ValueError("expected a sequence of (k, j) pairs")
+    if idx.min() < 0:
+        raise ValueError("index pairs must be nonnegative")
+    mask = np.zeros(tuple(idx.max(axis=0) + 1), dtype=bool)
+    mask[idx[:, 0], idx[:, 1]] = True
+    return mask
+
+
+class TestPairsConversion:
+    """restrict() by pairs gives the mask of one np.array conversion, or a
+    ValueError where that conversion raises."""
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(1, 2), (3,)],
+            [(1, 2, 3), (4,)],  # four indices, but no pairs
+            [1, 2],
+            ["12", "34"],
+            np.array(["12", "34"]),
+            [(1, 2), (-1, 0)],
+            [(1.5, np.nan)],
+            [((1, 2), (3, 4))],
+            [(1, None)],
+            [{1: 2, 3: 4}],
+            [{1, 2}],
+        ],
+        ids=[
+            "ragged", "three_and_one", "no_length", "strings", "numpy_strings",
+            "negative", "nan", "nested", "none", "dict", "set",
+        ],
+    )
+    def test_refuses_what_the_array_conversion_refuses(self, pairs):
+        with pytest.raises((TypeError, ValueError)):
+            _array_pairs_mask(pairs)
+        with pytest.raises(ValueError):
+            pairs_mask(pairs)
+        with pytest.raises(ValueError):
+            from_entries({(1, 1): 2.0}).restrict(pairs)
+
+    def test_refuses_empty_items(self):
+        # The array conversion reads [()] as no pairs; no item here is a pair.
+        assert not _array_pairs_mask([(), ()]).any()
+        with pytest.raises(ValueError):
+            pairs_mask([(), ()])
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ((k, j) for k in range(2, 5) for j in range(2, 7 - k)),
+            lambda: np.array([[1, 2], [3, 0], [1, 2]]),
+            lambda: [(1.5, 2.0), (0.9, 3.7), (-0.5, 1)],
+            lambda: [[4, 1], (np.int64(2), True)],
+            lambda: IndexDomain.cross(2, 40).members(),
+            lambda: [],
+        ],
+        ids=["generator", "int_ndarray", "floats", "mixed", "cross", "empty"],
+    )
+    def test_gives_the_array_conversion_mask(self, make):
+        mask = pairs_mask(make())
+        expected = _array_pairs_mask(make())
+        assert mask.shape == expected.shape and mask.tobytes() == expected.tobytes()
+        field = CoeffField.from_dense(np.random.default_rng(0).standard_normal((50, 50)))
+        restricted = field.restrict(make())
+        assert restricted.stored.tobytes() == expected.tobytes()
 
 
 class TestExactCoeffs:

@@ -8,10 +8,21 @@ import numpy as np
 import numpy.polynomial.legendre as npleg
 import pytest
 
-from legdiff.basis import eval_phi_table
+from legdiff.basis import _orthonormal_scale, eval_phi_table
 from legdiff.derivative import DerivativeExpansion, _step, phi_derivative_coeffs
 
 from oracles import from_entries, phi_rr_closed_form, single_step_entry
+
+
+def _two_cumsum_step(a):
+    """One derivative step with one suffix cumsum per parity class."""
+    scale = _orthonormal_scale(a.shape[0] - 1)
+    weighted = scale[:, None] * a
+    suffix = np.empty_like(weighted)
+    for parity in (0, 1):
+        rows = weighted[parity::2]
+        suffix[parity::2] = np.cumsum(rows[::-1], axis=0)[::-1]
+    return 2.0 * scale[:-1, None] * suffix[1:]
 
 
 class TestSingleStepEntry:
@@ -106,6 +117,22 @@ class TestMuellerStep:
 
     def test_mueller_step_degenerate_shapes(self):
         assert _step(np.ones((1, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 8, 9, 300, 301])
+    @pytest.mark.parametrize("cols", [0, 1, 7])
+    def test_step_keeps_the_bytes_of_the_two_cumsum_form(self, rows, cols):
+        # Zeros of both signs, a top row of -0.0 among them: an odd count's
+        # pad adds first to that row's class, and only a -0.0 pad keeps it -0.0.
+        rng = np.random.default_rng(rows)
+        a = rng.standard_normal((rows, cols))
+        a[rng.random(a.shape) < 0.3] = -0.0
+        a[rng.random(a.shape) < 0.1] = 0.0
+        a[-1, :3] = -0.0
+        a[:, 3:4] = -0.0
+        for operand in (a, np.asfortranarray(a), a[:, ::2]):
+            step = _step(operand)
+            assert step.shape == (rows - 1, operand.shape[1])
+            assert step.tobytes() == _two_cumsum_step(operand).tobytes()
 
 
 class TestDifferentiateAxis:
@@ -218,6 +245,12 @@ class TestDerivativeExpansion:
         assert expansion.matrix().shape == (0, 2)
         assert expansion.apply(np.ones(2)).shape == (0,)
         assert expansion.apply(np.ones((2, 5))).shape == (0, 5)
+        assert expansion.apply(np.empty((2, 0))).shape == (0, 0)
+        assert expansion.apply_both(np.ones((2, 2))).shape == (0, 0)
+
+    def test_no_columns_give_no_columns(self):
+        assert DerivativeExpansion(2, 4).apply(np.empty((5, 0))).shape == (3, 0)
+        assert DerivativeExpansion(1, 8).apply(np.empty((9, 0))).shape == (8, 0)
 
     def test_huge_order_stops_once_the_series_is_empty(self):
         start = time.perf_counter()
@@ -261,6 +294,36 @@ class TestDerivativeExpansion:
             assert expansion.apply_both(values, zero_corner).shape == (88, 88)
         with pytest.raises(ValueError, match="not a zero corner"):
             expansion.apply_both(values, corner)
+
+    def test_apply_blocks_never_reads_the_corner(self):
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((90, 90))
+        values[30:, 40:] = 0.0
+        expansion = DerivativeExpansion(2, 89)
+        expected = expansion.apply_both(values, (30, 40))
+        values[30:, 40:] = rng.choice([np.nan, np.inf, -np.inf, 1e300], size=(60, 50))
+        assert expansion.apply_blocks(values, (30, 40)).tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="not a zero corner"):
+            expansion.apply_both(values, (30, 40))
+
+    @pytest.mark.parametrize("corner", [(2, 30), (30, 2), (90, 30), (30, 90)])
+    def test_apply_blocks_rejects_a_corner_out_of_range(self, corner):
+        with pytest.raises(ValueError, match="not a zero corner"):
+            DerivativeExpansion(2, 89).apply_blocks(np.zeros((90, 90)), corner)
+
+    def test_apply_blocks_checks_every_region_it_writes(self):
+        expansion = DerivativeExpansion(2, 89)
+        with pytest.raises(ValueError, match="90 x 90"):
+            expansion.apply_blocks(np.zeros((90, 91)), (30, 30))
+        # The first non-finite region is, in turn: the derived left block, the
+        # derived top block, the result's top a - r rows, the rest of its left.
+        for row, col, value in ((80, 3, 1e308), (3, 80, 1e308), (2, 80, 1e307), (89, 29, 3.5e298)):
+            values = np.zeros((90, 90))
+            values[row, col] = value
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="r=2 derivative of degree-89"):
+                    expansion.apply_blocks(values, (30, 30))
 
     def test_apply_both_needs_a_square_array_of_its_degree(self):
         with pytest.raises(ValueError, match="90 x 90"):

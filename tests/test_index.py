@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from legdiff import index
 from legdiff.index import IndexDomain
 
 
@@ -131,3 +132,25 @@ class TestBox:
 def test_unknown_shape_rejected():
     with pytest.raises(ValueError):
         IndexDomain(shape="diamond", r=2, n=5)
+
+
+class TestMaskCache:
+    def test_mask_is_read_only_and_cached(self):
+        domain = IndexDomain.cross(2, 37)
+        mask = domain.mask()
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[2, 2] = False
+        assert domain.mask() is mask
+        assert IndexDomain.cross(2, 37).mask() is mask  # cached by value
+
+    def test_mask_cache_is_bounded(self):
+        assert IndexDomain.mask.cache_info().maxsize == index._MASKS_CACHED <= 8
+        IndexDomain.mask.cache_clear()  # so that each call below is a miss
+        first = IndexDomain.box(1, 3).mask()
+        for n in range(4, 4 + index._MASKS_CACHED):
+            IndexDomain.box(1, n).mask()
+        assert IndexDomain.mask.cache_info().currsize == index._MASKS_CACHED
+        rebuilt = IndexDomain.box(1, 3).mask()
+        assert rebuilt is not first
+        np.testing.assert_array_equal(rebuilt, first)

@@ -1,6 +1,7 @@
 """Parameter-choice rule, method configuration, and the truncation method itself."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -320,6 +321,56 @@ class TestStaircase:
         assert derived.tobytes() == _dense_map(masked.values, 2).tobytes()
         assert shapes[0] == (300, 300)
         assert 5 * blocks < sum(math.prod(shape) for shape in shapes)
+
+    @pytest.mark.parametrize(("n", "r"), [(80, 2), (150, 1), (300, 2), (300, 3)])
+    def test_blocks_ignore_every_entry_outside_the_domain(self, n, r):
+        # The field is wider than the domain, and every entry outside it,
+        # zero corner included, is NaN, +-inf or a large nonzero.
+        config = MethodConfig(r=r, mu=9.0, delta=0.0, n_override=n)
+        mask = config.domain().mask()
+        side = mask.shape[0]
+        rng = np.random.default_rng(n + r)
+        values = rng.standard_normal((side + 5, side + 3))
+        outside = np.ones(values.shape, dtype=bool)
+        outside[:side, :side] = ~mask
+        values[outside] = rng.choice([np.nan, np.inf, -np.inf, 1e300], size=outside.sum())
+        derived = run(CoeffField.from_dense(values), config).series.coeffs
+        restricted = np.where(mask, values[:side, :side], 0.0)
+        assert derived.tobytes() == _dense_map(restricted, r).tobytes()
+
+    @pytest.mark.parametrize("shape", [(40, 30), (299, 1), (1, 299), (100, 299)])
+    def test_blocks_pad_a_small_field_with_zeros(self, shape):
+        config = MethodConfig(r=2, mu=9.0, delta=0.0, n_override=300)
+        mask = config.domain().mask()
+        values = np.random.default_rng(sum(shape)).standard_normal(shape)
+        derived = run(CoeffField.from_dense(values), config).series.coeffs
+        padded = np.zeros(mask.shape)
+        padded[: shape[0], : shape[1]] = values
+        assert derived.tobytes() == _dense_map(np.where(mask, padded, 0.0), 2).tobytes()
+
+    def test_run_allocates_the_field_the_result_and_block_temporaries(self):
+        """run() at n = 2048, r = 2: its peak traced allocation is bounded by the shapes.
+
+        Besides the restricted field (n^2 float64 entries) and the result
+        ((n - r)^2), the map holds block-sized arrays only.  At its peak, while
+        the second axis steps the result's top a - r rows, these are the
+        derived left block (n x b entries at most), the derived top block, the
+        two blocks' concatenation, and one step's working array and result (a x n
+        each at most), for the zero corner (a, b); 64 KiB covers the rest.  A
+        second n^2 array, or a boolean scan of the result, exceeds the bound.
+        """
+        n, r = 2048, 2
+        config = MethodConfig(r=r, mu=9.0, delta=0.0, n_override=n)
+        a, b = config.domain().zero_corner()
+        field = CoeffField.from_dense(np.random.default_rng(3).standard_normal((n, n)))
+        run(field, config)  # caches the domain's mask, row tops and step scales
+        tracemalloc.start()
+        try:
+            run(field, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (n * n + (n - r) ** 2 + n * (b + 4 * a)) + 2**16
 
     @pytest.mark.parametrize("n", [5, 19, 24, 31])
     def test_table_levels_keep_the_dense_map(self, monkeypatch, n):

@@ -12,7 +12,7 @@ from legdiff import basis, coeffs, metrics
 from legdiff.basis import composite_gauss_rule, grid_factors, grid_product, legendre_table
 from legdiff.coeffs import BivariateFunction, CoeffField, exact_coeffs
 from legdiff.experiments import F1, F2, ExperimentPreset, run_table
-from legdiff.method import LegendreSeries2D, MethodConfig, run
+from legdiff.method import ApproxDerivative, LegendreSeries2D, MethodConfig, run
 from legdiff.metrics import ErrorReport, error_report, l2_error, sup_error
 from legdiff.noise import NoiseSpec, perturb
 
@@ -639,9 +639,9 @@ class TestRowBlocks:
 
     def test_measurement_allocates_less_than_half_a_grid(self, cross_300):
         approx, reference = cross_300
-        held = metrics._GRIDS[reference]["gauss"].values
-        assert held.shape == (1204, 1204)
-        grid_bytes = held.size * held.itemsize
+        grid = metrics._GRIDS[reference]["gauss"]
+        assert (grid.t.size, grid.tau.size) == (1204, 1204)
+        grid_bytes = grid.t.size * grid.tau.size * grid.t.itemsize
         tracemalloc.start()
         try:
             l2_error(approx, reference, G=96)
@@ -734,7 +734,32 @@ class TestCoefficientSpace:
             t_breakpoints=(0.0,), tau_breakpoints=(0.0,), factors=factors,
         )
         assert np.isnan(l2_error(_phi22_approx(), reference, G=602))
-        assert metrics._GRIDS[reference]["gauss"].values.size > metrics._BLOCK_ENTRIES
+        grid = metrics._GRIDS[reference]["gauss"]
+        assert grid.t.size * grid.tau.size > metrics._BLOCK_ENTRIES
+
+    def test_projection_frees_the_grid_until_another_shape(self, cross_300):
+        """Once (B, tail) is built the grid drops its values and tables; a
+        second shape at the same order evaluates the grid again."""
+        approx, _ = cross_300
+        reference = F1.derivative_function()
+        first = l2_error(approx, reference, G=96)
+        grid = metrics._GRIDS[reference]["gauss"]
+        assert grid.values is None and grid.tables == {}
+        assert l2_error(approx, reference, G=96) == first  # warm: from (B, tail)
+        assert metrics._GRIDS[reference]["gauss"] is grid
+        narrow = ApproxDerivative(
+            series=LegendreSeries2D(approx.series.coeffs[:, :200]),
+            config=approx.config,
+            n_used=approx.n_used,
+            information_count=approx.information_count,
+        )
+        assert narrow.series.coeffs.shape == (298, 200)  # order 602 all the same
+        again = l2_error(narrow, reference, G=96)
+        rebuilt = metrics._GRIDS[reference]["gauss"]
+        assert rebuilt is not grid and rebuilt.size == grid.size
+        assert rebuilt.values is None and rebuilt.tables == {}
+        assert again == l2_error(narrow, F1.derivative_function(), G=96)
+        assert l2_error(approx, reference, G=96) == first
 
     def test_warm_call_allocates_one_coefficient_array(self, cross_300):
         approx, reference = cross_300
