@@ -49,6 +49,7 @@ from .method import (
     choose_n,
     evaluate,
     run,
+    run_many,
 )
 from .metrics import ErrorReport, error_report, l2_error, sup_error
 from .noise import NoiseSpec, noise_vector, perturb, standard_normals
@@ -81,6 +82,7 @@ __all__ = [
     "ApproxDerivative",
     "choose_n",
     "run",
+    "run_many",
     "evaluate",
     "ErrorReport",
     "l2_error",

@@ -121,13 +121,18 @@ class CoeffField:
         precisely the coefficients a consumer of ``domain`` reads.
         """
         mask = domain.mask() if isinstance(domain, IndexDomain) else pairs_mask(domain)
-        values = np.zeros(mask.shape)
+        return CoeffField(self._masked_into(mask, np.zeros(mask.shape)), mask)
+
+    def _masked_into(self, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out``, zero-filled and of ``mask``'s shape, with the entries at ``mask`` written in.
+
+        The values :meth:`restrict` stores; :func:`legdiff.method.run_many`
+        writes them into its stack of fields this way.
+        """
         rows = min(mask.shape[0], self.values.shape[0])
         cols = min(mask.shape[1], self.values.shape[1])
-        np.copyto(
-            values[:rows, :cols], self.values[:rows, :cols], where=mask[:rows, :cols]
-        )
-        return CoeffField(values, mask)
+        np.copyto(out[:rows, :cols], self.values[:rows, :cols], where=mask[:rows, :cols])
+        return out
 
 
 @dataclass(frozen=True, eq=False)

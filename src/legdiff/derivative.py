@@ -37,9 +37,15 @@ gives the same floats.  The one exception is the sign of a zero: an input
 The blocks take twice as many steps, each on a smaller array, so they pay
 only from about 80 rows on.  :func:`legdiff.method.run` calls
 :meth:`DerivativeExpansion.apply_blocks` from there (its docstring has the
-measurement), which never reads the corner, as ``run`` zero-filled it itself;
-``apply_both`` scans the corner first for any other caller.  Either way
-finiteness is checked on each region the map writes, never on the zero fill.
+measurement), which never reads the corner, as ``run`` zero-filled it itself.
+Finiteness is checked on each region the map writes, never on the zero fill.
+
+Every step acts on the last two axes, degree along axis -2, and any leading
+axes are a stack of independent arrays: :func:`legdiff.method.run_many`
+derives the seeds of a table row in one map call.  The cumsum runs along the
+degree axis and the scale multiplies act entry by entry, so a leading axis
+regroups no sum, and each array of a stack gets the bytes it gets alone.  A
+2-D array is a stack of none.
 """
 
 from __future__ import annotations
@@ -69,33 +75,36 @@ def _step_scales(K: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _step(a: np.ndarray) -> np.ndarray:
-    """One derivative step along axis 0 of a 2-D float64 array of degrees 0..K.
+    """One derivative step along axis -2 of a float64 array of degrees 0..K.
 
-    The result holds degrees 0..K-1,
-    b_l = 2 sqrt(l + 1/2) * sum_{k > l, k+l odd} sqrt(k + 1/2) a_k.
+    The result holds degrees 0..K-1 along that axis,
+    b_l = 2 sqrt(l + 1/2) * sum_{k > l, k+l odd} sqrt(k + 1/2) a_k,
+    for each column of each array of the stack the leading axes index.
     """
-    rows, cols = a.shape
+    *stack, rows, cols = a.shape
     scale, twice = _step_scales(rows - 1)
+    half = (rows + 1) // 2
     # suffix[k] = weighted[k] + weighted[k+2] + ..., summed from the top
     # degree down: one cumsum down the rows taken in pairs from the top.  An
     # odd count gets a top pad row of -0.0 (see the module docstring).
-    suffix = np.empty((rows + rows % 2, cols))
-    suffix[rows:] = -0.0
-    np.multiply(scale, a, out=suffix[:rows])
+    suffix = np.empty((*stack, 2 * half, cols))
+    if rows % 2:
+        suffix[..., rows, :] = -0.0
+    np.multiply(scale, a, out=suffix[..., :rows, :])
     # a view: the rows top down (no -1 in the shape, which fails for 0 columns)
-    pairs = suffix.reshape(suffix.shape[0] // 2, 2, cols)[::-1, ::-1]
-    np.cumsum(pairs, axis=0, out=pairs)
+    pairs = suffix.reshape(*stack, half, 2, cols)[..., ::-1, ::-1, :]
+    np.cumsum(pairs, axis=-3, out=pairs)
     # k > l with k+l odd means k runs over l+1, l+3, ...
-    return twice * suffix[1:rows]
+    return twice * suffix[..., 1:rows, :]
 
 
 def _steps(a: np.ndarray, r: int) -> np.ndarray:
-    """r derivative steps along axis 0 of a 2-D array, unchecked.
+    """r derivative steps along axis -2 of an array of 2 or more axes, unchecked.
 
-    Each step drops one degree, so after a.shape[0] steps nothing is left.
+    Each step drops one degree, so after a.shape[-2] steps nothing is left.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(min(r, a.shape[0])):
+        for _ in range(min(r, a.shape[-2])):
             a = _step(a)
     return a
 
@@ -142,31 +151,24 @@ class DerivativeExpansion:
         out = self._checked(_steps(a if a.ndim == 2 else a[:, None], self.r))
         return out if a.ndim == 2 else out[:, 0]
 
-    def apply_both(
-        self, values: np.ndarray, corner: tuple[int, int] | None = None
-    ) -> np.ndarray:
-        """The map on both axes of a square array, ``S_r values S_r^T``, a fresh array.
+    def apply_both(self, values: np.ndarray) -> np.ndarray:
+        """The map on both trailing axes of square arrays, ``S_r values S_r^T``.
 
-        Without ``corner`` this is ``apply(apply(values).T).T``.  With a zero
-        corner (a, b) of ``values``, r < a, b <= max_degree and
-        ``values[a:, b:]`` all zero, as outside a hyperbolic cross
-        (:meth:`IndexDomain.zero_corner` gives it), it checks that the corner
-        is zero and is :meth:`apply_blocks`.  Any other corner raises
-        ValueError.  A result, or the intermediate after the first axis, that
-        is not finite in float64 raises ValueError naming max_degree.
+        ``values`` has shape (..., max_degree + 1, max_degree + 1); each array
+        the leading axes index is mapped on its own, bit for bit as alone.
+        The result is a fresh C-contiguous array of shape
+        (..., max_degree + 1 - r, max_degree + 1 - r).  A result, or the
+        intermediate after the first axis, that is not finite in float64
+        raises ValueError naming max_degree.
         """
         values = self._square(values)
-        if corner is None:
-            return self.apply(self.apply(values).T).T
-        a, b = corner
-        if values[a:, b:].any():
-            raise self._no_zero_corner(corner)
-        return self.apply_blocks(values, corner)
+        first = self._checked(_steps(values, self.r)).swapaxes(-1, -2)
+        return np.ascontiguousarray(self._checked(_steps(first, self.r)).swapaxes(-1, -2))
 
     def apply_blocks(self, values: np.ndarray, corner: tuple[int, int]) -> np.ndarray:
-        """The map on both axes of a square array whose corner (a, b) is zero, unread.
+        """:meth:`apply_both` for square arrays whose corner (a, b) is zero, unread.
 
-        For a caller that zero-filled ``values[a:, b:]`` itself, as
+        For a caller that zero-filled ``values[..., a:, b:]`` itself, as
         :func:`legdiff.method.run` does: the map touches only the two blocks
         outside the corner (see the module docstring) and never reads the
         corner, and the result is the dense map's bit for bit, up to the sign
@@ -177,34 +179,35 @@ class DerivativeExpansion:
         """
         values = self._square(values)
         r = self.r
-        side = values.shape[0]
+        side = values.shape[-1]
         a, b = corner
         if not (r < a < side and r < b < side):
-            raise self._no_zero_corner(corner)
-        left = self._checked(_steps(values[:, :b], r))
-        top = self._checked(_steps(values[:a, b:], r))
-        out = np.zeros((side - r, side - r))
-        out[: a - r] = self._checked(
-            _steps(np.concatenate((left[: a - r], top), axis=1).T, r).T
-        )
-        out[a - r :, : b - r] = self._checked(_steps(left[a - r :].T, r).T)
+            raise ValueError(
+                f"{corner} is not a zero corner of a {side} x {side} array "
+                f"for a derivative of order {r}"
+            )
+        left = self._checked(_steps(values[..., :b], r))
+        top = self._checked(_steps(values[..., :a, b:], r))
+        out = np.zeros((*values.shape[:-2], side - r, side - r))
+        # The second axis steps the top a - r rows of both blocks, full width,
+        # then the rest of the left block, each a temporary freed as it is written.
+        out[..., : a - r, :] = self._checked(
+            _steps(np.concatenate((left[..., : a - r, :], top), axis=-1).swapaxes(-1, -2), r)
+        ).swapaxes(-1, -2)
+        out[..., a - r :, : b - r] = self._checked(
+            _steps(left[..., a - r :, :].swapaxes(-1, -2), r)
+        ).swapaxes(-1, -2)
         return out
 
     def _square(self, values: np.ndarray) -> np.ndarray:
-        """``values`` as float64, or ValueError unless it is square of side max_degree + 1."""
+        """``values`` as float64, or ValueError unless its last two axes are square of side max_degree + 1."""
         side = self.max_degree + 1
         values = np.asarray(values, dtype=np.float64)
-        if values.shape != (side, side):
-            raise ValueError(f"expected a {side} x {side} array, got shape {values.shape}")
+        if values.shape[-2:] != (side, side):
+            raise ValueError(
+                f"expected a {side} x {side} array on the last two axes, got shape {values.shape}"
+            )
         return values
-
-    def _no_zero_corner(self, corner: tuple[int, int]) -> ValueError:
-        """The error for a corner the map's square arrays cannot have as zero corner."""
-        side = self.max_degree + 1
-        return ValueError(
-            f"{corner} is not a zero corner of a {side} x {side} array "
-            f"for a derivative of order {self.r}"
-        )
 
     def _checked(self, out: np.ndarray) -> np.ndarray:
         """``out``, or ValueError if it is not finite in float64."""

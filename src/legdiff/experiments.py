@@ -23,7 +23,7 @@ from typing import ClassVar
 import numpy as np
 
 from .coeffs import BivariateFunction, CoeffField, exact_coeffs, trapezoid_coeffs
-from .method import MethodConfig, _check_mu, run
+from .method import MethodConfig, _check_mu, run_many
 from .metrics import DEFAULT_G, DEFAULT_M, error_report
 from .noise import NoiseSpec, perturb
 
@@ -278,20 +278,20 @@ def _measure(
     """One row per seed: restrict to the domain, perturb, run, and measure.
 
     A seed of None runs the restricted field without noise; any other seed
-    draws ``noise`` (a :class:`NoiseSpec` kind) at the config's delta.  Each
-    run is measured against ``reference`` with :func:`error_report` and its
-    default G and m.
+    draws ``noise`` (a :class:`NoiseSpec` kind) at the config's delta.  The
+    seeds are derived together by :func:`run_many`, one map call per chunk,
+    and each run is measured on its own against ``reference`` with
+    :func:`error_report` and its default G and m.
     """
     consumed = field.restrict(config.domain())
+    noisy = (
+        consumed if seed is None
+        else perturb(consumed, NoiseSpec(kind=noise, delta=config.delta, p=config.p, seed=seed))
+        for seed in seeds
+    )
     cells = []
-    for seed in seeds:
-        noisy = consumed
-        if seed is not None:
-            noisy = perturb(
-                consumed,
-                NoiseSpec(kind=noise, delta=config.delta, p=config.p, seed=seed),
-            )
-        report = error_report(run(noisy, config), reference)
+    for seed, approx in zip(seeds, run_many(noisy, config)):
+        report = error_report(approx, reference)
         cells.append(
             ExperimentRow(
                 delta=config.delta,

@@ -25,7 +25,7 @@ import numpy as np
 
 __all__ = ["IndexDomain", "pairs_mask"]
 
-#: Distinct domains whose row tops and zero corner :class:`IndexDomain` keeps.
+#: Distinct domains whose row tops, zero corner and cardinality :class:`IndexDomain` keeps.
 _DOMAINS_CACHED = 256
 
 #: Distinct domains whose membership mask :class:`IndexDomain` keeps: a mask
@@ -149,8 +149,9 @@ class IndexDomain:
         mask.flags.writeable = False
         return mask
 
+    @lru_cache(maxsize=_DOMAINS_CACHED)
     def cardinality(self) -> int:
-        """Number of pairs, computed without materializing them."""
+        """Number of pairs, computed without materializing them; cached by value."""
         return int(np.maximum(self._tops() - self.r + 1, 0).sum())
 
     def max_degree(self) -> tuple[int, int]:

@@ -18,7 +18,9 @@ with a floor of r + 2.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -34,12 +36,16 @@ __all__ = [
     "ApproxDerivative",
     "choose_n",
     "run",
+    "run_many",
     "evaluate",
 ]
 
 
 #: Arrays with fewer rows keep the dense derivative map; see :func:`run`.
 _BLOCKS_MIN_SIDE = 80
+
+#: Coefficients one chunk of :func:`run_many` stacks at most; see its docstring.
+_STACK_ENTRIES = 2**18
 
 
 class ConfigError(ValueError):
@@ -150,7 +156,7 @@ class LegendreSeries2D:
     def _with_corner(cls, coeffs: np.ndarray, zero_corner: tuple[int, int] | None):
         """The series with a zero corner its maker guarantees, which is not scanned.
 
-        For :func:`run`, whose derivative map leaves the domain's corner less
+        For :func:`run_many`, whose derivative map leaves the domain's corner less
         r exactly zero; every other caller's corner is checked.
         """
         series = cls(coeffs)
@@ -236,12 +242,14 @@ def run(field_perturbed: CoeffField, config: MethodConfig) -> ApproxDerivative:
     matrix of :class:`DerivativeExpansion`; both domains are square, so one
     map serves both axes.  Entries of ``field_perturbed`` outside the domain
     are ignored; domain pairs missing from the field count as exact zeros.
+    This is :func:`run_many` on one field, whose stack of one is the
+    restricted values themselves, not a copy of them.
 
     On a cross the derived series carries the domain's zero corner
     (:meth:`IndexDomain.zero_corner`) less r on each axis, which its grid
     evaluations may skip.  From n = ``_BLOCKS_MIN_SIDE`` = 80 on, the map
     skips the corner too and derives only the left block and the top block
-    outside it, so its work follows the staircase, not n^2: ``restrict``
+    outside it, so its work follows the staircase, not n^2: the restriction
     zero-filled the corner, so the blocks go to the map unscanned.  The
     result keeps the dense map's bytes up to the sign of exact zeros (see the
     :mod:`legdiff.derivative` docstring).  Smaller crosses, every table
@@ -255,23 +263,55 @@ def run(field_perturbed: CoeffField, config: MethodConfig) -> ApproxDerivative:
     3.4-4.7 against 0.52-0.75 ms at n = 300, 50-51 against 3.6-4.9 ms at
     n = 1000, 304-340 against 19-24 ms at n = 2048 (min of 11 from n = 1000).
     """
+    return next(run_many([field_perturbed], config))
+
+
+def run_many(fields: Iterable[CoeffField], config: MethodConfig) -> Iterator[ApproxDerivative]:
+    """:func:`run` on each of ``fields`` in turn, one derivative map per chunk of them.
+
+    The fields' restricted values fill one zero-filled stack per chunk, whose
+    last two axes the map derives in one call (see the
+    :mod:`legdiff.derivative` docstring); each field's result is its slice of
+    the derived stack, bit for bit what :func:`run` gives it alone.  A table
+    row's seeds, each a small array, then pay one map's numpy calls in place
+    of one per seed.
+
+    The fields are read lazily, a chunk at a time, and a chunk holds at most
+    ``_STACK_ENTRIES`` = 2^18 coefficients (2 MiB), or one field where a
+    field alone holds more, fixed before its stack is allocated: 272 fields
+    at side 31, 2 at n = 300.  So memory does not grow with the number of
+    fields, and a chunk's own arrays (the fields, the stack, the map's
+    temporaries and the derived stack) stay within a few times 2 MiB.
+    """
     domain = config.domain()
-    masked = field_perturbed.restrict(domain)
-    expansion = DerivativeExpansion(config.r, masked.k_max)
+    mask = domain.mask()
+    side = mask.shape[0]
+    expansion = DerivativeExpansion(config.r, side - 1)
     corner = domain.zero_corner()
-    if corner is not None and masked.k_max + 1 >= _BLOCKS_MIN_SIDE:
-        # restrict() zero-filled the corner, so it goes unscanned.
-        derived = expansion.apply_blocks(masked.values, corner)
-    else:
-        derived = expansion.apply_both(masked.values)
-    if corner is not None:
-        corner = corner[0] - config.r, corner[1] - config.r
-    return ApproxDerivative(
-        series=LegendreSeries2D._with_corner(derived, corner),
-        config=config,
-        n_used=domain.n,
-        information_count=domain.cardinality(),
-    )
+    blocks = corner is not None and side >= _BLOCKS_MIN_SIDE
+    derived_corner = None if corner is None else (corner[0] - config.r, corner[1] - config.r)
+    count = domain.cardinality()
+    per_map = max(1, _STACK_ENTRIES // side**2)
+    fields = iter(fields)
+    while len(stack := _restricted_stack(list(islice(fields, per_map)), mask)):
+        # The restriction zero-filled the corner, so it goes unscanned.
+        derived = expansion.apply_blocks(stack, corner) if blocks else expansion.apply_both(stack)
+        del stack  # not held while the caller uses the results
+        for coeffs in derived:
+            yield ApproxDerivative(
+                series=LegendreSeries2D._with_corner(coeffs, derived_corner),
+                config=config,
+                n_used=domain.n,
+                information_count=count,
+            )
+
+
+def _restricted_stack(fields: list[CoeffField], mask: np.ndarray) -> np.ndarray:
+    """The fields' values restricted to ``mask``, stacked along a new first axis."""
+    stack = np.zeros((len(fields), *mask.shape))
+    for field, values in zip(fields, stack):
+        field._masked_into(mask, values)
+    return stack
 
 
 def evaluate(approx: ApproxDerivative, points) -> np.ndarray:

@@ -281,30 +281,45 @@ class TestDerivativeExpansion:
         dense = expansion.apply(expansion.apply(values).T).T
         assert expansion.apply_both(values).tobytes() == dense.tobytes()
 
-    @pytest.mark.parametrize(
-        "corner", [(2, 30), (30, 2), (90, 30), (30, 90), (28, 29)],
-        ids=["a=r", "b=r", "a=side", "b=side", "nonzero"],
-    )
-    def test_apply_both_rejects_what_is_no_zero_corner(self, corner):
+    @pytest.mark.parametrize("corner", [None, (30, 40)], ids=["dense", "blocks"])
+    def test_leading_axes_are_a_stack_mapped_array_by_array(self, corner):
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((2, 3, 90, 90))
+        values[..., 30:, 40:] = 0.0
+        values[1, 2] = -0.0
+        expansion = DerivativeExpansion(2, 89)
+        if corner is None:
+            derive = expansion.apply_both
+        else:
+            def derive(v):
+                return expansion.apply_blocks(v, corner)
+        stacked = derive(values)
+        assert stacked.shape == (2, 3, 88, 88) and stacked.flags.c_contiguous
+        for index in np.ndindex(2, 3):
+            alone = derive(values[index])
+            assert stacked[index].view(np.uint64).tolist() == alone.view(np.uint64).tolist()
+        assert np.signbit(stacked[1, 2]).all() == (corner is None)
+        with pytest.raises(ValueError, match="90 x 90 array on the last two axes"):
+            derive(values[..., :89])
+
+    def test_apply_blocks_is_the_dense_map_on_a_zero_corner(self):
         values = np.zeros((90, 90))
-        values[:30, :30] = 1.0
+        values[:30, :30] = np.random.default_rng(6).standard_normal((30, 30))
         values[29, 29] = -0.0  # a signed zero still counts as zero
         expansion = DerivativeExpansion(2, 89)
-        for zero_corner in ((30, 30), (29, 29)):
-            assert expansion.apply_both(values, zero_corner).shape == (88, 88)
-        with pytest.raises(ValueError, match="not a zero corner"):
-            expansion.apply_both(values, corner)
+        dense = expansion.apply_both(values)
+        for zero_corner in ((30, 30), (29, 29), (30, 89), (89, 29)):
+            # Equal up to the sign of exact zeros (see the module docstring).
+            assert np.array_equal(expansion.apply_blocks(values, zero_corner), dense)
 
     def test_apply_blocks_never_reads_the_corner(self):
         rng = np.random.default_rng(5)
         values = rng.standard_normal((90, 90))
         values[30:, 40:] = 0.0
         expansion = DerivativeExpansion(2, 89)
-        expected = expansion.apply_both(values, (30, 40))
+        expected = expansion.apply_blocks(values, (30, 40))
         values[30:, 40:] = rng.choice([np.nan, np.inf, -np.inf, 1e300], size=(60, 50))
         assert expansion.apply_blocks(values, (30, 40)).tobytes() == expected.tobytes()
-        with pytest.raises(ValueError, match="not a zero corner"):
-            expansion.apply_both(values, (30, 40))
 
     @pytest.mark.parametrize("corner", [(2, 30), (30, 2), (90, 30), (30, 90)])
     def test_apply_blocks_rejects_a_corner_out_of_range(self, corner):

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from legdiff.basis import composite_gauss_rule
 from legdiff.coeffs import BivariateFunction, exact_coeffs, smoothness_norm, trapezoid_coeffs
 from legdiff.coeffs import _trapezoid_rule
+from legdiff import method
 from legdiff.index import IndexDomain
 from legdiff.method import ConfigError, MethodConfig, run
 from legdiff.metrics import error_report, l2_error, sup_error
@@ -22,6 +24,7 @@ from legdiff.experiments import (
     F2,
     MEASURED_ORDER,
     ExperimentPreset,
+    ExperimentRow,
     PRESET_NAMES,
     SweepResult,
     builtin_function,
@@ -35,7 +38,7 @@ from legdiff.experiments import (
     run_table,
     theoretical_exponent,
 )
-from legdiff.experiments import _f1_factor, _f1_factor_d2, _f2_factor, _f2_factor_d2
+from legdiff.experiments import _f1_factor, _f1_factor_d2, _f2_factor, _f2_factor_d2, _measure
 
 from oracles import from_entries
 
@@ -346,6 +349,100 @@ class TestRunTable:
         assert rows[0].seed is None
         line = rows_to_csv(rows).splitlines()[1]
         assert line.endswith(",")
+
+
+def _per_seed_rows(base, config, seeds, noise, reference) -> list[ExperimentRow]:
+    """A row's cells by one run() per seed: restrict, perturb, run, measure."""
+    consumed = base.restrict(config.domain())
+    cells = []
+    for seed in seeds:
+        noisy = consumed
+        if seed is not None:
+            noisy = perturb(consumed, NoiseSpec(kind=noise, delta=config.delta, p=config.p, seed=seed))
+        report = error_report(run(noisy, config), reference)
+        cells.append(
+            ExperimentRow(
+                delta=config.delta, n=report.n_used, card=report.information_count,
+                l2_error=report.l2_error, sup_error=report.sup_error, seed=seed,
+            )
+        )
+    return cells
+
+
+class TestStackedSeeds:
+    """Tables and sweeps derive a row's seeds in one stack: the rows one run() per seed gives."""
+
+    @pytest.mark.parametrize(
+        ("noise_kind", "domain_shape"), [("projected", "cross"), ("gaussian", "box"), ("none", "cross")]
+    )
+    def test_sweep_rows_are_the_per_seed_rows(self, noise_kind, domain_shape):
+        deltas = (1e-4, 1e-6, 1e-8)
+        result = convergence_sweep(
+            F2, 6.0, 2.0, 2.0, deltas=deltas, seeds=4, noise_kind=noise_kind,
+            domain_shape=domain_shape,
+        )
+        configs = [
+            MethodConfig(r=2, mu=6.0, delta=delta, domain_shape=domain_shape) for delta in deltas
+        ]
+        degree = max(max(config.domain().max_degree()) for config in configs)
+        base = exact_coeffs(F2, degree, degree)
+        seeds = [None] if noise_kind == "none" else range(4)
+        expected = []
+        for config in configs:
+            cells = _per_seed_rows(base, config, seeds, noise_kind, F2.derivative_function())
+            expected.extend(cells)
+            if len(cells) > 1:
+                expected.append(
+                    dataclasses.replace(
+                        cells[0],
+                        l2_error=float(np.median([c.l2_error for c in cells])),
+                        sup_error=float(np.median([c.sup_error for c in cells])),
+                        seed="median",
+                    )
+                )
+        assert result.rows == tuple(expected)
+
+    def test_table3_rows_are_the_per_field_rows(self):
+        preset = get_preset("table3")
+        expected = []
+        for delta, n, h in zip(preset.deltas, preset.ns, preset.hs):
+            config = MethodConfig(r=2, mu=preset.mu, delta=delta, n_override=n)
+            field = trapezoid_coeffs(F2, h, *config.domain().max_degree())
+            expected.extend(_per_seed_rows(field, config, [None], None, F2.derivative_function()))
+        assert run_table(preset) == expected
+
+    def test_a_row_allocates_a_chunk_at_a_time(self):
+        """_measure at n = 300: its peak traced allocation is bounded by the shapes, not the seeds.
+
+        A chunk holds k = 2 seeds at n = 300 (2^18 entries).  At the peak, while
+        the map derives a chunk, these are live: the restricted base (side^2
+        float64 entries), the chunk's stack (k side^2), its derived stack and
+        the previous chunk's, whose last result the caller still measures
+        (2 k m^2, m = side - r), and the map's block temporaries, as in
+        test_method's n = 2048 bound (k side (b + 4a) for the zero corner
+        (a, b)); 64 KiB covers the rest.  The noise draws, the metrics and the
+        perturbed fields, freed once stacked, stay below that.  Four seeds
+        and eight seeds must both fit, so memory does not grow with the seeds.
+        """
+        n, r = 300, 2
+        config = MethodConfig(r=r, mu=5.5, delta=1e-8, n_override=n)
+        side = n
+        k = max(1, method._STACK_ENTRIES // side**2)
+        assert k == 2
+        a, b = config.domain().zero_corner()
+        base = exact_coeffs(F1, n - 1, n - 1, G=2 * (n - 1) + 16)
+        reference = F1.derivative_function()
+        _measure(base, config, range(2), "gaussian", reference)  # fills the caches
+        bound = 8 * (side**2 + k * side**2 + 2 * k * (side - r) ** 2 + k * side * (b + 4 * a)) + 2**16
+        for seeds in (4, 8):
+            tracemalloc.start()
+            try:
+                cells = _measure(base, config, range(seeds), "gaussian", reference)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(cells) == seeds
+            assert peak <= bound, (seeds, peak, bound)
 
 
 def _counting_f1():

@@ -7,10 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
-from legdiff import derivative
+from legdiff import derivative, method
 from legdiff.basis import legendre_table
 from legdiff.coeffs import MAX_DENSE_ENTRIES, CoeffField
 from legdiff.derivative import DerivativeExpansion
+from legdiff.experiments import get_preset, run_table
 from legdiff.index import IndexDomain
 from legdiff.method import (
     ApproxDerivative,
@@ -20,6 +21,7 @@ from legdiff.method import (
     choose_n,
     evaluate,
     run,
+    run_many,
 )
 from legdiff.noise import NoiseSpec, perturb
 
@@ -283,13 +285,17 @@ class TestRun:
         )
 
 
-def _step_shapes(monkeypatch) -> list[tuple[int, ...]]:
-    """The shapes every derivative step sees from now on, in call order."""
+def _step_shapes(monkeypatch) -> list[tuple[int, int]]:
+    """The array shape every derivative step sees from now on, in call order.
+
+    A step maps a stack of arrays along its last two axes; the shape recorded
+    is that of one array of the stack, its last two axes.
+    """
     shapes = []
     step = derivative._step
 
     def spy(a):
-        shapes.append(a.shape)
+        shapes.append(a.shape[-2:])
         return step(a)
 
     monkeypatch.setattr(derivative, "_step", spy)
@@ -380,6 +386,15 @@ class TestStaircase:
         run(field, config)
         assert shapes == [(n, n), (n - 1, n), (n, n - 2), (n - 1, n - 2)]
 
+    def test_a_table_row_steps_its_seeds_together(self, monkeypatch):
+        # Three rows of 20 seeds each: four steps per row, not per seed.
+        shapes = _step_shapes(monkeypatch)
+        rows = run_table(get_preset("table1"))
+        assert len(rows) == 3 * 21
+        assert shapes == [
+            shape for n in (19, 24, 31) for shape in [(n, n), (n - 1, n), (n, n - 2), (n - 1, n - 2)]
+        ]
+
     @pytest.mark.parametrize(
         "value", [1e308, 1e307], ids=["first-axis", "second-axis"]
     )
@@ -397,6 +412,119 @@ class TestStaircase:
                 run(CoeffField.from_dense(values), config)
             values[2, 299] = value / 1e8
             assert np.isfinite(run(CoeffField.from_dense(values), config).series.coeffs).all()
+
+
+def _bits(coeffs: np.ndarray) -> np.ndarray:
+    """The float64 entries as unsigned integers, so the sign of zero counts."""
+    return coeffs.view(np.uint64)
+
+
+def _assert_stacked_matches_run(fields, config):
+    """run_many on ``fields`` gives each field run()'s result, bit for bit."""
+    stacked = list(run_many(fields, config))
+    assert len(stacked) == len(fields)
+    for field, approx in zip(fields, stacked):
+        alone = run(field, config)
+        assert np.array_equal(_bits(approx.series.coeffs), _bits(alone.series.coeffs))
+        assert approx.series.coeffs.flags.c_contiguous
+        assert not approx.series.coeffs.flags.writeable
+        assert approx.series.zero_corner == alone.series.zero_corner
+        assert (approx.n_used, approx.information_count) == (alone.n_used, alone.information_count)
+        assert approx.config is config
+    return stacked
+
+
+class TestRunMany:
+    """The stacked pass: one derivative map per chunk of fields, each field's bytes as alone."""
+
+    @pytest.mark.parametrize(
+        ("shape", "n"),
+        [("cross", 5), ("cross", 19), ("cross", 31), ("box", 19), ("cross", 80), ("cross", 300)],
+    )
+    def test_each_field_gets_the_bytes_run_gives_it(self, shape, n):
+        # Fields of several shapes, smaller and larger than the domain; at
+        # n = 300 a chunk holds two fields, so five make three map calls.
+        config = MethodConfig(r=2, mu=9.0, delta=0.0, n_override=n, domain_shape=shape)
+        side = config.domain().mask().shape[0]
+        rng = np.random.default_rng(n)
+        shapes = [(side, side), (side + 3, side - 1), (side // 2 + 1, side), (side, side), (side + 1, side + 2)]
+        fields = [CoeffField.from_dense(rng.standard_normal(shape)) for shape in shapes]
+        stacked = _assert_stacked_matches_run(fields, config)
+        if side < 80 or shape == "box":  # the dense map: the two-axis form's bytes too
+            restricted = fields[0].restrict(config.domain()).values
+            assert stacked[0].series.coeffs.tobytes() == _dense_map(restricted, 2).tobytes()
+
+    @pytest.mark.parametrize(("shape", "n"), [("cross", 80), ("box", 19)])
+    def test_negative_zeros_keep_the_sign_they_get_alone(self, shape, n):
+        # -0.0 inputs at the edges of the cross's blocks (see the
+        # legdiff.derivative docstring), on the whole domain, and at random,
+        # stacked between noisy fields.  On the box a -0.0 field derives to
+        # -0.0 entries, so the signs are seen to be kept.
+        config = MethodConfig(r=2, mu=9.0, delta=0.0, n_override=n, domain_shape=shape)
+        domain = config.domain()
+        side = domain.mask().shape[0]
+        a, b = domain.zero_corner() or (side // 2, side // 2)
+        edges = np.zeros((side, side))
+        edges[:, b - 1] = edges[a - 1, :] = -0.0
+        negative = np.full((side, side), -0.0)
+        signed = np.where(np.random.default_rng(2).random((side, side)) < 0.5, -0.0, 0.0)
+        noisy = np.random.default_rng(3).standard_normal((side, side))
+        fields = [CoeffField.from_dense(v) for v in (noisy, edges, negative, signed, noisy)]
+        stacked = _assert_stacked_matches_run(fields, config)
+        if shape == "box":
+            assert np.signbit(stacked[2].series.coeffs).any()
+
+    @pytest.mark.parametrize("entries", [None, 2**19], ids=["one-per-map", "three-per-map"])
+    def test_an_overflowing_field_raises_what_run_raises(self, monkeypatch, entries):
+        # differentiate --r 80 --n 400 on F2 overflows the same way.
+        if entries is not None:
+            monkeypatch.setattr(method, "_STACK_ENTRIES", entries)
+        config = MethodConfig(r=80, mu=200.0, delta=0.0, n_override=400)
+        side = config.domain().mask().shape[0]
+        zeros = CoeffField.from_dense(np.zeros((side, side)))
+        overflowing = CoeffField.from_dense(np.random.default_rng(4).standard_normal((side, side)))
+        message = "r=80 derivative of degree-399 "
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                run(overflowing, config)
+            with pytest.raises(ValueError, match=message):
+                list(run_many([zeros, overflowing, zeros], config))
+
+    @pytest.mark.parametrize(("n", "count", "per_map"), [(31, 300, 272), (300, 5, 2), (2048, 1, 1)])
+    def test_a_map_call_stacks_at_most_the_budget(self, monkeypatch, n, count, per_map):
+        # 2^18 entries: 272 fields at side 31, 2 at n = 300, and one field
+        # where a field alone holds more.
+        config = MethodConfig(r=2, mu=9.0, delta=0.0, n_override=n)
+        side = config.domain().mask().shape[0]
+        assert per_map == max(1, method._STACK_ENTRIES // side**2)
+        stacks = []
+        step = derivative._step
+
+        def spy(a):
+            stacks.append(a.shape[:-2])
+            return step(a)
+
+        monkeypatch.setattr(derivative, "_step", spy)
+        field = CoeffField.from_dense(np.ones((1, 1)))
+        pulled = []
+
+        def fields():
+            for i in range(count):
+                pulled.append(i)
+                yield field
+
+        results = run_many(fields(), config)
+        next(results)
+        assert len(pulled) == per_map  # fields are read a chunk at a time
+        assert sum(1 for _ in results) == count - 1
+        sizes = [per_map] * (count // per_map) + [count % per_map] * (count % per_map > 0)
+        steps = len(stacks) // len(sizes)  # 4 for the dense map, 8 for the blocks
+        assert stacks == [(size,) for size in sizes for _ in range(steps)]
+
+    def test_no_fields_give_no_results(self):
+        config = MethodConfig(r=2, mu=9.0, delta=0.0, n_override=19)
+        assert list(run_many([], config)) == []
 
 
 def _random_inputs(seed):
