@@ -15,7 +15,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -208,19 +208,31 @@ def _check_degrees(k_max: int, j_max: int) -> None:
         )
 
 
-def _projection(values: np.ndarray, rule: QuadratureRule, k_max: int) -> np.ndarray:
-    """Quadrature projections c_k = sum_i w_i v_i phi_k(t_i) for k = 0..k_max.
+def _table_chunks(k_max: int, size: int) -> Iterator[slice]:
+    """Consecutive chunks of ``size`` nodes whose degree-``k_max`` table holds
+    at most 2**22 entries (32 MiB), of at most 65,536 nodes."""
+    chunk = min(_PROJECTION_CHUNK, _PROJECTION_TABLE_ENTRIES // (k_max + 1))
+    for start in range(0, size, chunk):
+        yield slice(start, start + chunk)
 
-    The nodes go in chunks whose table holds at most 2**22 entries (32 MiB),
-    of at most 65,536 nodes.
-    """
+
+def _projection(values: np.ndarray, rule: QuadratureRule, k_max: int) -> np.ndarray:
+    """Quadrature projections c_k = sum_i w_i v_i phi_k(t_i) for k = 0..k_max,
+    one :func:`_table_chunks` table at a time."""
     coeffs = np.zeros(k_max + 1, dtype=np.float64)
     wv = rule.weights * values
-    chunk = min(_PROJECTION_CHUNK, _PROJECTION_TABLE_ENTRIES // (k_max + 1))
-    for start in range(0, len(rule), chunk):
-        stop = start + chunk
-        coeffs += legendre_table(k_max, rule.nodes[start:stop]) @ wv[start:stop]
+    for chunk in _table_chunks(k_max, len(rule)):
+        coeffs += legendre_table(k_max, rule.nodes[chunk]) @ wv[chunk]
     return coeffs
+
+
+def _series_values(coeffs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The one-dimensional series sum_k c_k phi_k at the nodes, one
+    :func:`_table_chunks` table at a time: ``coeffs @ table`` when one chunk
+    covers the nodes."""
+    k_max = coeffs.size - 1
+    chunks = _table_chunks(k_max, nodes.size)
+    return np.concatenate([coeffs @ legendre_table(k_max, nodes[chunk]) for chunk in chunks])
 
 
 def _tensor_projection(
@@ -234,7 +246,8 @@ def _tensor_projection(
 
     For separable functions the tensor rule factorizes exactly into the product
     of one-dimensional projections; otherwise the full grid is traversed in
-    row chunks.
+    row chunks, each with its own part of the t-axis table, so the tau-axis
+    table is the only one held for every node.
     """
     if f.factors is not None:
         ft, gtau, scale = f.factors
@@ -244,13 +257,13 @@ def _tensor_projection(
         else:
             b = _projection(gtau(rule_tau.nodes), rule_tau, j_max)
         return scale * np.outer(a, b)
-    table_t = eval_phi_table(k_max, rule_t.nodes) * rule_t.weights[None, :]
     table_tau = eval_phi_table(j_max, rule_tau.nodes) * rule_tau.weights[None, :]
     coeffs = np.zeros((k_max + 1, j_max + 1), dtype=np.float64)
     for start in range(0, rule_t.nodes.size, _EVAL_CHUNK_ROWS):
-        stop = start + _EVAL_CHUNK_ROWS
-        block = f.value(rule_t.nodes[start:stop, None], rule_tau.nodes[None, :])
-        coeffs += table_t[:, start:stop] @ block @ table_tau.T
+        rows = slice(start, start + _EVAL_CHUNK_ROWS)
+        table_t = eval_phi_table(k_max, rule_t.nodes[rows]) * rule_t.weights[rows]
+        block = f.value(rule_t.nodes[rows, None], rule_tau.nodes[None, :])
+        coeffs += table_t @ block @ table_tau.T
     return coeffs
 
 

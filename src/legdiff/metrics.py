@@ -7,40 +7,50 @@ uniform error is the maximum over a uniform tensor grid that includes the
 boundary, where worst-case deviations concentrate.
 
 :func:`l2_error`, :func:`sup_error` and :func:`error_report` keep their grids
-with the reference object: its latest Gauss grid and latest uniform grid, each
-with the Legendre tables of its latest measurement.  A grid is rebuilt only
-when its size changes and a table only when the series degree does, so the
-seeds of a table row evaluate the reference once per grid.  The store is
-weak-keyed: drop the reference object to release its grids.  A Gauss grid
-measured in coefficient space (below) keeps only what that form reads, so an
-F1'' reference last measured at n = 2048 holds a 32 MiB projection, not the
-512 MiB grid and 134 MB table it was built from.
+with the reference object: its latest Gauss grid and latest uniform grid.  A
+grid is rebuilt only when its size changes, so the seeds of a table row
+evaluate the reference once per grid.  The store is weak-keyed: drop the
+reference object to release its grids.
 
-A measurement reduces series minus reference one block of grid rows at a time
-in one reused buffer of at most 2**18 entries (2 MiB), so next to the held grid
-it allocates that block and the two factors of :func:`~legdiff.basis.grid_factors`,
-never a second grid.  A grid of at most 2**18 entries (every grid the table
-presets measure on, and the default uniform grid) is one block, reduced
-with exactly the operations of a whole-grid product.
+A uniform grid, and a Gauss grid of at most 2**18 entries (every Gauss grid the
+table presets measure on), holds the reference's values and the Legendre
+tables of its latest measurement; a table is rebuilt only when the series
+degree changes.  A measurement reduces series minus reference one block of
+grid rows at a time in one reused buffer of at most 2**18 entries (2 MiB), so
+next to the held grid it allocates that block and the two factors of
+:func:`~legdiff.basis.grid_factors`, never a second grid.  A grid of at most
+2**18 entries (the default uniform grid too) is one block, reduced with
+exactly the operations of a whole-grid product.
 
 The square-mean error has two forms, chosen by that same block size:
 
 - a Gauss grid of at most 2**18 entries sums the squared difference over the
   grid in its one block, as above;
-- a larger one (on the cross, F1'' from n = 128 and F2'' from n = 256) works in coefficient
-  space.  The series is a finite sum in the basis phi_k phi_j, which the Gauss
-  rule holds orthonormal up to rounding, so the squared error is
-  ||C - B||^2 + tail: B is the reference's projection onto the series' index
-  block and tail the weighted square sum of the reference minus B's grid.
-  Both depend on the reference and the degree only, so the grid keeps them
-  for its latest coefficient shape, drops its values and tables, and each
-  further seed costs one reduction over the K x J coefficients (0.1-0.3 ms at
-  n = 300, against 5-9 ms for the grid sum); another shape at the same order
-  evaluates the grid again.  The first call per (reference, degree) builds
-  them in row blocks from the grid's tables, weights and values: about
-  60-75 ms at n = 300, or, for a reference that declares ``factors`` (the built-in
-  derivatives do), two one-dimensional projections and one pass over B's
-  rank-1 grid, no slower than a grid sum.
+- a larger one (on the cross, F1'' from n = 128 and F2'' from n = 256) works in
+  coefficient space and holds only its nodes and weights.  The series is a
+  finite sum in the basis phi_k phi_j, which the Gauss rule holds orthonormal
+  up to rounding, so the squared error is ||C - B||^2 + tail: B is the
+  reference's projection onto the series' index block and tail the weighted
+  square sum of the reference minus B's grid.  Both depend on the reference
+  and the degree only, so the grid keeps them for its latest coefficient
+  shape, and each further seed costs one reduction over the K x J
+  coefficients (0.1-0.3 ms at n = 300, against 5-9 ms for the grid sum);
+  another shape at the same order is projected again on the same grid.
+  The first call per (reference, degree) builds them, evaluating the
+  reference one row block at a time, elementwise as on the whole grid, and
+  never holding it whole.  For a reference that declares ``factors`` (the
+  built-in derivatives do) it takes two one-dimensional projections and
+  their node values, one Legendre table of at most 2**22 entries at a time,
+  and one evaluation pass over the row blocks for the tail: about 15-19 ms
+  at n = 300.  Without them B is summed over the row blocks from the axes'
+  all-node tables, so the reference is evaluated twice, once for B and once
+  for the tail: about 65-75 ms at n = 300 (both timed with one BLAS thread
+  on a 2-vCPU Xeon).  The first call's peak allocation
+  (tracemalloc) is then that of B, one table and a few row blocks: 5.1 MB at
+  n = 300 with factors and 10.3 MB without, 32 MB for a side-998 series,
+  where the whole Gauss grid would be 11.6 MB, 11.6 MB and 128 MB.  An F1''
+  reference last measured at n = 2048 holds a 32 MiB projection and the
+  grid's nodes, not the 512 MiB grid.
 
 Both forms give the same number up to rounding and the orthonormality defect
 T W T^T - I of the float64 tables and weights (about 2e-14 at degree 297,
@@ -60,8 +70,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import grid_factors, legendre_table
-from .coeffs import MAX_DENSE_ENTRIES, BivariateFunction, _MAX_SIDE
+from .basis import QuadratureRule, grid_factors, legendre_table
+from .coeffs import (
+    MAX_DENSE_ENTRIES,
+    BivariateFunction,
+    _MAX_SIDE,
+    _projection,
+    _series_values,
+)
 from .method import ApproxDerivative, LegendreSeries2D
 
 __all__ = ["ErrorReport", "l2_error", "sup_error", "error_report", "DEFAULT_G", "DEFAULT_M"]
@@ -102,17 +118,18 @@ _BLOCK_ENTRIES = 2**18
 
 @dataclass
 class _Grid:
-    """Reference values on the tensor grid t x tau, without the reference itself.
+    """A tensor grid t x tau for one reference, without the reference itself.
 
     ``size`` is the effective Gauss order or the uniform size m, and
     ``weights`` the Gauss weights per axis (None on the uniform grid).
     ``tau`` is ``t`` itself when both axes have the same nodes; they then
-    share their tables.  ``tables`` maps (axis, degree) to the Legendre tables
-    of the latest measurement on the grid, so it holds at most two.
-    ``projection`` holds the reference's ``(B, tail)`` for the latest
-    coefficient shape measured in coefficient space (see :func:`l2_error`);
-    once it is built, ``values`` is None and ``tables`` empty, as no
-    measurement of that shape reads them again.
+    share their tables.  ``values`` holds the reference on the grid when the
+    grid is one row block (at most :data:`_BLOCK_ENTRIES` entries) or
+    uniform; a larger Gauss grid holds None, and is measured in coefficient
+    space from ``projection``, the reference's ``(B, tail)`` for the latest
+    coefficient shape (see :meth:`projected`).  ``tables`` maps (axis,
+    degree) to the Legendre tables of the latest measurement from
+    ``values``, so it holds at most two.
     """
 
     size: int
@@ -133,11 +150,6 @@ class _Grid:
                 self.tables[key] = legendre_table(key[1], nodes)
         return self.tables[keys[0]], self.tables[keys[1]]
 
-    def serves(self, shape: tuple[int, int] | None) -> bool:
-        """Whether the grid can measure a coefficient array of this shape:
-        it holds its values, or the projection for this shape."""
-        return self.values is not None or self.projection[0].shape == shape
-
     def row_blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
         """The grid's row blocks, each with its part of one reused buffer.
 
@@ -145,7 +157,7 @@ class _Grid:
         most :data:`_BLOCK_ENTRIES` entries (or one row); it is the same
         memory for every block.
         """
-        n_rows, n_cols = self.values.shape
+        n_rows, n_cols = self.t.size, self.tau.size
         height = max(1, _BLOCK_ENTRIES // n_cols)
         buffer = np.empty((min(height, n_rows), n_cols))
         for start in range(0, n_rows, height):
@@ -153,68 +165,85 @@ class _Grid:
             yield rows, buffer[: rows.stop - start]
 
     def remainders(
-        self, product: Callable[[slice, np.ndarray], np.ndarray]
+        self,
+        product: Callable[[slice, np.ndarray], np.ndarray],
+        values: Callable[[slice], np.ndarray],
     ) -> Iterator[tuple[slice, np.ndarray]]:
-        """A grid minus the values, one block of rows at a time.
+        """A grid minus the reference, one block of rows at a time.
 
         ``product(rows, out)`` writes the grid's ``rows`` into ``out`` and
-        returns it.  Yields ``(rows, block)``; every block is a view of one
-        reused buffer, so it is overwritten by the next.
+        returns it; ``values(rows)`` gives the reference on those rows.
+        Yields ``(rows, block)``; every block is a view of one reused buffer,
+        so it is overwritten by the next.
         """
         for rows, buffer in self.row_blocks():
             block = product(rows, buffer)
-            block -= self.values[rows]
+            block -= values(rows)
             yield rows, block
 
     def diff_blocks(self, series: LegendreSeries2D) -> Iterator[tuple[slice, np.ndarray]]:
-        """Series minus reference on this grid, one block of rows at a time."""
+        """Series minus the held values, one block of rows at a time."""
         table_t, table_tau = self.axis_tables(series.coeffs.shape)
         left, right = grid_factors(table_t, series.coeffs, table_tau, series.zero_corner)
-        return self.remainders(lambda rows, out: np.matmul(left[rows], right, out=out))
+        return self.remainders(
+            lambda rows, out: np.matmul(left[rows], right, out=out), self.values.__getitem__
+        )
 
     def square_sum(self, blocks: Iterator[tuple[slice, np.ndarray]]) -> float:
         """The weighted sum of the squared blocks of a Gauss grid (squared in place)."""
         weights_t, weights_tau = self.weights
-        column = np.zeros(self.values.shape[1])
+        column = np.zeros(self.tau.size)
         for rows, block in blocks:
             block *= block  # in place, in the reused buffer
             column += weights_t[rows] @ block
         return column @ weights_tau
 
     def projected(
-        self, shape: tuple[int, int], factors: tuple[Callable, Callable, float] | None
+        self, shape: tuple[int, int], reference: BivariateFunction
     ) -> tuple[np.ndarray, float]:
         """The reference's projection B onto this index block and its remainder.
 
-        ``B = (T_t W_t) F (W_tau T_tau^T)`` for the grid's values F, and
-        ``tail`` is the weighted square sum of F minus B's grid.  Both are
-        kept for the latest shape, and the grid's values and tables are
-        dropped, so a new shape needs a new grid.  With ``factors`` (ft, gtau,
-        s) declaring F = s ft(t) gtau(tau), B is ``s outer(T_t W_t ft, T_tau
-        W_tau gtau)`` and B's grid is rank 1; otherwise B is summed over the
-        row blocks.
+        ``B = (T_t W_t) F (W_tau T_tau^T)`` for the reference's values F on
+        the grid, and ``tail`` is the weighted square sum of F minus B's
+        grid.  Both are kept for the latest shape; another shape is projected
+        anew on the same grid.  F is evaluated one row block at a time,
+        elementwise as the whole grid would be, and never held whole.  With
+        the reference's ``factors`` (ft, gtau, s) declaring F = s ft(t)
+        gtau(tau), B is ``s outer(a, b)`` for the one-dimensional projections
+        a, b of :func:`~legdiff.coeffs._projection`, B's grid is rank 1 from
+        their node values, and F is evaluated once, in the tail pass; without
+        them, B is summed over the row blocks from the axes' tables, and F is
+        evaluated twice, once for B and once for the tail.
         """
         if self.projection is not None and self.projection[0].shape == shape:
             return self.projection
         self.projection = None  # dropped before the next is built
-        table_t, table_tau = self.axis_tables(shape)
         weights_t, weights_tau = self.weights
-        if factors is not None:
-            ft, gtau, scale = factors
-            a = table_t @ (weights_t * ft(self.t))
-            if gtau is ft and table_tau is table_t:
-                b = a  # the same projection
+
+        def values(rows: slice) -> np.ndarray:
+            return reference.value(self.t[rows, None], self.tau[None, :])
+
+        if reference.factors is not None:
+            ft, gtau, scale = reference.factors
+            a = _projection(ft(self.t), QuadratureRule(self.t, weights_t), shape[0] - 1)
+            column = _series_values(a, self.t)
+            if gtau is ft and self.tau is self.t and shape[0] == shape[1]:
+                b, row = a, column  # the same projection and node values
             else:
-                b = table_tau @ (weights_tau * gtau(self.tau))
+                rule_tau = QuadratureRule(self.tau, weights_tau)
+                b = _projection(gtau(self.tau), rule_tau, shape[1] - 1)
+                row = _series_values(b, self.tau)
+            column = scale * column[:, None]
+            # B after the node values, so B and a chunk table are never held together.
             projection = scale * np.outer(a, b)
-            column, row = scale * (a @ table_t)[:, None], b @ table_tau
             tail = self.square_sum(
-                self.remainders(lambda rows, out: np.multiply(column[rows], row, out=out))
+                self.remainders(lambda rows, out: np.multiply(column[rows], row, out=out), values)
             )
         else:
+            table_t, table_tau = self.axis_tables(shape)
             projection = np.zeros(shape)
             for rows, buffer in self.row_blocks():
-                part = np.multiply(self.values[rows], weights_tau, out=buffer) @ table_tau.T
+                part = np.multiply(values(rows), weights_tau, out=buffer) @ table_tau.T
                 part *= weights_t[rows, None]
                 projection += table_t[:, rows] @ part
 
@@ -222,9 +251,9 @@ class _Grid:
                 # Each block's left factor is made per block, never all N_t x J.
                 return np.matmul(table_t[:, rows].T @ projection, table_tau, out=out)
 
-            tail = self.square_sum(self.remainders(product))
+            tail = self.square_sum(self.remainders(product, values))
+            self.tables = {}
         self.projection = projection, tail
-        self.values, self.tables = None, {}
         return self.projection
 
 
@@ -235,30 +264,27 @@ _GRIDS: weakref.WeakKeyDictionary[BivariateFunction, dict[str, _Grid]] = (
 )
 
 
-def _grid(
-    reference: BivariateFunction,
-    kind: str,
-    size: int,
-    build: Callable,
-    shape: tuple[int, int] | None = None,
-) -> _Grid:
-    """The reference's latest grid of this kind, built anew unless it has this
-    size and serves coefficients of this shape (see :meth:`_Grid.serves`).
+def _grid(reference: BivariateFunction, kind: str, size: int, build: Callable) -> _Grid:
+    """The reference's latest grid of this kind, built anew unless it has this size.
 
     The old grid is dropped first, so the store never holds two of a kind.
     """
     grids = _GRIDS.setdefault(reference, {})
-    if kind not in grids or grids[kind].size != size or not grids[kind].serves(shape):
+    if kind not in grids or grids[kind].size != size:
         grids.pop(kind, None)
         grids[kind] = build(reference, size)
     return grids[kind]
 
 
 def _gauss(reference: BivariateFunction, G: int) -> _Grid:
+    """The Gauss grid of order G, with the reference's values only when it is
+    one row block; :meth:`_Grid.projected` evaluates a larger one by blocks."""
     rule_t, rule_tau = reference.gauss_rules(G)
-    values = reference.value(rule_t.nodes[:, None], rule_tau.nodes[None, :])
-    weights = rule_t.weights, rule_tau.weights
-    return _Grid(G, rule_t.nodes, rule_tau.nodes, values, weights)
+    t, tau = rule_t.nodes, rule_tau.nodes
+    values = None
+    if t.size * tau.size <= _BLOCK_ENTRIES:
+        values = reference.value(t[:, None], tau[None, :])
+    return _Grid(G, t, tau, values, (rule_t.weights, rule_tau.weights))
 
 
 def _uniform(reference: BivariateFunction, m: int) -> _Grid:
@@ -286,8 +312,10 @@ def l2_error(approx: ApproxDerivative, reference: BivariateFunction, G: int) -> 
     A Gauss grid of at most 2**18 entries is summed over; a larger one gives
     sqrt(sum((C - B)^2) + tail) from the projection B and remainder tail the
     grid keeps for the latest coefficient shape (see the module docstring).
-    Building them is the first call's cost per (reference, degree); with the
-    reference's ``factors`` declared it takes one-dimensional projections.
+    Building them is the first call's cost per (reference, degree): the
+    reference is evaluated one row block at a time, once with its
+    ``factors`` declared (B then comes from one-dimensional projections)
+    and twice without.
     A reference that is NaN anywhere on the grid gives NaN either way.
     """
     order = max(G, 2 * (max(approx.series.coeffs.shape) - 1) + 8)
@@ -296,11 +324,11 @@ def l2_error(approx: ApproxDerivative, reference: BivariateFunction, G: int) -> 
             f"quadrature order G={order} per panel is over the limit of {_MAX_GAUSS_ORDER}"
         )
     coeffs = approx.series.coeffs
-    grid = _grid(reference, "gauss", order, _gauss, coeffs.shape)
-    if grid.t.size * grid.tau.size <= _BLOCK_ENTRIES:
+    grid = _grid(reference, "gauss", order, _gauss)
+    if grid.values is not None:
         quad = grid.square_sum(grid.diff_blocks(approx.series))
     else:
-        projection, tail = grid.projected(coeffs.shape, reference.factors)
+        projection, tail = grid.projected(coeffs.shape, reference)
         diff = coeffs - projection
         diff *= diff  # in place: no second coefficient array
         quad = np.sum(diff) + tail  # pairwise, and independent of BLAS threads

@@ -12,7 +12,7 @@ import pytest
 from legdiff.basis import composite_gauss_rule
 from legdiff.coeffs import BivariateFunction, exact_coeffs, smoothness_norm, trapezoid_coeffs
 from legdiff.coeffs import _trapezoid_rule
-from legdiff import method
+from legdiff import method, metrics
 from legdiff.index import IndexDomain
 from legdiff.method import ConfigError, MethodConfig, run
 from legdiff.metrics import error_report, l2_error, sup_error
@@ -506,7 +506,16 @@ class TestReferenceEvaluations:
         assert all(2 * (n - 3) + 8 > 96 for n in levels)
         g1, g2, g3 = (2 * (2 * (n - 3) + 8) for n in levels)
         assert len({g1, g2, g3}) == 3
-        assert calls == [(g1, g1), (201, 201), (g2, g2), (g3, g3)]
+        # g1 is one row block; g2 and g3 are more, measured in coefficient
+        # space: their reference (no declared factors) is evaluated by row
+        # blocks, every row once for B and once for the tail.
+        assert g1 * g1 <= metrics._BLOCK_ENTRIES < g2 * g2
+
+        def row_blocks(g):
+            height = metrics._BLOCK_ENTRIES // g
+            return [(min(height, g - start), g) for start in range(0, g, height)]
+
+        assert calls == [(g1, g1), (201, 201), *row_blocks(g2) * 2, *row_blocks(g3) * 2]
 
 
 class TestTable2Projection:

@@ -738,8 +738,9 @@ class TestCoefficientSpace:
         assert grid.t.size * grid.tau.size > metrics._BLOCK_ENTRIES
 
     def test_projection_frees_the_grid_until_another_shape(self, cross_300):
-        """Once (B, tail) is built the grid drops its values and tables; a
-        second shape at the same order evaluates the grid again."""
+        """A multi-block Gauss grid never holds the reference's values or
+        tables, only (B, tail) once built; a second shape at the same order
+        is projected again on the same grid."""
         approx, _ = cross_300
         reference = F1.derivative_function()
         first = l2_error(approx, reference, G=96)
@@ -755,11 +756,90 @@ class TestCoefficientSpace:
         )
         assert narrow.series.coeffs.shape == (298, 200)  # order 602 all the same
         again = l2_error(narrow, reference, G=96)
-        rebuilt = metrics._GRIDS[reference]["gauss"]
-        assert rebuilt is not grid and rebuilt.size == grid.size
-        assert rebuilt.values is None and rebuilt.tables == {}
+        assert metrics._GRIDS[reference]["gauss"] is grid
+        assert grid.projection[0].shape == (298, 200)
+        assert grid.values is None and grid.tables == {}
         assert again == l2_error(narrow, F1.derivative_function(), G=96)
         assert l2_error(approx, reference, G=96) == first
+
+    @pytest.mark.parametrize("declared, passes", [(True, 1), (False, 2)], ids=["factors", "general"])
+    def test_reference_is_evaluated_in_row_blocks(self, cross_300, declared, passes):
+        """On a multi-block grid the reference is called on row blocks of at
+        most _BLOCK_ENTRIES entries, each row once per pass: the tail pass
+        with declared factors, the projection and tail passes without."""
+        approx, held = cross_300
+        calls = []
+
+        def value(t, tau):
+            calls.append((t.copy(), tau.copy()))
+            return held.value(t, tau)
+
+        reference = dataclasses.replace(
+            held, value=value, factors=held.factors if declared else None
+        )
+        first = l2_error(approx, reference, G=96)
+        grid = metrics._GRIDS[reference]["gauss"]
+        assert grid.t.size * grid.tau.size > metrics._BLOCK_ENTRIES
+        for t, tau in calls:
+            assert t.shape[1] == 1 and np.array_equal(tau, grid.tau[None, :])
+            assert t.size * tau.size <= metrics._BLOCK_ENTRIES
+        rows = np.concatenate([t[:, 0] for t, _ in calls])
+        assert np.array_equal(rows, np.tile(grid.t, passes))
+        count = len(calls)
+        assert l2_error(approx, reference, G=96) == first
+        assert len(calls) == count  # a warm call evaluates nothing
+
+    @pytest.mark.parametrize(
+        "side, declared",
+        [(None, True), (None, False), (998, True)],
+        ids=["n300_factors", "n300_general", "side998_factors"],
+    )
+    def test_first_call_memory_is_bounded_by_shapes(self, cross_300, side, declared):
+        """The first l2_error on a multi-block grid allocates, at its peak, less
+        than the grid's own bytes and at most, from the shapes:
+
+        - B (K x J), and for a reference without factors one more array of
+          B's shape, the product each row block adds into B;
+        - one Legendre table of K x min(N_t, chunk) entries, chunk the nodes
+          of coeffs._table_chunks (at most 2**22 entries): the chunk table of
+          a declared factor's projection and node values, or the all-node
+          table of the general path, shared by the axes here;
+        - three _BLOCK_ENTRIES blocks with factors (the reused buffer, the
+          reference's values on a row block and one temporary of their
+          evaluation), four without (also the block's left factor or its
+          projected part);
+        - 64 vectors of the longest axis, an allowance for the Gauss rule,
+          a factor's values and the temporaries of their evaluation, the
+          projections, node values and sums.
+        """
+        approx, _ = cross_300
+        if side is not None:  # a synthetic series: only its shape matters
+            synthetic = np.random.default_rng(7).standard_normal((side, side))
+            approx = dataclasses.replace(approx, series=LegendreSeries2D(synthetic))
+        reference = F1.derivative_function()
+        if not declared:
+            reference = dataclasses.replace(reference, factors=None)
+        K, J = approx.series.coeffs.shape
+        tracemalloc.start()
+        try:
+            l2_error(approx, reference, G=96)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grid = metrics._GRIDS[reference]["gauss"]
+        n_t, n_tau = grid.t.size, grid.tau.size
+        assert n_t * n_tau > metrics._BLOCK_ENTRIES and grid.values is None
+        chunk = min(n_t, next(coeffs._table_chunks(K - 1, n_t)).stop)
+        assert K * chunk <= 2**22
+        itemsize = 8
+        bound = itemsize * (
+            (1 if declared else 2) * K * J
+            + K * chunk
+            + (3 if declared else 4) * metrics._BLOCK_ENTRIES
+            + 64 * max(n_t, n_tau)
+        )
+        assert peak <= bound, (peak, bound)
+        assert peak < itemsize * n_t * n_tau
 
     def test_warm_call_allocates_one_coefficient_array(self, cross_300):
         approx, reference = cross_300
