@@ -19,26 +19,25 @@ x + -0.0 is x for every x, where +0.0 + -0.0 is +0.0, so a +0.0 pad would turn
 a class that starts with -0.0 into +0.0, which ``np.array_equal`` does not
 see.  The scale columns each step multiplies by are cached per degree.
 
-On both axes of a hyperbolic-cross array the map can skip the cross's zero
-corner: every entry of ``values[a:, b:]`` is zero, with a, b about sqrt(r n)
-(:meth:`IndexDomain.zero_corner`).  :meth:`DerivativeExpansion.apply_blocks`
-then derives two blocks along the first axis, the left block
-``values[:, :b]`` (every row) and the top block ``values[:a, b:]``.  Along the
-second axis it derives the top a - r rows of that result, full width, and the
-remaining rows of the left block, and writes both into one zero-filled
-output.  At n = 300 the steps see 54,602 entries instead of 358,202.
+On both axes the map covers the array with two blocks outside a zero corner
+``values[a:, b:]``, every entry zero: on a hyperbolic-cross array a, b are
+about sqrt(r n) (:meth:`IndexDomain.zero_corner`); without one, as on the
+box, a = b = side.  :meth:`DerivativeExpansion.apply_both` derives two
+blocks along the first axis, the left block ``values[:, :b]`` (every row)
+and the top block ``values[:a, b:]``.  Along the second axis it derives the
+top a - r rows of that result, full width, and the remaining rows of the
+left block, and writes both into one zero-filled output.  At n = 300 the
+steps see 54,602 entries instead of 358,202.
 
 The result is the dense map's, bit for bit.  Below a column's last nonzero
 the dense cumsum adds only exact zeros, so starting it at the block's edge
 gives the same floats.  The one exception is the sign of a zero: an input
 -0.0 at a block edge can turn an exactly-zero result entry from +0.0 into
--0.0, or back.
+-0.0, or back.  The box has no block edge, so it keeps every byte.
 
-The blocks take twice as many steps, each on a smaller array, so they pay
-only from about 80 rows on.  :func:`legdiff.method.run` calls
-:meth:`DerivativeExpansion.apply_blocks` from there (its docstring has the
-measurement), which never reads the corner, as ``run`` zero-filled it itself.
-Finiteness is checked on each region the map writes, never on the zero fill.
+The map never reads the corner, as :func:`legdiff.method.run` zero-filled it
+itself.  Finiteness is checked on each region the map writes, never on the
+zero fill.
 
 Every step acts on the last two axes, degree along axis -2, and any leading
 axes are a stack of independent arrays: :func:`legdiff.method.run_many`
@@ -151,44 +150,40 @@ class DerivativeExpansion:
         out = self._checked(_steps(a if a.ndim == 2 else a[:, None], self.r))
         return out if a.ndim == 2 else out[:, 0]
 
-    def apply_both(self, values: np.ndarray) -> np.ndarray:
+    def apply_both(self, values: np.ndarray, corner: tuple[int, int] | None = None) -> np.ndarray:
         """The map on both trailing axes of square arrays, ``S_r values S_r^T``.
 
         ``values`` has shape (..., max_degree + 1, max_degree + 1); each array
         the leading axes index is mapped on its own, bit for bit as alone.
         The result is a fresh C-contiguous array of shape
-        (..., max_degree + 1 - r, max_degree + 1 - r).  A result, or the
-        intermediate after the first axis, that is not finite in float64
-        raises ValueError naming max_degree.
-        """
-        values = self._square(values)
-        first = self._checked(_steps(values, self.r)).swapaxes(-1, -2)
-        return np.ascontiguousarray(self._checked(_steps(first, self.r)).swapaxes(-1, -2))
+        (..., max_degree + 1 - r, max_degree + 1 - r), empty when r exceeds
+        max_degree.
 
-    def apply_blocks(self, values: np.ndarray, corner: tuple[int, int]) -> np.ndarray:
-        """:meth:`apply_both` for square arrays whose corner (a, b) is zero, unread.
-
-        For a caller that zero-filled ``values[..., a:, b:]`` itself, as
-        :func:`legdiff.method.run` does: the map touches only the two blocks
-        outside the corner (see the module docstring) and never reads the
-        corner, and the result is the dense map's bit for bit, up to the sign
-        of exact zeros, when the corner is zero.  A corner without
-        r < a, b <= max_degree raises ValueError.  Each region the map writes
-        is checked to be finite, as in :meth:`apply_both`; the rest of the
-        result is the zero fill.
+        ``corner`` (a, b) is a zero corner ``values[..., a:, b:]`` the caller
+        zero-filled itself, as :func:`legdiff.method.run` does; the map never
+        reads it (see the module docstring), and the result is the dense
+        map's bit for bit, up to the sign of exact zeros.  A corner without
+        r < a, b <= max_degree raises ValueError; None, the box's cover
+        a = b = max_degree + 1, maps the whole array.  Each region the map
+        writes, the first axis's blocks among them, is checked to be finite,
+        or ValueError names max_degree; the rest is the zero fill.
         """
-        values = self._square(values)
-        r = self.r
-        side = values.shape[-1]
-        a, b = corner
-        if not (r < a < side and r < b < side):
+        r, side = self.r, self.max_degree + 1
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape[-2:] != (side, side):
+            raise ValueError(
+                f"expected a {side} x {side} array on the last two axes, got shape {values.shape}"
+            )
+        a, b = (side, side) if corner is None else corner
+        if corner is not None and not (r < a < side and r < b < side):
             raise ValueError(
                 f"{corner} is not a zero corner of a {side} x {side} array "
                 f"for a derivative of order {r}"
             )
         left = self._checked(_steps(values[..., :b], r))
         top = self._checked(_steps(values[..., :a, b:], r))
-        out = np.zeros((*values.shape[:-2], side - r, side - r))
+        rows = max(side - r, 0)
+        out = np.zeros((*values.shape[:-2], rows, rows))
         # The second axis steps the top a - r rows of both blocks, full width,
         # then the rest of the left block, each a temporary freed as it is written.
         out[..., : a - r, :] = self._checked(
@@ -198,16 +193,6 @@ class DerivativeExpansion:
             _steps(left[..., a - r :, :].swapaxes(-1, -2), r)
         ).swapaxes(-1, -2)
         return out
-
-    def _square(self, values: np.ndarray) -> np.ndarray:
-        """``values`` as float64, or ValueError unless its last two axes are square of side max_degree + 1."""
-        side = self.max_degree + 1
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape[-2:] != (side, side):
-            raise ValueError(
-                f"expected a {side} x {side} array on the last two axes, got shape {values.shape}"
-            )
-        return values
 
     def _checked(self, out: np.ndarray) -> np.ndarray:
         """``out``, or ValueError if it is not finite in float64."""

@@ -41,9 +41,6 @@ __all__ = [
 ]
 
 
-#: Arrays with fewer rows keep the dense derivative map; see :func:`run`.
-_BLOCKS_MIN_SIDE = 80
-
 #: Coefficients one chunk of :func:`run_many` stacks at most; see its docstring.
 _STACK_ENTRIES = 2**18
 
@@ -247,21 +244,16 @@ def run(field_perturbed: CoeffField, config: MethodConfig) -> ApproxDerivative:
 
     On a cross the derived series carries the domain's zero corner
     (:meth:`IndexDomain.zero_corner`) less r on each axis, which its grid
-    evaluations may skip.  From n = ``_BLOCKS_MIN_SIDE`` = 80 on, the map
-    skips the corner too and derives only the left block and the top block
-    outside it, so its work follows the staircase, not n^2: the restriction
-    zero-filled the corner, so the blocks go to the map unscanned.  The
-    result keeps the dense map's bytes up to the sign of exact zeros (see the
-    :mod:`legdiff.derivative` docstring).  Smaller crosses, every table
-    preset's (n <= 31) among them, and the box take the dense map.  Measured
-    for the whole of run() with one BLAS thread (2-vCPU Xeon, NumPy 2.4.6, one
-    process per side, the second of two timings per n, each the min of 41,
-    in two host phases), the dense map
-    against the blocks at r = 2: n = 48 took 114-118 against 145-162 us,
-    n = 64 155-203 against 155-216 us, n = 80 213-215 against 154-187 us,
-    n = 100 301-302 against 179-196 us.  Past that the gain grows with n:
-    3.4-4.7 against 0.52-0.75 ms at n = 300, 50-51 against 3.6-4.9 ms at
-    n = 1000, 304-340 against 19-24 ms at n = 2048 (min of 11 from n = 1000).
+    evaluations may skip.  The map skips the corner too and derives only the
+    left block and the top block outside it, so its work follows the
+    staircase, not n^2: the restriction zero-filled the corner, so the blocks
+    go to the map unscanned.  The result keeps the dense map's bytes up to
+    the sign of exact zeros (see the :mod:`legdiff.derivative` docstring),
+    and the box, which has no zero corner, takes the dense map.  On one field
+    at the table presets' levels, r = 2, the blocks' eight steps cost about
+    40 us more than a dense map's four: the whole of run() took 96-113
+    against 55-76 us at n = 11-31 (one BLAS thread, 2-vCPU Xeon, NumPy
+    2.4.6); a table row's seeds share one map call (:func:`run_many`).
     """
     return next(run_many([field_perturbed], config))
 
@@ -288,14 +280,13 @@ def run_many(fields: Iterable[CoeffField], config: MethodConfig) -> Iterator[App
     side = mask.shape[0]
     expansion = DerivativeExpansion(config.r, side - 1)
     corner = domain.zero_corner()
-    blocks = corner is not None and side >= _BLOCKS_MIN_SIDE
     derived_corner = None if corner is None else (corner[0] - config.r, corner[1] - config.r)
     count = domain.cardinality()
     per_map = max(1, _STACK_ENTRIES // side**2)
     fields = iter(fields)
     while len(stack := _restricted_stack(list(islice(fields, per_map)), mask)):
         # The restriction zero-filled the corner, so it goes unscanned.
-        derived = expansion.apply_blocks(stack, corner) if blocks else expansion.apply_both(stack)
+        derived = expansion.apply_both(stack, corner)
         del stack  # not held while the caller uses the results
         for coeffs in derived:
             yield ApproxDerivative(

@@ -42,15 +42,17 @@ The square-mean error has two forms, chosen by that same block size:
   built-in derivatives do) it takes two one-dimensional projections and
   their node values, one Legendre table of at most 2**22 entries at a time,
   and one evaluation pass over the row blocks for the tail: about 15-19 ms
-  at n = 300.  Without them B is summed over the row blocks from the axes'
-  all-node tables, so the reference is evaluated twice, once for B and once
-  for the tail: about 65-75 ms at n = 300 (both timed with one BLAS thread
-  on a 2-vCPU Xeon).  The first call's peak allocation
+  at n = 300.  Without them B is summed over the row blocks from tau's
+  all-node table and each block's own t-table (a view of tau's where the
+  axes share nodes and degree), so the reference is evaluated twice, once
+  for B and once for the tail: about 65-75 ms at n = 300 (both timed with
+  one BLAS thread on a 2-vCPU Xeon).  The first call's peak allocation
   (tracemalloc) is then that of B, one table and a few row blocks: 5.1 MB at
   n = 300 with factors and 10.3 MB without, 32 MB for a side-998 series,
-  where the whole Gauss grid would be 11.6 MB, 11.6 MB and 128 MB.  An F1''
-  reference last measured at n = 2048 holds a 32 MiB projection and the
-  grid's nodes, not the 512 MiB grid.
+  where the whole Gauss grid would be 11.6 MB, 11.6 MB and 128 MB, and
+  9.4 MB without factors on axes that differ (F1'' without tau breakpoints,
+  1204 x 602 nodes).  An F1'' reference last measured at n = 2048 holds a
+  32 MiB projection and the grid's nodes, not the 512 MiB grid.
 
 Both forms give the same number up to rounding and the orthonormality defect
 T W T^T - I of the float64 tables and weights (about 2e-14 at degree 297,
@@ -212,8 +214,9 @@ class _Grid:
         gtau(tau), B is ``s outer(a, b)`` for the one-dimensional projections
         a, b of :func:`~legdiff.coeffs._projection`, B's grid is rank 1 from
         their node values, and F is evaluated once, in the tail pass; without
-        them, B is summed over the row blocks from the axes' tables, and F is
-        evaluated twice, once for B and once for the tail.
+        them, B is summed over the row blocks from tau's all-node table and
+        each block's t-table, and F is evaluated twice, once for B and once
+        for the tail.
         """
         if self.projection is not None and self.projection[0].shape == shape:
             return self.projection
@@ -240,19 +243,25 @@ class _Grid:
                 self.remainders(lambda rows, out: np.multiply(column[rows], row, out=out), values)
             )
         else:
-            table_t, table_tau = self.axis_tables(shape)
+            table_tau = legendre_table(shape[1] - 1, self.tau)
+            shared = self.tau is self.t and shape[0] == shape[1]
+
+            def table_t(rows: slice) -> np.ndarray:
+                # t's table one row block at a time, unless tau's is it: the
+                # recurrence runs node by node, so a block's table has its bytes.
+                return table_tau[:, rows] if shared else legendre_table(shape[0] - 1, self.t[rows])
+
             projection = np.zeros(shape)
             for rows, buffer in self.row_blocks():
                 part = np.multiply(values(rows), weights_tau, out=buffer) @ table_tau.T
                 part *= weights_t[rows, None]
-                projection += table_t[:, rows] @ part
+                projection += table_t(rows) @ part
 
             def product(rows: slice, out: np.ndarray) -> np.ndarray:
                 # Each block's left factor is made per block, never all N_t x J.
-                return np.matmul(table_t[:, rows].T @ projection, table_tau, out=out)
+                return np.matmul(table_t(rows).T @ projection, table_tau, out=out)
 
             tail = self.square_sum(self.remainders(product, values))
-            self.tables = {}
         self.projection = projection, tail
         return self.projection
 

@@ -57,3 +57,29 @@ def test_readme_layout_names_every_module():
     modules = sorted(path.name for path in package.glob("*.py") if path.name not in entry_points)
     assert sorted(listed) == modules
     assert len(listed) == len(set(listed))
+
+
+def _resolves(owner, dotted: str) -> bool:
+    for part in dotted.split("."):
+        if not hasattr(owner, part):
+            return False
+        owner = getattr(owner, part)
+    return True
+
+
+def test_readme_key_objects_name_real_methods():
+    """In a "Key objects" row led by a class legdiff exports, each `name(` of the
+    role cell resolves on that class or in legdiff."""
+    readme = (Path(legdiff.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("Key objects:", 1)[1].strip().split("\n\n", 1)[0]
+    checked = []
+    for row in table.splitlines()[2:]:  # past the header and its rule
+        _, names, role, _ = row.split("|")
+        first = re.match(r"\s*`(\w+)", names).group(1)
+        cls = getattr(legdiff, first, None)
+        if not isinstance(cls, type):
+            continue
+        for called in re.findall(r"`([\w.]+)\(", role):
+            assert _resolves(cls, called) or _resolves(legdiff, called), (first, called)
+            checked.append((first, called))
+    assert ("DerivativeExpansion", "apply_both") in checked

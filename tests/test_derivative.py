@@ -275,11 +275,20 @@ class TestDerivativeExpansion:
                 np.testing.assert_array_equal(column, mat[: column.size, k])
                 np.testing.assert_array_equal(mat[column.size :, k], 0.0)
 
-    def test_apply_both_without_corner_is_the_dense_map(self):
-        values = np.random.default_rng(4).standard_normal((90, 90))
-        expansion = DerivativeExpansion(2, 89)
-        dense = expansion.apply(expansion.apply(values).T).T
-        assert expansion.apply_both(values).tobytes() == dense.tobytes()
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_apply_both_without_corner_is_the_dense_map(self, r):
+        # The box's cover has no block edge, so even the signs of zeros are
+        # the dense map's, compared as unsigned integers.
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal((3, 90, 90))
+        values[rng.random(values.shape) < 0.3] = -0.0
+        values[1] = -0.0
+        expansion = DerivativeExpansion(r, 89)
+        stacked = expansion.apply_both(values)
+        for array, derived in zip(values, stacked):
+            dense = expansion.apply(expansion.apply(array).T).T
+            assert np.array_equal(derived.view(np.uint64), dense.view(np.uint64))
+        assert np.signbit(stacked[1]).all()
 
     @pytest.mark.parametrize("corner", [None, (30, 40)], ids=["dense", "blocks"])
     def test_leading_axes_are_a_stack_mapped_array_by_array(self, corner):
@@ -288,11 +297,10 @@ class TestDerivativeExpansion:
         values[..., 30:, 40:] = 0.0
         values[1, 2] = -0.0
         expansion = DerivativeExpansion(2, 89)
-        if corner is None:
-            derive = expansion.apply_both
-        else:
-            def derive(v):
-                return expansion.apply_blocks(v, corner)
+
+        def derive(v):
+            return expansion.apply_both(v, corner)
+
         stacked = derive(values)
         assert stacked.shape == (2, 3, 88, 88) and stacked.flags.c_contiguous
         for index in np.ndindex(2, 3):
@@ -302,7 +310,7 @@ class TestDerivativeExpansion:
         with pytest.raises(ValueError, match="90 x 90 array on the last two axes"):
             derive(values[..., :89])
 
-    def test_apply_blocks_is_the_dense_map_on_a_zero_corner(self):
+    def test_apply_both_is_the_dense_map_on_a_zero_corner(self):
         values = np.zeros((90, 90))
         values[:30, :30] = np.random.default_rng(6).standard_normal((30, 30))
         values[29, 29] = -0.0  # a signed zero still counts as zero
@@ -310,26 +318,26 @@ class TestDerivativeExpansion:
         dense = expansion.apply_both(values)
         for zero_corner in ((30, 30), (29, 29), (30, 89), (89, 29)):
             # Equal up to the sign of exact zeros (see the module docstring).
-            assert np.array_equal(expansion.apply_blocks(values, zero_corner), dense)
+            assert np.array_equal(expansion.apply_both(values, zero_corner), dense)
 
-    def test_apply_blocks_never_reads_the_corner(self):
+    def test_apply_both_never_reads_the_corner(self):
         rng = np.random.default_rng(5)
         values = rng.standard_normal((90, 90))
         values[30:, 40:] = 0.0
         expansion = DerivativeExpansion(2, 89)
-        expected = expansion.apply_blocks(values, (30, 40))
+        expected = expansion.apply_both(values, (30, 40))
         values[30:, 40:] = rng.choice([np.nan, np.inf, -np.inf, 1e300], size=(60, 50))
-        assert expansion.apply_blocks(values, (30, 40)).tobytes() == expected.tobytes()
+        assert expansion.apply_both(values, (30, 40)).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("corner", [(2, 30), (30, 2), (90, 30), (30, 90)])
-    def test_apply_blocks_rejects_a_corner_out_of_range(self, corner):
+    def test_apply_both_rejects_a_corner_out_of_range(self, corner):
         with pytest.raises(ValueError, match="not a zero corner"):
-            DerivativeExpansion(2, 89).apply_blocks(np.zeros((90, 90)), corner)
+            DerivativeExpansion(2, 89).apply_both(np.zeros((90, 90)), corner)
 
-    def test_apply_blocks_checks_every_region_it_writes(self):
+    def test_apply_both_checks_every_region_it_writes(self):
         expansion = DerivativeExpansion(2, 89)
         with pytest.raises(ValueError, match="90 x 90"):
-            expansion.apply_blocks(np.zeros((90, 91)), (30, 30))
+            expansion.apply_both(np.zeros((90, 91)), (30, 30))
         # The first non-finite region is, in turn: the derived left block, the
         # derived top block, the result's top a - r rows, the rest of its left.
         for row, col, value in ((80, 3, 1e308), (3, 80, 1e308), (2, 80, 1e307), (89, 29, 3.5e298)):
@@ -338,7 +346,7 @@ class TestDerivativeExpansion:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="r=2 derivative of degree-89"):
-                    expansion.apply_blocks(values, (30, 30))
+                    expansion.apply_both(values, (30, 30))
 
     def test_apply_both_needs_a_square_array_of_its_degree(self):
         with pytest.raises(ValueError, match="90 x 90"):

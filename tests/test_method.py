@@ -378,22 +378,27 @@ class TestStaircase:
             tracemalloc.stop()
         assert peak <= 8 * (n * n + (n - r) ** 2 + n * (b + 4 * a)) + 2**16
 
-    @pytest.mark.parametrize("n", [5, 19, 24, 31])
-    def test_table_levels_keep_the_dense_map(self, monkeypatch, n):
-        config = MethodConfig(r=2, mu=5.5, delta=0.0, n_override=n)
+    @pytest.mark.parametrize(("n", "r"), [(5, 2), (19, 2), (24, 2), (31, 2), (19, 1), (24, 3)])
+    def test_table_levels_never_step_the_full_array(self, monkeypatch, n, r):
+        config = MethodConfig(r=r, mu=9.0, delta=0.0, n_override=n)
         field = CoeffField.from_dense(np.ones((n, n)))
         shapes = _step_shapes(monkeypatch)
         run(field, config)
-        assert shapes == [(n, n), (n - 1, n), (n, n - 2), (n - 1, n - 2)]
+        assert len(shapes) == 4 * r  # r steps on each of four blocks
+        assert (n, n) not in shapes
 
     def test_a_table_row_steps_its_seeds_together(self, monkeypatch):
-        # Three rows of 20 seeds each: four steps per row, not per seed.
+        # Three rows of 20 seeds each: eight steps per row, not per seed.
         shapes = _step_shapes(monkeypatch)
         rows = run_table(get_preset("table1"))
         assert len(rows) == 3 * 21
-        assert shapes == [
-            shape for n in (19, 24, 31) for shape in [(n, n), (n - 1, n), (n, n - 2), (n - 1, n - 2)]
-        ]
+        expected = []
+        for n in (19, 24, 31):
+            a, b = IndexDomain.cross(2, n).zero_corner()
+            # the left and top blocks, then the top a - 2 rows and the rest of the left
+            blocks = [(n, b), (a, n - b), (n, a - 2), (b, n - a)]
+            expected += [(height - step, width) for height, width in blocks for step in range(2)]
+        assert shapes == expected
 
     @pytest.mark.parametrize(
         "value", [1e308, 1e307], ids=["first-axis", "second-axis"]
@@ -450,7 +455,7 @@ class TestRunMany:
         shapes = [(side, side), (side + 3, side - 1), (side // 2 + 1, side), (side, side), (side + 1, side + 2)]
         fields = [CoeffField.from_dense(rng.standard_normal(shape)) for shape in shapes]
         stacked = _assert_stacked_matches_run(fields, config)
-        if side < 80 or shape == "box":  # the dense map: the two-axis form's bytes too
+        if shape == "box":  # no block edge: the dense map's bytes too
             restricted = fields[0].restrict(config.domain()).values
             assert stacked[0].series.coeffs.tobytes() == _dense_map(restricted, 2).tobytes()
 
@@ -519,8 +524,7 @@ class TestRunMany:
         assert len(pulled) == per_map  # fields are read a chunk at a time
         assert sum(1 for _ in results) == count - 1
         sizes = [per_map] * (count // per_map) + [count % per_map] * (count % per_map > 0)
-        steps = len(stacks) // len(sizes)  # 4 for the dense map, 8 for the blocks
-        assert stacks == [(size,) for size in sizes for _ in range(steps)]
+        assert stacks == [(size,) for size in sizes for _ in range(8)]  # 2 steps on 4 blocks
 
     def test_no_fields_give_no_results(self):
         config = MethodConfig(r=2, mu=9.0, delta=0.0, n_override=19)

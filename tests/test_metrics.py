@@ -790,24 +790,27 @@ class TestCoefficientSpace:
         assert len(calls) == count  # a warm call evaluates nothing
 
     @pytest.mark.parametrize(
-        "side, declared",
-        [(None, True), (None, False), (998, True)],
-        ids=["n300_factors", "n300_general", "side998_factors"],
+        "side, declared, tau_breakpoints",
+        [(None, True, None), (None, False, None), (None, False, ()), (998, True, None)],
+        ids=["n300_factors", "n300_general", "n300_general_two_axes", "side998_factors"],
     )
-    def test_first_call_memory_is_bounded_by_shapes(self, cross_300, side, declared):
-        """The first l2_error on a multi-block grid allocates, at its peak, less
-        than the grid's own bytes and at most, from the shapes:
+    def test_first_call_memory_is_bounded_by_shapes(self, cross_300, side, declared, tau_breakpoints):
+        """The first l2_error on a multi-block grid allocates, at its peak, at
+        most, from the shapes (and, with both axes alike, less than the
+        grid's own bytes):
 
         - B (K x J), and for a reference without factors one more array of
           B's shape, the product each row block adds into B;
-        - one Legendre table of K x min(N_t, chunk) entries, chunk the nodes
-          of coeffs._table_chunks (at most 2**22 entries): the chunk table of
-          a declared factor's projection and node values, or the all-node
-          table of the general path, shared by the axes here;
-        - three _BLOCK_ENTRIES blocks with factors (the reused buffer, the
-          reference's values on a row block and one temporary of their
-          evaluation), four without (also the block's left factor or its
-          projected part);
+        - with factors, one Legendre table of K x min(N_t, chunk) entries,
+          chunk the nodes of coeffs._table_chunks (at most 2**22 entries): the
+          chunk table of a declared factor's projection and node values;
+        - without them, tau's all-node table (J x N_tau) and one row block's
+          t-table (K x height, height the block's rows), with the block's
+          projected part or left factor (height x J); the t-axis never has an
+          all-node table, which the two-axes case, with tau's breakpoints
+          dropped so that t and tau differ, would show;
+        - three _BLOCK_ENTRIES blocks (the reused buffer, the reference's
+          values on a row block and one temporary of their evaluation);
         - 64 vectors of the longest axis, an allowance for the Gauss rule,
           a factor's values and the temporaries of their evaluation, the
           projections, node values and sums.
@@ -819,6 +822,8 @@ class TestCoefficientSpace:
         reference = F1.derivative_function()
         if not declared:
             reference = dataclasses.replace(reference, factors=None)
+        if tau_breakpoints is not None:
+            reference = dataclasses.replace(reference, tau_breakpoints=tau_breakpoints)
         K, J = approx.series.coeffs.shape
         tracemalloc.start()
         try:
@@ -829,17 +834,24 @@ class TestCoefficientSpace:
         grid = metrics._GRIDS[reference]["gauss"]
         n_t, n_tau = grid.t.size, grid.tau.size
         assert n_t * n_tau > metrics._BLOCK_ENTRIES and grid.values is None
-        chunk = min(n_t, next(coeffs._table_chunks(K - 1, n_t)).stop)
-        assert K * chunk <= 2**22
+        assert (grid.tau is grid.t) == (tau_breakpoints is None)
+        if declared:
+            chunk = min(n_t, next(coeffs._table_chunks(K - 1, n_t)).stop)
+            assert K * chunk <= 2**22
+            tables = K * chunk
+        else:
+            height = metrics._BLOCK_ENTRIES // n_tau
+            tables = J * n_tau + K * height + height * J
         itemsize = 8
         bound = itemsize * (
             (1 if declared else 2) * K * J
-            + K * chunk
-            + (3 if declared else 4) * metrics._BLOCK_ENTRIES
+            + tables
+            + 3 * metrics._BLOCK_ENTRIES
             + 64 * max(n_t, n_tau)
         )
         assert peak <= bound, (peak, bound)
-        assert peak < itemsize * n_t * n_tau
+        if tau_breakpoints is None:  # the two-axes grid has half the nodes on tau
+            assert peak < itemsize * n_t * n_tau
 
     def test_warm_call_allocates_one_coefficient_array(self, cross_300):
         approx, reference = cross_300

@@ -3,14 +3,12 @@
 import math
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legdiff import method
 from legdiff.coeffs import CoeffField, _parse_rows, _scan_rows, load_csv, save_csv
 from legdiff.derivative import DerivativeExpansion
 from legdiff.index import IndexDomain
@@ -91,11 +89,8 @@ def test_zero_corner_is_the_cheapest_empty_corner(r, n, shape):
     seed=st.integers(0, 2**32 - 1),
     zero_share=st.sampled_from([0.0, 0.3, 0.9]),
     zero=st.sampled_from([0.0, -0.0]),
-    blocks_at_every_size=st.booleans(),
 )
-def test_run_derives_the_staircase_as_the_dense_map(
-    r, n, shape, seed, zero_share, zero, blocks_at_every_size
-):
+def test_run_derives_the_staircase_as_the_dense_map(r, n, shape, seed, zero_share, zero):
     # Byte for byte, except that a -0.0 at a block edge may flip the sign of
     # an exactly-zero result (see the legdiff.derivative docstring).
     n = _level(r, n)
@@ -108,9 +103,7 @@ def test_run_derives_the_staircase_as_the_dense_map(
     masked = field.restrict(domain).values
     expansion = DerivativeExpansion(r, masked.shape[0] - 1)
     dense = expansion.apply(expansion.apply(masked).T).T
-    min_side = 0 if blocks_at_every_size else method._BLOCKS_MIN_SIDE
-    with mock.patch.object(method, "_BLOCKS_MIN_SIDE", min_side):
-        series = run(field, config).series
+    series = run(field, config).series
     derived = series.coeffs
     assert derived.shape == dense.shape
     if np.signbit(masked[masked == 0.0]).any():
