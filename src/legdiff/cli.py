@@ -21,6 +21,7 @@ from .derivative import phi_derivative_coeffs
 from .experiments import (
     BUILTIN_NAMES,
     MEASURED_ORDER,
+    MIN_SWEEP_LEVELS,
     PRESET_NAMES,
     builtin_function,
     convergence_sweep,
@@ -88,8 +89,8 @@ def _delta_range(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError("expected start:end:count with numeric parts")
     if not (0.0 < start < 1.0 and 0.0 < end < 1.0):  # also refuses nan and inf
         raise argparse.ArgumentTypeError("noise levels must be finite and lie in (0, 1)")
-    if not 2 <= count <= MAX_DELTA_COUNT:
-        raise argparse.ArgumentTypeError(f"count must be between 2 and {MAX_DELTA_COUNT}")
+    if not MIN_SWEEP_LEVELS <= count <= MAX_DELTA_COUNT:
+        raise argparse.ArgumentTypeError(f"count must be between {MIN_SWEEP_LEVELS} and {MAX_DELTA_COUNT}")
     return tuple(float(d) for d in np.geomspace(start, end, count))
 
 
@@ -266,7 +267,7 @@ def cmd_differentiate(args: argparse.Namespace) -> int:
 
     if function is not None and args.r == MEASURED_ORDER:  # every builtin has its d22
         report = error_report(approx, function.derivative_function())
-        print(f"card={report.information_count}", file=sys.stderr)
+        print(f"card={approx.information_count}", file=sys.stderr)
         print(f"l2_error={report.l2_error!r}", file=sys.stderr)
         print(f"sup_error={report.sup_error!r}", file=sys.stderr)
     return 0

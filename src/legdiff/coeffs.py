@@ -34,8 +34,6 @@ __all__ = [
 ]
 
 _EVAL_CHUNK_ROWS = 256
-_PROJECTION_CHUNK = 65536
-_PROJECTION_TABLE_ENTRIES = 2**22
 
 # Largest dense coefficient array a run or a coefficient file may need, in
 # float64 entries: 2**22 entries is 32 MiB, and a run holds a few arrays of
@@ -210,8 +208,8 @@ def _check_degrees(k_max: int, j_max: int) -> None:
 
 def _table_chunks(k_max: int, size: int) -> Iterator[slice]:
     """Consecutive chunks of ``size`` nodes whose degree-``k_max`` table holds
-    at most 2**22 entries (32 MiB), of at most 65,536 nodes."""
-    chunk = min(_PROJECTION_CHUNK, _PROJECTION_TABLE_ENTRIES // (k_max + 1))
+    at most :data:`MAX_DENSE_ENTRIES` entries (32 MiB)."""
+    chunk = MAX_DENSE_ENTRIES // (k_max + 1)
     for start in range(0, size, chunk):
         yield slice(start, start + chunk)
 

@@ -37,6 +37,7 @@ __all__ = [
     "builtin_function",
     "BUILTIN_NAMES",
     "MEASURED_ORDER",
+    "MIN_SWEEP_LEVELS",
     "ExperimentPreset",
     "ExperimentRow",
     "SweepResult",
@@ -139,6 +140,9 @@ BUILTIN_NAMES = tuple(_BUILTINS)
 #: Per-axis order every table, sweep and CLI report measures: that of ``d22``.
 MEASURED_ORDER = 2
 
+#: Fewest noise levels :func:`convergence_sweep` fits a slope to.
+MIN_SWEEP_LEVELS = 3
+
 
 def builtin_function(name: str) -> BivariateFunction:
     """Look up a bundled function by its name, one of ``BUILTIN_NAMES``."""
@@ -159,8 +163,8 @@ class ExperimentPreset:
     table is measured alike, so the rest are class constants, read as
     ``preset.s`` and so on: ``coeff_G`` floors the base coefficients' Gauss
     order (see :func:`exact_coeffs`), ``default_seeds`` counts gaussian
-    seeds, and ``metric_G``/``metric_m`` only name :func:`error_report`'s
-    defaults, which every run is measured with.
+    seeds, and ``metric_G``/``metric_m`` only name ``DEFAULT_G`` and
+    ``DEFAULT_M``, which :func:`error_report` measures every run with.
     """
 
     name: str
@@ -281,9 +285,11 @@ def _measure(
     draws ``noise`` (a :class:`NoiseSpec` kind) at the config's delta.  The
     seeds are derived together by :func:`run_many`, one map call per chunk,
     and each run is measured on its own against ``reference`` with
-    :func:`error_report` and its default G and m.
+    :func:`error_report`.
     """
-    consumed = field.restrict(config.domain())
+    domain = config.domain()
+    card = domain.cardinality()
+    consumed = field.restrict(domain)
     noisy = (
         consumed if seed is None
         else perturb(consumed, NoiseSpec(kind=noise, delta=config.delta, p=config.p, seed=seed))
@@ -295,8 +301,8 @@ def _measure(
         cells.append(
             ExperimentRow(
                 delta=config.delta,
-                n=report.n_used,
-                card=report.information_count,
+                n=domain.n,
+                card=card,
                 l2_error=report.l2_error,
                 sup_error=report.sup_error,
                 seed=seed,
@@ -326,7 +332,7 @@ def run_table(
     Gaussian presets produce one row per (delta, seed), for ``seeds`` seeds
     (gaussian presets only), followed by a per-delta median row;
     deterministic presets produce one row per delta, each measured with
-    :func:`error_report`'s defaults.  The output is a pure function of
+    :func:`error_report`.  The output is a pure function of
     (preset, seeds, domain_shape).
     """
     rows: list[ExperimentRow] = []
@@ -395,11 +401,11 @@ def convergence_sweep(
     enters a least-squares log-log fit of error against delta.  Under "none"
     each delta runs once and ``seeds`` is unused.  The method recovers the
     derivative of order :data:`MEASURED_ORDER`, and every run is measured
-    against its exact values with :func:`error_report`'s default G and m.
+    against its exact values with :func:`error_report`.
     """
     deltas = sorted((float(d) for d in deltas), reverse=True)
-    if len(deltas) < 3:
-        raise ValueError("a sweep needs at least 3 noise levels")
+    if len(deltas) < MIN_SWEEP_LEVELS:
+        raise ValueError(f"a sweep needs at least {MIN_SWEEP_LEVELS} noise levels")
     if deltas[0] / deltas[-1] < 1e3 * (1.0 - 1e-12):
         raise ValueError("the noise-level grid must span at least 3 decades")
     if noise_kind not in NoiseSpec.KINDS:

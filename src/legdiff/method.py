@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
@@ -130,32 +130,23 @@ class LegendreSeries2D:
     """The series sum c_{k,j} phi_k(t) phi_j(tau) of a coefficient array.
 
     ``coeffs`` is a read-only, C-contiguous, nonempty 2-D float64 array of
-    shape (k_max + 1, j_max + 1).  ``zero_corner`` (a, b), if given, is a
-    corner with 0 <= a <= k_max, 0 <= b <= j_max and ``coeffs[a:, b:]`` all
-    zero (``-0.0`` too) that grid evaluations may skip; any other corner
-    raises ValueError.
+    shape (k_max + 1, j_max + 1).  ``zero_corner`` (a, b), with ``coeffs[a:, b:]``
+    all zero, is a corner grid evaluations may skip; no constructor argument
+    sets it, only :func:`run_many`, and every other series has None.
     """
 
     coeffs: np.ndarray
-    zero_corner: tuple[int, int] | None = None
+    zero_corner: tuple[int, int] | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         coeffs = np.ascontiguousarray(self.coeffs, dtype=np.float64)
         if coeffs.ndim != 2 or coeffs.size == 0:
             raise ValueError("coefficient array must be 2-D and nonempty")
-        if self.zero_corner is not None:
-            a, b = self.zero_corner
-            if not (0 <= a < coeffs.shape[0] and 0 <= b < coeffs.shape[1]) or coeffs[a:, b:].any():
-                raise ValueError(f"{self.zero_corner} is not a zero corner of the coefficients")
         object.__setattr__(self, "coeffs", _read_only(coeffs))
 
     @classmethod
     def _with_corner(cls, coeffs: np.ndarray, zero_corner: tuple[int, int] | None):
-        """The series with a zero corner its maker guarantees, which is not scanned.
-
-        For :func:`run_many`, whose derivative map leaves the domain's corner less
-        r exactly zero; every other caller's corner is checked.
-        """
+        """The series with the zero corner :func:`run_many` guarantees, unscanned."""
         series = cls(coeffs)
         object.__setattr__(series, "zero_corner", zero_corner)
         return series
@@ -181,8 +172,16 @@ class ApproxDerivative:
 
     series: LegendreSeries2D
     config: MethodConfig
-    n_used: int
-    information_count: int
+
+    @property
+    def n_used(self) -> int:
+        """The truncation level the run used, ``config.resolve_n()``."""
+        return self.config.resolve_n()
+
+    @property
+    def information_count(self) -> int:
+        """The run's number of coefficients |Gamma_n|, the domain's cardinality."""
+        return self.config.domain().cardinality()
 
 
 def _check_mu(mu: float) -> None:
@@ -266,7 +265,8 @@ def run_many(fields: Iterable[CoeffField], config: MethodConfig) -> Iterator[App
     :mod:`legdiff.derivative` docstring); each field's result is its slice of
     the derived stack, bit for bit what :func:`run` gives it alone.  A table
     row's seeds, each a small array, then pay one map's numpy calls in place
-    of one per seed.
+    of one per seed.  It is the one place a series' ``zero_corner`` is set:
+    the domain's corner less r, which the map leaves zero (None on the box).
 
     The fields are read lazily, a chunk at a time, and a chunk holds at most
     ``_STACK_ENTRIES`` = 2^18 coefficients (2 MiB), or one field where a
@@ -281,7 +281,6 @@ def run_many(fields: Iterable[CoeffField], config: MethodConfig) -> Iterator[App
     expansion = DerivativeExpansion(config.r, side - 1)
     corner = domain.zero_corner()
     derived_corner = None if corner is None else (corner[0] - config.r, corner[1] - config.r)
-    count = domain.cardinality()
     per_map = max(1, _STACK_ENTRIES // side**2)
     fields = iter(fields)
     while len(stack := _restricted_stack(list(islice(fields, per_map)), mask)):
@@ -289,12 +288,7 @@ def run_many(fields: Iterable[CoeffField], config: MethodConfig) -> Iterator[App
         derived = expansion.apply_both(stack, corner)
         del stack  # not held while the caller uses the results
         for coeffs in derived:
-            yield ApproxDerivative(
-                series=LegendreSeries2D._with_corner(coeffs, derived_corner),
-                config=config,
-                n_used=domain.n,
-                information_count=count,
-            )
+            yield ApproxDerivative(LegendreSeries2D._with_corner(coeffs, derived_corner), config)
 
 
 def _restricted_stack(fields: list[CoeffField], mask: np.ndarray) -> np.ndarray:

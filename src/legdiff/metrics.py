@@ -58,10 +58,10 @@ Both forms give the same number up to rounding and the orthonormality defect
 T W T^T - I of the float64 tables and weights (about 2e-14 at degree 297,
 which the grid sum carries); at n = 300 the coefficient form lies within
 5e-17 relative of a long-double Gauss rule, where the grid sum lies
-2.4-4.3e-13 away (seeds 0, 8, 9 and 26 of the benchmark's large cross).  The one-block form stays because ``perfbench/refs`` and the
-table tests pin table1's and table2's bytes, which its grids measure; moving
-them to coefficient space waits for a benchmark change that re-records those
-references.
+2.4-4.3e-13 away (seeds 0, 8, 9 and 26 of the benchmark's large cross).
+The one-block form stays because ``perfbench/refs`` and the table tests pin
+table1's and table2's bytes, which its grids measure; moving them to
+coefficient space waits for a benchmark change that re-records them.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ from .method import ApproxDerivative, LegendreSeries2D
 
 __all__ = ["ErrorReport", "l2_error", "sup_error", "error_report", "DEFAULT_G", "DEFAULT_M"]
 
-#: error_report's defaults: the floor G on Gauss points per panel, the uniform grid size m.
+#: What error_report measures with: the floor G on Gauss points per panel, the uniform grid size m.
 DEFAULT_G = 96
 DEFAULT_M = 201
 
@@ -95,8 +95,6 @@ class ErrorReport:
 
     l2_error: float
     sup_error: float
-    n_used: int
-    information_count: int
 
     def validate(self) -> None:
         """Check that both errors are finite and ||g||_L2 <= 2 ||g||_C (area 4)."""
@@ -360,19 +358,11 @@ def sup_error(
     return float(worst)
 
 
-def error_report(
-    approx: ApproxDerivative,
-    reference: BivariateFunction,
-    G: int = DEFAULT_G,
-    m: int = DEFAULT_M,
-) -> ErrorReport:
-    """Both error metrics for one run; G is a floor, as for :func:`l2_error`."""
-    _check_m(m)  # before the reference is evaluated or L2 computed
+def error_report(approx: ApproxDerivative, reference: BivariateFunction) -> ErrorReport:
+    """Both error metrics for one run, with :data:`DEFAULT_G` and :data:`DEFAULT_M`."""
     report = ErrorReport(
-        l2_error=l2_error(approx, reference, G),
-        sup_error=sup_error(approx, reference, m),
-        n_used=approx.n_used,
-        information_count=approx.information_count,
+        l2_error=l2_error(approx, reference, DEFAULT_G),
+        sup_error=sup_error(approx, reference, DEFAULT_M),
     )
     report.validate()
     return report

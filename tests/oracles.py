@@ -138,3 +138,13 @@ def f1_factor_d2_ld(t) -> np.ndarray:
     neg = t**5 - 3 * t**6 / 4
     pos = 14 * t**5 / 15 - 7 * t**6 / 10
     return common + np.where(t < 0, neg, pos)
+
+
+def projection_ld(values, nodes, weights, k_max: int) -> np.ndarray:
+    """Quadrature projections c_k = sum_i w_i v_i phi_k(t_i), k = 0..k_max, in long double.
+
+    The float64 values, nodes and weights convert exactly; the table is
+    :func:`legendre_table_ld`'s and the sum runs in long double.
+    """
+    weighted = np.asarray(weights, dtype=np.longdouble) * np.asarray(values, dtype=np.longdouble)
+    return legendre_table_ld(k_max, nodes) @ weighted

@@ -1,9 +1,12 @@
 """The public API: every exported name resolves, and none is listed twice.
 
-The README's repository layout names exactly the package's modules.
+The README's repository layout names exactly the package's modules, and its
+key-objects table names real methods with their real parameters.
 """
 
+import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -59,22 +62,31 @@ def test_readme_layout_names_every_module():
     assert len(listed) == len(set(listed))
 
 
-def _resolves(owner, dotted: str) -> bool:
+def _resolve(owner, dotted: str):
+    """The object ``dotted`` names on ``owner``, or None."""
     for part in dotted.split("."):
-        if not hasattr(owner, part):
-            return False
-        owner = getattr(owner, part)
-    return True
+        owner = getattr(owner, part, None)
+    return owner
+
+
+def _resolves(owner, dotted: str) -> bool:
+    return _resolve(owner, dotted) is not None
+
+
+def _key_object_rows():
+    """The README's "Key objects" table rows as (names cell, role cell)."""
+    readme = (Path(legdiff.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("Key objects:", 1)[1].strip().split("\n\n", 1)[0]
+    for row in table.splitlines()[2:]:  # past the header and its rule
+        _, names, role, _ = row.split("|")
+        yield names, role
 
 
 def test_readme_key_objects_name_real_methods():
     """In a "Key objects" row led by a class legdiff exports, each `name(` of the
     role cell resolves on that class or in legdiff."""
-    readme = (Path(legdiff.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
-    table = readme.split("Key objects:", 1)[1].strip().split("\n\n", 1)[0]
     checked = []
-    for row in table.splitlines()[2:]:  # past the header and its rule
-        _, names, role, _ = row.split("|")
+    for names, role in _key_object_rows():
         first = re.match(r"\s*`(\w+)", names).group(1)
         cls = getattr(legdiff, first, None)
         if not isinstance(cls, type):
@@ -83,3 +95,26 @@ def test_readme_key_objects_name_real_methods():
             assert _resolves(cls, called) or _resolves(legdiff, called), (first, called)
             checked.append((first, called))
     assert ("DerivativeExpansion", "apply_both") in checked
+
+
+def test_readme_key_object_calls_list_real_parameters():
+    """Each backticked call `name(p, q=v)` in the "Key objects" table whose name
+    resolves in legdiff, or on the class that leads its row, lists only
+    parameters of its signature, and each default v is the signature's."""
+    checked = []
+    for names, role in _key_object_rows():
+        row_class = _resolve(legdiff, re.match(r"\s*`(\w+)", names).group(1))
+        for called, listed in re.findall(r"`([\w.]+)\(([^`]*)\)`", names + role):
+            target = _resolve(legdiff, called)
+            if target is None and isinstance(row_class, type):
+                target = _resolve(row_class, called)
+            if not callable(target):
+                continue
+            parameters = inspect.signature(target).parameters
+            for item in filter(None, (part.strip() for part in listed.split(","))):
+                name, _, default = (text.strip() for text in item.partition("="))
+                assert name in parameters, (called, name, list(parameters))
+                if default:
+                    assert parameters[name].default == ast.literal_eval(default), (called, item)
+            checked.append(called)
+    assert {"run", "error_report", "apply_both", "convergence_sweep"} <= set(checked)

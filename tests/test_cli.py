@@ -505,9 +505,20 @@ class TestConvergence:
         elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert code == 2
-        assert "count must be between 2 and 1000" in captured.err
+        assert "count must be between 3 and 1000" in captured.err
         assert captured.out == ""
         assert elapsed < 1.0
+
+    def test_two_level_sweep_is_usage_error(self, capsys):
+        # A sweep fits its slope to at least three levels, so the parser
+        # refuses two (exit 2) before the sweep could refuse them (exit 1).
+        code = main(
+            ["convergence", "--builtin", "f1", "--mu", "5.5", "--deltas", "1e-5:1e-9:2"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "count must be between 3 and 1000" in captured.err
+        assert captured.out == ""
 
     def test_non_finite_mu_is_usage_error(self, capsys):
         code = main(

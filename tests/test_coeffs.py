@@ -384,8 +384,8 @@ class TestProjection:
 
     def test_chunk_table_is_bounded_at_the_largest_degree(self):
         # At k_max = 2047 a chunk is 2**22 // 2048 = 2048 nodes, so its table
-        # holds 2**22 entries (32 MiB); 65,536-node chunks would table all
-        # 4097 nodes at once (64 MiB).
+        # holds 2**22 entries (32 MiB); one table of all 4097 nodes would
+        # hold 64 MiB.
         k_max = 2047
         rule = coeffs_module._trapezoid_rule(2.0 / 4096)
         values = np.ones(len(rule))

@@ -1,7 +1,6 @@
 """Bundled test functions, experiment presets, tables, and convergence sweeps."""
 
 import dataclasses
-import inspect
 import json
 import tracemalloc
 from pathlib import Path
@@ -15,7 +14,7 @@ from legdiff.coeffs import _trapezoid_rule
 from legdiff import method, metrics
 from legdiff.index import IndexDomain
 from legdiff.method import ConfigError, MethodConfig, run
-from legdiff.metrics import error_report, l2_error, sup_error
+from legdiff.metrics import DEFAULT_G, DEFAULT_M, error_report, l2_error, sup_error
 from legdiff.noise import NoiseSpec, perturb
 from legdiff.experiments import (
     BUILTIN_NAMES,
@@ -204,14 +203,12 @@ class TestPresets:
         assert t3.hs == (4e-4, 1e-4, 4e-5)
         assert t3.mu == 6.0
         # Class constants, still read through the preset.
-        defaults = inspect.signature(error_report).parameters
         for preset in (t1, get_preset("table2"), t3):
             assert preset.r == 2
             assert (preset.s, preset.p) == (2.0, 2.0)
             assert (preset.coeff_G, preset.metric_G, preset.metric_m) == (96, 96, 201)
-            # The table is measured with error_report's own defaults.
-            assert preset.metric_G == defaults["G"].default
-            assert preset.metric_m == defaults["m"].default
+            # The table is measured with what error_report measures with.
+            assert (preset.metric_G, preset.metric_m) == (DEFAULT_G, DEFAULT_M)
             assert preset.default_seeds == 20
 
     def test_unknown_preset(self):
@@ -264,7 +261,7 @@ class TestPresets:
     )
     def test_measurement_settings_are_not_fields(self, name, value):
         # Every table and sweep is measured alike, so these are class
-        # constants (or error_report's defaults) and no caller can set them.
+        # constants (or what error_report measures with) and no caller can set them.
         with pytest.raises(TypeError, match=f"'{name}'"):
             ExperimentPreset(
                 name="x", function=F1, noise="gaussian",
@@ -359,10 +356,11 @@ def _per_seed_rows(base, config, seeds, noise, reference) -> list[ExperimentRow]
         noisy = consumed
         if seed is not None:
             noisy = perturb(consumed, NoiseSpec(kind=noise, delta=config.delta, p=config.p, seed=seed))
-        report = error_report(run(noisy, config), reference)
+        approx = run(noisy, config)
+        report = error_report(approx, reference)
         cells.append(
             ExperimentRow(
-                delta=config.delta, n=report.n_used, card=report.information_count,
+                delta=config.delta, n=approx.n_used, card=approx.information_count,
                 l2_error=report.l2_error, sup_error=report.sup_error, seed=seed,
             )
         )

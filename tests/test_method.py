@@ -210,6 +210,19 @@ class TestRun:
             cfg = MethodConfig(r=2, mu=5.5, delta=0.0, n_override=5, domain_shape=shape)
             approx = run(field, cfg)
             assert approx.information_count == count == len(field.restrict(cfg.domain()))
+        # Both come from the config, so no run can be built that restates them.
+        with pytest.raises(TypeError, match="n_used"):
+            ApproxDerivative(approx.series, cfg, n_used=6)
+
+    def test_level_and_cardinality_are_read_only(self):
+        cfg = MethodConfig(r=2, mu=5.5, delta=0.0, n_override=5)
+        approx = run(from_entries({(2, 2): 1.0}), cfg)
+        for name in ("n_used", "information_count"):
+            with pytest.raises(AttributeError):
+                setattr(approx, name, 6)
+        assert (approx.n_used, approx.information_count) == (
+            cfg.resolve_n(), cfg.domain().cardinality(),
+        )
 
     def test_cross_degree_bound_after_differentiation(self):
         # Cross members reach degree n-1; r derivatives lower that by r.
@@ -434,7 +447,6 @@ def _assert_stacked_matches_run(fields, config):
         assert approx.series.coeffs.flags.c_contiguous
         assert not approx.series.coeffs.flags.writeable
         assert approx.series.zero_corner == alone.series.zero_corner
-        assert (approx.n_used, approx.information_count) == (alone.n_used, alone.information_count)
         assert approx.config is config
     return stacked
 
@@ -623,7 +635,7 @@ class TestLegendreSeries2D:
 
 
 class TestZeroCorner:
-    """LegendreSeries2D checks the zero corner it carries, once."""
+    """Only run() gives a series its zero corner, and only one the map leaves zero."""
 
     @pytest.fixture(scope="class")
     def derived_300(self):
@@ -631,37 +643,36 @@ class TestZeroCorner:
         field = CoeffField.from_dense(np.random.default_rng(9).standard_normal((300, 300)))
         return run(field, config).series
 
-    def test_rejects_a_corner_holding_a_nonzero_entry(self):
-        coeffs = np.zeros((6, 5))
-        coeffs[:3, :] = 1.0
-        coeffs[:, :2] = 1.0
-        assert LegendreSeries2D(coeffs, zero_corner=(3, 2)).zero_corner == (3, 2)
-        coeffs[5, 4] = 1e-300
-        with pytest.raises(ValueError, match=r"\(3, 2\) is not a zero corner"):
-            LegendreSeries2D(coeffs, zero_corner=(3, 2))
-
-    @pytest.mark.parametrize("corner", [(6, 0), (0, 5), (6, 5), (-1, 2), (2, -1)])
-    def test_rejects_corners_out_of_range(self, corner):
-        with pytest.raises(ValueError, match="is not a zero corner"):
-            LegendreSeries2D(np.zeros((6, 5)), zero_corner=corner)
+    def test_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError, match="zero_corner"):
+            LegendreSeries2D(np.zeros((6, 5)), zero_corner=(3, 2))
+        assert LegendreSeries2D(np.zeros((6, 5))).zero_corner is None
 
     @pytest.mark.parametrize(
         ("n", "r"), [(19, 2), (79, 2), (80, 2), (300, 2), (120, 1), (120, 3)]
     )
-    def test_run_declares_a_corner_the_check_accepts(self, n, r):
-        # run() builds its series without the corner scan, through the dense
-        # map below n = 80 and the blocks from there on; the corner holds.
+    def test_run_declares_an_all_zero_corner(self, n, r):
+        # run() sets the domain's corner less r without scanning it; the
+        # map must leave every entry there exactly zero.
         config = MethodConfig(r=r, mu=8.5, delta=0.0, n_override=n)
         field = CoeffField.from_dense(np.random.default_rng(n).standard_normal((n, n)))
         series = run(field, config).series
-        assert series.zero_corner is not None
-        checked = LegendreSeries2D(series.coeffs, zero_corner=series.zero_corner)
-        assert checked.coeffs.tobytes() == series.coeffs.tobytes()
+        a, b = series.zero_corner
+        assert (a + r, b + r) == config.domain().zero_corner()
+        assert 0 < a < series.coeffs.shape[0] and 0 < b < series.coeffs.shape[1]
+        assert not series.coeffs[a:, b:].any()
 
-    def test_accepts_a_corner_of_negative_zeros(self, derived_300):
+    def test_run_gives_the_box_no_corner(self):
+        # The box has no zero corner, so its series is evaluated densely.
+        config = MethodConfig(r=2, mu=8.5, delta=0.0, n_override=40, domain_shape="box")
+        field = CoeffField.from_dense(np.random.default_rng(40).standard_normal((40, 40)))
+        assert config.domain().zero_corner() is None
+        assert run(field, config).series.zero_corner is None
+
+    def test_a_corner_of_negative_zeros_keeps_the_bytes(self, derived_300):
         signed = derived_300.coeffs.copy()
         signed[22:, 23:] = -0.0
-        series = LegendreSeries2D(signed, zero_corner=(22, 23))
+        series = LegendreSeries2D._with_corner(signed, (22, 23))
         grid = np.linspace(-1.0, 1.0, 401)
         # The factorized product never reads the corner, so the bytes cannot move.
         assert series.eval_grid(grid, grid).tobytes() == derived_300.eval_grid(grid, grid).tobytes()

@@ -133,12 +133,11 @@ class TestSupError:
 class TestErrorReport:
     def test_report_fields_and_invariant(self):
         approx = _phi22_approx()
-        report = error_report(approx, _constant_reference(20.0), G=32, m=21)
+        report = error_report(approx, _constant_reference(20.0))
         # approx - reference = 2.5 everywhere: L2 norm 5, sup norm 2.5.
         assert report.l2_error == pytest.approx(5.0, rel=1e-13)
         assert report.sup_error == pytest.approx(2.5, rel=1e-13)
-        assert report.n_used == 3
-        assert report.information_count == 4
+        assert [f.name for f in dataclasses.fields(report)] == ["l2_error", "sup_error"]
 
     def test_l2_bounded_by_twice_sup(self):
         rng = np.random.default_rng(9)
@@ -149,11 +148,11 @@ class TestErrorReport:
         field = exact_coeffs(fn, k_max=7, j_max=7, G=24)
         cfg = MethodConfig(r=2, mu=6.0, delta=0.0, n_override=7, domain_shape="box")
         approx = run(field, cfg)
-        report = error_report(approx, _constant_reference(rng.normal()), G=64, m=51)
+        report = error_report(approx, _constant_reference(rng.normal()))
         assert report.l2_error <= 2.0 * report.sup_error * (1.0 + 1e-9)
 
     def test_validate_rejects_inconsistent_report(self):
-        bad = ErrorReport(l2_error=10.0, sup_error=1.0, n_used=3, information_count=4)
+        bad = ErrorReport(l2_error=10.0, sup_error=1.0)
         with pytest.raises(ValueError, match=r"l2_error=10.0 exceeds 2\*sup_error=2.0"):
             bad.validate()
 
@@ -162,7 +161,7 @@ class TestErrorReport:
     def test_validate_names_the_non_finite_error(self, name, value):
         # NaN fails every comparison, so the inequality alone would blame it.
         errors = {"l2_error": 1.0, "sup_error": 1.0, name: value}
-        bad = ErrorReport(**errors, n_used=3, information_count=4)
+        bad = ErrorReport(**errors)
         with pytest.raises(ValueError, match=rf"^{name}={value} is not finite"):
             bad.validate()
 
@@ -171,7 +170,7 @@ class TestErrorReport:
             value=lambda t, tau: np.where(t > 0.5, np.nan, 22.5) + 0.0 * tau
         )
         with pytest.raises(ValueError, match=r"^l2_error=nan is not finite"):
-            error_report(_phi22_approx(), reference, G=8, m=11)
+            error_report(_phi22_approx(), reference)
 
 
 def _scratch_l2(approx, reference, G):
@@ -206,19 +205,17 @@ class TestHeldReference:
     @pytest.mark.parametrize("function", [F1, F2], ids=["f1", "f2"])
     def test_repeated_calls_are_bit_identical(self, function, shape):
         # One held reference across several n, revisiting a degree after
-        # others, gives exactly the from-scratch values.
+        # others, gives exactly the from-scratch values, at error_report's G and m.
         reference = function.derivative_function()
+        G, m = metrics.DEFAULT_G, metrics.DEFAULT_M
         for seed, n in enumerate((5, 12, 9, 5, 16)):
             approx = _noisy_approx(function, shape, n, seed)
-            l2 = l2_error(approx, reference, G=40)
-            sup = sup_error(approx, reference, m=51)
-            assert l2 == _scratch_l2(approx, reference, 40)
-            assert sup == _scratch_sup(approx, reference, 51)
-            report = error_report(approx, reference, G=40, m=51)
+            l2 = l2_error(approx, reference, G)
+            sup = sup_error(approx, reference, m)
+            assert l2 == _scratch_l2(approx, reference, G)
+            assert sup == _scratch_sup(approx, reference, m)
+            report = error_report(approx, reference)
             assert (report.l2_error, report.sup_error) == (l2, sup)
-            assert (report.n_used, report.information_count) == (
-                approx.n_used, approx.information_count,
-            )
 
     def test_order_below_floor_rebuilds_the_grid_per_order_change(self):
         """G is a floor: each call measures on a Gauss grid of the effective order."""
@@ -253,9 +250,7 @@ class TestHeldReference:
         approx = _zero_approx()
         with pytest.raises(ValueError, match="odd and >= 3"):
             sup_error(approx, reference, m=m)
-        with pytest.raises(ValueError, match="odd and >= 3"):
-            error_report(approx, reference, G=16, m=m)
-        # Refused before the reference is evaluated or the L2 error computed.
+        # Refused before the reference is evaluated.
         assert calls == []
         assert reference not in metrics._GRIDS
 
@@ -268,8 +263,6 @@ class TestHeldReference:
         approx = _zero_approx()
         with pytest.raises(ValueError, match="over the limit"):
             sup_error(approx, reference, m=m)
-        with pytest.raises(ValueError, match="over the limit"):
-            error_report(approx, reference, G=16, m=m)
         assert reference not in metrics._GRIDS
 
     def test_grid_bound_is_inclusive(self, monkeypatch):
@@ -292,12 +285,12 @@ class TestHeldReference:
         message = f"order G={G} per panel is over the limit of 4102"
         with pytest.raises(ValueError, match=message):
             l2_error(approx, reference, G)
-        with pytest.raises(ValueError, match=message):
-            error_report(approx, reference, G=G)
         # A series of degree 2048 gets the degree rule's order 4104 at any G.
         wide = dataclasses.replace(approx, series=LegendreSeries2D(np.zeros((1, 2049))))
         with pytest.raises(ValueError, match="order G=4104 per panel is over the limit"):
             l2_error(wide, reference, 16)
+        with pytest.raises(ValueError, match="order G=4104 per panel is over the limit"):
+            error_report(wide, reference)
         assert reference not in metrics._GRIDS
 
     def test_gauss_order_bound_is_inclusive(self, monkeypatch):
@@ -310,8 +303,9 @@ class TestHeldReference:
         calls = []
         reference = _counted_reference(calls, t_breakpoints=(0.0,))
         for seed, n in enumerate((4, 6, 4)):
-            error_report(_noisy_approx(F2, "cross", n, seed), reference, G=24, m=11)
-        assert calls == [(48, 24), (11, 11)]
+            error_report(_noisy_approx(F2, "cross", n, seed), reference)
+        # DEFAULT_G = 96 per panel on two t-panels, and DEFAULT_M = 201.
+        assert calls == [(192, 96), (201, 201)]
 
 
 def _smooth(t, tau):
@@ -341,17 +335,18 @@ class TestGridStore:
     def test_held_reference_is_evaluated_once_per_grid(self):
         calls = []
         reference = _counted_reference(calls, t_breakpoints=(0.0,))
+        G, m = metrics.DEFAULT_G, metrics.DEFAULT_M
         for seed, n in enumerate((4, 6, 4, 6)):
             approx = _noisy_approx(F2, "cross", n, seed)
-            l2 = l2_error(approx, reference, G=24)
-            sup = sup_error(approx, reference, m=11)
-            report = error_report(approx, reference, G=24, m=11)
+            l2 = l2_error(approx, reference, G)
+            sup = sup_error(approx, reference, m)
+            report = error_report(approx, reference)
             assert (report.l2_error, report.sup_error) == (l2, sup)
             # Another object, new each time, builds everything from scratch.
             fresh = BivariateFunction(value=_smooth, t_breakpoints=(0.0,), name="fresh")
-            assert l2 == l2_error(approx, fresh, G=24) == _scratch_l2(approx, fresh, 24)
-            assert sup == sup_error(approx, fresh, m=11) == _scratch_sup(approx, fresh, 11)
-        assert calls == [(48, 24), (11, 11)]
+            assert l2 == l2_error(approx, fresh, G) == _scratch_l2(approx, fresh, G)
+            assert sup == sup_error(approx, fresh, m) == _scratch_sup(approx, fresh, m)
+        assert calls == [(2 * G, G), (m, m)]
 
     def test_store_keeps_only_the_latest_grids(self, monkeypatch):
         """Standalone calls over several sizes keep one grid of each kind."""
@@ -418,7 +413,7 @@ class TestGridStore:
         gc.collect()
         before = len(metrics._GRIDS)
         reference = BivariateFunction(value=_smooth, name="transient")
-        error_report(_phi22_approx(), reference, G=16, m=5)
+        error_report(_phi22_approx(), reference)
         assert len(metrics._GRIDS) == before + 1
         alive = weakref.ref(reference)
         del reference
@@ -447,9 +442,9 @@ class TestGridStore:
     )
     def test_unhashable_fields_still_key_the_store(self, reference):
         approx = _noisy_approx(F2, "cross", 6, 1)
-        report = error_report(approx, reference, G=24, m=11)
-        assert report.l2_error == _scratch_l2(approx, reference, 24)
-        assert report.sup_error == _scratch_sup(approx, reference, 11)
+        report = error_report(approx, reference)
+        assert report.l2_error == _scratch_l2(approx, reference, metrics.DEFAULT_G)
+        assert report.sup_error == _scratch_sup(approx, reference, metrics.DEFAULT_M)
         assert reference in metrics._GRIDS
 
     @pytest.mark.parametrize(
@@ -748,12 +743,7 @@ class TestCoefficientSpace:
         assert grid.values is None and grid.tables == {}
         assert l2_error(approx, reference, G=96) == first  # warm: from (B, tail)
         assert metrics._GRIDS[reference]["gauss"] is grid
-        narrow = ApproxDerivative(
-            series=LegendreSeries2D(approx.series.coeffs[:, :200]),
-            config=approx.config,
-            n_used=approx.n_used,
-            information_count=approx.information_count,
-        )
+        narrow = ApproxDerivative(LegendreSeries2D(approx.series.coeffs[:, :200]), approx.config)
         assert narrow.series.coeffs.shape == (298, 200)  # order 602 all the same
         again = l2_error(narrow, reference, G=96)
         assert metrics._GRIDS[reference]["gauss"] is grid

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from legdiff import MethodConfig, exact_coeffs, l2_error, metrics, run
+from legdiff import MethodConfig, coeffs, exact_coeffs, l2_error, metrics, run
 from legdiff.basis import composite_gauss_rule, gauss_rule, legendre_table
 from legdiff.derivative import DerivativeExpansion
 from legdiff.experiments import F1
@@ -24,6 +24,7 @@ from oracles import (
     f1_factor_d2_ld,
     gauss_rule_ld,
     legendre_table_ld,
+    projection_ld,
     single_step_entry,
 )
 
@@ -84,10 +85,48 @@ def test_legendre_table_within_endpoint_error_growth(K):
         )
     )
     error = np.abs(legendre_table(K, t) - legendre_table_ld(K, t))
+    bound = _table_bound(K)[:, None]
+    assert np.all(error <= bound), float(np.max(error / bound))
+
+
+def _table_bound(K: int) -> np.ndarray:
+    """The bound on |phi_k - fl(phi_k)| for k = 0..K at any |t| <= 1, the rounding
+    model of :func:`test_legendre_table_within_endpoint_error_growth`."""
     k = np.arange(K + 1)
     harmonic = np.concatenate(([0.0], np.cumsum(1.0 / k[1:])))
     growth = 4.5 * (k * (k + 3) / 4 - harmonic) + 1
-    bound = (growth * (EPS + EPS_LD) * np.sqrt(k + 0.5))[:, None]
+    return growth * (EPS + EPS_LD) * np.sqrt(k + 0.5)
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        composite_gauss_rule(96, (-1.0, 0.0, 1.0)),  # table1's base coefficients
+        coeffs._trapezoid_rule(4e-5),  # table2's third row, 50,001 nodes
+    ],
+    ids=["table1_gauss_96x2", "table2_trapezoid_4e-5"],
+)
+def test_projection_within_summation_bound(rule):
+    """|fl(c_k) - c_k| <= E_k sum_i |w_i v_i| + (N + 2) (eps + eps_ld) sum_i |phi_k(t_i)| |w_i v_i|.
+
+    c_k = sum_i w_i v_i phi_k(t_i) over the rule's N nodes, k = 0..30, for
+    F1's factor v.  The nodes, weights and float64 values are inputs both
+    sides share, so only the projection's arithmetic is checked.  The
+    float64 side rounds w_i v_i once (u |w_i v_i|), takes phi_k(t_i) with
+    the recurrence's error E_k (:func:`_table_bound`), and sums the N
+    products in one chunk (k_max = 30 allows 2**22 / 31 nodes per table) by
+    a dot product of any order, within gamma_N sum_i |phi_k(t_i)| |w_i v_i|,
+    gamma_N <= N eps for N u <= 1/2.  The oracle sums in long double with
+    its own error of the same form in eps_ld.
+    """
+    k_max = 30
+    values = F1.factors[0](rule.nodes)
+    got = coeffs._projection(values, rule, k_max)
+    want = projection_ld(values, rule.nodes, rule.weights, k_max)
+    weighted = np.abs(rule.weights * values)
+    magnitude = np.abs(legendre_table_ld(k_max, rule.nodes)).astype(np.float64) @ weighted
+    bound = _table_bound(k_max) * weighted.sum() + (len(rule) + 2) * (EPS + EPS_LD) * magnitude
+    error = np.abs(got - want).astype(np.float64)
     assert np.all(error <= bound), float(np.max(error / bound))
 
 
