@@ -11,7 +11,9 @@ Flag choices and measurement defaults come from the modules that own them.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
@@ -37,25 +39,21 @@ from .noise import NoiseSpec, perturb
 __all__ = ["main"]
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _int_flag(
+    name: str, low: int, message: str, high: Callable[[], float] = lambda: math.inf
+) -> Callable[[str], int]:
+    """The argparse type of an integer flag in [low, high()], refusing others with
+    ``message`` (formatted with ``high``).  ``high`` is read at each parse;
+    ``name`` is what argparse calls the type of text that is no integer."""
 
+    def parse(text: str) -> int:
+        value = int(text)
+        if not low <= value <= high():
+            raise argparse.ArgumentTypeError(message.format(high=high()))
+        return value
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a nonnegative integer")
-    return value
-
-
-def _seed(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("must satisfy 0 <= seed < 2**64")
-    return value
+    parse.__name__ = name
+    return parse
 
 
 # Most seeds one experiment or sweep may ask for.  Each seed adds a run and a
@@ -64,12 +62,10 @@ def _seed(text: str) -> int:
 # 1.25 / sqrt(1000), 4% of the spread, more than any table needs.
 MAX_SEED_COUNT = 1000
 
-
-def _seed_count(text: str) -> int:
-    value = int(text)
-    if not 1 <= value <= MAX_SEED_COUNT:
-        raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_SEED_COUNT}")
-    return value
+_positive_int = _int_flag("_positive_int", 1, "must be a positive integer")
+_nonnegative_int = _int_flag("_nonnegative_int", 0, "must be a nonnegative integer")
+_seed = _int_flag("_seed", 0, "must satisfy 0 <= seed < 2**64", lambda: 2**64 - 1)
+_seed_count = _int_flag("_seed_count", 1, "must be between 1 and {high}", lambda: MAX_SEED_COUNT)
 
 
 # Most noise levels one convergence sweep may ask for: far more than a slope

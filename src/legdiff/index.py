@@ -16,6 +16,7 @@ lexicographic (k, j) order so downstream runs are reproducible.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -34,6 +35,15 @@ _MASKS_CACHED = 8
 
 #: What :func:`pairs_mask` takes as one (k, j) pair.
 _PAIR_TYPES = (tuple, list, np.ndarray)
+
+
+def _check_integer(name: str, value, error: type[ValueError] = ValueError) -> None:
+    """Refuse, as ``error`` naming the parameter, what ``operator.index`` refuses:
+    a float (even a whole one), NaN, a string or None."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise error(f"{name}={value!r} must be an integer") from None
 
 
 def pairs_mask(pairs) -> np.ndarray:
@@ -66,7 +76,7 @@ def pairs_mask(pairs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IndexDomain:
-    """A finite set of index pairs, all with k >= r and j >= r."""
+    """A finite set of index pairs, all with k >= r and j >= r, for integers 0 <= r < n."""
 
     SHAPES: ClassVar[tuple[str, ...]] = ("cross", "box")
 
@@ -77,6 +87,8 @@ class IndexDomain:
     def __post_init__(self) -> None:
         if self.shape not in self.SHAPES:
             raise ValueError(f"unknown domain shape {self.shape!r}")
+        _check_integer("r", self.r)
+        _check_integer("n", self.n)
         if self.r < 0:
             raise ValueError("r must be nonnegative")
         if self.n <= self.r:

@@ -27,7 +27,7 @@ import numpy as np
 from .basis import eval_phi_table, grid_product
 from .coeffs import MAX_DENSE_ENTRIES, CoeffField, _read_only
 from .derivative import DerivativeExpansion
-from .index import IndexDomain
+from .index import IndexDomain, _check_integer
 
 __all__ = [
     "ConfigError",
@@ -72,6 +72,7 @@ class MethodConfig:
     domain_shape: str = "cross"
 
     def __post_init__(self) -> None:
+        _check_integer("r", self.r, ConfigError)
         if self.r < 1:
             raise ConfigError(f"derivative order r={self.r} must be >= 1")
         if not (1.0 <= self.s) or math.isinf(self.s):
@@ -82,6 +83,7 @@ class MethodConfig:
             raise ConfigError(f"domain shape must be one of {IndexDomain.SHAPES}, got {self.domain_shape!r}")
         _check_rule_constant(self.rule_constant)
         if self.n_override is not None:
+            _check_integer("n_override", self.n_override, ConfigError)
             if self.n_override <= self.r:
                 raise ConfigError(
                     f"n={self.n_override} must exceed r={self.r}"

@@ -27,32 +27,26 @@ The square-mean error has two forms, chosen by that same block size:
 - a Gauss grid of at most 2**18 entries sums the squared difference over the
   grid in its one block, as above;
 - a larger one (on the cross, F1'' from n = 128 and F2'' from n = 256) works in
-  coefficient space and holds only its nodes and weights.  The series is a
-  finite sum in the basis phi_k phi_j, which the Gauss rule holds orthonormal
-  up to rounding, so the squared error is ||C - B||^2 + tail: B is the
-  reference's projection onto the series' index block and tail the weighted
+  coefficient space and holds only its rules.  The series is a finite sum in
+  the basis phi_k phi_j, which the Gauss rule holds orthonormal up to
+  rounding, so the squared error is ||C - B||^2 + tail: B is the reference's
+  projection onto the series' index block, the one
+  :func:`~legdiff.coeffs.exact_coeffs` makes (for a reference without
+  ``factors``, over the same 2**18-entry row blocks), and tail the weighted
   square sum of the reference minus B's grid.  Both depend on the reference
   and the degree only, so the grid keeps them for its latest coefficient
   shape, and each further seed costs one reduction over the K x J
   coefficients (0.1-0.3 ms at n = 300, against 5-9 ms for the grid sum);
   another shape at the same order is projected again on the same grid.
-  The first call per (reference, degree) builds them, evaluating the
-  reference one row block at a time, elementwise as on the whole grid, and
-  never holding it whole.  For a reference that declares ``factors`` (the
-  built-in derivatives do) it takes two one-dimensional projections and
-  their node values, one Legendre table of at most 2**22 entries at a time,
-  and one evaluation pass over the row blocks for the tail: about 15-19 ms
-  at n = 300.  Without them B is summed over the row blocks from tau's
-  all-node table and each block's own t-table (a view of tau's where the
-  axes share nodes and degree), so the reference is evaluated twice, once
-  for B and once for the tail: about 65-75 ms at n = 300 (both timed with
-  one BLAS thread on a 2-vCPU Xeon).  The first call's peak allocation
-  (tracemalloc) is then that of B, one table and a few row blocks: 5.1 MB at
-  n = 300 with factors and 10.3 MB without, 32 MB for a side-998 series,
-  where the whole Gauss grid would be 11.6 MB, 11.6 MB and 128 MB, and
-  9.4 MB without factors on axes that differ (F1'' without tau breakpoints,
-  1204 x 602 nodes).  An F1'' reference last measured at n = 2048 holds a
-  32 MiB projection and the grid's nodes, not the 512 MiB grid.
+  The first call per (reference, degree) evaluates the reference one row
+  block at a time and never holds it whole: once, for the tail, with
+  declared ``factors`` (about 15-19 ms at n = 300), and twice without
+  (about 60-80 ms; both timed with one BLAS thread on a 2-vCPU Xeon).  Its
+  peak allocation (tracemalloc) is that of B, one table and a few row
+  blocks: 5.1 MB at n = 300 with factors and 10.3 MB without, 32 MB for a
+  side-998 series, where the whole Gauss grid would be 11.6 MB, 11.6 MB and
+  128 MB.  An F1'' reference last measured at n = 2048 holds a 32 MiB
+  projection and the grid's rules, not the 512 MiB grid.
 
 Both forms give the same number up to rounding and the orthonormality defect
 T W T^T - I of the float64 tables and weights (about 2e-14 at degree 297,
@@ -76,10 +70,15 @@ from .basis import QuadratureRule, grid_factors, legendre_table
 from .coeffs import (
     MAX_DENSE_ENTRIES,
     BivariateFunction,
+    _BLOCK_ENTRIES,
     _MAX_SIDE,
-    _projection,
+    _axis_tables,
+    _factor_projections,
+    _row_blocks,
     _series_values,
+    _tensor_projection,
 )
+from .index import _check_integer
 from .method import ApproxDerivative, LegendreSeries2D
 
 __all__ = ["ErrorReport", "l2_error", "sup_error", "error_report", "DEFAULT_G", "DEFAULT_M"]
@@ -111,17 +110,13 @@ class ErrorReport:
 #: _MAX_SIDE - 1 (4102); a larger order is refused before any rule is built.
 _MAX_GAUSS_ORDER = 2 * (_MAX_SIDE - 1) + 8
 
-#: Entries of the one row block a measurement fills at a time (2 MiB); grids
-#: of at most this many entries are reduced in one block, exactly as a whole.
-_BLOCK_ENTRIES = 2**18
-
-
 @dataclass
 class _Grid:
     """A tensor grid t x tau for one reference, without the reference itself.
 
     ``size`` is the effective Gauss order or the uniform size m, and
-    ``weights`` the Gauss weights per axis (None on the uniform grid).
+    ``rules`` the Gauss rules (t, tau) it was built from (None on the
+    uniform grid).
     ``tau`` is ``t`` itself when both axes have the same nodes; they then
     share their tables.  ``values`` holds the reference on the grid when the
     grid is one row block (at most :data:`_BLOCK_ENTRIES` entries) or
@@ -136,7 +131,7 @@ class _Grid:
     t: np.ndarray
     tau: np.ndarray
     values: np.ndarray | None
-    weights: tuple[np.ndarray, np.ndarray] | None = None
+    rules: tuple[QuadratureRule, QuadratureRule] | None = None
     tables: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
     projection: tuple[np.ndarray, float] | None = None
 
@@ -150,20 +145,6 @@ class _Grid:
                 self.tables[key] = legendre_table(key[1], nodes)
         return self.tables[keys[0]], self.tables[keys[1]]
 
-    def row_blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
-        """The grid's row blocks, each with its part of one reused buffer.
-
-        Yields ``(rows, buffer)``, ``buffer`` of shape (rows, columns) and at
-        most :data:`_BLOCK_ENTRIES` entries (or one row); it is the same
-        memory for every block.
-        """
-        n_rows, n_cols = self.t.size, self.tau.size
-        height = max(1, _BLOCK_ENTRIES // n_cols)
-        buffer = np.empty((min(height, n_rows), n_cols))
-        for start in range(0, n_rows, height):
-            rows = slice(start, min(start + height, n_rows))
-            yield rows, buffer[: rows.stop - start]
-
     def remainders(
         self,
         product: Callable[[slice, np.ndarray], np.ndarray],
@@ -176,7 +157,7 @@ class _Grid:
         Yields ``(rows, block)``; every block is a view of one reused buffer,
         so it is overwritten by the next.
         """
-        for rows, buffer in self.row_blocks():
+        for rows, buffer in _row_blocks(self.t.size, self.tau.size):
             block = product(rows, buffer)
             block -= values(rows)
             yield rows, block
@@ -191,69 +172,51 @@ class _Grid:
 
     def square_sum(self, blocks: Iterator[tuple[slice, np.ndarray]]) -> float:
         """The weighted sum of the squared blocks of a Gauss grid (squared in place)."""
-        weights_t, weights_tau = self.weights
+        rule_t, rule_tau = self.rules
         column = np.zeros(self.tau.size)
         for rows, block in blocks:
             block *= block  # in place, in the reused buffer
-            column += weights_t[rows] @ block
-        return column @ weights_tau
+            column += rule_t.weights[rows] @ block
+        return column @ rule_tau.weights
 
     def projected(
         self, shape: tuple[int, int], reference: BivariateFunction
     ) -> tuple[np.ndarray, float]:
         """The reference's projection B onto this index block and its remainder.
 
-        ``B = (T_t W_t) F (W_tau T_tau^T)`` for the reference's values F on
-        the grid, and ``tail`` is the weighted square sum of F minus B's
-        grid.  Both are kept for the latest shape; another shape is projected
-        anew on the same grid.  F is evaluated one row block at a time,
-        elementwise as the whole grid would be, and never held whole.  With
-        the reference's ``factors`` (ft, gtau, s) declaring F = s ft(t)
-        gtau(tau), B is ``s outer(a, b)`` for the one-dimensional projections
-        a, b of :func:`~legdiff.coeffs._projection`, B's grid is rank 1 from
+        B is ``(T_t W_t) F (W_tau T_tau^T)`` for the reference's values F on
+        the grid's rules, as :mod:`legdiff.coeffs` projects it, and ``tail``
+        the weighted square sum of F minus B's grid.  Both are kept for the
+        latest shape; another shape is projected anew on the same grid.  F is
+        evaluated one row block at a time, elementwise as the whole grid
+        would be, and never held whole.  With declared ``factors`` (ft, gtau,
+        s), B is ``s outer(a, b)`` of the one-dimensional
+        :func:`~legdiff.coeffs._factor_projections`, B's grid is rank 1 from
         their node values, and F is evaluated once, in the tail pass; without
-        them, B is summed over the row blocks from tau's all-node table and
-        each block's t-table, and F is evaluated twice, once for B and once
-        for the tail.
+        them B is :func:`~legdiff.coeffs._tensor_projection`'s, whose tables
+        the tail pass reuses, and F is evaluated twice.
         """
         if self.projection is not None and self.projection[0].shape == shape:
             return self.projection
         self.projection = None  # dropped before the next is built
-        weights_t, weights_tau = self.weights
+        degrees = (shape[0] - 1, shape[1] - 1)
 
         def values(rows: slice) -> np.ndarray:
             return reference.value(self.t[rows, None], self.tau[None, :])
 
         if reference.factors is not None:
-            ft, gtau, scale = reference.factors
-            a = _projection(ft(self.t), QuadratureRule(self.t, weights_t), shape[0] - 1)
+            a, b = _factor_projections(reference, *self.rules, *degrees)
             column = _series_values(a, self.t)
-            if gtau is ft and self.tau is self.t and shape[0] == shape[1]:
-                b, row = a, column  # the same projection and node values
-            else:
-                rule_tau = QuadratureRule(self.tau, weights_tau)
-                b = _projection(gtau(self.tau), rule_tau, shape[1] - 1)
-                row = _series_values(b, self.tau)
+            row = column if b is a else _series_values(b, self.tau)
+            scale = reference.factors[2]
             column = scale * column[:, None]
-            # B after the node values, so B and a chunk table are never held together.
-            projection = scale * np.outer(a, b)
+            projection = scale * np.outer(a, b)  # after the node values and their tables
             tail = self.square_sum(
                 self.remainders(lambda rows, out: np.multiply(column[rows], row, out=out), values)
             )
         else:
-            table_tau = legendre_table(shape[1] - 1, self.tau)
-            shared = self.tau is self.t and shape[0] == shape[1]
-
-            def table_t(rows: slice) -> np.ndarray:
-                # t's table one row block at a time, unless tau's is it: the
-                # recurrence runs node by node, so a block's table has its bytes.
-                return table_tau[:, rows] if shared else legendre_table(shape[0] - 1, self.t[rows])
-
-            projection = np.zeros(shape)
-            for rows, buffer in self.row_blocks():
-                part = np.multiply(values(rows), weights_tau, out=buffer) @ table_tau.T
-                part *= weights_t[rows, None]
-                projection += table_t(rows) @ part
+            tables = table_tau, table_t = _axis_tables(*self.rules, *degrees)
+            projection = _tensor_projection(reference, *self.rules, *degrees, tables)
 
             def product(rows: slice, out: np.ndarray) -> np.ndarray:
                 # Each block's left factor is made per block, never all N_t x J.
@@ -291,7 +254,7 @@ def _gauss(reference: BivariateFunction, G: int) -> _Grid:
     values = None
     if t.size * tau.size <= _BLOCK_ENTRIES:
         values = reference.value(t[:, None], tau[None, :])
-    return _Grid(G, t, tau, values, (rule_t.weights, rule_tau.weights))
+    return _Grid(G, t, tau, values, (rule_t, rule_tau))
 
 
 def _uniform(reference: BivariateFunction, m: int) -> _Grid:
@@ -300,6 +263,7 @@ def _uniform(reference: BivariateFunction, m: int) -> _Grid:
 
 
 def _check_m(m: int) -> None:
+    _check_integer("m", m)
     if m < 3 or m % 2 == 0:
         raise ValueError(f"grid resolution m={m} must be odd and >= 3")
     if m * m > MAX_DENSE_ENTRIES:
@@ -314,17 +278,15 @@ def l2_error(approx: ApproxDerivative, reference: BivariateFunction, G: int) -> 
     G is a floor: the integration uses max(G, 2 * (max series degree) + 8)
     Gauss points per panel, so the squared series is integrated essentially
     exactly.  An order above 4102, the one a series of degree 2047 gets,
-    raises ValueError before any rule is built.
+    raises ValueError before any rule is built, as does a G that is not an
+    integer.
 
     A Gauss grid of at most 2**18 entries is summed over; a larger one gives
     sqrt(sum((C - B)^2) + tail) from the projection B and remainder tail the
     grid keeps for the latest coefficient shape (see the module docstring).
-    Building them is the first call's cost per (reference, degree): the
-    reference is evaluated one row block at a time, once with its
-    ``factors`` declared (B then comes from one-dimensional projections)
-    and twice without.
     A reference that is NaN anywhere on the grid gives NaN either way.
     """
+    _check_integer("G", G)
     order = max(G, 2 * (max(approx.series.coeffs.shape) - 1) + 8)
     if order > _MAX_GAUSS_ORDER:
         raise ValueError(

@@ -23,6 +23,7 @@ from typing import ClassVar
 import numpy as np
 
 from .coeffs import CoeffField
+from .index import _check_integer
 
 __all__ = ["NoiseSpec", "standard_normals", "noise_vector", "perturb"]
 
@@ -56,6 +57,7 @@ class NoiseSpec:
 
 def _check_seed(seed: int) -> None:
     """Philox keys are unsigned 64-bit integers."""
+    _check_integer("seed", seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed={seed} must satisfy 0 <= seed < 2**64")
 

@@ -1,7 +1,8 @@
 """The public API: every exported name resolves, and none is listed twice.
 
-The README's repository layout names exactly the package's modules, and its
-key-objects table names real methods with their real parameters.
+The README's repository layout names exactly the package's modules, and the
+key-objects tables of README.md and PAPER.md name real methods with their
+real parameters.
 """
 
 import ast
@@ -73,20 +74,25 @@ def _resolves(owner, dotted: str) -> bool:
     return _resolve(owner, dotted) is not None
 
 
-def _key_object_rows():
-    """The README's "Key objects" table rows as (names cell, role cell)."""
-    readme = (Path(legdiff.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
-    table = readme.split("Key objects:", 1)[1].strip().split("\n\n", 1)[0]
+#: The documents whose "Key objects" table the two checks below read.
+_KEY_OBJECT_DOCS = ["README.md", "PAPER.md"]
+
+
+def _key_object_rows(document: str):
+    """A document's "Key objects" table rows as (names cell, role cell)."""
+    text = (Path(legdiff.__file__).parents[2] / document).read_text(encoding="utf-8")
+    table = text.split("Key objects:", 1)[1].strip().split("\n\n", 1)[0]
     for row in table.splitlines()[2:]:  # past the header and its rule
         _, names, role, _ = row.split("|")
         yield names, role
 
 
-def test_readme_key_objects_name_real_methods():
+@pytest.mark.parametrize("document", _KEY_OBJECT_DOCS)
+def test_readme_key_objects_name_real_methods(document):
     """In a "Key objects" row led by a class legdiff exports, each `name(` of the
     role cell resolves on that class or in legdiff."""
     checked = []
-    for names, role in _key_object_rows():
+    for names, role in _key_object_rows(document):
         first = re.match(r"\s*`(\w+)", names).group(1)
         cls = getattr(legdiff, first, None)
         if not isinstance(cls, type):
@@ -97,12 +103,13 @@ def test_readme_key_objects_name_real_methods():
     assert ("DerivativeExpansion", "apply_both") in checked
 
 
-def test_readme_key_object_calls_list_real_parameters():
+@pytest.mark.parametrize("document", _KEY_OBJECT_DOCS)
+def test_readme_key_object_calls_list_real_parameters(document):
     """Each backticked call `name(p, q=v)` in the "Key objects" table whose name
     resolves in legdiff, or on the class that leads its row, lists only
     parameters of its signature, and each default v is the signature's."""
     checked = []
-    for names, role in _key_object_rows():
+    for names, role in _key_object_rows(document):
         row_class = _resolve(legdiff, re.match(r"\s*`(\w+)", names).group(1))
         for called, listed in re.findall(r"`([\w.]+)\(([^`]*)\)`", names + role):
             target = _resolve(legdiff, called)

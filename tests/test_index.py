@@ -90,6 +90,16 @@ class TestCross:
         with pytest.raises(ValueError):
             IndexDomain.cross(3, 1)
 
+    @pytest.mark.parametrize("shape", IndexDomain.SHAPES)
+    @pytest.mark.parametrize(
+        "r, n, name", [(2, 10.5, "n"), (2, 10.0, "n"), (2, math.nan, "n"), (2.0, 10, "r")]
+    )
+    def test_rejects_r_and_n_that_are_no_integers(self, shape, r, n, name):
+        # n = 10.5 once gave max_degree() (9.5, 9.5) and an 11 x 11 mask.
+        value = n if name == "n" else r
+        with pytest.raises(ValueError, match=f"{name}={value!r} must be an integer"):
+            IndexDomain(shape, r, n)
+
     def test_every_member_at_least_r(self):
         for k, j in IndexDomain.cross(3, 12).members():
             assert k >= 3 and j >= 3

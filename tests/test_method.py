@@ -89,6 +89,21 @@ class TestMethodConfig:
         with pytest.raises(ConfigError):
             MethodConfig(r=0, mu=5.5, delta=1e-7)
 
+    @pytest.mark.parametrize("r", [2.0, 2.5, math.nan, "2", None])
+    def test_rejects_r_that_is_no_integer(self, r):
+        with pytest.raises(ConfigError, match=f"r={r!r} must be an integer"):
+            MethodConfig(r=r, mu=5.5, delta=1e-7)
+
+    @pytest.mark.parametrize("n_override", [10.5, 11.0, math.nan, math.inf])
+    def test_rejects_n_override_that_is_no_integer(self, n_override):
+        # 10.5 once gave a domain that was neither n = 10 nor n = 11.
+        with pytest.raises(ConfigError, match=f"n_override={n_override!r} must be an integer"):
+            MethodConfig(r=2, mu=5.5, delta=0.0, n_override=n_override)
+
+    def test_accepts_numpy_integers(self):
+        cfg = MethodConfig(r=np.int64(2), mu=5.5, delta=0.0, n_override=np.int32(11))
+        assert cfg.domain().max_degree() == (10, 10)
+
     def test_rejects_infinite_s(self):
         with pytest.raises(ConfigError):
             MethodConfig(r=2, mu=5.5, delta=1e-7, s=math.inf)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import math
 import tracemalloc
 import weakref
 
@@ -253,6 +254,26 @@ class TestHeldReference:
         # Refused before the reference is evaluated.
         assert calls == []
         assert reference not in metrics._GRIDS
+
+    @pytest.mark.parametrize("m", [201.0, math.nan, "201"])
+    def test_rejects_grid_size_that_is_no_integer_before_any_grid(self, m):
+        calls = []
+        reference = _counted_reference(calls)
+        with pytest.raises(ValueError, match=f"m={m!r} must be an integer"):
+            sup_error(_zero_approx(), reference, m=m)
+        assert calls == [] and reference not in metrics._GRIDS
+
+    @pytest.mark.parametrize("G", [96.0, math.nan, "96"])
+    def test_rejects_order_that_is_no_integer_before_any_rule(self, G, monkeypatch):
+        def no_rule(order):
+            raise AssertionError("no Gauss rule may be built")
+
+        monkeypatch.setattr(basis, "gauss_rule", no_rule)
+        calls = []
+        reference = _counted_reference(calls)
+        with pytest.raises(ValueError, match=f"G={G!r} must be an integer"):
+            l2_error(_zero_approx(), reference, G)
+        assert calls == [] and reference not in metrics._GRIDS
 
     @pytest.mark.parametrize("m", [2049, 100001])
     def test_rejects_oversized_grid_before_allocating(self, m):
@@ -709,7 +730,7 @@ class TestCoefficientSpace:
         (b_f, tail_f), (b_g, tail_g) = grid_f.projection, grid_g.projection
         eps = np.finfo(np.float64).eps
         ft, gtau, scale = factored.factors
-        weights_t, weights_tau = grid_f.weights
+        weights_t, weights_tau = (rule.weights for rule in grid_f.rules)
         table_t = np.abs(legendre_table(K - 1, grid_f.t))
         table_tau = np.abs(legendre_table(J - 1, grid_f.tau))
         error_b = (grid_f.t.size + grid_f.tau.size + 10) * eps * scale * np.outer(
@@ -720,6 +741,20 @@ class TestCoefficientSpace:
         bound = np.sum(2 * error_b * (2 * np.abs(coeffs - b_f) + 2 * error_b))
         bound += (K + J + 3) * eps * (r_f + r_g) + tail_f + tail_g
         assert abs(l2_f**2 - l2_g**2) <= bound
+
+    @pytest.mark.parametrize("tau_breakpoints", [None, ()], ids=["shared_axes", "two_axes"])
+    def test_general_projection_is_the_coefficient_projection(self, cross_300, tau_breakpoints):
+        """Without factors, B is coeffs._tensor_projection of the grid's own rules."""
+        approx, held = cross_300
+        reference = dataclasses.replace(held, factors=None)
+        if tau_breakpoints is not None:
+            reference = dataclasses.replace(reference, tau_breakpoints=tau_breakpoints)
+        l2_error(approx, reference, G=96)
+        grid = metrics._GRIDS[reference]["gauss"]
+        assert (grid.rules[1] is grid.rules[0]) == (tau_breakpoints is None)
+        K, J = approx.series.coeffs.shape
+        expected = coeffs._tensor_projection(reference, *grid.rules, K - 1, J - 1)
+        assert np.array_equal(grid.projection[0], expected)
 
     @pytest.mark.parametrize("declared", [False, True], ids=["general", "factors"])
     def test_nan_reference_gives_nan(self, declared):

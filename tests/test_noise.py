@@ -39,6 +39,14 @@ class TestNoiseSpec:
         with pytest.raises(ValueError, match="seed"):
             NoiseSpec(kind="gaussian", delta=0.1, seed=seed)
 
+    @pytest.mark.parametrize("seed", [3.5, 3.0, math.nan, "3"])
+    def test_rejects_seed_that_is_no_integer(self, seed):
+        # 3.5 once drew seed 3's noise.
+        with pytest.raises(ValueError, match=f"seed={seed!r} must be an integer"):
+            NoiseSpec(kind="gaussian", delta=0.1, seed=seed)
+        with pytest.raises(ValueError, match=f"seed={seed!r} must be an integer"):
+            standard_normals(seed, 4)
+
     def test_largest_seed_allowed(self):
         assert NoiseSpec(kind="gaussian", delta=0.1, seed=2**64 - 1).seed == 2**64 - 1
 
