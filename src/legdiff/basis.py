@@ -13,12 +13,16 @@ block of rows at a time).  The factors are dense, ``table_t.T @ coeffs`` and
 ``table_tau``, or, once the dense product needs at least 2**22 multiply-adds
 and a given exactly zero corner of the coefficients makes it cheaper, one
 low-rank pair past that corner (a derived hyperbolic-cross series carries one).
+A one-dimensional projection takes the table in blocks of degrees
+(:func:`legendre_blocks`), whose products with a vector keep the whole
+table's bytes under the rules stated there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -74,19 +78,61 @@ def _orthonormal_scale(k_max: int) -> np.ndarray:
     return np.sqrt(np.arange(k_max + 1, dtype=np.float64) + 0.5)
 
 
+def legendre_blocks(k_max: int, t: np.ndarray, height: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """The rows of :func:`legendre_table` in consecutive blocks, as ``(degrees, block)``.
+
+    Each block holds ``height`` rows but the last, which holds the rest; a
+    lone last row joins the block before it.  ``block`` is the same memory
+    for every block, and one allocation holds it and the three rolling rows
+    P_{k-1}, P_k, P_{k+1} of the recurrence, which runs with the operations
+    of the formula, in its order, in place.  Each row is the rolling row
+    times sqrt(k + 1/2), so every block holds the bytes of its rows of the
+    whole table.
+
+    The blocks serve products ``block @ v`` with one BLAS thread, which keep
+    the whole table's bytes given two facts of the BLAS build:
+
+    - OpenBLAS's ``dgemv_t`` takes the matrix rows four at a time, so with
+      ``height`` a multiple of 4 each row's product has the whole table's
+      bits; other heights (1, 2, 3 or 5) regroup some rows' sums;
+    - NumPy sends a one-row matrix times a vector to ``dot``, not ``gemv``,
+      hence the lone-row fold.
+
+    Both were measured with OpenBLAS 0.3.31 and NumPy 2.4; like every
+    byte-for-byte output, the bytes are promised per BLAS build.
+    """
+    size = k_max + 1
+    starts = list(range(0, size, height))
+    if len(starts) > 1 and size - starts[-1] == 1:
+        starts.pop()
+    stops = starts[1:] + [size]
+    rows = max(stop - start for start, stop in zip(starts, stops))
+    buffer = np.empty((rows + 3, t.size), dtype=np.float64)
+    block, (prev, cur, nxt) = buffer[:rows], buffer[rows:]
+    scale = _orthonormal_scale(k_max)
+    prev[:] = 0.0  # P_{-1}: the first step gives P_1 = t exactly
+    cur[:] = 1.0
+    for start, stop in zip(starts, stops):
+        for k in range(start, stop):
+            np.multiply(cur, scale[k], out=block[k - start])
+            if k < k_max:
+                np.multiply(t, 2 * k + 1, out=nxt)
+                nxt *= cur
+                prev *= k
+                nxt -= prev
+                nxt /= k + 1
+                prev, cur, nxt = cur, nxt, prev
+        yield slice(start, stop), block[: stop - start]
+
+
 def legendre_table(k_max: int, t: np.ndarray) -> np.ndarray:
     """Values phi_k(t_i) for k = 0..k_max, shape (k_max+1, t.size), unchecked.
 
     ``t`` is a 1-D float64 array of nodes the package made itself; points from
-    outside go through :func:`eval_phi_table`.
+    outside go through :func:`eval_phi_table`.  The table is the one block of
+    :func:`legendre_blocks` of height k_max + 1.
     """
-    table = np.empty((k_max + 1, t.size), dtype=np.float64)
-    table[0] = 1.0
-    if k_max >= 1:
-        table[1] = t
-    for k in range(1, k_max):
-        table[k + 1] = ((2 * k + 1) * t * table[k] - k * table[k - 1]) / (k + 1)
-    table *= _orthonormal_scale(k_max)[:, None]
+    ((_, table),) = legendre_blocks(k_max, t, k_max + 1)
     return table
 
 
@@ -179,12 +225,19 @@ def _legendre_value_and_derivative(G: int, x: np.ndarray) -> tuple[np.ndarray, n
     return p_cur, deriv
 
 
-@lru_cache(maxsize=None)
+#: Distinct orders whose rules :func:`gauss_rule` keeps: a run, table or sweep
+#: level uses two (its coefficients' and its metrics'), and 64 rules of the
+#: largest order accepted, 4110, hold 4.2 MB.
+_RULES_CACHED = 64
+
+
+@lru_cache(maxsize=_RULES_CACHED)
 def gauss_rule(G: int) -> QuadratureRule:
     """G-point Gauss-Legendre rule on [-1, 1].
 
     Nodes are the roots of P_G, located from Chebyshev-angle initial guesses
-    and polished by Newton iteration to 1e-14.
+    and polished by Newton iteration to 1e-14.  The latest
+    :data:`_RULES_CACHED` orders' rules are kept.
     """
     if G < 1:
         raise ValueError("G must be a positive integer")

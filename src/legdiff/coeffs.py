@@ -7,10 +7,11 @@ the composite trapezoid rule on a uniform grid, whose quadrature error acts
 as data noise.
 
 Both use one tensor projection.  A function that declares its separable form
-(``BivariateFunction.factors``) is projected axis by axis; any other is
-evaluated one row block of at most 2**18 entries (2 MiB) at a time and never
-held whole.  The error metrics take their reference's projection B from here,
-and measure in the same row blocks.
+(``BivariateFunction.factors``) is projected axis by axis, each axis's
+Legendre table made one block of degrees of at most 2**18 entries (2 MiB) at
+a time; any other is evaluated one row block of at most 2**18 entries at a
+time and never held whole.  The error metrics take their reference's
+projection B from here, and measure in the same row blocks.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .basis import QuadratureRule, composite_gauss_rule, legendre_table
+from .basis import QuadratureRule, composite_gauss_rule, legendre_blocks, legendre_table
 from .index import IndexDomain, _check_integer, pairs_mask
 
 __all__ = [
@@ -49,7 +50,8 @@ __all__ = [
 MAX_DENSE_ENTRIES = 2**22
 
 #: Entries of the one row block a tensor projection or an error measurement
-#: fills at a time (2 MiB); see :func:`_row_blocks`.
+#: fills at a time (2 MiB), see :func:`_row_blocks`, and of the one block of
+#: degrees a one-dimensional projection fills, see :func:`_degree_height`.
 _BLOCK_ENTRIES = 2**18
 
 #: Side of the largest square array within MAX_DENSE_ENTRIES (2048).
@@ -229,13 +231,30 @@ def _table_chunks(k_max: int, size: int) -> Iterator[slice]:
         yield slice(start, start + chunk)
 
 
+def _degree_height(size: int) -> int:
+    """Rows of a :func:`legendre_blocks` block on ``size`` nodes: the largest
+    multiple of 4 whose block, with a folded lone row, holds at most
+    :data:`_BLOCK_ENTRIES` entries; 4 past 52,428 nodes, where none does."""
+    return max(4, (_BLOCK_ENTRIES // size - 1) // 4 * 4)
+
+
 def _projection(values: np.ndarray, rule: QuadratureRule, k_max: int) -> np.ndarray:
-    """Quadrature projections c_k = sum_i w_i v_i phi_k(t_i) for k = 0..k_max,
-    one :func:`_table_chunks` table at a time."""
+    """Quadrature projections c_k = sum_i w_i v_i phi_k(t_i) for k = 0..k_max.
+
+    Summed over the nodes of each :func:`_table_chunks` chunk as the product
+    of its Legendre table and w v, the table made and multiplied one block of
+    :func:`_degree_height` degrees (at most 2 MiB) at a time and never held
+    whole; such blocks keep the whole table's bits (see :func:`legendre_blocks`).
+    """
     coeffs = np.zeros(k_max + 1, dtype=np.float64)
+    part = np.empty(k_max + 1, dtype=np.float64)
     wv = rule.weights * values
     for chunk in _table_chunks(k_max, len(rule)):
-        coeffs += legendre_table(k_max, rule.nodes[chunk]) @ wv[chunk]
+        nodes = rule.nodes[chunk]
+        for degrees, block in legendre_blocks(k_max, nodes, _degree_height(nodes.size)):
+            np.matmul(block, wv[chunk], out=part[degrees])
+        del block  # freed before the next chunk's buffer is made
+        coeffs += part
     return coeffs
 
 

@@ -54,14 +54,41 @@ _F2_SCALE = 43940129.0
 
 
 def _f1_factor(t: np.ndarray) -> np.ndarray:
-    """Piecewise degree-8 factor of F1; branches join at 0 up to order 6."""
+    """Piecewise degree-8 factor of F1; branches join at 0 up to order 6.
+
+    The closed form common + (neg where t < 0 else pos), with
+
+        common = -(t**2) / 8 + t**4 / 12 - t**5 / 20,
+        neg = t**7 / 42 - 3 t**8 / 224,    pos = t**7 / 45 - t**8 / 80,
+
+    each operation as written, in four arrays of t's shape.  Fresh
+    temporaries for every operation would free 400 KB blocks at table2's
+    50,001 nodes, letting the heap shrink, so that the next Legendre block
+    buffer faults in again.
+    """
     t = np.asarray(t, dtype=np.float64)
-    t7 = t**7
-    t8 = t**8
-    common = -(t**2) / 8.0 + t**4 / 12.0 - t**5 / 20.0
-    neg = t7 / 42.0 - 3.0 * t8 / 224.0
-    pos = t7 / 45.0 - t8 / 80.0
-    return common + np.where(t < 0.0, neg, pos)
+    pos, t8, neg, work = (np.empty_like(t) for _ in range(4))  # arrays also for 0-d t
+    np.power(t, 7, out=pos)
+    np.power(t, 8, out=t8)
+    np.divide(pos, 42.0, out=neg)
+    np.multiply(t8, 3.0, out=work)
+    work /= 224.0
+    neg -= work
+    pos /= 45.0
+    t8 /= 80.0
+    pos -= t8
+    np.copyto(pos, neg, where=t < 0.0)
+    common = np.square(t, out=neg)
+    np.negative(common, out=common)
+    common /= 8.0
+    np.power(t, 4, out=work)
+    work /= 12.0
+    common += work
+    np.power(t, 5, out=work)
+    work /= 20.0
+    common -= work
+    pos += common
+    return pos[()]
 
 
 def _f1_factor_d2(t: np.ndarray) -> np.ndarray:

@@ -93,7 +93,67 @@ class TestLegendreTable:
             )
 
 
+def _legendre_table_formula(k_max, t):
+    """The table as first written: each row from the formula's temporaries,
+    then every row scaled at once."""
+    table = np.empty((k_max + 1, t.size))
+    table[0] = 1.0
+    if k_max >= 1:
+        table[1] = t
+    for k in range(1, k_max):
+        table[k + 1] = ((2 * k + 1) * t * table[k] - k * table[k - 1]) / (k + 1)
+    table *= np.sqrt(np.arange(k_max + 1) + 0.5)[:, None]
+    return table
+
+
+_NODE_SETS = {
+    "one node": np.array([0.3]),
+    "signed zeros and ends": np.array([-1.0, -0.0, 0.0, 1.0]),
+    "uniform 201": np.linspace(-1.0, 1.0, 201),
+    "gauss 96 split at 0": composite_gauss_rule(96, (-1.0, 0.0, 1.0)).nodes,
+}
+
+
+class TestLegendreBlocks:
+    """The in-place recurrence keeps the formula's bytes, whole or in blocks."""
+
+    @pytest.mark.parametrize("name", list(_NODE_SETS))
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 5, 30, 297])
+    def test_table_has_the_formula_bytes(self, name, k_max):
+        t = _NODE_SETS[name]
+        assert np.array_equal(legendre_table(k_max, t), _legendre_table_formula(k_max, t))
+
+    @pytest.mark.parametrize("k_max", [0, 1, 4, 5, 8, 24, 31])
+    @pytest.mark.parametrize("height", [1, 3, 4, 8])
+    def test_blocks_hold_the_table_rows(self, k_max, height):
+        t = _NODE_SETS["gauss 96 split at 0"]
+        table = legendre_table(k_max, t)
+        blocks = [(degrees, block.copy()) for degrees, block in basis.legendre_blocks(k_max, t, height)]
+        stops = [degrees.stop for degrees, _ in blocks]
+        assert [degrees.start for degrees, _ in blocks] == [0] + stops[:-1]
+        assert stops[-1] == k_max + 1
+        sizes = [degrees.stop - degrees.start for degrees, _ in blocks]
+        assert sizes[:-1] == [height] * (len(sizes) - 1)
+        # a lone last row joins the block before it
+        assert sizes[-1] <= height + 1 and (sizes[-1] > 1 or k_max == 0)
+        for degrees, block in blocks:
+            assert np.array_equal(block, table[degrees])
+
+    def test_blocks_share_one_buffer(self):
+        t = np.linspace(-1.0, 1.0, 11)
+        addresses = {
+            block.__array_interface__["data"][0] for _, block in basis.legendre_blocks(40, t, 8)
+        }
+        assert len(addresses) == 1
+
+
 class TestGaussRule:
+    def test_cache_keeps_at_most_its_bound(self):
+        for G in range(1, basis._RULES_CACHED + 10):
+            gauss_rule(G)
+        assert gauss_rule.cache_info().currsize == basis._RULES_CACHED
+        assert gauss_rule.cache_info().maxsize == basis._RULES_CACHED
+
     def test_one_point_rule_is_midpoint(self):
         rule = gauss_rule(1)
         np.testing.assert_allclose(rule.nodes, [0.0], atol=1e-15)

@@ -388,9 +388,9 @@ class TestProjection:
 
 
     def test_chunk_table_is_bounded_at_the_largest_degree(self):
-        # At k_max = 2047 a chunk is 2**22 // 2048 = 2048 nodes, so its table
-        # holds 2**22 entries (32 MiB); one table of all 4097 nodes would
-        # hold 64 MiB.
+        # At k_max = 2047 a chunk is 2**22 // 2048 = 2048 nodes, whose table
+        # would hold 2**22 entries (32 MiB); it is made one block of at most
+        # 2**18 entries (2 MiB) at a time.
         k_max = 2047
         rule = coeffs_module._trapezoid_rule(2.0 / 4096)
         values = np.ones(len(rule))
@@ -401,11 +401,56 @@ class TestProjection:
         finally:
             tracemalloc.stop()
         chunk = 2**22 // (k_max + 1)
-        # The table plus a few chunk-length temporaries and length-(k_max + 1)
-        # vectors of the recurrence and the sum.
-        assert peak <= 8 * (chunk * (k_max + 1) + 8 * chunk + 8 * (k_max + 1))
+        # One block and the three rolling rows of the recurrence, w v, and the
+        # length-(k_max + 1) vectors of the scales, the sum and its parts.
+        bound = 8 * (coeffs_module._BLOCK_ENTRIES + 3 * chunk + len(rule) + 3 * (k_max + 1))
+        assert peak <= bound, (peak, bound)
         # Chunking only regroups the sum: phi_0 gets the rule's total weight.
         assert got[0] == pytest.approx(2.0 * np.sqrt(0.5), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "k_max, size",
+        [(k, n) for k in range(40) for n in (1, 2, 5, 201, 5001)]
+        + [(k, 1204) for k in (63, 64, 65, 66, 127, 297)]
+        + [(k, 20001) for k in (12, 23, 36)]  # blocks of 12; 12 and 36 end in a lone row
+        + [(k, 50001) for k in (0, 1, 8, 24, 30)]  # blocks of 4; 8 and 24 end in a lone row
+        + [(2047, 4097)],  # three node chunks
+    )
+    def test_projection_has_the_unblocked_bytes(self, k_max, size):
+        """Degree blocks keep every bit of the chunk tables' products."""
+        rng = np.random.default_rng(size + k_max)
+        if size > 20:
+            rule = coeffs_module._trapezoid_rule(2.0 / (size - 1))
+        else:
+            rule = QuadratureRule(np.sort(rng.uniform(-1.0, 1.0, size)), rng.uniform(0.1, 1.0, size))
+        values = rng.normal(size=size)
+        wv = rule.weights * values
+        want = np.zeros(k_max + 1)
+        for chunk in coeffs_module._table_chunks(k_max, size):
+            want += legendre_table(k_max, rule.nodes[chunk]) @ wv[chunk]
+        assert np.array_equal(coeffs_module._projection(values, rule, k_max), want)
+
+    def test_f1_trapezoid_projection_is_bounded_by_one_block(self):
+        """trapezoid_coeffs(F1, 4e-5, 30, 30) on N = 50,001 nodes per axis
+        allocates, at its peak, at most 8 bytes times:
+
+        - 4 N: the rule's nodes and weights, F1's factor at the nodes, and w v;
+        - one degree block of at most _BLOCK_ENTRIES entries and the three
+          rolling rows (3 N) of the recurrence;
+        - 4096 entries for the length-31 vectors and the 31 x 31 outer product.
+
+        About 4.9 MB; a whole 31 x N table would be 12.4 MB alone.
+        """
+        N = 50001
+        tracemalloc.start()
+        try:
+            field = trapezoid_coeffs(F1, 4e-5, 30, 30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 8 * (4 * N + coeffs_module._BLOCK_ENTRIES + 3 * N + 4096)
+        assert peak <= bound, (peak, bound)
+        assert field.values.shape == (31, 31)
 
 
 class TestRowBlocks:

@@ -175,6 +175,8 @@ _FACTOR_NODE_SETS = {
     **{f"trapezoid h={h!r}": _trapezoid_rule(h).nodes for h in get_preset("table2").hs},
     "gauss split at 0": composite_gauss_rule(96, (-1.0, 0.0, 1.0)).nodes,
     "0 and +-1": np.array([0.0, -1.0, 1.0]),
+    "0-d": np.array(-0.3),
+    "2-D": np.add.outer(np.linspace(-1.0, 1.0, 7), np.linspace(-0.5, 0.5, 9)) / 1.5,
 }
 
 
@@ -184,7 +186,9 @@ class TestF1FactorBits:
     @pytest.mark.parametrize("name", list(_FACTOR_NODE_SETS))
     def test_factor_matches_per_branch_form(self, name):
         nodes = _FACTOR_NODE_SETS[name]
-        assert np.array_equal(_f1_factor(nodes), _f1_factor_oracle(nodes))
+        got = _f1_factor(nodes)
+        assert np.shape(got) == nodes.shape
+        assert np.array_equal(got, _f1_factor_oracle(nodes))
         assert np.array_equal(_f1_factor_d2(nodes), _f1_factor_d2_oracle(nodes))
 
 
