@@ -6,13 +6,15 @@ Values come from the stable three-term recurrence
 
     P_{k+1}(t) = ((2k+1) t P_k(t) - k P_{k-1}(t)) / (k+1),
 
-and every series evaluation on a tensor grid is the product ``left @ right``
-of the two factors :func:`grid_factors` makes from the axes' tables
-(:func:`grid_product` multiplies them out; the error metrics multiply them one
-block of rows at a time).  The factors are dense, ``table_t.T @ coeffs`` and
-``table_tau``, or, once the dense product needs at least 2**22 multiply-adds
-and a given exactly zero corner of the coefficients makes it cheaper, one
-low-rank pair past that corner (a derived hyperbolic-cross series carries one).
+run in one place (:func:`_legendre_rows`) for the tables and the Gauss rule
+alike.  Every series evaluation on a tensor grid is the product
+``left @ right`` of the two factors :func:`grid_factors` makes from the axes'
+tables (:func:`grid_product` multiplies them out; the error metrics multiply
+them one block of rows at a time).  The factors are dense,
+``table_t.T @ coeffs`` and ``table_tau``, or, once the dense product needs at
+least 2**22 multiply-adds and a given exactly zero corner of the coefficients
+makes it cheaper, one low-rank pair past that corner (a derived
+hyperbolic-cross series carries one).
 A one-dimensional projection takes the table in blocks of degrees
 (:func:`legendre_blocks`), whose products with a vector keep the whole
 table's bytes under the rules stated there.
@@ -78,16 +80,35 @@ def _orthonormal_scale(k_max: int) -> np.ndarray:
     return np.sqrt(np.arange(k_max + 1, dtype=np.float64) + 0.5)
 
 
+def _legendre_rows(
+    k_max: int, t: np.ndarray, rows: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Views (P_{k-1}(t), P_k(t)) for k = 0..k_max of the three rolling rows
+    ``rows`` (3 x t.size), each valid until the next is drawn; the recurrence
+    runs in place with the operations of the formula, in its order."""
+    prev, cur, nxt = rows
+    prev[:] = 0.0  # P_{-1}: the first step gives P_1 = t exactly
+    cur[:] = 1.0
+    for k in range(k_max + 1):
+        yield prev, cur
+        if k < k_max:
+            np.multiply(t, 2 * k + 1, out=nxt)
+            nxt *= cur
+            prev *= k
+            nxt -= prev
+            nxt /= k + 1
+            prev, cur, nxt = cur, nxt, prev
+
+
 def legendre_blocks(k_max: int, t: np.ndarray, height: int) -> Iterator[tuple[slice, np.ndarray]]:
     """The rows of :func:`legendre_table` in consecutive blocks, as ``(degrees, block)``.
 
     Each block holds ``height`` rows but the last, which holds the rest; a
     lone last row joins the block before it.  ``block`` is the same memory
     for every block, and one allocation holds it and the three rolling rows
-    P_{k-1}, P_k, P_{k+1} of the recurrence, which runs with the operations
-    of the formula, in its order, in place.  Each row is the rolling row
-    times sqrt(k + 1/2), so every block holds the bytes of its rows of the
-    whole table.
+    of :func:`_legendre_rows`.  Each row is the rolling row P_k times
+    sqrt(k + 1/2), so every block holds the bytes of its rows of the whole
+    table.
 
     The blocks serve products ``block @ v`` with one BLAS thread, which keep
     the whole table's bytes given two facts of the BLAS build:
@@ -108,20 +129,11 @@ def legendre_blocks(k_max: int, t: np.ndarray, height: int) -> Iterator[tuple[sl
     stops = starts[1:] + [size]
     rows = max(stop - start for start, stop in zip(starts, stops))
     buffer = np.empty((rows + 3, t.size), dtype=np.float64)
-    block, (prev, cur, nxt) = buffer[:rows], buffer[rows:]
+    block, recurrence = buffer[:rows], _legendre_rows(k_max, t, buffer[rows:])
     scale = _orthonormal_scale(k_max)
-    prev[:] = 0.0  # P_{-1}: the first step gives P_1 = t exactly
-    cur[:] = 1.0
     for start, stop in zip(starts, stops):
-        for k in range(start, stop):
+        for k, (_, cur) in zip(range(start, stop), recurrence):
             np.multiply(cur, scale[k], out=block[k - start])
-            if k < k_max:
-                np.multiply(t, 2 * k + 1, out=nxt)
-                nxt *= cur
-                prev *= k
-                nxt -= prev
-                nxt /= k + 1
-                prev, cur, nxt = cur, nxt, prev
         yield slice(start, stop), block[: stop - start]
 
 
@@ -213,13 +225,9 @@ def eval_phi_table(k_max: int, t: np.ndarray) -> np.ndarray:
 
 
 def _legendre_value_and_derivative(G: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_G(x) and P_G'(x) via the three-term recurrence."""
-    p_prev = np.ones_like(x)
-    p_cur = x.copy()
-    for k in range(1, G):
-        p_next = ((2 * k + 1) * x * p_cur - k * p_prev) / (k + 1)
-        p_prev = p_cur
-        p_cur = p_next
+    """P_G(x) and P_G'(x), the values from :func:`_legendre_rows`."""
+    for p_prev, p_cur in _legendre_rows(G, x, np.empty((3, x.size))):
+        pass
     # P_G'(x) = G * (x P_G(x) - P_{G-1}(x)) / (x^2 - 1); nodes never reach +-1
     deriv = G * (x * p_cur - p_prev) / (x * x - 1.0)
     return p_cur, deriv

@@ -11,7 +11,7 @@ Both use one tensor projection.  A function that declares its separable form
 Legendre table made one block of degrees of at most 2**18 entries (2 MiB) at
 a time; any other is evaluated one row block of at most 2**18 entries at a
 time and never held whole.  The error metrics take their reference's
-projection B from here, and measure in the same row blocks.
+projection B and B's grid rows from here, and measure in the same row blocks.
 """
 
 from __future__ import annotations
@@ -303,26 +303,37 @@ def _axis_tables(
 
 
 def _tensor_projection(
-    f: BivariateFunction,
-    rule_t: QuadratureRule,
-    rule_tau: QuadratureRule,
-    k_max: int,
-    j_max: int,
-    tables=None,
-) -> np.ndarray:
-    """Dense coefficients c_{k,j} of the tensor-product quadrature of f*phi_k*phi_j.
+    f: BivariateFunction, rule_t: QuadratureRule, rule_tau: QuadratureRule, k_max: int, j_max: int
+) -> tuple[np.ndarray, Callable[[slice, np.ndarray], np.ndarray]]:
+    """``(B, grid)``: B the dense coefficients c_{k,j} of the tensor-product
+    quadrature of f*phi_k*phi_j, and ``grid(rows, out)`` writing B's series
+    values on the rules' grid ``rows`` into ``out``.
 
-    For separable functions the tensor rule factorizes exactly into the
-    product of the :func:`_factor_projections`.  Otherwise f is evaluated one
-    :func:`_row_blocks` block at a time (the blocks the error metrics measure
-    in, 2**18 entries) and never held whole: ``C += T_t(rows) (F W_tau
-    T_tau^T) w_t(rows)`` with the :func:`_axis_tables` of the rules, or the
-    ``tables`` given (the error metrics reuse theirs for their tail pass).
+    For separable functions the tensor rule factorizes exactly: B is
+    ``s outer(a, b)`` of the :func:`_factor_projections`, and its grid the
+    rank-1 product of their :func:`_series_values` at the nodes, made on
+    ``grid``'s first call, so a caller wanting B alone never makes them.
+    Otherwise f is evaluated one :func:`_row_blocks` block at a time (the
+    blocks the error metrics measure in, 2**18 entries) and never held whole:
+    ``B += T_t(rows) (F W_tau T_tau^T) w_t(rows)``, and B's grid is
+    ``(T_t(rows)^T B) T_tau``, both from the rules' :func:`_axis_tables`.
     """
     if f.factors is not None:
         a, b = _factor_projections(f, rule_t, rule_tau, k_max, j_max)
-        return f.factors[2] * np.outer(a, b)
-    table_tau, table_t = tables or _axis_tables(rule_t, rule_tau, k_max, j_max)
+        scale = f.factors[2]
+        coeffs = np.outer(a, b)
+        coeffs *= scale  # in place: no second array of B's size
+        nodes: list[np.ndarray] = []  # s a's values as a column, and b's as a row
+
+        def grid(rows: slice, out: np.ndarray) -> np.ndarray:
+            if not nodes:
+                column = _series_values(a, rule_t.nodes)
+                row = column if b is a else _series_values(b, rule_tau.nodes)
+                nodes.extend((scale * column[:, None], row))
+            return np.multiply(nodes[0][rows], nodes[1], out=out)
+
+        return coeffs, grid
+    table_tau, table_t = _axis_tables(rule_t, rule_tau, k_max, j_max)
     t, tau = rule_t.nodes[:, None], rule_tau.nodes[None, :]
     coeffs = np.zeros((k_max + 1, j_max + 1))
     for rows, buffer in _row_blocks(t.size, tau.size):
@@ -332,7 +343,11 @@ def _tensor_projection(
         part = np.multiply(values, rule_tau.weights, out=buffer) @ table_tau.T
         part *= rule_t.weights[rows, None]
         coeffs += table_t(rows) @ part
-    return coeffs
+
+    def grid(rows: slice, out: np.ndarray) -> np.ndarray:
+        return np.matmul(table_t(rows).T @ coeffs, table_tau, out=out)
+
+    return coeffs, grid
 
 
 def exact_coeffs(
@@ -356,7 +371,7 @@ def exact_coeffs(
         raise ValueError(
             f"quadrature order G={G} per panel is over the limit of {_MAX_GAUSS_ORDER}"
         )
-    return CoeffField.from_dense(_tensor_projection(f, *f.gauss_rules(G), k_max, j_max))
+    return CoeffField.from_dense(_tensor_projection(f, *f.gauss_rules(G), k_max, j_max)[0])
 
 
 def _trapezoid_rule(h: float) -> QuadratureRule:
@@ -390,7 +405,7 @@ def trapezoid_coeffs(
     """
     _check_degrees(k_max, j_max)
     rule = _trapezoid_rule(h)
-    return CoeffField.from_dense(_tensor_projection(f, rule, rule, k_max, j_max))
+    return CoeffField.from_dense(_tensor_projection(f, rule, rule, k_max, j_max)[0])
 
 
 def smoothness_norm(field: CoeffField, s: float, mu: float) -> float:

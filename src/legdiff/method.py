@@ -25,7 +25,7 @@ from itertools import islice
 import numpy as np
 
 from .basis import eval_phi_table, grid_product
-from .coeffs import MAX_DENSE_ENTRIES, CoeffField, _read_only
+from .coeffs import MAX_DENSE_ENTRIES, CoeffField, _BLOCK_ENTRIES, _read_only
 from .derivative import DerivativeExpansion
 from .index import IndexDomain, _check_integer
 
@@ -39,10 +39,6 @@ __all__ = [
     "run_many",
     "evaluate",
 ]
-
-
-#: Coefficients one chunk of :func:`run_many` stacks at most; see its docstring.
-_STACK_ENTRIES = 2**18
 
 
 class ConfigError(ValueError):
@@ -271,9 +267,10 @@ def run_many(fields: Iterable[CoeffField], config: MethodConfig) -> Iterator[App
     the domain's corner less r, which the map leaves zero (None on the box).
 
     The fields are read lazily, a chunk at a time, and a chunk holds at most
-    ``_STACK_ENTRIES`` = 2^18 coefficients (2 MiB), or one field where a
-    field alone holds more, fixed before its stack is allocated: 272 fields
-    at side 31, 2 at n = 300.  So memory does not grow with the number of
+    :data:`~legdiff.coeffs._BLOCK_ENTRIES` = 2^18 coefficients (2 MiB, the
+    projections' and metrics' block budget), or one field where a field
+    alone holds more, fixed before its stack is allocated: 272 fields at
+    side 31, 2 at n = 300.  So memory does not grow with the number of
     fields, and a chunk's own arrays (the fields, the stack, the map's
     temporaries and the derived stack) stay within a few times 2 MiB.
     """
@@ -283,7 +280,7 @@ def run_many(fields: Iterable[CoeffField], config: MethodConfig) -> Iterator[App
     expansion = DerivativeExpansion(config.r, side - 1)
     corner = domain.zero_corner()
     derived_corner = None if corner is None else (corner[0] - config.r, corner[1] - config.r)
-    per_map = max(1, _STACK_ENTRIES // side**2)
+    per_map = max(1, _BLOCK_ENTRIES // side**2)
     fields = iter(fields)
     while len(stack := _restricted_stack(list(islice(fields, per_map)), mask)):
         # The restriction zero-filled the corner, so it goes unscanned.

@@ -31,22 +31,22 @@ The square-mean error has two forms, chosen by that same block size:
   the basis phi_k phi_j, which the Gauss rule holds orthonormal up to
   rounding, so the squared error is ||C - B||^2 + tail: B is the reference's
   projection onto the series' index block, the one
-  :func:`~legdiff.coeffs.exact_coeffs` makes (for a reference without
-  ``factors``, over the same 2**18-entry row blocks), and tail the weighted
-  square sum of the reference minus B's grid.  Both depend on the reference
-  and the degree only, so the grid keeps them for its latest coefficient
-  shape, and each further seed costs one reduction over the K x J
-  coefficients (0.1-0.3 ms at n = 300, against 5-9 ms for the grid sum);
-  another shape at the same order is projected again on the same grid.
-  The first call per (reference, degree) evaluates the reference one row
-  block at a time and never holds it whole: once, for the tail, with
-  declared ``factors`` (about 15-19 ms at n = 300), and twice without
-  (about 60-80 ms; both timed with one BLAS thread on a 2-vCPU Xeon).  Its
-  peak allocation (tracemalloc) is that of B, one table and a few row
-  blocks: 5.1 MB at n = 300 with factors and 10.3 MB without, 32 MB for a
-  side-998 series, where the whole Gauss grid would be 11.6 MB, 11.6 MB and
-  128 MB.  An F1'' reference last measured at n = 2048 holds a 32 MiB
-  projection and the grid's rules, not the 512 MiB grid.
+  :func:`~legdiff.coeffs.exact_coeffs` makes, and tail the weighted square
+  sum of the reference minus B's grid, which
+  :func:`~legdiff.coeffs._tensor_projection` hands over with B.  Both
+  depend on the reference and the degree only, so the grid keeps them for
+  its latest coefficient shape, and each further seed costs one reduction
+  over the K x J coefficients (0.1-0.3 ms at n = 300, against 5-9 ms for
+  the grid sum); another shape at the same order is projected again on the
+  same grid.  The first call per (reference, degree) evaluates the
+  reference one row block at a time and never holds it whole: about 15-20
+  ms at n = 300 with declared ``factors`` and 60-85 ms without (one BLAS
+  thread, 2-vCPU Xeon).  Its peak allocation (tracemalloc) is that of B,
+  one Legendre table and a few row blocks: 5.7 MB at n = 300 with factors
+  and 10.5 MB without, 42 MB for a side-998 series with factors, where the
+  whole Gauss grid would be 11.6 MB, 11.6 MB and 128 MB.  An F1'' reference
+  last measured at n = 2048 holds a 32 MiB projection and the grid's rules,
+  not the 512 MiB grid.
 
 Both forms give the same number up to rounding and the orthonormality defect
 T W T^T - I of the float64 tables and weights (about 2e-14 at degree 297,
@@ -72,10 +72,7 @@ from .coeffs import (
     BivariateFunction,
     _BLOCK_ENTRIES,
     _MAX_SIDE,
-    _axis_tables,
-    _factor_projections,
     _row_blocks,
-    _series_values,
     _tensor_projection,
 )
 from .index import _check_integer
@@ -184,46 +181,22 @@ class _Grid:
     ) -> tuple[np.ndarray, float]:
         """The reference's projection B onto this index block and its remainder.
 
-        B is ``(T_t W_t) F (W_tau T_tau^T)`` for the reference's values F on
-        the grid's rules, as :mod:`legdiff.coeffs` projects it, and ``tail``
-        the weighted square sum of F minus B's grid.  Both are kept for the
+        B is :func:`~legdiff.coeffs._tensor_projection`'s on the grid's rules,
+        and ``tail`` the weighted square sum of the reference F minus B's
+        grid, which that projection hands over with B.  Both are kept for the
         latest shape; another shape is projected anew on the same grid.  F is
         evaluated one row block at a time, elementwise as the whole grid
-        would be, and never held whole.  With declared ``factors`` (ft, gtau,
-        s), B is ``s outer(a, b)`` of the one-dimensional
-        :func:`~legdiff.coeffs._factor_projections`, B's grid is rank 1 from
-        their node values, and F is evaluated once, in the tail pass; without
-        them B is :func:`~legdiff.coeffs._tensor_projection`'s, whose tables
-        the tail pass reuses, and F is evaluated twice.
+        would be, and never held whole.
         """
         if self.projection is not None and self.projection[0].shape == shape:
             return self.projection
         self.projection = None  # dropped before the next is built
-        degrees = (shape[0] - 1, shape[1] - 1)
+        projection, grid = _tensor_projection(reference, *self.rules, shape[0] - 1, shape[1] - 1)
 
         def values(rows: slice) -> np.ndarray:
             return reference.value(self.t[rows, None], self.tau[None, :])
 
-        if reference.factors is not None:
-            a, b = _factor_projections(reference, *self.rules, *degrees)
-            column = _series_values(a, self.t)
-            row = column if b is a else _series_values(b, self.tau)
-            scale = reference.factors[2]
-            column = scale * column[:, None]
-            projection = scale * np.outer(a, b)  # after the node values and their tables
-            tail = self.square_sum(
-                self.remainders(lambda rows, out: np.multiply(column[rows], row, out=out), values)
-            )
-        else:
-            tables = table_tau, table_t = _axis_tables(*self.rules, *degrees)
-            projection = _tensor_projection(reference, *self.rules, *degrees, tables)
-
-            def product(rows: slice, out: np.ndarray) -> np.ndarray:
-                # Each block's left factor is made per block, never all N_t x J.
-                return np.matmul(table_t(rows).T @ projection, table_tau, out=out)
-
-            tail = self.square_sum(self.remainders(product, values))
-        self.projection = projection, tail
+        self.projection = projection, self.square_sum(self.remainders(grid, values))
         return self.projection
 
 

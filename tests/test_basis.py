@@ -209,6 +209,42 @@ class TestGaussRule:
         assert np.max(np.abs(gram - np.eye(41))) < 1e-10
 
 
+def _allocating_gauss_rule(G):
+    """The Gauss rule as computed before the Newton step shared the table's
+    in-place recurrence: a fresh array per step of the three-term formula."""
+
+    def value_and_derivative(x):
+        p_prev = np.ones_like(x)
+        p_cur = x.copy()
+        for k in range(1, G):
+            p_next = ((2 * k + 1) * x * p_cur - k * p_prev) / (k + 1)
+            p_prev = p_cur
+            p_cur = p_next
+        return p_cur, G * (x * p_cur - p_prev) / (x * x - 1.0)
+
+    x = np.cos(np.pi * (np.arange(G, dtype=np.float64) + 0.75) / (G + 0.5))
+    for _ in range(basis._NEWTON_MAX_ITER):
+        value, deriv = value_and_derivative(x)
+        dx = value / deriv
+        x -= dx
+        if np.max(np.abs(dx)) < basis._NEWTON_TOL:
+            break
+    _, deriv = value_and_derivative(x)
+    w = 2.0 / ((1.0 - x * x) * deriv * deriv)
+    order = np.argsort(x)
+    x, w = x[order], w[order]
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+
+
+class TestOneRecurrence:
+    # Every order up to 129, and larger ones up to the largest the metrics accept.
+    @pytest.mark.parametrize("G", [*range(1, 130), 202, 416, 602, 614, 1040, 4102])
+    def test_gauss_rule_has_the_allocating_loops_bytes(self, G):
+        nodes, weights = _allocating_gauss_rule(G)
+        rule = gauss_rule(G)
+        assert np.array_equal(rule.nodes, nodes) and np.array_equal(rule.weights, weights)
+
+
 class TestQuadratureRule:
     def test_rejects_nodes_and_weights_of_unequal_length(self):
         with pytest.raises(ValueError, match="equal length"):

@@ -1,8 +1,12 @@
 """Coefficient fields: production, storage, norms, and I/O."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -505,6 +509,40 @@ class TestRowBlocks:
         )
         assert peak <= bound, (peak, bound)
         assert field.values[1, 1] == pytest.approx(2.0 / 3.0, rel=1e-6)
+
+
+_EXP_BYTES = """
+import hashlib
+import numpy as np
+from legdiff.coeffs import BivariateFunction, exact_coeffs, trapezoid_coeffs
+f = BivariateFunction(value=lambda t, tau: np.exp(t * tau))
+for field in exact_coeffs(f, 99, 99), trapezoid_coeffs(f, 4e-3, 23, 23):
+    print(hashlib.md5(field.values.tobytes()).hexdigest())
+"""
+
+
+class TestRecordedBytes:
+    def test_projections_without_factors_keep_their_bytes(self):
+        """exact_coeffs(exp(t tau), 99, 99) and trapezoid_coeffs(exp(t tau),
+        4e-3, 23, 23) keep the md5 of the bytes recorded with one BLAS thread,
+        before the tensor projection handed back B's grid.  Their row blocks'
+        products regroup with more threads, so a one-thread child computes them.
+        """
+        src = str(Path(coeffs_module.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS="1",
+            OMP_NUM_THREADS="1",
+            PYTHONPATH=src if not path else src + os.pathsep + path,
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", _EXP_BYTES], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.split() == [
+            "389573615f0589c1a3c36ab60e13acbd",
+            "494de7bd82a3988ad7d59b38bbe22062",
+        ]
 
 
 class TestTrapezoidCoeffs:

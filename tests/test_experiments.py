@@ -429,7 +429,7 @@ class TestStackedSeeds:
         n, r = 300, 2
         config = MethodConfig(r=r, mu=5.5, delta=1e-8, n_override=n)
         side = n
-        k = max(1, method._STACK_ENTRIES // side**2)
+        k = max(1, method._BLOCK_ENTRIES // side**2)
         assert k == 2
         a, b = config.domain().zero_corner()
         base = exact_coeffs(F1, n - 1, n - 1, G=2 * (n - 1) + 16)

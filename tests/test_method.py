@@ -510,7 +510,7 @@ class TestRunMany:
     def test_an_overflowing_field_raises_what_run_raises(self, monkeypatch, entries):
         # differentiate --r 80 --n 400 on F2 overflows the same way.
         if entries is not None:
-            monkeypatch.setattr(method, "_STACK_ENTRIES", entries)
+            monkeypatch.setattr(method, "_BLOCK_ENTRIES", entries)
         config = MethodConfig(r=80, mu=200.0, delta=0.0, n_override=400)
         side = config.domain().mask().shape[0]
         zeros = CoeffField.from_dense(np.zeros((side, side)))
@@ -529,7 +529,7 @@ class TestRunMany:
         # where a field alone holds more.
         config = MethodConfig(r=2, mu=9.0, delta=0.0, n_override=n)
         side = config.domain().mask().shape[0]
-        assert per_map == max(1, method._STACK_ENTRIES // side**2)
+        assert per_map == max(1, method._BLOCK_ENTRIES // side**2)
         stacks = []
         step = derivative._step
 

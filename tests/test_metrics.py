@@ -672,6 +672,38 @@ def _nan_above(t, cut=0.9):
     return np.where(np.asarray(t) > cut, np.nan, 1.0)
 
 
+class TestRecordedErrors:
+    """Coefficient-space square-mean errors equal the floats recorded, with one
+    BLAS thread, before the tensor projection handed the metrics B's grid.
+
+    The large cross's setting (n = 300, mu = 5.5, delta = 1e-10, order 602),
+    with and without F1''s declared factors, and F2'' without them at
+    n = 130, whose own order (262, one row block) is raised to 600 so that
+    it is measured in coefficient space.  Each holds with two threads too.
+    """
+
+    @pytest.mark.parametrize(
+        "function, n, seed, G, declared, recorded",
+        [
+            (F1, 300, 0, 602, True, 1.600686587737463),
+            (F1, 300, 31, 602, True, 1.1485055948366896),
+            (F1, 300, 0, 602, False, 1.600686587737463),
+            (F2, 130, 0, 600, False, 0.03457295759177155),
+        ],
+        ids=["f1_n300_seed0", "f1_n300_seed31", "f1_n300_seed0_general", "f2_n130_general"],
+    )
+    def test_l2_error_keeps_its_bytes(self, function, n, seed, G, declared, recorded):
+        config = MethodConfig(r=2, mu=5.5, delta=1e-10, n_override=n)
+        base = exact_coeffs(function, n - 1, n - 1, G=2 * (n - 1) + 16).restrict(config.domain())
+        approx = run(perturb(base, NoiseSpec(kind="gaussian", delta=1e-10, seed=seed)), config)
+        reference = function.derivative_function()
+        if not declared:
+            reference = dataclasses.replace(reference, factors=None)
+        assert l2_error(approx, reference, G) == recorded
+        grid = metrics._GRIDS[reference]["gauss"]
+        assert grid.values is None and grid.projection is not None
+
+
 class TestCoefficientSpace:
     """On a Gauss grid of several row blocks, l2_error is ||C - B||^2 + tail."""
 
@@ -753,7 +785,7 @@ class TestCoefficientSpace:
         grid = metrics._GRIDS[reference]["gauss"]
         assert (grid.rules[1] is grid.rules[0]) == (tau_breakpoints is None)
         K, J = approx.series.coeffs.shape
-        expected = coeffs._tensor_projection(reference, *grid.rules, K - 1, J - 1)
+        expected, _ = coeffs._tensor_projection(reference, *grid.rules, K - 1, J - 1)
         assert np.array_equal(grid.projection[0], expected)
 
     @pytest.mark.parametrize("declared", [False, True], ids=["general", "factors"])
