@@ -9,8 +9,8 @@ Values come from the stable three-term recurrence
 run in one place (:func:`_legendre_rows`) for the tables and the Gauss rule
 alike.  Every series evaluation on a tensor grid is the product
 ``left @ right`` of the two factors :func:`grid_factors` makes from the axes'
-tables (:func:`grid_product` multiplies them out; the error metrics multiply
-them one block of rows at a time).  The factors are dense,
+tables (the error metrics and a projection's grid multiply them one block of
+rows at a time).  The factors are dense,
 ``table_t.T @ coeffs`` and ``table_tau``, or, once the dense product needs at
 least 2**22 multiply-adds and a given exactly zero corner of the coefficients
 makes it cheaper, one low-rank pair past that corner (a derived
@@ -191,19 +191,6 @@ def grid_factors(
             right = np.concatenate((coeffs[:a] @ table_tau, table_tau[:b]))
             return left, right
     return table_t.T @ coeffs, table_tau
-
-
-def grid_product(
-    table_t: np.ndarray, coeffs: np.ndarray, table_tau: np.ndarray, corner=None
-) -> np.ndarray:
-    """Series values on a tensor grid from its axes' Legendre tables, a fresh array.
-
-    The product ``left @ right`` of :func:`grid_factors`, so the dense branch
-    is ``table_t.T @ coeffs @ table_tau`` and every grid evaluation follows
-    the one product order fixed there.
-    """
-    left, right = grid_factors(table_t, coeffs, table_tau, corner)
-    return left @ right
 
 
 def _check_in_domain(t: np.ndarray) -> None:

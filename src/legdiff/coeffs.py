@@ -26,7 +26,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .basis import QuadratureRule, composite_gauss_rule, legendre_blocks, legendre_table
+from .basis import (
+    QuadratureRule, composite_gauss_rule, grid_factors, legendre_blocks, legendre_table
+)
 from .index import IndexDomain, _check_integer, pairs_mask
 
 __all__ = [
@@ -42,9 +44,9 @@ __all__ = [
 
 # Largest dense coefficient array a run or a coefficient file may need, in
 # float64 entries: 2**22 entries is 32 MiB, and a run holds a few arrays of
-# that size (error metrics on a reference with interior breakpoints evaluate
-# a grid just over 16 times the limit: 8196 x 8196, 16.02 times, for F1 at
-# n = 2048).  The cross fits up to n = 2048 and the box up
+# that size.  The error metrics hold no larger grid: a Gauss grid of at most
+# 2**18 entries (a larger one is measured in coefficient space) or a uniform
+# grid of at most 2047 x 2047.  The cross fits up to n = 2048 and the box up
 # to n = 2047; with p = s and mu >= 4.6 the rule exceeds that only for
 # delta < 1e-15.  Larger sizes are rejected before anything is allocated.
 MAX_DENSE_ENTRIES = 2**22
@@ -315,8 +317,9 @@ def _tensor_projection(
     ``grid``'s first call, so a caller wanting B alone never makes them.
     Otherwise f is evaluated one :func:`_row_blocks` block at a time (the
     blocks the error metrics measure in, 2**18 entries) and never held whole:
-    ``B += T_t(rows) (F W_tau T_tau^T) w_t(rows)``, and B's grid is
-    ``(T_t(rows)^T B) T_tau``, both from the rules' :func:`_axis_tables`.
+    ``B += T_t(rows) (F W_tau T_tau^T) w_t(rows)``, and B's grid is the
+    product of :func:`~legdiff.basis.grid_factors`' dense pair
+    ``(T_t(rows)^T B, T_tau)``, both from the rules' :func:`_axis_tables`.
     """
     if f.factors is not None:
         a, b = _factor_projections(f, rule_t, rule_tau, k_max, j_max)
@@ -345,7 +348,7 @@ def _tensor_projection(
         coeffs += table_t(rows) @ part
 
     def grid(rows: slice, out: np.ndarray) -> np.ndarray:
-        return np.matmul(table_t(rows).T @ coeffs, table_tau, out=out)
+        return np.matmul(*grid_factors(table_t(rows), coeffs, table_tau), out=out)
 
     return coeffs, grid
 

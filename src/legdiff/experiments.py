@@ -191,10 +191,10 @@ class ExperimentPreset:
     ``preset.s`` and so on: ``coeff_G`` floors the base coefficients' Gauss
     order (see :func:`exact_coeffs`), ``default_seeds`` counts gaussian
     seeds, and ``metric_G``/``metric_m`` only name ``DEFAULT_G`` and
-    ``DEFAULT_M``, which :func:`error_report` measures every run with.
+    ``DEFAULT_M``, which :func:`error_report` measures every run with.  The
+    key :func:`get_preset` looks a preset up by is its only name.
     """
 
-    name: str
     function: BivariateFunction
     noise: str  # "gaussian" | "trapezoid"
     deltas: tuple[float, ...]
@@ -228,7 +228,6 @@ _TABLE2_H1 = 2.0 / 17241.0
 
 _PRESETS = {
     "table1": ExperimentPreset(
-        name="table1",
         function=F1,
         noise="gaussian",
         deltas=(1e-6, 1e-7, 1e-8),
@@ -237,7 +236,6 @@ _PRESETS = {
         mu=5.5,
     ),
     "table2": ExperimentPreset(
-        name="table2",
         function=F1,
         noise="trapezoid",
         deltas=(1e-6, 1e-7, 1e-8),
@@ -246,7 +244,6 @@ _PRESETS = {
         mu=5.5,
     ),
     "table3": ExperimentPreset(
-        name="table3",
         function=F2,
         noise="trapezoid",
         deltas=(1e-6, 1e-7, 1e-8),

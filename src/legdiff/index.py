@@ -26,9 +26,6 @@ import numpy as np
 
 __all__ = ["IndexDomain", "pairs_mask"]
 
-#: Distinct domains whose row tops, zero corner and cardinality :class:`IndexDomain` keeps.
-_DOMAINS_CACHED = 256
-
 #: Distinct domains whose membership mask :class:`IndexDomain` keeps: a mask
 #: has side**2 bytes, so at most 32 MiB at n = 2048.
 _MASKS_CACHED = 8
@@ -106,18 +103,14 @@ class IndexDomain:
         """Full square {(k, j): r <= k, j <= n}."""
         return cls(shape="box", r=r, n=n)
 
-    @lru_cache(maxsize=_DOMAINS_CACHED)
     def _tops(self) -> np.ndarray:
-        """Read-only, cached tops of rows k = r..side-1: row k holds j = r..top."""
+        """Tops of rows k = r..side-1: row k holds j = r..top."""
         if self.shape == "box":
-            tops = np.full(self.n - self.r + 1, self.n)
-        else:  # at r = 0 the budget is -1: max(k, 1) gives row 0 top -1 too
-            k = np.arange(self.r, self.n)
-            tops = np.minimum(self.n - 1, (self.r * self.n - 1) // np.maximum(k, 1))
-        tops.flags.writeable = False
-        return tops
+            return np.full(self.n - self.r + 1, self.n)
+        # at r = 0 the budget is -1: max(k, 1) gives row 0 top -1 too
+        k = np.arange(self.r, self.n)
+        return np.minimum(self.n - 1, (self.r * self.n - 1) // np.maximum(k, 1))
 
-    @lru_cache(maxsize=_DOMAINS_CACHED)
     def zero_corner(self) -> tuple[int, int] | None:
         """A corner (a, b) of the mask holding no member: k >= a, j >= b.
 
@@ -126,7 +119,7 @@ class IndexDomain:
         ``side*(a + b) - a*b``.  Row a is the widest row at or below a, so b
         is its top plus one; on a cross with r >= 1 both a and b exceed r.
         None when every candidate reaches b = side, as on the box and on a
-        cross too small to have one; cached by value.
+        cross too small to have one.
         """
         tops = self._tops()
         side = self.r + tops.size
@@ -151,8 +144,8 @@ class IndexDomain:
     def mask(self) -> np.ndarray:
         """Boolean membership array of shape ``max_degree() + 1`` per axis.
 
-        Read-only and cached by value, as the row tops are: every call on an
-        equal domain returns the same array while it stays in the cache.
+        Read-only and cached by value: every call on an equal domain returns
+        the same array while it stays in the cache.
         """
         tops = self._tops()
         side = self.r + tops.size
@@ -161,9 +154,8 @@ class IndexDomain:
         mask.flags.writeable = False
         return mask
 
-    @lru_cache(maxsize=_DOMAINS_CACHED)
     def cardinality(self) -> int:
-        """Number of pairs, computed without materializing them; cached by value."""
+        """Number of pairs, computed without materializing them."""
         return int(np.maximum(self._tops() - self.r + 1, 0).sum())
 
     def max_degree(self) -> tuple[int, int]:

@@ -24,7 +24,7 @@ from itertools import islice
 
 import numpy as np
 
-from .basis import eval_phi_table, grid_product
+from .basis import eval_phi_table, grid_factors
 from .coeffs import MAX_DENSE_ENTRIES, CoeffField, _BLOCK_ENTRIES, _read_only
 from .derivative import DerivativeExpansion
 from .index import IndexDomain, _check_integer
@@ -150,10 +150,14 @@ class LegendreSeries2D:
         return series
 
     def eval_grid(self, t: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        """Series values on the tensor grid t x tau, shape (len(t), len(tau))."""
-        table_t = eval_phi_table(self.coeffs.shape[0] - 1, t)
-        table_tau = eval_phi_table(self.coeffs.shape[1] - 1, tau)
-        return grid_product(table_t, self.coeffs, table_tau, self.zero_corner)
+        """Series values on the tensor grid t x tau, shape (len(t), len(tau)), the
+        product of :func:`~legdiff.basis.grid_factors`' pair; one table serves
+        both axes when ``tau is t`` and the degrees agree."""
+        K, J = self.coeffs.shape
+        table_t = eval_phi_table(K - 1, t)
+        table_tau = table_t if tau is t and J == K else eval_phi_table(J - 1, tau)
+        left, right = grid_factors(table_t, self.coeffs, table_tau, self.zero_corner)
+        return left @ right
 
     def eval_points(self, t: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Series values at paired points (t_i, tau_i)."""

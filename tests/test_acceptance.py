@@ -37,6 +37,7 @@ from legdiff.derivative import phi_derivative_coeffs
 from legdiff.experiments import F2, convergence_sweep, get_preset, run_table
 from legdiff.index import IndexDomain
 from legdiff.method import MethodConfig, evaluate, run
+from legdiff.metrics import l2_error
 from legdiff.noise import NoiseSpec, noise_vector
 
 from oracles import from_entries
@@ -171,6 +172,24 @@ class TestTable1Reproduction:
                 "within a factor of about 2.8, which suggests the reference "
                 "rows were produced with noise applied before normalization."
             )
+
+    def test_noiseless_errors_lie_below_the_pins(self):
+        """Without noise the method's error at each row (4.046e-5, 2.645e-5,
+        2.909e-6) lies below its pin: the truncation part agrees with the pins,
+        which narrows the known-red failure above down to the noise model.  It
+        rules no noise model in."""
+        preset = get_preset("table1")
+        degree = max(preset.ns) - 1
+        base = exact_coeffs(preset.function, degree, degree, G=preset.coeff_G)
+        reference = preset.function.derivative_function()
+        errors = []
+        for delta, n in zip(preset.deltas, preset.ns):
+            config = MethodConfig(
+                r=preset.r, mu=preset.mu, delta=delta, s=preset.s, p=preset.p, n_override=n
+            )
+            approx = run(base.restrict(config.domain()), config)
+            errors.append(l2_error(approx, reference, preset.metric_G))
+        assert all(e < t for e, t in zip(errors, self.L2_TARGETS)), (errors, self.L2_TARGETS)
 
 
 # --------------------------------------------------------------------------

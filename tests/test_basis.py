@@ -15,7 +15,7 @@ from legdiff.basis import (
     composite_gauss_rule,
     eval_phi_table,
     gauss_rule,
-    grid_product,
+    grid_factors,
     legendre_table,
 )
 from legdiff.coeffs import exact_coeffs
@@ -308,6 +308,12 @@ def _rounding_bound(table_t, coeffs, table_tau, split) -> np.ndarray:
     return np.finfo(np.float64).eps * (max(coeffs.shape) + a + b) * size
 
 
+def _grid(table_t, coeffs, table_tau, corner=None) -> np.ndarray:
+    """The grid product ``left @ right`` of :func:`grid_factors`' pair."""
+    left, right = grid_factors(table_t, coeffs, table_tau, corner)
+    return left @ right
+
+
 class TestGridProduct:
     @pytest.fixture(scope="class")
     def cross_300(self):
@@ -322,7 +328,7 @@ class TestGridProduct:
         series, table_t, table_tau = cross_300
         coeffs = series.coeffs
         assert series.zero_corner == (22, 23)
-        values = grid_product(table_t, coeffs, table_tau, (22, 23))
+        values = _grid(table_t, coeffs, table_tau, (22, 23))
         rows = np.r_[0:1204:29, 1203]  # both ends and a spread of interior nodes
         cols = np.r_[0:1204:31, 1203]
         sub_t, sub_tau = table_t[:, rows], table_tau[:, cols]
@@ -337,7 +343,7 @@ class TestGridProduct:
         assert corner == (14, 15)
         table = legendre_table(coeffs.shape[0] - 1, np.linspace(-1.0, 1.0, 201))
         assert 201 * coeffs.size + 201 * coeffs.shape[1] * 201 >= 2**22  # factorized
-        error = np.abs(grid_product(table, coeffs, table, corner) - _oracle(table, coeffs, table))
+        error = np.abs(_grid(table, coeffs, table, corner) - _oracle(table, coeffs, table))
         assert np.all(error <= _rounding_bound(table, coeffs, table, corner))
 
     @pytest.mark.parametrize(
@@ -350,7 +356,7 @@ class TestGridProduct:
         table = legendre_table(coeffs.shape[0] - 1, np.linspace(-1.0, 1.0, nodes))
         assert nodes * coeffs.size + nodes * coeffs.shape[1] * nodes < 2**22
         assert (
-            grid_product(table, coeffs, table, series.zero_corner).tobytes()
+            _grid(table, coeffs, table, series.zero_corner).tobytes()
             == (table.T @ coeffs @ table).tobytes()
         )
 
@@ -360,7 +366,7 @@ class TestGridProduct:
         K, J = coeffs.shape
         assert not coeffs[K - 1 :, J - 1 :].any()  # a zero corner, but too small to pay
         assert (
-            grid_product(table_t, coeffs, table_tau, (K - 1, J - 1)).tobytes()
+            _grid(table_t, coeffs, table_tau, (K - 1, J - 1)).tobytes()
             == (table_t.T @ coeffs @ table_tau).tobytes()
         )
 
@@ -368,7 +374,7 @@ class TestGridProduct:
         rng = np.random.default_rng(5)
         coeffs = rng.standard_normal((60, 60))
         table = legendre_table(59, np.linspace(-1.0, 1.0, 301))
-        assert grid_product(table, coeffs, table).tobytes() == (table.T @ coeffs @ table).tobytes()
+        assert _grid(table, coeffs, table).tobytes() == (table.T @ coeffs @ table).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -390,7 +396,7 @@ class TestGridProduct:
         table_t = legendre_table(K - 1, rng.uniform(-1.0, 1.0, n_t))
         table_tau = legendre_table(J - 1, rng.uniform(-1.0, 1.0, n_tau))
         with mock.patch.object(basis, "_FACTOR_MIN_MULADDS", 0):
-            values = grid_product(table_t, coeffs, table_tau, corner)
+            values = _grid(table_t, coeffs, table_tau, corner)
         dense = table_t.T @ coeffs @ table_tau
         muladds = n_t * n_tau * sum(corner) + n_t * (K - a) * widths[a] + a * J * n_tau
         if muladds >= n_t * K * J + n_t * J * n_tau:

@@ -61,6 +61,81 @@ def no_rules(monkeypatch):
     monkeypatch.setattr(np, "linspace", refuse)
 
 
+def _child_stdout(script: str, threads: int = 1) -> str:
+    """The stdout of ``python -c script`` run with ``threads`` BLAS threads, this
+    checkout's legdiff and the tests directory on its path."""
+    src = str(Path(coeffs_module.__file__).resolve().parents[1])
+    paths = [src, str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH")]
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS=str(threads),
+        OMP_NUM_THREADS=str(threads),
+        PYTHONPATH=os.pathsep.join(filter(None, paths)),
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stdout
+
+
+#: (k_max, size) of the projections held to the unblocked chunk tables' bytes.
+_UNBLOCKED_CASES = (
+    [(k, n) for k in range(40) for n in (1, 2, 5, 201, 5001)]
+    + [(k, 1204) for k in (63, 64, 65, 66, 127, 297)]
+    + [(k, 20001) for k in (12, 23, 36)]  # blocks of 12; 12 and 36 end in a lone row
+    + [(k, 50001) for k in (0, 1, 8, 24, 30)]  # blocks of 4; 8 and 24 end in a lone row
+    + [(2047, 4097)]  # three node chunks
+)
+
+
+def _projection_case(k_max: int, size: int) -> tuple[QuadratureRule, np.ndarray]:
+    """The rule and values a projection case projects: a trapezoid rule past
+    20 nodes, else random nodes and weights."""
+    rng = np.random.default_rng(size + k_max)
+    if size > 20:
+        rule = coeffs_module._trapezoid_rule(2.0 / (size - 1))
+    else:
+        rule = QuadratureRule(np.sort(rng.uniform(-1.0, 1.0, size)), rng.uniform(0.1, 1.0, size))
+    return rule, rng.normal(size=size)
+
+
+def _unblocked_projection(k_max: int, size: int) -> np.ndarray:
+    """A case's projection as each chunk's whole Legendre table times w v."""
+    rule, values = _projection_case(k_max, size)
+    wv = rule.weights * values
+    want = np.zeros(k_max + 1)
+    for chunk in coeffs_module._table_chunks(k_max, size):
+        want += legendre_table(k_max, rule.nodes[chunk]) @ wv[chunk]
+    return want
+
+
+@pytest.fixture(scope="module")
+def one_thread_projections() -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+    """Every case's ``_projection`` and :func:`_unblocked_projection`, from one
+    one-thread child.
+
+    The degree blocks keep the whole tables' bytes with one BLAS thread (see
+    ``basis.legendre_blocks``).  With more, OpenBLAS splits a whole chunk
+    table's ``dgemv_t`` by thread (k_max = 36 on 20,001 nodes, 24 on 50,001),
+    and a one-row table's ``ddot`` too (k_max = 0 on 50,001 nodes), so both
+    sides are computed where the bytes are promised.
+    """
+    script = (
+        "from test_coeffs import _UNBLOCKED_CASES, _projection_case, _unblocked_projection\n"
+        "from legdiff.coeffs import _projection\n"
+        "for k_max, size in _UNBLOCKED_CASES:\n"
+        "    rule, values = _projection_case(k_max, size)\n"
+        "    got = _projection(values, rule, k_max)\n"
+        "    print(got.tobytes().hex(), _unblocked_projection(k_max, size).tobytes().hex())\n"
+    )
+    lines = _child_stdout(script).splitlines()
+    assert len(lines) == len(_UNBLOCKED_CASES)
+    return {
+        case: tuple(np.frombuffer(bytes.fromhex(word)) for word in line.split())
+        for case, line in zip(_UNBLOCKED_CASES, lines)
+    }
+
+
 class TestCoeffField:
     def test_missing_entries_are_zero(self):
         field = from_entries({(2, 3): 1.5})
@@ -412,27 +487,26 @@ class TestProjection:
         # Chunking only regroups the sum: phi_0 gets the rule's total weight.
         assert got[0] == pytest.approx(2.0 * np.sqrt(0.5), rel=1e-14)
 
-    @pytest.mark.parametrize(
-        "k_max, size",
-        [(k, n) for k in range(40) for n in (1, 2, 5, 201, 5001)]
-        + [(k, 1204) for k in (63, 64, 65, 66, 127, 297)]
-        + [(k, 20001) for k in (12, 23, 36)]  # blocks of 12; 12 and 36 end in a lone row
-        + [(k, 50001) for k in (0, 1, 8, 24, 30)]  # blocks of 4; 8 and 24 end in a lone row
-        + [(2047, 4097)],  # three node chunks
-    )
-    def test_projection_has_the_unblocked_bytes(self, k_max, size):
+    @pytest.mark.parametrize("k_max, size", _UNBLOCKED_CASES)
+    def test_projection_has_the_unblocked_bytes(self, one_thread_projections, k_max, size):
         """Degree blocks keep every bit of the chunk tables' products."""
-        rng = np.random.default_rng(size + k_max)
-        if size > 20:
-            rule = coeffs_module._trapezoid_rule(2.0 / (size - 1))
-        else:
-            rule = QuadratureRule(np.sort(rng.uniform(-1.0, 1.0, size)), rng.uniform(0.1, 1.0, size))
-        values = rng.normal(size=size)
-        wv = rule.weights * values
-        want = np.zeros(k_max + 1)
-        for chunk in coeffs_module._table_chunks(k_max, size):
-            want += legendre_table(k_max, rule.nodes[chunk]) @ wv[chunk]
-        assert np.array_equal(coeffs_module._projection(values, rule, k_max), want)
+        got, want = one_thread_projections[k_max, size]
+        assert got.size == k_max + 1
+        assert np.array_equal(got, want)
+
+    def test_projection_bytes_do_not_move_with_the_thread_count(self):
+        """The two cases whose whole chunk tables' products differ between one
+        and two BLAS threads give the same projection bytes at both."""
+        script = (
+            "from test_coeffs import _projection_case\n"
+            "from legdiff.coeffs import _projection\n"
+            "for k_max, size in (36, 20001), (24, 50001):\n"
+            "    rule, values = _projection_case(k_max, size)\n"
+            "    print(_projection(values, rule, k_max).tobytes().hex())\n"
+        )
+        one, two = (_child_stdout(script, threads) for threads in (1, 2))
+        assert len(one.split()) == 2
+        assert one == two
 
     def test_f1_trapezoid_projection_is_bounded_by_one_block(self):
         """trapezoid_coeffs(F1, 4e-5, 30, 30) on N = 50,001 nodes per axis
@@ -528,18 +602,7 @@ class TestRecordedBytes:
         before the tensor projection handed back B's grid.  Their row blocks'
         products regroup with more threads, so a one-thread child computes them.
         """
-        src = str(Path(coeffs_module.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(
-            os.environ,
-            OPENBLAS_NUM_THREADS="1",
-            OMP_NUM_THREADS="1",
-            PYTHONPATH=src if not path else src + os.pathsep + path,
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", _EXP_BYTES], env=env, capture_output=True, text=True, check=True
-        )
-        assert result.stdout.split() == [
+        assert _child_stdout(_EXP_BYTES).split() == [
             "389573615f0589c1a3c36ab60e13acbd",
             "494de7bd82a3988ad7d59b38bbe22062",
         ]

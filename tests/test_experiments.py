@@ -222,28 +222,28 @@ class TestPresets:
     def test_rejects_unknown_noise(self):
         with pytest.raises(ValueError, match="noise"):
             ExperimentPreset(
-                name="x", function=F1, noise="uniform",
+                function=F1, noise="uniform",
                 deltas=(1e-6,), ns=(5,), hs=None,
             )
 
     def test_rejects_level_count_mismatch(self):
         with pytest.raises(ValueError):
             ExperimentPreset(
-                name="x", function=F1, noise="gaussian",
+                function=F1, noise="gaussian",
                 deltas=(1e-6, 1e-7), ns=(5,), hs=None,
             )
 
     def test_trapezoid_needs_steps(self):
         with pytest.raises(ValueError):
             ExperimentPreset(
-                name="x", function=F1, noise="trapezoid",
+                function=F1, noise="trapezoid",
                 deltas=(1e-6,), ns=(5,), hs=None,
             )
 
     def test_gaussian_rejects_steps(self):
         with pytest.raises(ValueError):
             ExperimentPreset(
-                name="x", function=F1, noise="gaussian",
+                function=F1, noise="gaussian",
                 deltas=(1e-6,), ns=(5,), hs=(1e-4,),
             )
 
@@ -253,7 +253,7 @@ class TestPresets:
         # constant 2 and not a constructor field: no preset can carry another r.
         with pytest.raises(TypeError, match="'r'"):
             ExperimentPreset(
-                name="x", function=F1, noise="gaussian",
+                function=F1, noise="gaussian",
                 deltas=(1e-6,), ns=(5,), hs=None, r=r,
             )
         assert ExperimentPreset.r == 2
@@ -268,7 +268,7 @@ class TestPresets:
         # constants (or what error_report measures with) and no caller can set them.
         with pytest.raises(TypeError, match=f"'{name}'"):
             ExperimentPreset(
-                name="x", function=F1, noise="gaussian",
+                function=F1, noise="gaussian",
                 deltas=(1e-6,), ns=(5,), hs=None, **{name: value},
             )
         if name.startswith("metric_"):
@@ -280,7 +280,7 @@ class TestPresets:
 
 def _tiny_gaussian_preset():
     return ExperimentPreset(
-        name="tiny", function=F1, noise="gaussian",
+        function=F1, noise="gaussian",
         deltas=(1e-4,), ns=(4,), hs=None, mu=5.5,
     )
 
@@ -288,7 +288,7 @@ def _tiny_gaussian_preset():
 class TestRunTable:
     def test_empty_preset_yields_header_only_csv(self):
         preset = ExperimentPreset(
-            name="empty", function=F1, noise="gaussian",
+            function=F1, noise="gaussian",
             deltas=(), ns=(), hs=None,
         )
         rows = run_table(preset)
@@ -334,7 +334,7 @@ class TestRunTable:
 
     def test_float_repr_in_csv(self):
         preset = ExperimentPreset(
-            name="tiny6", function=F1, noise="gaussian",
+            function=F1, noise="gaussian",
             deltas=(1e-6,), ns=(4,), hs=None, mu=5.5,
         )
         text = rows_to_csv(run_table(preset, seeds=1))
@@ -342,7 +342,7 @@ class TestRunTable:
 
     def test_trapezoid_rows_have_empty_seed(self):
         preset = ExperimentPreset(
-            name="tinytrap", function=F2, noise="trapezoid",
+            function=F2, noise="trapezoid",
             deltas=(1e-4,), ns=(4,), hs=(1e-2,), mu=6.0,
         )
         rows = run_table(preset)
@@ -468,7 +468,7 @@ class TestReferenceEvaluations:
     def test_run_table_evaluates_reference_once_per_grid(self, seeds):
         function, calls = _counting_f1()
         preset = ExperimentPreset(
-            name="counted", function=function, noise="gaussian",
+            function=function, noise="gaussian",
             deltas=(1e-4, 1e-5), ns=(4, 6), hs=None, mu=5.5,
         )
         rows = run_table(preset, seeds=seeds)
@@ -479,7 +479,7 @@ class TestReferenceEvaluations:
     def test_trapezoid_table_evaluates_reference_once_per_grid(self):
         function, calls = _counting_f1()
         preset = ExperimentPreset(
-            name="counted", function=function, noise="trapezoid",
+            function=function, noise="trapezoid",
             deltas=(1e-4, 1e-5, 1e-6), ns=(4, 5, 6), hs=(1e-2, 5e-3, 4e-3),
             mu=5.5,
         )
@@ -548,7 +548,7 @@ class TestRunTableMetricFloor:
     )
     def test_rows_past_n_47_use_the_floor(self, noise, hs):
         preset = ExperimentPreset(
-            name="x", function=F1, noise=noise, deltas=(1e-9,), ns=(60,), hs=hs
+            function=F1, noise=noise, deltas=(1e-9,), ns=(60,), hs=hs
         )
         rows = run_table(preset, seeds=1)
         config = MethodConfig(r=2, mu=5.5, delta=1e-9, n_override=60)
@@ -571,7 +571,7 @@ class TestRunTableMetricFloor:
 
     def test_gaussian_base_past_n_96_uses_the_coefficient_floor(self):
         preset = ExperimentPreset(
-            name="x", function=F1, noise="gaussian", deltas=(1e-9,), ns=(120,), hs=None
+            function=F1, noise="gaussian", deltas=(1e-9,), ns=(120,), hs=None
         )
         rows = run_table(preset, seeds=1)
         config = MethodConfig(r=2, mu=5.5, delta=1e-9, n_override=120)

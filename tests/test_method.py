@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from legdiff import derivative, method
+from legdiff import basis, derivative, method
 from legdiff.basis import legendre_table
 from legdiff.coeffs import MAX_DENSE_ENTRIES, CoeffField
 from legdiff.derivative import DerivativeExpansion
@@ -702,6 +702,23 @@ class TestZeroCorner:
             LegendreSeries2D(coeffs).eval_grid(grid, grid).tobytes()
             == (table.T @ coeffs @ table).tobytes()
         )
+
+    @pytest.mark.parametrize("nodes", [41, 401])  # dense, factorized past (22, 23)
+    def test_one_grid_for_both_axes_builds_one_table(self, derived_300, monkeypatch, nodes):
+        degrees = []
+
+        def counted(k_max, t):
+            degrees.append(k_max)
+            return legendre_table(k_max, t)
+
+        grid = np.linspace(-1.0, 1.0, nodes)
+        apart = derived_300.eval_grid(grid, grid.copy())
+        monkeypatch.setattr(basis, "legendre_table", counted)
+        assert derived_300.eval_grid(grid, grid).tobytes() == apart.tobytes()
+        assert degrees == [297]
+        # Unequal degrees need both tables, even on one grid.
+        LegendreSeries2D(derived_300.coeffs[:, :-1]).eval_grid(grid, grid)
+        assert degrees == [297, 297, 296]
 
 
 class TestEvaluate:

@@ -9,8 +9,8 @@ import weakref
 import numpy as np
 import pytest
 
-from legdiff import basis, coeffs, metrics
-from legdiff.basis import composite_gauss_rule, grid_factors, grid_product, legendre_table
+from legdiff import basis, coeffs, method, metrics
+from legdiff.basis import composite_gauss_rule, grid_factors, legendre_table
 from legdiff.coeffs import BivariateFunction, CoeffField, exact_coeffs
 from legdiff.experiments import F1, F2, ExperimentPreset, run_table
 from legdiff.method import ApproxDerivative, LegendreSeries2D, MethodConfig, run
@@ -444,7 +444,7 @@ class TestGridStore:
 
     def test_run_table_keeps_no_grids(self):
         preset = ExperimentPreset(
-            name="tiny", function=F1, noise="gaussian",
+            function=F1, noise="gaussian",
             deltas=(1e-4,), ns=(4,), hs=None, mu=5.5,
         )
         gc.collect()
@@ -504,9 +504,9 @@ def test_grid_products_receive_the_derived_corner(monkeypatch):
         corners.append(corner)
         return grid_factors(table_t, coeffs, table_tau, corner)
 
-    # The metrics call grid_factors directly, eval_grid through grid_product.
-    monkeypatch.setattr(metrics, "grid_factors", spy)
-    monkeypatch.setattr(basis, "grid_factors", spy)
+    # Every grid product takes its factors from grid_factors, imported by name.
+    for module in (coeffs, method, metrics):
+        monkeypatch.setattr(module, "grid_factors", spy)
     reference = F1.derivative_function()
     # On its 1204-node Gauss grid the L2 error is taken in coefficient space:
     # neither the first call nor a warm one makes a grid product.
@@ -526,7 +526,8 @@ def _unblocked_diff(series, t, tau, values):
     coeffs, corner = series.coeffs, series.zero_corner
     table_t = legendre_table(coeffs.shape[0] - 1, t)
     table_tau = legendre_table(coeffs.shape[1] - 1, tau)
-    diff = grid_product(table_t, coeffs, table_tau, corner) - values
+    left, right = grid_factors(table_t, coeffs, table_tau, corner)
+    diff = left @ right - values
     a, b = corner or (0, 0)
     size = np.abs(table_t).T @ np.abs(coeffs) @ np.abs(table_tau)
     return diff, np.finfo(np.float64).eps * (max(coeffs.shape) + a + b) * size
