@@ -18,7 +18,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .basis import eval_phi_table
-from .coeffs import MAX_DENSE_ENTRIES, exact_coeffs, load_csv
+from .coeffs import _check_entries, exact_coeffs, load_csv
 from .derivative import phi_derivative_coeffs
 from .experiments import (
     BUILTIN_NAMES,
@@ -92,15 +92,6 @@ def _delta_range(text: str) -> tuple[float, ...]:
 
 class UsageError(Exception):
     """A flag combination the command refuses before reading any data (exit 2)."""
-
-
-def _check_table(rows: int, grid: int) -> None:
-    """Refuse a rows x grid evaluation table before it is allocated."""
-    if rows * grid > MAX_DENSE_ENTRIES:
-        raise UsageError(
-            f"--grid {grid} needs a {rows}x{grid} evaluation table, "
-            f"over the limit of {MAX_DENSE_ENTRIES} entries"
-        )
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -235,7 +226,7 @@ def cmd_differentiate(args: argparse.Namespace) -> int:
         raise UsageError("--constant feeds the parameter rule, which --n bypasses")
     if args.n is not None and args.delta is not None and args.noise == "none":
         raise UsageError("--delta with --n applies to noisy runs only, not --noise none")
-    _check_table(args.grid, args.grid)
+    _check_entries(f"--grid {args.grid}", args.grid, args.grid, "evaluation table", UsageError)
     n = config.resolve_n()
     print(f"n={n}", file=sys.stderr)
     domain = config.domain()
@@ -245,13 +236,8 @@ def cmd_differentiate(args: argparse.Namespace) -> int:
     else:
         function = None
         base = load_csv(args.coeffs)
-    field = base.restrict(domain)
-    if args.noise != "none":
-        field = perturb(
-            field,
-            NoiseSpec(kind=args.noise, delta=delta, p=args.p, seed=args.seed or 0),
-        )
-    approx = run(field, config)
+    noise = NoiseSpec(kind=args.noise, delta=delta, p=args.p, seed=args.seed or 0)
+    approx = run(perturb(base.restrict(domain), noise), config)
 
     grid = np.linspace(-1.0, 1.0, args.grid)
     values = _finite(lambda: approx.series.eval_grid(grid, grid))
@@ -302,7 +288,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
-    _check_table(args.k + 1, args.grid)
+    _check_entries(f"--grid {args.grid}", args.k + 1, args.grid, "evaluation table", UsageError)
     coeffs = phi_derivative_coeffs(args.k, args.r)
     grid = np.linspace(-1.0, 1.0, args.grid)
     if coeffs.size == 0:

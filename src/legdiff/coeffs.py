@@ -48,7 +48,9 @@ __all__ = [
 # 2**18 entries (a larger one is measured in coefficient space) or a uniform
 # grid of at most 2047 x 2047.  The cross fits up to n = 2048 and the box up
 # to n = 2047; with p = s and mu >= 4.6 the rule exceeds that only for
-# delta < 1e-15.  Larger sizes are rejected before anything is allocated.
+# delta < 1e-15.  Larger sizes are rejected before anything is allocated;
+# :func:`_check_entries` makes every such check for every module, all but
+# the trapezoid rule's node count (see :func:`_trapezoid_rule`).
 MAX_DENSE_ENTRIES = 2**22
 
 #: Entries of the one row block a tensor projection or an error measurement
@@ -76,10 +78,10 @@ class CoeffField:
     """Coefficient array with a stored-entry mask, (k, j) -> <f, phi_k phi_j>.
 
     ``values`` (float64) and ``stored`` (bool) are read-only arrays of the
-    same shape (k_max + 1, j_max + 1); entries that are not stored are
-    exactly zero.  The row-major order of ``stored`` is the lexicographic
-    (k, j) order, the canonical one for anything consuming entries
-    sequentially (noise draws, CSV rows).
+    same shape, a row per degree k and a column per degree j; entries that
+    are not stored are exactly zero.  The row-major order of ``stored`` is
+    the lexicographic (k, j) order, the canonical one for anything consuming
+    entries sequentially (noise draws, CSV rows).
     """
 
     values: np.ndarray
@@ -96,14 +98,6 @@ class CoeffField:
             )
         object.__setattr__(self, "values", _read_only(values))
         object.__setattr__(self, "stored", _read_only(stored))
-
-    @property
-    def k_max(self) -> int:
-        return self.values.shape[0] - 1
-
-    @property
-    def j_max(self) -> int:
-        return self.values.shape[1] - 1
 
     @classmethod
     def from_dense(cls, array: np.ndarray) -> "CoeffField":
@@ -214,15 +208,32 @@ class BivariateFunction:
         return rule_t, rule_tau
 
 
+def _check_entries(
+    subject: str, rows: int, cols: int, kind: str, error: type[Exception] = ValueError
+) -> None:
+    """Refuse a rows x cols ``kind`` over :data:`MAX_DENSE_ENTRIES` with ``error``,
+    before it is allocated: "<subject> needs a <rows>x<cols> <kind>, over the limit
+    of ... entries".  Every dense array the package refuses by size is refused here."""
+    if rows * cols > MAX_DENSE_ENTRIES:
+        raise error(
+            f"{subject} needs a {rows}x{cols} {kind}, "
+            f"over the limit of {MAX_DENSE_ENTRIES} entries"
+        )
+
+
+def _check_gauss_order(G: int, limit: int) -> None:
+    """Refuse a Gauss order per panel above ``limit`` before its rule is built."""
+    if G > limit:
+        raise ValueError(f"quadrature order G={G} per panel is over the limit of {limit}")
+
+
 def _check_degrees(k_max: int, j_max: int) -> None:
     """Refuse degree bounds that are negative or whose array exceeds the limit."""
     if k_max < 0 or j_max < 0:
         raise ValueError("degree bounds must be nonnegative")
-    if (k_max + 1) * (j_max + 1) > MAX_DENSE_ENTRIES:
-        raise ValueError(
-            f"degrees ({k_max}, {j_max}) need a {k_max + 1}x{j_max + 1} coefficient "
-            f"array, over the limit of {MAX_DENSE_ENTRIES} entries"
-        )
+    _check_entries(
+        f"degree pair ({k_max}, {j_max})", k_max + 1, j_max + 1, "coefficient array"
+    )
 
 
 def _table_chunks(k_max: int, size: int) -> Iterator[slice]:
@@ -370,10 +381,7 @@ def exact_coeffs(
     _check_degrees(k_max, j_max)
     floor = 2 * max(k_max, j_max) + 16
     G = floor if G is None else max(G, floor)
-    if G > _MAX_GAUSS_ORDER:
-        raise ValueError(
-            f"quadrature order G={G} per panel is over the limit of {_MAX_GAUSS_ORDER}"
-        )
+    _check_gauss_order(G, _MAX_GAUSS_ORDER)
     return CoeffField.from_dense(_tensor_projection(f, *f.gauss_rules(G), k_max, j_max)[0])
 
 
@@ -526,12 +534,9 @@ def _scan_rows(text: str) -> CoeffField:
         js.append(j)
         vs.append(v)
     shape = (max(ks, default=0) + 1, max(js, default=0) + 1)
-    if shape[0] * shape[1] > MAX_DENSE_ENTRIES:
-        raise ValueError(
-            f"indices up to ({shape[0] - 1},{shape[1] - 1}) need a "
-            f"{shape[0]}x{shape[1]} coefficient array, over the limit of "
-            f"{MAX_DENSE_ENTRIES} entries"
-        )
+    _check_entries(
+        f"index range up to ({shape[0] - 1},{shape[1] - 1})", *shape, "coefficient array"
+    )
     return _field_from_rows(shape, ks, js, vs)
 
 

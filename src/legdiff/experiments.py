@@ -183,20 +183,21 @@ def builtin_function(name: str) -> BivariateFunction:
 class ExperimentPreset:
     """A fully pinned experiment: function, noise mechanism, and per-row settings.
 
-    A preset sets only its data: ``function``, ``noise`` ("gaussian", raw
-    delta-scaled normals on reference coefficients, or "trapezoid",
-    coefficients recomputed by the trapezoid rule with the per-row step
-    ``hs``), the per-row ``deltas`` and levels ``ns``, and ``mu``.  Every
-    table is measured alike, so the rest are class constants, read as
-    ``preset.s`` and so on: ``coeff_G`` floors the base coefficients' Gauss
-    order (see :func:`exact_coeffs`), ``default_seeds`` counts gaussian
-    seeds, and ``metric_G``/``metric_m`` only name ``DEFAULT_G`` and
-    ``DEFAULT_M``, which :func:`error_report` measures every run with.  The
-    key :func:`get_preset` looks a preset up by is its only name.
+    A preset sets only its data: ``function``, the per-row ``deltas``,
+    levels ``ns`` and trapezoid steps ``hs``, and ``mu``.  Its noise
+    mechanism, :attr:`noise`, follows from ``hs``: "gaussian" (raw
+    delta-scaled normals on reference coefficients) without steps, else
+    "trapezoid" (coefficients recomputed by the trapezoid rule with the
+    row's step).  Every table is measured alike, so the rest are class
+    constants, read as ``preset.s`` and so on: ``coeff_G`` floors the base
+    coefficients' Gauss order (see :func:`exact_coeffs`), ``default_seeds``
+    counts gaussian seeds, and ``metric_G``/``metric_m`` only name
+    ``DEFAULT_G`` and ``DEFAULT_M``, which :func:`error_report` measures
+    every run with.  The key :func:`get_preset` looks a preset up by is its
+    only name.
     """
 
     function: BivariateFunction
-    noise: str  # "gaussian" | "trapezoid"
     deltas: tuple[float, ...]
     ns: tuple[int, ...]
     hs: tuple[float, ...] | None
@@ -210,15 +211,15 @@ class ExperimentPreset:
     default_seeds: ClassVar[int] = 20
 
     def __post_init__(self) -> None:
-        if self.noise not in ("gaussian", "trapezoid"):
-            raise ValueError(f"unknown noise mechanism {self.noise!r}")
         if len(self.ns) != len(self.deltas):
             raise ValueError("ns must pair one truncation level with each delta")
-        if self.noise == "trapezoid":
-            if self.hs is None or len(self.hs) != len(self.deltas):
-                raise ValueError("trapezoid presets need one grid step per delta")
-        elif self.hs is not None:
-            raise ValueError("hs applies to trapezoid presets only")
+        if self.hs is not None and len(self.hs) != len(self.deltas):
+            raise ValueError("trapezoid presets need one grid step per delta")
+
+    @property
+    def noise(self) -> str:
+        """The noise mechanism: "gaussian" exactly when ``hs`` is None, else "trapezoid"."""
+        return "gaussian" if self.hs is None else "trapezoid"
 
 
 # The quoted step 1.16e-4 of the first table2 row does not tile [-1, 1] into
@@ -229,7 +230,6 @@ _TABLE2_H1 = 2.0 / 17241.0
 _PRESETS = {
     "table1": ExperimentPreset(
         function=F1,
-        noise="gaussian",
         deltas=(1e-6, 1e-7, 1e-8),
         ns=(19, 24, 31),
         hs=None,
@@ -237,7 +237,6 @@ _PRESETS = {
     ),
     "table2": ExperimentPreset(
         function=F1,
-        noise="trapezoid",
         deltas=(1e-6, 1e-7, 1e-8),
         ns=(19, 24, 31),
         hs=(_TABLE2_H1, 8e-5, 4e-5),
@@ -245,7 +244,6 @@ _PRESETS = {
     ),
     "table3": ExperimentPreset(
         function=F2,
-        noise="trapezoid",
         deltas=(1e-6, 1e-7, 1e-8),
         ns=(11, 18, 25),
         hs=(4e-4, 1e-4, 4e-5),

@@ -25,7 +25,7 @@ from itertools import islice
 import numpy as np
 
 from .basis import eval_phi_table, grid_factors
-from .coeffs import MAX_DENSE_ENTRIES, CoeffField, _BLOCK_ENTRIES, _read_only
+from .coeffs import CoeffField, _BLOCK_ENTRIES, _check_entries, _read_only
 from .derivative import DerivativeExpansion
 from .index import IndexDomain, _check_integer
 
@@ -55,7 +55,7 @@ class MethodConfig:
     advisory and exposed as :attr:`satisfies_sup_hypothesis`.  delta = 0 is
     allowed only together with ``n_override`` (nothing else consumes delta
     then).  The resolved truncation level must keep the dense coefficient
-    array within :data:`MAX_DENSE_ENTRIES`.
+    array within :data:`~legdiff.coeffs.MAX_DENSE_ENTRIES`.
     """
 
     r: int
@@ -96,13 +96,11 @@ class MethodConfig:
             raise ConfigError(
                 f"smoothness mu={self.mu} violates mu > 2r - 1/s + 1/2 = {bound}"
             )
-        n = self.resolve_n()
         side = max(self.domain().max_degree()) + 1
-        if side * side > MAX_DENSE_ENTRIES:
-            raise ConfigError(
-                f"truncation level n={n} needs a dense array of {side}^2 "
-                f"coefficients, over the limit of {MAX_DENSE_ENTRIES} entries"
-            )
+        _check_entries(
+            f"truncation level n={self.resolve_n()}", side, side, "coefficient array",
+            ConfigError,
+        )
 
     @property
     def satisfies_sup_hypothesis(self) -> bool:
@@ -249,12 +247,10 @@ def run(field_perturbed: CoeffField, config: MethodConfig) -> ApproxDerivative:
     left block and the top block outside it, so its work follows the
     staircase, not n^2: the restriction zero-filled the corner, so the blocks
     go to the map unscanned.  The result keeps the dense map's bytes up to
-    the sign of exact zeros (see the :mod:`legdiff.derivative` docstring),
-    and the box, which has no zero corner, takes the dense map.  On one field
-    at the table presets' levels, r = 2, the blocks' eight steps cost about
-    40 us more than a dense map's four: the whole of run() took 96-113
-    against 55-76 us at n = 11-31 (one BLAS thread, 2-vCPU Xeon, NumPy
-    2.4.6); a table row's seeds share one map call (:func:`run_many`).
+    the sign of exact zeros (see the :mod:`legdiff.derivative` docstring).
+    The box, which has no zero corner, takes the same cover with a = b =
+    side: it keeps the dense map's bytes and pays the cover's degenerate
+    pieces.  A table row's seeds share one map call (:func:`run_many`).
     """
     return next(run_many([field_perturbed], config))
 

@@ -68,10 +68,11 @@ import numpy as np
 
 from .basis import QuadratureRule, grid_factors, legendre_table
 from .coeffs import (
-    MAX_DENSE_ENTRIES,
     BivariateFunction,
     _BLOCK_ENTRIES,
     _MAX_SIDE,
+    _check_entries,
+    _check_gauss_order,
     _row_blocks,
     _tensor_projection,
 )
@@ -239,10 +240,7 @@ def _check_m(m: int) -> None:
     _check_integer("m", m)
     if m < 3 or m % 2 == 0:
         raise ValueError(f"grid resolution m={m} must be odd and >= 3")
-    if m * m > MAX_DENSE_ENTRIES:
-        raise ValueError(
-            f"grid resolution m={m} needs {m * m} points, over the limit of {MAX_DENSE_ENTRIES}"
-        )
+    _check_entries(f"grid resolution m={m}", m, m, "evaluation grid")
 
 
 def l2_error(approx: ApproxDerivative, reference: BivariateFunction, G: int) -> float:
@@ -261,10 +259,7 @@ def l2_error(approx: ApproxDerivative, reference: BivariateFunction, G: int) -> 
     """
     _check_integer("G", G)
     order = max(G, 2 * (max(approx.series.coeffs.shape) - 1) + 8)
-    if order > _MAX_GAUSS_ORDER:
-        raise ValueError(
-            f"quadrature order G={order} per panel is over the limit of {_MAX_GAUSS_ORDER}"
-        )
+    _check_gauss_order(order, _MAX_GAUSS_ORDER)
     coeffs = approx.series.coeffs
     grid = _grid(reference, "gauss", order, _gauss)
     if grid.values is not None:

@@ -297,12 +297,22 @@ class TestDifferentiate:
         assert captured.out == ""
         assert elapsed < 1.0
 
-    def test_grid_bound_is_inclusive(self, monkeypatch, capsys):
-        monkeypatch.setattr("legdiff.cli.MAX_DENSE_ENTRIES", 9)
-        argv = ["differentiate", "--builtin", "f2", "--mu", "6", "--n", "11"]
-        assert main(argv + ["--grid", "3"]) == 0
-        assert main(argv + ["--grid", "4"]) == 2
+    def test_grid_bound_is_inclusive(self, tmp_path, monkeypatch, capsys):
+        # The one limit also bounds the coefficient file, the level and the
+        # metrics' grid; a small file at n = 11 (11x11 coefficients, no metrics)
+        # leaves the 12x12 evaluation table the largest array at 144 entries.
+        path = tmp_path / "c.csv"
+        save_csv(from_entries({(0, 0): 1.0, (4, 3): 0.5}), path)
+        monkeypatch.setattr("legdiff.coeffs.MAX_DENSE_ENTRIES", 144)
+        argv = ["differentiate", "--coeffs", str(path), "--mu", "6", "--n", "11"]
+        assert main(argv + ["--grid", "12"]) == 0
         capsys.readouterr()
+        assert main(argv + ["--grid", "13"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --grid 13 needs a 13x13 evaluation table, over the limit of 144 entries\n"
+        )
 
     def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
         missing_dir = tmp_path / "absent" / "grid.csv"
@@ -663,7 +673,7 @@ class TestBasis:
         assert elapsed < 1.0
 
     def test_table_bound_is_inclusive(self, monkeypatch, capsys):
-        monkeypatch.setattr("legdiff.cli.MAX_DENSE_ENTRIES", 12)
+        monkeypatch.setattr("legdiff.coeffs.MAX_DENSE_ENTRIES", 12)
         assert main(["basis", "--k", "3", "--grid", "3"]) == 0
         assert main(["basis", "--k", "3", "--grid", "4"]) == 2
         capsys.readouterr()

@@ -25,7 +25,10 @@ from legdiff import basis as basis_module
 from legdiff import coeffs as coeffs_module
 from legdiff.basis import QuadratureRule, composite_gauss_rule, legendre_table
 from legdiff.experiments import F1
+from legdiff.cli import main
 from legdiff.index import IndexDomain, pairs_mask
+from legdiff.method import ApproxDerivative, ConfigError, LegendreSeries2D, MethodConfig
+from legdiff.metrics import sup_error
 from legdiff.noise import NoiseSpec, perturb
 
 from oracles import from_entries
@@ -158,7 +161,7 @@ class TestCoeffField:
         assert len(sub) == 2
         assert sub.values[2, 2] == 1.0
         assert sub.values[3, 3] == 0.0
-        assert (sub.k_max, sub.j_max) == (3, 3)
+        assert sub.values.shape == (4, 4)
 
     def test_dense_round_trip(self):
         rng = np.random.default_rng(3)
@@ -194,7 +197,7 @@ class TestArrayInvariants:
         assert field.values.shape == field.stored.shape == (4, 5)
         assert field.values.dtype == np.float64
         assert field.stored.dtype == bool
-        assert (field.k_max, field.j_max) == (3, 4)
+        assert field.values.shape == (4, 5)
         assert len(field) == 1
 
     def test_from_dense_stores_every_entry(self):
@@ -215,7 +218,7 @@ class TestArrayInvariants:
             from_entries({}, k_max=0, j_max=-1)
         empty = from_entries({}, k_max=2, j_max=1)
         assert len(empty) == 0
-        assert (empty.k_max, empty.j_max) == (2, 1)
+        assert empty.values.shape == (3, 2)
 
     def test_rejects_mismatched_mask(self):
         with pytest.raises(ValueError):
@@ -229,7 +232,7 @@ class TestArrayInvariants:
             field.restrict([(1, 1, 0), (2, 2, 0)])
         empty = field.restrict([])
         assert len(empty) == 0
-        assert (empty.k_max, empty.j_max) == (0, 0)
+        assert empty.values.shape == (1, 1)
 
     def test_has_no_entries_dict(self):
         assert not hasattr(from_entries({(0, 0): 1.0}), "entries")
@@ -919,3 +922,54 @@ class TestBivariateFunction:
         np.testing.assert_array_equal(
             rule_tau.nodes, composite_gauss_rule(12, f.axis_edges()[1]).nodes
         )
+
+
+class TestOneLimit:
+    """``coeffs.MAX_DENSE_ENTRIES`` alone bounds every dense array the package
+    refuses by size, and each refusal comes before anything is allocated."""
+
+    LIMIT = 100  # 10x10 passes, 11x10 does not
+
+    @pytest.fixture
+    def limit(self, monkeypatch, no_rules):
+        monkeypatch.setattr(coeffs_module, "MAX_DENSE_ENTRIES", self.LIMIT)
+        return f"over the limit of {self.LIMIT} entries"
+
+    def test_coefficient_arrays(self, limit, tmp_path):
+        message = f"degree pair \\(10, 9\\) needs a 11x10 coefficient array, {limit}"
+        with pytest.raises(ValueError, match=message):
+            exact_coeffs(_untouchable(), 10, 9)
+        with pytest.raises(ValueError, match=message):
+            trapezoid_coeffs(_untouchable(), 0.1, 10, 9)
+        path = tmp_path / "far.csv"
+        path.write_text("0,0,1.0\n10,9,1.0\n")
+        assert _parse_rows(path.read_text()) is None  # the scanner words the refusal
+        with pytest.raises(
+            ValueError, match=f"index range up to \\(10,9\\) needs a 11x10 coefficient array, {limit}"
+        ):
+            load_csv(path)
+
+    def test_truncation_level(self, limit):
+        assert MethodConfig(r=2, mu=5.5, delta=0.0, n_override=10).resolve_n() == 10
+        with pytest.raises(ConfigError, match=f"n=11 needs a 11x11 coefficient array, {limit}"):
+            MethodConfig(r=2, mu=5.5, delta=0.0, n_override=11)
+
+    def test_uniform_error_grid(self, limit):
+        config = MethodConfig(r=2, mu=5.5, delta=0.0, n_override=3)
+        approx = ApproxDerivative(LegendreSeries2D(np.zeros((1, 1))), config)
+        with pytest.raises(ValueError, match=f"m=11 needs a 11x11 evaluation grid, {limit}"):
+            sup_error(approx, _untouchable(), m=11)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["differentiate", "--builtin", "f1", "--mu", "5.5", "--n", "6", "--grid", "11"],
+            ["basis", "--k", "10", "--grid", "11"],
+        ],
+        ids=["differentiate", "basis"],
+    )
+    def test_cli_evaluation_tables(self, limit, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --grid 11 needs a 11x11 evaluation table, {limit}\n"

@@ -148,7 +148,7 @@ class TestDifferentiateAxis:
 
     def test_zero_field_stays_zero(self):
         field = from_entries({(5, 4): 0.0, (2, 2): 0.0})
-        out = DerivativeExpansion(2, field.k_max).apply(field.values)
+        out = DerivativeExpansion(2, field.values.shape[0] - 1).apply(field.values)
         assert out.shape == (4, 5)
         np.testing.assert_array_equal(out, 0.0)
 

@@ -219,33 +219,27 @@ class TestPresets:
         with pytest.raises(ValueError, match="bogus"):
             get_preset("bogus")
 
-    def test_rejects_unknown_noise(self):
-        with pytest.raises(ValueError, match="noise"):
-            ExperimentPreset(
-                function=F1, noise="uniform",
-                deltas=(1e-6,), ns=(5,), hs=None,
-            )
-
     def test_rejects_level_count_mismatch(self):
         with pytest.raises(ValueError):
             ExperimentPreset(
-                function=F1, noise="gaussian",
+                function=F1,
                 deltas=(1e-6, 1e-7), ns=(5,), hs=None,
             )
 
-    def test_trapezoid_needs_steps(self):
-        with pytest.raises(ValueError):
-            ExperimentPreset(
-                function=F1, noise="trapezoid",
-                deltas=(1e-6,), ns=(5,), hs=None,
-            )
+    def test_noise_follows_the_steps(self):
+        gaussian = ExperimentPreset(function=F1, deltas=(1e-6,), ns=(5,), hs=None)
+        trapezoid = ExperimentPreset(function=F1, deltas=(1e-6,), ns=(5,), hs=(1e-4,))
+        assert (gaussian.noise, trapezoid.noise) == ("gaussian", "trapezoid")
+        assert [get_preset(name).noise for name in ("table1", "table2", "table3")] == [
+            "gaussian", "trapezoid", "trapezoid"
+        ]
+        with pytest.raises(TypeError, match="'noise'"):  # not a field: nothing restates hs
+            ExperimentPreset(function=F1, deltas=(1e-6,), ns=(5,), hs=None, noise="gaussian")
 
-    def test_gaussian_rejects_steps(self):
-        with pytest.raises(ValueError):
-            ExperimentPreset(
-                function=F1, noise="gaussian",
-                deltas=(1e-6,), ns=(5,), hs=(1e-4,),
-            )
+    @pytest.mark.parametrize("hs", [(), (1e-4, 1e-4)])
+    def test_rejects_step_count_mismatch(self, hs):
+        with pytest.raises(ValueError, match="one grid step per delta"):
+            ExperimentPreset(function=F1, deltas=(1e-6,), ns=(5,), hs=hs)
 
     @pytest.mark.parametrize("r", [1, 3])
     def test_rejects_r_other_than_2(self, r):
@@ -253,7 +247,7 @@ class TestPresets:
         # constant 2 and not a constructor field: no preset can carry another r.
         with pytest.raises(TypeError, match="'r'"):
             ExperimentPreset(
-                function=F1, noise="gaussian",
+                function=F1,
                 deltas=(1e-6,), ns=(5,), hs=None, r=r,
             )
         assert ExperimentPreset.r == 2
@@ -268,7 +262,7 @@ class TestPresets:
         # constants (or what error_report measures with) and no caller can set them.
         with pytest.raises(TypeError, match=f"'{name}'"):
             ExperimentPreset(
-                function=F1, noise="gaussian",
+                function=F1,
                 deltas=(1e-6,), ns=(5,), hs=None, **{name: value},
             )
         if name.startswith("metric_"):
@@ -280,7 +274,7 @@ class TestPresets:
 
 def _tiny_gaussian_preset():
     return ExperimentPreset(
-        function=F1, noise="gaussian",
+        function=F1,
         deltas=(1e-4,), ns=(4,), hs=None, mu=5.5,
     )
 
@@ -288,7 +282,7 @@ def _tiny_gaussian_preset():
 class TestRunTable:
     def test_empty_preset_yields_header_only_csv(self):
         preset = ExperimentPreset(
-            function=F1, noise="gaussian",
+            function=F1,
             deltas=(), ns=(), hs=None,
         )
         rows = run_table(preset)
@@ -334,7 +328,7 @@ class TestRunTable:
 
     def test_float_repr_in_csv(self):
         preset = ExperimentPreset(
-            function=F1, noise="gaussian",
+            function=F1,
             deltas=(1e-6,), ns=(4,), hs=None, mu=5.5,
         )
         text = rows_to_csv(run_table(preset, seeds=1))
@@ -342,7 +336,7 @@ class TestRunTable:
 
     def test_trapezoid_rows_have_empty_seed(self):
         preset = ExperimentPreset(
-            function=F2, noise="trapezoid",
+            function=F2,
             deltas=(1e-4,), ns=(4,), hs=(1e-2,), mu=6.0,
         )
         rows = run_table(preset)
@@ -468,7 +462,7 @@ class TestReferenceEvaluations:
     def test_run_table_evaluates_reference_once_per_grid(self, seeds):
         function, calls = _counting_f1()
         preset = ExperimentPreset(
-            function=function, noise="gaussian",
+            function=function,
             deltas=(1e-4, 1e-5), ns=(4, 6), hs=None, mu=5.5,
         )
         rows = run_table(preset, seeds=seeds)
@@ -479,7 +473,7 @@ class TestReferenceEvaluations:
     def test_trapezoid_table_evaluates_reference_once_per_grid(self):
         function, calls = _counting_f1()
         preset = ExperimentPreset(
-            function=function, noise="trapezoid",
+            function=function,
             deltas=(1e-4, 1e-5, 1e-6), ns=(4, 5, 6), hs=(1e-2, 5e-3, 4e-3),
             mu=5.5,
         )
@@ -543,16 +537,12 @@ class TestTable2Projection:
 class TestRunTableMetricFloor:
     """run_table raises the preset's Gauss orders to their floors."""
 
-    @pytest.mark.parametrize(
-        "noise, hs", [("gaussian", None), ("trapezoid", (1e-3,))]
-    )
-    def test_rows_past_n_47_use_the_floor(self, noise, hs):
-        preset = ExperimentPreset(
-            function=F1, noise=noise, deltas=(1e-9,), ns=(60,), hs=hs
-        )
+    @pytest.mark.parametrize("hs", [None, (1e-3,)], ids=["gaussian", "trapezoid"])
+    def test_rows_past_n_47_use_the_floor(self, hs):
+        preset = ExperimentPreset(function=F1, deltas=(1e-9,), ns=(60,), hs=hs)
         rows = run_table(preset, seeds=1)
         config = MethodConfig(r=2, mu=5.5, delta=1e-9, n_override=60)
-        if noise == "gaussian":
+        if hs is None:
             # Degree 59: the base's floor 2 * 59 + 16 = 134, the exact_coeffs
             # default, exceeds coeff_G = 96.
             field = perturb(
@@ -571,7 +561,7 @@ class TestRunTableMetricFloor:
 
     def test_gaussian_base_past_n_96_uses_the_coefficient_floor(self):
         preset = ExperimentPreset(
-            function=F1, noise="gaussian", deltas=(1e-9,), ns=(120,), hs=None
+            function=F1, deltas=(1e-9,), ns=(120,), hs=None
         )
         rows = run_table(preset, seeds=1)
         config = MethodConfig(r=2, mu=5.5, delta=1e-9, n_override=120)

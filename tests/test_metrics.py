@@ -287,7 +287,7 @@ class TestHeldReference:
         assert reference not in metrics._GRIDS
 
     def test_grid_bound_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(metrics, "MAX_DENSE_ENTRIES", 49)
+        monkeypatch.setattr(coeffs, "MAX_DENSE_ENTRIES", 49)
         assert sup_error(_zero_approx(), _constant_reference(1.0), m=7) == pytest.approx(1.0)
         with pytest.raises(ValueError, match="over the limit"):
             sup_error(_zero_approx(), _constant_reference(1.0), m=9)
@@ -444,7 +444,7 @@ class TestGridStore:
 
     def test_run_table_keeps_no_grids(self):
         preset = ExperimentPreset(
-            function=F1, noise="gaussian",
+            function=F1,
             deltas=(1e-4,), ns=(4,), hs=None, mu=5.5,
         )
         gc.collect()

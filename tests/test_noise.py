@@ -139,7 +139,7 @@ class TestPerturb:
     def test_perturb_preserves_bounds_and_support(self):
         field = _field()
         out = perturb(field, NoiseSpec(kind="gaussian", delta=1e-2, seed=0))
-        assert (out.k_max, out.j_max) == (field.k_max, field.j_max)
+        assert out.values.shape == field.values.shape
         assert [kj for kj, _ in out.items_sorted()] == [
             kj for kj, _ in field.items_sorted()
         ]
