@@ -43,6 +43,13 @@ _NEWTON_TOL = 1e-14
 _NEWTON_MAX_ITER = 100
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array``; the data is not copied."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and positive weights of a quadrature rule on [-1, 1]."""
@@ -55,10 +62,8 @@ class QuadratureRule:
         weights = np.ascontiguousarray(self.weights, dtype=np.float64)
         if nodes.ndim != 1 or weights.ndim != 1 or nodes.size != weights.size:
             raise ValueError("nodes and weights must be 1-D arrays of equal length")
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "nodes", _read_only(nodes))
+        object.__setattr__(self, "weights", _read_only(weights))
 
     def __len__(self) -> int:
         return self.nodes.size

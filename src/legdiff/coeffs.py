@@ -27,7 +27,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .basis import (
-    QuadratureRule, composite_gauss_rule, grid_factors, legendre_blocks, legendre_table
+    QuadratureRule, _read_only, composite_gauss_rule, grid_factors, legendre_blocks, legendre_table
 )
 from .index import IndexDomain, _check_integer, pairs_mask
 
@@ -49,8 +49,10 @@ __all__ = [
 # grid of at most 2047 x 2047.  The cross fits up to n = 2048 and the box up
 # to n = 2047; with p = s and mu >= 4.6 the rule exceeds that only for
 # delta < 1e-15.  Larger sizes are rejected before anything is allocated;
-# :func:`_check_entries` makes every such check for every module, all but
-# the trapezoid rule's node count (see :func:`_trapezoid_rule`).
+# :func:`_check_entries` words every such refusal for every module.  Two
+# checks compare with the limit first: the trapezoid rule's node count (see
+# :func:`_trapezoid_rule`) and :func:`_parse_rows`, which looks for a
+# repeated index, named first by the scanner, before it refuses a file.
 MAX_DENSE_ENTRIES = 2**22
 
 #: Entries of the one row block a tensor projection or an error measurement
@@ -64,13 +66,6 @@ _MAX_SIDE = math.isqrt(MAX_DENSE_ENTRIES)
 #: The Gauss order per panel :func:`exact_coeffs` gives degree _MAX_SIDE - 1
 #: (4110); a larger order is refused before its O(G^2) rule is built.
 _MAX_GAUSS_ORDER = 2 * (_MAX_SIDE - 1) + 16
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    """A read-only view of ``array``; the data is not copied."""
-    view = array.view()
-    view.flags.writeable = False
-    return view
 
 
 @dataclass(frozen=True, eq=False)
@@ -480,8 +475,9 @@ def _parse_rows(text: str) -> CoeffField | None:
 
     It declines whatever it cannot take as is: a parse failure (including
     spellings such as ``1_0`` that :func:`_scan_rows` accepts), an ASCII
-    separator character, a negative index, a non-finite value, an oversized
-    or duplicate index, or no rows.
+    separator character, a negative index, a non-finite value, a duplicate
+    index, or no rows.  Indices over the size limit it refuses itself when no
+    index repeats, as the scanner would after reading every line.
     """
     if any(separator in text for separator in _ASCII_SEPARATORS):
         return None
@@ -502,7 +498,10 @@ def _parse_rows(text: str) -> CoeffField | None:
         return None
     shape = (int(ks.max()) + 1, int(js.max()) + 1)
     if shape[0] * shape[1] > MAX_DENSE_ENTRIES:
-        return None
+        order = np.lexsort((js, ks))
+        if not ((np.diff(ks[order]) == 0) & (np.diff(js[order]) == 0)).any():
+            _check_index_range(shape)
+        return None  # a duplicate index comes first in line order
     field = _field_from_rows(shape, ks, js, vs)
     return field if len(field) == rows.size else None  # else a duplicate index
 
@@ -534,10 +533,15 @@ def _scan_rows(text: str) -> CoeffField:
         js.append(j)
         vs.append(v)
     shape = (max(ks, default=0) + 1, max(js, default=0) + 1)
+    _check_index_range(shape)
+    return _field_from_rows(shape, ks, js, vs)
+
+
+def _check_index_range(shape: tuple[int, int]) -> None:
+    """Refuse a coefficient file whose indices need a dense array over the limit."""
     _check_entries(
         f"index range up to ({shape[0] - 1},{shape[1] - 1})", *shape, "coefficient array"
     )
-    return _field_from_rows(shape, ks, js, vs)
 
 
 def _field_from_rows(shape: tuple[int, int], ks, js, vs) -> CoeffField:

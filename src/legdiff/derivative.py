@@ -17,7 +17,7 @@ the same.  An odd row count gets one pad row above the top degree, added
 first in its class.  The pad is -0.0, the additive identity of every float:
 x + -0.0 is x for every x, where +0.0 + -0.0 is +0.0, so a +0.0 pad would turn
 a class that starts with -0.0 into +0.0, which ``np.array_equal`` does not
-see.  The scale columns each step multiplies by are cached per degree.
+see.  A map call makes the two scale columns its steps multiply by once.
 
 On both axes the map covers the array with two blocks outside a zero corner
 ``values[a:, b:]``, every entry zero: on a hyperbolic-cross array a, b are
@@ -50,7 +50,6 @@ regroups no sum, and each array of a stack gets the bytes it gets alone.  A
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -59,29 +58,17 @@ from .basis import _orthonormal_scale
 __all__ = ["phi_derivative_coeffs", "DerivativeExpansion"]
 
 
-#: Distinct degrees whose step scales :func:`_step_scales` keeps.
-_SCALES_CACHED = 64
-
-
-@lru_cache(maxsize=_SCALES_CACHED)
-def _step_scales(K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only columns sqrt(k + 1/2), k = 0..K, and 2 sqrt(l + 1/2), l < K."""
-    scale = _orthonormal_scale(K)
-    twice = 2.0 * scale[:-1, None]
-    scale = scale[:, None]
-    scale.flags.writeable = twice.flags.writeable = False
-    return scale, twice
-
-
-def _step(a: np.ndarray) -> np.ndarray:
-    """One derivative step along axis -2 of a float64 array of degrees 0..K.
+def _step(a: np.ndarray, columns: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """One derivative step along axis -2 of a float64 array of degrees 0..K, K >= 0.
 
     The result holds degrees 0..K-1 along that axis,
     b_l = 2 sqrt(l + 1/2) * sum_{k > l, k+l odd} sqrt(k + 1/2) a_k,
     for each column of each array of the stack the leading axes index.
+    ``columns`` are a map call's scale columns sqrt(k + 1/2) and 2 sqrt(k + 1/2)
+    over its degrees, of which the step reads the first K + 1 and K rows.
     """
     *stack, rows, cols = a.shape
-    scale, twice = _step_scales(rows - 1)
+    scale, twice = columns
     half = (rows + 1) // 2
     # suffix[k] = weighted[k] + weighted[k+2] + ..., summed from the top
     # degree down: one cumsum down the rows taken in pairs from the top.  An
@@ -89,22 +76,23 @@ def _step(a: np.ndarray) -> np.ndarray:
     suffix = np.empty((*stack, 2 * half, cols))
     if rows % 2:
         suffix[..., rows, :] = -0.0
-    np.multiply(scale, a, out=suffix[..., :rows, :])
+    np.multiply(scale[:rows], a, out=suffix[..., :rows, :])
     # a view: the rows top down (no -1 in the shape, which fails for 0 columns)
     pairs = suffix.reshape(*stack, half, 2, cols)[..., ::-1, ::-1, :]
     np.cumsum(pairs, axis=-3, out=pairs)
     # k > l with k+l odd means k runs over l+1, l+3, ...
-    return twice * suffix[..., 1:rows, :]
+    return twice[: rows - 1] * suffix[..., 1:rows, :]
 
 
-def _steps(a: np.ndarray, r: int) -> np.ndarray:
+def _steps(a: np.ndarray, r: int, columns: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """r derivative steps along axis -2 of an array of 2 or more axes, unchecked.
 
     Each step drops one degree, so after a.shape[-2] steps nothing is left.
+    Pass ``a`` positionally: a ``*`` tuple would keep it alive past the first step.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(min(r, a.shape[-2])):
-            a = _step(a)
+            a = _step(a, columns)
     return a
 
 
@@ -147,7 +135,8 @@ class DerivativeExpansion:
                 f"expected {self.max_degree + 1} coefficients along axis 0 of a "
                 f"1-D or 2-D array, got shape {a.shape}"
             )
-        out = self._checked(_steps(a if a.ndim == 2 else a[:, None], self.r))
+        scale = _orthonormal_scale(self.max_degree)[:, None]
+        out = self._checked(_steps(a if a.ndim == 2 else a[:, None], self.r, (scale, 2.0 * scale[:-1])))
         return out if a.ndim == 2 else out[:, 0]
 
     def apply_both(self, values: np.ndarray, corner: tuple[int, int] | None = None) -> np.ndarray:
@@ -180,17 +169,19 @@ class DerivativeExpansion:
                 f"{corner} is not a zero corner of a {side} x {side} array "
                 f"for a derivative of order {r}"
             )
-        left = self._checked(_steps(values[..., :b], r))
-        top = self._checked(_steps(values[..., :a, b:], r))
+        scale = _orthonormal_scale(self.max_degree)[:, None]
+        columns = (scale, 2.0 * scale[:-1])
+        left = self._checked(_steps(values[..., :b], r, columns))
+        top = self._checked(_steps(values[..., :a, b:], r, columns))
         rows = max(side - r, 0)
         out = np.zeros((*values.shape[:-2], rows, rows))
         # The second axis steps the top a - r rows of both blocks, full width,
         # then the rest of the left block, each a temporary freed as it is written.
         out[..., : a - r, :] = self._checked(
-            _steps(np.concatenate((left[..., : a - r, :], top), axis=-1).swapaxes(-1, -2), r)
+            _steps(np.concatenate((left[..., : a - r, :], top), axis=-1).swapaxes(-1, -2), r, columns)
         ).swapaxes(-1, -2)
         out[..., a - r :, : b - r] = self._checked(
-            _steps(left[..., a - r :, :].swapaxes(-1, -2), r)
+            _steps(left[..., a - r :, :].swapaxes(-1, -2), r, columns)
         ).swapaxes(-1, -2)
         return out
 

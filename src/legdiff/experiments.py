@@ -16,7 +16,6 @@ theoretical exponent (mu - 2r + 1/s - 1/2) / (mu - 1/p + 1/s).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -389,8 +388,7 @@ def run_table(
 def theoretical_exponent(mu: float, r: int, s: float, p: float) -> float:
     """Square-mean rate exponent (mu - 2r + 1/s - 1/2) / (mu - 1/p + 1/s)."""
     _check_mu(mu)
-    inv_p = 0.0 if math.isinf(p) else 1.0 / p
-    return (mu - 2.0 * r + 1.0 / s - 0.5) / (mu - inv_p + 1.0 / s)
+    return (mu - 2.0 * r + 1.0 / s - 0.5) / (mu - 1.0 / p + 1.0 / s)
 
 
 @dataclass(frozen=True)

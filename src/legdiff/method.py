@@ -24,8 +24,8 @@ from itertools import islice
 
 import numpy as np
 
-from .basis import eval_phi_table, grid_factors
-from .coeffs import CoeffField, _BLOCK_ENTRIES, _check_entries, _read_only
+from .basis import _read_only, eval_phi_table, grid_factors
+from .coeffs import CoeffField, _BLOCK_ENTRIES, _check_entries
 from .derivative import DerivativeExpansion
 from .index import IndexDomain, _check_integer
 
@@ -213,7 +213,7 @@ def choose_n(
         raise ConfigError(f"delta={delta} must lie in (0, 1)")
     _check_mu(mu)
     _check_rule_constant(rule_constant)
-    inv_p = 0.0 if math.isinf(p) else 1.0 / p
+    inv_p = 1.0 / p
     exponent_denom = mu - inv_p + 1.0 / s
     if exponent_denom <= 0.0:
         raise ConfigError(

@@ -269,7 +269,7 @@ def l2_error(approx: ApproxDerivative, reference: BivariateFunction, G: int) -> 
         diff = coeffs - projection
         diff *= diff  # in place: no second coefficient array
         quad = np.sum(diff) + tail  # pairwise, and independent of BLAS threads
-    return float(np.sqrt(max(quad, 0.0)))
+    return float(np.sqrt(quad))
 
 
 def sup_error(

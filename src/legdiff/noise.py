@@ -67,8 +67,6 @@ def standard_normals(seed: int, count: int) -> np.ndarray:
     _check_seed(seed)
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if count == 0:
-        return np.zeros(0, dtype=np.float64)
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     half = (count + 1) // 2
     u1 = 1.0 - gen.random(half)  # in (0, 1], keeps the log finite

@@ -250,15 +250,32 @@ class TestQuadratureRule:
         with pytest.raises(ValueError, match="equal length"):
             QuadratureRule(nodes=np.array([-0.5, 0.5]), weights=np.ones(3))
 
-    def test_validate_rejects_bad_weights(self):
-        bad = QuadratureRule(nodes=np.array([-0.5, 0.5]), weights=np.array([1.0, 0.5]))
-        with pytest.raises(ValueError):
-            bad.validate()
+    @pytest.mark.parametrize(
+        "nodes, weights, message",
+        [
+            ([-0.5, 0.5], [1.0, 0.5], "weights must sum to 2"),
+            ([0.5, -0.5], [1.0, 1.0], "nodes must be strictly increasing"),
+            ([-0.5, 1.0], [1.0, 1.0], "nodes must lie inside \\(-1, 1\\)"),
+            ([-0.5, 0.5], [3.0, -1.0], "weights must be positive"),
+        ],
+    )
+    def test_validate_names_the_broken_invariant(self, nodes, weights, message):
+        rule = QuadratureRule(nodes=np.array(nodes), weights=np.array(weights))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rule.validate()
 
     def test_arrays_read_only(self):
         rule = gauss_rule(4)
         with pytest.raises(ValueError):
             rule.nodes[0] = 0.0
+
+    def test_callers_arrays_stay_writeable(self):
+        # C-contiguous float64 arrays are held, not copied, through read-only views.
+        nodes, weights = np.array([-0.5, 0.5]), np.array([1.0, 1.0])
+        rule = QuadratureRule(nodes=nodes, weights=weights)
+        assert nodes.flags.writeable and weights.flags.writeable
+        assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
+        assert np.shares_memory(rule.nodes, nodes) and np.shares_memory(rule.weights, weights)
 
 
 class TestCompositeGaussRule:

@@ -4,6 +4,9 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -11,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import legdiff
 from legdiff import cli
 from legdiff.cli import main
 from legdiff.coeffs import exact_coeffs, save_csv
@@ -597,6 +601,21 @@ class TestConvergence:
 
 
 class TestBasis:
+    def test_module_entry_point_prints_what_main_prints(self, capsys):
+        # ``python -m legdiff``, as the benchmark spawns it, in a child process.
+        argv = ["basis", "--k", "2", "--r", "2", "--grid", "3"]
+        assert main(argv) == 0
+        src = str(Path(legdiff.__file__).resolve().parents[1])
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        )
+        child = subprocess.run(
+            [sys.executable, "-m", "legdiff", *argv], env=env, capture_output=True, text=True
+        )
+        assert (child.returncode, child.stderr) == (0, "")
+        assert child.stdout == capsys.readouterr().out
+
     def test_second_derivative_of_phi2_is_constant(self, capsys):
         code = main(["basis", "--k", "2", "--r", "2", "--grid", "3"])
         captured = capsys.readouterr()

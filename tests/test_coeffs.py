@@ -377,6 +377,15 @@ class TestExactCoeffs:
         with pytest.raises(ValueError, match=message):
             exact_coeffs(_untouchable(), k_max, j_max, G=G)
 
+    @pytest.mark.parametrize(
+        "project",
+        [lambda: exact_coeffs(F1, -1, 3), lambda: trapezoid_coeffs(F1, 0.1, 3, -1)],
+        ids=["exact", "trapezoid"],
+    )
+    def test_refuses_negative_degree_bounds_before_any_rule(self, no_rules, project):
+        with pytest.raises(ValueError, match="^degree bounds must be nonnegative$"):
+            project()
+
     @pytest.mark.parametrize("G", [math.nan, 96.0, "96"])
     def test_refuses_an_order_that_is_no_integer_before_any_rule(self, no_rules, G):
         with pytest.raises(ValueError, match=f"G={G!r} must be an integer"):
@@ -748,11 +757,31 @@ class TestCsvRoundTrip:
         loaded = load_csv(path)
         assert loaded.items_sorted() == field.items_sorted()
 
-    def test_indices_beyond_dense_limit_rejected(self, tmp_path):
-        # One far entry would need a 100001 x 100001 array (75 GiB).
+    def test_indices_beyond_dense_limit_rejected(self, tmp_path, monkeypatch):
+        # One far entry would need a 100001 x 100001 array (75 GiB); the
+        # vectorised pass refuses it in the scanner's words, without the scanner.
         path = tmp_path / "far.csv"
         path.write_text("2,2,0.1\n100000,100000,1.0\n")
-        with pytest.raises(ValueError, match="over the limit"):
+        monkeypatch.setattr(coeffs_module, "_scan_rows", _no_scanner)
+        with pytest.raises(ValueError) as refused:
+            load_csv(path)
+        assert str(refused.value) == (
+            "index range up to (100000,100000) needs a 100001x100001 coefficient array, "
+            "over the limit of 4194304 entries"
+        )
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("1,1,0.5\n1,1,0.6\n100000,100000,1.0\n", 2),
+            ("1,1,0.5\n100000,100000,1.0\n1,1,0.6\n", 3),
+        ],
+    )
+    def test_duplicate_index_comes_before_the_size(self, tmp_path, text, lineno):
+        # The scanner reads every line before it checks the size.
+        path = tmp_path / "far.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^duplicate index \\(1,1\\) at line {lineno}$"):
             load_csv(path)
 
     def test_single_line_file(self, tmp_path):
@@ -941,13 +970,16 @@ class TestOneLimit:
             exact_coeffs(_untouchable(), 10, 9)
         with pytest.raises(ValueError, match=message):
             trapezoid_coeffs(_untouchable(), 0.1, 10, 9)
-        path = tmp_path / "far.csv"
-        path.write_text("0,0,1.0\n10,9,1.0\n")
-        assert _parse_rows(path.read_text()) is None  # the scanner words the refusal
-        with pytest.raises(
-            ValueError, match=f"index range up to \\(10,9\\) needs a 11x10 coefficient array, {limit}"
-        ):
-            load_csv(path)
+        # Refused by the vectorised pass and, for an index that only the
+        # scanner reads (1_0 is 10 to Python's int()), by the scanner.
+        for text in ("0,0,1.0\n10,9,1.0\n", "0,0,1.0\n1_0,9,1.0\n"):
+            path = tmp_path / "far.csv"
+            path.write_text(text)
+            with pytest.raises(
+                ValueError,
+                match=f"index range up to \\(10,9\\) needs a 11x10 coefficient array, {limit}",
+            ):
+                load_csv(path)
 
     def test_truncation_level(self, limit):
         assert MethodConfig(r=2, mu=5.5, delta=0.0, n_override=10).resolve_n() == 10

@@ -14,6 +14,12 @@ from legdiff.derivative import DerivativeExpansion, _step, phi_derivative_coeffs
 from oracles import from_entries, phi_rr_closed_form, single_step_entry
 
 
+def _step_up_to(a, K):
+    """One step on ``a`` with the scale columns a map call of top degree K makes."""
+    scale = _orthonormal_scale(K)[:, None]
+    return _step(a, (scale, 2.0 * scale[:-1]))
+
+
 def _two_cumsum_step(a):
     """One derivative step with one suffix cumsum per parity class."""
     scale = _orthonormal_scale(a.shape[0] - 1)
@@ -112,11 +118,11 @@ class TestMuellerStep:
             [[single_step_entry(k, l) for k in range(9)] for l in range(8)]
         )
         np.testing.assert_allclose(
-            _step(coeffs), dense @ coeffs, rtol=1e-12, atol=1e-12
+            _step_up_to(coeffs, 8), dense @ coeffs, rtol=1e-12, atol=1e-12
         )
 
     def test_mueller_step_degenerate_shapes(self):
-        assert _step(np.ones((1, 3))).shape == (0, 3)
+        assert _step_up_to(np.ones((1, 3)), 0).shape == (0, 3)
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 8, 9, 300, 301])
     @pytest.mark.parametrize("cols", [0, 1, 7])
@@ -130,9 +136,12 @@ class TestMuellerStep:
         a[-1, :3] = -0.0
         a[:, 3:4] = -0.0
         for operand in (a, np.asfortranarray(a), a[:, ::2]):
-            step = _step(operand)
-            assert step.shape == (rows - 1, operand.shape[1])
-            assert step.tobytes() == _two_cumsum_step(operand).tobytes()
+            expected = _two_cumsum_step(operand).tobytes()
+            # The columns of a map call on more degrees hold the same first rows.
+            for K in (rows - 1, 400):
+                step = _step_up_to(operand, K)
+                assert step.shape == (rows - 1, operand.shape[1])
+                assert step.tobytes() == expected
 
 
 class TestDifferentiateAxis:
@@ -223,6 +232,12 @@ class TestOracleEquivalence:
 
 
 class TestDerivativeExpansion:
+    def test_rejects_negative_degrees(self):
+        with pytest.raises(ValueError, match="^k and r must be nonnegative$"):
+            phi_derivative_coeffs(-1, 2)
+        with pytest.raises(ValueError, match="^max_degree must be nonnegative$"):
+            DerivativeExpansion(2, -1)
+
     def test_matrix_strictly_lower_triangular_with_parity(self):
         exp = DerivativeExpansion(r=1, max_degree=12)
         mat = exp.matrix()

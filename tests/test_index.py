@@ -144,6 +144,11 @@ def test_unknown_shape_rejected():
         IndexDomain(shape="diamond", r=2, n=5)
 
 
+def test_negative_order_rejected():
+    with pytest.raises(ValueError, match="^r must be nonnegative$"):
+        IndexDomain("cross", -1, 5)
+
+
 class TestMaskCache:
     def test_mask_is_read_only_and_cached(self):
         domain = IndexDomain.cross(2, 37)

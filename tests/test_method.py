@@ -104,6 +104,11 @@ class TestMethodConfig:
         cfg = MethodConfig(r=np.int64(2), mu=5.5, delta=0.0, n_override=np.int32(11))
         assert cfg.domain().max_degree() == (10, 10)
 
+    @pytest.mark.parametrize("delta", [1.5, -0.1])
+    def test_rejects_delta_outside_the_unit_interval(self, delta):
+        with pytest.raises(ConfigError, match=f"^delta={delta} must lie in \\[0, 1\\)$"):
+            MethodConfig(r=2, mu=5.5, delta=delta, n_override=10)
+
     def test_rejects_infinite_s(self):
         with pytest.raises(ConfigError):
             MethodConfig(r=2, mu=5.5, delta=1e-7, s=math.inf)
@@ -322,9 +327,9 @@ def _step_shapes(monkeypatch) -> list[tuple[int, int]]:
     shapes = []
     step = derivative._step
 
-    def spy(a):
+    def spy(a, columns):
         shapes.append(a.shape[-2:])
-        return step(a)
+        return step(a, columns)
 
     monkeypatch.setattr(derivative, "_step", spy)
     return shapes
@@ -397,7 +402,7 @@ class TestStaircase:
         config = MethodConfig(r=r, mu=9.0, delta=0.0, n_override=n)
         a, b = config.domain().zero_corner()
         field = CoeffField.from_dense(np.random.default_rng(3).standard_normal((n, n)))
-        run(field, config)  # caches the domain's mask, row tops and step scales
+        run(field, config)  # caches the domain's mask and row tops
         tracemalloc.start()
         try:
             run(field, config)
@@ -533,9 +538,9 @@ class TestRunMany:
         stacks = []
         step = derivative._step
 
-        def spy(a):
+        def spy(a, columns):
             stacks.append(a.shape[:-2])
-            return step(a)
+            return step(a, columns)
 
         monkeypatch.setattr(derivative, "_step", spy)
         field = CoeffField.from_dense(np.ones((1, 1)))

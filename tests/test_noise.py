@@ -70,6 +70,10 @@ class TestStandardNormals:
         with pytest.raises(ValueError):
             standard_normals(0, -1)
 
+    def test_zero_count_is_empty_float64(self):
+        z = standard_normals(0, 0)
+        assert z.shape == (0,) and z.dtype == np.float64
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_rejects_seed_outside_uint64(self, seed):
         with pytest.raises(ValueError, match="seed"):
@@ -166,6 +170,11 @@ class TestNoiseVector:
 
     def test_none_kind_empty(self):
         assert noise_vector(_field(), NoiseSpec(kind="none")).size == 0
+
+    @pytest.mark.parametrize("kind", ["gaussian", "projected"])
+    def test_field_without_entries_gets_no_noise(self, kind):
+        xi = noise_vector(from_entries({}), NoiseSpec(kind=kind, delta=0.1, seed=0))
+        assert xi.shape == (0,) and xi.dtype == np.float64
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     def test_projected_norm_equality(self, p):
