@@ -13,12 +13,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .basis import eval_phi_table
-from .coeffs import _check_entries, exact_coeffs, load_csv
+from .coeffs import _WRITE_BLOCK, _check_entries, exact_coeffs, load_csv
 from .derivative import phi_derivative_coeffs
 from .experiments import (
     BUILTIN_NAMES,
@@ -94,12 +94,23 @@ class UsageError(Exception):
     """A flag combination the command refuses before reading any data (exit 2)."""
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, blocks: Iterable[str]) -> None:
+    """Write the text ``blocks`` in turn to stdout, or to the file ``path``."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(blocks)
+
+
+def _table_blocks(
+    header: str, size: int, height: int, lines: Callable[[slice], Iterable[str]]
+) -> Iterator[str]:
+    """A table's text one bounded block at a time: ``header``, then
+    ``lines(rows)`` joined for each slice of ``height`` of the ``size`` rows."""
+    yield header
+    for start in range(0, size, height):
+        yield "".join(lines(slice(start, start + height)))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -242,10 +253,16 @@ def cmd_differentiate(args: argparse.Namespace) -> int:
     grid = np.linspace(-1.0, 1.0, args.grid)
     values = _finite(lambda: approx.series.eval_grid(grid, grid))
     nodes = [repr(t) for t in grid.tolist()]  # each node formatted once
-    lines = ["t,tau,value"]
-    for t, row in zip(nodes, values.tolist()):
-        lines.extend(f"{t},{tau},{v!r}" for tau, v in zip(nodes, row))
-    _write_text(args.out, "\n".join(lines) + "\n")
+
+    def lines(rows: slice) -> Iterator[str]:
+        return (
+            f"{t},{tau},{v!r}\n"
+            for t, row in zip(nodes[rows], values[rows].tolist())
+            for tau, v in zip(nodes, row)
+        )
+
+    height = max(1, _WRITE_BLOCK // args.grid)  # grid rows per block
+    _write_text(args.out, _table_blocks("t,tau,value\n", args.grid, height, lines))
 
     if function is not None and args.r == MEASURED_ORDER:  # every builtin has its d22
         report = error_report(approx, function.derivative_function())
@@ -260,7 +277,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if args.seeds is not None and preset.noise != "gaussian":
         raise UsageError(f"--seeds applies to gaussian presets only, not {args.preset}")
     rows = run_table(preset, seeds=args.seeds)
-    _write_text(args.out, rows_to_csv(rows))
+    _write_text(args.out, [rows_to_csv(rows)])
     return 0
 
 
@@ -279,7 +296,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         domain_shape=args.domain,
         **seeds,
     )
-    _write_text(args.out, rows_to_csv(result.rows))
+    _write_text(args.out, [rows_to_csv(result.rows)])
     print(
         f"fitted_slope={result.fitted_slope!r} "
         f"theoretical_exponent={result.theoretical_exponent!r}"
@@ -295,9 +312,11 @@ def cmd_basis(args: argparse.Namespace) -> int:
         values = np.zeros(args.grid, dtype=np.float64)
     else:
         values = _finite(lambda: coeffs @ eval_phi_table(coeffs.size - 1, grid))
-    lines = ["t,value"]
-    lines.extend(f"{t!r},{v!r}" for t, v in zip(grid.tolist(), values.tolist()))
-    _write_text(args.out, "\n".join(lines) + "\n")
+
+    def lines(rows: slice) -> Iterator[str]:
+        return (f"{t!r},{v!r}\n" for t, v in zip(grid[rows].tolist(), values[rows].tolist()))
+
+    _write_text(args.out, _table_blocks("t,value\n", args.grid, _WRITE_BLOCK, lines))
     return 0
 
 

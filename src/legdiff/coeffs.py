@@ -60,6 +60,13 @@ MAX_DENSE_ENTRIES = 2**22
 #: degrees a one-dimensional projection fills, see :func:`_degree_height`.
 _BLOCK_ENTRIES = 2**18
 
+#: Entries of the flattened stored mask :func:`save_csv` formats and writes at
+#: a time; the CLI's grid and basis tables write this many values per block.
+#: One block's rows are a few hundred KB of Python strings, where the whole
+#: 201 x 201 benchmark file's were 10 MiB.  Blocks of 2**16 and 2**18 entries
+#: raised the high-water of saving a 1024 x 1024 field by 14 and 58 MiB.
+_WRITE_BLOCK = 2**12
+
 #: Side of the largest square array within MAX_DENSE_ENTRIES (2048).
 _MAX_SIDE = math.isqrt(MAX_DENSE_ENTRIES)
 
@@ -431,9 +438,25 @@ def smoothness_norm(field: CoeffField, s: float, mu: float) -> float:
 
 
 def save_csv(field: CoeffField, path: str | Path) -> None:
-    """Write the field as newline-delimited "k,j,value" rows (17 significant digits)."""
-    lines = [f"{k},{j},{format(v, '.17g')}" for (k, j), v in field.items_sorted()]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    """Write the field as newline-delimited "k,j,value" rows (17 significant digits).
+
+    Rows come in lexicographic (k, j) order, one UTF-8 line each; a field with
+    no stored entries gives an empty file.  They are formatted and written
+    :data:`_WRITE_BLOCK` (4096) mask entries at a time, so beside the field
+    the process holds a flattened copy of a broadcast mask (one byte per
+    entry) and one block's strings (under 1 MiB), whatever the field's size.
+    """
+    stored = field.stored.reshape(-1)  # a view, or a copy of a broadcast mask
+    values = field.values.reshape(-1)
+    cols = field.stored.shape[1]
+    with open(path, "w", encoding="utf-8") as handle:
+        for start in range(0, stored.size, _WRITE_BLOCK):
+            flat = np.flatnonzero(stored[start:start + _WRITE_BLOCK]) + start
+            ks, js = np.divmod(flat, cols)
+            handle.write("".join([
+                f"{k},{j},{v:.17g}\n"
+                for k, j, v in zip(ks.tolist(), js.tolist(), values[flat].tolist())
+            ]))
 
 
 def load_csv(path: str | Path) -> CoeffField:

@@ -122,7 +122,7 @@ def perturb(field: CoeffField, spec: NoiseSpec) -> CoeffField:
     absent from the field receive no noise.  With kind "none" the field is
     returned unchanged.
     """
-    if spec.kind == "none" or len(field) == 0:
+    if spec.kind == "none":
         return field
     values = field.values.copy()
     values[field.stored] += noise_vector(field, spec)

@@ -343,6 +343,74 @@ class TestDifferentiate:
         assert "r=80 derivative of degree-399" in captured.err
 
 
+#: Traces ``differentiate --builtin f1 --mu 5.5 --n 19 --grid 201 --out argv[1]``
+#: through main() and prints its exit code, the file's sha256 and the peak.
+_TRACED_GRID = """
+import hashlib, sys, tracemalloc
+from legdiff.cli import main
+
+tracemalloc.start()
+code = main(["differentiate", "--builtin", "f1", "--mu", "5.5", "--n", "19",
+             "--grid", "201", "--out", sys.argv[1]])
+peak = tracemalloc.get_traced_memory()[1]
+with open(sys.argv[1], "rb") as handle:
+    print(code, hashlib.sha256(handle.read()).hexdigest(), peak)
+"""
+
+
+class TestTableBlocks:
+    """The grid and basis tables are formatted and written a block at a time."""
+
+    def test_grid_output_memory_is_the_grid_and_one_block(self, tmp_path):
+        # In a one-thread child, where the bytes are promised.  The sha256 was
+        # recorded from the one-string writer the blocks replaced, with one BLAS
+        # thread; that writer traced 8.8 MB here (54 MB at --grid 501, which
+        # takes 1.4 s to trace), the blocks trace 1.6 MB.
+        src = str(Path(legdiff.__file__).resolve().parents[1])
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS="1",
+            OMP_NUM_THREADS="1",
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        )
+        out = tmp_path / "grid.csv"
+        child = subprocess.run(
+            [sys.executable, "-c", _TRACED_GRID, str(out)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        code, digest, peak = child.stdout.split()
+        assert (code, digest) == (
+            "0", "cc6b2bd6ec2e219714a1f2e6128b2c550b9122f5ebcbbbf63e15390e44259a07"
+        )
+        # The grid's values, held until the command returns, and one block's
+        # rows at 512 B each (2 MiB), which also covers the error report's
+        # measurement that follows the table (about 1.3 MB).
+        bound = 201 * 201 * 8 + cli._WRITE_BLOCK * 512
+        assert int(peak) <= bound, (peak, bound)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["differentiate", "--builtin", "f2", "--mu", "6", "--n", "11", "--grid", "41"],
+            ["basis", "--k", "3", "--r", "1", "--grid", "10001"],
+        ],
+        ids=["differentiate", "basis"],
+    )
+    def test_every_block_size_gives_the_same_bytes(self, argv, monkeypatch, capsys):
+        outputs = set()
+        for block in (1, 100, cli._WRITE_BLOCK, 2**30):  # 2**30: the whole table
+            monkeypatch.setattr(cli, "_WRITE_BLOCK", block)
+            assert main(argv) == 0
+            outputs.add(capsys.readouterr().out)
+        assert len(outputs) == 1
+
+    def test_overflow_leaves_no_file(self, tmp_path, capsys):
+        out = tmp_path / "basis.csv"
+        assert main(["basis", "--k", "400", "--r", "150", "--out", str(out)]) == 1
+        assert "float64" in capsys.readouterr().err
+        assert not out.exists()
+
+
 _REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
 
 

@@ -912,6 +912,57 @@ class TestCsvRoundTrip:
         assert load_csv(path).values[3, 4] == value
 
 
+def _sparse_extremes() -> CoeffField:
+    """A 50 x 60 field storing about 30% of its entries, among them 1e+-300,
+    -0.0, the smallest subnormal, +-inf and nan."""
+    rng = np.random.default_rng(35)
+    stored = rng.random((50, 60)) < 0.3
+    values = np.where(stored, rng.standard_normal((50, 60)), 0.0)
+    extremes = [1e300, -1e300, 1e-300, -1e-300, -0.0, 5e-324, math.inf, -math.inf, math.nan]
+    values.flat[np.flatnonzero(stored)[: len(extremes)]] = extremes
+    return CoeffField(values, stored)
+
+
+class TestSaveCsvBlocks:
+    """save_csv writes :data:`coeffs._WRITE_BLOCK` mask entries at a time."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: exact_coeffs(F1, 200, 200),  # the CLI benchmark's file
+            _sparse_extremes,
+            lambda: CoeffField(np.zeros((3, 4)), np.zeros((3, 4), dtype=bool)),
+            # one row wider than a block, and a whole number of blocks
+            lambda: CoeffField.from_dense(np.random.default_rng(1).standard_normal((1, 10_000))),
+            lambda: CoeffField.from_dense(np.random.default_rng(2).standard_normal((64, 128))),
+        ],
+        ids=["f1_201", "sparse_extremes", "empty", "wide_row", "whole_blocks"],
+    )
+    def test_bytes_equal_one_row_per_stored_entry(self, tmp_path, make):
+        field = make()
+        path = tmp_path / "field.csv"
+        save_csv(field, path)
+        expected = "".join(f"{k},{j},{format(v, '.17g')}\n" for (k, j), v in field.items_sorted())
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_memory_is_the_mask_and_one_block(self, tmp_path):
+        # Sixteen blocks.  The one-string writer traced 14.9 MB here (every row
+        # a Python string, then their join; 68 MB at 512 x 512), the blocks
+        # 0.65 MB (0.85 MB at 512 x 512, which takes 2 s under tracemalloc).
+        field = CoeffField.from_dense(np.random.default_rng(3).standard_normal((256, 256)))
+        tracemalloc.start()
+        try:
+            save_csv(field, tmp_path / "dense.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The broadcast mask flattened at one byte per entry, and one block's
+        # rows at 512 B each (measured about 140 B: the row's string, its three
+        # Python numbers and list slots, its share of the joined text).
+        bound = field.stored.size + coeffs_module._WRITE_BLOCK * 512
+        assert peak <= bound, (peak, bound)
+
+
 class TestBivariateFunction:
     def test_identity_equality_and_hash(self):
         # Equal fields make distinct references; unhashable fields still hash.

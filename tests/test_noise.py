@@ -124,8 +124,8 @@ class TestPerturb:
         assert abs(float(np.sqrt(np.sum(xi**2))) - delta) < 1e-18
 
     def test_projected_on_empty_draw_is_degenerate(self):
-        # An empty field yields no draws; the projected scaling is undefined
-        # but perturb returns the field unchanged before scaling is attempted.
+        # An empty field yields no draws; the projected scaling is undefined,
+        # but noise_vector returns the empty draw before scaling is attempted.
         empty = from_entries({})
         out = perturb(empty, NoiseSpec(kind="projected", delta=0.1, seed=0))
         assert len(out) == 0
