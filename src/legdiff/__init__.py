@@ -44,7 +44,6 @@ from .index import IndexDomain
 from .method import (
     ApproxDerivative,
     ConfigError,
-    LegendreSeries2D,
     MethodConfig,
     choose_n,
     evaluate,
@@ -78,7 +77,6 @@ __all__ = [
     "perturb",
     "ConfigError",
     "MethodConfig",
-    "LegendreSeries2D",
     "ApproxDerivative",
     "choose_n",
     "run",

@@ -18,7 +18,7 @@ from collections.abc import Callable, Iterable, Iterator
 import numpy as np
 
 from .basis import eval_phi_table
-from .coeffs import _WRITE_BLOCK, _check_entries, exact_coeffs, load_csv
+from .coeffs import _WRITE_BLOCK, CoeffField, _check_entries, exact_coeffs, load_csv
 from .derivative import phi_derivative_coeffs
 from .experiments import (
     BUILTIN_NAMES,
@@ -216,6 +216,23 @@ def _finite(evaluate) -> np.ndarray:
     return values
 
 
+def _write_grid(series: CoeffField, size: int, path: str | None) -> None:
+    """Write the series' values on the size x size grid over [-1, 1]^2 as a table."""
+    grid = np.linspace(-1.0, 1.0, size)
+    values = _finite(lambda: series.eval_grid(grid, grid))
+    nodes = [repr(t) for t in grid.tolist()]  # each node formatted once
+
+    def lines(rows: slice) -> Iterator[str]:
+        return (
+            f"{t},{tau},{v!r}\n"
+            for t, row in zip(nodes[rows], values[rows].tolist())
+            for tau, v in zip(nodes, row)
+        )
+
+    height = max(1, _WRITE_BLOCK // size)  # grid rows per block
+    _write_text(path, _table_blocks("t,tau,value\n", size, height, lines))
+
+
 def cmd_differentiate(args: argparse.Namespace) -> int:
     delta = 0.0 if args.delta is None else args.delta
     config = MethodConfig(
@@ -249,21 +266,7 @@ def cmd_differentiate(args: argparse.Namespace) -> int:
         base = load_csv(args.coeffs)
     noise = NoiseSpec(kind=args.noise, delta=delta, p=args.p, seed=args.seed or 0)
     approx = run(perturb(base.restrict(domain), noise), config)
-
-    grid = np.linspace(-1.0, 1.0, args.grid)
-    values = _finite(lambda: approx.series.eval_grid(grid, grid))
-    nodes = [repr(t) for t in grid.tolist()]  # each node formatted once
-
-    def lines(rows: slice) -> Iterator[str]:
-        return (
-            f"{t},{tau},{v!r}\n"
-            for t, row in zip(nodes[rows], values[rows].tolist())
-            for tau, v in zip(nodes, row)
-        )
-
-    height = max(1, _WRITE_BLOCK // args.grid)  # grid rows per block
-    _write_text(args.out, _table_blocks("t,tau,value\n", args.grid, height, lines))
-
+    _write_grid(approx.series, args.grid, args.out)  # the grid is released on return
     if function is not None and args.r == MEASURED_ORDER:  # every builtin has its d22
         report = error_report(approx, function.derivative_function())
         print(f"card={approx.information_count}", file=sys.stderr)

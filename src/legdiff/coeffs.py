@@ -20,14 +20,15 @@ import io
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .basis import (
-    QuadratureRule, _read_only, composite_gauss_rule, grid_factors, legendre_blocks, legendre_table
+    QuadratureRule, _read_only, composite_gauss_rule, eval_phi_table, grid_factors,
+    legendre_blocks, legendre_table,
 )
 from .index import IndexDomain, _check_integer, pairs_mask
 
@@ -77,17 +78,23 @@ _MAX_GAUSS_ORDER = 2 * (_MAX_SIDE - 1) + 16
 
 @dataclass(frozen=True, eq=False)
 class CoeffField:
-    """Coefficient array with a stored-entry mask, (k, j) -> <f, phi_k phi_j>.
+    """Coefficient array with a stored-entry mask, (k, j) -> <f, phi_k phi_j>,
+    and the series sum c_{k,j} phi_k(t) phi_j(tau) it stands for.
 
-    ``values`` (float64) and ``stored`` (bool) are read-only arrays of the
-    same shape, a row per degree k and a column per degree j; entries that
-    are not stored are exactly zero.  The row-major order of ``stored`` is
-    the lexicographic (k, j) order, the canonical one for anything consuming
-    entries sequentially (noise draws, CSV rows).
+    ``values`` (float64, C-contiguous) and ``stored`` (bool) are read-only,
+    nonempty 2-D arrays of the same shape, a row per degree k and a column
+    per degree j; entries that are not stored are exactly zero.  The
+    row-major order of ``stored`` is the lexicographic (k, j) order, the
+    canonical one for anything consuming entries sequentially (noise draws,
+    CSV rows).  ``zero_corner`` (a, b), with ``values[a:, b:]`` all zero, is
+    a corner grid evaluations may skip; no constructor argument sets it, only
+    :func:`~legdiff.method.run_many` on its derived fields (which store every
+    entry), and every other field has None.
     """
 
     values: np.ndarray
     stored: np.ndarray
+    zero_corner: tuple[int, int] | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         values = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -110,6 +117,14 @@ class CoeffField:
         """
         array = np.asarray(array, dtype=np.float64)
         return cls(array, np.broadcast_to(np.True_, array.shape))
+
+    @classmethod
+    def _derived(cls, values: np.ndarray, stored: np.ndarray, zero_corner) -> "CoeffField":
+        """The field :func:`~legdiff.method.run_many` yields: ``stored`` its shared
+        all-True mask, and the zero corner its map guarantees, unscanned."""
+        derived = cls(values, stored)
+        object.__setattr__(derived, "zero_corner", zero_corner)
+        return derived
 
     def items_sorted(self) -> list[tuple[tuple[int, int], float]]:
         """Stored entries in lexicographic (k, j) order."""
@@ -139,6 +154,24 @@ class CoeffField:
         cols = min(mask.shape[1], self.values.shape[1])
         np.copyto(out[:rows, :cols], self.values[:rows, :cols], where=mask[:rows, :cols])
         return out
+
+    def eval_grid(self, t: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        """Series values on the tensor grid t x tau, shape (len(t), len(tau)), the
+        product of :func:`~legdiff.basis.grid_factors`' pair; one table serves
+        both axes when ``tau is t`` and the degrees agree."""
+        K, J = self.values.shape
+        table_t = eval_phi_table(K - 1, t)
+        table_tau = table_t if tau is t and J == K else eval_phi_table(J - 1, tau)
+        left, right = grid_factors(table_t, self.values, table_tau, self.zero_corner)
+        return left @ right
+
+    def eval_points(self, t: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        """Series values at paired points (t_i, tau_i)."""
+        if np.shape(t) != np.shape(tau):
+            raise ValueError("t and tau must have identical shapes")
+        table_t = eval_phi_table(self.values.shape[0] - 1, t)
+        table_tau = eval_phi_table(self.values.shape[1] - 1, tau)
+        return np.einsum("ki,kj,ji->i", table_t, self.values, table_tau, optimize=True)
 
 
 @dataclass(frozen=True, eq=False)

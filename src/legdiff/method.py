@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
-from .basis import _read_only, eval_phi_table, grid_factors
 from .coeffs import CoeffField, _BLOCK_ENTRIES, _check_entries
 from .derivative import DerivativeExpansion
 from .index import IndexDomain, _check_integer
@@ -32,7 +31,6 @@ from .index import IndexDomain, _check_integer
 __all__ = [
     "ConfigError",
     "MethodConfig",
-    "LegendreSeries2D",
     "ApproxDerivative",
     "choose_n",
     "run",
@@ -121,56 +119,12 @@ class MethodConfig:
         return IndexDomain(self.domain_shape, self.r, self.resolve_n())
 
 
-@dataclass(frozen=True, eq=False)
-class LegendreSeries2D:
-    """The series sum c_{k,j} phi_k(t) phi_j(tau) of a coefficient array.
-
-    ``coeffs`` is a read-only, C-contiguous, nonempty 2-D float64 array of
-    shape (k_max + 1, j_max + 1).  ``zero_corner`` (a, b), with ``coeffs[a:, b:]``
-    all zero, is a corner grid evaluations may skip; no constructor argument
-    sets it, only :func:`run_many`, and every other series has None.
-    """
-
-    coeffs: np.ndarray
-    zero_corner: tuple[int, int] | None = field(init=False, default=None)
-
-    def __post_init__(self) -> None:
-        coeffs = np.ascontiguousarray(self.coeffs, dtype=np.float64)
-        if coeffs.ndim != 2 or coeffs.size == 0:
-            raise ValueError("coefficient array must be 2-D and nonempty")
-        object.__setattr__(self, "coeffs", _read_only(coeffs))
-
-    @classmethod
-    def _with_corner(cls, coeffs: np.ndarray, zero_corner: tuple[int, int] | None):
-        """The series with the zero corner :func:`run_many` guarantees, unscanned."""
-        series = cls(coeffs)
-        object.__setattr__(series, "zero_corner", zero_corner)
-        return series
-
-    def eval_grid(self, t: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        """Series values on the tensor grid t x tau, shape (len(t), len(tau)), the
-        product of :func:`~legdiff.basis.grid_factors`' pair; one table serves
-        both axes when ``tau is t`` and the degrees agree."""
-        K, J = self.coeffs.shape
-        table_t = eval_phi_table(K - 1, t)
-        table_tau = table_t if tau is t and J == K else eval_phi_table(J - 1, tau)
-        left, right = grid_factors(table_t, self.coeffs, table_tau, self.zero_corner)
-        return left @ right
-
-    def eval_points(self, t: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        """Series values at paired points (t_i, tau_i)."""
-        if np.shape(t) != np.shape(tau):
-            raise ValueError("t and tau must have identical shapes")
-        table_t = eval_phi_table(self.coeffs.shape[0] - 1, t)
-        table_tau = eval_phi_table(self.coeffs.shape[1] - 1, tau)
-        return np.einsum("ki,kj,ji->i", table_t, self.coeffs, table_tau, optimize=True)
-
-
 @dataclass(frozen=True)
 class ApproxDerivative:
-    """The method's output: a low-degree series approximating f^(r,r)."""
+    """The method's output: a low-degree series approximating f^(r,r), as the
+    field of its coefficients, every entry stored."""
 
-    series: LegendreSeries2D
+    series: CoeffField
     config: MethodConfig
 
     @property
@@ -263,8 +217,10 @@ def run_many(fields: Iterable[CoeffField], config: MethodConfig) -> Iterator[App
     :mod:`legdiff.derivative` docstring); each field's result is its slice of
     the derived stack, bit for bit what :func:`run` gives it alone.  A table
     row's seeds, each a small array, then pay one map's numpy calls in place
-    of one per seed.  It is the one place a series' ``zero_corner`` is set:
-    the domain's corner less r, which the map leaves zero (None on the box).
+    of one per seed.  Each result is a :class:`CoeffField` storing every
+    entry, all sharing one read-only mask made per call.  It is the one place
+    a field's ``zero_corner`` is set: the domain's corner less r, which the
+    map leaves zero (None on the box).
 
     The fields are read lazily, a chunk at a time, and a chunk holds at most
     :data:`~legdiff.coeffs._BLOCK_ENTRIES` = 2^18 coefficients (2 MiB, the
@@ -281,13 +237,14 @@ def run_many(fields: Iterable[CoeffField], config: MethodConfig) -> Iterator[App
     corner = domain.zero_corner()
     derived_corner = None if corner is None else (corner[0] - config.r, corner[1] - config.r)
     per_map = max(1, _BLOCK_ENTRIES // side**2)
+    stored = np.broadcast_to(np.True_, (side - config.r,) * 2)
     fields = iter(fields)
     while len(stack := _restricted_stack(list(islice(fields, per_map)), mask)):
         # The restriction zero-filled the corner, so it goes unscanned.
         derived = expansion.apply_both(stack, corner)
         del stack  # not held while the caller uses the results
-        for coeffs in derived:
-            yield ApproxDerivative(LegendreSeries2D._with_corner(coeffs, derived_corner), config)
+        for values in derived:
+            yield ApproxDerivative(CoeffField._derived(values, stored, derived_corner), config)
 
 
 def _restricted_stack(fields: list[CoeffField], mask: np.ndarray) -> np.ndarray:

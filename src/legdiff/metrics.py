@@ -13,10 +13,11 @@ evaluate the reference once per grid.  The store is weak-keyed: drop the
 reference object to release its grids.
 
 A uniform grid, and a Gauss grid of at most 2**18 entries (every Gauss grid the
-table presets measure on), holds the reference's values and the Legendre
-tables of its latest measurement; a table is rebuilt only when the series
-degree changes.  A measurement reduces series minus reference one block of
-grid rows at a time in one reused buffer of at most 2**18 entries (2 MiB), so
+table presets measure on), holds the reference's values and, per axis (one
+for both when they share nodes), the Legendre table of its latest
+measurement; a table is rebuilt only when the series degree changes.  A
+measurement reduces series minus reference one block of grid rows at a time
+in one reused buffer of at most 2**18 entries (2 MiB), so
 next to the held grid it allocates that block and the two factors of
 :func:`~legdiff.basis.grid_factors`, never a second grid.  A grid of at most
 2**18 entries (the default uniform grid too) is one block, reduced with
@@ -69,6 +70,7 @@ import numpy as np
 from .basis import QuadratureRule, grid_factors, legendre_table
 from .coeffs import (
     BivariateFunction,
+    CoeffField,
     _BLOCK_ENTRIES,
     _MAX_SIDE,
     _check_entries,
@@ -77,7 +79,7 @@ from .coeffs import (
     _tensor_projection,
 )
 from .index import _check_integer
-from .method import ApproxDerivative, LegendreSeries2D
+from .method import ApproxDerivative
 
 __all__ = ["ErrorReport", "l2_error", "sup_error", "error_report", "DEFAULT_G", "DEFAULT_M"]
 
@@ -120,9 +122,9 @@ class _Grid:
     grid is one row block (at most :data:`_BLOCK_ENTRIES` entries) or
     uniform; a larger Gauss grid holds None, and is measured in coefficient
     space from ``projection``, the reference's ``(B, tail)`` for the latest
-    coefficient shape (see :meth:`projected`).  ``tables`` maps (axis,
-    degree) to the Legendre tables of the latest measurement from
-    ``values``, so it holds at most two.
+    coefficient shape (see :meth:`projected`).  ``tables`` maps an axis (0
+    for t, 1 for tau; 0 alone when they share nodes) to the Legendre table
+    of the latest measurement from ``values``.
     """
 
     size: int
@@ -130,18 +132,21 @@ class _Grid:
     tau: np.ndarray
     values: np.ndarray | None
     rules: tuple[QuadratureRule, QuadratureRule] | None = None
-    tables: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    tables: dict[int, np.ndarray] = field(default_factory=dict)
     projection: tuple[np.ndarray, float] | None = None
 
     def axis_tables(self, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        """The Legendre tables (t, tau) for a coefficient array of this shape."""
-        keys = (0, shape[0] - 1), (int(self.tau is not self.t), shape[1] - 1)
-        # Tables of other degrees go before the new ones are built.
-        self.tables = {key: self.tables[key] for key in keys if key in self.tables}
-        for key, nodes in zip(keys, (self.t, self.tau)):
-            if key not in self.tables:
-                self.tables[key] = legendre_table(key[1], nodes)
-        return self.tables[keys[0]], self.tables[keys[1]]
+        """The Legendre tables (t, tau) for a coefficient array of this shape, each
+        axis's table built anew when its degree changes; shared nodes take the
+        leading rows of one table (the recurrence runs row by row, so those
+        rows are a smaller table's bytes)."""
+        shared = self.tau is self.t
+        wanted = {0: max(shape)} if shared else {0: shape[0], 1: shape[1]}
+        for axis, rows in wanted.items():
+            if len(self.tables.get(axis, ())) != rows:
+                self.tables.pop(axis, None)  # dropped before the new one is built
+                self.tables[axis] = legendre_table(rows - 1, (self.t, self.tau)[axis])
+        return self.tables[0][: shape[0]], self.tables[int(not shared)][: shape[1]]
 
     def remainders(
         self,
@@ -160,10 +165,10 @@ class _Grid:
             block -= values(rows)
             yield rows, block
 
-    def diff_blocks(self, series: LegendreSeries2D) -> Iterator[tuple[slice, np.ndarray]]:
+    def diff_blocks(self, series: CoeffField) -> Iterator[tuple[slice, np.ndarray]]:
         """Series minus the held values, one block of rows at a time."""
-        table_t, table_tau = self.axis_tables(series.coeffs.shape)
-        left, right = grid_factors(table_t, series.coeffs, table_tau, series.zero_corner)
+        table_t, table_tau = self.axis_tables(series.values.shape)
+        left, right = grid_factors(table_t, series.values, table_tau, series.zero_corner)
         return self.remainders(
             lambda rows, out: np.matmul(left[rows], right, out=out), self.values.__getitem__
         )
@@ -258,9 +263,9 @@ def l2_error(approx: ApproxDerivative, reference: BivariateFunction, G: int) -> 
     A reference that is NaN anywhere on the grid gives NaN either way.
     """
     _check_integer("G", G)
-    order = max(G, 2 * (max(approx.series.coeffs.shape) - 1) + 8)
+    coeffs = approx.series.values
+    order = max(G, 2 * (max(coeffs.shape) - 1) + 8)
     _check_gauss_order(order, _MAX_GAUSS_ORDER)
-    coeffs = approx.series.coeffs
     grid = _grid(reference, "gauss", order, _gauss)
     if grid.values is not None:
         quad = grid.square_sum(grid.diff_blocks(approx.series))

@@ -88,6 +88,17 @@ def _key_object_rows(document: str):
 
 
 @pytest.mark.parametrize("document", _KEY_OBJECT_DOCS)
+def test_key_object_rows_name_real_objects(document):
+    """The first backticked name of every "Key objects" row resolves on legdiff,
+    so no row outlives the object it describes."""
+    rows = list(_key_object_rows(document))
+    assert rows
+    for names, _ in rows:
+        first = re.match(r"\s*`(\w+)", names).group(1)
+        assert _resolves(legdiff, first), first
+
+
+@pytest.mark.parametrize("document", _KEY_OBJECT_DOCS)
 def test_readme_key_objects_name_real_methods(document):
     """In a "Key objects" row led by a class legdiff exports, each `name(` of the
     role cell resolves on that class or in legdiff."""

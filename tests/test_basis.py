@@ -337,13 +337,13 @@ class TestGridProduct:
         """B at n = 300 and the tables of the 1204-node Gauss grid its L2 error uses."""
         series = _cross_series(300)
         rule_t, rule_tau = F1.derivative_function().gauss_rules(2 * 297 + 8)
-        degree = series.coeffs.shape[0] - 1
+        degree = series.values.shape[0] - 1
         tables = legendre_table(degree, rule_t.nodes), legendre_table(degree, rule_tau.nodes)
         return series, *tables
 
     def test_cross_at_n300_matches_long_double_oracle(self, cross_300):
         series, table_t, table_tau = cross_300
-        coeffs = series.coeffs
+        coeffs = series.values
         assert series.zero_corner == (22, 23)
         values = _grid(table_t, coeffs, table_tau, (22, 23))
         rows = np.r_[0:1204:29, 1203]  # both ends and a spread of interior nodes
@@ -356,7 +356,7 @@ class TestGridProduct:
         # The grid of `legdiff differentiate --builtin f2 --r 3 --n 100 --grid 201`.
         config = MethodConfig(r=3, mu=8.5, delta=0.0, n_override=100)
         series = run(exact_coeffs(F2, 99, 99), config).series
-        coeffs, corner = series.coeffs, series.zero_corner
+        coeffs, corner = series.values, series.zero_corner
         assert corner == (14, 15)
         table = legendre_table(coeffs.shape[0] - 1, np.linspace(-1.0, 1.0, 201))
         assert 201 * coeffs.size + 201 * coeffs.shape[1] * 201 >= 2**22  # factorized
@@ -369,7 +369,7 @@ class TestGridProduct:
     )
     def test_products_under_threshold_stay_dense(self, n, nodes):
         series = _cross_series(n)
-        coeffs = series.coeffs
+        coeffs = series.values
         table = legendre_table(coeffs.shape[0] - 1, np.linspace(-1.0, 1.0, nodes))
         assert nodes * coeffs.size + nodes * coeffs.shape[1] * nodes < 2**22
         assert (
@@ -379,7 +379,7 @@ class TestGridProduct:
 
     def test_corner_that_does_not_pay_stays_dense(self, cross_300):
         series, table_t, table_tau = cross_300
-        coeffs = series.coeffs
+        coeffs = series.values
         K, J = coeffs.shape
         assert not coeffs[K - 1 :, J - 1 :].any()  # a zero corner, but too small to pay
         assert (

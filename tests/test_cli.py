@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import legdiff
-from legdiff import cli
+from legdiff import cli, metrics
 from legdiff.cli import main
 from legdiff.coeffs import exact_coeffs, save_csv
 from legdiff.experiments import BUILTIN_NAMES, F1
@@ -382,11 +383,41 @@ class TestTableBlocks:
         assert (code, digest) == (
             "0", "cc6b2bd6ec2e219714a1f2e6128b2c550b9122f5ebcbbbf63e15390e44259a07"
         )
-        # The grid's values, held until the command returns, and one block's
+        # The grid's values, held until the table is written, and one block's
         # rows at 512 B each (2 MiB), which also covers the error report's
         # measurement that follows the table (about 1.3 MB).
         bound = 201 * 201 * 8 + cli._WRITE_BLOCK * 512
         assert int(peak) <= bound, (peak, bound)
+
+    def test_report_runs_without_the_grid(self, tmp_path, monkeypatch):
+        # The report's parts: each of its two grids (Gauss, uniform) holds the
+        # reference's values and measures in one row block of the same size.
+        reference = F1.derivative_function()
+        rule_t, rule_tau = reference.gauss_rules(metrics.DEFAULT_G)
+        parts = 2 * 8 * (len(rule_t) * len(rule_tau) + metrics.DEFAULT_M**2)
+        traced = {}
+
+        def report(approx, reference):
+            traced["held"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = error_report(approx, reference)
+            traced["peak"] = tracemalloc.get_traced_memory()[1]
+            return result
+
+        error_report = cli.error_report
+        monkeypatch.setattr(cli, "error_report", report)
+        argv = ["differentiate", "--builtin", "f1", "--mu", "5.5", "--n", "19",
+                "--grid", "401", "--out", str(tmp_path / "grid.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+        finally:
+            tracemalloc.stop()
+        # The run's coefficients and caches are about 0.2 MB.  A command that
+        # kept the 401 x 401 grid (1.3 MB) through the report held 1.4-1.5 MB
+        # there and peaked at 2.6 MB; releasing it gives 0.2 and 1.3 MB.
+        assert traced["held"] <= 2**19, traced
+        assert traced["peak"] <= parts + 2**19, (traced, parts)
 
     @pytest.mark.parametrize(
         "argv",

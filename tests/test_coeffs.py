@@ -27,7 +27,7 @@ from legdiff.basis import QuadratureRule, composite_gauss_rule, legendre_table
 from legdiff.experiments import F1
 from legdiff.cli import main
 from legdiff.index import IndexDomain, pairs_mask
-from legdiff.method import ApproxDerivative, ConfigError, LegendreSeries2D, MethodConfig
+from legdiff.method import ApproxDerivative, ConfigError, MethodConfig, run
 from legdiff.metrics import sup_error
 from legdiff.noise import NoiseSpec, perturb
 
@@ -757,6 +757,19 @@ class TestCsvRoundTrip:
         loaded = load_csv(path)
         assert loaded.items_sorted() == field.items_sorted()
 
+    def test_derived_coefficients_round_trip(self, tmp_path):
+        # The method's output is a field like any other: every entry stored,
+        # written and read back with the bytes of its grid values.
+        config = MethodConfig(r=2, mu=5.5, delta=0.0, n_override=31)
+        approx = run(exact_coeffs(F1, 30, 30).restrict(config.domain()), config)
+        series = approx.series
+        assert isinstance(series, CoeffField) and len(series) == series.values.size
+        path = tmp_path / "derived.csv"
+        save_csv(series, path)
+        loaded = load_csv(path)
+        grid = np.linspace(-1.0, 1.0, 41)
+        assert loaded.eval_grid(grid, grid).tobytes() == series.eval_grid(grid, grid).tobytes()
+
     def test_indices_beyond_dense_limit_rejected(self, tmp_path, monkeypatch):
         # One far entry would need a 100001 x 100001 array (75 GiB); the
         # vectorised pass refuses it in the scanner's words, without the scanner.
@@ -1039,7 +1052,7 @@ class TestOneLimit:
 
     def test_uniform_error_grid(self, limit):
         config = MethodConfig(r=2, mu=5.5, delta=0.0, n_override=3)
-        approx = ApproxDerivative(LegendreSeries2D(np.zeros((1, 1))), config)
+        approx = ApproxDerivative(CoeffField.from_dense(np.zeros((1, 1))), config)
         with pytest.raises(ValueError, match=f"m=11 needs a 11x11 evaluation grid, {limit}"):
             sup_error(approx, _untouchable(), m=11)
 

@@ -16,7 +16,6 @@ from legdiff.index import IndexDomain
 from legdiff.method import (
     ApproxDerivative,
     ConfigError,
-    LegendreSeries2D,
     MethodConfig,
     choose_n,
     evaluate,
@@ -195,7 +194,7 @@ class TestRun:
         field = from_entries({(2, 2): 1.0})
         cfg = MethodConfig(r=2, mu=6.0, delta=0.0, n_override=3, domain_shape="box")
         approx = run(field, cfg)
-        out = approx.series.coeffs
+        out = approx.series.values
         assert out[0, 0] == pytest.approx(45.0, rel=1e-14)
         grid = np.linspace(-1.0, 1.0, 9)
         values = approx.series.eval_grid(grid, grid)
@@ -252,7 +251,7 @@ class TestRun:
         entries = {kj: rng.normal() for kj in domain.members()}
         field = from_entries(entries)
         approx = run(field, MethodConfig(r=r, mu=6.0, delta=0.0, n_override=n))
-        k_max, j_max = np.subtract(approx.series.coeffs.shape, 1)
+        k_max, j_max = np.subtract(approx.series.values.shape, 1)
         assert k_max <= n - 1 - r
         assert j_max <= n - 1 - r
 
@@ -266,7 +265,7 @@ class TestRun:
             field,
             MethodConfig(r=r, mu=6.0, delta=0.0, n_override=n, domain_shape="box"),
         )
-        k_max, j_max = np.subtract(approx.series.coeffs.shape, 1)
+        k_max, j_max = np.subtract(approx.series.values.shape, 1)
         assert k_max <= n - r
         assert j_max <= n - r
 
@@ -289,7 +288,7 @@ class TestRun:
         base = run(from_entries(entries), cfg)
         tamp = run(from_entries(tampered), cfg)
         np.testing.assert_array_equal(
-            base.series.coeffs, tamp.series.coeffs
+            base.series.values, tamp.series.values
         )
 
     def test_sparse_field_missing_domain_entries_treated_as_zero(self):
@@ -302,7 +301,7 @@ class TestRun:
         a = run(sparse, cfg)
         b = run(dense, cfg)
         np.testing.assert_array_equal(
-            a.series.coeffs, b.series.coeffs
+            a.series.values, b.series.values
         )
 
     def test_noise_then_run_is_deterministic(self):
@@ -314,7 +313,7 @@ class TestRun:
         one = run(perturb(field, spec), cfg)
         two = run(perturb(field, spec), cfg)
         np.testing.assert_array_equal(
-            one.series.coeffs, two.series.coeffs
+            one.series.values, two.series.values
         )
 
 
@@ -352,7 +351,7 @@ class TestStaircase:
             np.random.default_rng(8).standard_normal((300, 300))
         ).restrict(domain)
         shapes = _step_shapes(monkeypatch)
-        derived = run(masked, config).series.coeffs
+        derived = run(masked, config).series.values
         assert len(shapes) == 8  # two steps on each of four blocks
         assert max(min(shape) for shape in shapes) == max(a, b)
         blocks = sum(math.prod(shape) for shape in shapes)
@@ -373,7 +372,7 @@ class TestStaircase:
         outside = np.ones(values.shape, dtype=bool)
         outside[:side, :side] = ~mask
         values[outside] = rng.choice([np.nan, np.inf, -np.inf, 1e300], size=outside.sum())
-        derived = run(CoeffField.from_dense(values), config).series.coeffs
+        derived = run(CoeffField.from_dense(values), config).series.values
         restricted = np.where(mask, values[:side, :side], 0.0)
         assert derived.tobytes() == _dense_map(restricted, r).tobytes()
 
@@ -382,7 +381,7 @@ class TestStaircase:
         config = MethodConfig(r=2, mu=9.0, delta=0.0, n_override=300)
         mask = config.domain().mask()
         values = np.random.default_rng(sum(shape)).standard_normal(shape)
-        derived = run(CoeffField.from_dense(values), config).series.coeffs
+        derived = run(CoeffField.from_dense(values), config).series.values
         padded = np.zeros(mask.shape)
         padded[: shape[0], : shape[1]] = values
         assert derived.tobytes() == _dense_map(np.where(mask, padded, 0.0), 2).tobytes()
@@ -449,7 +448,7 @@ class TestStaircase:
             with pytest.raises(ValueError, match="r=2 derivative of degree-299 "):
                 run(CoeffField.from_dense(values), config)
             values[2, 299] = value / 1e8
-            assert np.isfinite(run(CoeffField.from_dense(values), config).series.coeffs).all()
+            assert np.isfinite(run(CoeffField.from_dense(values), config).series.values).all()
 
 
 def _bits(coeffs: np.ndarray) -> np.ndarray:
@@ -463,11 +462,15 @@ def _assert_stacked_matches_run(fields, config):
     assert len(stacked) == len(fields)
     for field, approx in zip(fields, stacked):
         alone = run(field, config)
-        assert np.array_equal(_bits(approx.series.coeffs), _bits(alone.series.coeffs))
-        assert approx.series.coeffs.flags.c_contiguous
-        assert not approx.series.coeffs.flags.writeable
+        assert np.array_equal(_bits(approx.series.values), _bits(alone.series.values))
+        assert approx.series.values.flags.c_contiguous
+        assert not approx.series.values.flags.writeable
         assert approx.series.zero_corner == alone.series.zero_corner
         assert approx.config is config
+    # Every result stores every entry, through one read-only mask made per call.
+    stored = stacked[0].series.stored
+    assert stored.all() and not stored.flags.writeable and stored.strides == (0, 0)
+    assert all(np.shares_memory(approx.series.stored, stored) for approx in stacked)
     return stacked
 
 
@@ -489,7 +492,7 @@ class TestRunMany:
         stacked = _assert_stacked_matches_run(fields, config)
         if shape == "box":  # no block edge: the dense map's bytes too
             restricted = fields[0].restrict(config.domain()).values
-            assert stacked[0].series.coeffs.tobytes() == _dense_map(restricted, 2).tobytes()
+            assert stacked[0].series.values.tobytes() == _dense_map(restricted, 2).tobytes()
 
     @pytest.mark.parametrize(("shape", "n"), [("cross", 80), ("box", 19)])
     def test_negative_zeros_keep_the_sign_they_get_alone(self, shape, n):
@@ -509,7 +512,7 @@ class TestRunMany:
         fields = [CoeffField.from_dense(v) for v in (noisy, edges, negative, signed, noisy)]
         stacked = _assert_stacked_matches_run(fields, config)
         if shape == "box":
-            assert np.signbit(stacked[2].series.coeffs).any()
+            assert np.signbit(stacked[2].series.values).any()
 
     @pytest.mark.parametrize("entries", [None, 2**19], ids=["one-per-map", "three-per-map"])
     def test_an_overflowing_field_raises_what_run_raises(self, monkeypatch, entries):
@@ -571,14 +574,14 @@ def _random_inputs(seed):
     return coeffs, t, tau
 
 
-class TestLegendreSeries2D:
+class TestSeriesEvaluation:
     def test_eval_grid_matches_einsum(self):
         coeffs, t, tau = _random_inputs(2)
         table_t = legendre_table(coeffs.shape[0] - 1, t)
         table_tau = legendre_table(coeffs.shape[1] - 1, tau)
         expected = np.einsum("ki,kj,jm->im", table_t, coeffs, table_tau)
         np.testing.assert_allclose(
-            LegendreSeries2D(coeffs).eval_grid(t, tau), expected, rtol=1e-12, atol=1e-13
+            CoeffField.from_dense(coeffs).eval_grid(t, tau), expected, rtol=1e-12, atol=1e-13
         )
 
     def test_eval_points_matches_loop(self):
@@ -597,19 +600,19 @@ class TestLegendreSeries2D:
             ]
         )
         np.testing.assert_allclose(
-            LegendreSeries2D(coeffs).eval_points(t, tau), expected, rtol=1e-11, atol=1e-12
+            CoeffField.from_dense(coeffs).eval_points(t, tau), expected, rtol=1e-11, atol=1e-12
         )
 
     def test_constant_series(self):
         # c_{0,0} = 2 means 2 * phi_0(t) phi_0(tau) = 2 * (1/sqrt 2)^2 = 1.
-        series = LegendreSeries2D(coeffs=from_entries({(0, 0): 2.0}).values)
+        series = CoeffField.from_dense(from_entries({(0, 0): 2.0}).values)
         grid = np.linspace(-1.0, 1.0, 5)
         np.testing.assert_allclose(series.eval_grid(grid, grid), 1.0, rtol=1e-15)
 
     def test_grid_and_points_agree(self):
         rng = np.random.default_rng(11)
         dense = rng.normal(size=(5, 4))
-        series = LegendreSeries2D(coeffs=dense)
+        series = CoeffField.from_dense(dense)
         t = np.linspace(-1.0, 1.0, 7)
         tau = np.linspace(-1.0, 1.0, 6)
         grid_vals = series.eval_grid(t, tau)
@@ -618,12 +621,12 @@ class TestLegendreSeries2D:
         np.testing.assert_allclose(grid_vals, point_vals, rtol=1e-13, atol=1e-15)
 
     def test_points_shape_mismatch_rejected(self):
-        series = LegendreSeries2D(coeffs=from_entries({(0, 0): 1.0}).values)
+        series = CoeffField.from_dense(from_entries({(0, 0): 1.0}).values)
         with pytest.raises(ValueError):
             series.eval_points(np.zeros(3), np.zeros(4))
 
     def test_rejects_points_outside_domain(self):
-        series = LegendreSeries2D(coeffs=from_entries({(1, 1): 1.0}).values)
+        series = CoeffField.from_dense(from_entries({(1, 1): 1.0}).values)
         with pytest.raises(ValueError):
             series.eval_grid(np.array([1.5]), np.array([0.0]))
         with pytest.raises(ValueError):
@@ -631,7 +634,7 @@ class TestLegendreSeries2D:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_points(self, bad):
-        series = LegendreSeries2D(coeffs=from_entries({(1, 1): 1.0}).values)
+        series = CoeffField.from_dense(from_entries({(1, 1): 1.0}).values)
         for t, tau in ((bad, 0.0), (0.0, bad)):
             with pytest.raises(ValueError, match="outside"):
                 series.eval_grid(np.array([0.5, t]), np.array([tau]))
@@ -640,8 +643,8 @@ class TestLegendreSeries2D:
 
     def test_coeffs_are_read_only_c_contiguous_float64(self):
         source = np.asfortranarray(np.arange(6, dtype=np.int64).reshape(2, 3))
-        series = LegendreSeries2D(coeffs=source)
-        coeffs = series.coeffs
+        series = CoeffField.from_dense(source)
+        coeffs = series.values
         assert coeffs.dtype == np.float64 and coeffs.flags.c_contiguous
         assert not coeffs.flags.writeable
         np.testing.assert_array_equal(coeffs, source)
@@ -651,7 +654,7 @@ class TestLegendreSeries2D:
     @pytest.mark.parametrize("bad", [np.ones(3), np.ones((0, 3)), np.ones((2, 2, 2))])
     def test_rejects_non_2d_or_empty_coeffs(self, bad):
         with pytest.raises(ValueError, match="2-D and nonempty"):
-            LegendreSeries2D(coeffs=bad)
+            CoeffField.from_dense(bad)
 
 
 class TestZeroCorner:
@@ -665,8 +668,8 @@ class TestZeroCorner:
 
     def test_is_not_a_constructor_argument(self):
         with pytest.raises(TypeError, match="zero_corner"):
-            LegendreSeries2D(np.zeros((6, 5)), zero_corner=(3, 2))
-        assert LegendreSeries2D(np.zeros((6, 5))).zero_corner is None
+            CoeffField(np.zeros((6, 5)), np.ones((6, 5), dtype=bool), zero_corner=(3, 2))
+        assert CoeffField.from_dense(np.zeros((6, 5))).zero_corner is None
 
     @pytest.mark.parametrize(
         ("n", "r"), [(19, 2), (79, 2), (80, 2), (300, 2), (120, 1), (120, 3)]
@@ -679,8 +682,8 @@ class TestZeroCorner:
         series = run(field, config).series
         a, b = series.zero_corner
         assert (a + r, b + r) == config.domain().zero_corner()
-        assert 0 < a < series.coeffs.shape[0] and 0 < b < series.coeffs.shape[1]
-        assert not series.coeffs[a:, b:].any()
+        assert 0 < a < series.values.shape[0] and 0 < b < series.values.shape[1]
+        assert not series.values[a:, b:].any()
 
     def test_run_gives_the_box_no_corner(self):
         # The box has no zero corner, so its series is evaluated densely.
@@ -690,21 +693,21 @@ class TestZeroCorner:
         assert run(field, config).series.zero_corner is None
 
     def test_a_corner_of_negative_zeros_keeps_the_bytes(self, derived_300):
-        signed = derived_300.coeffs.copy()
+        signed = derived_300.values.copy()
         signed[22:, 23:] = -0.0
-        series = LegendreSeries2D._with_corner(signed, (22, 23))
+        series = CoeffField._derived(signed, derived_300.stored, (22, 23))
         grid = np.linspace(-1.0, 1.0, 401)
         # The factorized product never reads the corner, so the bytes cannot move.
         assert series.eval_grid(grid, grid).tobytes() == derived_300.eval_grid(grid, grid).tobytes()
 
     def test_without_a_corner_eval_grid_is_dense(self, derived_300):
-        coeffs = derived_300.coeffs
+        coeffs = derived_300.values
         assert derived_300.zero_corner == (22, 23)
         grid = np.linspace(-1.0, 1.0, 401)
         table = legendre_table(coeffs.shape[0] - 1, grid)
         assert 401 * coeffs.size + 401 * coeffs.shape[1] * 401 >= 2**22  # above the threshold
         assert (
-            LegendreSeries2D(coeffs).eval_grid(grid, grid).tobytes()
+            CoeffField.from_dense(coeffs).eval_grid(grid, grid).tobytes()
             == (table.T @ coeffs @ table).tobytes()
         )
 
@@ -722,7 +725,7 @@ class TestZeroCorner:
         assert derived_300.eval_grid(grid, grid).tobytes() == apart.tobytes()
         assert degrees == [297]
         # Unequal degrees need both tables, even on one grid.
-        LegendreSeries2D(derived_300.coeffs[:, :-1]).eval_grid(grid, grid)
+        CoeffField.from_dense(derived_300.values[:, :-1]).eval_grid(grid, grid)
         assert degrees == [297, 297, 296]
 
 

@@ -9,11 +9,11 @@ import weakref
 import numpy as np
 import pytest
 
-from legdiff import basis, coeffs, method, metrics
+from legdiff import basis, coeffs, metrics
 from legdiff.basis import composite_gauss_rule, grid_factors, legendre_table
 from legdiff.coeffs import BivariateFunction, CoeffField, exact_coeffs
 from legdiff.experiments import F1, F2, ExperimentPreset, run_table
-from legdiff.method import ApproxDerivative, LegendreSeries2D, MethodConfig, run
+from legdiff.method import ApproxDerivative, MethodConfig, run
 from legdiff.metrics import ErrorReport, error_report, l2_error, sup_error
 from legdiff.noise import NoiseSpec, perturb
 
@@ -307,7 +307,7 @@ class TestHeldReference:
         with pytest.raises(ValueError, match=message):
             l2_error(approx, reference, G)
         # A series of degree 2048 gets the degree rule's order 4104 at any G.
-        wide = dataclasses.replace(approx, series=LegendreSeries2D(np.zeros((1, 2049))))
+        wide = dataclasses.replace(approx, series=CoeffField.from_dense(np.zeros((1, 2049))))
         with pytest.raises(ValueError, match="order G=4104 per panel is over the limit"):
             l2_error(wide, reference, 16)
         with pytest.raises(ValueError, match="order G=4104 per panel is over the limit"):
@@ -396,7 +396,9 @@ class TestGridStore:
         grids = metrics._GRIDS[reference]
         assert sorted(grids) == ["gauss", "uniform"]
         assert (grids["gauss"].size, grids["uniform"].size) == (26, 9)
-        assert len(grids["gauss"].tables) == 2 and len(grids["uniform"].tables) == 1
+        # One table per axis node set, of the degree measured last (9), and no other.
+        assert [table.shape for table in grids["gauss"].tables.values()] == [(10, 52), (10, 26)]
+        assert [table.shape for table in grids["uniform"].tables.values()] == [(10, 9)]
         assert [alive() is None for alive in earlier] == [True] * 4 + [False] * 2
         # A size measured before is built again.
         l2_error(approxs[0], reference, G=8)
@@ -505,7 +507,7 @@ def test_grid_products_receive_the_derived_corner(monkeypatch):
         return grid_factors(table_t, coeffs, table_tau, corner)
 
     # Every grid product takes its factors from grid_factors, imported by name.
-    for module in (coeffs, method, metrics):
+    for module in (coeffs, metrics):
         monkeypatch.setattr(module, "grid_factors", spy)
     reference = F1.derivative_function()
     # On its 1204-node Gauss grid the L2 error is taken in coefficient space:
@@ -523,7 +525,7 @@ def _unblocked_diff(series, t, tau, values):
     each product entry's rounding: E = eps * (max(K, J) + a + b) *
     |T_t|^T |C| |T_tau|, the rounding model of ``test_basis._rounding_bound``.
     """
-    coeffs, corner = series.coeffs, series.zero_corner
+    coeffs, corner = series.values, series.zero_corner
     table_t = legendre_table(coeffs.shape[0] - 1, t)
     table_tau = legendre_table(coeffs.shape[1] - 1, tau)
     left, right = grid_factors(table_t, coeffs, table_tau, corner)
@@ -597,7 +599,7 @@ class TestRowBlocks:
         quad_bound = weights @ (spread * (2.0 * np.abs(diff) + spread)) @ weights
         quad_bound += (t.size + tau.size + 2) * eps * quad
 
-        coeffs = approx.series.coeffs
+        coeffs = approx.series.values
         K, J = coeffs.shape
         assert K == J
         projection, tail = metrics._GRIDS[reference]["gauss"].projection
@@ -627,7 +629,7 @@ class TestRowBlocks:
         residual = np.abs(coeffs - projection)
         coeff_bound = np.sum(error_b * (2.0 * residual + error_b))
         coeff_bound += (K + J + 3) * eps * np.sum(residual * residual)
-        tail_diff, tail_error = _unblocked_diff(LegendreSeries2D(projection), t, tau, values)
+        tail_diff, tail_error = _unblocked_diff(CoeffField.from_dense(projection), t, tau, values)
         tail_size = np.abs(tail_diff) + tail_error + eps * np.abs(values)
         coeff_bound += tail + weights @ (tail_size * tail_size) @ weights
 
@@ -754,7 +756,7 @@ class TestCoefficientSpace:
         """
         approx, factored = cross_300
         general = dataclasses.replace(factored, factors=None)
-        coeffs = approx.series.coeffs
+        coeffs = approx.series.values
         K, J = coeffs.shape
         l2_f = l2_error(approx, factored, G=96)
         l2_g = l2_error(approx, general, G=96)
@@ -785,7 +787,7 @@ class TestCoefficientSpace:
         l2_error(approx, reference, G=96)
         grid = metrics._GRIDS[reference]["gauss"]
         assert (grid.rules[1] is grid.rules[0]) == (tau_breakpoints is None)
-        K, J = approx.series.coeffs.shape
+        K, J = approx.series.values.shape
         expected, _ = coeffs._tensor_projection(reference, *grid.rules, K - 1, J - 1)
         assert np.array_equal(grid.projection[0], expected)
 
@@ -811,8 +813,8 @@ class TestCoefficientSpace:
         assert grid.values is None and grid.tables == {}
         assert l2_error(approx, reference, G=96) == first  # warm: from (B, tail)
         assert metrics._GRIDS[reference]["gauss"] is grid
-        narrow = ApproxDerivative(LegendreSeries2D(approx.series.coeffs[:, :200]), approx.config)
-        assert narrow.series.coeffs.shape == (298, 200)  # order 602 all the same
+        narrow = ApproxDerivative(CoeffField.from_dense(approx.series.values[:, :200]), approx.config)
+        assert narrow.series.values.shape == (298, 200)  # order 602 all the same
         again = l2_error(narrow, reference, G=96)
         assert metrics._GRIDS[reference]["gauss"] is grid
         assert grid.projection[0].shape == (298, 200)
@@ -876,13 +878,13 @@ class TestCoefficientSpace:
         approx, _ = cross_300
         if side is not None:  # a synthetic series: only its shape matters
             synthetic = np.random.default_rng(7).standard_normal((side, side))
-            approx = dataclasses.replace(approx, series=LegendreSeries2D(synthetic))
+            approx = dataclasses.replace(approx, series=CoeffField.from_dense(synthetic))
         reference = F1.derivative_function()
         if not declared:
             reference = dataclasses.replace(reference, factors=None)
         if tau_breakpoints is not None:
             reference = dataclasses.replace(reference, tau_breakpoints=tau_breakpoints)
-        K, J = approx.series.coeffs.shape
+        K, J = approx.series.values.shape
         tracemalloc.start()
         try:
             l2_error(approx, reference, G=96)
@@ -914,7 +916,7 @@ class TestCoefficientSpace:
     def test_warm_call_allocates_one_coefficient_array(self, cross_300):
         approx, reference = cross_300
         l2_error(approx, reference, G=96)  # warm
-        coeffs = approx.series.coeffs
+        coeffs = approx.series.values
         tracemalloc.start()
         try:
             l2_error(approx, reference, G=96)

@@ -183,7 +183,7 @@ def test_large_cross_l2_error_within_long_double_projection_bound():
     approx = run(perturb(base, NoiseSpec(kind="gaussian", delta=1e-10, seed=0)), config)
     reference = F1.derivative_function()
     l2 = l2_error(approx, reference, G)
-    coeffs = approx.series.coeffs
+    coeffs = approx.series.values
     K, J = coeffs.shape
     assert (K, J) == (n - r, n - r) and G == 2 * (K - 1) + 8  # the effective order
 

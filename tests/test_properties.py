@@ -40,7 +40,7 @@ def _random_field(rng, config: MethodConfig, extra: int) -> CoeffField:
 
 
 def _derived(field: CoeffField, config: MethodConfig) -> np.ndarray:
-    return run(field, config).series.coeffs
+    return run(field, config).series.values
 
 
 @settings(max_examples=60, deadline=None)
@@ -104,7 +104,7 @@ def test_run_derives_the_staircase_as_the_dense_map(r, n, shape, seed, zero_shar
     expansion = DerivativeExpansion(r, masked.shape[0] - 1)
     dense = expansion.apply(expansion.apply(masked).T).T
     series = run(field, config).series
-    derived = series.coeffs
+    derived = series.values
     assert derived.shape == dense.shape
     if np.signbit(masked[masked == 0.0]).any():
         assert np.array_equal(derived, dense)
