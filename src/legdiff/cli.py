@@ -266,6 +266,7 @@ def cmd_differentiate(args: argparse.Namespace) -> int:
         base = load_csv(args.coeffs)
     noise = NoiseSpec(kind=args.noise, delta=delta, p=args.p, seed=args.seed or 0)
     approx = run(perturb(base.restrict(domain), noise), config)
+    del base  # only the derived series is read from here on
     _write_grid(approx.series, args.grid, args.out)  # the grid is released on return
     if function is not None and args.r == MEASURED_ORDER:  # every builtin has its d22
         report = error_report(approx, function.derivative_function())

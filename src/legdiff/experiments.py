@@ -16,15 +16,16 @@ theoretical exponent (mu - 2r + 1/s - 1/2) / (mu - 1/p + 1/s).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from .coeffs import BivariateFunction, CoeffField, exact_coeffs, trapezoid_coeffs
-from .method import MethodConfig, _check_mu, run_many
+from .method import MethodConfig, _check_mu, _chunks, _derive
 from .metrics import DEFAULT_G, DEFAULT_M, error_report
-from .noise import NoiseSpec, perturb
+from .noise import NoiseSpec, _noise_rows
 
 __all__ = [
     "F1",
@@ -302,22 +303,35 @@ def _measure(
 ) -> list[ExperimentRow]:
     """One row per seed: restrict to the domain, perturb, run, and measure.
 
-    A seed of None runs the restricted field without noise; any other seed
-    draws ``noise`` (a :class:`NoiseSpec` kind) at the config's delta.  The
-    seeds are derived together by :func:`run_many`, one map call per chunk,
-    and each run is measured on its own against ``reference`` with
-    :func:`error_report`.
+    With ``noise`` None or "none" each seed (None in every caller) runs the
+    restricted field itself; otherwise every seed draws ``noise`` (a
+    :class:`NoiseSpec` kind) at the config's delta, the draw
+    :func:`~legdiff.noise.perturb` would add.  The field is restricted once,
+    and the seeds go in :func:`~legdiff.method.run_many`'s chunks.  A
+    chunk's stack holds the restricted values once per seed, and its seeds'
+    noise, drawn with one bit generator, is added at the stored entries in
+    their row-major order, so each entry is ``v + xi`` as ``perturb`` makes
+    it.  The stack is derived with one map call, and each run is measured on
+    its own against ``reference`` with :func:`error_report`.
     """
     domain = config.domain()
     card = domain.cardinality()
     consumed = field.restrict(domain)
-    noisy = (
-        consumed if seed is None
-        else perturb(consumed, NoiseSpec(kind=noise, delta=config.delta, p=config.p, seed=seed))
-        for seed in seeds
+    spec = (
+        None if noise in (None, "none")
+        else NoiseSpec(kind=noise, delta=config.delta, p=config.p)
     )
+
+    def stacks() -> Iterator[np.ndarray]:
+        for chunk in _chunks(seeds, config):
+            stack = np.empty((len(chunk), *consumed.values.shape))
+            stack[:] = consumed.values
+            if spec is not None:
+                stack[:, consumed.stored] += _noise_rows(spec, chunk, card)
+            yield stack
+
     cells = []
-    for seed, approx in zip(seeds, run_many(noisy, config)):
+    for seed, approx in zip(seeds, _derive(stacks(), config)):
         report = error_report(approx, reference)
         cells.append(
             ExperimentRow(

@@ -229,18 +229,38 @@ def run_many(fields: Iterable[CoeffField], config: MethodConfig) -> Iterator[App
     side 31, 2 at n = 300.  So memory does not grow with the number of
     fields, and a chunk's own arrays (the fields, the stack, the map's
     temporaries and the derived stack) stay within a few times 2 MiB.
+    :func:`legdiff.experiments.run_table` builds a row's stacks itself, the
+    restricted field plus each seed's noise, in the same chunks
+    (:func:`_chunks`) and derives them with the same loop (:func:`_derive`).
+    """
+    mask = config.domain().mask()
+    stacks = (_restricted_stack(chunk, mask) for chunk in _chunks(fields, config))
+    yield from _derive(stacks, config)
+
+
+def _chunks(items: Iterable, config: MethodConfig) -> Iterator[list]:
+    """``items`` in lists of at most ``_BLOCK_ENTRIES // side^2`` (at least one),
+    the stack heights :func:`_derive` takes for the config's coefficient side."""
+    side = config.domain().mask().shape[0]
+    height = max(1, _BLOCK_ENTRIES // side**2)
+    items = iter(items)
+    while chunk := list(islice(items, height)):
+        yield chunk
+
+
+def _derive(stacks: Iterable[np.ndarray], config: MethodConfig) -> Iterator[ApproxDerivative]:
+    """The derived field of each array in each stack, in order: one map call per stack.
+
+    Each stack has shape (fields, side, side) and is zero outside the
+    config's domain mask, so the map leaves the domain's zero corner unscanned.
     """
     domain = config.domain()
-    mask = domain.mask()
-    side = mask.shape[0]
+    side = domain.mask().shape[0]
     expansion = DerivativeExpansion(config.r, side - 1)
     corner = domain.zero_corner()
     derived_corner = None if corner is None else (corner[0] - config.r, corner[1] - config.r)
-    per_map = max(1, _BLOCK_ENTRIES // side**2)
     stored = np.broadcast_to(np.True_, (side - config.r,) * 2)
-    fields = iter(fields)
-    while len(stack := _restricted_stack(list(islice(fields, per_map)), mask)):
-        # The restriction zero-filled the corner, so it goes unscanned.
+    for stack in stacks:
         derived = expansion.apply_both(stack, corner)
         del stack  # not held while the caller uses the results
         for values in derived:

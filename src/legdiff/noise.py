@@ -12,11 +12,20 @@ Draws come from a 64-bit counter-based generator (Philox) pushed through an
 explicit Box-Muller transform, consumed in the lexicographic (row-major)
 order of the field's stored entries, so results are reproducible bit-for-bit
 given the seed and independent of thread count.
+
+A batch of seeds (a table row's, see :func:`legdiff.experiments.run_table`)
+draws with one bit generator, re-keyed for each seed: Philox is
+counter-based, so its stream is fixed by its key, and a generator set to
+counter 0 and key ``[seed, 0]`` draws the bytes a new ``Philox(key=seed)``
+draws.  Re-keying skips the constructor's OS-entropy seed sequence, which
+``key=`` discards.  The batch's uniforms fill one array per Box-Muller
+input, transformed in one pass; each row is bit for bit the one-seed draw.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -64,19 +73,43 @@ def _check_seed(seed: int) -> None:
 
 def standard_normals(seed: int, count: int) -> np.ndarray:
     """``count`` standard normal draws from Philox(seed) via Box-Muller."""
-    _check_seed(seed)
+    return _normal_rows([seed], count)[0]
+
+
+def _normal_rows(seeds: Sequence[int], count: int) -> np.ndarray:
+    """Row i: :func:`standard_normals` ``(seeds[i], count)``, with one bit generator.
+
+    Every seed is checked before anything is drawn.  The generator is made
+    with the first seed's key; each later seed sets it back to that fresh
+    state with the key's low word replaced by the seed.  Each seed draws its
+    ``half`` uniforms u1, then its ``half`` u2, as it does alone, into row i
+    of one array per input; Box-Muller runs once over both arrays, and
+    radius * cos and radius * sin interleave into the rows.
+    """
+    for seed in seeds:
+        _check_seed(seed)
     if count < 0:
         raise ValueError("count must be nonnegative")
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     half = (count + 1) // 2
-    u1 = 1.0 - gen.random(half)  # in (0, 1], keeps the log finite
-    u2 = gen.random(half)
-    radius = np.sqrt(-2.0 * np.log(u1))
+    u1 = np.empty((len(seeds), half))
+    u2 = np.empty((len(seeds), half))
+    bits = None
+    for seed, row1, row2 in zip(seeds, u1, u2):
+        if bits is None:
+            bits = np.random.Philox(key=seed)
+            gen = np.random.Generator(bits)
+            fresh = bits.state if len(seeds) > 1 else None  # counter 0, key [seed, 0], no buffered words
+        else:
+            fresh["state"]["key"][0] = seed
+            bits.state = fresh
+        gen.random(out=row1)
+        gen.random(out=row2)
+    radius = np.sqrt(-2.0 * np.log(1.0 - u1))  # 1 - u1 in (0, 1] keeps the log finite
     angle = 2.0 * np.pi * u2
-    out = np.empty(2 * half, dtype=np.float64)
-    out[0::2] = radius * np.cos(angle)
-    out[1::2] = radius * np.sin(angle)
-    return out[:count]
+    out = np.empty((len(seeds), 2 * half))
+    out[:, 0::2] = radius * np.cos(angle)
+    out[:, 1::2] = radius * np.sin(angle)
+    return out[:, :count]
 
 
 def _lp_norm(x: np.ndarray, p: float) -> float:
@@ -103,16 +136,23 @@ def noise_vector(field: CoeffField, spec: NoiseSpec) -> np.ndarray:
     """
     if spec.kind == "none":
         return np.zeros(0, dtype=np.float64)
-    count = len(field)
-    if count == 0:
-        return np.zeros(0, dtype=np.float64)
-    draws = standard_normals(spec.seed, count)
-    if spec.kind == "gaussian":
-        return spec.delta * draws
-    norm = _lp_norm(draws, spec.p)
-    if norm == 0.0:
-        raise RuntimeError("degenerate all-zero noise draw")
-    return (spec.delta / norm) * draws
+    return _noise_rows(spec, [spec.seed], len(field))[0]
+
+
+def _noise_rows(spec: NoiseSpec, seeds: Sequence[int], count: int) -> np.ndarray:
+    """Row i: :func:`noise_vector`'s draw on ``count`` entries under ``spec``
+    (kind "gaussian" or "projected") with seed ``seeds[i]``, one bit generator
+    for all rows.  Each "projected" row is scaled by its own l_p norm."""
+    draws = _normal_rows(seeds, count)
+    if spec.kind == "gaussian" or count == 0:
+        draws *= spec.delta
+        return draws
+    for row in draws:
+        norm = _lp_norm(row, spec.p)
+        if norm == 0.0:
+            raise RuntimeError("degenerate all-zero noise draw")
+        row *= spec.delta / norm
+    return draws
 
 
 def perturb(field: CoeffField, spec: NoiseSpec) -> CoeffField:

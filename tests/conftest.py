@@ -10,12 +10,30 @@ counterexample it finds replays on the next exploratory run::
 
 A property's own ``@settings`` (its example count, its deadline) applies under
 either profile.
+
+The ``philox_keys`` fixture counts bit-generator constructions.
 """
 
 import os
 
+import numpy as np
+import pytest
 from hypothesis import settings
 
 settings.register_profile("repeatable", derandomize=True, database=None)
 settings.register_profile("explore", derandomize=False)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "repeatable"))
+
+
+@pytest.fixture
+def philox_keys(monkeypatch) -> list:
+    """The ``key`` of every ``np.random.Philox`` made during the test, in order."""
+    keys = []
+    philox = np.random.Philox
+
+    def counted(*args, **kwargs):
+        keys.append(kwargs.get("key"))
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    return keys

@@ -19,7 +19,7 @@ import legdiff
 from legdiff import cli, metrics
 from legdiff.cli import main
 from legdiff.coeffs import exact_coeffs, save_csv
-from legdiff.experiments import BUILTIN_NAMES, F1
+from legdiff.experiments import BUILTIN_NAMES, F1, MEASURED_ORDER
 from legdiff.index import IndexDomain
 from legdiff.noise import NoiseSpec
 
@@ -359,6 +359,28 @@ with open(sys.argv[1], "rb") as handle:
 """
 
 
+def _traced_report(monkeypatch, argv) -> dict:
+    """``differentiate --builtin f1 --mu 5.5`` plus ``argv`` under tracemalloc: the
+    traced bytes held as ``error_report`` starts, and its own peak."""
+    traced = {}
+    error_report = cli.error_report
+
+    def report(approx, reference):
+        traced["held"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = error_report(approx, reference)
+        traced["peak"] = tracemalloc.get_traced_memory()[1]
+        return result
+
+    monkeypatch.setattr(cli, "error_report", report)
+    tracemalloc.start()
+    try:
+        assert main(["differentiate", "--builtin", "f1", "--mu", "5.5", *argv]) == 0
+    finally:
+        tracemalloc.stop()
+    return traced
+
+
 class TestTableBlocks:
     """The grid and basis tables are formatted and written a block at a time."""
 
@@ -395,29 +417,23 @@ class TestTableBlocks:
         reference = F1.derivative_function()
         rule_t, rule_tau = reference.gauss_rules(metrics.DEFAULT_G)
         parts = 2 * 8 * (len(rule_t) * len(rule_tau) + metrics.DEFAULT_M**2)
-        traced = {}
-
-        def report(approx, reference):
-            traced["held"] = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            result = error_report(approx, reference)
-            traced["peak"] = tracemalloc.get_traced_memory()[1]
-            return result
-
-        error_report = cli.error_report
-        monkeypatch.setattr(cli, "error_report", report)
-        argv = ["differentiate", "--builtin", "f1", "--mu", "5.5", "--n", "19",
-                "--grid", "401", "--out", str(tmp_path / "grid.csv")]
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-        finally:
-            tracemalloc.stop()
+        traced = _traced_report(monkeypatch, ["--n", "19", "--grid", "401", "--out", str(tmp_path / "grid.csv")])
         # The run's coefficients and caches are about 0.2 MB.  A command that
         # kept the 401 x 401 grid (1.3 MB) through the report held 1.4-1.5 MB
         # there and peaked at 2.6 MB; releasing it gives 0.2 and 1.3 MB.
         assert traced["held"] <= 2**19, traced
         assert traced["peak"] <= parts + 2**19, (traced, parts)
+
+    def test_report_runs_without_the_input_field(self, tmp_path, monkeypatch):
+        # At n = 500 the report starts holding the derived series ((n - r)^2
+        # float64 entries) and the domain's cached mask (n^2 bools); 512 KiB
+        # covers the modules and parser made during the run.  A command that
+        # kept the exact coefficients (n^2 float64 entries, 2 MB) held 4.5 MB
+        # there; releasing them after the run gives 2.5 MB.
+        n, r = 500, MEASURED_ORDER
+        traced = _traced_report(monkeypatch, ["--n", str(n), "--grid", "3", "--out", str(tmp_path / "grid.csv")])
+        bound = 8 * (n - r) ** 2 + n**2 + 2**19
+        assert traced["held"] <= bound, (traced, bound)
 
     @pytest.mark.parametrize(
         "argv",

@@ -416,9 +416,9 @@ class TestStackedSeeds:
         the previous chunk's, whose last result the caller still measures
         (2 k m^2, m = side - r), and the map's block temporaries, as in
         test_method's n = 2048 bound (k side (b + 4a) for the zero corner
-        (a, b)); 64 KiB covers the rest.  The noise draws, the metrics and the
-        perturbed fields, freed once stacked, stay below that.  Four seeds
-        and eight seeds must both fit, so memory does not grow with the seeds.
+        (a, b)); 64 KiB covers the rest.  The noise draws and the metrics, freed
+        before the map runs, stay below that.  Four seeds and eight seeds must
+        both fit, so memory does not grow with the seeds.
         """
         n, r = 300, 2
         config = MethodConfig(r=r, mu=5.5, delta=1e-8, n_override=n)
@@ -439,6 +439,51 @@ class TestStackedSeeds:
                 tracemalloc.stop()
             assert len(cells) == seeds
             assert peak <= bound, (seeds, peak, bound)
+
+    def test_a_row_makes_one_bit_generator_per_chunk(self, philox_keys):
+        # Each table1 row's 20 seeds fit one chunk (726, 455 and 272 fields at
+        # sides 19, 24 and 31), keyed by its first seed; one per seed was 60.
+        run_table(get_preset("table1"))
+        assert philox_keys == [0, 0, 0]
+
+    def test_a_thousand_seeds_draw_and_allocate_a_chunk_at_a_time(self, philox_keys):
+        """_measure with 1,000 seeds at n = 31: chunks of k = 272 seeds, bounded by one chunk.
+
+        The chunk rule gives k = 2^18 // side^2 = 272 seeds per stack, so four
+        chunks and four bit generators.  At the peak these are live beyond the
+        rows already returned: the restricted base (side^2 float64 entries);
+        one chunk's stack (k side^2); its noise draw, whose Box-Muller
+        arrays (at most eight of k half entries, half = ceil(card / 2)), and
+        then the rows with their gathered stack entries, are within
+        4 k (card + 1); its derived stack and the previous chunk's, whose last
+        result the caller still measures (2 k m^2, m = side - r); and the
+        map's block temporaries (k side (b + 4a), as in the n = 300 bound
+        above).  The rows returned are what the call holds after it returns;
+        64 KiB covers the rest.
+        """
+        n, r, seeds = 31, 2, 1000
+        config = MethodConfig(r=r, mu=5.5, delta=1e-8, n_override=n)
+        side = config.domain().mask().shape[0]
+        card = config.domain().cardinality()
+        k = method._BLOCK_ENTRIES // side**2
+        assert (side, card, k) == (31, 142, 272)
+        a, b = config.domain().zero_corner()
+        base = exact_coeffs(F1, n - 1, n - 1, G=ExperimentPreset.coeff_G)
+        reference = F1.derivative_function()
+        _measure(base, config, range(2), "gaussian", reference)  # fills the caches
+        del philox_keys[:]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            cells = _measure(base, config, range(seeds), "gaussian", reference)
+            held, peak = (size - start for size in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert [cell.seed for cell in cells] == list(range(seeds))
+        assert philox_keys == [0, k, 2 * k, 3 * k]
+        chunk = side**2 + k * side**2 + 4 * k * (card + 1) + 2 * k * (side - r) ** 2 + k * side * (b + 4 * a)
+        bound = 8 * chunk + held + 2**16
+        assert peak <= bound, (peak, held, bound)
 
 
 def _counting_f1():

@@ -1,11 +1,14 @@
 """Noise models: raw Gaussian and norm-projected perturbations."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
-from legdiff.noise import NoiseSpec, noise_vector, perturb, standard_normals
+from legdiff.coeffs import CoeffField
+from legdiff.noise import NoiseSpec, _noise_rows, _normal_rows, noise_vector, perturb, standard_normals
 
 from oracles import from_entries
 
@@ -222,3 +225,70 @@ class TestLargeFiniteP:
         )
         # One entry: its l_p norm is its size, for every p.
         assert abs(abs(xi[0]) - delta) / delta < 1e-15
+
+
+def _fresh_draw(seed, count):
+    """``count`` normals by the one-seed formula, from a new Generator(Philox(key=seed))."""
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    half = (count + 1) // 2
+    u1 = 1.0 - gen.random(half)
+    u2 = gen.random(half)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * np.pi * u2
+    out = np.empty(2 * half, dtype=np.float64)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:count]
+
+
+def _flat_field(count):
+    """A zero field storing ``count`` entries in one row."""
+    return CoeffField(np.zeros((1, count)), np.ones((1, count), dtype=bool))
+
+
+_ROW_SEEDS = [0, 1, 2, 2**63 + 5, 2**64 - 1]
+
+
+class TestNormalRows:
+    """A batch of seeds draws with one re-keyed bit generator, each row the one-seed draw's bytes."""
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 142, 143, 2723])
+    def test_each_row_is_a_fresh_generators_draw(self, count, philox_keys):
+        rows = _normal_rows(_ROW_SEEDS, count)
+        assert philox_keys == [_ROW_SEEDS[0]]
+        assert rows.shape == (len(_ROW_SEEDS), count) and rows.dtype == np.float64
+        for seed, row in zip(_ROW_SEEDS, rows):
+            expected = _fresh_draw(seed, count)
+            assert np.array_equal(row, expected) and row.tobytes() == expected.tobytes(), seed
+            assert standard_normals(seed, count).tobytes() == expected.tobytes(), seed
+
+    def test_no_seeds_draw_nothing(self, philox_keys):
+        assert _normal_rows([], 5).shape == (0, 5)
+        assert philox_keys == []
+
+    @pytest.mark.parametrize(
+        ("kind", "p"),
+        [("gaussian", 2.0), ("projected", 1.0), ("projected", 2.0), ("projected", 3.0), ("projected", math.inf)],
+    )
+    @pytest.mark.parametrize("count", [1, 2, 7, 142, 143])
+    def test_noise_rows_are_noise_vectors(self, kind, p, count):
+        spec = NoiseSpec(kind=kind, delta=1e-6, p=p)
+        rows = _noise_rows(spec, _ROW_SEEDS, count)
+        field = _flat_field(count)
+        for seed, row in zip(_ROW_SEEDS, rows):
+            expected = noise_vector(field, dataclasses.replace(spec, seed=seed))
+            assert row.tobytes() == expected.tobytes(), seed
+
+    @pytest.mark.parametrize(
+        ("seed", "message"),
+        [
+            (-1, "seed=-1 must satisfy 0 <= seed < 2**64"),
+            (2**64, f"seed={2**64} must satisfy 0 <= seed < 2**64"),
+            (1.5, "seed=1.5 must be an integer"),
+        ],
+    )
+    def test_a_bad_seed_is_refused_before_any_draw(self, seed, message, philox_keys):
+        for call in (lambda: _normal_rows([0, 1, seed], 4), lambda: standard_normals(seed, 4)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+        assert philox_keys == []

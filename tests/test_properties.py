@@ -13,7 +13,7 @@ from legdiff.coeffs import CoeffField, _parse_rows, _scan_rows, load_csv, save_c
 from legdiff.derivative import DerivativeExpansion
 from legdiff.index import IndexDomain
 from legdiff.method import MethodConfig, choose_n, run
-from legdiff.noise import NoiseSpec, noise_vector, perturb
+from legdiff.noise import NoiseSpec, _noise_rows, noise_vector, perturb
 
 from oracles import from_entries
 
@@ -160,6 +160,23 @@ def test_projected_noise_norm_for_arbitrary_p(p, seed, exp):
         norm = float(np.sum(np.abs(xi) ** p) ** (1.0 / p))
     assert abs(norm - delta) <= 1e-11 * delta
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seeds=st.lists(st.integers(0, 2**64 - 1), max_size=6),
+    count=st.integers(0, 300),
+    kind=st.sampled_from(["gaussian", "projected"]),
+    p=st.one_of(st.floats(1.0, 20.0), st.just(math.inf)),
+)
+def test_batched_noise_rows_are_per_seed_noise_vectors(seeds, count, kind, p):
+    spec = NoiseSpec(kind=kind, delta=1e-6, p=p)
+    rows = _noise_rows(spec, seeds, count)
+    assert rows.shape == (len(seeds), count)
+    field = CoeffField(np.zeros((1, count + 1)), np.arange(count + 1)[None] < count)
+    for seed, row in zip(seeds, rows):
+        expected = noise_vector(field, NoiseSpec(kind=kind, delta=1e-6, p=p, seed=seed))
+        assert row.tobytes() == expected.tobytes()
 
 @settings(max_examples=60, deadline=None)
 @given(r=st.integers(1, 4), n=st.integers(2, 40), shape=_shapes)
