@@ -48,7 +48,6 @@ from .method import (
     choose_n,
     evaluate,
     run,
-    run_many,
 )
 from .metrics import ErrorReport, error_report, l2_error, sup_error
 from .noise import NoiseSpec, noise_vector, perturb, standard_normals
@@ -80,7 +79,6 @@ __all__ = [
     "ApproxDerivative",
     "choose_n",
     "run",
-    "run_many",
     "evaluate",
     "ErrorReport",
     "l2_error",

@@ -25,6 +25,7 @@ from .experiments import (
     MEASURED_ORDER,
     MIN_SWEEP_LEVELS,
     PRESET_NAMES,
+    _check_span,
     builtin_function,
     convergence_sweep,
     get_preset,
@@ -87,7 +88,12 @@ def _delta_range(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError("noise levels must be finite and lie in (0, 1)")
     if not MIN_SWEEP_LEVELS <= count <= MAX_DELTA_COUNT:
         raise argparse.ArgumentTypeError(f"count must be between {MIN_SWEEP_LEVELS} and {MAX_DELTA_COUNT}")
-    return tuple(float(d) for d in np.geomspace(start, end, count))
+    deltas = tuple(float(d) for d in np.geomspace(start, end, count))
+    try:
+        _check_span(deltas)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return deltas
 
 
 class UsageError(Exception):

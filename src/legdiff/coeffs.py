@@ -88,8 +88,8 @@ class CoeffField:
     canonical one for anything consuming entries sequentially (noise draws,
     CSV rows).  ``zero_corner`` (a, b), with ``values[a:, b:]`` all zero, is
     a corner grid evaluations may skip; no constructor argument sets it, only
-    :func:`~legdiff.method.run_many` on its derived fields (which store every
-    entry), and every other field has None.
+    the method's derive loop (:func:`legdiff.method.run`) on its derived fields
+    (which store every entry), and every other field has None.
     """
 
     values: np.ndarray
@@ -120,7 +120,7 @@ class CoeffField:
 
     @classmethod
     def _derived(cls, values: np.ndarray, stored: np.ndarray, zero_corner) -> "CoeffField":
-        """The field :func:`~legdiff.method.run_many` yields: ``stored`` its shared
+        """A field the method's derive loop yields: ``stored`` its shared
         all-True mask, and the zero corner its map guarantees, unscanned."""
         derived = cls(values, stored)
         object.__setattr__(derived, "zero_corner", zero_corner)
@@ -142,18 +142,11 @@ class CoeffField:
         precisely the coefficients a consumer of ``domain`` reads.
         """
         mask = domain.mask() if isinstance(domain, IndexDomain) else pairs_mask(domain)
-        return CoeffField(self._masked_into(mask, np.zeros(mask.shape)), mask)
-
-    def _masked_into(self, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out``, zero-filled and of ``mask``'s shape, with the entries at ``mask`` written in.
-
-        The values :meth:`restrict` stores; :func:`legdiff.method.run_many`
-        writes them into its stack of fields this way.
-        """
+        values = np.zeros(mask.shape)
         rows = min(mask.shape[0], self.values.shape[0])
         cols = min(mask.shape[1], self.values.shape[1])
-        np.copyto(out[:rows, :cols], self.values[:rows, :cols], where=mask[:rows, :cols])
-        return out
+        np.copyto(values[:rows, :cols], self.values[:rows, :cols], where=mask[:rows, :cols])
+        return CoeffField(values, mask)
 
     def eval_grid(self, t: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Series values on the tensor grid t x tau, shape (len(t), len(tau)), the

@@ -40,11 +40,12 @@ itself.  Finiteness is checked on each region the map writes, never on the
 zero fill.
 
 Every step acts on the last two axes, degree along axis -2, and any leading
-axes are a stack of independent arrays: :func:`legdiff.method.run_many`
-derives the seeds of a table row in one map call.  The cumsum runs along the
-degree axis and the scale multiplies act entry by entry, so a leading axis
-regroups no sum, and each array of a stack gets the bytes it gets alone.  A
-2-D array is a stack of none.
+axes are a stack of independent arrays: a table row derives its seeds in
+one map call (:func:`legdiff.experiments.run_table`), and
+:func:`legdiff.method.run` one field as a stack of one.  The cumsum runs
+along the degree axis and the scale multiplies act entry by entry, so a
+leading axis regroups no sum, and each array of a stack gets the bytes it
+gets alone.  A 2-D array is a stack of none.
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .coeffs import BivariateFunction, CoeffField, exact_coeffs, trapezoid_coeffs
-from .method import MethodConfig, _check_mu, _chunks, _derive
+from .coeffs import _BLOCK_ENTRIES, BivariateFunction, CoeffField, exact_coeffs, trapezoid_coeffs
+from .method import MethodConfig, _check_mu, _derive
 from .metrics import DEFAULT_G, DEFAULT_M, error_report
 from .noise import NoiseSpec, _noise_rows
 
@@ -171,6 +171,13 @@ MEASURED_ORDER = 2
 MIN_SWEEP_LEVELS = 3
 
 
+def _check_span(deltas) -> None:
+    """Refuse noise levels, each in (0, 1), whose largest is under 10^3 times
+    their smallest: a sweep fits its slope over at least three decades."""
+    if max(deltas) / min(deltas) < 1e3 * (1.0 - 1e-12):
+        raise ValueError("the noise-level grid must span at least 3 decades")
+
+
 def builtin_function(name: str) -> BivariateFunction:
     """Look up a bundled function by its name, one of ``BUILTIN_NAMES``."""
     try:
@@ -301,18 +308,20 @@ def _measure(
     noise: str | None,
     reference: BivariateFunction,
 ) -> list[ExperimentRow]:
-    """One row per seed: restrict to the domain, perturb, run, and measure.
+    """One row per seed of the sequence ``seeds``: restrict, perturb, derive, and measure.
 
     With ``noise`` None or "none" each seed (None in every caller) runs the
     restricted field itself; otherwise every seed draws ``noise`` (a
     :class:`NoiseSpec` kind) at the config's delta, the draw
     :func:`~legdiff.noise.perturb` would add.  The field is restricted once,
-    and the seeds go in :func:`~legdiff.method.run_many`'s chunks.  A
-    chunk's stack holds the restricted values once per seed, and its seeds'
-    noise, drawn with one bit generator, is added at the stored entries in
-    their row-major order, so each entry is ``v + xi`` as ``perturb`` makes
-    it.  The stack is derived with one map call, and each run is measured on
-    its own against ``reference`` with :func:`error_report`.
+    and the seeds go in chunks of at most ``_BLOCK_ENTRIES // side^2`` (at
+    least one): 272 seeds at side 31, 2 at n = 300.  A chunk's stack holds
+    the restricted values once per seed, and its seeds' noise, drawn with one
+    bit generator, is added at the stored entries in their row-major order,
+    so each entry is ``v + xi`` as ``perturb`` makes it.  The stack is
+    derived with one map call (:func:`~legdiff.method._derive`), and each
+    run is measured on its own against ``reference`` with
+    :func:`error_report`.  Memory follows one chunk, not the seeds.
     """
     domain = config.domain()
     card = domain.cardinality()
@@ -321,9 +330,11 @@ def _measure(
         None if noise in (None, "none")
         else NoiseSpec(kind=noise, delta=config.delta, p=config.p)
     )
+    height = max(1, _BLOCK_ENTRIES // consumed.values.size)
 
     def stacks() -> Iterator[np.ndarray]:
-        for chunk in _chunks(seeds, config):
+        for start in range(0, len(seeds), height):
+            chunk = seeds[start:start + height]
             stack = np.empty((len(chunk), *consumed.values.shape))
             stack[:] = consumed.values
             if spec is not None:
@@ -440,8 +451,6 @@ def convergence_sweep(
     deltas = sorted((float(d) for d in deltas), reverse=True)
     if len(deltas) < MIN_SWEEP_LEVELS:
         raise ValueError(f"a sweep needs at least {MIN_SWEEP_LEVELS} noise levels")
-    if deltas[0] / deltas[-1] < 1e3 * (1.0 - 1e-12):
-        raise ValueError("the noise-level grid must span at least 3 decades")
     if noise_kind not in NoiseSpec.KINDS:
         raise ValueError(f"unknown noise kind {noise_kind!r}")
     reference = function.derivative_function()  # refuses a function without one
@@ -456,6 +465,7 @@ def convergence_sweep(
         )
         for delta in deltas
     ]
+    _check_span(deltas)  # each delta lies in (0, 1), as its config checked
     degree = max(max(c.domain().max_degree()) for c in configs)
     base = exact_coeffs(function, degree, degree)
     seed_list = [None] if noise_kind == "none" else range(seeds)

@@ -20,11 +20,10 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-from .coeffs import CoeffField, _BLOCK_ENTRIES, _check_entries
+from .coeffs import CoeffField, _check_entries
 from .derivative import DerivativeExpansion
 from .index import IndexDomain, _check_integer
 
@@ -34,7 +33,6 @@ __all__ = [
     "ApproxDerivative",
     "choose_n",
     "run",
-    "run_many",
     "evaluate",
 ]
 
@@ -66,13 +64,9 @@ class MethodConfig:
     domain_shape: str = "cross"
 
     def __post_init__(self) -> None:
-        _check_integer("r", self.r, ConfigError)
-        if self.r < 1:
-            raise ConfigError(f"derivative order r={self.r} must be >= 1")
-        if not (1.0 <= self.s) or math.isinf(self.s):
-            raise ConfigError(f"s={self.s} must satisfy 1 <= s < inf")
-        if not (1.0 <= self.p):
-            raise ConfigError(f"p={self.p} must satisfy 1 <= p <= inf")
+        _check_order(self.r)
+        _check_s(self.s)
+        _check_p(self.p)
         if self.domain_shape not in IndexDomain.SHAPES:
             raise ConfigError(f"domain shape must be one of {IndexDomain.SHAPES}, got {self.domain_shape!r}")
         _check_rule_constant(self.rule_constant)
@@ -138,6 +132,22 @@ class ApproxDerivative:
         return self.config.domain().cardinality()
 
 
+def _check_order(r: int) -> None:
+    _check_integer("r", r, ConfigError)
+    if r < 1:
+        raise ConfigError(f"derivative order r={r} must be >= 1")
+
+
+def _check_s(s: float) -> None:
+    if not 1.0 <= s < math.inf:  # NaN fails too
+        raise ConfigError(f"s={s} must satisfy 1 <= s < inf")
+
+
+def _check_p(p: float) -> None:
+    if not 1.0 <= p:  # NaN fails too
+        raise ConfigError(f"p={p} must satisfy 1 <= p <= inf")
+
+
 def _check_mu(mu: float) -> None:
     if not math.isfinite(mu):
         raise ConfigError(f"smoothness mu={mu} must be finite")
@@ -162,11 +172,16 @@ def choose_n(
              ^ (1 / (mu - 1/p + 1/s))), floored at r + 2.
 
     When p = s the logarithmic factor drops out and n scales as delta^(-1/mu).
+    Each parameter is checked as :class:`MethodConfig` checks it: r an
+    integer >= 1, p >= 1, 1 <= s < inf, else ConfigError.
     """
     if not (0.0 < delta < 1.0):
         raise ConfigError(f"delta={delta} must lie in (0, 1)")
     _check_mu(mu)
     _check_rule_constant(rule_constant)
+    _check_order(r)
+    _check_p(p)
+    _check_s(s)
     inv_p = 1.0 / p
     exponent_denom = mu - inv_p + 1.0 / s
     if exponent_denom <= 0.0:
@@ -192,8 +207,8 @@ def run(field_perturbed: CoeffField, config: MethodConfig) -> ApproxDerivative:
     matrix of :class:`DerivativeExpansion`; both domains are square, so one
     map serves both axes.  Entries of ``field_perturbed`` outside the domain
     are ignored; domain pairs missing from the field count as exact zeros.
-    This is :func:`run_many` on one field, whose stack of one is the
-    restricted values themselves, not a copy of them.
+    The field is restricted once, and its values go to :func:`_derive` as a
+    stack of one, a view of them, not a copy.
 
     On a cross the derived series carries the domain's zero corner
     (:meth:`IndexDomain.zero_corner`) less r on each axis, which its grid
@@ -204,55 +219,21 @@ def run(field_perturbed: CoeffField, config: MethodConfig) -> ApproxDerivative:
     the sign of exact zeros (see the :mod:`legdiff.derivative` docstring).
     The box, which has no zero corner, takes the same cover with a = b =
     side: it keeps the dense map's bytes and pays the cover's degenerate
-    pieces.  A table row's seeds share one map call (:func:`run_many`).
+    pieces.
     """
-    return next(run_many([field_perturbed], config))
-
-
-def run_many(fields: Iterable[CoeffField], config: MethodConfig) -> Iterator[ApproxDerivative]:
-    """:func:`run` on each of ``fields`` in turn, one derivative map per chunk of them.
-
-    The fields' restricted values fill one zero-filled stack per chunk, whose
-    last two axes the map derives in one call (see the
-    :mod:`legdiff.derivative` docstring); each field's result is its slice of
-    the derived stack, bit for bit what :func:`run` gives it alone.  A table
-    row's seeds, each a small array, then pay one map's numpy calls in place
-    of one per seed.  Each result is a :class:`CoeffField` storing every
-    entry, all sharing one read-only mask made per call.  It is the one place
-    a field's ``zero_corner`` is set: the domain's corner less r, which the
-    map leaves zero (None on the box).
-
-    The fields are read lazily, a chunk at a time, and a chunk holds at most
-    :data:`~legdiff.coeffs._BLOCK_ENTRIES` = 2^18 coefficients (2 MiB, the
-    projections' and metrics' block budget), or one field where a field
-    alone holds more, fixed before its stack is allocated: 272 fields at
-    side 31, 2 at n = 300.  So memory does not grow with the number of
-    fields, and a chunk's own arrays (the fields, the stack, the map's
-    temporaries and the derived stack) stay within a few times 2 MiB.
-    :func:`legdiff.experiments.run_table` builds a row's stacks itself, the
-    restricted field plus each seed's noise, in the same chunks
-    (:func:`_chunks`) and derives them with the same loop (:func:`_derive`).
-    """
-    mask = config.domain().mask()
-    stacks = (_restricted_stack(chunk, mask) for chunk in _chunks(fields, config))
-    yield from _derive(stacks, config)
-
-
-def _chunks(items: Iterable, config: MethodConfig) -> Iterator[list]:
-    """``items`` in lists of at most ``_BLOCK_ENTRIES // side^2`` (at least one),
-    the stack heights :func:`_derive` takes for the config's coefficient side."""
-    side = config.domain().mask().shape[0]
-    height = max(1, _BLOCK_ENTRIES // side**2)
-    items = iter(items)
-    while chunk := list(islice(items, height)):
-        yield chunk
+    restricted = field_perturbed.restrict(config.domain())
+    return next(_derive([restricted.values[None]], config))
 
 
 def _derive(stacks: Iterable[np.ndarray], config: MethodConfig) -> Iterator[ApproxDerivative]:
     """The derived field of each array in each stack, in order: one map call per stack.
 
-    Each stack has shape (fields, side, side) and is zero outside the
-    config's domain mask, so the map leaves the domain's zero corner unscanned.
+    Each stack, read lazily, has shape (arrays, side, side) and is zero
+    outside the config's domain mask, so the map leaves the zero corner
+    unscanned.  Each result is its array's slice of the derived stack, bit
+    for bit what the array gets alone: a :class:`CoeffField` storing every
+    entry through one read-only mask per call.  This is the one place a
+    field's ``zero_corner`` is set: the domain's corner less r (None on the box).
     """
     domain = config.domain()
     side = domain.mask().shape[0]
@@ -265,14 +246,6 @@ def _derive(stacks: Iterable[np.ndarray], config: MethodConfig) -> Iterator[Appr
         del stack  # not held while the caller uses the results
         for values in derived:
             yield ApproxDerivative(CoeffField._derived(values, stored, derived_corner), config)
-
-
-def _restricted_stack(fields: list[CoeffField], mask: np.ndarray) -> np.ndarray:
-    """The fields' values restricted to ``mask``, stacked along a new first axis."""
-    stack = np.zeros((len(fields), *mask.shape))
-    for field, values in zip(fields, stack):
-        field._masked_into(mask, values)
-    return stack
 
 
 def evaluate(approx: ApproxDerivative, points) -> np.ndarray:

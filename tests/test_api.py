@@ -117,16 +117,19 @@ def test_readme_key_objects_name_real_methods(document):
 @pytest.mark.parametrize("document", _KEY_OBJECT_DOCS)
 def test_readme_key_object_calls_list_real_parameters(document):
     """Each backticked call `name(p, q=v)` in the "Key objects" table whose name
-    resolves in legdiff, or on the class that leads its row, lists only
-    parameters of its signature, and each default v is the signature's."""
+    resolves in legdiff, or on the class that leads its row (`.name(` too),
+    lists only parameters of its signature, and each default v is the
+    signature's.  A call in a row's names cell must resolve, so no row names
+    a call that is gone."""
     checked = []
     for names, role in _key_object_rows(document):
         row_class = _resolve(legdiff, re.match(r"\s*`(\w+)", names).group(1))
         for called, listed in re.findall(r"`([\w.]+)\(([^`]*)\)`", names + role):
             target = _resolve(legdiff, called)
             if target is None and isinstance(row_class, type):
-                target = _resolve(row_class, called)
+                target = _resolve(row_class, called.lstrip("."))
             if not callable(target):
+                assert f"`{called}(" not in names, (document, called)
                 continue
             parameters = inspect.signature(target).parameters
             for item in filter(None, (part.strip() for part in listed.split(","))):

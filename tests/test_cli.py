@@ -705,14 +705,18 @@ class TestConvergence:
         assert captured.out == ""
         assert "noisy sweeps only" in captured.err
 
-    def test_too_narrow_range_is_data_error(self, capsys):
+    def test_too_narrow_range_is_usage_error(self, capsys, monkeypatch):
+        # The parser refuses a grid under three decades (exit 2), with the
+        # sweep's own wording, before any data is read.
+        monkeypatch.setattr(cli, "convergence_sweep", None)
         code = main(
             ["convergence", "--builtin", "f2", "--mu", "6",
              "--deltas", "1e-5:1e-6:3", "--seeds", "1"]
         )
         captured = capsys.readouterr()
-        assert code == 1
-        assert "decades" in captured.err
+        assert code == 2
+        assert captured.out == ""
+        assert "argument --deltas: the noise-level grid must span at least 3 decades" in captured.err
 
 
 class TestBasis:

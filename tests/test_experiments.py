@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from legdiff.basis import composite_gauss_rule
-from legdiff.coeffs import BivariateFunction, exact_coeffs, smoothness_norm, trapezoid_coeffs
+from legdiff.coeffs import BivariateFunction, CoeffField, exact_coeffs, smoothness_norm, trapezoid_coeffs
 from legdiff.coeffs import _trapezoid_rule
-from legdiff import method, metrics
+from legdiff import coeffs, derivative, experiments, metrics
 from legdiff.index import IndexDomain
 from legdiff.method import ConfigError, MethodConfig, run
 from legdiff.metrics import DEFAULT_G, DEFAULT_M, error_report, l2_error, sup_error
@@ -423,7 +423,7 @@ class TestStackedSeeds:
         n, r = 300, 2
         config = MethodConfig(r=r, mu=5.5, delta=1e-8, n_override=n)
         side = n
-        k = max(1, method._BLOCK_ENTRIES // side**2)
+        k = max(1, coeffs._BLOCK_ENTRIES // side**2)
         assert k == 2
         a, b = config.domain().zero_corner()
         base = exact_coeffs(F1, n - 1, n - 1, G=2 * (n - 1) + 16)
@@ -439,6 +439,31 @@ class TestStackedSeeds:
                 tracemalloc.stop()
             assert len(cells) == seeds
             assert peak <= bound, (seeds, peak, bound)
+
+    @pytest.mark.parametrize(
+        ("n", "count", "entries", "per_map"), [(31, 300, None, 272), (300, 5, None, 2), (19, 3, 300, 1)]
+    )
+    def test_a_map_call_stacks_at_most_the_budget(self, monkeypatch, n, count, entries, per_map):
+        # 2^18 entries: 272 seeds at side 31, 2 at n = 300; and one seed where
+        # an array alone holds more, here under a budget of 300 < 19^2.
+        if entries is not None:
+            monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", entries)
+        config = MethodConfig(r=2, mu=5.5, delta=1e-8, n_override=n)
+        side = config.domain().mask().shape[0]
+        assert per_map == max(1, experiments._BLOCK_ENTRIES // side**2)
+        stacks = []
+        step = derivative._step
+
+        def spy(a, columns):
+            stacks.append(a.shape[:-2])
+            return step(a, columns)
+
+        monkeypatch.setattr(derivative, "_step", spy)
+        base = CoeffField.from_dense(np.ones((1, 1)))
+        cells = _measure(base, config, range(count), "gaussian", F1.derivative_function())
+        assert [cell.seed for cell in cells] == list(range(count))
+        sizes = [per_map] * (count // per_map) + [count % per_map] * (count % per_map > 0)
+        assert stacks == [(size,) for size in sizes for _ in range(8)]  # 2 steps on 4 blocks
 
     def test_a_row_makes_one_bit_generator_per_chunk(self, philox_keys):
         # Each table1 row's 20 seeds fit one chunk (726, 455 and 272 fields at
@@ -465,7 +490,7 @@ class TestStackedSeeds:
         config = MethodConfig(r=r, mu=5.5, delta=1e-8, n_override=n)
         side = config.domain().mask().shape[0]
         card = config.domain().cardinality()
-        k = method._BLOCK_ENTRIES // side**2
+        k = coeffs._BLOCK_ENTRIES // side**2
         assert (side, card, k) == (31, 142, 272)
         a, b = config.domain().zero_corner()
         base = exact_coeffs(F1, n - 1, n - 1, G=ExperimentPreset.coeff_G)
@@ -691,6 +716,11 @@ class TestConvergenceSweep:
     def test_rejects_narrow_grid(self):
         with pytest.raises(ValueError, match="decades"):
             convergence_sweep(F2, 6.0, 2.0, 2.0, deltas=(1e-2, 1e-3, 1e-4))
+
+    def test_checks_each_delta_before_the_span(self):
+        # The span check once divided by the 0.0 first: ZeroDivisionError.
+        with pytest.raises(ConfigError, match="delta=0.0 must lie in"):
+            convergence_sweep(F1, 5.5, 2, 2, [1e-4, 0.0, 1e-8])
 
     def test_rejects_unknown_noise_kind(self):
         with pytest.raises(ValueError, match="noise kind"):

@@ -20,7 +20,6 @@ from legdiff.method import (
     choose_n,
     evaluate,
     run,
-    run_many,
 )
 from legdiff.noise import NoiseSpec, perturb
 
@@ -67,6 +66,25 @@ class TestChooseN:
     def test_rejects_non_finite_mu(self, mu):
         with pytest.raises(ConfigError, match="must be finite"):
             choose_n(1e-6, mu)
+
+    @pytest.mark.parametrize(
+        ("bad", "message"),
+        [
+            ({"r": 1.5}, "r=1.5 must be an integer"),
+            ({"r": -3}, "r=-3 must be >= 1"),
+            ({"p": 0.0}, "p=0.0 must satisfy 1 <= p <= inf"),
+            ({"p": math.nan}, "p=nan must satisfy"),
+            ({"s": 0.0}, "s=0.0 must satisfy 1 <= s < inf"),
+            ({"s": math.inf}, "s=inf must satisfy"),
+        ],
+    )
+    def test_refuses_what_the_config_refuses(self, bad, message):
+        # r = 1.5 once gave the float 3.5, r = -3 the level 2, and p = 0 or
+        # s = 0 a ZeroDivisionError; each refusal is worded as MethodConfig's.
+        with pytest.raises(ConfigError, match=message):
+            choose_n(0.9, 5.5, **bad)
+        with pytest.raises(ConfigError, match=message):
+            MethodConfig(**{"r": 1, "mu": 5.5, "delta": 0.9, **bad})
 
     def test_floor_at_r_plus_two(self):
         # Large delta would give a tiny level; the floor keeps n usable.
@@ -456,9 +474,28 @@ def _bits(coeffs: np.ndarray) -> np.ndarray:
     return coeffs.view(np.uint64)
 
 
-def _assert_stacked_matches_run(fields, config):
-    """run_many on ``fields`` gives each field run()'s result, bit for bit."""
-    stacked = list(run_many(fields, config))
+def _stacks(fields, heights, config):
+    """The fields' restricted values, stacked by hand in stacks of ``heights`` arrays."""
+    restricted = [field.restrict(config.domain()).values for field in fields]
+    bounds = np.cumsum([0, *heights])
+    assert bounds[-1] == len(fields)
+    return [np.stack(restricted[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _assert_stacked_matches_run(fields, heights, config):
+    """_derive on the fields in stacks of ``heights`` gives each field run()'s
+    result, bit for bit."""
+    pulled = []
+
+    def stacks():
+        for stack in _stacks(fields, heights, config):
+            pulled.append(stack)
+            yield stack
+
+    results = method._derive(stacks(), config)
+    stacked = [next(results)]
+    assert len(pulled) == 1  # the stacks are read one at a time
+    stacked += results
     assert len(stacked) == len(fields)
     for field, approx in zip(fields, stacked):
         alone = run(field, config)
@@ -474,22 +511,22 @@ def _assert_stacked_matches_run(fields, config):
     return stacked
 
 
-class TestRunMany:
-    """The stacked pass: one derivative map per chunk of fields, each field's bytes as alone."""
+class TestDeriveStacks:
+    """The one derive loop: one map call per stack, each array's bytes as run() gives it alone."""
 
     @pytest.mark.parametrize(
         ("shape", "n"),
         [("cross", 5), ("cross", 19), ("cross", 31), ("box", 19), ("cross", 80), ("cross", 300)],
     )
-    def test_each_field_gets_the_bytes_run_gives_it(self, shape, n):
-        # Fields of several shapes, smaller and larger than the domain; at
-        # n = 300 a chunk holds two fields, so five make three map calls.
+    def test_each_array_gets_the_bytes_run_gives_it(self, shape, n):
+        # Fields of several shapes, smaller and larger than the domain, in
+        # stacks of two, one and two arrays.
         config = MethodConfig(r=2, mu=9.0, delta=0.0, n_override=n, domain_shape=shape)
         side = config.domain().mask().shape[0]
         rng = np.random.default_rng(n)
         shapes = [(side, side), (side + 3, side - 1), (side // 2 + 1, side), (side, side), (side + 1, side + 2)]
         fields = [CoeffField.from_dense(rng.standard_normal(shape)) for shape in shapes]
-        stacked = _assert_stacked_matches_run(fields, config)
+        stacked = _assert_stacked_matches_run(fields, [2, 1, 2], config)
         if shape == "box":  # no block edge: the dense map's bytes too
             restricted = fields[0].restrict(config.domain()).values
             assert stacked[0].series.values.tobytes() == _dense_map(restricted, 2).tobytes()
@@ -510,60 +547,29 @@ class TestRunMany:
         signed = np.where(np.random.default_rng(2).random((side, side)) < 0.5, -0.0, 0.0)
         noisy = np.random.default_rng(3).standard_normal((side, side))
         fields = [CoeffField.from_dense(v) for v in (noisy, edges, negative, signed, noisy)]
-        stacked = _assert_stacked_matches_run(fields, config)
+        stacked = _assert_stacked_matches_run(fields, [5], config)
         if shape == "box":
             assert np.signbit(stacked[2].series.values).any()
 
-    @pytest.mark.parametrize("entries", [None, 2**19], ids=["one-per-map", "three-per-map"])
-    def test_an_overflowing_field_raises_what_run_raises(self, monkeypatch, entries):
+    @pytest.mark.parametrize("heights", [[1, 1, 1], [3]], ids=["one-per-map", "three-per-map"])
+    def test_an_overflowing_array_raises_what_run_raises(self, heights):
         # differentiate --r 80 --n 400 on F2 overflows the same way.
-        if entries is not None:
-            monkeypatch.setattr(method, "_BLOCK_ENTRIES", entries)
         config = MethodConfig(r=80, mu=200.0, delta=0.0, n_override=400)
         side = config.domain().mask().shape[0]
         zeros = CoeffField.from_dense(np.zeros((side, side)))
         overflowing = CoeffField.from_dense(np.random.default_rng(4).standard_normal((side, side)))
+        stacks = _stacks([zeros, overflowing, zeros], heights, config)
         message = "r=80 derivative of degree-399 "
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
                 run(overflowing, config)
             with pytest.raises(ValueError, match=message):
-                list(run_many([zeros, overflowing, zeros], config))
+                list(method._derive(stacks, config))
 
-    @pytest.mark.parametrize(("n", "count", "per_map"), [(31, 300, 272), (300, 5, 2), (2048, 1, 1)])
-    def test_a_map_call_stacks_at_most_the_budget(self, monkeypatch, n, count, per_map):
-        # 2^18 entries: 272 fields at side 31, 2 at n = 300, and one field
-        # where a field alone holds more.
-        config = MethodConfig(r=2, mu=9.0, delta=0.0, n_override=n)
-        side = config.domain().mask().shape[0]
-        assert per_map == max(1, method._BLOCK_ENTRIES // side**2)
-        stacks = []
-        step = derivative._step
-
-        def spy(a, columns):
-            stacks.append(a.shape[:-2])
-            return step(a, columns)
-
-        monkeypatch.setattr(derivative, "_step", spy)
-        field = CoeffField.from_dense(np.ones((1, 1)))
-        pulled = []
-
-        def fields():
-            for i in range(count):
-                pulled.append(i)
-                yield field
-
-        results = run_many(fields(), config)
-        next(results)
-        assert len(pulled) == per_map  # fields are read a chunk at a time
-        assert sum(1 for _ in results) == count - 1
-        sizes = [per_map] * (count // per_map) + [count % per_map] * (count % per_map > 0)
-        assert stacks == [(size,) for size in sizes for _ in range(8)]  # 2 steps on 4 blocks
-
-    def test_no_fields_give_no_results(self):
+    def test_no_stacks_give_no_results(self):
         config = MethodConfig(r=2, mu=9.0, delta=0.0, n_override=19)
-        assert list(run_many([], config)) == []
+        assert list(method._derive([], config)) == []
 
 
 def _random_inputs(seed):
