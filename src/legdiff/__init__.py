@@ -46,7 +46,6 @@ from .method import (
     ConfigError,
     MethodConfig,
     choose_n,
-    evaluate,
     run,
 )
 from .metrics import ErrorReport, error_report, l2_error, sup_error
@@ -79,7 +78,6 @@ __all__ = [
     "ApproxDerivative",
     "choose_n",
     "run",
-    "evaluate",
     "ErrorReport",
     "l2_error",
     "sup_error",

@@ -28,6 +28,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .index import _check_integer
+
 __all__ = [
     "DOMAIN_TOL",
     "QuadratureRule",
@@ -209,6 +211,7 @@ def _check_in_domain(t: np.ndarray) -> None:
 
 def eval_phi_table(k_max: int, t: np.ndarray) -> np.ndarray:
     """Values phi_k(t_i), shape (k_max+1, len(t)), for points t in [-1, 1]."""
+    _check_integer("k_max", k_max)
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     arr = np.ascontiguousarray(t, dtype=np.float64)
@@ -227,20 +230,25 @@ def _legendre_value_and_derivative(G: int, x: np.ndarray) -> tuple[np.ndarray, n
 
 #: Distinct orders whose rules :func:`gauss_rule` keeps: a run, table or sweep
 #: level uses two (its coefficients' and its metrics'), and 64 rules of the
-#: largest order accepted, 4110, hold 4.2 MB.
+#: largest order :func:`~legdiff.coeffs._gauss_order` accepts, 4110, hold 4.2 MB.
 _RULES_CACHED = 64
 
 
-@lru_cache(maxsize=_RULES_CACHED)
 def gauss_rule(G: int) -> QuadratureRule:
     """G-point Gauss-Legendre rule on [-1, 1].
 
     Nodes are the roots of P_G, located from Chebyshev-angle initial guesses
     and polished by Newton iteration to 1e-14.  The latest
-    :data:`_RULES_CACHED` orders' rules are kept.
+    :data:`_RULES_CACHED` orders' rules are kept; G is checked before the cache.
     """
+    _check_integer("G", G)
     if G < 1:
         raise ValueError("G must be a positive integer")
+    return _cached_gauss_rule(G)
+
+
+@lru_cache(maxsize=_RULES_CACHED)
+def _cached_gauss_rule(G: int) -> QuadratureRule:
     i = np.arange(G, dtype=np.float64)
     x = np.cos(np.pi * (i + 0.75) / (G + 0.5))
     for _ in range(_NEWTON_MAX_ITER):

@@ -213,10 +213,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _finite(evaluate) -> np.ndarray:
-    """The values ``evaluate()`` returns; ValueError if one overflows float64."""
+def _finite(compute) -> np.ndarray:
+    """The values ``compute()`` returns; ValueError if one overflows float64."""
     with np.errstate(over="ignore", invalid="ignore"):
-        values = evaluate()
+        values = compute()
     if not np.isfinite(values).all():
         raise ValueError("the derivative's values overflow float64 on the grid")
     return values

@@ -30,7 +30,7 @@ from .basis import (
     QuadratureRule, _read_only, composite_gauss_rule, eval_phi_table, grid_factors,
     legendre_blocks, legendre_table,
 )
-from .index import IndexDomain, _check_integer, pairs_mask
+from .index import IndexDomain, _check_integer, _check_s, pairs_mask
 
 __all__ = [
     "MAX_DENSE_ENTRIES",
@@ -68,12 +68,9 @@ _BLOCK_ENTRIES = 2**18
 #: raised the high-water of saving a 1024 x 1024 field by 14 and 58 MiB.
 _WRITE_BLOCK = 2**12
 
-#: Side of the largest square array within MAX_DENSE_ENTRIES (2048).
-_MAX_SIDE = math.isqrt(MAX_DENSE_ENTRIES)
-
-#: The Gauss order per panel :func:`exact_coeffs` gives degree _MAX_SIDE - 1
-#: (4110); a larger order is refused before its O(G^2) rule is built.
-_MAX_GAUSS_ORDER = 2 * (_MAX_SIDE - 1) + 16
+#: Largest degree per axis of a square array within MAX_DENSE_ENTRIES (2047);
+#: :func:`_gauss_order` refuses an order above the one this degree gets.
+_MAX_DEGREE = math.isqrt(MAX_DENSE_ENTRIES) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,14 +246,22 @@ def _check_entries(
         )
 
 
-def _check_gauss_order(G: int, limit: int) -> None:
-    """Refuse a Gauss order per panel above ``limit`` before its rule is built."""
-    if G > limit:
-        raise ValueError(f"quadrature order G={G} per panel is over the limit of {limit}")
+def _gauss_order(G: int, degree: int, slack: int) -> int:
+    """max(G, 2 * degree + slack), the Gauss order per panel for a series of
+    ``degree``, G an integer floor; ValueError for a G that is no integer or an
+    order above degree :data:`_MAX_DEGREE`'s, before any O(G^2) rule is built."""
+    _check_integer("G", G)
+    order = max(G, 2 * degree + slack)
+    limit = 2 * _MAX_DEGREE + slack
+    if order > limit:
+        raise ValueError(f"quadrature order G={order} per panel is over the limit of {limit}")
+    return order
 
 
 def _check_degrees(k_max: int, j_max: int) -> None:
-    """Refuse degree bounds that are negative or whose array exceeds the limit."""
+    """Refuse degree bounds that are no integers, negative, or whose array exceeds the limit."""
+    _check_integer("k_max", k_max)
+    _check_integer("j_max", j_max)
     if k_max < 0 or j_max < 0:
         raise ValueError("degree bounds must be nonnegative")
     _check_entries(
@@ -397,19 +402,15 @@ def exact_coeffs(
 ) -> CoeffField:
     """Reference coefficients via tensor Gauss quadrature per panel.
 
-    The order per panel is max(G, 2 * max(k_max, j_max) + 16): G is a floor,
-    and the degree-based order, which integrates the products f*phi_k*phi_j
-    to reference quality, applies when it is larger or G is not given.  An
-    order above 4110 (the degree rule's at degree 2047) or a coefficient
-    array over :data:`MAX_DENSE_ENTRIES` raises ValueError, as does a G that
-    is not an integer, all before any rule is built.
+    The order per panel is max(G, 2 * max(k_max, j_max) + 16), as
+    :func:`_gauss_order` gives it: G is an integer floor, and the degree-based
+    order, which integrates f*phi_k*phi_j to reference quality, applies when it
+    is larger or G is not given.  Degree bounds or a G that are no integers,
+    negative bounds, an array over :data:`MAX_DENSE_ENTRIES` and an order
+    above 4110 (degree 2047's) raise ValueError, all before any rule is built.
     """
-    if G is not None:
-        _check_integer("G", G)
     _check_degrees(k_max, j_max)
-    floor = 2 * max(k_max, j_max) + 16
-    G = floor if G is None else max(G, floor)
-    _check_gauss_order(G, _MAX_GAUSS_ORDER)
+    G = _gauss_order(0 if G is None else G, max(k_max, j_max), 16)
     return CoeffField.from_dense(_tensor_projection(f, *f.gauss_rules(G), k_max, j_max)[0])
 
 
@@ -438,9 +439,9 @@ def trapezoid_coeffs(
     """Coefficients via the composite tensor trapezoid rule with step h.
 
     The step must tile [-1, 1] into whole intervals of at most
-    :data:`MAX_DENSE_ENTRIES` nodes and satisfy h <= 0.1; the coefficient
-    array must fit that limit too.  The rule's quadrature error is the
-    implicit perturbation of the data.
+    :data:`MAX_DENSE_ENTRIES` nodes and satisfy h <= 0.1; the degree bounds,
+    nonnegative integers, must fit that limit too.  The rule's quadrature
+    error is the implicit perturbation of the data.
     """
     _check_degrees(k_max, j_max)
     rule = _trapezoid_rule(h)
@@ -453,8 +454,7 @@ def smoothness_norm(field: CoeffField, s: float, mu: float) -> float:
     Here kbar = max(1, k).  The sum runs over the stored entries only, so the
     result is the truncated norm of the represented series.
     """
-    if not 1.0 <= s < math.inf:
-        raise ValueError(f"s={s} must satisfy 1 <= s < inf")
+    _check_s(s)
     if not 0.0 < mu < math.inf:
         raise ValueError(f"mu={mu} must be positive and finite")
     ks, js = np.nonzero(field.values)  # unstored entries are exactly zero

@@ -55,6 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import _orthonormal_scale
+from .index import _check_integer, _check_order
 
 __all__ = ["phi_derivative_coeffs", "DerivativeExpansion"]
 
@@ -99,6 +100,8 @@ def _steps(a: np.ndarray, r: int, columns: tuple[np.ndarray, np.ndarray]) -> np.
 
 def phi_derivative_coeffs(k: int, r: int) -> np.ndarray:
     """Coefficients of phi_k^(r) over phi_0..phi_{k-r} (empty when r > k)."""
+    _check_integer("k", k)
+    _check_integer("r", r)
     if k < 0 or r < 0:
         raise ValueError("k and r must be nonnegative")
     unit = np.zeros(k + 1, dtype=np.float64)
@@ -118,8 +121,8 @@ class DerivativeExpansion:
     max_degree: int
 
     def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError("derivative order r must be >= 1")
+        _check_order(self.r)
+        _check_integer("max_degree", self.max_degree)
         if self.max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
 

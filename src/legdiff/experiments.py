@@ -23,7 +23,8 @@ from typing import ClassVar
 import numpy as np
 
 from .coeffs import _BLOCK_ENTRIES, BivariateFunction, CoeffField, exact_coeffs, trapezoid_coeffs
-from .method import MethodConfig, _check_mu, _derive
+from .index import _check_integer, _check_order
+from .method import ConfigError, MethodConfig, _derive, _rate_denominator
 from .metrics import DEFAULT_G, DEFAULT_M, error_report
 from .noise import NoiseSpec, _noise_rows
 
@@ -176,6 +177,13 @@ def _check_span(deltas) -> None:
     their smallest: a sweep fits its slope over at least three decades."""
     if max(deltas) / min(deltas) < 1e3 * (1.0 - 1e-12):
         raise ValueError("the noise-level grid must span at least 3 decades")
+
+
+def _check_seed_count(seeds: int) -> None:
+    """Refuse a seed count that is no integer >= 1."""
+    _check_integer("seeds", seeds)
+    if seeds < 1:
+        raise ValueError(f"seeds={seeds} must be >= 1")
 
 
 def builtin_function(name: str) -> BivariateFunction:
@@ -376,11 +384,13 @@ def run_table(
     """All rows of one experiment table, in preset order.
 
     Gaussian presets produce one row per (delta, seed), for ``seeds`` seeds
-    (gaussian presets only), followed by a per-delta median row;
-    deterministic presets produce one row per delta, each measured with
+    (an integer >= 1, read by gaussian presets only), then a per-delta median
+    row; deterministic presets produce one row per delta, each measured with
     :func:`error_report`.  The output is a pure function of
     (preset, seeds, domain_shape).
     """
+    count = preset.default_seeds if seeds is None else seeds
+    _check_seed_count(count)
     rows: list[ExperimentRow] = []
     if not preset.deltas:
         return rows
@@ -394,9 +404,6 @@ def run_table(
     ]
     reference = preset.function.derivative_function()
     if preset.noise == "gaussian":
-        count = preset.default_seeds if seeds is None else seeds
-        if count < 1:
-            raise ValueError("stochastic presets need at least one seed")
         degree = max(max(c.domain().max_degree()) for c in configs)
         base = exact_coeffs(preset.function, degree, degree, G=preset.coeff_G)
         for config in configs:
@@ -411,9 +418,11 @@ def run_table(
 
 
 def theoretical_exponent(mu: float, r: int, s: float, p: float) -> float:
-    """Square-mean rate exponent (mu - 2r + 1/s - 1/2) / (mu - 1/p + 1/s)."""
-    _check_mu(mu)
-    return (mu - 2.0 * r + 1.0 / s - 0.5) / (mu - 1.0 / p + 1.0 / s)
+    """Square-mean rate exponent (mu - 2r + 1/s - 1/2) / (mu - 1/p + 1/s), each
+    parameter checked as :func:`~legdiff.method.choose_n` checks it."""
+    _check_order(r, ConfigError)
+    denominator = _rate_denominator(mu, p, s)
+    return (mu - 2.0 * r + 1.0 / s - 0.5) / denominator
 
 
 @dataclass(frozen=True)
@@ -454,8 +463,7 @@ def convergence_sweep(
     if noise_kind not in NoiseSpec.KINDS:
         raise ValueError(f"unknown noise kind {noise_kind!r}")
     reference = function.derivative_function()  # refuses a function without one
-    if seeds < 1:
-        raise ValueError("need at least one seed")
+    _check_seed_count(seeds)
 
     # Validated, size limit included, before any coefficient is built.
     configs = [

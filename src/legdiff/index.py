@@ -16,6 +16,7 @@ lexicographic (k, j) order so downstream runs are reproducible.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,6 +42,22 @@ def _check_integer(name: str, value, error: type[ValueError] = ValueError) -> No
         operator.index(value)
     except TypeError:
         raise error(f"{name}={value!r} must be an integer") from None
+
+
+def _check_order(r: int, error: type[ValueError] = ValueError) -> None:
+    _check_integer("r", r, error)
+    if r < 1:
+        raise error(f"derivative order r={r} must be >= 1")
+
+
+def _check_s(s: float, error: type[ValueError] = ValueError) -> None:
+    if not 1.0 <= s < math.inf:  # NaN fails too
+        raise error(f"s={s} must satisfy 1 <= s < inf")
+
+
+def _check_p(p: float, error: type[ValueError] = ValueError) -> None:
+    if not 1.0 <= p:  # NaN fails too
+        raise error(f"p={p} must satisfy 1 <= p <= inf")
 
 
 def pairs_mask(pairs) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .coeffs import CoeffField, _check_entries
 from .derivative import DerivativeExpansion
-from .index import IndexDomain, _check_integer
+from .index import IndexDomain, _check_integer, _check_order, _check_p, _check_s
 
 __all__ = [
     "ConfigError",
@@ -33,7 +33,6 @@ __all__ = [
     "ApproxDerivative",
     "choose_n",
     "run",
-    "evaluate",
 ]
 
 
@@ -64,9 +63,9 @@ class MethodConfig:
     domain_shape: str = "cross"
 
     def __post_init__(self) -> None:
-        _check_order(self.r)
-        _check_s(self.s)
-        _check_p(self.p)
+        _check_order(self.r, ConfigError)
+        _check_s(self.s, ConfigError)
+        _check_p(self.p, ConfigError)
         if self.domain_shape not in IndexDomain.SHAPES:
             raise ConfigError(f"domain shape must be one of {IndexDomain.SHAPES}, got {self.domain_shape!r}")
         _check_rule_constant(self.rule_constant)
@@ -122,30 +121,9 @@ class ApproxDerivative:
     config: MethodConfig
 
     @property
-    def n_used(self) -> int:
-        """The truncation level the run used, ``config.resolve_n()``."""
-        return self.config.resolve_n()
-
-    @property
     def information_count(self) -> int:
         """The run's number of coefficients |Gamma_n|, the domain's cardinality."""
         return self.config.domain().cardinality()
-
-
-def _check_order(r: int) -> None:
-    _check_integer("r", r, ConfigError)
-    if r < 1:
-        raise ConfigError(f"derivative order r={r} must be >= 1")
-
-
-def _check_s(s: float) -> None:
-    if not 1.0 <= s < math.inf:  # NaN fails too
-        raise ConfigError(f"s={s} must satisfy 1 <= s < inf")
-
-
-def _check_p(p: float) -> None:
-    if not 1.0 <= p:  # NaN fails too
-        raise ConfigError(f"p={p} must satisfy 1 <= p <= inf")
 
 
 def _check_mu(mu: float) -> None:
@@ -156,6 +134,18 @@ def _check_mu(mu: float) -> None:
 def _check_rule_constant(rule_constant: float) -> None:
     if not 0.0 < rule_constant < math.inf:  # NaN fails too
         raise ConfigError(f"rule constant {rule_constant} must be finite and positive")
+
+
+def _rate_denominator(mu: float, p: float, s: float) -> float:
+    """mu - 1/p + 1/s, the exponent denominator of the rule and the rate, with mu, p
+    and s checked as :class:`MethodConfig` checks them; ConfigError unless positive."""
+    _check_mu(mu)
+    _check_p(p, ConfigError)
+    _check_s(s, ConfigError)
+    denominator = mu - 1.0 / p + 1.0 / s
+    if denominator <= 0.0:
+        raise ConfigError(f"mu - 1/p + 1/s = {denominator} must be positive")
+    return denominator
 
 
 def choose_n(
@@ -172,25 +162,17 @@ def choose_n(
              ^ (1 / (mu - 1/p + 1/s))), floored at r + 2.
 
     When p = s the logarithmic factor drops out and n scales as delta^(-1/mu).
-    Each parameter is checked as :class:`MethodConfig` checks it: r an
-    integer >= 1, p >= 1, 1 <= s < inf, else ConfigError.
+    Each parameter is checked as :class:`MethodConfig` checks it (r an integer
+    >= 1, p >= 1, 1 <= s < inf), and mu - 1/p + 1/s must be positive, else ConfigError.
     """
     if not (0.0 < delta < 1.0):
         raise ConfigError(f"delta={delta} must lie in (0, 1)")
-    _check_mu(mu)
     _check_rule_constant(rule_constant)
-    _check_order(r)
-    _check_p(p)
-    _check_s(s)
-    inv_p = 1.0 / p
-    exponent_denom = mu - inv_p + 1.0 / s
-    if exponent_denom <= 0.0:
-        raise ConfigError(
-            f"mu - 1/p + 1/s = {exponent_denom} must be positive"
-        )
+    _check_order(r, ConfigError)
+    exponent_denom = _rate_denominator(mu, p, s)
     log_term = math.log(1.0 / delta)
     raw = rule_constant * (
-        (1.0 / delta) * log_term ** (inv_p - 1.0 / s)
+        (1.0 / delta) * log_term ** (1.0 / p - 1.0 / s)
     ) ** (1.0 / exponent_denom)
     if not math.isfinite(raw):
         raise ConfigError(f"the rule gives a non-finite truncation level {raw}")
@@ -247,12 +229,3 @@ def _derive(stacks: Iterable[np.ndarray], config: MethodConfig) -> Iterator[Appr
         for values in derived:
             yield ApproxDerivative(CoeffField._derived(values, stored, derived_corner), config)
 
-
-def evaluate(approx: ApproxDerivative, points) -> np.ndarray:
-    """Values of the approximation at a sequence of (t, tau) points in Q."""
-    pts = np.asarray(list(points), dtype=np.float64)
-    if pts.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("points must be a sequence of (t, tau) pairs")
-    return approx.series.eval_points(pts[:, 0], pts[:, 1])

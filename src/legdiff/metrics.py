@@ -72,9 +72,8 @@ from .coeffs import (
     BivariateFunction,
     CoeffField,
     _BLOCK_ENTRIES,
-    _MAX_SIDE,
     _check_entries,
-    _check_gauss_order,
+    _gauss_order,
     _row_blocks,
     _tensor_projection,
 )
@@ -105,10 +104,6 @@ class ErrorReport:
                 f"l2_error={self.l2_error} exceeds 2*sup_error={2 * self.sup_error}"
             )
 
-
-#: The Gauss order per panel :func:`l2_error` gives a series of degree
-#: _MAX_SIDE - 1 (4102); a larger order is refused before any rule is built.
-_MAX_GAUSS_ORDER = 2 * (_MAX_SIDE - 1) + 8
 
 @dataclass
 class _Grid:
@@ -251,21 +246,19 @@ def _check_m(m: int) -> None:
 def l2_error(approx: ApproxDerivative, reference: BivariateFunction, G: int) -> float:
     """Square-mean error ||approx - reference||_L2 over [-1, 1]^2.
 
-    G is a floor: the integration uses max(G, 2 * (max series degree) + 8)
-    Gauss points per panel, so the squared series is integrated essentially
-    exactly.  An order above 4102, the one a series of degree 2047 gets,
-    raises ValueError before any rule is built, as does a G that is not an
-    integer.
+    G is an integer floor: the integration uses max(G, 2 * (max series degree) + 8)
+    Gauss points per panel, as :func:`~legdiff.coeffs._gauss_order` gives it, so
+    the squared series is integrated essentially exactly.  A G that is no
+    integer, or an order above 4102, the one a series of degree 2047 gets,
+    raises ValueError before any rule is built.
 
     A Gauss grid of at most 2**18 entries is summed over; a larger one gives
     sqrt(sum((C - B)^2) + tail) from the projection B and remainder tail the
     grid keeps for the latest coefficient shape (see the module docstring).
     A reference that is NaN anywhere on the grid gives NaN either way.
     """
-    _check_integer("G", G)
     coeffs = approx.series.values
-    order = max(G, 2 * (max(coeffs.shape) - 1) + 8)
-    _check_gauss_order(order, _MAX_GAUSS_ORDER)
+    order = _gauss_order(G, max(coeffs.shape) - 1, 8)
     grid = _grid(reference, "gauss", order, _gauss)
     if grid.values is not None:
         quad = grid.square_sum(grid.diff_blocks(approx.series))

@@ -32,7 +32,7 @@ from typing import ClassVar
 import numpy as np
 
 from .coeffs import CoeffField
-from .index import _check_integer
+from .index import _check_integer, _check_p
 
 __all__ = ["NoiseSpec", "standard_normals", "noise_vector", "perturb"]
 
@@ -59,8 +59,7 @@ class NoiseSpec:
             raise ValueError(f"unknown noise kind {self.kind!r}; expected {self.KINDS}")
         if self.kind != "none" and not (0.0 < self.delta < 1.0):
             raise ValueError(f"noise level delta={self.delta} must lie in (0, 1)")
-        if not (1.0 <= self.p):
-            raise ValueError(f"p={self.p} must satisfy 1 <= p <= inf")
+        _check_p(self.p)
         _check_seed(self.seed)
 
 

@@ -36,7 +36,7 @@ from legdiff.coeffs import BivariateFunction, exact_coeffs
 from legdiff.derivative import phi_derivative_coeffs
 from legdiff.experiments import F2, convergence_sweep, get_preset, run_table
 from legdiff.index import IndexDomain
-from legdiff.method import MethodConfig, evaluate, run
+from legdiff.method import MethodConfig, run
 from legdiff.metrics import l2_error
 from legdiff.noise import NoiseSpec, noise_vector
 
@@ -273,7 +273,7 @@ class TestPolynomialExactness:
         )
         approx = run(field, cfg)
         points = rng.uniform(-1.0, 1.0, size=(25, 2))
-        ours = evaluate(approx, points)
+        ours = approx.series.eval_points(points[:, 0], points[:, 1])
         oracle = poly.d22(points[:, 0], points[:, 1])
         assert np.max(np.abs(ours - oracle)) < 1e-8
 

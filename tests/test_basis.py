@@ -151,8 +151,8 @@ class TestGaussRule:
     def test_cache_keeps_at_most_its_bound(self):
         for G in range(1, basis._RULES_CACHED + 10):
             gauss_rule(G)
-        assert gauss_rule.cache_info().currsize == basis._RULES_CACHED
-        assert gauss_rule.cache_info().maxsize == basis._RULES_CACHED
+        assert basis._cached_gauss_rule.cache_info().currsize == basis._RULES_CACHED
+        assert basis._cached_gauss_rule.cache_info().maxsize == basis._RULES_CACHED
 
     def test_one_point_rule_is_midpoint(self):
         rule = gauss_rule(1)
@@ -173,6 +173,14 @@ class TestGaussRule:
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError):
             gauss_rule(0)
+
+    @pytest.mark.parametrize("G", [3.0, 2.5, math.nan])
+    def test_refuses_an_order_that_is_no_integer_past_the_cache(self, G):
+        # 3.0 == 3 and hashes alike, so a cache read first would return the kept rule of 3.
+        gauss_rule(3)
+        for rule in (gauss_rule, composite_gauss_rule):
+            with pytest.raises(ValueError, match=f"^G={G!r} must be an integer$"):
+                rule(G)
 
     @pytest.mark.parametrize("G", [3, 7, 32, 64, 129])
     def test_matches_reference_gauss_nodes(self, G):

@@ -393,11 +393,11 @@ class TestExactCoeffs:
 
     def test_size_bounds_are_inclusive(self, monkeypatch):
         f = _t_times_tau()
-        monkeypatch.setattr(coeffs_module, "_MAX_GAUSS_ORDER", 37)
+        monkeypatch.setattr(coeffs_module, "_MAX_DEGREE", 10)  # Gauss order limit 2*10 + 16
         monkeypatch.setattr(coeffs_module, "MAX_DENSE_ENTRIES", 30)
-        assert exact_coeffs(f, 4, 5, G=37).values.shape == (5, 6)
-        with pytest.raises(ValueError, match="over the limit of 37"):
-            exact_coeffs(f, 4, 5, G=38)
+        assert exact_coeffs(f, 4, 5, G=36).values.shape == (5, 6)
+        with pytest.raises(ValueError, match="over the limit of 36"):
+            exact_coeffs(f, 4, 5, G=37)
         with pytest.raises(ValueError, match="5x7 coefficient array, over the limit of 30"):
             exact_coeffs(f, 4, 6)
 

@@ -13,7 +13,7 @@ from legdiff.coeffs import BivariateFunction, CoeffField, exact_coeffs, smoothne
 from legdiff.coeffs import _trapezoid_rule
 from legdiff import coeffs, derivative, experiments, metrics
 from legdiff.index import IndexDomain
-from legdiff.method import ConfigError, MethodConfig, run
+from legdiff.method import ConfigError, MethodConfig, choose_n, run
 from legdiff.metrics import DEFAULT_G, DEFAULT_M, error_report, l2_error, sup_error
 from legdiff.noise import NoiseSpec, perturb
 from legdiff.experiments import (
@@ -358,7 +358,7 @@ def _per_seed_rows(base, config, seeds, noise, reference) -> list[ExperimentRow]
         report = error_report(approx, reference)
         cells.append(
             ExperimentRow(
-                delta=config.delta, n=approx.n_used, card=approx.information_count,
+                delta=config.delta, n=approx.config.resolve_n(), card=approx.information_count,
                 l2_error=report.l2_error, sup_error=report.sup_error, seed=seed,
             )
         )
@@ -706,6 +706,26 @@ class TestTheoreticalExponent:
     def test_rejects_non_finite_mu(self, mu):
         with pytest.raises(ConfigError, match="must be finite"):
             theoretical_exponent(mu, 2, 2.0, 2.0)
+
+    @pytest.mark.parametrize(
+        ("mu", "r", "s", "p", "message"),
+        [
+            (5.5, 2, 0, 2, "^s=0 must satisfy 1 <= s < inf$"),
+            (5.5, 2, 2, 0, "^p=0 must satisfy 1 <= p <= inf$"),
+            (0.5, 1, 2, 1, r"^mu - 1/p \+ 1/s = 0\.0 must be positive$"),
+            (5.5, 1.5, 2, 2, "^r=1.5 must be an integer$"),
+            (5.5, -3, 2, 2, "^derivative order r=-3 must be >= 1$"),
+            (0.1, 1, 2, 1, r"^mu - 1/p \+ 1/s = -0\.4\d* must be positive$"),
+        ],
+    )
+    def test_refuses_what_choose_n_refuses(self, mu, r, s, p, message):
+        # The first three once raised ZeroDivisionError; r = 1.5 gave 0.4545...,
+        # r = -3 gave 2.0909..., and mu = 0.1 gave 4.75 under a denominator
+        # choose_n refuses.  Each refusal is choose_n's, in its words.
+        with pytest.raises(ConfigError, match=message):
+            theoretical_exponent(mu, r, s, p)
+        with pytest.raises(ConfigError, match=message):
+            choose_n(0.5, mu, p=p, s=s, r=r)
 
 
 class TestConvergenceSweep:

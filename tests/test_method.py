@@ -18,7 +18,6 @@ from legdiff.method import (
     ConfigError,
     MethodConfig,
     choose_n,
-    evaluate,
     run,
 )
 from legdiff.noise import NoiseSpec, perturb
@@ -218,11 +217,11 @@ class TestRun:
         values = approx.series.eval_grid(grid, grid)
         np.testing.assert_allclose(values, 22.5, rtol=1e-13)
 
-    def test_evaluate_at_single_point(self):
+    def test_eval_points_at_single_point(self):
         field = from_entries({(2, 2): 1.0})
         cfg = MethodConfig(r=2, mu=6.0, delta=0.0, n_override=3, domain_shape="box")
         approx = run(field, cfg)
-        vals = evaluate(approx, [(0.3, -0.7)])
+        vals = approx.series.eval_points(np.array([0.3]), np.array([-0.7]))
         assert vals.shape == (1,)
         assert vals[0] == pytest.approx(22.5, rel=1e-13)
 
@@ -236,7 +235,7 @@ class TestRun:
         field = from_entries({(2, 2): 1.0, (2, 4): 0.5})
         cfg = MethodConfig(r=2, mu=5.5, delta=0.0, n_override=5)
         approx = run(field, cfg)
-        assert approx.n_used == 5
+        assert approx.config.resolve_n() == 5
         assert approx.information_count == IndexDomain.cross(2, 5).cardinality()
         # Entries outside the domain and stored zeros inside it do not change
         # the count: it is the domain's, as restrict stores it, on both shapes.
@@ -248,16 +247,16 @@ class TestRun:
             approx = run(field, cfg)
             assert approx.information_count == count == len(field.restrict(cfg.domain()))
         # Both come from the config, so no run can be built that restates them.
-        with pytest.raises(TypeError, match="n_used"):
-            ApproxDerivative(approx.series, cfg, n_used=6)
+        with pytest.raises(TypeError, match="information_count"):
+            ApproxDerivative(approx.series, cfg, information_count=6)
 
     def test_level_and_cardinality_are_read_only(self):
         cfg = MethodConfig(r=2, mu=5.5, delta=0.0, n_override=5)
         approx = run(from_entries({(2, 2): 1.0}), cfg)
-        for name in ("n_used", "information_count"):
+        for name in ("config", "information_count"):
             with pytest.raises(AttributeError):
                 setattr(approx, name, 6)
-        assert (approx.n_used, approx.information_count) == (
+        assert (approx.config.resolve_n(), approx.information_count) == (
             cfg.resolve_n(), cfg.domain().cardinality(),
         )
 
@@ -735,27 +734,29 @@ class TestZeroCorner:
         assert degrees == [297, 297, 296]
 
 
-class TestEvaluate:
+class TestEvalPoints:
+    """The derived series evaluates itself at paired points (t_i, tau_i)."""
+
     def test_empty_points_gives_empty_array(self):
         field = from_entries({(2, 2): 1.0})
         cfg = MethodConfig(r=2, mu=6.0, delta=0.0, n_override=3)
         approx = run(field, cfg)
-        out = evaluate(approx, [])
+        out = approx.series.eval_points(np.zeros(0), np.zeros(0))
         assert out.shape == (0,)
 
     def test_rejects_malformed_points(self):
         field = from_entries({(2, 2): 1.0})
         approx = run(field, MethodConfig(r=2, mu=6.0, delta=0.0, n_override=3))
-        with pytest.raises(ValueError):
-            evaluate(approx, [(0.1, 0.2, 0.3)])
+        with pytest.raises(ValueError, match="identical shapes"):
+            approx.series.eval_points(np.array([0.1, 0.2]), np.array([0.3]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_points(self, bad):
         field = from_entries({(2, 2): 1.0})
         approx = run(field, MethodConfig(r=2, mu=6.0, delta=0.0, n_override=3))
-        for point in ((bad, 0.0), (0.0, bad)):
+        for t, tau in (((0.2, bad), (0.1, 0.0)), ((0.2, 0.0), (0.1, bad))):
             with pytest.raises(ValueError, match="outside"):
-                evaluate(approx, [(0.2, 0.1), point])
+                approx.series.eval_points(np.array(t), np.array(tau))
 
     def test_result_is_approx_derivative(self):
         field = from_entries({(2, 2): 1.0})

@@ -315,7 +315,7 @@ class TestHeldReference:
         assert reference not in metrics._GRIDS
 
     def test_gauss_order_bound_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(metrics, "_MAX_GAUSS_ORDER", 20)
+        monkeypatch.setattr(coeffs, "_MAX_DEGREE", 6)  # Gauss order limit 2*6 + 8
         assert l2_error(_zero_approx(), _constant_reference(1.0), G=20) == pytest.approx(2.0)
         with pytest.raises(ValueError, match="over the limit of 20"):
             l2_error(_zero_approx(), _constant_reference(1.0), G=21)
