@@ -13,7 +13,7 @@ Quick start::
 
     config = MethodConfig(r=2, mu=5.5, delta=1e-6)
     field = exact_coeffs(F1, 31, 31, G=96)
-    approx = run(field.restrict(config.domain()), config)
+    approx = run(field, config)
     values = approx.series.eval_grid([0.0], [0.0])
 """
 

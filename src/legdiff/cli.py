@@ -33,9 +33,9 @@ from .experiments import (
     run_table,
 )
 from .index import IndexDomain
-from .method import ConfigError, MethodConfig, run
+from .method import ConfigError, MethodConfig, _derive
 from .metrics import error_report
-from .noise import NoiseSpec, perturb
+from .noise import NoiseSpec
 
 __all__ = ["main"]
 
@@ -261,17 +261,16 @@ def cmd_differentiate(args: argparse.Namespace) -> int:
     if args.n is not None and args.delta is not None and args.noise == "none":
         raise UsageError("--delta with --n applies to noisy runs only, not --noise none")
     _check_entries(f"--grid {args.grid}", args.grid, args.grid, "evaluation table", UsageError)
-    n = config.resolve_n()
-    print(f"n={n}", file=sys.stderr)
-    domain = config.domain()
+    print(f"n={config.resolve_n()}", file=sys.stderr)
     if args.builtin is not None:
         function = builtin_function(args.builtin)
-        base = exact_coeffs(function, *domain.max_degree())
+        base = exact_coeffs(function, *config.domain().max_degree())
     else:
         function = None
         base = load_csv(args.coeffs)
-    noise = NoiseSpec(kind=args.noise, delta=delta, p=args.p, seed=args.seed or 0)
-    approx = run(perturb(base.restrict(domain), noise), config)
+    seed = args.seed or 0
+    noise = NoiseSpec(kind=args.noise, delta=delta, p=args.p, seed=seed)
+    approx = next(_derive(base, config, noise, [seed]))
     del base  # only the derived series is read from here on
     _write_grid(approx.series, args.grid, args.out)  # the grid is released on return
     if function is not None and args.r == MEASURED_ORDER:  # every builtin has its d22

@@ -35,17 +35,17 @@ gives the same floats.  The one exception is the sign of a zero: an input
 -0.0 at a block edge can turn an exactly-zero result entry from +0.0 into
 -0.0, or back.  The box has no block edge, so it keeps every byte.
 
-The map never reads the corner, as :func:`legdiff.method.run` zero-filled it
-itself.  Finiteness is checked on each region the map writes, never on the
-zero fill.
+The map never reads the corner, which the method's pipeline
+(:func:`legdiff.method._derive`) zero-filled itself.  Finiteness is checked
+on each region the map writes, never on the zero fill.
 
 Every step acts on the last two axes, degree along axis -2, and any leading
-axes are a stack of independent arrays: a table row derives its seeds in
-one map call (:func:`legdiff.experiments.run_table`), and
-:func:`legdiff.method.run` one field as a stack of one.  The cumsum runs
-along the degree axis and the scale multiplies act entry by entry, so a
-leading axis regroups no sum, and each array of a stack gets the bytes it
-gets alone.  A 2-D array is a stack of none.
+axes are a stack of independent arrays: the method's pipeline derives a
+chunk of seeds in one map call, and the one field :func:`legdiff.method.run`
+takes as a stack of one.  The cumsum runs along the degree axis and the
+scale multiplies act entry by entry, so a leading axis regroups no sum, and
+each array of a stack gets the bytes it gets alone.  A 2-D array is a stack
+of none.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ class DerivativeExpansion:
         max_degree.
 
         ``corner`` (a, b) is a zero corner ``values[..., a:, b:]`` the caller
-        zero-filled itself, as :func:`legdiff.method.run` does; the map never
+        zero-filled itself, as :func:`legdiff.method._derive` does; the map never
         reads it (see the module docstring), and the result is the dense
         map's bit for bit, up to the sign of exact zeros.  A corner without
         r < a, b <= max_degree raises ValueError; None, the box's cover

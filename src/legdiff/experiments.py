@@ -16,17 +16,16 @@ theoretical exponent (mu - 2r + 1/s - 1/2) / (mu - 1/p + 1/s).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .coeffs import _BLOCK_ENTRIES, BivariateFunction, CoeffField, exact_coeffs, trapezoid_coeffs
+from .coeffs import BivariateFunction, CoeffField, exact_coeffs, trapezoid_coeffs
 from .index import _check_integer, _check_order
 from .method import ConfigError, MethodConfig, _derive, _rate_denominator
 from .metrics import DEFAULT_G, DEFAULT_M, error_report
-from .noise import NoiseSpec, _noise_rows
+from .noise import NoiseSpec
 
 __all__ = [
     "F1",
@@ -313,44 +312,17 @@ def _measure(
     field: CoeffField,
     config: MethodConfig,
     seeds,
-    noise: str | None,
+    noise: NoiseSpec,
     reference: BivariateFunction,
 ) -> list[ExperimentRow]:
-    """One row per seed of the sequence ``seeds``: restrict, perturb, derive, and measure.
-
-    With ``noise`` None or "none" each seed (None in every caller) runs the
-    restricted field itself; otherwise every seed draws ``noise`` (a
-    :class:`NoiseSpec` kind) at the config's delta, the draw
-    :func:`~legdiff.noise.perturb` would add.  The field is restricted once,
-    and the seeds go in chunks of at most ``_BLOCK_ENTRIES // side^2`` (at
-    least one): 272 seeds at side 31, 2 at n = 300.  A chunk's stack holds
-    the restricted values once per seed, and its seeds' noise, drawn with one
-    bit generator, is added at the stored entries in their row-major order,
-    so each entry is ``v + xi`` as ``perturb`` makes it.  The stack is
-    derived with one map call (:func:`~legdiff.method._derive`), and each
-    run is measured on its own against ``reference`` with
-    :func:`error_report`.  Memory follows one chunk, not the seeds.
-    """
+    """One row per seed of the sequence ``seeds``: each run of
+    :func:`~legdiff.method._derive` (restrict, perturb with ``noise``, derive)
+    measured on its own against ``reference`` with :func:`error_report`.
+    Deterministic cells pass kind "none" and the one seed None."""
     domain = config.domain()
     card = domain.cardinality()
-    consumed = field.restrict(domain)
-    spec = (
-        None if noise in (None, "none")
-        else NoiseSpec(kind=noise, delta=config.delta, p=config.p)
-    )
-    height = max(1, _BLOCK_ENTRIES // consumed.values.size)
-
-    def stacks() -> Iterator[np.ndarray]:
-        for start in range(0, len(seeds), height):
-            chunk = seeds[start:start + height]
-            stack = np.empty((len(chunk), *consumed.values.shape))
-            stack[:] = consumed.values
-            if spec is not None:
-                stack[:, consumed.stored] += _noise_rows(spec, chunk, card)
-            yield stack
-
     cells = []
-    for seed, approx in zip(seeds, _derive(stacks(), config)):
+    for seed, approx in zip(seeds, _derive(field, config, noise, seeds)):
         report = error_report(approx, reference)
         cells.append(
             ExperimentRow(
@@ -395,6 +367,7 @@ def run_table(
     if not preset.deltas:
         return rows
     # Validated, size limit included, before any coefficient is built.
+    kind = "gaussian" if preset.noise == "gaussian" else "none"
     configs = [
         MethodConfig(
             r=preset.r, mu=preset.mu, delta=delta, s=preset.s, p=preset.p,
@@ -402,18 +375,19 @@ def run_table(
         )
         for delta, n in zip(preset.deltas, preset.ns)
     ]
+    specs = [NoiseSpec(kind, delta, preset.p) for delta in preset.deltas]
     reference = preset.function.derivative_function()
     if preset.noise == "gaussian":
         degree = max(max(c.domain().max_degree()) for c in configs)
         base = exact_coeffs(preset.function, degree, degree, G=preset.coeff_G)
-        for config in configs:
-            cells = _measure(base, config, range(count), "gaussian", reference)
+        for config, spec in zip(configs, specs):
+            cells = _measure(base, config, range(count), spec, reference)
             rows.extend(cells)
             rows.append(_median_row(cells))
     else:
-        for config, h in zip(configs, preset.hs):
+        for config, spec, h in zip(configs, specs, preset.hs):
             field = trapezoid_coeffs(preset.function, h, *config.domain().max_degree())
-            rows.extend(_measure(field, config, [None], None, reference))
+            rows.extend(_measure(field, config, [None], spec, reference))
     return rows
 
 
@@ -460,12 +434,10 @@ def convergence_sweep(
     deltas = sorted((float(d) for d in deltas), reverse=True)
     if len(deltas) < MIN_SWEEP_LEVELS:
         raise ValueError(f"a sweep needs at least {MIN_SWEEP_LEVELS} noise levels")
-    if noise_kind not in NoiseSpec.KINDS:
-        raise ValueError(f"unknown noise kind {noise_kind!r}")
     reference = function.derivative_function()  # refuses a function without one
     _check_seed_count(seeds)
 
-    # Validated, size limit included, before any coefficient is built.
+    # Validated, size limit and noise kind included, before any coefficient is built.
     configs = [
         MethodConfig(
             r=MEASURED_ORDER, mu=mu, delta=delta, s=s, p=p,
@@ -473,6 +445,7 @@ def convergence_sweep(
         )
         for delta in deltas
     ]
+    specs = [NoiseSpec(noise_kind, delta, p) for delta in deltas]
     _check_span(deltas)  # each delta lies in (0, 1), as its config checked
     degree = max(max(c.domain().max_degree()) for c in configs)
     base = exact_coeffs(function, degree, degree)
@@ -480,8 +453,8 @@ def convergence_sweep(
 
     rows: list[ExperimentRow] = []
     median_l2: list[float] = []
-    for config in configs:
-        cells = _measure(base, config, seed_list, noise_kind, reference)
+    for config, spec in zip(configs, specs):
+        cells = _measure(base, config, seed_list, spec, reference)
         rows.extend(cells)
         if len(cells) > 1:
             rows.append(_median_row(cells))

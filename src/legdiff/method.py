@@ -18,14 +18,15 @@ with a floor of r + 2.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import CoeffField, _check_entries
+from .coeffs import _BLOCK_ENTRIES, CoeffField, _check_entries
 from .derivative import DerivativeExpansion
 from .index import IndexDomain, _check_integer, _check_order, _check_p, _check_s
+from .noise import NoiseSpec, _noise_rows
 
 __all__ = [
     "ConfigError",
@@ -61,6 +62,7 @@ class MethodConfig:
     n_override: int | None = None
     rule_constant: float = 1.0
     domain_shape: str = "cross"
+    _domain: IndexDomain = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_order(self.r, ConfigError)
@@ -87,11 +89,13 @@ class MethodConfig:
             raise ConfigError(
                 f"smoothness mu={self.mu} violates mu > 2r - 1/s + 1/2 = {bound}"
             )
-        side = max(self.domain().max_degree()) + 1
-        _check_entries(
-            f"truncation level n={self.resolve_n()}", side, side, "coefficient array",
-            ConfigError,
-        )
+        n = self.n_override
+        if n is None:
+            n = choose_n(self.delta, self.mu, self.p, self.s, self.rule_constant, self.r)
+        domain = IndexDomain(self.domain_shape, self.r, n)
+        side = max(domain.max_degree()) + 1
+        _check_entries(f"truncation level n={n}", side, side, "coefficient array", ConfigError)
+        object.__setattr__(self, "_domain", domain)
 
     @property
     def satisfies_sup_hypothesis(self) -> bool:
@@ -100,16 +104,11 @@ class MethodConfig:
 
     def resolve_n(self) -> int:
         """The truncation level: ``n_override`` if present, else the rule."""
-        if self.n_override is not None:
-            return self.n_override
-        return choose_n(
-            self.delta, self.mu, p=self.p, s=self.s,
-            rule_constant=self.rule_constant, r=self.r,
-        )
+        return self._domain.n
 
     def domain(self) -> IndexDomain:
-        """The information domain at the resolved truncation level."""
-        return IndexDomain(self.domain_shape, self.r, self.resolve_n())
+        """The information domain at the resolved truncation level, built once."""
+        return self._domain
 
 
 @dataclass(frozen=True)
@@ -189,8 +188,8 @@ def run(field_perturbed: CoeffField, config: MethodConfig) -> ApproxDerivative:
     matrix of :class:`DerivativeExpansion`; both domains are square, so one
     map serves both axes.  Entries of ``field_perturbed`` outside the domain
     are ignored; domain pairs missing from the field count as exact zeros.
-    The field is restricted once, and its values go to :func:`_derive` as a
-    stack of one, a view of them, not a copy.
+    This is :func:`_derive` with no noise and one seed, which derives a view
+    of the restricted values, not a copy.
 
     On a cross the derived series carries the domain's zero corner
     (:meth:`IndexDomain.zero_corner`) less r on each axis, which its grid
@@ -203,29 +202,44 @@ def run(field_perturbed: CoeffField, config: MethodConfig) -> ApproxDerivative:
     side: it keeps the dense map's bytes and pays the cover's degenerate
     pieces.
     """
-    restricted = field_perturbed.restrict(config.domain())
-    return next(_derive([restricted.values[None]], config))
+    return next(_derive(field_perturbed, config, NoiseSpec("none"), [None]))
 
 
-def _derive(stacks: Iterable[np.ndarray], config: MethodConfig) -> Iterator[ApproxDerivative]:
-    """The derived field of each array in each stack, in order: one map call per stack.
+def _derive(
+    field: CoeffField, config: MethodConfig, noise: NoiseSpec, seeds: Sequence
+) -> Iterator[ApproxDerivative]:
+    """Each seed's run on ``field`` perturbed by ``noise``, in order: the one
+    restrict -> perturb -> derive pipeline, which :func:`run`, the tables and
+    the command line share.
 
-    Each stack, read lazily, has shape (arrays, side, side) and is zero
-    outside the config's domain mask, so the map leaves the zero corner
-    unscanned.  Each result is its array's slice of the derived stack, bit
-    for bit what the array gets alone: a :class:`CoeffField` storing every
-    entry through one read-only mask per call.  This is the one place a
-    field's ``zero_corner`` is set: the domain's corner less r (None on the box).
+    The field is restricted to the config's domain once.  Under kind "none"
+    each seed derives a view of the restricted values.  Otherwise the seeds
+    go in chunks of at most ``_BLOCK_ENTRIES // side^2`` (at least one): 272
+    at side 31, 2 at n = 300.  A chunk's stack holds the restricted values
+    once per seed plus its seeds' noise (:func:`~legdiff.noise._noise_rows`,
+    one bit generator) at the stored entries in row-major order, and takes
+    one map call, so memory follows one chunk, not the seeds.  Each result is
+    bit for bit ``run(perturb(field.restrict(config.domain()), spec), config)``
+    with the seed in ``spec``: a :class:`CoeffField` storing every entry
+    through one read-only mask per call.  This is the one place a field's
+    ``zero_corner`` is set: the domain's corner less r (None on the box).
     """
     domain = config.domain()
-    side = domain.mask().shape[0]
+    consumed = field.restrict(domain)
+    values = consumed.values
+    side = values.shape[0]
     expansion = DerivativeExpansion(config.r, side - 1)
     corner = domain.zero_corner()
     derived_corner = None if corner is None else (corner[0] - config.r, corner[1] - config.r)
     stored = np.broadcast_to(np.True_, (side - config.r,) * 2)
-    for stack in stacks:
+    height = 1 if noise.kind == "none" else max(1, _BLOCK_ENTRIES // values.size)
+    for start in range(0, len(seeds), height):
+        chunk = seeds[start:start + height]
+        stack = values[None]  # a view, no copy
+        if noise.kind != "none":
+            stack = np.repeat(stack, len(chunk), axis=0)
+            stack[:, consumed.stored] += _noise_rows(noise, chunk, len(consumed))
         derived = expansion.apply_both(stack, corner)
         del stack  # not held while the caller uses the results
-        for values in derived:
-            yield ApproxDerivative(CoeffField._derived(values, stored, derived_corner), config)
-
+        for array in derived:
+            yield ApproxDerivative(CoeffField._derived(array, stored, derived_corner), config)

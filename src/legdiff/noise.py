@@ -13,13 +13,14 @@ explicit Box-Muller transform, consumed in the lexicographic (row-major)
 order of the field's stored entries, so results are reproducible bit-for-bit
 given the seed and independent of thread count.
 
-A batch of seeds (a table row's, see :func:`legdiff.experiments.run_table`)
-draws with one bit generator, re-keyed for each seed: Philox is
-counter-based, so its stream is fixed by its key, and a generator set to
-counter 0 and key ``[seed, 0]`` draws the bytes a new ``Philox(key=seed)``
-draws.  Re-keying skips the constructor's OS-entropy seed sequence, which
-``key=`` discards.  The batch's uniforms fill one array per Box-Muller
-input, transformed in one pass; each row is bit for bit the one-seed draw.
+A batch of seeds (a chunk the method's pipeline perturbs together, see
+:func:`legdiff.method._derive`) draws with one bit generator, re-keyed for
+each seed: Philox is counter-based, so its stream is fixed by its key, and a
+generator set to counter 0 and key ``[seed, 0]`` draws the bytes a new
+``Philox(key=seed)`` draws.  Re-keying skips the constructor's OS-entropy
+seed sequence, which ``key=`` discards.  The batch's uniforms fill one array
+per Box-Muller input, transformed in one pass; each row is bit for bit the
+one-seed draw.
 """
 
 from __future__ import annotations

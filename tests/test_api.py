@@ -11,6 +11,7 @@ import inspect
 import math
 import pkgutil
 import re
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -248,3 +249,31 @@ def test_every_entry_refuses_through_the_parameter_rules(call, value, names):
     with pytest.raises(ValueError) as refused:
         call(value)
     assert re.search(names, str(refused.value)), str(refused.value)
+
+
+def _quick_start(source: str) -> str:
+    """The quick-start code of a document: README.md and PAPER.md's python block
+    under "Library quick start", or the package docstring's indented block."""
+    if source == "legdiff":
+        block = legdiff.__doc__.split("Quick start::\n", 1)[1]
+        return textwrap.dedent(block)
+    text = (Path(legdiff.__file__).parents[2] / source).read_text(encoding="utf-8")
+    return text.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
+@pytest.mark.parametrize("source", ["README.md", "PAPER.md", "legdiff"])
+def test_quick_starts_run(source, capsys):
+    """Each quick start runs as written and hands run() the whole field, which
+    gives the bytes of the field restricted by hand."""
+    namespace = {}
+    exec(compile(_quick_start(source), source, "exec"), namespace)
+    field, config, approx = namespace["field"], namespace["config"], namespace["approx"]
+    assert ".restrict(" not in _quick_start(source)
+    restricted = legdiff.run(field.restrict(config.domain()), config)
+    assert approx.series.values.tobytes() == restricted.series.values.tobytes()
+    assert namespace["values"].shape == ((1, 1) if source == "legdiff" else (3, 2))
+    if source != "legdiff":
+        l2, sup, card = capsys.readouterr().out.split()
+        assert (float(l2), float(sup), int(card)) == (
+            namespace["report"].l2_error, namespace["report"].sup_error, 38,
+        )

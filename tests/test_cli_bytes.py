@@ -6,9 +6,12 @@ must equal the pins below.
 
 Provenance: the pins were recorded at commit 575b663 from one separate
 ``python -m legdiff`` process per command, with
-``OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=1``.  A change that moves output bits
-re-records them under ROADMAP's rule for reference files and says so in
-CHANGES.md.
+``OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=1``.  The two pins marked as such
+were recorded at commit 3b70711, through ``main`` in one process with the
+same thread setting: a box run with projected noise at p = 3, and a
+gaussian run at the level n = 19 the rule chooses.  A change that moves
+output bits re-records them under ROADMAP's rule for reference files and
+says so in CHANGES.md.
 """
 
 import json
@@ -45,6 +48,18 @@ PINS = {
         0,
         "bdb9124c8a6fe343be3fa8225bff8872d17813931163c87e89620358c62531f9",
         "35371584f360647c7916547a8b17da0a47c0058dcf8baa43d6f8db810cdf7274",
+    ),
+    # Recorded at commit 3b70711.
+    "differentiate --builtin f2 --mu 6 --delta 1e-7 --noise projected --p 3 --seed 5 --domain box --n 40 --grid 21": (
+        0,
+        "549b15ab987e08a109209b0d5de434f7b3e39cd42663b7191ac7435048889c86",
+        "8d930e6945aaf4d7b99fcc760db92b07d58e7b265c81c5b11cf8daeef03f85ee",
+    ),
+    # Recorded at commit 3b70711.
+    "differentiate --builtin f1 --mu 5.5 --delta 1e-7 --noise gaussian --seed 9 --grid 11": (
+        0,
+        "36275ddf1826e03b269b5b0a256594a42d4d20a68aa20d3f721ccd963d701d3e",
+        "069859167031d2c84029085673e6b181b4eca5c63ef69a649a0551dc730dfead",
     ),
     "differentiate --builtin f1 --mu 5.5 --n 20": (
         0,

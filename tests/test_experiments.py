@@ -11,7 +11,7 @@ import pytest
 from legdiff.basis import composite_gauss_rule
 from legdiff.coeffs import BivariateFunction, CoeffField, exact_coeffs, smoothness_norm, trapezoid_coeffs
 from legdiff.coeffs import _trapezoid_rule
-from legdiff import coeffs, derivative, experiments, metrics
+from legdiff import derivative, experiments, method, metrics
 from legdiff.index import IndexDomain
 from legdiff.method import ConfigError, MethodConfig, choose_n, run
 from legdiff.metrics import DEFAULT_G, DEFAULT_M, error_report, l2_error, sup_error
@@ -422,18 +422,19 @@ class TestStackedSeeds:
         """
         n, r = 300, 2
         config = MethodConfig(r=r, mu=5.5, delta=1e-8, n_override=n)
+        spec = NoiseSpec("gaussian", config.delta, config.p)
         side = n
-        k = max(1, coeffs._BLOCK_ENTRIES // side**2)
+        k = max(1, method._BLOCK_ENTRIES // side**2)
         assert k == 2
         a, b = config.domain().zero_corner()
         base = exact_coeffs(F1, n - 1, n - 1, G=2 * (n - 1) + 16)
         reference = F1.derivative_function()
-        _measure(base, config, range(2), "gaussian", reference)  # fills the caches
+        _measure(base, config, range(2), spec, reference)  # fills the caches
         bound = 8 * (side**2 + k * side**2 + 2 * k * (side - r) ** 2 + k * side * (b + 4 * a)) + 2**16
         for seeds in (4, 8):
             tracemalloc.start()
             try:
-                cells = _measure(base, config, range(seeds), "gaussian", reference)
+                cells = _measure(base, config, range(seeds), spec, reference)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -447,10 +448,11 @@ class TestStackedSeeds:
         # 2^18 entries: 272 seeds at side 31, 2 at n = 300; and one seed where
         # an array alone holds more, here under a budget of 300 < 19^2.
         if entries is not None:
-            monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", entries)
+            monkeypatch.setattr(method, "_BLOCK_ENTRIES", entries)
         config = MethodConfig(r=2, mu=5.5, delta=1e-8, n_override=n)
+        spec = NoiseSpec("gaussian", config.delta, config.p)
         side = config.domain().mask().shape[0]
-        assert per_map == max(1, experiments._BLOCK_ENTRIES // side**2)
+        assert per_map == max(1, method._BLOCK_ENTRIES // side**2)
         stacks = []
         step = derivative._step
 
@@ -460,7 +462,7 @@ class TestStackedSeeds:
 
         monkeypatch.setattr(derivative, "_step", spy)
         base = CoeffField.from_dense(np.ones((1, 1)))
-        cells = _measure(base, config, range(count), "gaussian", F1.derivative_function())
+        cells = _measure(base, config, range(count), spec, F1.derivative_function())
         assert [cell.seed for cell in cells] == list(range(count))
         sizes = [per_map] * (count // per_map) + [count % per_map] * (count % per_map > 0)
         assert stacks == [(size,) for size in sizes for _ in range(8)]  # 2 steps on 4 blocks
@@ -488,19 +490,20 @@ class TestStackedSeeds:
         """
         n, r, seeds = 31, 2, 1000
         config = MethodConfig(r=r, mu=5.5, delta=1e-8, n_override=n)
+        spec = NoiseSpec("gaussian", config.delta, config.p)
         side = config.domain().mask().shape[0]
         card = config.domain().cardinality()
-        k = coeffs._BLOCK_ENTRIES // side**2
+        k = method._BLOCK_ENTRIES // side**2
         assert (side, card, k) == (31, 142, 272)
         a, b = config.domain().zero_corner()
         base = exact_coeffs(F1, n - 1, n - 1, G=ExperimentPreset.coeff_G)
         reference = F1.derivative_function()
-        _measure(base, config, range(2), "gaussian", reference)  # fills the caches
+        _measure(base, config, range(2), spec, reference)  # fills the caches
         del philox_keys[:]
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            cells = _measure(base, config, range(seeds), "gaussian", reference)
+            cells = _measure(base, config, range(seeds), spec, reference)
             held, peak = (size - start for size in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
@@ -742,11 +745,17 @@ class TestConvergenceSweep:
         with pytest.raises(ConfigError, match="delta=0.0 must lie in"):
             convergence_sweep(F1, 5.5, 2, 2, [1e-4, 0.0, 1e-8])
 
-    def test_rejects_unknown_noise_kind(self):
-        with pytest.raises(ValueError, match="noise kind"):
-            convergence_sweep(
-                F2, 6.0, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8), noise_kind="pink"
-            )
+    @pytest.mark.parametrize("kind", ["pink", "uniform"])
+    def test_rejects_unknown_noise_kind_as_noise_spec_does(self, monkeypatch, kind):
+        # NoiseSpec owns the rule and its message; nothing is projected first.
+        built = []
+        monkeypatch.setattr(experiments, "exact_coeffs", lambda *args, **kwargs: built.append(args))
+        with pytest.raises(ValueError) as expected:
+            NoiseSpec(kind, 1e-4)
+        with pytest.raises(ValueError) as got:
+            convergence_sweep(F2, 6.0, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8), noise_kind=kind)
+        assert str(got.value) == str(expected.value)
+        assert built == []
 
     def test_rejects_function_without_derivative(self):
         bare = BivariateFunction(value=lambda t, tau: t * tau, name="bare")

@@ -1,5 +1,6 @@
 """Parameter-choice rule, method configuration, and the truncation method itself."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -203,6 +204,31 @@ class TestMethodConfig:
     def test_box_domain_selected(self):
         cfg = MethodConfig(r=2, mu=6.0, delta=1e-6, domain_shape="box", n_override=5)
         assert cfg.domain().members() == IndexDomain.box(2, 5).members()
+
+    def test_the_level_is_resolved_once(self, monkeypatch):
+        calls = []
+        rule = method.choose_n
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return rule(*args, **kwargs)
+
+        monkeypatch.setattr(method, "choose_n", counted)
+        cfg = MethodConfig(r=2, mu=5.5, delta=1e-7)
+        assert len(calls) == 1
+        domain = cfg.domain()
+        assert cfg.domain() is domain and domain == IndexDomain.cross(2, 19)
+        assert cfg.resolve_n() == 19
+        approx = run(CoeffField.from_dense(np.ones((3, 3))), cfg)
+        assert approx.information_count == domain.cardinality()
+        assert len(calls) == 1
+
+    def test_the_resolved_domain_is_not_compared_or_shown(self):
+        cfg = MethodConfig(r=2, mu=5.5, delta=1e-7)
+        same = MethodConfig(r=2, mu=5.5, delta=1e-7)
+        assert cfg == same and hash(cfg) == hash(same)
+        assert "_domain" not in repr(cfg)
+        assert dataclasses.replace(cfg, n_override=6).domain() == IndexDomain.cross(2, 6)
 
 
 class TestRun:
@@ -473,69 +499,80 @@ def _bits(coeffs: np.ndarray) -> np.ndarray:
     return coeffs.view(np.uint64)
 
 
-def _stacks(fields, heights, config):
-    """The fields' restricted values, stacked by hand in stacks of ``heights`` arrays."""
-    restricted = [field.restrict(config.domain()).values for field in fields]
-    bounds = np.cumsum([0, *heights])
-    assert bounds[-1] == len(fields)
-    return [np.stack(restricted[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+def _map_heights(monkeypatch) -> list[int]:
+    """The stack height of every map call from now on, in call order."""
+    heights = []
+    apply_both = DerivativeExpansion.apply_both
+
+    def spy(self, values, corner=None):
+        heights.append(values.shape[0])
+        return apply_both(self, values, corner)
+
+    monkeypatch.setattr(DerivativeExpansion, "apply_both", spy)
+    return heights
 
 
-def _assert_stacked_matches_run(fields, heights, config):
-    """_derive on the fields in stacks of ``heights`` gives each field run()'s
-    result, bit for bit."""
-    pulled = []
-
-    def stacks():
-        for stack in _stacks(fields, heights, config):
-            pulled.append(stack)
-            yield stack
-
-    results = method._derive(stacks(), config)
-    stacked = [next(results)]
-    assert len(pulled) == 1  # the stacks are read one at a time
-    stacked += results
-    assert len(stacked) == len(fields)
-    for field, approx in zip(fields, stacked):
-        alone = run(field, config)
+def _assert_derive_matches_run(monkeypatch, field, config, spec, seeds, per_map):
+    """_derive on ``field`` under ``spec`` with ``seeds``, in stacks of ``per_map``
+    seeds, gives each seed run(perturb(restricted field)), bit for bit."""
+    side = config.domain().mask().shape[0]
+    monkeypatch.setattr(method, "_BLOCK_ENTRIES", per_map * side**2)
+    heights = _map_heights(monkeypatch)
+    results = method._derive(field, config, spec, seeds)
+    derived = [next(results)]
+    assert heights == [min(per_map, len(seeds))]  # the stacks are made one at a time
+    derived += results
+    sizes = [per_map] * (len(seeds) // per_map) + [len(seeds) % per_map] * (len(seeds) % per_map > 0)
+    assert heights == sizes
+    assert len(derived) == len(seeds)
+    restricted = field.restrict(config.domain())
+    for seed, approx in zip(seeds, derived):
+        alone = run(perturb(restricted, dataclasses.replace(spec, seed=seed)), config)
         assert np.array_equal(_bits(approx.series.values), _bits(alone.series.values))
         assert approx.series.values.flags.c_contiguous
         assert not approx.series.values.flags.writeable
         assert approx.series.zero_corner == alone.series.zero_corner
         assert approx.config is config
     # Every result stores every entry, through one read-only mask made per call.
-    stored = stacked[0].series.stored
+    stored = derived[0].series.stored
     assert stored.all() and not stored.flags.writeable and stored.strides == (0, 0)
-    assert all(np.shares_memory(approx.series.stored, stored) for approx in stacked)
-    return stacked
+    assert all(np.shares_memory(approx.series.stored, stored) for approx in derived)
+    return derived
 
 
 class TestDeriveStacks:
-    """The one derive loop: one map call per stack, each array's bytes as run() gives it alone."""
+    """The one pipeline: restrict once, perturb each seed into a stack, one map call
+    per stack, and each seed's bytes as run() gives its perturbed field alone."""
 
+    @pytest.mark.parametrize(("kind", "p"), [("gaussian", 2.0), ("projected", 3.0)])
     @pytest.mark.parametrize(
         ("shape", "n"),
         [("cross", 5), ("cross", 19), ("cross", 31), ("box", 19), ("cross", 80), ("cross", 300)],
     )
-    def test_each_array_gets_the_bytes_run_gives_it(self, shape, n):
-        # Fields of several shapes, smaller and larger than the domain, in
-        # stacks of two, one and two arrays.
+    def test_each_seed_gets_the_bytes_run_gives_it(self, monkeypatch, shape, n, kind, p):
+        # Fields larger and smaller than the domain; five seeds in stacks of
+        # two, two and one.
         config = MethodConfig(r=2, mu=9.0, delta=0.0, n_override=n, domain_shape=shape)
+        spec = NoiseSpec(kind, delta=1e-3, p=p)
         side = config.domain().mask().shape[0]
         rng = np.random.default_rng(n)
-        shapes = [(side, side), (side + 3, side - 1), (side // 2 + 1, side), (side, side), (side + 1, side + 2)]
-        fields = [CoeffField.from_dense(rng.standard_normal(shape)) for shape in shapes]
-        stacked = _assert_stacked_matches_run(fields, [2, 1, 2], config)
-        if shape == "box":  # no block edge: the dense map's bytes too
-            restricted = fields[0].restrict(config.domain()).values
-            assert stacked[0].series.values.tobytes() == _dense_map(restricted, 2).tobytes()
+        shapes = [(side, side), (side + 3, side - 1), (side // 2 + 1, side), (side + 1, side + 2)]
+        for field_shape in shapes:
+            field = CoeffField.from_dense(rng.standard_normal(field_shape))
+            derived = _assert_derive_matches_run(monkeypatch, field, config, spec, [7, 0, 3, 2**63, 1], 2)
+            monkeypatch.undo()
+            if shape == "box":  # no block edge: the dense map's bytes too
+                noisy = perturb(field.restrict(config.domain()), dataclasses.replace(spec, seed=7))
+                assert derived[0].series.values.tobytes() == _dense_map(noisy.values, 2).tobytes()
 
     @pytest.mark.parametrize(("shape", "n"), [("cross", 80), ("box", 19)])
-    def test_negative_zeros_keep_the_sign_they_get_alone(self, shape, n):
+    def test_run_keeps_the_sign_of_negative_zeros(self, shape, n):
         # -0.0 inputs at the edges of the cross's blocks (see the
-        # legdiff.derivative docstring), on the whole domain, and at random,
-        # stacked between noisy fields.  On the box a -0.0 field derives to
-        # -0.0 entries, so the signs are seen to be kept.
+        # legdiff.derivative docstring), on the whole domain, and at random
+        # go through run() as the map gives them, a 2-D array alone.  On the
+        # box a -0.0 field derives to -0.0 entries, so the signs are seen to
+        # be kept.  A -0.0 in a stack keeps its sign as alone:
+        # test_derivative's test_leading_axes_are_a_stack_mapped_array_by_array.
         config = MethodConfig(r=2, mu=9.0, delta=0.0, n_override=n, domain_shape=shape)
         domain = config.domain()
         side = domain.mask().shape[0]
@@ -544,31 +581,37 @@ class TestDeriveStacks:
         edges[:, b - 1] = edges[a - 1, :] = -0.0
         negative = np.full((side, side), -0.0)
         signed = np.where(np.random.default_rng(2).random((side, side)) < 0.5, -0.0, 0.0)
-        noisy = np.random.default_rng(3).standard_normal((side, side))
-        fields = [CoeffField.from_dense(v) for v in (noisy, edges, negative, signed, noisy)]
-        stacked = _assert_stacked_matches_run(fields, [5], config)
+        expansion = DerivativeExpansion(2, side - 1)
+        for values in (edges, negative, signed):
+            restricted = CoeffField.from_dense(values).restrict(domain).values
+            derived = run(CoeffField.from_dense(values), config).series.values
+            alone = expansion.apply_both(restricted, domain.zero_corner())
+            assert np.array_equal(_bits(derived), _bits(alone))
+            if shape == "box":
+                assert derived.tobytes() == _dense_map(restricted, 2).tobytes()
         if shape == "box":
-            assert np.signbit(stacked[2].series.values).any()
+            assert np.signbit(run(CoeffField.from_dense(negative), config).series.values).any()
 
-    @pytest.mark.parametrize("heights", [[1, 1, 1], [3]], ids=["one-per-map", "three-per-map"])
-    def test_an_overflowing_array_raises_what_run_raises(self, heights):
+    @pytest.mark.parametrize("per_map", [1, 3], ids=["one-per-map", "three-per-map"])
+    def test_an_overflowing_field_raises_what_run_raises(self, monkeypatch, per_map):
         # differentiate --r 80 --n 400 on F2 overflows the same way.
         config = MethodConfig(r=80, mu=200.0, delta=0.0, n_override=400)
         side = config.domain().mask().shape[0]
-        zeros = CoeffField.from_dense(np.zeros((side, side)))
+        monkeypatch.setattr(method, "_BLOCK_ENTRIES", per_map * side**2)
         overflowing = CoeffField.from_dense(np.random.default_rng(4).standard_normal((side, side)))
-        stacks = _stacks([zeros, overflowing, zeros], heights, config)
         message = "r=80 derivative of degree-399 "
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
                 run(overflowing, config)
             with pytest.raises(ValueError, match=message):
-                list(method._derive(stacks, config))
+                list(method._derive(overflowing, config, NoiseSpec("gaussian", 1e-8), range(3)))
 
-    def test_no_stacks_give_no_results(self):
+    @pytest.mark.parametrize("kind", NoiseSpec.KINDS)
+    def test_no_seeds_give_no_results(self, kind):
         config = MethodConfig(r=2, mu=9.0, delta=0.0, n_override=19)
-        assert list(method._derive([], config)) == []
+        field = CoeffField.from_dense(np.ones((19, 19)))
+        assert list(method._derive(field, config, NoiseSpec(kind, 1e-8), [])) == []
 
 
 def _random_inputs(seed):
