@@ -268,9 +268,8 @@ def cmd_differentiate(args: argparse.Namespace) -> int:
     else:
         function = None
         base = load_csv(args.coeffs)
-    seed = args.seed or 0
-    noise = NoiseSpec(kind=args.noise, delta=delta, p=args.p, seed=seed)
-    approx = next(_derive(base, config, noise, [seed]))
+    noise = NoiseSpec(kind=args.noise, delta=delta, p=args.p, seed=args.seed or 0)
+    approx = next(_derive(base, config, noise))
     del base  # only the derived series is read from here on
     _write_grid(approx.series, args.grid, args.out)  # the grid is released on return
     if function is not None and args.r == MEASURED_ORDER:  # every builtin has its d22

@@ -85,7 +85,7 @@ class CoeffField:
     canonical one for anything consuming entries sequentially (noise draws,
     CSV rows).  ``zero_corner`` (a, b), with ``values[a:, b:]`` all zero, is
     a corner grid evaluations may skip; no constructor argument sets it, only
-    the method's derive loop (:func:`legdiff.method.run`) on its derived fields
+    the method's derive loop (:func:`legdiff.method._derive`) on its derived fields
     (which store every entry), and every other field has None.
     """
 

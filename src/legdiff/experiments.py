@@ -309,20 +309,17 @@ def rows_to_csv(rows) -> str:
 
 
 def _measure(
-    field: CoeffField,
-    config: MethodConfig,
-    seeds,
-    noise: NoiseSpec,
+    field: CoeffField, config: MethodConfig, noise: NoiseSpec, runs: int,
     reference: BivariateFunction,
 ) -> list[ExperimentRow]:
-    """One row per seed of the sequence ``seeds``: each run of
-    :func:`~legdiff.method._derive` (restrict, perturb with ``noise``, derive)
+    """One row per run of :func:`~legdiff.method._derive` (restrict, perturb
+    with ``noise``, derive; ``runs`` runs, one under kind "none"), each
     measured on its own against ``reference`` with :func:`error_report`.
-    Deterministic cells pass kind "none" and the one seed None."""
+    Row i carries seed ``noise.seed + i``, or None under kind "none"."""
     domain = config.domain()
     card = domain.cardinality()
     cells = []
-    for seed, approx in zip(seeds, _derive(field, config, noise, seeds)):
+    for i, approx in enumerate(_derive(field, config, noise, runs)):
         report = error_report(approx, reference)
         cells.append(
             ExperimentRow(
@@ -331,7 +328,7 @@ def _measure(
                 card=card,
                 l2_error=report.l2_error,
                 sup_error=report.sup_error,
-                seed=seed,
+                seed=None if noise.kind == "none" else noise.seed + i,
             )
         )
     return cells
@@ -381,13 +378,13 @@ def run_table(
         degree = max(max(c.domain().max_degree()) for c in configs)
         base = exact_coeffs(preset.function, degree, degree, G=preset.coeff_G)
         for config, spec in zip(configs, specs):
-            cells = _measure(base, config, range(count), spec, reference)
+            cells = _measure(base, config, spec, count, reference)
             rows.extend(cells)
             rows.append(_median_row(cells))
     else:
         for config, spec, h in zip(configs, specs, preset.hs):
             field = trapezoid_coeffs(preset.function, h, *config.domain().max_degree())
-            rows.extend(_measure(field, config, [None], spec, reference))
+            rows.extend(_measure(field, config, spec, count, reference))
     return rows
 
 
@@ -449,12 +446,11 @@ def convergence_sweep(
     _check_span(deltas)  # each delta lies in (0, 1), as its config checked
     degree = max(max(c.domain().max_degree()) for c in configs)
     base = exact_coeffs(function, degree, degree)
-    seed_list = [None] if noise_kind == "none" else range(seeds)
 
     rows: list[ExperimentRow] = []
     median_l2: list[float] = []
     for config, spec in zip(configs, specs):
-        cells = _measure(base, config, seed_list, spec, reference)
+        cells = _measure(base, config, spec, seeds, reference)
         rows.extend(cells)
         if len(cells) > 1:
             rows.append(_median_row(cells))

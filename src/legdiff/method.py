@@ -18,7 +18,7 @@ with a floor of r + 2.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +26,7 @@ import numpy as np
 from .coeffs import _BLOCK_ENTRIES, CoeffField, _check_entries
 from .derivative import DerivativeExpansion
 from .index import IndexDomain, _check_integer, _check_order, _check_p, _check_s
-from .noise import NoiseSpec, _noise_rows
+from .noise import NoiseSpec, _check_seed, _noise_rows
 
 __all__ = [
     "ConfigError",
@@ -188,8 +188,8 @@ def run(field_perturbed: CoeffField, config: MethodConfig) -> ApproxDerivative:
     matrix of :class:`DerivativeExpansion`; both domains are square, so one
     map serves both axes.  Entries of ``field_perturbed`` outside the domain
     are ignored; domain pairs missing from the field count as exact zeros.
-    This is :func:`_derive` with no noise and one seed, which derives a view
-    of the restricted values, not a copy.
+    This is :func:`_derive` with no noise, which derives a view of the
+    restricted values, not a copy.
 
     On a cross the derived series carries the domain's zero corner
     (:meth:`IndexDomain.zero_corner`) less r on each axis, which its grid
@@ -202,28 +202,33 @@ def run(field_perturbed: CoeffField, config: MethodConfig) -> ApproxDerivative:
     side: it keeps the dense map's bytes and pays the cover's degenerate
     pieces.
     """
-    return next(_derive(field_perturbed, config, NoiseSpec("none"), [None]))
+    return next(_derive(field_perturbed, config, NoiseSpec("none")))
 
 
 def _derive(
-    field: CoeffField, config: MethodConfig, noise: NoiseSpec, seeds: Sequence
+    field: CoeffField, config: MethodConfig, noise: NoiseSpec, runs: int = 1
 ) -> Iterator[ApproxDerivative]:
-    """Each seed's run on ``field`` perturbed by ``noise``, in order: the one
-    restrict -> perturb -> derive pipeline, which :func:`run`, the tables and
-    the command line share.
+    """``runs`` runs of the one restrict -> perturb -> derive pipeline, which
+    :func:`run`, the tables, the sweeps and the command line share, with seeds
+    ``noise.seed``, ``noise.seed + 1``, ...: the spec owns a run's seed.
 
-    The field is restricted to the config's domain once.  Under kind "none"
-    each seed derives a view of the restricted values.  Otherwise the seeds
-    go in chunks of at most ``_BLOCK_ENTRIES // side^2`` (at least one): 272
-    at side 31, 2 at n = 300.  A chunk's stack holds the restricted values
-    once per seed plus its seeds' noise (:func:`~legdiff.noise._noise_rows`,
-    one bit generator) at the stored entries in row-major order, and takes
-    one map call, so memory follows one chunk, not the seeds.  Each result is
-    bit for bit ``run(perturb(field.restrict(config.domain()), spec), config)``
-    with the seed in ``spec``: a :class:`CoeffField` storing every entry
-    through one read-only mask per call.  This is the one place a field's
-    ``zero_corner`` is set: the domain's corner less r (None on the box).
+    A last seed of 2^64 or more is refused before any draw, and the field is
+    restricted to the config's domain once.  Under kind "none" it derives once
+    whatever ``runs`` is (not at all for 0), a view of the restricted values.
+    Otherwise the seeds go in chunks of at most ``_BLOCK_ENTRIES // side^2``
+    (at least one): 272 at side 31, 2 at n = 300.  A chunk's stack holds the
+    restricted values once per seed plus its seeds' noise
+    (:func:`~legdiff.noise._noise_rows`, one bit generator) at the stored
+    entries in row-major order, and takes one map call, so memory follows one
+    chunk, not the seeds.  Each result is bit for bit
+    ``run(perturb(field.restrict(config.domain()), spec), config)`` with its
+    seed in ``spec``: a :class:`CoeffField` storing every entry through one
+    read-only mask per call.  This is the one place a field's ``zero_corner``
+    is set: the domain's corner less r (None on the box).
     """
+    runs = min(runs, 1) if noise.kind == "none" else runs  # a deterministic run runs once
+    _check_seed(noise.seed + max(runs, 1) - 1)  # the last seed, before any draw
+    seeds = range(noise.seed, noise.seed + runs)
     domain = config.domain()
     consumed = field.restrict(domain)
     values = consumed.values
@@ -232,10 +237,10 @@ def _derive(
     corner = domain.zero_corner()
     derived_corner = None if corner is None else (corner[0] - config.r, corner[1] - config.r)
     stored = np.broadcast_to(np.True_, (side - config.r,) * 2)
-    height = 1 if noise.kind == "none" else max(1, _BLOCK_ENTRIES // values.size)
+    height = max(1, _BLOCK_ENTRIES // values.size)
     for start in range(0, len(seeds), height):
         chunk = seeds[start:start + height]
-        stack = values[None]  # a view, no copy
+        stack = values[np.newaxis]  # a view, no copy
         if noise.kind != "none":
             stack = np.repeat(stack, len(chunk), axis=0)
             stack[:, consumed.stored] += _noise_rows(noise, chunk, len(consumed))

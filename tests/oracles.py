@@ -72,6 +72,29 @@ def legendre_table_ld(k_max: int, t) -> np.ndarray:
     return np.sqrt(np.arange(k_max + 1, dtype=np.longdouble) + 0.5)[:, None] * p
 
 
+def derivative_table_ld(K: int, r: int, x) -> np.ndarray:
+    """phi_k^(r)(x_i) for k = 0..K in long double, shape (K + 1, len(x)).
+
+    phi_k^(r) = sqrt(k + 1/2) (2r - 1)!! C^(r+1/2)_{k-r}, the derivative
+    formula for Gegenbauer polynomials (DLMF 18.9.19), zero for k < r.  With
+    lam = r + 1/2 the recurrence is C_0 = 1, C_1 = 2 lam x and
+    m C_m = 2 (m + lam - 1) x C_{m-1} - (m + 2 lam - 2) C_{m-2}; it shares no
+    step with the derivative map's cumsums.
+    """
+    x = np.asarray(x, dtype=np.longdouble)
+    table = np.zeros((K + 1, x.size), dtype=np.longdouble)
+    lam = np.longdouble(r) + np.longdouble(0.5)
+    c = table[r:]  # C_m for m = 0..K - r
+    if len(c) > 0:
+        c[0] = 1
+    if len(c) > 1:
+        c[1] = 2 * lam * x
+    for m in range(2, len(c)):
+        c[m] = (2 * (m + lam - 1) * x * c[m - 1] - (m + 2 * lam - 2) * c[m - 2]) / m
+    double_factorial = math.prod(range(1, 2 * r, 2))
+    return double_factorial * np.sqrt(np.arange(K + 1, dtype=np.longdouble) + 0.5)[:, None] * table
+
+
 def derivative_steps_ld(a, r: int) -> np.ndarray:
     """r derivative steps along axis 0 of a 2-D array, in long double.
 

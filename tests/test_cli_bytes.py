@@ -9,9 +9,12 @@ Provenance: the pins were recorded at commit 575b663 from one separate
 ``OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=1``.  The two pins marked as such
 were recorded at commit 3b70711, through ``main`` in one process with the
 same thread setting: a box run with projected noise at p = 3, and a
-gaussian run at the level n = 19 the rule chooses.  A change that moves
-output bits re-records them under ROADMAP's rule for reference files and
-says so in CHANGES.md.
+gaussian run at the level n = 19 the rule chooses.  The three pins marked
+"Recorded at commit d387db1" were recorded at that commit through ``main``
+in one process with the same thread setting: a sweep's deterministic row,
+a table1 row of 300 seeds (more than one 272-seed chunk at side 31), and a
+gaussian sweep at p = 1.  A change that moves output bits re-records them
+under ROADMAP's rule for reference files and says so in CHANGES.md.
 """
 
 import json
@@ -71,6 +74,18 @@ PINS = {
     ),
     "convergence --builtin f2 --mu 6 --deltas 1e-6:1e-10:4 --seeds 3 --domain box": (
         0, "4c341285f1e945cdda6753f3f75d037bfaef88bf21937c8969486f64f333971a", _EMPTY,
+    ),
+    # Recorded at commit d387db1.
+    "convergence --builtin f1 --mu 5.5 --deltas 1e-5:1e-9:4 --noise none": (
+        0, "2401bd712182210ea6103d55aa87ff6979a787e6e9ea33d79e52a339c797a7b9", _EMPTY,
+    ),
+    # Recorded at commit d387db1.
+    "experiment --preset table1 --seeds 300": (
+        0, "9b817febc8ef9aa40a7da772b3dc1b127a5f9e4d520f9783f4f6625d872dd8a4", _EMPTY,
+    ),
+    # Recorded at commit d387db1.
+    "convergence --builtin f2 --mu 6 --deltas 1e-6:1e-9:4 --noise gaussian --p 1 --seeds 3": (
+        0, "2308efb762a855168f69441884f930623e921ae116410b76c580202861ad1e3d", _EMPTY,
     ),
     "basis --k 12 --r 3 --grid 21": (
         0, "f0958c4bd1538352017fe977685c8ba99fd95036ab1cd7f3b7652a4b039c281d", _EMPTY,

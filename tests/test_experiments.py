@@ -429,12 +429,12 @@ class TestStackedSeeds:
         a, b = config.domain().zero_corner()
         base = exact_coeffs(F1, n - 1, n - 1, G=2 * (n - 1) + 16)
         reference = F1.derivative_function()
-        _measure(base, config, range(2), spec, reference)  # fills the caches
+        _measure(base, config, spec, 2, reference)  # fills the caches
         bound = 8 * (side**2 + k * side**2 + 2 * k * (side - r) ** 2 + k * side * (b + 4 * a)) + 2**16
         for seeds in (4, 8):
             tracemalloc.start()
             try:
-                cells = _measure(base, config, range(seeds), spec, reference)
+                cells = _measure(base, config, spec, seeds, reference)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -462,10 +462,21 @@ class TestStackedSeeds:
 
         monkeypatch.setattr(derivative, "_step", spy)
         base = CoeffField.from_dense(np.ones((1, 1)))
-        cells = _measure(base, config, range(count), spec, F1.derivative_function())
+        cells = _measure(base, config, spec, count, F1.derivative_function())
         assert [cell.seed for cell in cells] == list(range(count))
         sizes = [per_map] * (count // per_map) + [count % per_map] * (count % per_map > 0)
         assert stacks == [(size,) for size in sizes for _ in range(8)]  # 2 steps on 4 blocks
+
+    @pytest.mark.parametrize("kind", NoiseSpec.KINDS)
+    def test_rows_carry_the_seeds_after_the_specs(self, kind):
+        # Seed 5 and three runs: rows 5, 6 and 7, each the row one run() gives
+        # its seed; under "none" one row, seed None.
+        config = MethodConfig(r=2, mu=5.5, delta=1e-8, n_override=19)
+        base = exact_coeffs(F1, 18, 18, G=ExperimentPreset.coeff_G)
+        reference = F1.derivative_function()
+        cells = _measure(base, config, NoiseSpec(kind, config.delta, config.p, seed=5), 3, reference)
+        seeds = [None] if kind == "none" else [5, 6, 7]
+        assert cells == _per_seed_rows(base, config, seeds, kind, reference)
 
     def test_a_row_makes_one_bit_generator_per_chunk(self, philox_keys):
         # Each table1 row's 20 seeds fit one chunk (726, 455 and 272 fields at
@@ -498,12 +509,12 @@ class TestStackedSeeds:
         a, b = config.domain().zero_corner()
         base = exact_coeffs(F1, n - 1, n - 1, G=ExperimentPreset.coeff_G)
         reference = F1.derivative_function()
-        _measure(base, config, range(2), spec, reference)  # fills the caches
+        _measure(base, config, spec, 2, reference)  # fills the caches
         del philox_keys[:]
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            cells = _measure(base, config, range(seeds), spec, reference)
+            cells = _measure(base, config, spec, seeds, reference)
             held, peak = (size - start for size in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()

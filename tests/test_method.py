@@ -512,13 +512,14 @@ def _map_heights(monkeypatch) -> list[int]:
     return heights
 
 
-def _assert_derive_matches_run(monkeypatch, field, config, spec, seeds, per_map):
-    """_derive on ``field`` under ``spec`` with ``seeds``, in stacks of ``per_map``
-    seeds, gives each seed run(perturb(restricted field)), bit for bit."""
+def _assert_derive_matches_run(monkeypatch, field, config, spec, runs, per_map):
+    """_derive on ``field`` under ``spec`` for ``runs`` runs, in stacks of ``per_map``
+    seeds, gives seed spec.seed + i run(perturb(restricted field)), bit for bit."""
     side = config.domain().mask().shape[0]
     monkeypatch.setattr(method, "_BLOCK_ENTRIES", per_map * side**2)
     heights = _map_heights(monkeypatch)
-    results = method._derive(field, config, spec, seeds)
+    seeds = range(spec.seed, spec.seed + runs)
+    results = method._derive(field, config, spec, runs)
     derived = [next(results)]
     assert heights == [min(per_map, len(seeds))]  # the stacks are made one at a time
     derived += results
@@ -550,20 +551,40 @@ class TestDeriveStacks:
         [("cross", 5), ("cross", 19), ("cross", 31), ("box", 19), ("cross", 80), ("cross", 300)],
     )
     def test_each_seed_gets_the_bytes_run_gives_it(self, monkeypatch, shape, n, kind, p):
-        # Fields larger and smaller than the domain; five seeds in stacks of
+        # Fields larger and smaller than the domain; five runs from the spec's
+        # seed, the first and the last five seeds of the range, in stacks of
         # two, two and one.
         config = MethodConfig(r=2, mu=9.0, delta=0.0, n_override=n, domain_shape=shape)
-        spec = NoiseSpec(kind, delta=1e-3, p=p)
         side = config.domain().mask().shape[0]
         rng = np.random.default_rng(n)
         shapes = [(side, side), (side + 3, side - 1), (side // 2 + 1, side), (side + 1, side + 2)]
         for field_shape in shapes:
             field = CoeffField.from_dense(rng.standard_normal(field_shape))
-            derived = _assert_derive_matches_run(monkeypatch, field, config, spec, [7, 0, 3, 2**63, 1], 2)
-            monkeypatch.undo()
-            if shape == "box":  # no block edge: the dense map's bytes too
-                noisy = perturb(field.restrict(config.domain()), dataclasses.replace(spec, seed=7))
-                assert derived[0].series.values.tobytes() == _dense_map(noisy.values, 2).tobytes()
+            for start in (0, 2**64 - 5):
+                spec = NoiseSpec(kind, delta=1e-3, p=p, seed=start)
+                derived = _assert_derive_matches_run(monkeypatch, field, config, spec, 5, 2)
+                monkeypatch.undo()
+                if shape == "box":  # no block edge: the dense map's bytes too
+                    noisy = perturb(field.restrict(config.domain()), spec)
+                    assert derived[0].series.values.tobytes() == _dense_map(noisy.values, 2).tobytes()
+
+    def test_runs_take_the_seeds_after_the_specs(self, monkeypatch, philox_keys):
+        # Seed 5 and three runs: seeds 5, 6 and 7, in one stack of one generator.
+        config = MethodConfig(r=2, mu=9.0, delta=0.0, n_override=19)
+        field = CoeffField.from_dense(np.random.default_rng(5).standard_normal((19, 19)))
+        spec = NoiseSpec("gaussian", delta=1e-3, seed=5)
+        _assert_derive_matches_run(monkeypatch, field, config, spec, 3, 3)
+        assert philox_keys == [5] + [5, 6, 7]  # the stack, then run(perturb()) per seed
+
+    def test_a_last_seed_past_the_range_is_refused_before_any_draw(self, monkeypatch, philox_keys):
+        # Seeds 2^64 - 2, 2^64 - 1 and 2^64, one per stack: without the check
+        # up front the first two stacks would draw before the third refuses.
+        config = MethodConfig(r=2, mu=9.0, delta=0.0, n_override=19)
+        monkeypatch.setattr(method, "_BLOCK_ENTRIES", 19**2)
+        field = CoeffField.from_dense(np.ones((19, 19)))
+        with pytest.raises(ValueError, match=r"seed=18446744073709551616 must satisfy 0 <= seed < 2\*\*64"):
+            list(method._derive(field, config, NoiseSpec("gaussian", 1e-8, seed=2**64 - 2), 3))
+        assert philox_keys == []
 
     @pytest.mark.parametrize(("shape", "n"), [("cross", 80), ("box", 19)])
     def test_run_keeps_the_sign_of_negative_zeros(self, shape, n):
@@ -605,13 +626,22 @@ class TestDeriveStacks:
             with pytest.raises(ValueError, match=message):
                 run(overflowing, config)
             with pytest.raises(ValueError, match=message):
-                list(method._derive(overflowing, config, NoiseSpec("gaussian", 1e-8), range(3)))
+                list(method._derive(overflowing, config, NoiseSpec("gaussian", 1e-8), 3))
 
     @pytest.mark.parametrize("kind", NoiseSpec.KINDS)
-    def test_no_seeds_give_no_results(self, kind):
+    def test_no_seeds_give_no_results(self, kind, philox_keys):
         config = MethodConfig(r=2, mu=9.0, delta=0.0, n_override=19)
         field = CoeffField.from_dense(np.ones((19, 19)))
-        assert list(method._derive(field, config, NoiseSpec(kind, 1e-8), [])) == []
+        assert list(method._derive(field, config, NoiseSpec(kind, 1e-8), 0)) == []
+        assert philox_keys == []
+
+    @pytest.mark.parametrize("kind", NoiseSpec.KINDS)
+    def test_a_deterministic_field_derives_once(self, kind):
+        # Kind "none" gives one run whatever the count; a noisy kind one per run.
+        config = MethodConfig(r=2, mu=9.0, delta=0.0, n_override=19)
+        field = CoeffField.from_dense(np.ones((19, 19)))
+        derived = list(method._derive(field, config, NoiseSpec(kind, 1e-8), 4))
+        assert len(derived) == (1 if kind == "none" else 4)
 
 
 def _random_inputs(seed):

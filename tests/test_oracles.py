@@ -21,6 +21,7 @@ from legdiff.noise import NoiseSpec, perturb
 
 from oracles import (
     derivative_steps_ld,
+    derivative_table_ld,
     f1_factor_d2_ld,
     gauss_rule_ld,
     legendre_table_ld,
@@ -221,3 +222,42 @@ def test_large_cross_l2_error_within_long_double_projection_bound():
         + float(tail_ld)
     )
     assert abs(l2 * l2 - want2) <= bound, (abs(l2 * l2 - want2), bound)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize(("n", "delta"), [(19, 1e-6), (24, 1e-7), (31, 1e-8), (300, 1e-10)])
+def test_derived_grid_within_map_and_table_sums(n, delta, r):
+    """run() then eval_grid on a 201^2 grid against U^T C U in long double.
+
+    C is F1's restricted field at table1's levels and at n = 300, perturbed
+    by Gaussian noise (seed 0).  U = derivative_table_ld(K - 1, r, x) holds
+    phi_k^(r) at the grid's nodes by the Gegenbauer recurrence, so the
+    oracle shares no algorithm with the derivative map: U^T C U is the r-th
+    mixed derivative of C's series itself, and a wrong map or table fails
+    at O(1), not at the rounding level.
+
+    Rounding model: a float64 sum of m terms errs by at most m u times the
+    sum of its terms' sizes, u = eps / 2.  Per axis the float64 side takes r
+    map steps of at most K / 2 terms (S_r) and one table sum of at most K
+    terms (T, the Legendre table of the derived degrees), so (r / 2 + 1) K u
+    per axis, (r + 2) K u for both, relative to W^T |C| W with W = S_r^T |T|:
+    the sizes of the terms it adds, not |U|, since S_r^T T cancels (at
+    r = 3 and n = 300, |U|^T |C| |U| is up to 5.6e5 times smaller).  Both
+    tables are taken as exact; test_legendre_table_within_endpoint_error_growth
+    holds T to its own bound.
+    """
+    config = MethodConfig(r=r, mu=9.0, delta=delta, n_override=n)
+    base = exact_coeffs(F1, n - 1, n - 1, G=2 * (n - 1) + 16).restrict(config.domain())
+    noisy = perturb(base, NoiseSpec(kind="gaussian", delta=delta, seed=0))
+    x = np.linspace(-1.0, 1.0, 201)
+    got = run(noisy, config).series.eval_grid(x, x)
+
+    C = noisy.values
+    K = C.shape[0]
+    U = derivative_table_ld(K - 1, r, x)
+    want = U.T @ C.astype(np.longdouble) @ U
+    S = derivative_steps_ld(np.eye(K), r).astype(np.float64)  # S_r, (K - r) x K
+    W = S.T @ np.abs(legendre_table_ld(K - r - 1, x)).astype(np.float64)
+    bound = (r + 2) * K * (EPS + EPS_LD) / 2 * (W.T @ np.abs(C) @ W)
+    error = np.abs(got - want).astype(np.float64)
+    assert np.all(error <= bound), float(np.max(error / bound))
