@@ -11,7 +11,6 @@ Flag choices and measurement defaults come from the modules that own them.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from collections.abc import Callable, Iterable, Iterator
 
@@ -23,8 +22,9 @@ from .derivative import phi_derivative_coeffs
 from .experiments import (
     BUILTIN_NAMES,
     MEASURED_ORDER,
-    MIN_SWEEP_LEVELS,
     PRESET_NAMES,
+    _check_level_count,
+    _check_seed_count,
     _check_span,
     builtin_function,
     convergence_sweep,
@@ -35,43 +35,42 @@ from .experiments import (
 from .index import IndexDomain
 from .method import ConfigError, MethodConfig, _derive
 from .metrics import error_report
-from .noise import NoiseSpec
+from .noise import NoiseSpec, _check_seed
 
 __all__ = ["main"]
 
 
-def _int_flag(
-    name: str, low: int, message: str, high: Callable[[], float] = lambda: math.inf
-) -> Callable[[str], int]:
-    """The argparse type of an integer flag in [low, high()], refusing others with
-    ``message`` (formatted with ``high``).  ``high`` is read at each parse;
-    ``name`` is what argparse calls the type of text that is no integer."""
+def _int_flag(name: str, check: Callable[[int], None]) -> Callable[[str], int]:
+    """The argparse type of an integer flag that ``check`` accepts; a value it
+    refuses with ValueError is refused in its words.  ``name`` is what
+    argparse calls the type of text that is no integer."""
 
     def parse(text: str) -> int:
         value = int(text)
-        if not low <= value <= high():
-            raise argparse.ArgumentTypeError(message.format(high=high()))
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
         return value
 
     parse.__name__ = name
     return parse
 
 
-# Most seeds one experiment or sweep may ask for.  Each seed adds a run and a
-# row per noise level, so the count is checked before anything runs; the
-# median of 1000 draws already has a standard error of about
-# 1.25 / sqrt(1000), 4% of the spread, more than any table needs.
-MAX_SEED_COUNT = 1000
+def _at_least(low: int, message: str) -> Callable[[int], None]:
+    """A check refusing integers under ``low`` with ``message``."""
 
-_positive_int = _int_flag("_positive_int", 1, "must be a positive integer")
-_nonnegative_int = _int_flag("_nonnegative_int", 0, "must be a nonnegative integer")
-_seed = _int_flag("_seed", 0, "must satisfy 0 <= seed < 2**64", lambda: 2**64 - 1)
-_seed_count = _int_flag("_seed_count", 1, "must be between 1 and {high}", lambda: MAX_SEED_COUNT)
+    def check(value: int) -> None:
+        if value < low:
+            raise ValueError(message)
+
+    return check
 
 
-# Most noise levels one convergence sweep may ask for: far more than a slope
-# fit needs, and checked before the grid of levels is allocated.
-MAX_DELTA_COUNT = 1000
+_positive_int = _int_flag("_positive_int", _at_least(1, "must be a positive integer"))
+_nonnegative_int = _int_flag("_nonnegative_int", _at_least(0, "must be a nonnegative integer"))
+_seed = _int_flag("_seed", _check_seed)
+_seed_count = _int_flag("_seed_count", _check_seed_count)
 
 
 def _delta_range(text: str) -> tuple[float, ...]:
@@ -86,10 +85,9 @@ def _delta_range(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError("expected start:end:count with numeric parts")
     if not (0.0 < start < 1.0 and 0.0 < end < 1.0):  # also refuses nan and inf
         raise argparse.ArgumentTypeError("noise levels must be finite and lie in (0, 1)")
-    if not MIN_SWEEP_LEVELS <= count <= MAX_DELTA_COUNT:
-        raise argparse.ArgumentTypeError(f"count must be between {MIN_SWEEP_LEVELS} and {MAX_DELTA_COUNT}")
-    deltas = tuple(float(d) for d in np.geomspace(start, end, count))
     try:
+        _check_level_count(count)  # before the grid is allocated
+        deltas = tuple(float(d) for d in np.geomspace(start, end, count))
         _check_span(deltas)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
@@ -268,8 +266,7 @@ def cmd_differentiate(args: argparse.Namespace) -> int:
     else:
         function = None
         base = load_csv(args.coeffs)
-    noise = NoiseSpec(kind=args.noise, delta=delta, p=args.p, seed=args.seed or 0)
-    approx = next(_derive(base, config, noise))
+    approx = next(_derive(base, config, args.noise, args.seed or 0))
     del base  # only the derived series is read from here on
     _write_grid(approx.series, args.grid, args.out)  # the grid is released on return
     if function is not None and args.r == MEASURED_ORDER:  # every builtin has its d22

@@ -38,6 +38,8 @@ __all__ = [
     "BUILTIN_NAMES",
     "MEASURED_ORDER",
     "MIN_SWEEP_LEVELS",
+    "MAX_DELTA_COUNT",
+    "MAX_SEED_COUNT",
     "ExperimentPreset",
     "ExperimentRow",
     "SweepResult",
@@ -170,6 +172,14 @@ MEASURED_ORDER = 2
 #: Fewest noise levels :func:`convergence_sweep` fits a slope to.
 MIN_SWEEP_LEVELS = 3
 
+#: Most noise levels one sweep may ask for: far more than a slope fit needs.
+MAX_DELTA_COUNT = 1000
+
+#: Most seeds one table or sweep may ask for.  Each seed adds a run and a row
+#: per noise level; the median of 1000 draws already has a standard error of
+#: about 1.25 / sqrt(1000), 4% of the spread, more than any table needs.
+MAX_SEED_COUNT = 1000
+
 
 def _check_span(deltas) -> None:
     """Refuse noise levels, each in (0, 1), whose largest is under 10^3 times
@@ -178,11 +188,19 @@ def _check_span(deltas) -> None:
         raise ValueError("the noise-level grid must span at least 3 decades")
 
 
+def _check_level_count(count: int) -> None:
+    """Refuse a sweep of fewer than MIN_SWEEP_LEVELS or more than MAX_DELTA_COUNT levels."""
+    if not MIN_SWEEP_LEVELS <= count <= MAX_DELTA_COUNT:
+        raise ValueError(
+            f"a sweep needs between {MIN_SWEEP_LEVELS} and {MAX_DELTA_COUNT} noise levels, not {count}"
+        )
+
+
 def _check_seed_count(seeds: int) -> None:
-    """Refuse a seed count that is no integer >= 1."""
+    """Refuse a seed count that is no integer between 1 and MAX_SEED_COUNT."""
     _check_integer("seeds", seeds)
-    if seeds < 1:
-        raise ValueError(f"seeds={seeds} must be >= 1")
+    if not 1 <= seeds <= MAX_SEED_COUNT:
+        raise ValueError(f"seeds={seeds} must be between 1 and {MAX_SEED_COUNT}")
 
 
 def builtin_function(name: str) -> BivariateFunction:
@@ -309,17 +327,17 @@ def rows_to_csv(rows) -> str:
 
 
 def _measure(
-    field: CoeffField, config: MethodConfig, noise: NoiseSpec, runs: int,
+    field: CoeffField, config: MethodConfig, kind: str, runs: int,
     reference: BivariateFunction,
 ) -> list[ExperimentRow]:
     """One row per run of :func:`~legdiff.method._derive` (restrict, perturb
-    with ``noise``, derive; ``runs`` runs, one under kind "none"), each
-    measured on its own against ``reference`` with :func:`error_report`.
-    Row i carries seed ``noise.seed + i``, or None under kind "none"."""
+    under ``kind`` at the config's delta and p, derive; ``runs`` runs, one
+    under kind "none"), each measured on its own against ``reference`` with
+    :func:`error_report`.  Row i carries seed i, or None under "none"."""
     domain = config.domain()
     card = domain.cardinality()
     cells = []
-    for i, approx in enumerate(_derive(field, config, noise, runs)):
+    for i, approx in enumerate(_derive(field, config, kind, runs=runs)):
         report = error_report(approx, reference)
         cells.append(
             ExperimentRow(
@@ -328,7 +346,7 @@ def _measure(
                 card=card,
                 l2_error=report.l2_error,
                 sup_error=report.sup_error,
-                seed=None if noise.kind == "none" else noise.seed + i,
+                seed=None if kind == "none" else i,
             )
         )
     return cells
@@ -364,7 +382,6 @@ def run_table(
     if not preset.deltas:
         return rows
     # Validated, size limit included, before any coefficient is built.
-    kind = "gaussian" if preset.noise == "gaussian" else "none"
     configs = [
         MethodConfig(
             r=preset.r, mu=preset.mu, delta=delta, s=preset.s, p=preset.p,
@@ -372,19 +389,18 @@ def run_table(
         )
         for delta, n in zip(preset.deltas, preset.ns)
     ]
-    specs = [NoiseSpec(kind, delta, preset.p) for delta in preset.deltas]
     reference = preset.function.derivative_function()
     if preset.noise == "gaussian":
         degree = max(max(c.domain().max_degree()) for c in configs)
         base = exact_coeffs(preset.function, degree, degree, G=preset.coeff_G)
-        for config, spec in zip(configs, specs):
-            cells = _measure(base, config, spec, count, reference)
+        for config in configs:
+            cells = _measure(base, config, "gaussian", count, reference)
             rows.extend(cells)
             rows.append(_median_row(cells))
     else:
-        for config, spec, h in zip(configs, specs, preset.hs):
+        for config, h in zip(configs, preset.hs):
             field = trapezoid_coeffs(preset.function, h, *config.domain().max_degree())
-            rows.extend(_measure(field, config, spec, count, reference))
+            rows.extend(_measure(field, config, "none", count, reference))
     return rows
 
 
@@ -424,13 +440,13 @@ def convergence_sweep(
     the exact coefficients are perturbed per seed (``noise_kind`` one of
     :attr:`NoiseSpec.KINDS`), and the median square-mean error over seeds
     enters a least-squares log-log fit of error against delta.  Under "none"
-    each delta runs once and ``seeds`` is unused.  The method recovers the
+    each delta runs once and ``seeds`` is unused, though under every kind it
+    must lie between 1 and :data:`MAX_SEED_COUNT`.  The method recovers the
     derivative of order :data:`MEASURED_ORDER`, and every run is measured
     against its exact values with :func:`error_report`.
     """
     deltas = sorted((float(d) for d in deltas), reverse=True)
-    if len(deltas) < MIN_SWEEP_LEVELS:
-        raise ValueError(f"a sweep needs at least {MIN_SWEEP_LEVELS} noise levels")
+    _check_level_count(len(deltas))
     reference = function.derivative_function()  # refuses a function without one
     _check_seed_count(seeds)
 
@@ -442,15 +458,15 @@ def convergence_sweep(
         )
         for delta in deltas
     ]
-    specs = [NoiseSpec(noise_kind, delta, p) for delta in deltas]
+    NoiseSpec(noise_kind, deltas[0], p)  # refuses an unknown kind in its words
     _check_span(deltas)  # each delta lies in (0, 1), as its config checked
     degree = max(max(c.domain().max_degree()) for c in configs)
     base = exact_coeffs(function, degree, degree)
 
     rows: list[ExperimentRow] = []
     median_l2: list[float] = []
-    for config, spec in zip(configs, specs):
-        cells = _measure(base, config, spec, seeds, reference)
+    for config in configs:
+        cells = _measure(base, config, noise_kind, seeds, reference)
         rows.extend(cells)
         if len(cells) > 1:
             rows.append(_median_row(cells))

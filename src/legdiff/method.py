@@ -188,7 +188,7 @@ def run(field_perturbed: CoeffField, config: MethodConfig) -> ApproxDerivative:
     matrix of :class:`DerivativeExpansion`; both domains are square, so one
     map serves both axes.  Entries of ``field_perturbed`` outside the domain
     are ignored; domain pairs missing from the field count as exact zeros.
-    This is :func:`_derive` with no noise, which derives a view of the
+    This is :func:`_derive` under kind "none", which derives a view of the
     restricted values, not a copy.
 
     On a cross the derived series carries the domain's zero corner
@@ -202,33 +202,34 @@ def run(field_perturbed: CoeffField, config: MethodConfig) -> ApproxDerivative:
     side: it keeps the dense map's bytes and pays the cover's degenerate
     pieces.
     """
-    return next(_derive(field_perturbed, config, NoiseSpec("none")))
+    return next(_derive(field_perturbed, config))
 
 
 def _derive(
-    field: CoeffField, config: MethodConfig, noise: NoiseSpec, runs: int = 1
+    field: CoeffField, config: MethodConfig, kind: str = "none", seed: int = 0, runs: int = 1
 ) -> Iterator[ApproxDerivative]:
     """``runs`` runs of the one restrict -> perturb -> derive pipeline, which
-    :func:`run`, the tables, the sweeps and the command line share, with seeds
-    ``noise.seed``, ``noise.seed + 1``, ...: the spec owns a run's seed.
+    :func:`run`, the tables, the sweeps and the command line share: run i
+    draws under ``NoiseSpec(kind, config.delta, config.p, seed + i)``.
 
-    A last seed of 2^64 or more is refused before any draw, and the field is
-    restricted to the config's domain once.  Under kind "none" it derives once
-    whatever ``runs`` is (not at all for 0), a view of the restricted values.
-    Otherwise the seeds go in chunks of at most ``_BLOCK_ENTRIES // side^2``
-    (at least one): 272 at side 31, 2 at n = 300.  A chunk's stack holds the
-    restricted values once per seed plus its seeds' noise
-    (:func:`~legdiff.noise._noise_rows`, one bit generator) at the stored
-    entries in row-major order, and takes one map call, so memory follows one
-    chunk, not the seeds.  Each result is bit for bit
+    A spec :class:`NoiseSpec` refuses, or a last seed of 2^64 or more, is
+    refused before the field is restricted (once) or drawn on.  Under kind
+    "none" it derives once whatever ``runs`` is (not at all for 0), a view of
+    the restricted values.  Otherwise the seeds go in chunks of at most
+    ``_BLOCK_ENTRIES // side^2`` (at least one): 272 at side 31, 2 at n = 300.
+    A chunk's stack holds the restricted values once per seed plus its seeds'
+    noise (:func:`~legdiff.noise._noise_rows`, one bit generator) at the
+    stored entries in row-major order, and takes one map call, so memory
+    follows one chunk, not the seeds.  Each result is bit for bit
     ``run(perturb(field.restrict(config.domain()), spec), config)`` with its
     seed in ``spec``: a :class:`CoeffField` storing every entry through one
     read-only mask per call.  This is the one place a field's ``zero_corner``
     is set: the domain's corner less r (None on the box).
     """
-    runs = min(runs, 1) if noise.kind == "none" else runs  # a deterministic run runs once
-    _check_seed(noise.seed + max(runs, 1) - 1)  # the last seed, before any draw
-    seeds = range(noise.seed, noise.seed + runs)
+    noise = NoiseSpec(kind, config.delta, config.p, seed)
+    runs = min(runs, 1) if kind == "none" else runs  # a deterministic run runs once
+    _check_seed(seed + max(runs, 1) - 1)  # the last seed, before any draw
+    seeds = range(seed, seed + runs)
     domain = config.domain()
     consumed = field.restrict(domain)
     values = consumed.values
@@ -241,7 +242,7 @@ def _derive(
     for start in range(0, len(seeds), height):
         chunk = seeds[start:start + height]
         stack = values[np.newaxis]  # a view, no copy
-        if noise.kind != "none":
+        if kind != "none":
             stack = np.repeat(stack, len(chunk), axis=0)
             stack[:, consumed.stored] += _noise_rows(noise, chunk, len(consumed))
         derived = expansion.apply_both(stack, corner)

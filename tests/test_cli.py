@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import legdiff
-from legdiff import cli, metrics
+from legdiff import cli, experiments, metrics
 from legdiff.cli import main
 from legdiff.coeffs import exact_coeffs, save_csv
 from legdiff.experiments import BUILTIN_NAMES, F1, MEASURED_ORDER
@@ -495,13 +495,13 @@ class TestSeedCount:
         ids=["experiment", "convergence"],
     )
     def test_seed_count_bound_is_inclusive(self, monkeypatch, capsys, argv):
-        monkeypatch.setattr("legdiff.cli.MAX_SEED_COUNT", 2)
+        monkeypatch.setattr("legdiff.experiments.MAX_SEED_COUNT", 2)
         assert main(argv + ["--seeds", "2"]) == 0
         capsys.readouterr()
         assert main(argv + ["--seeds", "3"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--seeds: must be between 1 and 2" in captured.err
+        assert "--seeds: seeds=3 must be between 1 and 2" in captured.err
 
     @pytest.mark.parametrize("subcommand", ["experiment", "convergence"])
     @pytest.mark.parametrize("count", ["0", "1001", "1000000000"])
@@ -518,8 +518,35 @@ class TestSeedCount:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "--seeds: must be between 1 and 1000" in captured.err
+        assert f"--seeds: seeds={count} must be between 1 and 1000" in captured.err
         assert elapsed < 1.0
+
+
+class TestCountRefusals:
+    """The count and seed flags refuse what the library refuses, in its words (exit 2)."""
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            ("experiment --preset table1 --seeds 1001",
+             "argument --seeds: seeds=1001 must be between 1 and 1000"),
+            ("convergence --builtin f1 --mu 5.5 --deltas 1e-3:1e-9:1001",
+             "argument --deltas: a sweep needs between 3 and 1000 noise levels, not 1001"),
+            ("differentiate --builtin f1 --mu 5.5 --delta 1e-6 --n 6 --noise gaussian --seed 18446744073709551616",
+             "argument --seed: seed=18446744073709551616 must satisfy 0 <= seed < 2**64"),
+        ],
+        ids=["seeds", "deltas", "seed"],
+    )
+    def test_refused_before_any_coefficient_is_built(self, monkeypatch, capsys, argv, message):
+        built = []
+        for module in (cli, experiments):
+            monkeypatch.setattr(module, "exact_coeffs", lambda *args, **kwargs: built.append(args))
+        code = main(argv.split())
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
+        assert built == []
 
 
 class TestExperiment:
@@ -634,7 +661,7 @@ class TestConvergence:
         elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert code == 2
-        assert "count must be between 3 and 1000" in captured.err
+        assert f"a sweep needs between 3 and 1000 noise levels, not {count}" in captured.err
         assert captured.out == ""
         assert elapsed < 1.0
 
@@ -646,7 +673,7 @@ class TestConvergence:
         )
         captured = capsys.readouterr()
         assert code == 2
-        assert "count must be between 3 and 1000" in captured.err
+        assert "a sweep needs between 3 and 1000 noise levels, not 2" in captured.err
         assert captured.out == ""
 
     def test_non_finite_mu_is_usage_error(self, capsys):
@@ -660,7 +687,7 @@ class TestConvergence:
         assert captured.err.splitlines() == ["error: smoothness mu=inf must be finite"]
 
     def test_delta_count_bound_is_inclusive(self, monkeypatch, capsys):
-        monkeypatch.setattr("legdiff.cli.MAX_DELTA_COUNT", 3)
+        monkeypatch.setattr("legdiff.experiments.MAX_DELTA_COUNT", 3)
         argv = ["convergence", "--builtin", "f2", "--mu", "6", "--noise", "none"]
         assert main(argv + ["--deltas", "1e-4:1e-7:3"]) == 0
         assert main(argv + ["--deltas", "1e-4:1e-7:4"]) == 2

@@ -13,8 +13,12 @@ gaussian run at the level n = 19 the rule chooses.  The three pins marked
 "Recorded at commit d387db1" were recorded at that commit through ``main``
 in one process with the same thread setting: a sweep's deterministic row,
 a table1 row of 300 seeds (more than one 272-seed chunk at side 31), and a
-gaussian sweep at p = 1.  A change that moves output bits re-records them
-under ROADMAP's rule for reference files and says so in CHANGES.md.
+gaussian sweep at p = 1.  The two pins marked "Recorded at commit b4cb8c5"
+were recorded at that commit through ``main`` in one process with the same
+thread setting, twice with the same bytes: a projected draw at p = inf, once
+through ``differentiate`` and once through a sweep.  A change that moves
+output bits re-records them under ROADMAP's rule for reference files and
+says so in CHANGES.md.
 """
 
 import json
@@ -86,6 +90,16 @@ PINS = {
     # Recorded at commit d387db1.
     "convergence --builtin f2 --mu 6 --deltas 1e-6:1e-9:4 --noise gaussian --p 1 --seeds 3": (
         0, "2308efb762a855168f69441884f930623e921ae116410b76c580202861ad1e3d", _EMPTY,
+    ),
+    # Recorded at commit b4cb8c5.
+    "differentiate --builtin f2 --mu 6 --delta 1e-7 --noise projected --p inf --seed 4 --n 30 --grid 11": (
+        0,
+        "a01052bca9bcbedb7a17b4f160971598b7743876e983cb731e4104e4137a9892",
+        "68a132c6ebe0a27014100554b0b7e4f16ce22f51139107ca77ca72caaaa6eacd",
+    ),
+    # Recorded at commit b4cb8c5.
+    "convergence --builtin f1 --mu 5.5 --deltas 1e-5:1e-9:3 --noise projected --p inf --seeds 2": (
+        0, "65d6d412aa046868dfbd5d755499ca4b7f227fec5eccbf8b6e75eb264c79d32a", _EMPTY,
     ),
     "basis --k 12 --r 3 --grid 21": (
         0, "f0958c4bd1538352017fe977685c8ba99fd95036ab1cd7f3b7652a4b039c281d", _EMPTY,

@@ -11,7 +11,7 @@ import pytest
 from legdiff.basis import composite_gauss_rule
 from legdiff.coeffs import BivariateFunction, CoeffField, exact_coeffs, smoothness_norm, trapezoid_coeffs
 from legdiff.coeffs import _trapezoid_rule
-from legdiff import derivative, experiments, method, metrics
+from legdiff import cli, derivative, experiments, method, metrics
 from legdiff.index import IndexDomain
 from legdiff.method import ConfigError, MethodConfig, choose_n, run
 from legdiff.metrics import DEFAULT_G, DEFAULT_M, error_report, l2_error, sup_error
@@ -422,19 +422,18 @@ class TestStackedSeeds:
         """
         n, r = 300, 2
         config = MethodConfig(r=r, mu=5.5, delta=1e-8, n_override=n)
-        spec = NoiseSpec("gaussian", config.delta, config.p)
         side = n
         k = max(1, method._BLOCK_ENTRIES // side**2)
         assert k == 2
         a, b = config.domain().zero_corner()
         base = exact_coeffs(F1, n - 1, n - 1, G=2 * (n - 1) + 16)
         reference = F1.derivative_function()
-        _measure(base, config, spec, 2, reference)  # fills the caches
+        _measure(base, config, "gaussian", 2, reference)  # fills the caches
         bound = 8 * (side**2 + k * side**2 + 2 * k * (side - r) ** 2 + k * side * (b + 4 * a)) + 2**16
         for seeds in (4, 8):
             tracemalloc.start()
             try:
-                cells = _measure(base, config, spec, seeds, reference)
+                cells = _measure(base, config, "gaussian", seeds, reference)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -450,7 +449,6 @@ class TestStackedSeeds:
         if entries is not None:
             monkeypatch.setattr(method, "_BLOCK_ENTRIES", entries)
         config = MethodConfig(r=2, mu=5.5, delta=1e-8, n_override=n)
-        spec = NoiseSpec("gaussian", config.delta, config.p)
         side = config.domain().mask().shape[0]
         assert per_map == max(1, method._BLOCK_ENTRIES // side**2)
         stacks = []
@@ -462,20 +460,20 @@ class TestStackedSeeds:
 
         monkeypatch.setattr(derivative, "_step", spy)
         base = CoeffField.from_dense(np.ones((1, 1)))
-        cells = _measure(base, config, spec, count, F1.derivative_function())
+        cells = _measure(base, config, "gaussian", count, F1.derivative_function())
         assert [cell.seed for cell in cells] == list(range(count))
         sizes = [per_map] * (count // per_map) + [count % per_map] * (count % per_map > 0)
         assert stacks == [(size,) for size in sizes for _ in range(8)]  # 2 steps on 4 blocks
 
     @pytest.mark.parametrize("kind", NoiseSpec.KINDS)
     def test_rows_carry_the_seeds_after_the_specs(self, kind):
-        # Seed 5 and three runs: rows 5, 6 and 7, each the row one run() gives
-        # its seed; under "none" one row, seed None.
+        # Three runs: rows 0, 1 and 2, each the row one run() gives its seed;
+        # under "none" one row, seed None.
         config = MethodConfig(r=2, mu=5.5, delta=1e-8, n_override=19)
         base = exact_coeffs(F1, 18, 18, G=ExperimentPreset.coeff_G)
         reference = F1.derivative_function()
-        cells = _measure(base, config, NoiseSpec(kind, config.delta, config.p, seed=5), 3, reference)
-        seeds = [None] if kind == "none" else [5, 6, 7]
+        cells = _measure(base, config, kind, 3, reference)
+        seeds = [None] if kind == "none" else [0, 1, 2]
         assert cells == _per_seed_rows(base, config, seeds, kind, reference)
 
     def test_a_row_makes_one_bit_generator_per_chunk(self, philox_keys):
@@ -501,7 +499,6 @@ class TestStackedSeeds:
         """
         n, r, seeds = 31, 2, 1000
         config = MethodConfig(r=r, mu=5.5, delta=1e-8, n_override=n)
-        spec = NoiseSpec("gaussian", config.delta, config.p)
         side = config.domain().mask().shape[0]
         card = config.domain().cardinality()
         k = method._BLOCK_ENTRIES // side**2
@@ -509,12 +506,12 @@ class TestStackedSeeds:
         a, b = config.domain().zero_corner()
         base = exact_coeffs(F1, n - 1, n - 1, G=ExperimentPreset.coeff_G)
         reference = F1.derivative_function()
-        _measure(base, config, spec, 2, reference)  # fills the caches
+        _measure(base, config, "gaussian", 2, reference)  # fills the caches
         del philox_keys[:]
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            cells = _measure(base, config, spec, seeds, reference)
+            cells = _measure(base, config, "gaussian", seeds, reference)
             held, peak = (size - start for size in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
@@ -742,9 +739,101 @@ class TestTheoreticalExponent:
             choose_n(0.5, mu, p=p, s=s, r=r)
 
 
+class TestCountCeilings:
+    """Tables and sweeps refuse the seed and level counts the command line
+    refuses, in the owners' words, before any coefficient is built."""
+
+    @pytest.fixture
+    def built(self, monkeypatch) -> list:
+        calls = []
+        for name in ("exact_coeffs", "trapezoid_coeffs"):
+            monkeypatch.setattr(experiments, name, lambda *args, **kwargs: calls.append(args))
+        return calls
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("seeds", [0, 1001, 10**7])
+    def test_run_table_refuses_a_seed_count_out_of_range(self, built, name, seeds):
+        with pytest.raises(ValueError, match=f"^seeds={seeds} must be between 1 and 1000$"):
+            run_table(get_preset(name), seeds=seeds)
+        assert built == []
+
+    @pytest.mark.parametrize("seeds", [0, 1001, 10**7])
+    def test_sweep_refuses_a_seed_count_out_of_range(self, built, seeds):
+        with pytest.raises(ValueError, match=f"^seeds={seeds} must be between 1 and 1000$"):
+            convergence_sweep(F2, 6.0, 2.0, 2.0, deltas=(1e-4, 1e-6, 1e-8), seeds=seeds)
+        assert built == []
+
+    @pytest.mark.parametrize("count", [2, 1001])
+    def test_sweep_refuses_a_level_count_out_of_range(self, built, count):
+        deltas = np.geomspace(1e-3, 1e-9, count)
+        with pytest.raises(ValueError, match=f"^a sweep needs between 3 and 1000 noise levels, not {count}$"):
+            convergence_sweep(F2, 6.0, 2.0, 2.0, deltas=deltas)
+        assert built == []
+
+    def test_the_ceilings_are_inclusive(self, monkeypatch):
+        monkeypatch.setattr(experiments, "MAX_SEED_COUNT", 2)
+        monkeypatch.setattr(experiments, "MAX_DELTA_COUNT", 3)
+        assert len(run_table(_tiny_gaussian_preset(), seeds=2)) == 3
+        with pytest.raises(ValueError, match="^seeds=3 must be between 1 and 2$"):
+            run_table(_tiny_gaussian_preset(), seeds=3)
+        deltas = (1e-4, 1e-6, 1e-8)
+        assert len(convergence_sweep(F2, 6.0, 2.0, 2.0, deltas=deltas, seeds=2).rows) == 9
+        with pytest.raises(ValueError, match="^a sweep needs between 3 and 3 noise levels, not 4$"):
+            convergence_sweep(F2, 6.0, 2.0, 2.0, deltas=(*deltas, 1e-9), seeds=2)
+
+
+def _drawn_specs(monkeypatch, module) -> list:
+    """(config, spec) for every noise draw from now on: the config ``module``'s
+    ``_derive`` was called with, and the spec its ``_noise_rows`` drew under."""
+    pairs, configs = [], []
+    derive, noise_rows = method._derive, method._noise_rows
+
+    def spy_derive(field, config, *args, **kwargs):
+        configs.append(config)
+        return derive(field, config, *args, **kwargs)
+
+    def spy_noise_rows(spec, seeds, count):
+        pairs.append((configs[-1], spec))
+        return noise_rows(spec, seeds, count)
+
+    monkeypatch.setattr(module, "_derive", spy_derive)
+    monkeypatch.setattr(method, "_noise_rows", spy_noise_rows)
+    return pairs
+
+
+class TestOneNoiseOwner:
+    """Every draw of a table or a sweep is at its config's delta and p."""
+
+    def test_table_draws_at_each_configs_delta_and_p(self, monkeypatch):
+        pairs = _drawn_specs(monkeypatch, experiments)
+        preset = get_preset("table1")
+        run_table(preset, seeds=2)
+        assert [(config.delta, config.p) for config, _ in pairs] == [(d, preset.p) for d in preset.deltas]
+        for config, spec in pairs:
+            assert (spec.kind, spec.delta, spec.p, spec.seed) == ("gaussian", config.delta, config.p, 0)
+
+    @pytest.mark.parametrize(("kind", "p"), [("gaussian", 1.0), ("projected", 3.0), ("projected", np.inf)])
+    def test_sweep_draws_at_each_configs_delta_and_p(self, monkeypatch, kind, p):
+        pairs = _drawn_specs(monkeypatch, experiments)
+        deltas = (1e-4, 1e-6, 1e-8)
+        convergence_sweep(F2, 6.0, 2.0, p, deltas=deltas, seeds=2, noise_kind=kind)
+        assert [(config.delta, config.p) for config, _ in pairs] == [(d, p) for d in deltas]
+        for config, spec in pairs:
+            assert (spec.kind, spec.delta, spec.p, spec.seed) == (kind, config.delta, config.p, 0)
+
+    def test_differentiate_draws_at_its_configs_delta_and_p(self, monkeypatch, capsys):
+        pairs = _drawn_specs(monkeypatch, cli)
+        argv = "differentiate --builtin f2 --mu 6 --delta 1e-7 --noise projected --p inf --seed 4 --n 30 --grid 3"
+        assert cli.main(argv.split()) == 0
+        capsys.readouterr()
+        [(config, spec)] = pairs
+        assert (config.delta, config.p) == (1e-7, np.inf)
+        assert (spec.kind, spec.delta, spec.p, spec.seed) == ("projected", config.delta, config.p, 4)
+
+
 class TestConvergenceSweep:
     def test_rejects_short_grid(self):
-        with pytest.raises(ValueError, match="3 noise levels"):
+        with pytest.raises(ValueError, match="needs between 3 and 1000 noise levels, not 2"):
             convergence_sweep(F2, 6.0, 2.0, 2.0, deltas=(1e-4, 1e-6))
 
     def test_rejects_narrow_grid(self):

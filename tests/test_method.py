@@ -512,14 +512,15 @@ def _map_heights(monkeypatch) -> list[int]:
     return heights
 
 
-def _assert_derive_matches_run(monkeypatch, field, config, spec, runs, per_map):
-    """_derive on ``field`` under ``spec`` for ``runs`` runs, in stacks of ``per_map``
-    seeds, gives seed spec.seed + i run(perturb(restricted field)), bit for bit."""
+def _assert_derive_matches_run(monkeypatch, field, config, kind, seed, runs, per_map):
+    """_derive on ``field`` under ``kind`` from ``seed`` for ``runs`` runs, in stacks
+    of ``per_map`` seeds, gives run i the bytes of run(perturb(restricted field,
+    NoiseSpec(kind, config.delta, config.p, seed + i))), the config's delta and p."""
     side = config.domain().mask().shape[0]
     monkeypatch.setattr(method, "_BLOCK_ENTRIES", per_map * side**2)
     heights = _map_heights(monkeypatch)
-    seeds = range(spec.seed, spec.seed + runs)
-    results = method._derive(field, config, spec, runs)
+    seeds = range(seed, seed + runs)
+    results = method._derive(field, config, kind, seed, runs)
     derived = [next(results)]
     assert heights == [min(per_map, len(seeds))]  # the stacks are made one at a time
     derived += results
@@ -527,8 +528,8 @@ def _assert_derive_matches_run(monkeypatch, field, config, spec, runs, per_map):
     assert heights == sizes
     assert len(derived) == len(seeds)
     restricted = field.restrict(config.domain())
-    for seed, approx in zip(seeds, derived):
-        alone = run(perturb(restricted, dataclasses.replace(spec, seed=seed)), config)
+    for each, approx in zip(seeds, derived):
+        alone = run(perturb(restricted, NoiseSpec(kind, config.delta, config.p, each)), config)
         assert np.array_equal(_bits(approx.series.values), _bits(alone.series.values))
         assert approx.series.values.flags.c_contiguous
         assert not approx.series.values.flags.writeable
@@ -551,39 +552,37 @@ class TestDeriveStacks:
         [("cross", 5), ("cross", 19), ("cross", 31), ("box", 19), ("cross", 80), ("cross", 300)],
     )
     def test_each_seed_gets_the_bytes_run_gives_it(self, monkeypatch, shape, n, kind, p):
-        # Fields larger and smaller than the domain; five runs from the spec's
+        # Fields larger and smaller than the domain; five runs from the first
         # seed, the first and the last five seeds of the range, in stacks of
         # two, two and one.
-        config = MethodConfig(r=2, mu=9.0, delta=0.0, n_override=n, domain_shape=shape)
+        config = MethodConfig(r=2, mu=9.0, delta=1e-3, p=p, n_override=n, domain_shape=shape)
         side = config.domain().mask().shape[0]
         rng = np.random.default_rng(n)
         shapes = [(side, side), (side + 3, side - 1), (side // 2 + 1, side), (side + 1, side + 2)]
         for field_shape in shapes:
             field = CoeffField.from_dense(rng.standard_normal(field_shape))
             for start in (0, 2**64 - 5):
-                spec = NoiseSpec(kind, delta=1e-3, p=p, seed=start)
-                derived = _assert_derive_matches_run(monkeypatch, field, config, spec, 5, 2)
+                derived = _assert_derive_matches_run(monkeypatch, field, config, kind, start, 5, 2)
                 monkeypatch.undo()
                 if shape == "box":  # no block edge: the dense map's bytes too
-                    noisy = perturb(field.restrict(config.domain()), spec)
+                    noisy = perturb(field.restrict(config.domain()), NoiseSpec(kind, config.delta, p, start))
                     assert derived[0].series.values.tobytes() == _dense_map(noisy.values, 2).tobytes()
 
     def test_runs_take_the_seeds_after_the_specs(self, monkeypatch, philox_keys):
         # Seed 5 and three runs: seeds 5, 6 and 7, in one stack of one generator.
-        config = MethodConfig(r=2, mu=9.0, delta=0.0, n_override=19)
+        config = MethodConfig(r=2, mu=9.0, delta=1e-3, n_override=19)
         field = CoeffField.from_dense(np.random.default_rng(5).standard_normal((19, 19)))
-        spec = NoiseSpec("gaussian", delta=1e-3, seed=5)
-        _assert_derive_matches_run(monkeypatch, field, config, spec, 3, 3)
+        _assert_derive_matches_run(monkeypatch, field, config, "gaussian", 5, 3, 3)
         assert philox_keys == [5] + [5, 6, 7]  # the stack, then run(perturb()) per seed
 
     def test_a_last_seed_past_the_range_is_refused_before_any_draw(self, monkeypatch, philox_keys):
         # Seeds 2^64 - 2, 2^64 - 1 and 2^64, one per stack: without the check
         # up front the first two stacks would draw before the third refuses.
-        config = MethodConfig(r=2, mu=9.0, delta=0.0, n_override=19)
+        config = MethodConfig(r=2, mu=9.0, delta=1e-8, n_override=19)
         monkeypatch.setattr(method, "_BLOCK_ENTRIES", 19**2)
         field = CoeffField.from_dense(np.ones((19, 19)))
         with pytest.raises(ValueError, match=r"seed=18446744073709551616 must satisfy 0 <= seed < 2\*\*64"):
-            list(method._derive(field, config, NoiseSpec("gaussian", 1e-8, seed=2**64 - 2), 3))
+            list(method._derive(field, config, "gaussian", 2**64 - 2, 3))
         assert philox_keys == []
 
     @pytest.mark.parametrize(("shape", "n"), [("cross", 80), ("box", 19)])
@@ -616,7 +615,7 @@ class TestDeriveStacks:
     @pytest.mark.parametrize("per_map", [1, 3], ids=["one-per-map", "three-per-map"])
     def test_an_overflowing_field_raises_what_run_raises(self, monkeypatch, per_map):
         # differentiate --r 80 --n 400 on F2 overflows the same way.
-        config = MethodConfig(r=80, mu=200.0, delta=0.0, n_override=400)
+        config = MethodConfig(r=80, mu=200.0, delta=1e-8, n_override=400)
         side = config.domain().mask().shape[0]
         monkeypatch.setattr(method, "_BLOCK_ENTRIES", per_map * side**2)
         overflowing = CoeffField.from_dense(np.random.default_rng(4).standard_normal((side, side)))
@@ -626,21 +625,39 @@ class TestDeriveStacks:
             with pytest.raises(ValueError, match=message):
                 run(overflowing, config)
             with pytest.raises(ValueError, match=message):
-                list(method._derive(overflowing, config, NoiseSpec("gaussian", 1e-8), 3))
+                list(method._derive(overflowing, config, "gaussian", 0, 3))
 
     @pytest.mark.parametrize("kind", NoiseSpec.KINDS)
     def test_no_seeds_give_no_results(self, kind, philox_keys):
-        config = MethodConfig(r=2, mu=9.0, delta=0.0, n_override=19)
+        config = MethodConfig(r=2, mu=9.0, delta=1e-8, n_override=19)
         field = CoeffField.from_dense(np.ones((19, 19)))
-        assert list(method._derive(field, config, NoiseSpec(kind, 1e-8), 0)) == []
+        assert list(method._derive(field, config, kind, 0, 0)) == []
         assert philox_keys == []
+
+    @pytest.mark.parametrize(("kind", "delta"), [("gaussian", 0.0), ("projected", 0.0), ("pink", 1e-8)])
+    def test_the_spec_is_refused_as_noise_spec_refuses_it_before_any_restrict(
+        self, monkeypatch, philox_keys, kind, delta
+    ):
+        # The run's one spec is built from the config's delta and p: a noisy
+        # kind under delta = 0 (n given, so the config allows it) or an
+        # unknown kind is refused in NoiseSpec's words, nothing restricted.
+        config = MethodConfig(r=2, mu=9.0, delta=delta, n_override=19)
+        field = CoeffField.from_dense(np.ones((19, 19)))
+        restricted = []
+        monkeypatch.setattr(CoeffField, "restrict", lambda self, domain: restricted.append(domain))
+        with pytest.raises(ValueError) as expected:
+            NoiseSpec(kind, config.delta, config.p)
+        with pytest.raises(ValueError) as got:
+            next(method._derive(field, config, kind, 0, 3))
+        assert str(got.value) == str(expected.value)
+        assert restricted == [] and philox_keys == []
 
     @pytest.mark.parametrize("kind", NoiseSpec.KINDS)
     def test_a_deterministic_field_derives_once(self, kind):
         # Kind "none" gives one run whatever the count; a noisy kind one per run.
-        config = MethodConfig(r=2, mu=9.0, delta=0.0, n_override=19)
+        config = MethodConfig(r=2, mu=9.0, delta=1e-8, n_override=19)
         field = CoeffField.from_dense(np.ones((19, 19)))
-        derived = list(method._derive(field, config, NoiseSpec(kind, 1e-8), 4))
+        derived = list(method._derive(field, config, kind, 0, 4))
         assert len(derived) == (1 if kind == "none" else 4)
 
 
