@@ -49,7 +49,7 @@ from .method import (
     run,
 )
 from .metrics import ErrorReport, error_report, l2_error, sup_error
-from .noise import NoiseSpec, noise_vector, perturb, standard_normals
+from .noise import NoiseSpec, noise_vector, perturb
 
 __version__ = "0.1.0"
 
@@ -70,7 +70,6 @@ __all__ = [
     "DerivativeExpansion",
     "IndexDomain",
     "NoiseSpec",
-    "standard_normals",
     "noise_vector",
     "perturb",
     "ConfigError",

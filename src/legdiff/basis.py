@@ -70,17 +70,6 @@ class QuadratureRule:
     def __len__(self) -> int:
         return self.nodes.size
 
-    def validate(self) -> None:
-        """Check the rule invariants, raising ValueError on violation."""
-        if not abs(self.weights.sum() - 2.0) < 1e-12:
-            raise ValueError("weights must sum to 2")
-        if not np.all(np.diff(self.nodes) > 0.0):
-            raise ValueError("nodes must be strictly increasing")
-        if not np.all(np.abs(self.nodes) < 1.0):
-            raise ValueError("nodes must lie inside (-1, 1)")
-        if not np.all(self.weights > 0.0):
-            raise ValueError("weights must be positive")
-
 
 def _orthonormal_scale(k_max: int) -> np.ndarray:
     """Row scaling sqrt(k + 1/2) turning P_k values into phi_k values."""

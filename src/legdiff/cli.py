@@ -94,10 +94,6 @@ def _delta_range(text: str) -> tuple[float, ...]:
     return deltas
 
 
-class UsageError(Exception):
-    """A flag combination the command refuses before reading any data (exit 2)."""
-
-
 def _write_text(path: str | None, blocks: Iterable[str]) -> None:
     """Write the text ``blocks`` in turn to stdout, or to the file ``path``."""
     if path is None:
@@ -250,16 +246,16 @@ def cmd_differentiate(args: argparse.Namespace) -> int:
         domain_shape=args.domain,
     )
     if args.noise != "none" and not 0.0 < delta < 1.0:
-        raise UsageError("--noise requires 0 < --delta < 1")
+        raise ConfigError("--noise requires 0 < --delta < 1")
     if args.seed is not None and args.noise == "none":
-        raise UsageError("--seed applies to noisy runs only, not --noise none")
+        raise ConfigError("--seed applies to noisy runs only, not --noise none")
     # With --n the parameter rule is bypassed: only a noise draw reads delta.
     if args.n is not None and args.constant is not None:
-        raise UsageError("--constant feeds the parameter rule, which --n bypasses")
+        raise ConfigError("--constant feeds the parameter rule, which --n bypasses")
     if args.n is not None and args.delta is not None and args.noise == "none":
-        raise UsageError("--delta with --n applies to noisy runs only, not --noise none")
-    _check_entries(f"--grid {args.grid}", args.grid, args.grid, "evaluation table", UsageError)
-    print(f"n={config.resolve_n()}", file=sys.stderr)
+        raise ConfigError("--delta with --n applies to noisy runs only, not --noise none")
+    _check_entries(f"--grid {args.grid}", args.grid, args.grid, "evaluation table", ConfigError)
+    print(f"n={config.domain().n}", file=sys.stderr)
     if args.builtin is not None:
         function = builtin_function(args.builtin)
         base = exact_coeffs(function, *config.domain().max_degree())
@@ -280,7 +276,7 @@ def cmd_differentiate(args: argparse.Namespace) -> int:
 def cmd_experiment(args: argparse.Namespace) -> int:
     preset = get_preset(args.preset)
     if args.seeds is not None and preset.noise != "gaussian":
-        raise UsageError(f"--seeds applies to gaussian presets only, not {args.preset}")
+        raise ConfigError(f"--seeds applies to gaussian presets only, not {args.preset}")
     rows = run_table(preset, seeds=args.seeds)
     _write_text(args.out, [rows_to_csv(rows)])
     return 0
@@ -288,7 +284,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_convergence(args: argparse.Namespace) -> int:
     if args.seeds is not None and args.noise == "none":
-        raise UsageError("--seeds applies to noisy sweeps only, not --noise none")
+        raise ConfigError("--seeds applies to noisy sweeps only, not --noise none")
     seeds = {} if args.seeds is None else {"seeds": args.seeds}  # none: the sweep's default
     result = convergence_sweep(
         builtin_function(args.builtin),
@@ -310,7 +306,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
-    _check_entries(f"--grid {args.grid}", args.k + 1, args.grid, "evaluation table", UsageError)
+    _check_entries(f"--grid {args.grid}", args.k + 1, args.grid, "evaluation table", ConfigError)
     coeffs = phi_derivative_coeffs(args.k, args.r)
     grid = np.linspace(-1.0, 1.0, args.grid)
     if coeffs.size == 0:
@@ -333,7 +329,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (ConfigError, UsageError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -123,11 +123,6 @@ class CoeffField:
         object.__setattr__(derived, "zero_corner", zero_corner)
         return derived
 
-    def items_sorted(self) -> list[tuple[tuple[int, int], float]]:
-        """Stored entries in lexicographic (k, j) order."""
-        ks, js = np.nonzero(self.stored)
-        return list(zip(zip(ks.tolist(), js.tolist()), self.values[ks, js].tolist()))
-
     def __len__(self) -> int:
         return int(np.count_nonzero(self.stored))
 
@@ -154,14 +149,6 @@ class CoeffField:
         table_tau = table_t if tau is t and J == K else eval_phi_table(J - 1, tau)
         left, right = grid_factors(table_t, self.values, table_tau, self.zero_corner)
         return left @ right
-
-    def eval_points(self, t: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        """Series values at paired points (t_i, tau_i)."""
-        if np.shape(t) != np.shape(tau):
-            raise ValueError("t and tau must have identical shapes")
-        table_t = eval_phi_table(self.values.shape[0] - 1, t)
-        table_tau = eval_phi_table(self.values.shape[1] - 1, tau)
-        return np.einsum("ki,kj,ji->i", table_t, self.values, table_tau, optimize=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,15 +337,16 @@ def _axis_tables(
 
 def _tensor_projection(
     f: BivariateFunction, rule_t: QuadratureRule, rule_tau: QuadratureRule, k_max: int, j_max: int
-) -> tuple[np.ndarray, Callable[[slice, np.ndarray], np.ndarray]]:
+) -> tuple[np.ndarray, Callable[[], Callable[[slice, np.ndarray], np.ndarray]]]:
     """``(B, grid)``: B the dense coefficients c_{k,j} of the tensor-product
-    quadrature of f*phi_k*phi_j, and ``grid(rows, out)`` writing B's series
-    values on the rules' grid ``rows`` into ``out``.
+    quadrature of f*phi_k*phi_j, and ``grid()`` the function ``(rows, out)``
+    writing B's series values on the rules' grid ``rows`` into ``out``.
 
     For separable functions the tensor rule factorizes exactly: B is
     ``s outer(a, b)`` of the :func:`_factor_projections`, and its grid the
-    rank-1 product of their :func:`_series_values` at the nodes, made on
-    ``grid``'s first call, so a caller wanting B alone never makes them.
+    rank-1 product of their :func:`_series_values` at the nodes, which
+    ``grid()`` makes, so a caller wanting B alone never makes them, and a
+    caller measuring makes them before its row buffer.
     Otherwise f is evaluated one :func:`_row_blocks` block at a time (the
     blocks the error metrics measure in, 2**18 entries) and never held whole:
     ``B += T_t(rows) (F W_tau T_tau^T) w_t(rows)``, and B's grid is the
@@ -370,14 +358,12 @@ def _tensor_projection(
         scale = f.factors[2]
         coeffs = np.outer(a, b)
         coeffs *= scale  # in place: no second array of B's size
-        nodes: list[np.ndarray] = []  # s a's values as a column, and b's as a row
 
-        def grid(rows: slice, out: np.ndarray) -> np.ndarray:
-            if not nodes:
-                column = _series_values(a, rule_t.nodes)
-                row = column if b is a else _series_values(b, rule_tau.nodes)
-                nodes.extend((scale * column[:, None], row))
-            return np.multiply(nodes[0][rows], nodes[1], out=out)
+        def grid() -> Callable[[slice, np.ndarray], np.ndarray]:
+            column = _series_values(a, rule_t.nodes)
+            row = column if b is a else _series_values(b, rule_tau.nodes)
+            column = scale * column[:, None]  # s a's values as a column, and b's as a row
+            return lambda rows, out: np.multiply(column[rows], row, out=out)
 
         return coeffs, grid
     table_tau, table_t = _axis_tables(rule_t, rule_tau, k_max, j_max)
@@ -391,10 +377,10 @@ def _tensor_projection(
         part *= rule_t.weights[rows, None]
         coeffs += table_t(rows) @ part
 
-    def grid(rows: slice, out: np.ndarray) -> np.ndarray:
+    def product(rows: slice, out: np.ndarray) -> np.ndarray:
         return np.matmul(*grid_factors(table_t(rows), coeffs, table_tau), out=out)
 
-    return coeffs, grid
+    return coeffs, lambda: product
 
 
 def exact_coeffs(

@@ -38,7 +38,8 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """A parameter combination violates the method's validity constraints."""
+    """A parameter combination violates the method's validity constraints, or
+    a flag combination the command line refuses before reading any data."""
 
 
 @dataclass(frozen=True)
@@ -101,10 +102,6 @@ class MethodConfig:
     def satisfies_sup_hypothesis(self) -> bool:
         """Whether mu > 2r - 1/s + 3/2, the uniform-norm validity condition."""
         return self.mu > 2.0 * self.r - 1.0 / self.s + 1.5
-
-    def resolve_n(self) -> int:
-        """The truncation level: ``n_override`` if present, else the rule."""
-        return self._domain.n
 
     def domain(self) -> IndexDomain:
         """The information domain at the resolved truncation level, built once."""

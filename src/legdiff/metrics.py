@@ -42,12 +42,14 @@ The square-mean error has two forms, chosen by that same block size:
   same grid.  The first call per (reference, degree) evaluates the
   reference one row block at a time and never holds it whole: about 15-20
   ms at n = 300 with declared ``factors`` and 60-85 ms without (one BLAS
-  thread, 2-vCPU Xeon).  Its peak allocation (tracemalloc) is that of B,
-  one Legendre table and a few row blocks: 5.7 MB at n = 300 with factors
-  and 10.5 MB without, 42 MB for a side-998 series with factors, where the
-  whole Gauss grid would be 11.6 MB, 11.6 MB and 128 MB.  An F1'' reference
-  last measured at n = 2048 holds a 32 MiB projection and the grid's rules,
-  not the 512 MiB grid.
+  thread, 2-vCPU Xeon).  With factors, the node values of B's grid are
+  made, and their Legendre table released, before the row buffer, so the
+  peak allocation (tracemalloc) is B with that table or with two row
+  blocks: 5.1 MB at n = 300 and 40 MB for a side-998 series; without
+  factors it is B, one Legendre table and a few row blocks, 10.5 MB at
+  n = 300.  The whole Gauss grid would be 11.6 MB at n = 300 and 128 MB at
+  side 998.  An F1'' reference last measured at n = 2048 holds a 32 MiB
+  projection and the grid's rules, not the 512 MiB grid.
 
 Both forms give the same number up to rounding and the orthonormality defect
 T W T^T - I of the float64 tables and weights (about 2e-14 at degree 297,
@@ -197,7 +199,7 @@ class _Grid:
         def values(rows: slice) -> np.ndarray:
             return reference.value(self.t[rows, None], self.tau[None, :])
 
-        self.projection = projection, self.square_sum(self.remainders(grid, values))
+        self.projection = projection, self.square_sum(self.remainders(grid(), values))
         return self.projection
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from .coeffs import CoeffField
 from .index import _check_integer, _check_p
 
-__all__ = ["NoiseSpec", "standard_normals", "noise_vector", "perturb"]
+__all__ = ["NoiseSpec", "noise_vector", "perturb"]
 
 
 @dataclass(frozen=True)
@@ -71,13 +71,10 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed={seed} must satisfy 0 <= seed < 2**64")
 
 
-def standard_normals(seed: int, count: int) -> np.ndarray:
-    """``count`` standard normal draws from Philox(seed) via Box-Muller."""
-    return _normal_rows([seed], count)[0]
-
-
 def _normal_rows(seeds: Sequence[int], count: int) -> np.ndarray:
-    """Row i: :func:`standard_normals` ``(seeds[i], count)``, with one bit generator.
+    """Row i: ``count`` standard normals from Philox(``seeds[i]``) via
+    Box-Muller, each row the bytes of a fresh generator's draw, all rows from
+    one bit generator.
 
     Every seed is checked before anything is drawn.  The generator is made
     with the first seed's key; each later seed sets it back to that fresh

@@ -37,6 +37,26 @@ def from_entries(
     return CoeffField(values, stored)
 
 
+def stored_entries(field: CoeffField) -> list[tuple[tuple[int, int], float]]:
+    """The field's stored entries as ``((k, j), value)`` in lexicographic order."""
+    ks, js = np.nonzero(field.stored)
+    return list(zip(zip(ks.tolist(), js.tolist()), field.values[ks, js].tolist()))
+
+
+def check_rule(rule) -> None:
+    """Raise ValueError naming the first invariant of a quadrature rule on
+    [-1, 1] that ``rule`` breaks: weights summing to 2, strictly increasing
+    nodes inside (-1, 1), positive weights."""
+    if not abs(rule.weights.sum() - 2.0) < 1e-12:
+        raise ValueError("weights must sum to 2")
+    if not np.all(np.diff(rule.nodes) > 0.0):
+        raise ValueError("nodes must be strictly increasing")
+    if not np.all(np.abs(rule.nodes) < 1.0):
+        raise ValueError("nodes must lie inside (-1, 1)")
+    if not np.all(rule.weights > 0.0):
+        raise ValueError("weights must be positive")
+
+
 def single_step_entry(k: int, l: int) -> float:
     """Entry (k -> l) of the single derivative step: the weight of phi_l in phi_k'."""
     if l < k and (k + l) % 2 == 1:
@@ -70,6 +90,18 @@ def legendre_table_ld(k_max: int, t) -> np.ndarray:
     for k in range(1, k_max):
         p[k + 1] = ((2 * k + 1) * t * p[k] - k * p[k - 1]) / (k + 1)
     return np.sqrt(np.arange(k_max + 1, dtype=np.longdouble) + 0.5)[:, None] * p
+
+
+def series_at_points(field: CoeffField, t, tau) -> np.ndarray:
+    """The series sum c_{k,j} phi_k(t_i) phi_j(tau_i) at the paired points,
+    from :func:`legendre_table_ld`'s tables, summed in long double and
+    rounded once to float64."""
+    K, J = field.values.shape
+    values = np.asarray(field.values, dtype=np.longdouble)
+    summed = np.einsum(
+        "ki,kj,ji->i", legendre_table_ld(K - 1, t), values, legendre_table_ld(J - 1, tau)
+    )
+    return summed.astype(np.float64)
 
 
 def derivative_table_ld(K: int, r: int, x) -> np.ndarray:

@@ -277,3 +277,60 @@ def test_quick_starts_run(source, capsys):
         assert (float(l2), float(sup), int(card)) == (
             namespace["report"].l2_error, namespace["report"].sup_error, 38,
         )
+
+
+#: Public names no program code reads, each with the reader that keeps it.
+_UNCALLED_BUT_KEPT = {
+    "DerivativeExpansion.matrix": "ROADMAP items 4a and 8b build on the dense map",
+    "MethodConfig.satisfies_sup_hypothesis": "ROADMAP item 4b reports the uniform-norm hypothesis",
+    "IndexDomain.box": "the twin of IndexDomain.cross, which the benchmark calls",
+    "smoothness_norm": "the class norm fixing F1's and F2's scales, which "
+    "test_normalization_close_to_unit_smoothness_norm holds",
+}
+
+
+def _loaded_names() -> set[str]:
+    """Every name the program code loads, as a bare name or an attribute, in
+    src/legdiff/*.py and perfbench/*.py, outside the definition of that name."""
+    root = Path(legdiff.__file__).parents[2]
+    loaded = set()
+    for path in sorted([*(root / "src" / "legdiff").glob("*.py"), *(root / "perfbench").glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = {}  # id of a node -> the name whose definition holds it
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for inner in ast.walk(node):
+                    own.setdefault(id(inner), set()).add(node.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            else:
+                continue
+            if name not in own.get(id(node), ()):
+                loaded.add(name)
+    return loaded
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """Each name in legdiff.__all__, and each public method or property of the
+    classes it exports, is loaded by program code (src/legdiff or perfbench),
+    outside its own definition and the __all__ lists, or is kept in
+    _UNCALLED_BUT_KEPT with its reader.  Names are matched alone, not with
+    their class: a method is read when any attribute of that name is, so
+    QuadratureRule.validate would have hidden behind ErrorReport.validate."""
+    loaded = _loaded_names()
+    public = []
+    for name in legdiff.__all__:
+        if name.startswith("__"):
+            continue
+        public.append((name, name))
+        owner = getattr(legdiff, name)
+        if isinstance(owner, type):
+            tree = ast.parse(textwrap.dedent(inspect.getsource(owner)))
+            for node in tree.body[0].body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    public.append((f"{name}.{node.name}", node.name))
+    unread = {qualified for qualified, bare in public if bare not in loaded}
+    assert unread == set(_UNCALLED_BUT_KEPT), sorted(unread ^ set(_UNCALLED_BUT_KEPT))

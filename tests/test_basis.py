@@ -22,6 +22,8 @@ from legdiff.coeffs import exact_coeffs
 from legdiff.experiments import F1, F2
 from legdiff.method import MethodConfig, run
 
+from oracles import check_rule
+
 
 class TestEvalPhi:
     def test_phi0_is_constant_inverse_sqrt2(self):
@@ -192,7 +194,7 @@ class TestGaussRule:
     def test_converges_at_order_512(self):
         rule = gauss_rule(512)
         assert len(rule) == 512
-        rule.validate()
+        check_rule(rule)
 
     @pytest.mark.parametrize("G", [2, 5, 8])
     def test_exact_on_polynomials_up_to_2G_minus_1(self, G):
@@ -204,7 +206,7 @@ class TestGaussRule:
     def test_invariants(self):
         for G in (1, 2, 17, 64):
             rule = gauss_rule(G)
-            rule.validate()
+            check_rule(rule)
             assert np.sum(rule.weights) == pytest.approx(2.0, abs=1e-12)
             assert np.all(np.diff(rule.nodes) > 0) or G == 1
             assert np.all(rule.weights > 0)
@@ -267,10 +269,10 @@ class TestQuadratureRule:
             ([-0.5, 0.5], [3.0, -1.0], "weights must be positive"),
         ],
     )
-    def test_validate_names_the_broken_invariant(self, nodes, weights, message):
+    def test_check_rule_names_the_broken_invariant(self, nodes, weights, message):
         rule = QuadratureRule(nodes=np.array(nodes), weights=np.array(weights))
         with pytest.raises(ValueError, match=f"^{message}$"):
-            rule.validate()
+            check_rule(rule)
 
     def test_arrays_read_only(self):
         rule = gauss_rule(4)
@@ -295,7 +297,7 @@ class TestCompositeGaussRule:
 
     def test_split_rule_integrates_kinked_function(self):
         comp = composite_gauss_rule(24, edges=(-1.0, 0.0, 1.0))
-        comp.validate()
+        check_rule(comp)
         # integral of |t| over [-1, 1] is exactly 1; each panel sees a polynomial
         assert comp.weights @ np.abs(comp.nodes) == pytest.approx(1.0, abs=1e-14)
 

@@ -549,6 +549,41 @@ class TestCountRefusals:
         assert built == []
 
 
+class TestFlagRefusals:
+    """Every flag combination a command refuses before reading any data: exit
+    2, nothing on stdout, and one stderr line in these words."""
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            ("differentiate --coeffs {missing} --mu 5.5 --n 10 --noise gaussian",
+             "--noise requires 0 < --delta < 1"),
+            ("differentiate --coeffs {missing} --mu 5.5 --delta 1e-6 --seed 3",
+             "--seed applies to noisy runs only, not --noise none"),
+            ("differentiate --coeffs {missing} --mu 5.5 --n 10 --constant 2",
+             "--constant feeds the parameter rule, which --n bypasses"),
+            ("differentiate --coeffs {missing} --mu 5.5 --n 10 --delta 1e-6",
+             "--delta with --n applies to noisy runs only, not --noise none"),
+            ("differentiate --coeffs {missing} --mu 5.5 --n 10 --grid 2049",
+             "--grid 2049 needs a 2049x2049 evaluation table, over the limit of 4194304 entries"),
+            ("experiment --preset table2 --seeds 3",
+             "--seeds applies to gaussian presets only, not table2"),
+            ("convergence --builtin f2 --mu 6 --deltas 1e-4:1e-8:3 --noise none --seeds 3",
+             "--seeds applies to noisy sweeps only, not --noise none"),
+            ("basis --k 2047 --grid 2049",
+             "--grid 2049 needs a 2048x2049 evaluation table, over the limit of 4194304 entries"),
+        ],
+        ids=["noise_delta", "seed", "constant", "delta", "grid", "preset_seeds", "sweep_seeds",
+             "basis_grid"],
+    )
+    def test_refusal_exits_2_with_its_line(self, tmp_path, capsys, argv, message):
+        code = main(argv.format(missing=tmp_path / "missing.csv").split())
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 class TestExperiment:
     def test_unknown_preset_is_usage_error(self, capsys):
         assert main(["experiment", "--preset", "bogus"]) == 2

@@ -31,7 +31,7 @@ from legdiff.method import ApproxDerivative, ConfigError, MethodConfig, run
 from legdiff.metrics import sup_error
 from legdiff.noise import NoiseSpec, perturb
 
-from oracles import from_entries
+from oracles import from_entries, stored_entries
 
 
 def _no_scanner(text):
@@ -151,10 +151,6 @@ class TestCoeffField:
         with pytest.raises(ValueError):
             from_entries({}, k_max=-2, j_max=0)
 
-    def test_items_sorted_lexicographic(self):
-        field = from_entries({(2, 1): 1.0, (0, 5): 2.0, (2, 0): 3.0})
-        assert [kj for kj, _ in field.items_sorted()] == [(0, 5), (2, 0), (2, 1)]
-
     def test_restrict_materializes_requested_pairs(self):
         field = from_entries({(2, 2): 1.0, (9, 9): 4.0})
         sub = field.restrict([(2, 2), (3, 3)])
@@ -205,7 +201,7 @@ class TestArrayInvariants:
         field = CoeffField.from_dense(arr)
         assert field.stored.all()
         assert len(field) == arr.size
-        assert [kj for kj, _ in field.items_sorted()] == [
+        assert [kj for kj, _ in stored_entries(field)] == [
             (k, j) for k in range(3) for j in range(2)
         ]
 
@@ -243,7 +239,7 @@ class TestArrayInvariants:
         for domain in (IndexDomain.cross(2, 10), IndexDomain.box(2, 10)):
             by_domain = field.restrict(domain)
             by_pairs = field.restrict(domain.members())
-            assert by_domain.items_sorted() == by_pairs.items_sorted()
+            assert stored_entries(by_domain) == stored_entries(by_pairs)
             np.testing.assert_array_equal(by_domain.stored, domain.mask())
             np.testing.assert_array_equal(by_domain.values[~by_domain.stored], 0.0)
 
@@ -339,7 +335,7 @@ class TestExactCoeffs:
 
     def test_parseval_for_known_l2_norm(self):
         field = exact_coeffs(_const_half(), 4, 4, G=16)
-        total = sum(v * v for _, v in field.items_sorted())
+        total = sum(v * v for _, v in stored_entries(field))
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_order_below_the_floor_is_raised_to_it(self):
@@ -464,6 +460,21 @@ class TestProjectionReuse:
             once = exact_coeffs(f, 9, 9, G=20)
             twice = exact_coeffs(two_pass, 9, 9, G=20)
         assert np.array_equal(once.values, twice.values)
+
+    @pytest.mark.parametrize("quadrature", ["trapezoid", "exact"])
+    def test_coefficients_alone_build_no_node_values(self, monkeypatch, quadrature):
+        """A separable function's node values (a K x N Legendre table, 31 x
+        50,001 on table2's trapezoid rule) serve the error metrics only; the
+        coefficient producers never make them."""
+
+        def refused(*args):
+            raise AssertionError("node values were built")
+
+        monkeypatch.setattr(coeffs_module, "_series_values", refused)
+        if quadrature == "trapezoid":
+            trapezoid_coeffs(F1, 4e-5, 30, 30)
+        else:
+            exact_coeffs(F1, 30, 30, G=96)
 
 
 class TestProjection:
@@ -720,7 +731,7 @@ class TestSmoothnessNorm:
         field = CoeffField.from_dense(values)
         s_exp, mu = 2.0, 3.5
         total = 0.0
-        for (k, j), v in field.items_sorted():
+        for (k, j), v in stored_entries(field):
             if v != 0.0:
                 total += (max(1, k) * max(1, j)) ** (s_exp * mu) * abs(v) ** s_exp
         reference = total ** (1.0 / s_exp)
@@ -755,7 +766,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "field.csv"
         save_csv(field, path)
         loaded = load_csv(path)
-        assert loaded.items_sorted() == field.items_sorted()
+        assert stored_entries(loaded) == stored_entries(field)
 
     def test_derived_coefficients_round_trip(self, tmp_path):
         # The method's output is a field like any other: every entry stored,
@@ -801,7 +812,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "one.csv"
         path.write_text("0,0,1.0\n")
         field = load_csv(path)
-        assert field.items_sorted() == [((0, 0), 1.0)]
+        assert stored_entries(field) == [((0, 0), 1.0)]
 
     def test_header_line_skipped(self, tmp_path):
         path = tmp_path / "hdr.csv"
@@ -850,7 +861,7 @@ class TestCsvRoundTrip:
     def test_byte_order_mark_is_not_a_header(self, tmp_path, text, entries, encoding):
         path = tmp_path / "bom.csv"
         path.write_text(text, encoding=encoding)
-        assert load_csv(path).items_sorted() == entries
+        assert stored_entries(load_csv(path)) == entries
 
     @pytest.mark.parametrize(
         "text, lineno",
@@ -869,7 +880,7 @@ class TestCsvRoundTrip:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             field = load_csv(path)
-        assert field.items_sorted() == []
+        assert stored_entries(field) == []
         assert field.values.shape == (1, 1)
 
     def test_full_f1_field_round_trip_is_bit_exact(self, tmp_path):
@@ -915,7 +926,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "ws.csv"
         path.write_text(template.format(ws=space), encoding="utf-8", newline="")
         monkeypatch.setattr(coeffs_module, "_scan_rows", _no_scanner)
-        assert load_csv(path).items_sorted() == [((0, 0), 1.5), ((1, 1), 2.5)]
+        assert stored_entries(load_csv(path)) == [((0, 0), 1.5), ((1, 1), 2.5)]
 
     def test_values_survive_at_full_precision(self, tmp_path):
         value = math.pi * 1e-7
@@ -955,7 +966,7 @@ class TestSaveCsvBlocks:
         field = make()
         path = tmp_path / "field.csv"
         save_csv(field, path)
-        expected = "".join(f"{k},{j},{format(v, '.17g')}\n" for (k, j), v in field.items_sorted())
+        expected = "".join(f"{k},{j},{format(v, '.17g')}\n" for (k, j), v in stored_entries(field))
         assert path.read_bytes() == expected.encode("utf-8")
 
     def test_memory_is_the_mask_and_one_block(self, tmp_path):
@@ -1046,7 +1057,7 @@ class TestOneLimit:
                 load_csv(path)
 
     def test_truncation_level(self, limit):
-        assert MethodConfig(r=2, mu=5.5, delta=0.0, n_override=10).resolve_n() == 10
+        assert MethodConfig(r=2, mu=5.5, delta=0.0, n_override=10).domain().n == 10
         with pytest.raises(ConfigError, match=f"n=11 needs a 11x11 coefficient array, {limit}"):
             MethodConfig(r=2, mu=5.5, delta=0.0, n_override=11)
 

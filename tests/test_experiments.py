@@ -358,7 +358,7 @@ def _per_seed_rows(base, config, seeds, noise, reference) -> list[ExperimentRow]
         report = error_report(approx, reference)
         cells.append(
             ExperimentRow(
-                delta=config.delta, n=approx.config.resolve_n(), card=approx.information_count,
+                delta=config.delta, n=approx.config.domain().n, card=approx.information_count,
                 l2_error=report.l2_error, sup_error=report.sup_error, seed=seed,
             )
         )

@@ -23,7 +23,7 @@ from legdiff.method import (
 )
 from legdiff.noise import NoiseSpec, perturb
 
-from oracles import from_entries
+from oracles import from_entries, series_at_points
 
 
 class TestChooseN:
@@ -99,7 +99,7 @@ class TestChooseN:
 class TestMethodConfig:
     def test_valid_config_roundtrip(self):
         cfg = MethodConfig(r=2, mu=5.5, delta=1e-7)
-        assert cfg.resolve_n() == 19
+        assert cfg.domain().n == 19
         assert cfg.domain().cardinality() == IndexDomain.cross(2, 19).cardinality()
 
     def test_rejects_r_below_one(self):
@@ -171,11 +171,11 @@ class TestMethodConfig:
         with pytest.raises(ConfigError):
             MethodConfig(r=2, mu=5.5, delta=0.0)
         cfg = MethodConfig(r=2, mu=5.5, delta=0.0, n_override=12)
-        assert cfg.resolve_n() == 12
+        assert cfg.domain().n == 12
 
     def test_override_wins_over_rule(self):
         cfg = MethodConfig(r=2, mu=5.5, delta=1e-7, n_override=6)
-        assert cfg.resolve_n() == 6
+        assert cfg.domain().n == 6
 
     def test_sup_hypothesis_flag(self):
         # r=2, s=2: the uniform-norm condition is mu > 5.
@@ -218,7 +218,6 @@ class TestMethodConfig:
         assert len(calls) == 1
         domain = cfg.domain()
         assert cfg.domain() is domain and domain == IndexDomain.cross(2, 19)
-        assert cfg.resolve_n() == 19
         approx = run(CoeffField.from_dense(np.ones((3, 3))), cfg)
         assert approx.information_count == domain.cardinality()
         assert len(calls) == 1
@@ -243,13 +242,18 @@ class TestRun:
         values = approx.series.eval_grid(grid, grid)
         np.testing.assert_allclose(values, 22.5, rtol=1e-13)
 
-    def test_eval_points_at_single_point(self):
+    def test_value_at_single_point(self):
         field = from_entries({(2, 2): 1.0})
         cfg = MethodConfig(r=2, mu=6.0, delta=0.0, n_override=3, domain_shape="box")
         approx = run(field, cfg)
-        vals = approx.series.eval_points(np.array([0.3]), np.array([-0.7]))
+        vals = series_at_points(approx.series, [0.3], [-0.7])
         assert vals.shape == (1,)
         assert vals[0] == pytest.approx(22.5, rel=1e-13)
+
+    def test_result_is_approx_derivative(self):
+        field = from_entries({(2, 2): 1.0})
+        approx = run(field, MethodConfig(r=2, mu=6.0, delta=0.0, n_override=3))
+        assert isinstance(approx, ApproxDerivative)
 
     def test_zero_field_gives_zero_everywhere(self):
         cfg = MethodConfig(r=2, mu=5.5, delta=0.0, n_override=7)
@@ -261,7 +265,7 @@ class TestRun:
         field = from_entries({(2, 2): 1.0, (2, 4): 0.5})
         cfg = MethodConfig(r=2, mu=5.5, delta=0.0, n_override=5)
         approx = run(field, cfg)
-        assert approx.config.resolve_n() == 5
+        assert approx.config.domain().n == 5
         assert approx.information_count == IndexDomain.cross(2, 5).cardinality()
         # Entries outside the domain and stored zeros inside it do not change
         # the count: it is the domain's, as restrict stores it, on both shapes.
@@ -282,8 +286,8 @@ class TestRun:
         for name in ("config", "information_count"):
             with pytest.raises(AttributeError):
                 setattr(approx, name, 6)
-        assert (approx.config.resolve_n(), approx.information_count) == (
-            cfg.resolve_n(), cfg.domain().cardinality(),
+        assert (approx.config.domain().n, approx.information_count) == (
+            cfg.domain().n, cfg.domain().cardinality(),
         )
 
     def test_cross_degree_bound_after_differentiation(self):
@@ -679,25 +683,6 @@ class TestSeriesEvaluation:
             CoeffField.from_dense(coeffs).eval_grid(t, tau), expected, rtol=1e-12, atol=1e-13
         )
 
-    def test_eval_points_matches_loop(self):
-        coeffs, t, _ = _random_inputs(3)
-        tau = np.random.default_rng(4).uniform(-1.0, 1.0, size=t.size)
-        expected = np.array(
-            [
-                sum(
-                    coeffs[k, j]
-                    * legendre_table(k, np.array([t[i]]))[k, 0]
-                    * legendre_table(j, np.array([tau[i]]))[j, 0]
-                    for k in range(coeffs.shape[0])
-                    for j in range(coeffs.shape[1])
-                )
-                for i in range(t.size)
-            ]
-        )
-        np.testing.assert_allclose(
-            CoeffField.from_dense(coeffs).eval_points(t, tau), expected, rtol=1e-11, atol=1e-12
-        )
-
     def test_constant_series(self):
         # c_{0,0} = 2 means 2 * phi_0(t) phi_0(tau) = 2 * (1/sqrt 2)^2 = 1.
         series = CoeffField.from_dense(from_entries({(0, 0): 2.0}).values)
@@ -712,20 +697,15 @@ class TestSeriesEvaluation:
         tau = np.linspace(-1.0, 1.0, 6)
         grid_vals = series.eval_grid(t, tau)
         tt, pp = np.meshgrid(t, tau, indexing="ij")
-        point_vals = series.eval_points(tt.ravel(), pp.ravel()).reshape(7, 6)
+        point_vals = series_at_points(series, tt.ravel(), pp.ravel()).reshape(7, 6)
         np.testing.assert_allclose(grid_vals, point_vals, rtol=1e-13, atol=1e-15)
-
-    def test_points_shape_mismatch_rejected(self):
-        series = CoeffField.from_dense(from_entries({(0, 0): 1.0}).values)
-        with pytest.raises(ValueError):
-            series.eval_points(np.zeros(3), np.zeros(4))
 
     def test_rejects_points_outside_domain(self):
         series = CoeffField.from_dense(from_entries({(1, 1): 1.0}).values)
         with pytest.raises(ValueError):
             series.eval_grid(np.array([1.5]), np.array([0.0]))
         with pytest.raises(ValueError):
-            series.eval_points(np.array([0.0]), np.array([-1.01]))
+            series.eval_grid(np.array([0.0]), np.array([-1.01]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_points(self, bad):
@@ -733,8 +713,6 @@ class TestSeriesEvaluation:
         for t, tau in ((bad, 0.0), (0.0, bad)):
             with pytest.raises(ValueError, match="outside"):
                 series.eval_grid(np.array([0.5, t]), np.array([tau]))
-            with pytest.raises(ValueError, match="outside"):
-                series.eval_points(np.array([t]), np.array([tau]))
 
     def test_coeffs_are_read_only_c_contiguous_float64(self):
         source = np.asfortranarray(np.arange(6, dtype=np.int64).reshape(2, 3))
@@ -822,33 +800,3 @@ class TestZeroCorner:
         # Unequal degrees need both tables, even on one grid.
         CoeffField.from_dense(derived_300.values[:, :-1]).eval_grid(grid, grid)
         assert degrees == [297, 297, 296]
-
-
-class TestEvalPoints:
-    """The derived series evaluates itself at paired points (t_i, tau_i)."""
-
-    def test_empty_points_gives_empty_array(self):
-        field = from_entries({(2, 2): 1.0})
-        cfg = MethodConfig(r=2, mu=6.0, delta=0.0, n_override=3)
-        approx = run(field, cfg)
-        out = approx.series.eval_points(np.zeros(0), np.zeros(0))
-        assert out.shape == (0,)
-
-    def test_rejects_malformed_points(self):
-        field = from_entries({(2, 2): 1.0})
-        approx = run(field, MethodConfig(r=2, mu=6.0, delta=0.0, n_override=3))
-        with pytest.raises(ValueError, match="identical shapes"):
-            approx.series.eval_points(np.array([0.1, 0.2]), np.array([0.3]))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_points(self, bad):
-        field = from_entries({(2, 2): 1.0})
-        approx = run(field, MethodConfig(r=2, mu=6.0, delta=0.0, n_override=3))
-        for t, tau in (((0.2, bad), (0.1, 0.0)), ((0.2, 0.0), (0.1, bad))):
-            with pytest.raises(ValueError, match="outside"):
-                approx.series.eval_points(np.array(t), np.array(tau))
-
-    def test_result_is_approx_derivative(self):
-        field = from_entries({(2, 2): 1.0})
-        approx = run(field, MethodConfig(r=2, mu=6.0, delta=0.0, n_override=3))
-        assert isinstance(approx, ApproxDerivative)

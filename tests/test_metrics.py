@@ -913,6 +913,38 @@ class TestCoefficientSpace:
         if tau_breakpoints is None:  # the two-axes grid has half the nodes on tau
             assert peak < itemsize * n_t * n_tau
 
+    def test_first_call_builds_node_values_before_the_row_buffer(self, cross_300):
+        """With declared factors, the first l2_error at n = 300 makes B's node
+        values, and releases their K x N Legendre table, before the row
+        buffer exists, so at its peak it holds at most:
+
+        - B (K x J);
+        - the reused row buffer and the reference's values on one row block,
+          each (_BLOCK_ENTRIES // N) x N entries;
+        - 32 vectors over the N nodes, an allowance for the Gauss rule, the
+          node values and the temporaries of the reference's factor on tau.
+
+        That is less than B, the buffer and the table together, which the
+        first call held when it made the node values after the buffer.
+        """
+        approx, _ = cross_300
+        reference = F1.derivative_function()
+        K, J = approx.series.values.shape
+        tracemalloc.start()
+        try:
+            l2_error(approx, reference, G=96)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grid = metrics._GRIDS[reference]["gauss"]
+        n = grid.t.size
+        assert grid.tau is grid.t and grid.values is None
+        block = metrics._BLOCK_ENTRIES // n * n
+        itemsize = 8
+        bound = itemsize * (K * J + 2 * block + 32 * n)
+        assert bound < itemsize * (K * J + block + K * n)
+        assert peak <= bound, (peak, bound)
+
     def test_warm_call_allocates_one_coefficient_array(self, cross_300):
         approx, reference = cross_300
         l2_error(approx, reference, G=96)  # warm

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from legdiff.coeffs import CoeffField
-from legdiff.noise import NoiseSpec, _noise_rows, _normal_rows, noise_vector, perturb, standard_normals
+from legdiff.noise import NoiseSpec, _noise_rows, _normal_rows, noise_vector, perturb
 
-from oracles import from_entries
+from oracles import from_entries, stored_entries
 
 
 def _field():
@@ -48,42 +48,44 @@ class TestNoiseSpec:
         with pytest.raises(ValueError, match=f"seed={seed!r} must be an integer"):
             NoiseSpec(kind="gaussian", delta=0.1, seed=seed)
         with pytest.raises(ValueError, match=f"seed={seed!r} must be an integer"):
-            standard_normals(seed, 4)
+            _normal_rows([seed], 4)[0]
 
     def test_largest_seed_allowed(self):
         assert NoiseSpec(kind="gaussian", delta=0.1, seed=2**64 - 1).seed == 2**64 - 1
 
 
 class TestStandardNormals:
+    """One seed's standard normals: row 0 of ``_normal_rows([seed], count)``."""
+
     def test_reproducible(self):
-        np.testing.assert_array_equal(standard_normals(7, 100), standard_normals(7, 100))
+        np.testing.assert_array_equal(_normal_rows([7], 100)[0], _normal_rows([7], 100)[0])
 
     def test_different_seeds_differ(self):
-        assert not np.array_equal(standard_normals(7, 100), standard_normals(8, 100))
+        assert not np.array_equal(_normal_rows([7], 100)[0], _normal_rows([8], 100)[0])
 
     def test_odd_count(self):
-        assert standard_normals(1, 7).shape == (7,)
+        assert _normal_rows([1], 7)[0].shape == (7,)
 
     def test_moments_sane(self):
-        z = standard_normals(0, 200_000)
+        z = _normal_rows([0], 200_000)[0]
         assert abs(z.mean()) < 0.01
         assert abs(z.std() - 1.0) < 0.01
 
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError):
-            standard_normals(0, -1)
+            _normal_rows([0], -1)[0]
 
     def test_zero_count_is_empty_float64(self):
-        z = standard_normals(0, 0)
+        z = _normal_rows([0], 0)[0]
         assert z.shape == (0,) and z.dtype == np.float64
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_rejects_seed_outside_uint64(self, seed):
         with pytest.raises(ValueError, match="seed"):
-            standard_normals(seed, 4)
+            _normal_rows([seed], 4)[0]
 
     def test_largest_seed_allowed(self):
-        z = standard_normals(2**64 - 1, 5)
+        z = _normal_rows([2**64 - 1], 5)[0]
         assert z.shape == (5,) and np.all(np.isfinite(z))
 
 
@@ -95,7 +97,7 @@ class TestPerturb:
     def test_gaussian_changes_every_entry(self):
         field = _field()
         out = perturb(field, NoiseSpec(kind="gaussian", delta=1e-3, seed=1))
-        for (k, j), v in field.items_sorted():
+        for (k, j), v in stored_entries(field):
             assert out.values[k, j] != v
 
     def test_deterministic_given_seed(self):
@@ -103,7 +105,7 @@ class TestPerturb:
         spec = NoiseSpec(kind="projected", delta=1e-4, p=2.0, seed=9)
         a = perturb(field, spec)
         b = perturb(field, spec)
-        assert a.items_sorted() == b.items_sorted()
+        assert stored_entries(a) == stored_entries(b)
 
     def test_draws_follow_lexicographic_order(self):
         # The same entries inserted in different dict orders receive the same
@@ -113,7 +115,7 @@ class TestPerturb:
         spec = NoiseSpec(kind="gaussian", delta=1e-3, seed=4)
         a = perturb(from_entries(e), spec)
         b = perturb(from_entries(scrambled), spec)
-        assert a.items_sorted() == b.items_sorted()
+        assert stored_entries(a) == stored_entries(b)
 
     def test_projected_linf_peak_is_delta(self):
         delta = 1e-6
@@ -147,8 +149,8 @@ class TestPerturb:
         field = _field()
         out = perturb(field, NoiseSpec(kind="gaussian", delta=1e-2, seed=0))
         assert out.values.shape == field.values.shape
-        assert [kj for kj, _ in out.items_sorted()] == [
-            kj for kj, _ in field.items_sorted()
+        assert [kj for kj, _ in stored_entries(out)] == [
+            kj for kj, _ in stored_entries(field)
         ]
 
     def test_perturb_changes_stored_entries_only(self):
@@ -168,7 +170,7 @@ class TestNoiseVector:
         spec = NoiseSpec(kind="projected", delta=1e-5, p=1.0, seed=11)
         xi = noise_vector(field, spec)
         out = perturb(field, spec)
-        recon = np.array([v for _, v in out.items_sorted()])
+        recon = np.array([v for _, v in stored_entries(out)])
         np.testing.assert_array_equal(recon, xi)
 
     def test_none_kind_empty(self):
@@ -207,7 +209,7 @@ class TestLargeFiniteP:
             {(k, j): 0.0 for k in range(2, 12) for j in range(2, 12)}
         )
         with np.errstate(over="ignore"):
-            assert np.sum(np.abs(standard_normals(3, len(field))) ** p) == math.inf
+            assert np.sum(np.abs(_normal_rows([3], len(field))[0]) ** p) == math.inf
         delta = 1e-6
         xi = noise_vector(field, NoiseSpec(kind="projected", delta=delta, p=p, seed=3))
         assert abs(_lp_norm_long_double(xi, p) - delta) / delta < 1e-12
@@ -218,7 +220,7 @@ class TestLargeFiniteP:
     def test_underflowing_power_sum(self, seed):
         field = from_entries({(2, 2): 0.5})
         with np.errstate(under="ignore"):
-            assert np.sum(np.abs(standard_normals(seed, 1)) ** 2000.0) == 0.0
+            assert np.sum(np.abs(_normal_rows([seed], 1)[0]) ** 2000.0) == 0.0
         delta = 1e-6
         xi = noise_vector(
             field, NoiseSpec(kind="projected", delta=delta, p=2000.0, seed=seed)
@@ -260,7 +262,7 @@ class TestNormalRows:
         for seed, row in zip(_ROW_SEEDS, rows):
             expected = _fresh_draw(seed, count)
             assert np.array_equal(row, expected) and row.tobytes() == expected.tobytes(), seed
-            assert standard_normals(seed, count).tobytes() == expected.tobytes(), seed
+            assert _normal_rows([seed], count)[0].tobytes() == expected.tobytes(), seed
 
     def test_no_seeds_draw_nothing(self, philox_keys):
         assert _normal_rows([], 5).shape == (0, 5)
@@ -288,7 +290,7 @@ class TestNormalRows:
         ],
     )
     def test_a_bad_seed_is_refused_before_any_draw(self, seed, message, philox_keys):
-        for call in (lambda: _normal_rows([0, 1, seed], 4), lambda: standard_normals(seed, 4)):
+        for call in (lambda: _normal_rows([0, 1, seed], 4), lambda: _normal_rows([seed], 4)[0]):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 call()
         assert philox_keys == []
